@@ -9,11 +9,16 @@
 namespace fadesched::net {
 
 LinkSet::LinkSet(std::span<const Link> links) {
-  senders_.reserve(links.size());
-  receivers_.reserve(links.size());
-  rates_.reserve(links.size());
-  lengths_.reserve(links.size());
+  Reserve(links.size());
   for (const Link& link : links) Add(link);
+}
+
+void LinkSet::Reserve(std::size_t n) {
+  senders_.reserve(n);
+  receivers_.reserve(n);
+  rates_.reserve(n);
+  lengths_.reserve(n);
+  tx_powers_.reserve(n);
 }
 
 LinkId LinkSet::Add(const Link& link) {

@@ -38,6 +38,9 @@ class LinkSet {
   LinkSet() = default;
   explicit LinkSet(std::span<const Link> links);
 
+  /// Pre-sizes storage for `n` links (parsers that know the row count).
+  void Reserve(std::size_t n);
+
   /// Appends a link; rejects zero-length links and non-positive rates,
   /// which the interference model cannot represent.
   LinkId Add(const Link& link);

@@ -1,24 +1,28 @@
 #include "service/protocol.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "testing/corpus.hpp"
 #include "util/error.hpp"
+#include "util/string_util.hpp"
 
 namespace fadesched::service {
 
 namespace {
 
 std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+  std::string out;
+  util::AppendDoubleG17(out, value);
+  return out;
 }
 
 std::string FormatHash(std::uint64_t hash) {
@@ -28,18 +32,23 @@ std::string FormatHash(std::uint64_t hash) {
   return buffer;
 }
 
-std::uint64_t ParseHash(const std::string& text, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 16);
-  if (text.empty() || end == nullptr || *end != '\0' || errno != 0) {
-    throw util::FatalError(std::string("malformed ") + what + " '" + text +
-                           "' (expected hex)");
+// Only the canonical spelling FormatHash writes is accepted: a flipped
+// case bit, an inserted leading zero or a "0x" would otherwise parse to
+// the same value and let a corrupted token verify.
+std::uint64_t ParseHash(std::string_view text, const char* what) {
+  std::uint64_t value = 0;
+  if (text.size() != 16 ||
+      text.find_first_not_of("0123456789abcdef") != std::string_view::npos) {
+    throw util::FatalError(std::string("malformed ") + what + " '" +
+                           std::string(text) +
+                           "' (expected 16 lowercase hex digits)");
   }
-  return static_cast<std::uint64_t>(value);
+  std::from_chars(text.data(), text.data() + text.size(), value, 16);
+  return value;
 }
 
-double ParseDouble(const std::string& text, const char* what) {
+double ParseDouble(std::string_view token, const char* what) {
+  const std::string text(token);
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
   if (end == nullptr || *end != '\0' || text.empty()) {
@@ -65,38 +74,47 @@ std::string Flatten(const std::string& text) {
   return out;
 }
 
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string token;
-  while (in >> token) tokens.push_back(token);
+// The token separators: whitespace as the C locale's isspace defines it.
+constexpr std::string_view kBlanks = " \t\n\v\f\r";
+
+std::vector<std::string_view> SplitTokens(std::string_view line) {
+  std::vector<std::string_view> tokens;
+  std::size_t begin = line.find_first_not_of(kBlanks);
+  while (begin != std::string_view::npos) {
+    const std::size_t end = std::min(line.find_first_of(kBlanks, begin),
+                                     line.size());
+    tokens.push_back(line.substr(begin, end - begin));
+    begin = line.find_first_not_of(kBlanks, end);
+  }
   return tokens;
 }
 
 // Splits "key=value"; throws naming the frame line on missing '='.
-std::pair<std::string, std::string> SplitKeyValue(const std::string& token,
-                                                  std::size_t frame_line) {
+std::pair<std::string_view, std::string_view> SplitKeyValue(
+    std::string_view token, std::size_t frame_line) {
   const std::size_t eq = token.find('=');
-  if (eq == std::string::npos || eq == 0) {
+  if (eq == std::string_view::npos || eq == 0) {
     throw util::FatalError("request frame line " + std::to_string(frame_line) +
-                           ": expected key=value, got '" + token + "'");
+                           ": expected key=value, got '" + std::string(token) +
+                           "'");
   }
   return {token.substr(0, eq), token.substr(eq + 1)};
 }
 
-ResponseStatus ParseStatusName(const std::string& name) {
+ResponseStatus ParseStatusName(std::string_view name) {
   if (name == "shed") return ResponseStatus::kShed;
   if (name == "timeout") return ResponseStatus::kTimeout;
   if (name == "error") return ResponseStatus::kError;
-  throw util::FatalError("malformed response status '" + name + "'");
+  throw util::FatalError("malformed response status '" + std::string(name) +
+                         "'");
 }
 
-util::ErrorKind ParseKindName(const std::string& name) {
+util::ErrorKind ParseKindName(std::string_view name) {
   if (name == "transient") return util::ErrorKind::kTransient;
   if (name == "timeout") return util::ErrorKind::kTimeout;
   if (name == "interrupted") return util::ErrorKind::kInterrupted;
   if (name == "fatal") return util::ErrorKind::kFatal;
-  throw util::FatalError("malformed error kind '" + name + "'");
+  throw util::FatalError("malformed error kind '" + std::string(name) + "'");
 }
 
 }  // namespace
@@ -115,32 +133,36 @@ std::string FormatRequestFrame(const SchedulingRequest& request) {
   if (request.deadline_seconds > 0.0) {
     header += " deadline=" + FormatDouble(request.deadline_seconds);
   }
-  std::string scenario = fadesched::testing::FormatScenario(request.scenario);
-  if (!scenario.empty() && scenario.back() != '\n') scenario += '\n';
+  // Newline-terminated by construction.
+  const std::string scenario =
+      fadesched::testing::FormatScenario(request.scenario);
   // check= covers the whole frame body (header without the check token
   // itself, newline, payload) so a flipped bit anywhere — id, scheduler,
-  // deadline, or scenario — is detected as wire corruption.
-  const std::uint64_t check = Fnv1a64(header + '\n' + scenario);
-  std::string frame = header + " check=" + FormatHash(check);
-  frame += '\n';
+  // deadline, or scenario — is detected as wire corruption. Chained, so
+  // the body is never concatenated just to be hashed.
+  const std::uint64_t check =
+      Fnv1a64(scenario, Fnv1a64("\n", Fnv1a64(header)));
+  std::string frame = header + " check=" + FormatHash(check) + '\n';
+  frame.reserve(frame.size() + scenario.size() + 4);
   frame += scenario;
   frame += kFrameEnd;
   frame += '\n';
   return frame;
 }
 
-SchedulingRequest ParseRequestFrame(const std::string& frame) {
+SchedulingRequest ParseRequestFrame(std::string_view frame) {
   const std::size_t header_end = frame.find('\n');
-  if (header_end == std::string::npos) {
+  if (header_end == std::string_view::npos) {
     throw util::FatalError(
         "request frame line 1: header is not newline-terminated");
   }
-  const std::string header = frame.substr(0, header_end);
-  const std::vector<std::string> tokens = SplitTokens(header);
+  const std::string_view header = frame.substr(0, header_end);
+  const std::string_view payload = frame.substr(header_end + 1);
+  const std::vector<std::string_view> tokens = SplitTokens(header);
   if (tokens.empty() || tokens[0] != "REQUEST") {
     throw util::FatalError(
         "request frame line 1: expected 'REQUEST id=... scheduler=...', got '" +
-        header + "'");
+        std::string(header) + "'");
   }
 
   SchedulingRequest request;
@@ -175,7 +197,7 @@ SchedulingRequest ParseRequestFrame(const std::string& frame) {
       }
     } else {
       throw util::FatalError("request frame line 1: unknown header key '" +
-                             key + "'");
+                             std::string(key) + "'");
     }
   }
   if (request.id.empty()) {
@@ -195,7 +217,6 @@ SchedulingRequest ParseRequestFrame(const std::string& frame) {
         "corruption, or a pre-checksum peer — retry with check=)");
   }
 
-  const std::string payload = frame.substr(header_end + 1);
   try {
     request.scenario = fadesched::testing::ParseScenario(payload);
   } catch (const std::exception& e) {
@@ -210,13 +231,14 @@ SchedulingRequest ParseRequestFrame(const std::string& frame) {
   // or a flipped header token that still splits as key=value — is caught
   // here instead of silently scheduling the wrong instance. The body is
   // the frame with the check token (and the one separator before it)
-  // spliced out, mirroring the format side. The token is located by any
-  // whitespace boundary, not just ' ': a space corrupted into a tab
-  // still tokenizes, and must not silently disable verification.
+  // spliced out, mirroring the format side, and is hashed in place as
+  // three chained pieces. The token is located by any whitespace
+  // boundary, not just ' ': a space corrupted into a tab still tokenizes,
+  // and must not silently disable verification.
   std::size_t pos = 0;
   for (;;) {
     pos = header.find("check=", pos);
-    if (pos == std::string::npos || pos == 0) {
+    if (pos == std::string_view::npos || pos == 0) {
       // Unreachable when `check` parsed from a token, kept as a guard.
       throw util::TransientError(
           "request frame line 1: check= token lost during reparse (wire "
@@ -229,14 +251,19 @@ SchedulingRequest ParseRequestFrame(const std::string& frame) {
     }
     ++pos;
   }
-  std::size_t token_end = header.find_first_of(" \t", pos + 1);
-  if (token_end == std::string::npos) token_end = header.size();
-  const std::string body =
-      header.substr(0, pos) + header.substr(token_end) + '\n' + payload;
-  if (*check != Fnv1a64(body)) {
+  // The token ends where the tokenizer ended it, so a stray '\r' or '\v'
+  // after it is hashed rather than spliced away.
+  const std::size_t token_end =
+      std::min(header.find_first_of(kBlanks, pos + 1), header.size());
+  const std::uint64_t hash =
+      Fnv1a64(payload, Fnv1a64("\n", Fnv1a64(header.substr(token_end),
+                                             Fnv1a64(header.substr(0, pos)))));
+  if (*check != hash) {
+    const std::size_t body_bytes =
+        pos + (header.size() - token_end) + 1 + payload.size();
     throw util::TransientError(
-        "request frame checksum mismatch: " + std::to_string(body.size()) +
-        " frame byte(s) hash to " + FormatHash(Fnv1a64(body)) +
+        "request frame checksum mismatch: " + std::to_string(body_bytes) +
+        " frame byte(s) hash to " + FormatHash(hash) +
         ", header claims check=" + FormatHash(*check) +
         " (wire corruption — retry)");
   }
@@ -306,7 +333,7 @@ std::string FormatResponseLine(const SchedulingResponse& response) {
 SchedulingResponse ParseResponseLine(const std::string& raw_line) {
   const std::string line = VerifyAndStripChecksum(raw_line);
   SchedulingResponse response;
-  const std::vector<std::string> tokens = SplitTokens(line);
+  const std::vector<std::string_view> tokens = SplitTokens(line);
   if (tokens.empty()) throw util::FatalError("empty response line");
 
   if (tokens[0] == "OK") {
@@ -319,7 +346,7 @@ SchedulingResponse ParseResponseLine(const std::string& raw_line) {
         response.claimed_rate = ParseDouble(value, "rate");
       } else if (key == "schedule") {
         if (value != "-") {
-          std::istringstream ids(value);
+          std::istringstream ids{std::string(value)};
           std::string piece;
           while (std::getline(ids, piece, ',')) {
             response.schedule.push_back(
@@ -327,7 +354,8 @@ SchedulingResponse ParseResponseLine(const std::string& raw_line) {
           }
         }
       } else {
-        throw util::FatalError("unknown response key '" + key + "'");
+        throw util::FatalError("unknown response key '" + std::string(key) +
+                               "'");
       }
     }
     return response;
@@ -346,16 +374,17 @@ SchedulingResponse ParseResponseLine(const std::string& raw_line) {
         response.retry_after_ms = ParseDouble(value, "retry_after_ms");
         if (response.retry_after_ms < 0.0) {
           throw util::FatalError("retry_after_ms must be non-negative, got '" +
-                                 value + "'");
+                                 std::string(value) + "'");
         }
       } else if (key == "msg") {
         // msg= runs to end of line (it may contain spaces).
         const std::size_t pos = line.find(" msg=");
-        response.message =
-            pos == std::string::npos ? value : line.substr(pos + 5);
+        response.message = pos == std::string::npos ? std::string(value)
+                                                    : line.substr(pos + 5);
         break;
       } else {
-        throw util::FatalError("unknown response key '" + key + "'");
+        throw util::FatalError("unknown response key '" + std::string(key) +
+                               "'");
       }
     }
     if (response.status == ResponseStatus::kOk) {
@@ -449,7 +478,8 @@ constexpr StatsField kStatsFields[] = {
     {"brownout_active", &StatsSnapshot::brownout_active},
 };
 
-std::uint64_t ParseCounter(const std::string& text, const char* what) {
+std::uint64_t ParseCounter(std::string_view token, const char* what) {
+  const std::string text(token);
   char* end = nullptr;
   errno = 0;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
@@ -475,7 +505,7 @@ std::string FormatStatsLine(const StatsSnapshot& snapshot) {
 
 StatsSnapshot ParseStatsLine(const std::string& raw_line) {
   const std::string line = VerifyAndStripChecksum(raw_line);
-  const std::vector<std::string> tokens = SplitTokens(line);
+  const std::vector<std::string_view> tokens = SplitTokens(line);
   if (tokens.empty() || tokens[0] != kStatsVerb) {
     throw util::FatalError("expected a STATS response line, got '" + line +
                            "'");
@@ -487,7 +517,8 @@ StatsSnapshot ParseStatsLine(const std::string& raw_line) {
     bool known = false;
     for (std::size_t f = 0; f < std::size(kStatsFields); ++f) {
       if (key == kStatsFields[f].key) {
-        snapshot.*(kStatsFields[f].member) = ParseCounter(value, key.c_str());
+        snapshot.*(kStatsFields[f].member) =
+            ParseCounter(value, kStatsFields[f].key);
         seen[f] = true;
         known = true;
         break;
@@ -521,7 +552,7 @@ std::string StatsSnapshot::ToJson() const {
   return out;
 }
 
-bool FrameAssembler::Feed(const std::string& line) {
+bool FrameAssembler::Feed(std::string_view line) {
   if (done_) Reset();
   ++lines_;
   if (line == kFrameEnd) {

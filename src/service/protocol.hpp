@@ -28,18 +28,20 @@
 // over the whole frame body with the check token itself spliced out
 // (header tokens, newline, scenario payload — so a flipped bit in id=,
 // scheduler=, deadline=, or any payload byte all mismatch); `sum=` is
-// FNV-1a over the response line with its own sum token removed. `check=`
-// is REQUIRED on request frames: a missing token on an otherwise
-// well-formed header is itself answered as kTransient corruption,
-// because a single flipped separator byte can merge the check token into
-// its neighbour — optional integrity would be disabled exactly when it
-// is needed (found by the chaos soak). `sum=` stays optional on parse
-// for hand-written test lines. A mismatch of either throws a kTransient
-// error (wire corruption is retryable, not a caller bug). Because a
-// flipped bit can also yield a payload that still parses, the request
-// checksum is verified *after* a successful scenario parse: parse errors
-// keep their precise row diagnostics, and the checksum closes the
-// corrupted-but-parseable hole.
+// FNV-1a over the response line with its own sum token removed. Both
+// tokens must be spelled exactly as written, 16 lowercase hex digits, so
+// a corrupted spelling of the same value (case flip, extra leading zero)
+// is rejected rather than verified. `check=` is REQUIRED on request
+// frames: a missing token on an otherwise well-formed header is itself
+// answered as kTransient corruption, because a single flipped separator
+// byte can merge the check token into its neighbour — optional
+// integrity would be disabled exactly when it is needed (found by the
+// chaos soak). `sum=` stays optional on parse for hand-written test
+// lines. A mismatch of either throws a kTransient error (wire corruption
+// is retryable, not a caller bug). Because a flipped bit can also yield
+// a payload that still parses, the request checksum is verified *after*
+// a successful scenario parse: parse errors keep their precise row
+// diagnostics, and the checksum closes the corrupted-but-parseable hole.
 // Besides scheduling frames, a connection may send the bare line `STATS`
 // (no payload, no END) between frames; the server answers with one
 // `STATS sum=<16hex> key=value ...` line — a consistent-enough snapshot
@@ -49,6 +51,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "service/metrics.hpp"
 #include "service/request.hpp"
@@ -128,7 +131,7 @@ std::string FormatRequestFrame(const SchedulingRequest& request);
 /// Throws util::HarnessError naming the offending 1-based frame line on
 /// malformed input: kFatal for structural errors (a caller bug),
 /// kTransient for a missing or mismatching check= (wire corruption).
-SchedulingRequest ParseRequestFrame(const std::string& frame);
+SchedulingRequest ParseRequestFrame(std::string_view frame);
 
 /// Formats the single response line (no trailing newline). Deliberately
 /// omits cache_hit so hit and miss responses are byte-identical.
@@ -146,7 +149,7 @@ class FrameAssembler {
  public:
   /// Consumes one line (without its newline). Returns true when this line
   /// completed the frame.
-  bool Feed(const std::string& line);
+  bool Feed(std::string_view line);
 
   [[nodiscard]] bool Done() const { return done_; }
   [[nodiscard]] bool Empty() const { return lines_ == 0; }

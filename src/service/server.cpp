@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "service/protocol.hpp"
+#include "service/shard/frame_scanner.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/signal_guard.hpp"
@@ -188,9 +189,8 @@ void Server::Serve() {
 
 void Server::HandleConnection(int fd) {
   ServiceMetrics& metrics = service_->Metrics();
-  FrameAssembler assembler;
-  std::string buffer;
-  char chunk[4096];
+  shard::FrameScanner scanner;
+  char chunk[16384];
   bool peer_closed = false;
   auto last_byte = std::chrono::steady_clock::now();
 
@@ -213,7 +213,7 @@ void Server::HandleConnection(int fd) {
       if (errno == EINTR) continue;
       break;
     }
-    const bool mid_frame = !assembler.Empty() || !buffer.empty();
+    const bool mid_frame = scanner.MidFrame();
     if (ready == 0) {
       // Idle tick: only hang up between frames, never mid-frame — a
       // client that already sent half a request gets its answer.
@@ -230,7 +230,7 @@ void Server::HandleConnection(int fd) {
           metrics.evicted_slow.fetch_add(1, std::memory_order_relaxed);
           send_error(util::ErrorKind::kTimeout,
                      "read deadline: frame stalled after " +
-                         std::to_string(assembler.Lines()) +
+                         std::to_string(scanner.Lines()) +
                          " line(s) with no byte for " +
                          std::to_string(options_.read_deadline_seconds) +
                          " s — connection evicted");
@@ -247,16 +247,12 @@ void Server::HandleConnection(int fd) {
     if (n == 0) {
       peer_closed = true;
     } else {
-      buffer.append(chunk, static_cast<std::size_t>(n));
+      scanner.Feed(chunk, static_cast<std::size_t>(n));
       last_byte = std::chrono::steady_clock::now();
     }
 
-    std::size_t line_end;
-    while ((line_end = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, line_end);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      buffer.erase(0, line_end + 1);
-      if (assembler.Empty() && line == kStatsVerb) {
+    for (const shard::ScanEvent& event : scanner.Drain()) {
+      if (event.kind == shard::ScanEvent::Kind::kStats) {
         // Metrics query, valid only between frames — inside a frame the
         // same bytes are scenario payload.
         if (!WriteAll(fd, FormatStatsLine(CaptureStats(metrics)) + "\n")) {
@@ -265,11 +261,10 @@ void Server::HandleConnection(int fd) {
         }
         continue;
       }
-      if (!assembler.Feed(line)) continue;
 
       SchedulingResponse response;
       try {
-        response = service_->Execute(assembler.Parse());
+        response = service_->Execute(ParseRequestFrame(event.frame));
       } catch (const util::HarnessError& e) {
         // Parse failures keep their taxonomy kind on the wire: a check=
         // mismatch is kTransient (corruption — the client should retry),
@@ -290,7 +285,6 @@ void Server::HandleConnection(int fd) {
         response.message = e.what();
         response.id = "-";
       }
-      assembler.Reset();
       if (options_.chaos_abort_before_reply > 0 &&
           replies_written_.fetch_add(1, std::memory_order_relaxed) + 1 ==
               options_.chaos_abort_before_reply) {
@@ -307,11 +301,11 @@ void Server::HandleConnection(int fd) {
 
     // Max-frame guard (checked once per recv, so the effective cap has
     // one chunk of slack): reject instead of buffering unboundedly.
-    const std::size_t frame_bytes = assembler.ByteSize() + buffer.size();
+    const std::size_t frame_bytes = scanner.PendingBytes();
     if (!peer_closed && frame_bytes > options_.max_frame_bytes) {
       metrics.oversized_frames.fetch_add(1, std::memory_order_relaxed);
       send_error(util::ErrorKind::kFatal,
-                 "request frame line " + std::to_string(assembler.Lines() + 1) +
+                 "request frame line " + std::to_string(scanner.Lines() + 1) +
                      ": frame exceeds max_frame_bytes=" +
                      std::to_string(options_.max_frame_bytes) + " (" +
                      std::to_string(frame_bytes) +
@@ -319,11 +313,11 @@ void Server::HandleConnection(int fd) {
       break;
     }
 
-    if (peer_closed && !assembler.Empty() && !assembler.Done()) {
+    if (peer_closed && scanner.Lines() > 0) {
       // EOF mid-frame: best-effort error naming how far the frame got
       // (the peer may keep its read side open after shutdown(SHUT_WR)).
       metrics.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(util::ErrorKind::kFatal, assembler.Truncated());
+      send_error(util::ErrorKind::kFatal, scanner.Truncated());
     }
   }
   ::close(fd);

@@ -10,24 +10,22 @@ void FrameScanner::Feed(const char* data, std::size_t size) {
 
 std::vector<ScanEvent> FrameScanner::Drain() {
   std::vector<ScanEvent> events;
-  std::size_t line_end;
-  while ((line_end = buffer_.find('\n')) != std::string::npos) {
-    std::string line = buffer_.substr(0, line_end);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    buffer_.erase(0, line_end + 1);
+  // A cursor walks the complete lines in place; the consumed prefix is
+  // dropped once at the end, and a trailing partial line stays buffered.
+  std::size_t begin = 0;
+  for (std::size_t end; (end = buffer_.find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    std::string_view line(buffer_.data() + begin, end - begin);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (assembler_.Empty() && line == kStatsVerb) {
-      ScanEvent event;
-      event.kind = ScanEvent::Kind::kStats;
-      events.push_back(std::move(event));
+      events.push_back({ScanEvent::Kind::kStats, {}});
       continue;
     }
     if (!assembler_.Feed(line)) continue;
-    ScanEvent event;
-    event.kind = ScanEvent::Kind::kFrame;
-    event.frame = assembler_.Body();
-    events.push_back(std::move(event));
+    events.push_back({ScanEvent::Kind::kFrame, assembler_.Body()});
     assembler_.Reset();
   }
+  buffer_.erase(0, begin);
   return events;
 }
 

@@ -1,12 +1,10 @@
-// Per-connection incremental frame reassembly for the epoll router.
+// Per-connection incremental frame reassembly, shared by both
+// front-ends: the epoll router and the thread-per-connection Server.
 //
-// The thread-per-connection Server can block in recv and split lines as
-// it goes; the event-loop front-end instead gets arbitrary byte chunks
-// whenever the socket is readable and must carve frames out of them
-// without blocking. FrameScanner is that state machine: feed bytes,
-// drain events. Semantics deliberately mirror Server::HandleConnection
-// line for line — the chaos suite asserts byte-identical behaviour
-// between the two front-ends:
+// Both get arbitrary byte chunks from the socket and must carve frames
+// out of them; FrameScanner is that state machine: feed bytes, drain
+// events. One carving routine for both keeps their framing
+// byte-identical, which the chaos suite asserts:
 //
 //   * lines end at '\n'; a trailing '\r' is stripped (telnet-friendly);
 //   * a bare STATS line between frames is a metrics query, the same

@@ -1,9 +1,7 @@
 #include "testing/corpus.hpp"
 
 #include <array>
-#include <cstdio>
-#include <iterator>
-#include <sstream>
+#include <string_view>
 
 #include "net/scenario_io.hpp"
 #include "util/atomic_io.hpp"
@@ -13,69 +11,77 @@
 namespace fadesched::testing {
 namespace {
 
-constexpr const char* kMagic = "# fadesched scenario v1";
-
-// 17 *significant* digits round-trip every double, so shrunk boundary
-// instances replay bit-identically. %g, not util::FormatDouble's fixed
-// %f, which drops significance below 1e-17 absolute.
-std::string Num(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
+constexpr std::string_view kMagic = "# fadesched scenario v1";
 
 }  // namespace
 
 std::string FormatScenario(const ScenarioCase& scenario) {
   FS_CHECK_MSG(scenario.description.find('\n') == std::string::npos,
                "scenario description must be a single line");
-  std::ostringstream os;
-  os << kMagic << "\n";
-  os << "# description: " << scenario.description << "\n";
-  os << "alpha = " << Num(scenario.params.alpha) << "\n";
-  os << "epsilon = " << Num(scenario.params.epsilon) << "\n";
-  os << "gamma_th = " << Num(scenario.params.gamma_th) << "\n";
-  os << "tx_power = " << Num(scenario.params.tx_power) << "\n";
-  os << "noise_power = " << Num(scenario.params.noise_power) << "\n";
-  os << "links:\n";
-  // The link block reuses scenario_io's CSV schema, but at full precision:
-  // rebuild the table cells here instead of calling ToCsv (12 digits).
   const net::LinkSet& links = scenario.links;
   const bool with_power = !links.HasUniformTxPower();
-  os << "sx,sy,rx,ry,rate" << (with_power ? ",tx_power" : "") << "\n";
+  std::string out;
+  // One allocation: a %.17g cell is at most 24 characters plus its comma.
+  out.reserve(256 + scenario.description.size() +
+              links.Size() * (with_power ? 6 : 5) * 25);
+  // 17 *significant* digits round-trip every double, so shrunk boundary
+  // instances replay bit-identically. %g, not util::FormatDouble's fixed
+  // %f, which drops significance below 1e-17 absolute.
+  const auto key = [&out](const char* name, double value) {
+    out += name;
+    out += " = ";
+    util::AppendDoubleG17(out, value);
+    out += '\n';
+  };
+  out += kMagic;
+  out += "\n# description: ";
+  out += scenario.description;
+  out += '\n';
+  key("alpha", scenario.params.alpha);
+  key("epsilon", scenario.params.epsilon);
+  key("gamma_th", scenario.params.gamma_th);
+  key("tx_power", scenario.params.tx_power);
+  key("noise_power", scenario.params.noise_power);
+  out += "links:\n";
+  // The link block reuses scenario_io's CSV schema, but at full precision:
+  // rebuild the cells here instead of calling ToCsv (12 digits).
+  out += with_power ? "sx,sy,rx,ry,rate,tx_power\n" : "sx,sy,rx,ry,rate\n";
   for (net::LinkId i = 0; i < links.Size(); ++i) {
-    os << Num(links.Sender(i).x) << ',' << Num(links.Sender(i).y) << ','
-       << Num(links.Receiver(i).x) << ',' << Num(links.Receiver(i).y) << ','
-       << Num(links.Rate(i));
-    if (with_power) os << ',' << Num(links.TxPower(i));
-    os << "\n";
+    const double cells[] = {links.Sender(i).x,   links.Sender(i).y,
+                            links.Receiver(i).x, links.Receiver(i).y,
+                            links.Rate(i),       links.TxPower(i)};
+    for (std::size_t c = 0; c < (with_power ? 6u : 5u); ++c) {
+      if (c > 0) out += ',';
+      util::AppendDoubleG17(out, cells[c]);
+    }
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
-ScenarioCase ParseScenario(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_no = 0;
+ScenarioCase ParseScenario(std::string_view text) {
+  std::string_view rest = text;
+  std::string_view line;
+  std::size_t line_no = 1;
   const auto where = [&] {
     return "scenario file line " + std::to_string(line_no);
   };
 
   ScenarioCase result;
-  const bool has_magic = static_cast<bool>(std::getline(is, line));
-  ++line_no;
+  const bool has_magic = util::PopLine(rest, &line);
   FS_CHECK_MSG(has_magic && util::Trim(line) == kMagic,
                "scenario file line 1: missing header '" + std::string(kMagic) +
                    "'");
 
   bool saw_links = false;
   std::array<bool, 5> seen{};  // alpha, epsilon, gamma_th, tx_power, noise
-  while (std::getline(is, line)) {
+  while (util::PopLine(rest, &line)) {
     ++line_no;
-    const std::string trimmed{util::Trim(line)};
+    const std::string_view trimmed = util::Trim(line);
     if (trimmed.empty()) continue;
-    if (trimmed.rfind("# description:", 0) == 0) {
-      result.description = std::string{util::Trim(trimmed.substr(14))};
+    constexpr std::string_view kDescription = "# description:";
+    if (util::StartsWith(trimmed, kDescription)) {
+      result.description = util::Trim(trimmed.substr(kDescription.size()));
       continue;
     }
     if (trimmed[0] == '#') continue;
@@ -84,12 +90,12 @@ ScenarioCase ParseScenario(const std::string& text) {
       break;
     }
     const auto eq = trimmed.find('=');
-    FS_CHECK_MSG(eq != std::string::npos,
+    FS_CHECK_MSG(eq != std::string_view::npos,
                  where() + ": expected 'key = value' or 'links:'");
-    const std::string key{util::Trim(trimmed.substr(0, eq))};
-    const auto value = util::ParseDouble(util::Trim(trimmed.substr(eq + 1)));
-    FS_CHECK_MSG(value.has_value(),
-                 where() + ": malformed value for key '" + key + "'");
+    const std::string_view key = util::Trim(trimmed.substr(0, eq));
+    const auto value = util::ParseDouble(trimmed.substr(eq + 1));
+    FS_CHECK_MSG(value.has_value(), where() + ": malformed value for key '" +
+                                        std::string(key) + "'");
     if (key == "alpha") {
       result.params.alpha = *value;
       seen[0] = true;
@@ -106,7 +112,7 @@ ScenarioCase ParseScenario(const std::string& text) {
       result.params.noise_power = *value;
       seen[4] = true;
     } else {
-      FS_CHECK_MSG(false, where() + ": unknown key '" + key + "'");
+      FS_CHECK_MSG(false, where() + ": unknown key '" + std::string(key) + "'");
     }
   }
   FS_CHECK_MSG(saw_links, "scenario file: missing 'links:' block");
@@ -118,14 +124,12 @@ ScenarioCase ParseScenario(const std::string& text) {
   }
   result.params.Validate();
 
-  // Remainder of the stream is the scenario_io CSV block; FromCsv reports
-  // malformed values as "scenario row N" relative to this block.
-  std::string csv_block((std::istreambuf_iterator<char>(is)),
-                        std::istreambuf_iterator<char>());
-  FS_CHECK_MSG(!util::Trim(csv_block).empty(),
+  // The rest of the text is the scenario_io CSV block; ParseLinkCsv
+  // reports malformed values as "scenario row N" relative to this block.
+  FS_CHECK_MSG(!util::Trim(rest).empty(),
                "scenario file: truncated after 'links:' — missing CSV "
                "header row");
-  result.links = net::FromCsv(util::CsvTable::ParseString(csv_block));
+  result.links = net::ParseLinkCsv(rest);
   return result;
 }
 

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "channel/params.hpp"
 #include "net/link_set.hpp"
@@ -40,7 +41,7 @@ std::string FormatScenario(const ScenarioCase& scenario);
 
 /// Parse the `.scenario` text format; throws CheckFailure with the
 /// offending 1-based line (header) or row (link block) on malformed input.
-ScenarioCase ParseScenario(const std::string& text);
+ScenarioCase ParseScenario(std::string_view text);
 
 /// File round-trips. Saving is atomic (temp → fsync → rename); loading
 /// throws CheckFailure / HarnessError on I/O or parse failure.

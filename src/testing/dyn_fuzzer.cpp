@@ -1,7 +1,6 @@
 #include "testing/dyn_fuzzer.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <sstream>
@@ -28,9 +27,9 @@ constexpr std::uint64_t kKnobSalt = 0xe7037ed1a0b428dbULL;
 
 /// 17-significant-digit double rendering, same as the static corpus.
 std::string Num(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+  std::string out;
+  util::AppendDoubleG17(out, value);
+  return out;
 }
 
 const char* BackendName(channel::FactorBackend backend) {

@@ -1,7 +1,6 @@
 #include "util/csv.hpp"
 
 #include <algorithm>
-#include <istream>
 #include <ostream>
 #include <sstream>
 
@@ -95,62 +94,88 @@ void CsvTable::Save(const std::string& path) const {
   AtomicWriteFile(path, ToString());
 }
 
-CsvTable CsvTable::Parse(std::istream& is) {
-  // We only need the unquoted subset for scenarios; quoted cells produced
-  // by Write() are accepted too.
-  auto parse_line = [](const std::string& line) {
-    std::vector<std::string> cells;
-    std::string cur;
-    bool quoted = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      char c = line[i];
-      if (quoted) {
-        if (c == '"') {
-          if (i + 1 < line.size() && line[i + 1] == '"') {
-            cur += '"';
-            ++i;
-          } else {
-            quoted = false;
-          }
-        } else {
-          cur += c;
-        }
-      } else if (c == '"') {
-        quoted = true;
-      } else if (c == ',') {
-        cells.push_back(std::move(cur));
-        cur.clear();
-      } else {
-        cur += c;
-      }
+CsvTable CsvTable::ParseString(std::string_view text) {
+  CsvReader reader(text);
+  CsvTable table(reader.Header());
+  while (reader.Next()) {
+    std::vector<std::string> row;
+    row.reserve(table.NumCols());
+    for (std::size_t c = 0; c < table.NumCols(); ++c) {
+      row.emplace_back(reader.Cell(c));
     }
-    cells.push_back(std::move(cur));
-    return cells;
-  };
-
-  std::string line;
-  FS_CHECK_MSG(static_cast<bool>(std::getline(is, line)),
-               "empty CSV input: no header line");
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  CsvTable table(parse_line(line));
-  std::size_t row_number = 0;  // 1-based data rows, header excluded
-  while (std::getline(is, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (Trim(line).empty()) continue;
-    ++row_number;
-    std::vector<std::string> cells = parse_line(line);
-    FS_CHECK_MSG(cells.size() == table.NumCols(),
-                 "CSV row " + std::to_string(row_number) + ": expected " +
-                     std::to_string(table.NumCols()) + " columns, got " +
-                     std::to_string(cells.size()));
-    table.AppendRow(std::move(cells));
+    table.AppendRow(std::move(row));
   }
   return table;
 }
 
-CsvTable CsvTable::ParseString(const std::string& text) {
-  std::istringstream is(text);
-  return Parse(is);
+CsvReader::CsvReader(std::string_view text) : rest_(text) {
+  std::string_view line;
+  FS_CHECK_MSG(NextLine(&line), "empty CSV input: no header line");
+  SplitLine(line);
+  header_.assign(cells_.begin(), cells_.end());
+}
+
+bool CsvReader::NextLine(std::string_view* line) {
+  if (!PopLine(rest_, line)) return false;
+  if (!line->empty() && line->back() == '\r') line->remove_suffix(1);
+  return true;
+}
+
+bool CsvReader::Next() {
+  std::string_view line;
+  while (NextLine(&line)) {
+    if (Trim(line).empty()) continue;
+    ++row_;
+    SplitLine(line);
+    FS_CHECK_MSG(cells_.size() == header_.size(),
+                 "CSV row " + std::to_string(row_) + ": expected " +
+                     std::to_string(header_.size()) + " columns, got " +
+                     std::to_string(cells_.size()));
+    return true;
+  }
+  return false;
+}
+
+void CsvReader::SplitLine(std::string_view line) {
+  cells_.clear();
+  if (line.find('"') == std::string_view::npos) {
+    // Fast path (every scenario row): cells are views into the text.
+    std::size_t begin = 0;
+    for (std::size_t comma; (comma = line.find(',', begin)) !=
+                            std::string_view::npos;
+         begin = comma + 1) {
+      cells_.push_back(line.substr(begin, comma - begin));
+    }
+    cells_.push_back(line.substr(begin));
+    return;
+  }
+  // Quoted cells are unescaped into scratch_. Unescaping only shrinks,
+  // so with the line's length reserved the views never dangle.
+  scratch_.clear();
+  scratch_.reserve(line.size());
+  std::size_t begin = 0;
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted) {
+      if (c != '"') {
+        scratch_ += c;
+      } else if (i + 1 < line.size() && line[i + 1] == '"') {
+        scratch_ += '"';
+        ++i;
+      } else {
+        quoted = false;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',') {
+      cells_.emplace_back(scratch_.data() + begin, scratch_.size() - begin);
+      begin = scratch_.size();
+    } else {
+      scratch_ += c;
+    }
+  }
+  cells_.emplace_back(scratch_.data() + begin, scratch_.size() - begin);
 }
 
 std::string CsvTable::ToPrettyString() const {

@@ -4,6 +4,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fadesched::util {
@@ -42,9 +43,9 @@ class CsvTable {
   /// interrupted run can never leave a truncated table on disk.
   void Save(const std::string& path) const;
 
-  /// Parse a table from CSV text; first line is the header.
-  static CsvTable Parse(std::istream& is);
-  static CsvTable ParseString(const std::string& text);
+  /// Parse a table from CSV text (CsvReader's grammar); first line is
+  /// the header.
+  static CsvTable ParseString(std::string_view text);
 
   /// Render as an aligned human-readable table (for bench stdout).
   [[nodiscard]] std::string ToPrettyString() const;
@@ -52,6 +53,43 @@ class CsvTable {
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
+};
+
+/// Single-pass CSV row reader over text it does not own: the parser
+/// behind CsvTable::ParseString and net::ParseLinkCsv, so both accept the
+/// same grammar. The first line is the header; lines end at '\n' with one
+/// trailing '\r' stripped; whitespace-only lines are skipped; a cell may
+/// be quoted ("a,b", "say ""hi"""). Cells are views into the text (or into
+/// the reader's scratch buffer for lines with quotes) valid until the
+/// next Next(). Throws CheckFailure on empty input and, naming the 1-based
+/// data row, on a row whose width differs from the header's.
+class CsvReader {
+ public:
+  explicit CsvReader(std::string_view text);
+
+  [[nodiscard]] const std::vector<std::string>& Header() const {
+    return header_;
+  }
+
+  /// Advances to the next data row; false once the text is exhausted.
+  bool Next();
+
+  /// 1-based number of the current data row (blank lines not counted).
+  [[nodiscard]] std::size_t Row() const { return row_; }
+  [[nodiscard]] std::string_view Cell(std::size_t col) const {
+    return cells_[col];
+  }
+
+ private:
+  /// Next line without its '\n' and trailing '\r'; false at end of text.
+  bool NextLine(std::string_view* line);
+  void SplitLine(std::string_view line);
+
+  std::string_view rest_;
+  std::vector<std::string> header_;
+  std::vector<std::string_view> cells_;
+  std::string scratch_;
+  std::size_t row_ = 0;
 };
 
 /// Convenience builder: appends typed cells and materializes rows.

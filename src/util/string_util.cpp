@@ -32,6 +32,19 @@ std::string_view Trim(std::string_view text) {
   return text.substr(first, last - first);
 }
 
+bool PopLine(std::string_view& rest, std::string_view* line) {
+  if (rest.empty()) return false;
+  const std::size_t end = rest.find('\n');
+  if (end == std::string_view::npos) {
+    *line = rest;
+    rest = {};
+  } else {
+    *line = rest.substr(0, end);
+    rest.remove_prefix(end + 1);
+  }
+  return true;
+}
+
 std::optional<long long> ParseInt(std::string_view text) {
   text = Trim(text);
   long long value = 0;
@@ -64,6 +77,13 @@ std::string Join(const std::vector<std::string>& items, std::string_view sep) {
     out.append(items[i]);
   }
   return out;
+}
+
+void AppendDoubleG17(std::string& out, double value) {
+  char buf[32];  // "-d.dddddddddddddddde-ddd" is 24 characters
+  const std::to_chars_result result = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  out.append(buf, result.ptr);
 }
 
 std::string FormatDouble(double value, int max_precision) {

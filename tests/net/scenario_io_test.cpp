@@ -26,7 +26,7 @@ TEST(ScenarioIoTest, CsvHasExpectedColumns) {
 TEST(ScenarioIoTest, TableRoundTripPreservesValues) {
   rng::Xoshiro256 gen(1);
   const LinkSet links = MakeUniformScenario(50, {}, gen);
-  const LinkSet parsed = FromCsv(ToCsv(links));
+  const LinkSet parsed = ParseLinkCsv(ToCsv(links).ToString());
   ASSERT_EQ(parsed.Size(), links.Size());
   for (LinkId i = 0; i < links.Size(); ++i) {
     EXPECT_NEAR(parsed.Sender(i).x, links.Sender(i).x, 1e-9);
@@ -66,26 +66,23 @@ TEST(ScenarioIoTest, UnwritablePathThrows) {
 }
 
 TEST(ScenarioIoTest, MalformedCsvRejected) {
-  const util::CsvTable bad =
-      util::CsvTable::ParseString("sx,sy,rx,ry,rate\n1,2,3,four,5\n");
-  EXPECT_THROW(FromCsv(bad), util::CheckFailure);
+  EXPECT_THROW(ParseLinkCsv("sx,sy,rx,ry,rate\n1,2,3,four,5\n"),
+               util::CheckFailure);
 }
 
 TEST(ScenarioIoTest, MissingColumnRejected) {
-  const util::CsvTable bad = util::CsvTable::ParseString("sx,sy\n1,2\n");
-  EXPECT_THROW(FromCsv(bad), util::CheckFailure);
+  EXPECT_THROW(ParseLinkCsv("sx,sy\n1,2\n"), util::CheckFailure);
 }
 
 TEST(ScenarioIoTest, InvalidLinkDataRejectedOnLoad) {
   // Zero-length link (sender == receiver) must fail LinkSet validation.
-  const util::CsvTable bad =
-      util::CsvTable::ParseString("sx,sy,rx,ry,rate\n1,1,1,1,1\n");
-  EXPECT_THROW(FromCsv(bad), util::CheckFailure);
+  EXPECT_THROW(ParseLinkCsv("sx,sy,rx,ry,rate\n1,1,1,1,1\n"),
+               util::CheckFailure);
 }
 
 TEST(ScenarioIoTest, EmptyLinkSetRoundTrips) {
   const LinkSet empty;
-  const LinkSet parsed = FromCsv(ToCsv(empty));
+  const LinkSet parsed = ParseLinkCsv(ToCsv(empty).ToString());
   EXPECT_TRUE(parsed.Empty());
 }
 
@@ -122,11 +119,16 @@ TEST(ScenarioIoTest, MalformedRowsNameTheOffendingRow) {
       {"negative tx_power",
        "sx,sy,rx,ry,rate,tx_power\n0,0,1,0,1,-3\n",
        "scenario row 1: tx_power must be non-negative"},
+      {"short row",
+       "sx,sy,rx,ry,rate\n0,0,1,0,1\n\n0,0,1\n",
+       "CSV row 2: expected 5 columns, got 3"},
+      {"missing column",
+       "sx,sy,rx,rate\n0,0,1,1\n",
+       "no such CSV column: ry"},
   };
   for (const Case& c : cases) {
-    const util::CsvTable table = util::CsvTable::ParseString(c.csv);
     try {
-      FromCsv(table);
+      (void)ParseLinkCsv(c.csv);
       FAIL() << c.name << ": expected CheckFailure";
     } catch (const util::CheckFailure& e) {
       EXPECT_NE(std::string(e.what()).find(c.expected_fragment),

@@ -166,7 +166,8 @@ TEST(PowerModelTest, ScenarioIoRoundTripsPowerColumn) {
   const auto params = PaperParams();
   const net::LinkSet assigned =
       AssignPower(MixedLengths(), params, PowerPolicy::kSquareRoot, 3.0);
-  const net::LinkSet parsed = net::FromCsv(net::ToCsv(assigned));
+  const net::LinkSet parsed =
+      net::ParseLinkCsv(net::ToCsv(assigned).ToString());
   ASSERT_EQ(parsed.Size(), assigned.Size());
   for (net::LinkId i = 0; i < assigned.Size(); ++i) {
     EXPECT_NEAR(parsed.TxPower(i), assigned.TxPower(i), 1e-9);
