@@ -4,6 +4,7 @@
 // alone exceeds γ_ε, and must degrade gracefully as noise rises.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "channel/feasibility.hpp"
@@ -28,7 +29,7 @@ channel::ChannelParams NoisyParams(double noise_relative) {
 }
 
 using NoiseGrid =
-    std::tuple<const char* /*algorithm*/, double /*noise_relative*/,
+    std::tuple<std::string /*algorithm*/, double /*noise_relative*/,
                std::uint64_t /*seed*/>;
 
 class NoisyFeasibilityTest : public ::testing::TestWithParam<NoiseGrid> {};
@@ -44,11 +45,21 @@ TEST_P(NoisyFeasibilityTest, SchedulesRemainFeasible) {
       << name << " noise_rel=" << noise_relative << " seed=" << seed;
 }
 
+// Names the cases by value (e.g. "ldp_noise0p1_seed1") so the test names
+// CTest discovers stay the same from one build and run to the next.
+std::string NoiseGridName(const ::testing::TestParamInfo<NoiseGrid>& info) {
+  const auto [name, noise_relative, seed] = info.param;
+  const int tenths = static_cast<int>(noise_relative * 10.0 + 0.5);
+  return name + "_noise" + std::to_string(tenths / 10) + "p" +
+         std::to_string(tenths % 10) + "_seed" + std::to_string(seed);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     NoiseGridSweep, NoisyFeasibilityTest,
     ::testing::Combine(::testing::Values("ldp", "rle", "fading_greedy"),
                        ::testing::Values(0.1, 0.5, 0.9),
-                       ::testing::Values(1, 2, 3)));
+                       ::testing::Values(1, 2, 3)),
+    NoiseGridName);
 
 TEST(NoisySchedulersTest, HopelessLinksNeverScheduled) {
   // Crank noise so that every link longer than ~10 is hopeless.
