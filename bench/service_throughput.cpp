@@ -535,7 +535,6 @@ int main(int argc, char** argv) {
       load.seed = 42;
       load.scheduler = scheduler;
       load.hot_fraction = hot;
-      load.multiplex = true;
 
       // Fill pass: one visit per pool entry, so the measured passes start
       // from whatever steady state this shard count can actually hold.

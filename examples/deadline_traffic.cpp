@@ -3,15 +3,16 @@
 // For throughput alone, aggressive deterministic scheduling can win (see
 // bench/queue_delay_vs_load) — but deadline traffic cares about the
 // probability that a *scheduled* transmission fails and must be retried,
-// blowing its latency budget. This example runs the queue simulator under
-// identical load for every scheduler and reports both worlds: raw
-// delivery *and* per-transmission reliability / retry statistics.
+// blowing its latency budget. This example runs the slotted dynamics
+// simulator (Bernoulli arrivals, Rayleigh fading) under identical load for
+// every scheduler and reports both worlds: raw delivery *and*
+// per-transmission reliability / retry statistics.
 //
 //   ./examples/deadline_traffic [--links 200] [--load 0.03] [--slots 2000]
 #include <cstdio>
 
 #include "core/fadesched.hpp"
-#include "sim/queue_sim.hpp"
+#include "dynamics/slotted_sim.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/string_util.hpp"
@@ -44,21 +45,22 @@ int main(int argc, char** argv) {
   for (const char* name :
        {"ldp", "rle", "dls", "fading_greedy", "approx_diversity",
         "graph_greedy"}) {
-    const auto scheduler = sched::MakeScheduler(name);
-    sim::QueueSimOptions options;
+    dynamics::DynamicsOptions options;
     options.num_slots = static_cast<std::size_t>(slots);
     options.warmup_slots = options.num_slots / 5;
-    options.arrival_probability = load;
-    const sim::QueueSimResult result =
-        sim::RunQueueSimulation(links, params, *scheduler, options);
+    options.arrivals.family = dynamics::ArrivalFamily::kBernoulli;
+    options.arrivals.rate = load;
+    const dynamics::DynamicsResult result =
+        dynamics::RunSlottedSimulation(links, params, name, options);
+    const std::uint64_t delivered = result.ledger.delivered;
     const double retries =
-        result.delivered == 0
+        delivered == 0
             ? 0.0
             : 1000.0 * static_cast<double>(result.failed_transmissions) /
-                  static_cast<double>(result.delivered);
+                  static_cast<double>(delivered);
     util::CsvRowBuilder(table)
         .Add(std::string(name))
-        .Add(static_cast<long long>(result.delivered))
+        .Add(static_cast<long long>(delivered))
         .Add(util::FormatDouble(result.delay_slots.Mean(), 2))
         .Add(util::FormatDouble(result.delay_slots.Max(), 0))
         .Add(util::FormatDouble(100.0 * result.FailureRate(), 3))

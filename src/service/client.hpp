@@ -54,7 +54,7 @@ class Client {
 
   /// Raw socket fd (-1 when disconnected). The socket is non-blocking
   /// for its whole life, so a caller may drive it through its own
-  /// readiness loop — the multiplexed loadgen registers many Client fds
+  /// readiness loop — the loadgen registers many Client fds
   /// with one epoll and owns all I/O on them while doing so.
   [[nodiscard]] int NativeHandle() const { return fd_; }
 
@@ -64,8 +64,8 @@ class Client {
   SchedulingResponse Call(const SchedulingRequest& request);
 
   /// Sends the bare STATS verb and parses the checksummed counter line —
-  /// a point-in-time snapshot of the worker this connection landed on
-  /// (under `supervise`, siblings have independent counters). Throws
+  /// a point-in-time snapshot of the server (a sharded router answers
+  /// with the sum over its live shards). Throws
   /// util::HarnessError on transport failure or a corrupt line.
   StatsSnapshot Stats();
 

@@ -4,16 +4,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "service/client.hpp"
@@ -112,23 +109,22 @@ RequestPlan BuildPlan(const LoadgenOptions& options) {
   return plan;
 }
 
-/// Multiplexed harness: one thread, `connections` sockets, one epoll.
+/// The harness: one thread, `connections` sockets, one epoll, at most
+/// one outstanding request per connection.
 ///
-/// Open-loop releases follow the same global start + i·Δ schedule as the
-/// threaded path, but a released request that finds every connection busy
-/// waits in a client-side ready queue instead of in sleep_until — its
-/// corrected latency (reply − intended release) keeps charging while it
-/// queues, which is the coordinated-omission story the report fields
-/// exist to tell. Closed loop assigns the next request the instant a
-/// connection goes idle (intended == send, corrected == raw).
+/// Open-loop releases follow a global start + i·Δ schedule; a released
+/// request that finds every connection busy waits in a client-side ready
+/// queue — its corrected latency (reply − intended release) keeps
+/// charging while it queues, which is the coordinated-omission story the
+/// report fields exist to tell. Closed loop assigns the next request the
+/// instant a connection goes idle (intended == send, corrected == raw).
 ///
-/// Accounting mirrors the threaded path exactly: one outcome per request,
-/// transport failure counted once per dead connection (its in-flight
-/// request is abandoned, as when a loadgen thread dies), shed-retry
-/// re-sends the identical frame after the hinted backoff without
-/// resetting first_send.
-LoadgenReport RunLoadgenMux(const LoadgenOptions& options,
-                            const RequestPlan& plan) {
+/// Accounting: one outcome per request, transport failure counted once
+/// per dead connection (its in-flight request is abandoned; siblings keep
+/// draining the plan), shed-retry re-sends the identical frame after the
+/// hinted backoff without resetting first_send, so a retried request pays
+/// its backoff in the client-observed latency.
+LoadgenReport RunPlan(const LoadgenOptions& options, const RequestPlan& plan) {
   using Clock = std::chrono::steady_clock;
 
   struct Pending {
@@ -219,9 +215,9 @@ LoadgenReport RunLoadgenMux(const LoadgenOptions& options,
     ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
   };
 
-  // A dead connection abandons its in-flight request, exactly like a
-  // loadgen thread dying mid-call: one transport failure, the request
-  // settles without an outcome, siblings keep draining the plan.
+  // A dead connection abandons its in-flight request: one transport
+  // failure, the request settles without an outcome, siblings keep
+  // draining the plan.
   const auto kill_conn = [&](std::size_t idx) {
     MuxConn& conn = conns[idx];
     if (conn.fd < 0) return;
@@ -451,7 +447,7 @@ LoadgenReport RunLoadgenMux(const LoadgenOptions& options,
       }
     }
 
-    // Tick: enforce per-request I/O budgets like the threaded Client.
+    // Tick: enforce the Client's per-request I/O budget.
     const auto tick = Clock::now();
     for (std::size_t idx = 0; idx < conns.size(); ++idx) {
       MuxConn& conn = conns[idx];
@@ -542,181 +538,7 @@ LoadgenReport RunLoadgen(const LoadgenOptions& options) {
   FS_CHECK_MSG(options.pool_size > 0, "pool_size must be positive");
   FS_CHECK_MSG(options.hot_fraction >= 0.0 && options.hot_fraction <= 1.0,
                "hot_fraction must be within [0, 1]");
-  const std::size_t connections =
-      options.connections > 0 ? options.connections : 1;
-
-  const RequestPlan plan = BuildPlan(options);
-  if (options.multiplex) return RunLoadgenMux(options, plan);
-
-  // First OK response line seen per replayed frame (pool + drift
-  // entries); later OKs must match. Cold scenarios are sent exactly
-  // once, so there is nothing to cross-check for them.
-  std::vector<std::string> expected(plan.frames.size());
-  std::mutex expected_mutex;
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> ok{0}, shed{0}, timed_out{0}, errors{0},
-      retried{0}, transport{0}, mismatches{0};
-  std::atomic<std::size_t> warm_ok{0}, cold_ok{0}, warm_shed{0}, cold_shed{0};
-  LatencyHistogram warm_latency, cold_latency;
-  LatencyHistogram warm_corrected, cold_corrected;
-
-  const auto start = std::chrono::steady_clock::now();
-  const bool open_loop = options.rate_per_sec > 0.0;
-  const double interarrival =
-      open_loop ? 1.0 / options.rate_per_sec : 0.0;
-
-  std::atomic<std::size_t> connect_failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(connections);
-  for (std::size_t c = 0; c < connections; ++c) {
-    threads.emplace_back([&] {
-      Client client;
-      try {
-        if (!options.unix_socket_path.empty()) {
-          client.ConnectUnix(options.unix_socket_path);
-        } else {
-          client.ConnectTcp(options.host, options.port);
-        }
-      } catch (const std::exception&) {
-        connect_failures.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= options.num_requests) return;
-        std::chrono::steady_clock::time_point intended{};
-        if (open_loop) {
-          // Global schedule: request i is released at start + i·Δ no
-          // matter which connection draws it.
-          const auto due =
-              start + std::chrono::duration_cast<
-                          std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double>(
-                              static_cast<double>(i) * interarrival));
-          std::this_thread::sleep_until(due);
-          intended = due;
-        }
-        const RequestPlan::Slot slot = plan.slots[i];
-        const std::string& frame = plan.frames[slot.frame];
-
-        SchedulingResponse response;
-        std::string line;
-        bool answered = false;
-        const auto first_send = std::chrono::steady_clock::now();
-        if (!open_loop) intended = first_send;
-        for (std::size_t attempt = 0;; ++attempt) {
-          try {
-            client.SendRaw(frame);
-            line = client.ReadLine();
-          } catch (const std::exception&) {
-            transport.fetch_add(1, std::memory_order_relaxed);
-            return;  // this connection is dead; others keep draining
-          }
-          try {
-            response = ParseResponseLine(line);
-          } catch (const std::exception&) {
-            errors.fetch_add(1, std::memory_order_relaxed);
-            break;
-          }
-          if (response.status == ResponseStatus::kShed &&
-              options.retry_on_shed && response.retry_after_ms > 0.0 &&
-              attempt < options.max_shed_retries) {
-            // Honor the server's hint, then re-send the identical frame;
-            // the response cache makes the re-send idempotent.
-            retried.fetch_add(1, std::memory_order_relaxed);
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                response.retry_after_ms * 1e-3));
-            continue;
-          }
-          answered = true;
-          break;
-        }
-        if (!answered) continue;  // unparsable line already counted
-
-        switch (response.status) {
-          case ResponseStatus::kOk: {
-            ok.fetch_add(1, std::memory_order_relaxed);
-            // Latency is first-send → final OK: a retried request pays
-            // its backoff in the client-observed percentile, as it
-            // should.
-            const auto reply_at = std::chrono::steady_clock::now();
-            const double seconds =
-                std::chrono::duration<double>(reply_at - first_send).count();
-            const double corrected =
-                std::chrono::duration<double>(reply_at - intended).count();
-            if (slot.cold) {
-              cold_ok.fetch_add(1, std::memory_order_relaxed);
-              cold_latency.Record(seconds);
-              cold_corrected.Record(corrected);
-            } else {
-              warm_ok.fetch_add(1, std::memory_order_relaxed);
-              warm_latency.Record(seconds);
-              warm_corrected.Record(corrected);
-              std::lock_guard<std::mutex> lock(expected_mutex);
-              std::string& first = expected[slot.frame];
-              if (first.empty()) {
-                first = line;
-              } else if (first != line) {
-                mismatches.fetch_add(1, std::memory_order_relaxed);
-              }
-            }
-            break;
-          }
-          case ResponseStatus::kShed:
-            shed.fetch_add(1, std::memory_order_relaxed);
-            (slot.cold ? cold_shed : warm_shed)
-                .fetch_add(1, std::memory_order_relaxed);
-            break;
-          case ResponseStatus::kTimeout:
-            timed_out.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case ResponseStatus::kError:
-            errors.fetch_add(1, std::memory_order_relaxed);
-            break;
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  if (connect_failures.load() == connections) {
-    throw util::TransientError("loadgen could not connect to the endpoint");
-  }
-
-  LoadgenReport report;
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  report.ok = ok.load();
-  report.shed = shed.load();
-  report.timed_out = timed_out.load();
-  report.errors = errors.load();
-  report.retried = retried.load();
-  report.transport_failures = transport.load();
-  report.determinism_mismatches = mismatches.load();
-  report.sent = report.ok + report.shed + report.timed_out + report.errors;
-  report.throughput_rps =
-      report.wall_seconds > 0.0
-          ? static_cast<double>(report.sent) / report.wall_seconds
-          : 0.0;
-  report.warm_ok = warm_ok.load();
-  report.cold_ok = cold_ok.load();
-  report.warm_shed = warm_shed.load();
-  report.cold_shed = cold_shed.load();
-  report.warm_p50_ms = warm_latency.Percentile(0.50) * 1e3;
-  report.warm_p95_ms = warm_latency.Percentile(0.95) * 1e3;
-  report.warm_p99_ms = warm_latency.Percentile(0.99) * 1e3;
-  report.cold_p50_ms = cold_latency.Percentile(0.50) * 1e3;
-  report.cold_p95_ms = cold_latency.Percentile(0.95) * 1e3;
-  report.cold_p99_ms = cold_latency.Percentile(0.99) * 1e3;
-  report.warm_corrected_p50_ms = warm_corrected.Percentile(0.50) * 1e3;
-  report.warm_corrected_p95_ms = warm_corrected.Percentile(0.95) * 1e3;
-  report.warm_corrected_p99_ms = warm_corrected.Percentile(0.99) * 1e3;
-  report.cold_corrected_p50_ms = cold_corrected.Percentile(0.50) * 1e3;
-  report.cold_corrected_p95_ms = cold_corrected.Percentile(0.95) * 1e3;
-  report.cold_corrected_p99_ms = cold_corrected.Percentile(0.99) * 1e3;
-  return report;
+  return RunPlan(options, BuildPlan(options));
 }
 
 }  // namespace fadesched::service

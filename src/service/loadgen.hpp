@@ -1,11 +1,15 @@
 // Seeded load generator for the serve endpoint.
 //
 // A fixed pool of fuzzer-generated scenarios (pure in the seed) is
-// replayed across C concurrent connections, either closed-loop (each
-// connection fires its next request the moment the previous response
-// lands) or open-loop (requests are released on a fixed global schedule
-// of `rate_per_sec`, which keeps offered load constant even when the
-// server slows down — the correct way to demonstrate shedding).
+// replayed across C concurrent connections, all driven by one thread
+// through epoll with at most one outstanding request per connection.
+// Pacing is either closed-loop (each connection fires its next request
+// the moment the previous response lands) or open-loop (requests are
+// released on a fixed global schedule of `rate_per_sec`, which keeps
+// offered load constant even when the server slows down — the correct
+// way to demonstrate shedding). A released open-loop request that finds
+// every connection busy queues client-side, which the corrected
+// (intended-start) latency makes visible.
 //
 // `hot_fraction` carves the request stream into a warm tier (pool
 // replays, cache-hot) and a cold tier (unique scenarios, guaranteed
@@ -59,16 +63,6 @@ struct LoadgenOptions {
   /// controller's hint is designed for.
   bool retry_on_shed = false;
   std::size_t max_shed_retries = 3;
-
-  /// Multiplexed mode: one thread drives all `connections` sockets
-  /// through epoll instead of one OS thread per connection. This is the
-  /// harness that scales to hundreds of connections against the sharded
-  /// tier; open- and closed-loop pacing and the shed-retry hint all work
-  /// identically. Semantual difference worth knowing: a released request
-  /// that finds every connection busy queues client-side — which is
-  /// exactly the queueing the corrected (intended-start) latency makes
-  /// visible.
-  bool multiplex = false;
 
   /// > 0: every `drift_period` requests, one warm-pool entry (round
   /// robin) is replaced by a fresh scenario — a drifting working set, so

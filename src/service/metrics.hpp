@@ -85,8 +85,8 @@ struct ServiceMetrics {
   // builds actually degraded to the fast backend.
   std::atomic<std::uint64_t> brownout_entries{0};
   std::atomic<std::uint64_t> brownout_builds{0};
-  /// Worker-restart count inherited from the supervisor at fork time
-  /// (how many restarts preceded this worker); 0 outside `supervise`.
+  /// Global fork ordinal inherited from the supervisor at fork time (how
+  /// many spawns preceded this shard worker); 0 for in-process `serve`.
   std::atomic<std::uint64_t> worker_restarts{0};
 
   // Gauges (instantaneous, not monotone — excluded from the

@@ -10,7 +10,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -119,21 +118,12 @@ Server::~Server() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (!options_.unix_socket_path.empty() && options_.inherited_listen_fd < 0) {
+  if (!options_.unix_socket_path.empty()) {
     ::unlink(options_.unix_socket_path.c_str());
   }
 }
 
-void Server::Start() {
-  if (options_.inherited_listen_fd >= 0) {
-    // A worker under the supervisor: the socket is already bound and
-    // listening; just adopt it. Not ours to unlink on shutdown.
-    listen_fd_ = options_.inherited_listen_fd;
-    SetNonBlocking(listen_fd_);
-    return;
-  }
-  listen_fd_ = BindListenSocket(options_, &port_);
-}
+void Server::Start() { listen_fd_ = BindListenSocket(options_, &port_); }
 
 bool Server::StopRequested() const {
   return stop_.load(std::memory_order_relaxed) || util::ShutdownRequested();
@@ -152,10 +142,9 @@ void Server::Serve() {
     if (ready == 0) continue;  // tick: re-check the stop flags
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      // EAGAIN: with the listener shared across worker processes, a
-      // sibling can win the accept race between our poll and accept —
-      // the non-blocking listener turns that into a harmless re-poll
-      // instead of a block that would stop us noticing Stop().
+      // EAGAIN: the peer gave up between poll and accept; the
+      // non-blocking listener turns that into a re-poll instead of a
+      // block that would stop us noticing Stop().
       if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
           errno == EWOULDBLOCK) {
         continue;
@@ -173,9 +162,7 @@ void Server::Serve() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (!options_.unix_socket_path.empty() && options_.inherited_listen_fd < 0) {
-    // Inherited sockets stay linked: a draining worker must not yank the
-    // path out from under its siblings — the supervisor owns it.
+  if (!options_.unix_socket_path.empty()) {
     ::unlink(options_.unix_socket_path.c_str());
   }
   // Graceful drain: connections finish the frame they are serving, then
@@ -284,14 +271,6 @@ void Server::HandleConnection(int fd) {
         response.error_kind = util::ErrorKind::kFatal;
         response.message = e.what();
         response.id = "-";
-      }
-      if (options_.chaos_abort_before_reply > 0 &&
-          replies_written_.fetch_add(1, std::memory_order_relaxed) + 1 ==
-              options_.chaos_abort_before_reply) {
-        // Crash drill: die after executing but before acking — the
-        // client must recover via an idempotent re-send to a sibling.
-        // _Exit, not exit: a crash-only worker takes no cleanup path.
-        std::_Exit(137);
       }
       if (!WriteAll(fd, FormatResponseLine(response) + "\n")) {
         peer_closed = true;

@@ -9,10 +9,12 @@
 // connections close; the service then drains its queue and joins its
 // workers. `fadesched_cli serve` exits 0 after a graceful drain — CI pins
 // that contract.
+//
+// This is plain `serve`, the in-process topology. `serve --shards N` is
+// shard::ShardServer, an epoll router in front of forked shard workers.
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -44,30 +46,13 @@ struct ServerOptions {
   std::size_t max_frame_bytes = 1 << 20;
   double read_deadline_seconds = 30.0;
 
-  /// ≥ 0 → adopt this already-bound, already-listening socket instead of
-  /// binding one (the supervisor binds once and forks workers that share
-  /// the fd, so the kernel load-balances accepts across them). The
-  /// adopting server never unlinks a unix socket path — the fd's owner
-  /// does. The listener is switched to non-blocking either way: with
-  /// several processes polling one fd, an accept-race loser must get
-  /// EAGAIN and return to its poll loop, not block outside it.
-  int inherited_listen_fd = -1;
-
-  /// Crash-injection test hook: when > 0, the process _exit(137)s
-  /// immediately before writing its Nth scheduling response — the
-  /// request was fully executed but never acknowledged, the worst spot
-  /// for a crash. Drives the "killed mid-frame never acks; idempotent
-  /// re-send lands on a sibling" drain-edge test. 0 = off.
-  std::uint64_t chaos_abort_before_reply = 0;
-
   ServiceOptions service;
 };
 
 /// Binds + listens per `options` (unix path or TCP host:port) and returns
 /// the non-blocking listener fd; `resolved_port` (may be null) receives
 /// the ephemeral port for TCP. Throws util::HarnessError on failure.
-/// Exposed so the supervisor can create the shared socket its workers
-/// inherit.
+/// Shared by Server and the sharded router (shard::ShardServer).
 int BindListenSocket(const ServerOptions& options, int* resolved_port);
 
 class Server {
@@ -103,7 +88,6 @@ class Server {
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> replies_written_{0};  // chaos_abort hook
   std::vector<std::thread> connections_;
   // Connection threads announce completion here so the accept loop can
   // join them as it goes; without reaping, a reconnect-heavy workload

@@ -131,9 +131,7 @@ ShardServer::~ShardServer() {
 }
 
 void ShardServer::Start() {
-  ServerOptions listen = options_.server;
-  listen.inherited_listen_fd = -1;  // the router always binds its own
-  listen_fd_ = BindListenSocket(listen, &port_);
+  listen_fd_ = BindListenSocket(options_.server, &port_);
 }
 
 void ShardServer::Stop() { stop_.store(true, std::memory_order_relaxed); }

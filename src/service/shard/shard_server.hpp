@@ -57,7 +57,7 @@ enum class RoutingMode {
 struct ShardServerOptions {
   /// Listener + connection guards; `service` inside is the per-worker
   /// service config (each forked shard builds its own cache/batcher from
-  /// it). inherited_listen_fd and chaos_abort_before_reply are ignored.
+  /// it).
   ServerOptions server;
 
   std::size_t num_shards = 2;

@@ -34,7 +34,7 @@ struct ShardWorkerOptions {
   std::size_t completion_threads = 2;
   std::size_t shard_id = 0;
   /// Global fork ordinal, surfaced via ServiceMetrics::worker_restarts on
-  /// the STATS line (same convention as the supervised Server workers).
+  /// the STATS line.
   std::size_t spawn_ordinal = 0;
   ServiceOptions service;
 };

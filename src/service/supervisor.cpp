@@ -23,9 +23,10 @@ namespace {
 constexpr int kTickMs = 20;
 constexpr int kStartupCrashExit = 77;
 
-// SIGHUP = rolling restart. async-signal-safe flag, polled by the loop
-// (same pattern as util::signal_guard's SIGTERM flag, which the CLI
-// installs and the workers inherit across fork).
+// SIGHUP = rolling restart. async-signal-safe flag, polled by the
+// embedder through ConsumeHupRequest() (same pattern as
+// util::signal_guard's SIGTERM flag, which the CLI installs and the
+// workers inherit across fork).
 volatile std::sig_atomic_t g_hup_requested = 0;
 
 void HupHandler(int) { g_hup_requested = 1; }
@@ -292,9 +293,9 @@ void Supervisor::ReapWorkers() {
         break;
       }
       const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-      // A clean self-exit outside a rolling restart is still a failure
-      // of the supervision contract (workers serve until told), but the
-      // restart itself is what matters; count it as a crash too.
+      // A clean self-exit nobody asked for is still a failure of the
+      // supervision contract (workers serve until told), but the restart
+      // itself is what matters; count it as a crash too.
       report_.crashes += (clean ? 0 : 1);
       const bool startup_crash =
           WIFEXITED(status) && WEXITSTATUS(status) == kStartupCrashExit;
@@ -381,47 +382,6 @@ void Supervisor::FireDueFaults() {
   }
 }
 
-void Supervisor::HandleRollingRestart() {
-  // One slot at a time, oldest first: SIGTERM → graceful drain (the
-  // worker finishes in-flight frames; new connections go to siblings) →
-  // respawn → next. The grace/SIGKILL escalation bounds a worker that
-  // ignores SIGTERM.
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& slot = slots_[i];
-    if (slot.pid <= 0) continue;
-    ::kill(slot.pid, SIGTERM);
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options_.drain_grace_seconds));
-    bool reaped = false;
-    for (;;) {
-      int status = 0;
-      const pid_t r = ::waitpid(slot.pid, &status, WNOHANG);
-      if (r == slot.pid) {
-        reaped = true;
-        break;
-      }
-      if (r < 0 && errno == ECHILD) {
-        reaped = true;  // already reaped elsewhere
-        break;
-      }
-      if (std::chrono::steady_clock::now() >= deadline) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(kTickMs));
-    }
-    if (!reaped) {
-      ::kill(slot.pid, SIGKILL);
-      ::waitpid(slot.pid, nullptr, 0);
-    }
-    slot.pid = -1;
-    slot.consecutive_crashes = 0;  // a rolled worker did nothing wrong
-    slot.next_spawn_reason = "rolled";
-    if (options_.hooks.worker_down) options_.hooks.worker_down(i, "rolled");
-    SpawnWorker(i);
-    report_.rolled += 1;
-  }
-}
-
 void Supervisor::DrainAll() {
   for (Slot& slot : slots_) {
     if (slot.pid > 0) ::kill(slot.pid, SIGTERM);
@@ -476,7 +436,7 @@ void Supervisor::Begin() {
   restart_times_.clear();
   start_ = std::chrono::steady_clock::now();
 
-  // SIGHUP → rolling restart, for this supervision span only.
+  // SIGHUP → roll request, for this supervision span only.
   struct sigaction hup_action {};
   hup_action.sa_handler = HupHandler;
   sigemptyset(&hup_action.sa_mask);
@@ -582,9 +542,6 @@ SupervisorReport Supervisor::Run() {
   Begin();
   while (!StopRequested() && !report_.breaker_open) {
     Step();
-    if (ConsumeHupRequest()) {
-      HandleRollingRestart();
-    }
     std::this_thread::sleep_for(std::chrono::milliseconds(kTickMs));
   }
   return End();

@@ -1,25 +1,22 @@
-// Crash-only worker supervision for the serving tier.
+// Crash-only worker supervision for the sharded serving tier.
 //
-// The supervisor forks N worker processes that share one listening socket
-// (bound once by the caller, inherited by fd — the kernel load-balances
-// accepts across the workers' poll loops), then runs a single-threaded
+// The supervisor forks N worker processes and runs a single-threaded
 // control loop that only ever does four things:
 //
 //   * reap: waitpid(WNOHANG) notices dead workers. A non-zero or
 //     signalled exit is a crash; the slot is respawned after a bounded
 //     exponential backoff that resets once a worker survives
-//     `stable_seconds`. A clean exit outside a rolling restart is
-//     treated the same way (a worker has no business exiting on its own).
+//     `stable_seconds`. A clean exit that nobody asked for is treated the
+//     same way (a worker has no business exiting on its own).
 //   * circuit-break: more than `max_restarts_in_window` restarts inside
 //     `restart_window_seconds` means the workers are flapping (crash on
 //     boot, poisoned state); instead of burning CPU forever the breaker
-//     opens, everything is torn down, and Run() returns with
-//     breaker_open=true so the caller can exit non-zero.
-//   * rolling restart (SIGHUP): one slot at a time — SIGTERM, wait for
-//     the worker's graceful drain (in-flight requests complete, new
-//     accepts race to the siblings), respawn, move on. At every instant
-//     N-1 workers are accepting, which is why the chaos-soak ledger
-//     stays zero-loss through a mid-soak SIGHUP.
+//     opens and the embedder tears everything down and exits non-zero.
+//   * expected slot shutdown (BeginSlotShutdown): SIGTERM one worker,
+//     escalate to SIGKILL after `drain_grace_seconds`, respawn it without
+//     backoff. The embedder drives rolls through it: shard::ShardServer
+//     polls ConsumeHupRequest() and rolls one arc at a time, draining
+//     each shard's in-flight tickets before its SIGTERM.
 //   * shutdown (Stop()/SIGTERM/SIGINT): SIGTERM to every worker, wait up
 //     to `drain_grace_seconds`, escalate to SIGKILL, reap, return.
 //
@@ -47,7 +44,7 @@
 
 namespace fadesched::service {
 
-/// One scheduled process fault. `at_seconds` is relative to Run() start.
+/// One scheduled process fault. `at_seconds` is relative to Begin().
 struct ProcessFaultEvent {
   enum class Kind { kKill, kStall, kStartupCrash };
   Kind kind = Kind::kKill;
@@ -83,7 +80,7 @@ std::vector<ProcessFaultEvent> BuildProcessFaultPlan(
 /// same seed, diffable like the socket-level FaultTrace.
 std::string FormatProcessFaultPlan(const std::vector<ProcessFaultEvent>& plan);
 
-/// Lifecycle callbacks for embedders that multiplex supervision with
+/// Lifecycle callbacks for embedders that interleave supervision with
 /// their own event loop (the shard router). All fire on the supervising
 /// thread/loop, never in the child.
 struct SupervisorHooks {
@@ -118,7 +115,7 @@ struct SupervisorOptions {
   std::size_t max_restarts_in_window = 8;
   double restart_window_seconds = 10.0;
 
-  /// Shutdown/rolling-restart escalation: SIGTERM, then SIGKILL after
+  /// Slot-shutdown and drain escalation: SIGTERM, then SIGKILL after
   /// this grace period.
   double drain_grace_seconds = 10.0;
 
@@ -141,12 +138,12 @@ struct SlotStatus {
   std::string annotation;           ///< hooks.slot_annotation fragment
 };
 
-/// What happened over one Run(), dumped as JSON by `supervise
-/// --status-out` and asserted by the CI crash drill.
+/// What happened over one supervision span, dumped as JSON by `serve
+/// --shards N --status-out` and asserted by the CI shard drill.
 struct SupervisorReport {
   std::size_t spawned = 0;          ///< total forks, initial set included
   std::size_t restarts = 0;         ///< crash-driven respawns
-  std::size_t rolled = 0;           ///< rolling-restart respawns (SIGHUP)
+  std::size_t rolled = 0;           ///< "rolled" slot-shutdown respawns
   std::size_t crashes = 0;          ///< non-clean worker exits observed
   std::size_t startup_crashes = 0;  ///< injected boot failures
   std::size_t injected_kills = 0;
@@ -160,11 +157,11 @@ struct SupervisorReport {
 
 class Supervisor {
  public:
-  /// Runs inside the forked child: typically builds a Server on the
-  /// inherited listener fd and Serve()s. The return value becomes the
-  /// worker's exit code. `slot` is the stable worker index,
-  /// `spawn_ordinal` the global fork count before this one (stored in
-  /// ServiceMetrics::worker_restarts so the STATS verb can report it).
+  /// Runs inside the forked child (the shard router serves one pipe end
+  /// here). The return value becomes the worker's exit code. `slot` is
+  /// the stable worker index, `spawn_ordinal` the global fork count
+  /// before this one (stored in ServiceMetrics::worker_restarts so the
+  /// STATS verb can report it).
   /// Must not return through supervisor state — the child _exit()s with
   /// the returned code immediately after.
   using WorkerMain =
@@ -172,15 +169,13 @@ class Supervisor {
 
   Supervisor(WorkerMain worker_main, SupervisorOptions options);
 
-  /// Forks the initial workers and supervises until Stop(), a guarded
-  /// SIGTERM/SIGINT, or the breaker opens. SIGHUP triggers a rolling
-  /// restart. Workers running at exit are drained (SIGTERM → grace →
-  /// SIGKILL). Not reentrant. Equivalent to Begin() + a Step() loop at
-  /// the tick cadence + End().
+  /// Begin(), a Step() loop at the tick cadence until Stop(), a guarded
+  /// SIGTERM/SIGINT, or the breaker opens, then End(). SIGHUP is not
+  /// acted on (see ConsumeHupRequest). Not reentrant.
   SupervisorReport Run();
 
   /// Stepwise API for embedders with their own event loop (the shard
-  /// router multiplexes supervision ticks with epoll readiness — a
+  /// router interleaves supervision ticks with epoll readiness — a
   /// blocking Run() could never coordinate ring-aware draining, because
   /// drain progress depends on that same loop pumping responses).
   ///
@@ -190,8 +185,7 @@ class Supervisor {
   /// everything, restores handlers, and returns the report. A SIGHUP
   /// between Step()s is NOT auto-handled — the embedder polls
   /// ConsumeHupRequest() and runs its own drain-aware roll via
-  /// BeginSlotShutdown(); Run() wires the same flag to the built-in
-  /// blocking roll.
+  /// BeginSlotShutdown().
   void Begin();
   void Step();
   SupervisorReport End();
@@ -242,7 +236,6 @@ class Supervisor {
   void ReapWorkers();
   void FillSlotStatus();
   void FireDueFaults();
-  void HandleRollingRestart();
   void DrainAll();
   [[nodiscard]] double BackoffSeconds(std::size_t consecutive_crashes) const;
   void RecordRestartForBreaker();

@@ -1,7 +1,9 @@
 // Contracts of the slotted dynamics simulator: exact packet conservation
 // (including bounded queues, churn-blocked arrivals, and mid-run
-// interruption), warm/cold trace identity, byte-identical replay, and the
-// bounded-staleness refresh policy.
+// interruption), warm/cold trace identity, byte-identical replay, the
+// bounded-staleness refresh policy, and the queueing behaviour the paper's
+// schedulers should show under Bernoulli arrivals.
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,22 @@ DynamicsOptions BaseOptions() {
   options.warmup_slots = 20;
   options.seed = 7;
   options.arrivals.rate = 0.1;
+  return options;
+}
+
+channel::ChannelParams PaperParams() {
+  channel::ChannelParams params;
+  params.alpha = 3.0;
+  params.epsilon = 0.01;
+  return params;
+}
+
+DynamicsOptions BernoulliOptions(std::size_t slots, double rate) {
+  DynamicsOptions options;
+  options.num_slots = slots;
+  options.warmup_slots = slots / 4;
+  options.arrivals.family = ArrivalFamily::kBernoulli;
+  options.arrivals.rate = rate;
   return options;
 }
 
@@ -187,6 +205,68 @@ TEST(SlottedSimTest, EmptyUniverseRunsToCompletion) {
   EXPECT_EQ(result.slots_run, BaseOptions().num_slots);
   EXPECT_TRUE(result.ledger.Balanced());
   EXPECT_EQ(result.ledger.arrivals, 0u);
+}
+
+TEST(SlottedSimTest, ZeroArrivalsNothingHappens) {
+  const net::LinkSet universe = MakeUniverse(50, 1);
+  const DynamicsResult result = RunSlottedSimulation(
+      universe, PaperParams(), "rle", BernoulliOptions(200, 0.0));
+  EXPECT_EQ(result.ledger.arrivals, 0u);
+  EXPECT_EQ(result.scheduled_transmissions, 0u);
+  EXPECT_EQ(result.scheduled_slots, 0u);
+  EXPECT_DOUBLE_EQ(result.backlog.Mean(), 0.0);
+}
+
+// Per-transmission failure stays near the paper's outage budget ε.
+TEST(SlottedSimTest, FadingResistantSchedulerRarelyFails) {
+  const net::LinkSet universe = MakeUniverse(100, 4);
+  const DynamicsResult result = RunSlottedSimulation(
+      universe, PaperParams(), "rle", BernoulliOptions(500, 0.01));
+  ASSERT_GT(result.scheduled_transmissions, 0u);
+  EXPECT_LT(result.FailureRate(), 0.02);
+}
+
+TEST(SlottedSimTest, BaselineFailsMoreOftenThanRle) {
+  const net::LinkSet universe = MakeUniverse(200, 5);
+  const DynamicsOptions options = BernoulliOptions(400, 0.05);
+  const DynamicsResult rle =
+      RunSlottedSimulation(universe, PaperParams(), "rle", options);
+  const DynamicsResult baseline = RunSlottedSimulation(
+      universe, PaperParams(), "approx_diversity", options);
+  EXPECT_GT(baseline.FailureRate(), 3.0 * std::max(rle.FailureRate(), 1e-4));
+}
+
+TEST(SlottedSimTest, DelayAtLeastZeroAndBoundedBySimLength) {
+  const net::LinkSet universe = MakeUniverse(80, 9);
+  const DynamicsOptions options = BernoulliOptions(300, 0.02);
+  const DynamicsResult result =
+      RunSlottedSimulation(universe, PaperParams(), "rle", options);
+  ASSERT_GT(result.delay_slots.Count(), 0u);
+  EXPECT_GE(result.delay_slots.Min(), 0.0);
+  EXPECT_LT(result.delay_slots.Max(),
+            static_cast<double>(options.num_slots));
+}
+
+TEST(SlottedSimTest, HigherLoadMeansLongerQueues) {
+  const net::LinkSet universe = MakeUniverse(100, 6);
+  const DynamicsResult light = RunSlottedSimulation(
+      universe, PaperParams(), "rle", BernoulliOptions(400, 0.005));
+  const DynamicsResult heavy = RunSlottedSimulation(
+      universe, PaperParams(), "rle", BernoulliOptions(400, 0.08));
+  EXPECT_GT(heavy.backlog.Mean(), light.backlog.Mean());
+}
+
+// fading_greedy schedules several times as many links per slot as LDP;
+// under the same load its queues must drain faster.
+TEST(SlottedSimTest, BetterSchedulerGivesShorterDelay) {
+  const net::LinkSet universe = MakeUniverse(150, 7);
+  const DynamicsOptions options = BernoulliOptions(500, 0.03);
+  const DynamicsResult greedy =
+      RunSlottedSimulation(universe, PaperParams(), "fading_greedy", options);
+  const DynamicsResult ldp =
+      RunSlottedSimulation(universe, PaperParams(), "ldp", options);
+  EXPECT_LT(greedy.backlog.Mean(), ldp.backlog.Mean());
+  EXPECT_LT(greedy.delay_slots.Mean(), ldp.delay_slots.Mean());
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// The load generator itself: threaded vs multiplexed harnesses must
-// agree on the accounting contract (every request reaches exactly one
-// outcome, determinism cross-checked per frame), the drift option must
-// keep the determinism ledger indexed correctly past the original pool,
-// and the coordinated-omission-corrected latency must behave: equal to
+// The load generator itself: every request reaches exactly one outcome
+// with determinism cross-checked per frame, the drift option must keep
+// the determinism ledger indexed correctly past the original pool, and
+// the coordinated-omission-corrected latency must behave: equal to
 // send-to-reply in closed loop (intended == send by construction), and
 // never below it in open loop.
 #include <gtest/gtest.h>
@@ -70,23 +69,9 @@ void ExpectClean(const LoadgenReport& report, std::size_t requests) {
   EXPECT_EQ(report.warm_ok + report.cold_ok, requests);
 }
 
-TEST_F(LoadgenTest, ThreadedAndMuxAgreeOnTheAccountingContract) {
-  StartServer("agree");
-  LoadgenOptions load = BaseOptions(200);
-  const LoadgenReport threaded = RunLoadgen(load);
-  ExpectClean(threaded, 200);
-  load.multiplex = true;
-  const LoadgenReport mux = RunLoadgen(load);
-  ExpectClean(mux, 200);
-  // Same plan, same seed → identical warm/cold split either way.
-  EXPECT_EQ(mux.warm_ok, threaded.warm_ok);
-  EXPECT_EQ(mux.cold_ok, threaded.cold_ok);
-}
-
 TEST_F(LoadgenTest, ClosedLoopCorrectedEqualsSendToReply) {
   StartServer("closed");
   LoadgenOptions load = BaseOptions(150);
-  load.multiplex = true;
   const LoadgenReport report = RunLoadgen(load);
   ExpectClean(report, 150);
   // Closed loop: intended == actual send, so the corrected percentiles
@@ -99,7 +84,6 @@ TEST_F(LoadgenTest, ClosedLoopCorrectedEqualsSendToReply) {
 TEST_F(LoadgenTest, OpenLoopCorrectedNeverUndercutsRaw) {
   StartServer("open");
   LoadgenOptions load = BaseOptions(200);
-  load.multiplex = true;
   load.connections = 2;
   load.rate_per_sec = 2000.0;  // brisk enough to queue client-side
   const LoadgenReport report = RunLoadgen(load);
@@ -112,16 +96,12 @@ TEST_F(LoadgenTest, OpenLoopCorrectedNeverUndercutsRaw) {
 
 TEST_F(LoadgenTest, DriftingPoolStaysDeterministic) {
   StartServer("drift");
-  for (const bool mux : {false, true}) {
-    LoadgenOptions load = BaseOptions(300);
-    load.multiplex = mux;
-    load.drift_period = 20;  // 14 pool replacements over the run
-    const LoadgenReport report = RunLoadgen(load);
-    ExpectClean(report, 300);
-    EXPECT_EQ(report.determinism_mismatches, 0u)
-        << "drift frames must cross-check against their own ledger slot "
-           "(mux=" << mux << ")";
-  }
+  LoadgenOptions load = BaseOptions(300);
+  load.drift_period = 20;  // 14 pool replacements over the run
+  const LoadgenReport report = RunLoadgen(load);
+  ExpectClean(report, 300);
+  EXPECT_EQ(report.determinism_mismatches, 0u)
+      << "drift frames must cross-check against their own ledger slot";
 }
 
 }  // namespace

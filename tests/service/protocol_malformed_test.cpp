@@ -1,8 +1,12 @@
 // Malformed-frame hardening (a satellite of the chaos layer): truncated,
 // oversized, garbage, and checksum-tampered frames must each produce a
 // typed, line/byte-named error response — never a crash, never an
-// unbounded buffer — and the server must keep serving afterwards. Run
-// under ASan/UBSan in CI's chaos-smoke job.
+// unbounded buffer — and the server must keep serving afterwards. Every
+// case runs against both front-ends: the in-process Server and the
+// sharded router (ShardServer, 2 forked shards), whose frame-size and
+// read-deadline guards are its own code. Counter assertions apply to the
+// Server only; the router keeps no metrics. Run under ASan/UBSan in CI's
+// chaos-smoke job.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,12 +15,14 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "service/shard/shard_server.hpp"
 #include "testing/fuzzer.hpp"
 #include "util/error.hpp"
 
@@ -39,33 +45,58 @@ SchedulingRequest MakeRequest(const std::string& id) {
   return request;
 }
 
-/// Server + serve-thread fixture shared by every case.
-class MalformedFrameTest : public ::testing::Test {
+enum class FrontEnd { kServer, kShardServer };
+
+void PrintTo(FrontEnd front_end, std::ostream* os) {
+  *os << (front_end == FrontEnd::kServer ? "Server" : "ShardServer");
+}
+
+/// Front-end + serve-thread fixture shared by every case.
+class MalformedFrameTest : public ::testing::TestWithParam<FrontEnd> {
  protected:
   void StartServer(const char* tag,
                    const std::function<void(ServerOptions&)>& tweak = {}) {
     options_.unix_socket_path = UniqueSocketPath(tag);
     if (tweak) tweak(options_);
-    server_ = std::make_unique<Server>(options_);
-    server_->Start();
-    serving_ = std::thread([this] { server_->Serve(); });
-  }
-
-  void TearDown() override {
-    if (server_) {
-      server_->Stop();
-      if (serving_.joinable()) serving_.join();
+    if (GetParam() == FrontEnd::kServer) {
+      server_ = std::make_unique<Server>(options_);
+      server_->Start();
+      serving_ = std::thread([this] { server_->Serve(); });
+    } else {
+      shard::ShardServerOptions sharded;
+      sharded.server = options_;
+      sharded.num_shards = 2;
+      router_ = std::make_unique<shard::ShardServer>(sharded);
+      router_->Start();
+      serving_ = std::thread([this] { router_->Serve(); });
     }
   }
 
-  ServiceMetrics& Metrics() { return server_->Service().Metrics(); }
+  void TearDown() override {
+    if (server_) server_->Stop();
+    if (router_) router_->Stop();
+    if (serving_.joinable()) serving_.join();
+  }
+
+  /// The Server's counters; null for the router, which keeps none.
+  ServiceMetrics* Metrics() {
+    return server_ ? &server_->Service().Metrics() : nullptr;
+  }
 
   ServerOptions options_;
   std::unique_ptr<Server> server_;
+  std::unique_ptr<shard::ShardServer> router_;
   std::thread serving_;
 };
 
-TEST_F(MalformedFrameTest, TruncatedFrameNamesHowManyLinesArrived) {
+INSTANTIATE_TEST_SUITE_P(
+    FrontEnds, MalformedFrameTest,
+    ::testing::Values(FrontEnd::kServer, FrontEnd::kShardServer),
+    [](const ::testing::TestParamInfo<FrontEnd>& param_info) {
+      return ::testing::PrintToString(param_info.param);
+    });
+
+TEST_P(MalformedFrameTest, TruncatedFrameNamesHowManyLinesArrived) {
   StartServer("trunc");
   Client client;
   client.ConnectUnix(options_.unix_socket_path);
@@ -77,10 +108,12 @@ TEST_F(MalformedFrameTest, TruncatedFrameNamesHowManyLinesArrived) {
   EXPECT_NE(err.message.find("truncated request frame after 3 line(s)"),
             std::string::npos)
       << err.message;
-  EXPECT_GE(Metrics().protocol_errors.load(), 1u);
+  if (ServiceMetrics* metrics = Metrics()) {
+    EXPECT_GE(metrics->protocol_errors.load(), 1u);
+  }
 }
 
-TEST_F(MalformedFrameTest, OversizedFrameIsRejectedNamingTheCap) {
+TEST_P(MalformedFrameTest, OversizedFrameIsRejectedNamingTheCap) {
   StartServer("big", [](ServerOptions& options) {
     options.max_frame_bytes = 4096;
   });
@@ -95,12 +128,14 @@ TEST_F(MalformedFrameTest, OversizedFrameIsRejectedNamingTheCap) {
   EXPECT_EQ(err.error_kind, util::ErrorKind::kFatal);
   EXPECT_NE(err.message.find("max_frame_bytes=4096"), std::string::npos)
       << err.message;
-  EXPECT_EQ(Metrics().oversized_frames.load(), 1u);
+  if (ServiceMetrics* metrics = Metrics()) {
+    EXPECT_EQ(metrics->oversized_frames.load(), 1u);
+  }
   // The guard closes the connection: the next read sees EOF.
   EXPECT_THROW(client.ReadLine(), util::HarnessError);
 }
 
-TEST_F(MalformedFrameTest, GarbageBytesGetATypedErrorAndServiceContinues) {
+TEST_P(MalformedFrameTest, GarbageBytesGetATypedErrorAndServiceContinues) {
   StartServer("garbage");
   Client client;
   client.ConnectUnix(options_.unix_socket_path);
@@ -115,7 +150,7 @@ TEST_F(MalformedFrameTest, GarbageBytesGetATypedErrorAndServiceContinues) {
   EXPECT_TRUE(ok.Ok()) << ok.message;
 }
 
-TEST_F(MalformedFrameTest, TamperedChecksumIsATransientNotACallerBug) {
+TEST_P(MalformedFrameTest, TamperedChecksumIsATransientNotACallerBug) {
   StartServer("sum");
   std::string frame = FormatRequestFrame(MakeRequest("tamper"));
   const std::size_t pos = frame.find("check=");
@@ -132,10 +167,12 @@ TEST_F(MalformedFrameTest, TamperedChecksumIsATransientNotACallerBug) {
   EXPECT_EQ(err.error_kind, util::ErrorKind::kTransient);
   EXPECT_NE(err.message.find("checksum mismatch"), std::string::npos)
       << err.message;
-  EXPECT_EQ(Metrics().checksum_failures.load(), 1u);
+  if (ServiceMetrics* metrics = Metrics()) {
+    EXPECT_EQ(metrics->checksum_failures.load(), 1u);
+  }
 }
 
-TEST_F(MalformedFrameTest, HeaderTamperingIsCaughtByTheFrameChecksum) {
+TEST_P(MalformedFrameTest, HeaderTamperingIsCaughtByTheFrameChecksum) {
   StartServer("hdr");
   std::string frame = FormatRequestFrame(MakeRequest("hdr"));
   // Corrupt the scheduler NAME (still a parseable token): without the
@@ -153,7 +190,7 @@ TEST_F(MalformedFrameTest, HeaderTamperingIsCaughtByTheFrameChecksum) {
       << err.message;
 }
 
-TEST_F(MalformedFrameTest, MidFrameDisconnectDoesNotPoisonTheServer) {
+TEST_P(MalformedFrameTest, MidFrameDisconnectDoesNotPoisonTheServer) {
   StartServer("vanish");
   {
     Client client;
@@ -168,7 +205,7 @@ TEST_F(MalformedFrameTest, MidFrameDisconnectDoesNotPoisonTheServer) {
   EXPECT_TRUE(ok.Ok()) << ok.message;
 }
 
-TEST_F(MalformedFrameTest, SlowLorisMidFrameIsEvictedWithATimeout) {
+TEST_P(MalformedFrameTest, SlowLorisMidFrameIsEvictedWithATimeout) {
   StartServer("loris", [](ServerOptions& options) {
     options.read_deadline_seconds = 0.3;
   });
@@ -180,10 +217,12 @@ TEST_F(MalformedFrameTest, SlowLorisMidFrameIsEvictedWithATimeout) {
   EXPECT_EQ(err.error_kind, util::ErrorKind::kTimeout);
   EXPECT_NE(err.message.find("read deadline"), std::string::npos)
       << err.message;
-  EXPECT_EQ(Metrics().evicted_slow.load(), 1u);
+  if (ServiceMetrics* metrics = Metrics()) {
+    EXPECT_EQ(metrics->evicted_slow.load(), 1u);
+  }
 }
 
-TEST_F(MalformedFrameTest, IdleBetweenFramesIsNeverEvicted) {
+TEST_P(MalformedFrameTest, IdleBetweenFramesIsNeverEvicted) {
   StartServer("idle", [](ServerOptions& options) {
     options.read_deadline_seconds = 0.2;
   });
@@ -194,7 +233,9 @@ TEST_F(MalformedFrameTest, IdleBetweenFramesIsNeverEvicted) {
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   const SchedulingResponse ok = client.Call(MakeRequest("keepalive"));
   EXPECT_TRUE(ok.Ok()) << ok.message;
-  EXPECT_EQ(Metrics().evicted_slow.load(), 0u);
+  if (ServiceMetrics* metrics = Metrics()) {
+    EXPECT_EQ(metrics->evicted_slow.load(), 0u);
+  }
 }
 
 }  // namespace

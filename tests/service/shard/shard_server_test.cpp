@@ -1,9 +1,10 @@
 // End-to-end drills of the sharded serving tier over a real Unix-domain
 // socket: response byte-identity across shard counts (the router must be
 // invisible in the bytes), tier-wide STATS aggregation, warm-affinity vs
-// round-robin placement, worker-kill recovery with minimal remap, and a
-// SIGHUP rolling restart under live traffic. These tests fork real shard
-// processes, so they live in their own binary.
+// round-robin placement, worker-kill recovery with minimal remap, a shard
+// killed while holding an unanswered frame, and a SIGHUP rolling restart
+// under live traffic. These tests fork real shard processes, so they live
+// in their own binary.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -20,6 +21,7 @@
 
 #include "service/client.hpp"
 #include "service/protocol.hpp"
+#include "service/service.hpp"
 #include "service/shard/shard_server.hpp"
 #include "testing/fuzzer.hpp"
 #include "util/error.hpp"
@@ -34,13 +36,17 @@ std::string UniqueSocketPath(const char* tag) {
       .string();
 }
 
-std::string Frame(std::uint64_t case_index, const std::string& id) {
+SchedulingRequest Request(std::uint64_t case_index, const std::string& id) {
   fadesched::testing::ScenarioFuzzer fuzzer(21);
   SchedulingRequest request;
   request.scenario = fuzzer.Case(case_index);
   request.scheduler = "rle";
   request.id = id;
-  return FormatRequestFrame(request);
+  return request;
+}
+
+std::string Frame(std::uint64_t case_index, const std::string& id) {
+  return FormatRequestFrame(Request(case_index, id));
 }
 
 class ShardServerTest : public ::testing::Test {
@@ -210,6 +216,53 @@ TEST_F(ShardServerTest, KilledWorkerRespawnsAndKeepsServing) {
   EXPECT_EQ(report.slots[1].spawns, 1u) << "the healthy shard must not churn";
 }
 
+/// Polls until both shard slots hold a live worker other than `old`'s.
+void AwaitFreshWorkers(const ShardServer& server, const pid_t (&old)[2]) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    const pid_t now0 = server.WorkerPid(0);
+    const pid_t now1 = server.WorkerPid(1);
+    if (now0 > 0 && now1 > 0 && now0 != old[0] && now1 != old[1]) return;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "shard workers never (re)spawned";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
+TEST_F(ShardServerTest, KilledMidFrameGetsATypedTransientAndResendIsByteIdentical) {
+  // A frame is routed to a shard that dies before answering it. The
+  // client must get a typed, retryable error line — never silence — and
+  // an idempotent re-send must return exactly the bytes the in-process
+  // service computes for that frame.
+  StartServer("midframe", 2);
+  ASSERT_NO_FATAL_FAILURE(AwaitFreshWorkers(*server_, {-1, -1}));
+  const pid_t victims[2] = {server_->WorkerPid(0), server_->WorkerPid(1)};
+  // Stopped workers never read their pipe, so whichever shard owns the
+  // frame holds it unanswered until the kill.
+  for (const pid_t pid : victims) ASSERT_EQ(::kill(pid, SIGSTOP), 0);
+
+  const std::string frame = Frame(0, "once");
+  const std::unique_ptr<Client> client = Connect();
+  client->SendRaw(frame);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  for (const pid_t pid : victims) ASSERT_EQ(::kill(pid, SIGKILL), 0);
+
+  const SchedulingResponse lost = ParseResponseLine(client->ReadLine());
+  EXPECT_EQ(lost.status, ResponseStatus::kError);
+  EXPECT_EQ(lost.error_kind, util::ErrorKind::kTransient) << lost.message;
+
+  ASSERT_NO_FATAL_FAILURE(AwaitFreshWorkers(*server_, victims));
+  client->SendRaw(frame);
+  const std::string served = client->ReadLine();
+  SchedulingService in_process(options_.server.service);
+  EXPECT_EQ(served,
+            FormatResponseLine(in_process.HandleNow(Request(0, "once"))));
+  EXPECT_TRUE(ParseResponseLine(served).Ok());
+  StopServer();
+  EXPECT_EQ(server_->Report().crashes, 2u);
+}
+
 TEST_F(ShardServerTest, SighupRollsEveryShardUnderLiveTraffic) {
   StartServer("roll", 2);
   const std::unique_ptr<Client> client = Connect();
@@ -242,7 +295,9 @@ TEST_F(ShardServerTest, SighupRollsEveryShardUnderLiveTraffic) {
 
   const SupervisorReport& report = server_->Report();
   EXPECT_EQ(report.rolled, 2u);
+  EXPECT_EQ(report.spawned, 4u) << "two initial forks plus one per roll";
   EXPECT_EQ(report.crashes, 0u) << "a roll is not a crash";
+  EXPECT_EQ(report.restarts, 0u) << "a roll is not a crash restart";
   ASSERT_EQ(report.slots.size(), 2u);
   EXPECT_EQ(report.slots[0].last_respawn_reason, "rolled");
   EXPECT_EQ(report.slots[1].last_respawn_reason, "rolled");

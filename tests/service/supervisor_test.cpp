@@ -1,8 +1,9 @@
 // Crash-only supervisor tests: seeded fault-plan determinism, crash
 // restarts with backoff, the flap breaker, startup-crash injection,
-// SIGHUP rolling restarts, and the end-to-end "worker killed mid-frame
-// never acks — the idempotent re-send lands on a sibling with a
-// byte-identical response" drill over a real shared listener.
+// stalls, a clean drain, and a SIGHUP roll driven through the stepwise
+// API. The served end-to-end drills (a SIGHUP roll under live traffic, a
+// shard killed mid-frame) run through the sharded router in
+// shard_server_test.cpp.
 //
 // These tests fork real processes. Children run entirely inside
 // Supervisor::SpawnWorker's child branch, which _exit()s after
@@ -15,15 +16,10 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <filesystem>
-#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "service/client.hpp"
-#include "service/protocol.hpp"
-#include "service/server.hpp"
-#include "testing/fuzzer.hpp"
 #include "util/error.hpp"
 #include "util/signal_guard.hpp"
 
@@ -240,105 +236,40 @@ TEST(SupervisorTest, StallsPauseWithoutRestarting) {
   EXPECT_EQ(report.restarts, 0u);
 }
 
+// A SIGHUP is only a request: the embedder consumes it and rolls each
+// slot through BeginSlotShutdown("rolled"). Rolled respawns are neither
+// crashes nor crash restarts.
 TEST(SupervisorTest, SighupRollsEveryWorkerWithoutCrashCounts) {
   Supervisor supervisor(SleepyWorker, FastOptions(2));
-  SupervisorReport report;
-  std::thread runner([&] { report = supervisor.Run(); });
-  std::this_thread::sleep_for(milliseconds(150));
+  supervisor.Begin();
+  const auto tick_until = [&](auto done) {
+    const auto deadline = std::chrono::steady_clock::now() + milliseconds(5000);
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (done()) return true;
+      supervisor.Step();
+      std::this_thread::sleep_for(milliseconds(10));
+    }
+    return false;
+  };
+  EXPECT_TRUE(tick_until([&] {
+    return supervisor.SlotPid(0) > 0 && supervisor.SlotPid(1) > 0;
+  }));
+  EXPECT_FALSE(supervisor.ConsumeHupRequest());
   ::kill(::getpid(), SIGHUP);
-  std::this_thread::sleep_for(milliseconds(500));
-  supervisor.Stop();
-  runner.join();
+  EXPECT_TRUE(tick_until([&] { return supervisor.ConsumeHupRequest(); }));
+  for (std::size_t slot = 0; slot < 2; ++slot) {
+    const pid_t old_pid = supervisor.SlotPid(slot);
+    supervisor.BeginSlotShutdown(slot, "rolled");
+    EXPECT_TRUE(tick_until([&] {
+      const pid_t pid = supervisor.SlotPid(slot);
+      return pid > 0 && pid != old_pid;
+    }));
+  }
+  const SupervisorReport report = supervisor.End();
   EXPECT_EQ(report.rolled, 2u);
   EXPECT_EQ(report.spawned, 4u);
   EXPECT_EQ(report.crashes, 0u);
   EXPECT_EQ(report.restarts, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: shared listener, real requests, a worker that dies at the
-// worst possible instant (request executed, response never written).
-
-std::string UniqueSocketPath(const char* tag) {
-  return (std::filesystem::temp_directory_path() /
-          ("fs_sup_" + std::string(tag) + "_" + std::to_string(::getpid()) +
-           ".sock"))
-      .string();
-}
-
-SchedulingRequest MakeRequest(const std::string& id) {
-  fadesched::testing::ScenarioFuzzer fuzzer(13);
-  SchedulingRequest request;
-  request.scenario = fuzzer.Case(0);
-  request.scheduler = "rle";
-  request.id = id;
-  return request;
-}
-
-TEST(SupervisorLoopbackTest, KilledMidFrameNeverAcksAndSiblingServesByteIdentical) {
-  ServerOptions bind_options;
-  bind_options.unix_socket_path = UniqueSocketPath("midframe");
-  const int listen_fd = BindListenSocket(bind_options, nullptr);
-
-  ServerOptions worker_options = bind_options;
-  worker_options.unix_socket_path.clear();  // workers never unlink
-  worker_options.inherited_listen_fd = listen_fd;
-
-  SupervisorOptions options = FastOptions(2);
-  Supervisor supervisor(
-      [worker_options](std::size_t, std::size_t ordinal) {
-        ServerOptions mine = worker_options;
-        // Both initial workers abort right before their first reply: the
-        // request executes, the response line is never written. Respawns
-        // (ordinal >= 2) are healthy.
-        if (ordinal < 2) mine.chaos_abort_before_reply = 1;
-        Server server(mine);
-        server.Start();
-        util::ScopedSignalGuard guard;
-        server.Serve();
-        return 0;
-      },
-      options);
-  SupervisorReport report;
-  std::thread runner([&] { report = supervisor.Run(); });
-  std::this_thread::sleep_for(milliseconds(150));
-
-  const std::string frame = FormatRequestFrame(MakeRequest("once"));
-  std::string first_line;
-  std::size_t aborted_attempts = 0;
-  for (int attempt = 0; attempt < 12 && first_line.empty(); ++attempt) {
-    Client client;
-    client.ConnectUnix(bind_options.unix_socket_path);
-    try {
-      client.SendRaw(frame);
-      first_line = client.ReadLine();
-    } catch (const util::HarnessError&) {
-      // The worker died before acking: no response bytes, connection
-      // closed. The re-send below must be safe precisely because nothing
-      // was acknowledged.
-      ++aborted_attempts;
-      std::this_thread::sleep_for(milliseconds(100));
-    }
-  }
-  ASSERT_FALSE(first_line.empty()) << "no worker ever answered";
-  // Both initial workers were doomed, so the very first send cannot have
-  // been acknowledged.
-  EXPECT_GE(aborted_attempts, 1u);
-
-  // Idempotent re-send of the identical frame on a fresh connection: a
-  // sibling (or respawn) must produce the byte-identical response line.
-  Client again;
-  again.ConnectUnix(bind_options.unix_socket_path);
-  again.SendRaw(frame);
-  EXPECT_EQ(again.ReadLine(), first_line);
-  const SchedulingResponse parsed = ParseResponseLine(first_line);
-  EXPECT_TRUE(parsed.Ok()) << parsed.message;
-
-  supervisor.Stop();
-  runner.join();
-  EXPECT_GE(report.crashes, 1u);  // the doomed workers _Exit(137)ed
-  ::close(listen_fd);
-  ::unlink(bind_options.unix_socket_path.c_str());
 }
 
 }  // namespace

@@ -39,6 +39,8 @@ TEST(CliExitCodesTest, HelpIsSuccess) {
 TEST(CliExitCodesTest, UsageErrorsExitTwo) {
   EXPECT_EQ(RunCommand(Cli()), util::kExitUsage);
   EXPECT_EQ(RunCommand(Cli() + " frobnicate"), util::kExitUsage);
+  EXPECT_EQ(RunCommand(Cli() + " supervise --workers 2"), util::kExitUsage);
+  EXPECT_EQ(RunCommand(Cli() + " loadgen --mux"), util::kExitUsage);
   EXPECT_EQ(RunCommand(Cli() + " generate --no-such-flag 1"),
             util::kExitUsage);
   EXPECT_EQ(RunCommand(Cli() + " solve --trials"), util::kExitUsage);

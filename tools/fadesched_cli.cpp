@@ -13,7 +13,6 @@
 //   fadesched_cli fuzz     --seed 1 --iters 2000 [--corpus-dir repros]
 //                              [--dynamic]
 //   fadesched_cli serve    --unix /tmp/fs.sock --workers 4 [--metrics-out m.json]
-//   fadesched_cli supervise --unix /tmp/fs.sock --workers 3 --chaos-kills 5
 //   fadesched_cli loadgen  --unix /tmp/fs.sock --requests 1000 --connections 4
 //   fadesched_cli chaos-soak --seed 7 --requests 10000 --fault-prob 0.02
 //
@@ -22,7 +21,6 @@
 // Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 when a
 // watchdog deadline fired or the run was interrupted (SIGINT/SIGTERM
 // after checkpointing).
-#include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
@@ -840,9 +838,11 @@ int RunServe(int argc, char** argv) {
   util::CliParser cli(
       "fadesched_cli serve",
       "line-protocol scheduling server (unix socket or TCP loopback); "
-      "--shards N forks N worker processes behind a consistent-hash "
-      "fingerprint router (SIGHUP rolls them one arc at a time); "
-      "SIGTERM/SIGINT drain gracefully, exit 0");
+      "in-process (one thread per connection) by default; --shards N "
+      "forks N crash-only worker processes behind a consistent-hash "
+      "fingerprint router that restarts crashed shards, opens a flap "
+      "breaker on crash loops (exit 1), and rolls them one arc at a time "
+      "on SIGHUP; SIGTERM/SIGINT drain gracefully, exit 0");
   auto& unix_path = cli.AddString(
       "unix", "", "unix-domain socket path (empty = TCP)");
   auto& host = cli.AddString("host", "127.0.0.1", "TCP bind address");
@@ -868,7 +868,8 @@ int RunServe(int argc, char** argv) {
   auto& shards = cli.AddInt(
       "shards", 0,
       "fork this many shard worker processes behind the epoll router; "
-      "0 = classic single-process thread-per-connection server");
+      "0 = in-process server, one thread per connection (the default: "
+      "lower CPU and RSS per request than --shards 1)");
   auto& vnodes = cli.AddInt("vnodes", 128,
                             "virtual nodes per shard on the hash ring");
   auto& routing = cli.AddString(
@@ -979,152 +980,6 @@ int RunServe(int argc, char** argv) {
   return 0;
 }
 
-int RunSupervise(int argc, char** argv) {
-  util::CliParser cli(
-      "fadesched_cli supervise",
-      "crash-only multi-process server: bind once, fork N workers sharing "
-      "the listener fd, restart crashed workers with bounded backoff; "
-      "SIGHUP = zero-downtime rolling restart, SIGTERM/SIGINT = drain");
-  auto& unix_path = cli.AddString(
-      "unix", "", "unix-domain socket path (empty = TCP)");
-  auto& host = cli.AddString("host", "127.0.0.1", "TCP bind address");
-  auto& port = cli.AddInt("port", 0, "TCP port (0 = ephemeral, printed)");
-  auto& workers = cli.AddInt("workers", 2, "worker processes to fork");
-  auto& threads = cli.AddInt("threads", 2, "scheduling threads per worker");
-  auto& queue = cli.AddInt("queue-capacity", 256,
-                           "pending-request slots per worker; beyond, shed");
-  auto& deadline = cli.AddDouble(
-      "default-deadline", 0.0,
-      "queue deadline (s) for requests that carry none; 0 = unlimited");
-  auto& cache_mb = cli.AddInt("cache-mb", 256,
-                              "per-worker cache budget (MiB)");
-  auto& backend = cli.AddString(
-      "backend", "tables",
-      "interference backend for cached engines (calculator|tables|matrix)");
-  const OverloadFlags overload_flags = AddOverloadFlags(cli);
-  auto& backoff_initial = cli.AddDouble(
-      "backoff-initial", 0.05, "first crash-restart backoff (s)");
-  auto& backoff_max = cli.AddDouble("backoff-max", 2.0,
-                                    "crash-restart backoff cap (s)");
-  auto& stable = cli.AddDouble(
-      "stable-seconds", 5.0,
-      "worker uptime that resets its slot's backoff streak");
-  auto& max_restarts = cli.AddInt(
-      "max-restarts", 8,
-      "restarts inside --restart-window before the flap breaker opens "
-      "(supervise then exits 1)");
-  auto& restart_window = cli.AddDouble("restart-window", 10.0,
-                                       "flap-breaker sliding window (s)");
-  auto& drain_grace = cli.AddDouble(
-      "drain-grace", 10.0, "SIGTERM → SIGKILL escalation grace (s)");
-  auto& chaos_kills = cli.AddInt(
-      "chaos-kills", 0, "injected worker SIGKILLs (seeded, deterministic)");
-  auto& chaos_stalls = cli.AddInt(
-      "chaos-stalls", 0, "injected SIGSTOP/SIGCONT stall windows");
-  auto& chaos_startup_crashes = cli.AddInt(
-      "chaos-startup-crashes", 0,
-      "first N spawns _exit(77) before serving (backoff/breaker drill)");
-  auto& chaos_seed = cli.AddInt("chaos-seed", 1, "process-fault plan seed");
-  auto& chaos_window = cli.AddDouble(
-      "chaos-window", 10.0, "injected faults land inside [0, this) (s)");
-  auto& chaos_stall_seconds = cli.AddDouble(
-      "chaos-stall-seconds", 0.2, "SIGSTOP → SIGCONT gap per stall");
-  auto& plan_out = cli.AddString(
-      "plan-out", "", "write the formatted process-fault plan here");
-  auto& status_out = cli.AddString(
-      "status-out", "", "write the supervisor report JSON here on exit");
-  if (!cli.Parse(argc, argv)) return cli.UsageExitCode();
-
-  service::ServerOptions worker_options;
-  // Workers inherit the listener; the path stays empty in the child so a
-  // worker's shutdown can never unlink the shared socket.
-  worker_options.host = host;
-  worker_options.port = static_cast<int>(port);
-  worker_options.service.batcher.num_workers =
-      static_cast<std::size_t>(threads);
-  worker_options.service.batcher.queue_capacity =
-      static_cast<std::size_t>(queue);
-  worker_options.service.batcher.default_deadline_seconds = deadline;
-  worker_options.service.batcher.overload =
-      MakeOverloadOptions(overload_flags);
-  worker_options.service.cache.capacity_bytes =
-      static_cast<std::size_t>(cache_mb) << 20;
-  worker_options.service.cache.engine.backend = BackendFromName(backend);
-
-  // Bind exactly once, in the supervisor; workers share the fd across
-  // fork and the kernel load-balances accepts between their poll loops.
-  service::ServerOptions bind_options = worker_options;
-  bind_options.unix_socket_path = unix_path;
-  int resolved_port = bind_options.port;
-  const int listen_fd = service::BindListenSocket(bind_options, &resolved_port);
-  worker_options.port = resolved_port;
-  worker_options.inherited_listen_fd = listen_fd;
-
-  service::SupervisorOptions sup;
-  sup.num_workers = static_cast<std::size_t>(workers);
-  sup.backoff_initial_seconds = backoff_initial;
-  sup.backoff_max_seconds = backoff_max;
-  sup.stable_seconds = stable;
-  sup.max_restarts_in_window = static_cast<std::size_t>(max_restarts);
-  sup.restart_window_seconds = restart_window;
-  sup.drain_grace_seconds = drain_grace;
-  sup.chaos.seed = static_cast<std::uint64_t>(chaos_seed);
-  sup.chaos.kills = static_cast<std::size_t>(chaos_kills);
-  sup.chaos.stalls = static_cast<std::size_t>(chaos_stalls);
-  sup.chaos.startup_crashes = static_cast<std::size_t>(chaos_startup_crashes);
-  sup.chaos.window_seconds = chaos_window;
-  sup.chaos.stall_seconds = chaos_stall_seconds;
-  sup.Validate();
-
-  const auto plan = service::BuildProcessFaultPlan(sup.chaos, sup.num_workers);
-  if (!plan.empty()) {
-    const std::string formatted = service::FormatProcessFaultPlan(plan);
-    std::printf("process-fault plan (seed %llu):\n%s",
-                static_cast<unsigned long long>(sup.chaos.seed),
-                formatted.c_str());
-    if (!plan_out.empty()) util::AtomicWriteFile(plan_out, formatted);
-  }
-
-  service::Supervisor supervisor(
-      [&worker_options](std::size_t /*slot*/, std::size_t spawn_ordinal) {
-        service::Server server(worker_options);
-        server.Start();  // adopts the inherited fd
-        // Expose the global spawn ordinal through STATS: a client can
-        // tell how many forks preceded the worker it is talking to.
-        server.Service().Metrics().worker_restarts.store(spawn_ordinal);
-        server.Serve();  // drains on the inherited SIGTERM handler
-        return 0;
-      },
-      sup);
-
-  if (!unix_path.empty()) {
-    std::printf("supervising %d workers on unix:%s\n",
-                static_cast<int>(workers), unix_path.c_str());
-  } else {
-    std::printf("supervising %d workers on %s:%d\n",
-                static_cast<int>(workers), host.c_str(), resolved_port);
-  }
-  std::fflush(stdout);
-
-  util::ScopedSignalGuard guard;
-  const service::SupervisorReport report = supervisor.Run();
-  ::close(listen_fd);
-  if (!unix_path.empty()) ::unlink(unix_path.c_str());
-
-  std::fputs(report.ToJson().c_str(), stdout);
-  if (!status_out.empty()) {
-    util::AtomicWriteFile(status_out, report.ToJson());
-  }
-  if (report.breaker_open) {
-    std::fprintf(stderr,
-                 "flap breaker open: %zu restarts inside %.1fs window\n",
-                 report.restarts, sup.restart_window_seconds);
-    return 1;
-  }
-  std::printf("drained, shutting down\n");
-  return 0;
-}
-
 int RunLoadgen(int argc, char** argv) {
   util::CliParser cli("fadesched_cli loadgen",
                       "seeded load generator against a serve endpoint");
@@ -1152,11 +1007,6 @@ int RunLoadgen(int argc, char** argv) {
       "sleep the server's retry_after_ms hint and re-send shed requests");
   auto& max_shed_retries = cli.AddInt(
       "max-shed-retries", 3, "re-send budget per request");
-  auto& mux = cli.AddBool(
-      "mux", false,
-      "multiplexed mode: one thread drives all connections through epoll "
-      "(scales to hundreds of connections; corrected latency then shows "
-      "client-side queueing when releases outpace the fleet)");
   auto& drift = cli.AddInt(
       "drift", 0,
       "every N requests, replace one warm-pool entry with a fresh "
@@ -1180,7 +1030,6 @@ int RunLoadgen(int argc, char** argv) {
   options.hot_fraction = hot_fraction;
   options.retry_on_shed = retry_on_shed;
   options.max_shed_retries = static_cast<std::size_t>(max_shed_retries);
-  options.multiplex = mux;
   options.drift_period = static_cast<std::size_t>(drift);
 
   const service::LoadgenReport report = service::RunLoadgen(options);
@@ -1383,14 +1232,12 @@ void PrintTopLevelUsage() {
       "  fuzz       metamorphic fuzzing + oracle checks, shrunk reproducers\n"
       "             (--dynamic: warm-vs-cold + replay oracle on slotted runs)\n"
       "  serve      scheduling server (unix socket / TCP, line protocol);\n"
-      "             --shards N forks N workers behind a consistent-hash\n"
-      "             fingerprint router (SIGHUP = rolling restart)\n"
-      "  supervise  crash-only multi-process server: forked workers share\n"
-      "             the listener; crashes restart with backoff, SIGHUP\n"
-      "             rolls workers with zero downtime\n"
-      "  loadgen    seeded load generator against a serve endpoint\n"
-      "             (--mux: one epoll thread drives hundreds of\n"
-      "             connections; --drift: sliding warm working set)\n"
+      "             in-process by default; --shards N forks N crash-only\n"
+      "             workers behind a consistent-hash fingerprint router\n"
+      "             (SIGHUP = rolling restart)\n"
+      "  loadgen    seeded load generator against a serve endpoint (one\n"
+      "             epoll thread drives every connection; --drift: sliding\n"
+      "             warm working set)\n"
       "  stats      STATS snapshot of a serve endpoint as JSON\n"
       "  chaos-soak seeded socket-fault soak; fails unless zero requests\n"
       "             are lost, duplicated, or corrupted\n"
@@ -1399,8 +1246,8 @@ void PrintTopLevelUsage() {
       "exit codes (all subcommands): 0 success, 1 runtime failure,\n"
       "2 usage error, 3 watchdog timeout or interrupted mid-run.\n"
       "`serve` exits 0 on a graceful SIGINT/SIGTERM drain (a drained server\n"
-      "finished its work); `supervise` additionally exits 1 when its flap\n"
-      "breaker opens; `loadgen` exits 1 when any response failed or\n"
+      "finished its work); `serve --shards` additionally exits 1 when its\n"
+      "flap breaker opens; `loadgen` exits 1 when any response failed or\n"
       "diverged (shed/timeout under overload still exit 0).\n"
       "\n"
       "run `fadesched_cli <subcommand> --help` for flags.\n",
@@ -1429,7 +1276,6 @@ int main(int argc, char** argv) {
     if (command == "queue-sim") return RunQueueSim(sub_argc, sub_argv);
     if (command == "fuzz") return RunFuzzCmd(sub_argc, sub_argv);
     if (command == "serve") return RunServe(sub_argc, sub_argv);
-    if (command == "supervise") return RunSupervise(sub_argc, sub_argv);
     if (command == "loadgen") return RunLoadgen(sub_argc, sub_argv);
     if (command == "stats") return RunStats(sub_argc, sub_argv);
     if (command == "chaos-soak") return RunChaosSoak(sub_argc, sub_argv);
