@@ -10,7 +10,6 @@
 // so kill-and-resume can be exercised from CI and the shell.
 #pragma once
 
-#include <csignal>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -19,23 +18,12 @@
 #include "sim/sweep.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
-#include "util/error.hpp"
 
 namespace fadesched::bench {
 
 struct FigureFlags {
-  long long seeds = 5;      ///< topologies per sweep point
-  long long trials = 1000;  ///< fading realizations per instance
-  long long threads = 0;    ///< simulator threads (0 = hardware)
   bool csv_only = false;    ///< suppress the pretty table
-  std::string out;          ///< atomic CSV output path ("" = stdout only)
-  std::string checkpoint;   ///< checkpoint path ("" = no checkpointing)
-  bool resume = false;      ///< resume from --checkpoint if present
-  bool keep_checkpoint = false;     ///< keep checkpoint after success
-  double seed_deadline = 0.0;       ///< per-seed watchdog (seconds; 0 = off)
-  long long retries = 1;            ///< transient-failure retries per seed
-  bool deterministic = false;       ///< zero the runtime column (diffable CSV)
-  long long crash_after_point = -1; ///< fault drill: SIGKILL after point N
+  sim::SweepOptions sweep;  ///< seeds, trials, threads and the harness
   int exit_code = 0;        ///< valid when ParseFigureFlags returns false
 };
 
@@ -45,46 +33,29 @@ inline bool ParseFigureFlags(int argc, char** argv, const std::string& name,
                              const std::string& description,
                              FigureFlags& flags) {
   util::CliParser cli(name, description);
-  auto& seeds = cli.AddInt("seeds", flags.seeds, "topologies per point");
-  auto& trials = cli.AddInt("trials", flags.trials,
+  auto& seeds = cli.AddInt("seeds", 5, "topologies per point");
+  auto& trials = cli.AddInt("trials", 1000,
                             "fading realizations per instance");
-  auto& threads = cli.AddInt("threads", flags.threads,
+  auto& threads = cli.AddInt("threads", 0,
                              "simulator threads (0 = hardware)");
-  auto& csv_only = cli.AddBool("csv-only", flags.csv_only,
+  auto& csv_only = cli.AddBool("csv-only", false,
                                "print raw CSV without the aligned table");
-  auto& out = cli.AddString("out", "", "write the CSV here (atomic)");
-  auto& checkpoint = cli.AddString(
-      "checkpoint", "", "sweep checkpoint file (enables crash-safe resume)");
-  auto& resume = cli.AddBool("resume", false,
-                             "resume from --checkpoint if it exists");
-  auto& keep = cli.AddBool("keep-checkpoint", false,
-                           "keep the checkpoint after a successful run");
-  auto& deadline = cli.AddDouble(
-      "seed-deadline", 0.0, "per-seed watchdog deadline in seconds (0 = off)");
-  auto& retries = cli.AddInt(
-      "retries", 1, "retries per seed for transient failures");
+  sim::SweepFlags harness(cli);
   auto& deterministic = cli.AddBool(
       "deterministic", false,
       "record sched_ms as 0 so reruns produce byte-identical CSV");
-  auto& crash_after = cli.AddInt(
-      "crash-after-point", -1,
-      "fault drill: SIGKILL this process after point N checkpoints");
+  harness.AddCrashDrill();
   if (!cli.Parse(argc, argv)) {
     flags.exit_code = cli.UsageExitCode();
     return false;
   }
-  flags.seeds = seeds;
-  flags.trials = trials;
-  flags.threads = threads;
   flags.csv_only = csv_only;
-  flags.out = out;
-  flags.checkpoint = checkpoint;
-  flags.resume = resume;
-  flags.keep_checkpoint = keep;
-  flags.seed_deadline = deadline;
-  flags.retries = retries;
-  flags.deterministic = deterministic;
-  flags.crash_after_point = crash_after;
+  flags.sweep.config.num_seeds = static_cast<std::size_t>(seeds);
+  flags.sweep.config.trials = static_cast<std::size_t>(trials);
+  flags.sweep.config.threads =
+      threads <= 0 ? 0u : static_cast<unsigned>(threads);
+  flags.sweep.deterministic = deterministic;
+  harness.Apply(flags.sweep);
   return true;
 }
 
@@ -96,38 +67,9 @@ inline sim::SweepResult RunSweep(
     const std::vector<double>& xs, const std::vector<std::string>& algorithms,
     const FigureFlags& flags,
     const std::function<sim::ExperimentPoint(double)>& make_point) {
-  sim::SweepSpec spec;
-  spec.name = name;
-  spec.x_name = x_name;
-  spec.xs = xs;
-  spec.make_point = make_point;
-
-  sim::SweepOptions options;
+  sim::SweepOptions options = flags.sweep;
   options.config.algorithms = algorithms;
-  options.config.num_seeds = static_cast<std::size_t>(flags.seeds);
-  options.config.trials = static_cast<std::size_t>(flags.trials);
-  options.config.threads =
-      flags.threads <= 0 ? 0u : static_cast<unsigned>(flags.threads);
-  options.retry.max_attempts = static_cast<std::size_t>(flags.retries) + 1;
-  options.retry.seed_deadline_seconds = flags.seed_deadline;
-  options.checkpoint_path = flags.checkpoint;
-  options.resume = flags.resume;
-  options.keep_checkpoint = flags.keep_checkpoint;
-  options.out_path = flags.out;
-  options.deterministic = flags.deterministic;
-  if (flags.crash_after_point >= 0) {
-    const auto crash_point = static_cast<std::size_t>(flags.crash_after_point);
-    options.after_checkpoint = [crash_point](std::size_t point,
-                                             std::size_t /*seeds_done*/,
-                                             bool complete) {
-      if (complete && point == crash_point) {
-        std::fprintf(stderr, "[drill] SIGKILL after point %zu checkpoint\n",
-                     point);
-        std::raise(SIGKILL);
-      }
-    };
-  }
-  return sim::RunExperimentSweep(spec, options);
+  return sim::RunExperimentSweep({name, x_name, xs, make_point}, options);
 }
 
 /// Prints the result in both machine (CSV) and human (aligned) form, and
@@ -166,8 +108,9 @@ inline int FinishFigure(const std::string& title,
     std::fprintf(stderr,
                  "interrupted: %zu/%zu points complete; checkpoint %s\n",
                  result.points_completed, result.points_total,
-                 flags.checkpoint.empty() ? "disabled — rerun from scratch"
-                                          : flags.checkpoint.c_str());
+                 flags.sweep.checkpoint_path.empty()
+                     ? "disabled — rerun from scratch"
+                     : flags.sweep.checkpoint_path.c_str());
   }
   return result.ExitCode();
 }

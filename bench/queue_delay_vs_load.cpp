@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
   options.resume = resume;
   options.out_path = out_path;
 
-  const sim::MetricSweepResult result = sim::RunMetricSweep(spec, options);
+  const sim::SweepResult result = sim::RunMetricSweep(spec, options);
   std::printf("# Queue dynamics: backlog/delay vs offered load "
               "(N=%lld, alpha=3, eps=0.01, %lld slots, %s arrivals)\n",
               static_cast<long long>(num_links),

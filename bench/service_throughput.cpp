@@ -254,11 +254,18 @@ int main(int argc, char** argv) {
     options.batcher.num_workers = 1;
     options.batcher.queue_capacity = 8;
     service::SchedulingService svc(options);
-    const testing::ScenarioCase slow = MakeCase(300, 7);
+    // 64 distinct scenarios, built before the burst: with one scenario
+    // repeated, the first build finished while the burst was still being
+    // submitted and 63 of 64 came back as response-cache hits, so nothing
+    // was ever queued long enough to shed.
+    std::vector<service::SchedulingRequest> burst;
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      burst.push_back(MakeRequest(MakeCase(300, 7 + i), scheduler,
+                                  "o" + std::to_string(i)));
+    }
     std::vector<std::future<service::SchedulingResponse>> futures;
-    for (int i = 0; i < 64; ++i) {
-      futures.push_back(svc.Submit(
-          MakeRequest(slow, scheduler, "o" + std::to_string(i))));
+    for (service::SchedulingRequest& request : burst) {
+      futures.push_back(svc.Submit(std::move(request)));
     }
     for (auto& future : futures) {
       const service::SchedulingResponse response = future.get();

@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
   if (!out_csv.empty()) frontier_sweep.out_path = out_csv + ".frontier.csv";
   std::fprintf(stderr, "[stability] frontier grid: %zu series x %zu alphas\n",
                frontier_spec.series.size(), frontier_spec.xs.size());
-  const sim::MetricSweepResult frontier_result =
+  const sim::SweepResult frontier_result =
       sim::RunMetricSweep(frontier_spec, frontier_sweep);
   if (frontier_result.interrupted) return frontier_result.ExitCode();
 
@@ -318,7 +318,7 @@ int main(int argc, char** argv) {
   if (!out_csv.empty()) delay_sweep.out_path = out_csv + ".delay.csv";
   std::fprintf(stderr, "[stability] delay grid: %zu series x %zu loads\n",
                delay_spec.series.size(), delay_spec.xs.size());
-  const sim::MetricSweepResult delay_result =
+  const sim::SweepResult delay_result =
       sim::RunMetricSweep(delay_spec, delay_sweep);
   if (delay_result.interrupted) return delay_result.ExitCode();
 

@@ -11,26 +11,6 @@
 namespace fadesched::sim {
 namespace {
 
-// The seven AlgoSummary accumulators, in serialization order.
-constexpr const char* kStatNames[] = {
-    "scheduled_links",   "claimed_rate",        "measured_failed",
-    "measured_throughput", "expected_failed",   "expected_throughput",
-    "runtime_ms",
-};
-
-mathx::RunningStats* StatsField(AlgoSummary& s, std::size_t i) {
-  mathx::RunningStats* fields[] = {
-      &s.scheduled_links,   &s.claimed_rate,        &s.measured_failed,
-      &s.measured_throughput, &s.expected_failed,   &s.expected_throughput,
-      &s.runtime_ms,
-  };
-  return fields[i];
-}
-
-const mathx::RunningStats* StatsField(const AlgoSummary& s, std::size_t i) {
-  return StatsField(const_cast<AlgoSummary&>(s), i);
-}
-
 /// C99 hex-float literal: exact double round-trip, locale-independent.
 std::string HexDouble(double value) {
   char buffer[64];
@@ -75,126 +55,6 @@ void ExpectToken(std::istringstream& is, const char* expected) {
                            "', found '" + token + "'");
   }
 }
-
-}  // namespace
-
-std::string SweepCheckpoint::Serialize() const {
-  std::ostringstream os;
-  os << "fadesched-sweep-checkpoint " << kFormatVersion << "\n";
-  char fp[32];
-  std::snprintf(fp, sizeof(fp), "%016" PRIx64, fingerprint);
-  os << "fingerprint " << fp << "\n";
-  os << "points " << points.size() << "\n";
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    const PointCheckpoint& point = points[p];
-    os << "point " << p << " " << HexDouble(point.x) << " seeds_done "
-       << point.seeds_done << " failed " << point.failed_seeds
-       << " timed_out " << point.timed_out_seeds << " complete "
-       << (point.complete ? 1 : 0) << "\n";
-    os << "algos " << point.summaries.size() << "\n";
-    for (const AlgoSummary& summary : point.summaries) {
-      os << "algo " << summary.algorithm << "\n";
-      for (std::size_t i = 0; i < 7; ++i) {
-        const mathx::RunningStats* stats = StatsField(summary, i);
-        os << "stat " << kStatNames[i] << " " << stats->Count() << " "
-           << HexDouble(stats->RawMean()) << " " << HexDouble(stats->RawM2())
-           << " " << HexDouble(stats->Min()) << " " << HexDouble(stats->Max())
-           << "\n";
-      }
-    }
-  }
-  os << "end\n";
-  return os.str();
-}
-
-SweepCheckpoint SweepCheckpoint::Deserialize(const std::string& text) {
-  std::istringstream is(text);
-  ExpectToken(is, "fadesched-sweep-checkpoint");
-  const std::size_t version = NextSize(is, "format version");
-  if (version != static_cast<std::size_t>(kFormatVersion)) {
-    throw util::FatalError(
-        "checkpoint: unsupported format version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kFormatVersion) + ")");
-  }
-  SweepCheckpoint checkpoint;
-  ExpectToken(is, "fingerprint");
-  {
-    const std::string token = NextToken(is, "fingerprint");
-    char* end = nullptr;
-    checkpoint.fingerprint = std::strtoull(token.c_str(), &end, 16);
-    if (end == nullptr || *end != '\0') {
-      throw util::FatalError("checkpoint: malformed fingerprint '" + token +
-                             "'");
-    }
-  }
-  ExpectToken(is, "points");
-  const std::size_t num_points = NextSize(is, "point count");
-  checkpoint.points.resize(num_points);
-  for (std::size_t p = 0; p < num_points; ++p) {
-    PointCheckpoint& point = checkpoint.points[p];
-    ExpectToken(is, "point");
-    const std::size_t index = NextSize(is, "point index");
-    if (index != p) {
-      throw util::FatalError("checkpoint: point index out of order");
-    }
-    point.x = ParseHexDouble(NextToken(is, "point x"));
-    ExpectToken(is, "seeds_done");
-    point.seeds_done = NextSize(is, "seeds_done");
-    ExpectToken(is, "failed");
-    point.failed_seeds = NextSize(is, "failed seeds");
-    ExpectToken(is, "timed_out");
-    point.timed_out_seeds = NextSize(is, "timed out seeds");
-    ExpectToken(is, "complete");
-    point.complete = NextSize(is, "complete flag") != 0;
-    ExpectToken(is, "algos");
-    const std::size_t num_algos = NextSize(is, "algo count");
-    point.summaries.resize(num_algos);
-    for (std::size_t a = 0; a < num_algos; ++a) {
-      AlgoSummary& summary = point.summaries[a];
-      ExpectToken(is, "algo");
-      summary.algorithm = NextToken(is, "algorithm name");
-      for (std::size_t i = 0; i < 7; ++i) {
-        ExpectToken(is, "stat");
-        const std::string name = NextToken(is, "stat name");
-        if (name != kStatNames[i]) {
-          throw util::FatalError("checkpoint: expected stat '" +
-                                 std::string(kStatNames[i]) + "', found '" +
-                                 name + "'");
-        }
-        const std::size_t count = NextSize(is, "stat count");
-        const double mean = ParseHexDouble(NextToken(is, "stat mean"));
-        const double m2 = ParseHexDouble(NextToken(is, "stat m2"));
-        const double min = ParseHexDouble(NextToken(is, "stat min"));
-        const double max = ParseHexDouble(NextToken(is, "stat max"));
-        *StatsField(summary, i) =
-            mathx::RunningStats::FromRawMoments(count, mean, m2, min, max);
-      }
-    }
-  }
-  ExpectToken(is, "end");
-  return checkpoint;
-}
-
-void SweepCheckpoint::Save(const std::string& path) const {
-  util::AtomicWriteFile(path, Serialize());
-}
-
-bool SweepCheckpoint::Load(const std::string& path,
-                           std::uint64_t expected_fingerprint,
-                           SweepCheckpoint& out) {
-  if (!util::FileExists(path)) return false;
-  out = Deserialize(util::ReadFileToString(path));
-  if (out.fingerprint != expected_fingerprint) {
-    throw util::FatalError(
-        "checkpoint '" + path +
-        "' was written under a different sweep configuration "
-        "(fingerprint mismatch); delete it or rerun with the original "
-        "flags to resume");
-  }
-  return true;
-}
-
-namespace {
 
 /// Series/metric names are embedded as whitespace-separated tokens, so a
 /// name with whitespace would corrupt the framing — refuse loudly.
@@ -344,6 +204,50 @@ bool MetricSweepCheckpoint::Load(const std::string& path,
   return true;
 }
 
+MetricSweepCheckpoint SweepCheckpoint::ToGrid() const {
+  MetricSweepCheckpoint grid;
+  grid.fingerprint = fingerprint;
+  for (const SummaryStat& stat : kSummaryStats) {
+    grid.metrics.emplace_back(stat.name);
+  }
+  // The algorithms are the first started point's; later points may not
+  // have begun.
+  for (const PointCheckpoint& point : points) {
+    if (point.summaries.empty()) continue;
+    for (const AlgoSummary& summary : point.summaries) {
+      grid.series.push_back(summary.algorithm);
+    }
+    break;
+  }
+  const std::size_t grid_size = grid.series.size() * grid.metrics.size();
+  for (const PointCheckpoint& point : points) {
+    MetricPointCheckpoint& out = grid.points.emplace_back();
+    out.x = point.x;
+    out.seeds_done = point.seeds_done;
+    out.failed_seeds = point.failed_seeds;
+    out.timed_out_seeds = point.timed_out_seeds;
+    out.complete = point.complete;
+    if (point.summaries.empty()) {
+      out.stats.resize(grid_size);
+      continue;
+    }
+    for (std::size_t a = 0; a < point.summaries.size(); ++a) {
+      if (point.summaries.size() != grid.series.size() ||
+          point.summaries[a].algorithm != grid.series[a]) {
+        throw util::FatalError("checkpoint: points disagree on the algorithms");
+      }
+      for (const SummaryStat& stat : kSummaryStats) {
+        out.stats.push_back(point.summaries[a].*stat.field);
+      }
+    }
+  }
+  return grid;
+}
+
+void SweepCheckpoint::Save(const std::string& path) const {
+  ToGrid().Save(path);
+}
+
 std::uint64_t FingerprintInit() { return 0xcbf29ce484222325ULL; }
 
 std::uint64_t FingerprintMix64(std::uint64_t h, std::uint64_t value) {
@@ -378,7 +282,6 @@ std::uint64_t FingerprintSweep(const std::string& sweep_name,
                                const ExperimentConfig& config,
                                const std::vector<ExperimentPoint>& points) {
   std::uint64_t h = FingerprintInit();
-  h = FingerprintMix64(h, SweepCheckpoint::kFormatVersion);
   h = FingerprintMixString(h, sweep_name);
   h = FingerprintMix64(h, xs.size());
   for (const double x : xs) h = FingerprintMixDouble(h, x);

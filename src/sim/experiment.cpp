@@ -10,6 +10,43 @@
 
 namespace fadesched::sim {
 
+net::LinkSet SeedTopology(const ExperimentPoint& point,
+                          const ExperimentConfig& config,
+                          std::size_t seed_index) {
+  rng::Xoshiro256 gen(config.base_seed + seed_index);
+  return net::MakeUniformScenario(point.num_links, point.scenario, gen);
+}
+
+std::vector<double> RunExperimentSeed(const net::LinkSet& links,
+                                      const ExperimentPoint& point,
+                                      const ExperimentConfig& config,
+                                      const sched::Scheduler& scheduler,
+                                      std::size_t algo_index,
+                                      std::size_t seed_index,
+                                      const util::Deadline& deadline,
+                                      util::ThreadPool& pool) {
+  util::Stopwatch watch;
+  const sched::ScheduleResult result = scheduler.Schedule(links, point.channel);
+  const double sched_ms = watch.Milliseconds();
+
+  SimOptions sim_options;
+  sim_options.trials = config.trials;
+  sim_options.fading = config.fading;
+  sim_options.deadline = deadline;
+  sim_options.seed = (config.base_seed + seed_index) * 1000003ULL + algo_index;
+  const SimResult sim = SimulateSchedule(links, point.channel, result.schedule,
+                                         sim_options, pool);
+  const ExpectedMetrics expected =
+      ComputeExpectedMetrics(links, point.channel, result.schedule);
+  return {static_cast<double>(result.schedule.size()),
+          result.claimed_rate,
+          sim.failed_per_trial.Mean(),
+          sim.throughput_per_trial.Mean(),
+          expected.expected_failed,
+          expected.expected_throughput,
+          sched_ms};
+}
+
 std::vector<AlgoSummary> RunExperimentPoint(const ExperimentPoint& point,
                                             const ExperimentConfig& config,
                                             util::ThreadPool& pool) {
@@ -27,33 +64,13 @@ std::vector<AlgoSummary> RunExperimentPoint(const ExperimentPoint& point,
   }
 
   for (std::size_t s = 0; s < config.num_seeds; ++s) {
-    rng::Xoshiro256 gen(config.base_seed + s);
-    const net::LinkSet links =
-        net::MakeUniformScenario(point.num_links, point.scenario, gen);
+    const net::LinkSet links = SeedTopology(point, config, s);
     for (std::size_t a = 0; a < schedulers.size(); ++a) {
-      util::Stopwatch watch;
-      const sched::ScheduleResult result =
-          schedulers[a]->Schedule(links, point.channel);
-      const double sched_ms = watch.Milliseconds();
-
-      SimOptions sim_options;
-      sim_options.trials = config.trials;
-      sim_options.fading = config.fading;
-      // Decorrelate fading draws across seeds and algorithms.
-      sim_options.seed = (config.base_seed + s) * 1000003ULL + a;
-      const SimResult sim = SimulateSchedule(links, point.channel,
-                                             result.schedule, sim_options, pool);
-      const ExpectedMetrics expected =
-          ComputeExpectedMetrics(links, point.channel, result.schedule);
-
-      AlgoSummary& summary = summaries[a];
-      summary.scheduled_links.Add(static_cast<double>(result.schedule.size()));
-      summary.claimed_rate.Add(result.claimed_rate);
-      summary.measured_failed.Add(sim.failed_per_trial.Mean());
-      summary.measured_throughput.Add(sim.throughput_per_trial.Mean());
-      summary.expected_failed.Add(expected.expected_failed);
-      summary.expected_throughput.Add(expected.expected_throughput);
-      summary.runtime_ms.Add(sched_ms);
+      const std::vector<double> sample = RunExperimentSeed(
+          links, point, config, *schedulers[a], a, s, util::Deadline(), pool);
+      for (std::size_t m = 0; m < sample.size(); ++m) {
+        (summaries[a].*kSummaryStats[m].field).Add(sample[m]);
+      }
     }
   }
   return summaries;

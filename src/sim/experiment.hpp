@@ -16,7 +16,12 @@
 #include "net/scenario.hpp"
 #include "sim/fading_models.hpp"
 #include "util/csv.hpp"
+#include "util/deadline.hpp"
 #include "util/thread_pool.hpp"
+
+namespace fadesched::sched {
+class Scheduler;
+}  // namespace fadesched::sched
 
 namespace fadesched::sim {
 
@@ -47,6 +52,43 @@ struct AlgoSummary {
   mathx::RunningStats expected_throughput; ///< closed-form E[throughput]
   mathx::RunningStats runtime_ms;          ///< scheduler wall time
 };
+
+/// AlgoSummary's seven accumulators, in the order RunExperimentSeed
+/// reports them and sweep checkpoints store them.
+struct SummaryStat {
+  const char* name;
+  mathx::RunningStats AlgoSummary::*field;
+};
+inline constexpr SummaryStat kSummaryStats[] = {
+    {"scheduled_links", &AlgoSummary::scheduled_links},
+    {"claimed_rate", &AlgoSummary::claimed_rate},
+    {"measured_failed", &AlgoSummary::measured_failed},
+    {"measured_throughput", &AlgoSummary::measured_throughput},
+    {"expected_failed", &AlgoSummary::expected_failed},
+    {"expected_throughput", &AlgoSummary::expected_throughput},
+    {"runtime_ms", &AlgoSummary::runtime_ms},
+};
+
+/// The topology of seed `seed_index`; every algorithm of that seed
+/// schedules the same one.
+net::LinkSet SeedTopology(const ExperimentPoint& point,
+                          const ExperimentConfig& config,
+                          std::size_t seed_index);
+
+/// One algorithm on one seed's topology, the per-seed body of both
+/// RunExperimentPoint and RunExperimentSweep: schedules, simulates
+/// config.trials fading realizations under `deadline`, and evaluates the
+/// Theorem 3.1 closed form. Fading draws are seeded
+/// (base_seed + seed_index)·1000003 + algo_index, decorrelating seeds and
+/// algorithms. Returns one sample per kSummaryStats entry.
+std::vector<double> RunExperimentSeed(const net::LinkSet& links,
+                                      const ExperimentPoint& point,
+                                      const ExperimentConfig& config,
+                                      const sched::Scheduler& scheduler,
+                                      std::size_t algo_index,
+                                      std::size_t seed_index,
+                                      const util::Deadline& deadline,
+                                      util::ThreadPool& pool);
 
 std::vector<AlgoSummary> RunExperimentPoint(const ExperimentPoint& point,
                                             const ExperimentConfig& config,

@@ -1,16 +1,15 @@
 #include "sim/sweep.hpp"
 
+#include <csignal>
 #include <cstdio>
 #include <exception>
+#include <iterator>
+#include <optional>
+#include <utility>
 
-#include "rng/xoshiro256.hpp"
 #include "sched/registry.hpp"
-#include "sim/checkpoint.hpp"
-#include "sim/exact_metrics.hpp"
-#include "sim/monte_carlo.hpp"
 #include "util/atomic_io.hpp"
 #include "util/check.hpp"
-#include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/signal_guard.hpp"
 #include "util/stopwatch.hpp"
@@ -18,93 +17,57 @@
 namespace fadesched::sim {
 namespace {
 
-/// One seed's measurements for one algorithm, held back from the shared
-/// summaries until the whole seed succeeds — a seed that times out or
-/// fails halfway contributes nothing, keeping aggregates well-defined.
-struct SeedSample {
-  double scheduled_links = 0.0;
-  double claimed_rate = 0.0;
-  double measured_failed = 0.0;
-  double measured_throughput = 0.0;
-  double expected_failed = 0.0;
-  double expected_throughput = 0.0;
-  double runtime_ms = 0.0;
-};
-
-/// Runs every algorithm on one seed's topology. Throws on timeout
-/// (watchdog), interruption, or any scheduler/simulator error.
-std::vector<SeedSample> RunOneSeed(
-    const ExperimentPoint& point, const ExperimentConfig& config,
-    const std::vector<sched::SchedulerPtr>& schedulers, std::size_t seed_index,
-    const util::Deadline& deadline, bool deterministic,
-    util::ThreadPool& pool) {
-  rng::Xoshiro256 gen(config.base_seed + seed_index);
-  const net::LinkSet links =
-      net::MakeUniformScenario(point.num_links, point.scenario, gen);
-
-  std::vector<SeedSample> samples(schedulers.size());
-  for (std::size_t a = 0; a < schedulers.size(); ++a) {
-    if (deadline.Expired()) {
-      throw util::TimeoutError("seed " + std::to_string(seed_index) +
-                               " exceeded its watchdog deadline");
-    }
-    if (util::ShutdownRequested()) {
-      throw util::InterruptedError("shutdown requested");
-    }
-    util::Stopwatch watch;
-    const sched::ScheduleResult result =
-        schedulers[a]->Schedule(links, point.channel);
-    const double sched_ms = watch.Milliseconds();
-
-    SimOptions sim_options;
-    sim_options.trials = config.trials;
-    sim_options.fading = config.fading;
-    sim_options.deadline = deadline;
-    // Decorrelate fading draws across seeds and algorithms — the exact
-    // formula RunExperimentPoint uses, so both drivers agree.
-    sim_options.seed = (config.base_seed + seed_index) * 1000003ULL + a;
-    const SimResult sim = SimulateSchedule(links, point.channel,
-                                           result.schedule, sim_options, pool);
-    const ExpectedMetrics expected =
-        ComputeExpectedMetrics(links, point.channel, result.schedule);
-
-    SeedSample& sample = samples[a];
-    sample.scheduled_links = static_cast<double>(result.schedule.size());
-    sample.claimed_rate = result.claimed_rate;
-    sample.measured_failed = sim.failed_per_trial.Mean();
-    sample.measured_throughput = sim.throughput_per_trial.Mean();
-    sample.expected_failed = expected.expected_failed;
-    sample.expected_throughput = expected.expected_throughput;
-    sample.runtime_ms = deterministic ? 0.0 : sched_ms;
+/// The default layout: x_name, "series", then mean/ci95 per metric.
+util::CsvTable MetricTable(const MetricSweepSpec& spec,
+                           const MetricSweepCheckpoint& checkpoint) {
+  std::vector<std::string> header{spec.x_name, "series"};
+  for (const std::string& metric : spec.metrics) {
+    header.push_back(metric + "_mean");
+    header.push_back(metric + "_ci95");
   }
-  return samples;
+  util::CsvTable table(header);
+  for (const MetricPointCheckpoint& point : checkpoint.points) {
+    if (!point.complete) continue;
+    for (std::size_t k = 0; k < spec.series.size(); ++k) {
+      util::CsvRowBuilder row(table);
+      row.Add(point.x).Add(spec.series[k]);
+      for (std::size_t m = 0; m < spec.metrics.size(); ++m) {
+        const mathx::RunningStats& stats =
+            point.stats[k * spec.metrics.size() + m];
+        row.Add(stats.Mean()).Add(stats.ConfidenceHalfWidth95());
+      }
+      row.Commit();
+    }
+  }
+  return table;
 }
 
-void MergeSeed(std::vector<AlgoSummary>& summaries,
-               const std::vector<SeedSample>& samples) {
-  for (std::size_t a = 0; a < summaries.size(); ++a) {
-    AlgoSummary& summary = summaries[a];
-    const SeedSample& sample = samples[a];
-    summary.scheduled_links.Add(sample.scheduled_links);
-    summary.claimed_rate.Add(sample.claimed_rate);
-    summary.measured_failed.Add(sample.measured_failed);
-    summary.measured_throughput.Add(sample.measured_throughput);
-    summary.expected_failed.Add(sample.expected_failed);
-    summary.expected_throughput.Add(sample.expected_throughput);
-    summary.runtime_ms.Add(sample.runtime_ms);
-  }
-}
-
-std::vector<AlgoSummary> FreshSummaries(
-    const std::vector<std::string>& algorithms) {
-  std::vector<AlgoSummary> summaries;
-  summaries.reserve(algorithms.size());
-  for (const std::string& name : algorithms) {
-    AlgoSummary summary;
-    summary.algorithm = name;
-    summaries.push_back(std::move(summary));
+/// The algorithms' summaries from the grid RunExperimentSweep
+/// checkpoints: stats[a * kSummaryStats size + m].
+std::vector<AlgoSummary> SummariesFromGrid(
+    const std::vector<std::string>& algorithms,
+    const std::vector<mathx::RunningStats>& stats) {
+  constexpr std::size_t kMetrics = std::size(kSummaryStats);
+  FS_CHECK_MSG(stats.size() == algorithms.size() * kMetrics,
+               "summary grid does not match the algorithms");
+  std::vector<AlgoSummary> summaries(algorithms.size());
+  for (std::size_t a = 0; a < algorithms.size(); ++a) {
+    summaries[a].algorithm = algorithms[a];
+    for (std::size_t m = 0; m < kMetrics; ++m) {
+      summaries[a].*kSummaryStats[m].field = stats[a * kMetrics + m];
+    }
   }
   return summaries;
+}
+
+std::string DescribeException(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "(unknown)";
+  }
 }
 
 }  // namespace
@@ -113,184 +76,8 @@ int SweepResult::ExitCode() const {
   return interrupted ? util::kExitInterrupted : util::kExitOk;
 }
 
-SweepResult RunExperimentSweep(const SweepSpec& spec,
-                               const SweepOptions& options) {
-  FS_CHECK_MSG(!spec.xs.empty(), "sweep has no x values");
-  FS_CHECK_MSG(static_cast<bool>(spec.make_point), "sweep has no make_point");
-  FS_CHECK_MSG(!options.config.algorithms.empty(), "no algorithms requested");
-  FS_CHECK_MSG(options.config.num_seeds > 0, "need at least one seed");
-  FS_CHECK_MSG(options.retry.max_attempts > 0, "need at least one attempt");
-
-  // Materialize every point up front: the fingerprint must cover the full
-  // sweep so resuming after editing the point lambda is refused.
-  std::vector<ExperimentPoint> points;
-  points.reserve(spec.xs.size());
-  for (const double x : spec.xs) {
-    points.push_back(spec.make_point(x));
-    points.back().channel.Validate();
-  }
-  std::uint64_t fingerprint =
-      FingerprintSweep(spec.name, spec.xs, options.config, points);
-  fingerprint =
-      FingerprintMix64(fingerprint, options.deterministic ? 1u : 0u);
-
-  const bool checkpointing = !options.checkpoint_path.empty();
-  SweepCheckpoint checkpoint;
-  checkpoint.fingerprint = fingerprint;
-
-  SweepResult result;
-  result.points_total = spec.xs.size();
-
-  if (checkpointing && options.resume &&
-      SweepCheckpoint::Load(options.checkpoint_path, fingerprint,
-                            checkpoint)) {
-    FS_CHECK_MSG(checkpoint.points.size() == spec.xs.size(),
-                 "checkpoint point count mismatch");
-    for (const PointCheckpoint& point : checkpoint.points) {
-      if (point.complete) ++result.points_resumed;
-      result.seeds_resumed += point.seeds_done;
-      result.failed_seeds += point.failed_seeds;
-      result.timed_out_seeds += point.timed_out_seeds;
-    }
-  }
-  checkpoint.points.resize(spec.xs.size());
-
-  const auto persist = [&](std::size_t point_index, bool point_complete) {
-    if (!checkpointing) return;
-    checkpoint.Save(options.checkpoint_path);
-    if (options.after_checkpoint) {
-      options.after_checkpoint(point_index,
-                               checkpoint.points[point_index].seeds_done,
-                               point_complete);
-    }
-  };
-
-  util::ThreadPool pool(options.config.threads);
-  util::ScopedSignalGuard signal_guard;
-
-  const auto flush_partial = [&] {
-    if (!options.out_path.empty()) result.table.Save(options.out_path);
-  };
-
-  result.table = MakeSummaryTable(spec.x_name);
-  for (std::size_t p = 0; p < spec.xs.size(); ++p) {
-    const double x = spec.xs[p];
-    PointCheckpoint& point_state = checkpoint.points[p];
-    point_state.x = x;
-
-    if (point_state.complete) {
-      // Restored from checkpoint: re-emit rows from the stored aggregates;
-      // FormatDouble of bit-identical doubles yields bit-identical cells.
-      AppendSummaryRows(result.table, x, point_state.summaries);
-      ++result.points_completed;
-      std::fprintf(stderr, "[%s] %s=%g resumed from checkpoint\n",
-                   spec.x_name.c_str(), spec.x_name.c_str(), x);
-      continue;
-    }
-
-    util::Stopwatch point_watch;
-    const ExperimentPoint& point = points[p];
-    std::vector<sched::SchedulerPtr> schedulers;
-    for (const std::string& name : options.config.algorithms) {
-      schedulers.push_back(sched::MakeScheduler(name));
-    }
-    if (point_state.summaries.empty()) {
-      point_state.summaries = FreshSummaries(options.config.algorithms);
-    }
-
-    for (std::size_t s = point_state.seeds_done;
-         s < options.config.num_seeds; ++s) {
-      if (util::ShutdownRequested()) {
-        persist(p, false);
-        flush_partial();
-        result.interrupted = true;
-        return result;
-      }
-
-      bool seed_ok = false;
-      for (std::size_t attempt = 1; attempt <= options.retry.max_attempts;
-           ++attempt) {
-        const util::Deadline deadline =
-            util::Deadline::After(options.retry.seed_deadline_seconds);
-        try {
-          const std::vector<SeedSample> samples =
-              RunOneSeed(point, options.config, schedulers, s, deadline,
-                         options.deterministic, pool);
-          MergeSeed(point_state.summaries, samples);
-          seed_ok = true;
-          break;
-        } catch (...) {
-          const util::ErrorKind kind =
-              util::ClassifyException(std::current_exception());
-          if (kind == util::ErrorKind::kFatal) throw;
-          if (kind == util::ErrorKind::kInterrupted) {
-            persist(p, false);
-            flush_partial();
-            result.interrupted = true;
-            return result;
-          }
-          std::string what = "(unknown)";
-          try {
-            throw;
-          } catch (const std::exception& e) {
-            what = e.what();
-          } catch (...) {
-          }
-          if (kind == util::ErrorKind::kTimeout) {
-            std::fprintf(stderr,
-                         "[%s] %s=%g seed %zu timed out; recording as "
-                         "failed\n",
-                         spec.x_name.c_str(), spec.x_name.c_str(), x, s);
-            ++result.timed_out_seeds;
-            ++point_state.timed_out_seeds;
-            break;  // never retry a watchdog timeout
-          }
-          // Transient: retry with the remaining budget, else degrade.
-          if (attempt < options.retry.max_attempts) {
-            std::fprintf(stderr,
-                         "[%s] %s=%g seed %zu transient failure "
-                         "(attempt %zu/%zu): %s\n",
-                         spec.x_name.c_str(), spec.x_name.c_str(), x, s,
-                         attempt, options.retry.max_attempts, what.c_str());
-            ++result.retried_seeds;
-          } else {
-            std::fprintf(stderr,
-                         "[%s] %s=%g seed %zu failed after %zu attempts: "
-                         "%s\n",
-                         spec.x_name.c_str(), spec.x_name.c_str(), x, s,
-                         options.retry.max_attempts, what.c_str());
-          }
-        }
-      }
-      if (!seed_ok) {
-        ++result.failed_seeds;
-        ++point_state.failed_seeds;
-      }
-      point_state.seeds_done = s + 1;
-      persist(p, false);
-    }
-
-    point_state.complete = true;
-    persist(p, true);
-    AppendSummaryRows(result.table, x, point_state.summaries);
-    ++result.points_completed;
-    std::fprintf(stderr, "[%s] %s=%g done in %.1fs\n", spec.x_name.c_str(),
-                 spec.x_name.c_str(), x, point_watch.Seconds());
-  }
-
-  flush_partial();
-  if (checkpointing && !options.keep_checkpoint) {
-    util::RemoveFile(options.checkpoint_path);
-  }
-  return result;
-}
-
-int MetricSweepResult::ExitCode() const {
-  return interrupted ? util::kExitInterrupted : util::kExitOk;
-}
-
-MetricSweepResult RunMetricSweep(const MetricSweepSpec& spec,
-                                 const MetricSweepOptions& options) {
+SweepResult RunMetricSweep(const MetricSweepSpec& spec,
+                           const MetricSweepOptions& options) {
   FS_CHECK_MSG(!spec.xs.empty(), "metric sweep has no x values");
   FS_CHECK_MSG(!spec.series.empty(), "metric sweep has no series");
   FS_CHECK_MSG(!spec.metrics.empty(), "metric sweep has no metrics");
@@ -324,7 +111,7 @@ MetricSweepResult RunMetricSweep(const MetricSweepSpec& spec,
   checkpoint.series = spec.series;
   checkpoint.metrics = spec.metrics;
 
-  MetricSweepResult result;
+  SweepResult result;
   result.points_total = spec.xs.size();
 
   if (checkpointing && options.resume &&
@@ -365,38 +152,25 @@ MetricSweepResult RunMetricSweep(const MetricSweepSpec& spec,
 
   util::ScopedSignalGuard signal_guard;
 
-  std::vector<std::string> header{spec.x_name, "series"};
-  for (const std::string& metric : spec.metrics) {
-    header.push_back(metric + "_mean");
-    header.push_back(metric + "_ci95");
-  }
-  result.table = util::CsvTable(header);
-
-  const auto append_rows = [&](double x, const MetricPointCheckpoint& point) {
-    for (std::size_t k = 0; k < spec.series.size(); ++k) {
-      util::CsvRowBuilder row(result.table);
-      row.Add(x).Add(spec.series[k]);
-      for (std::size_t m = 0; m < spec.metrics.size(); ++m) {
-        const mathx::RunningStats& stats =
-            point.stats[k * spec.metrics.size() + m];
-        row.Add(stats.Mean()).Add(stats.ConfidenceHalfWidth95());
-      }
-      row.Commit();
-    }
-  };
-
-  const auto flush_partial = [&] {
+  // Lays out the completed points and writes --out; on interruption the
+  // partial table lands there too.
+  const auto finish = [&] {
+    result.table = spec.make_table ? spec.make_table(checkpoint)
+                                   : MetricTable(spec, checkpoint);
     if (!options.out_path.empty()) result.table.Save(options.out_path);
+  };
+  const auto interrupt = [&](std::size_t point_index) {
+    persist(point_index, false);
+    result.interrupted = true;
+    finish();
+    return result;
   };
 
   for (std::size_t p = 0; p < spec.xs.size(); ++p) {
     const double x = spec.xs[p];
     MetricPointCheckpoint& point_state = checkpoint.points[p];
-    point_state.x = x;
-    if (point_state.stats.empty()) point_state.stats.resize(grid);
 
     if (point_state.complete) {
-      append_rows(x, point_state);
       ++result.points_completed;
       std::fprintf(stderr, "[%s] %s=%g resumed from checkpoint\n",
                    spec.name.c_str(), spec.x_name.c_str(), x);
@@ -405,12 +179,7 @@ MetricSweepResult RunMetricSweep(const MetricSweepSpec& spec,
 
     util::Stopwatch point_watch;
     for (std::size_t s = point_state.seeds_done; s < spec.num_seeds; ++s) {
-      if (util::ShutdownRequested()) {
-        persist(p, false);
-        flush_partial();
-        result.interrupted = true;
-        return result;
-      }
+      if (util::ShutdownRequested()) return interrupt(p);
 
       bool seed_ok = false;
       for (std::size_t attempt = 1; attempt <= options.retry.max_attempts;
@@ -443,22 +212,10 @@ MetricSweepResult RunMetricSweep(const MetricSweepSpec& spec,
           seed_ok = true;
           break;
         } catch (...) {
-          const util::ErrorKind kind =
-              util::ClassifyException(std::current_exception());
+          const std::exception_ptr error = std::current_exception();
+          const util::ErrorKind kind = util::ClassifyException(error);
           if (kind == util::ErrorKind::kFatal) throw;
-          if (kind == util::ErrorKind::kInterrupted) {
-            persist(p, false);
-            flush_partial();
-            result.interrupted = true;
-            return result;
-          }
-          std::string what = "(unknown)";
-          try {
-            throw;
-          } catch (const std::exception& e) {
-            what = e.what();
-          } catch (...) {
-          }
+          if (kind == util::ErrorKind::kInterrupted) return interrupt(p);
           if (kind == util::ErrorKind::kTimeout) {
             std::fprintf(stderr,
                          "[%s] %s=%g seed %zu timed out; recording as "
@@ -468,6 +225,8 @@ MetricSweepResult RunMetricSweep(const MetricSweepSpec& spec,
             ++point_state.timed_out_seeds;
             break;  // never retry a watchdog timeout
           }
+          // Transient: retry with the remaining budget, else degrade.
+          const std::string what = DescribeException(error);
           if (attempt < options.retry.max_attempts) {
             std::fprintf(stderr,
                          "[%s] %s=%g seed %zu transient failure "
@@ -494,17 +253,120 @@ MetricSweepResult RunMetricSweep(const MetricSweepSpec& spec,
 
     point_state.complete = true;
     persist(p, true);
-    append_rows(x, point_state);
     ++result.points_completed;
     std::fprintf(stderr, "[%s] %s=%g done in %.1fs\n", spec.name.c_str(),
                  spec.x_name.c_str(), x, point_watch.Seconds());
   }
 
-  flush_partial();
+  finish();
   if (checkpointing && !options.keep_checkpoint) {
     util::RemoveFile(options.checkpoint_path);
   }
   return result;
+}
+
+SweepResult RunExperimentSweep(const SweepSpec& spec,
+                               const SweepOptions& options) {
+  FS_CHECK_MSG(static_cast<bool>(spec.make_point), "sweep has no make_point");
+  FS_CHECK_MSG(!options.config.algorithms.empty(), "no algorithms requested");
+
+  // Materialize every point up front: the fingerprint must cover the full
+  // sweep so resuming after editing the point lambda is refused.
+  std::vector<ExperimentPoint> points;
+  points.reserve(spec.xs.size());
+  for (const double x : spec.xs) {
+    points.push_back(spec.make_point(x));
+    points.back().channel.Validate();
+  }
+  std::vector<sched::SchedulerPtr> schedulers;
+  for (const std::string& name : options.config.algorithms) {
+    schedulers.push_back(sched::MakeScheduler(name));
+  }
+  util::ThreadPool pool(options.config.threads);
+
+  MetricSweepSpec metric;
+  metric.name = spec.name;
+  metric.x_name = spec.x_name;
+  metric.xs = spec.xs;
+  metric.series = options.config.algorithms;
+  for (const SummaryStat& stat : kSummaryStats) {
+    metric.metrics.emplace_back(stat.name);
+  }
+  metric.num_seeds = options.config.num_seeds;
+  metric.config_fingerprint = FingerprintMix64(
+      FingerprintSweep(spec.name, spec.xs, options.config, points),
+      options.deterministic ? 1u : 0u);
+
+  // Every algorithm of a seed schedules the same topology; build it once
+  // per (point, seed).
+  std::optional<std::pair<std::size_t, std::size_t>> topology_key;
+  net::LinkSet topology;
+  metric.run_seed = [&](std::size_t p, std::size_t a, std::size_t s,
+                        const util::Deadline& deadline) {
+    if (topology_key != std::make_pair(p, s)) {
+      topology = SeedTopology(points[p], options.config, s);
+      topology_key = std::make_pair(p, s);
+    }
+    std::vector<double> sample =
+        RunExperimentSeed(topology, points[p], options.config,
+                          *schedulers[a], a, s, deadline, pool);
+    if (options.deterministic) sample.back() = 0.0;  // runtime_ms
+    return sample;
+  };
+  metric.make_table = [&](const MetricSweepCheckpoint& checkpoint) {
+    // FormatDouble of bit-identical doubles yields bit-identical cells, so
+    // resumed points re-emit exactly the rows they first produced.
+    util::CsvTable table = MakeSummaryTable(spec.x_name);
+    for (const MetricPointCheckpoint& point : checkpoint.points) {
+      if (!point.complete) continue;
+      AppendSummaryRows(table, point.x,
+                        SummariesFromGrid(checkpoint.series, point.stats));
+    }
+    return table;
+  };
+  return RunMetricSweep(metric, options);
+}
+
+SweepFlags::SweepFlags(util::CliParser& cli)
+    : cli_(cli),
+      checkpoint_(cli.AddString("checkpoint", "",
+                                "checkpoint file (enables crash-safe resume)")),
+      resume_(cli.AddBool("resume", false,
+                          "resume from --checkpoint if it exists")),
+      keep_checkpoint_(cli.AddBool("keep-checkpoint", false,
+                                   "keep the checkpoint after success")),
+      out_(cli.AddString("out", "", "write the CSV here (atomic)")),
+      seed_deadline_(cli.AddDouble(
+          "seed-deadline", 0.0,
+          "per-seed watchdog deadline (seconds; 0 = off)")),
+      retries_(cli.AddInt("retries", 1,
+                          "retries per seed for transient failures")) {}
+
+void SweepFlags::AddCrashDrill() {
+  crash_after_point_ = &cli_.AddInt(
+      "crash-after-point", -1,
+      "fault drill: SIGKILL this process after point N checkpoints");
+}
+
+void SweepFlags::Apply(MetricSweepOptions& options) const {
+  options.retry.max_attempts = static_cast<std::size_t>(retries_) + 1;
+  options.retry.seed_deadline_seconds = seed_deadline_;
+  options.checkpoint_path = checkpoint_;
+  options.resume = resume_;
+  options.keep_checkpoint = keep_checkpoint_;
+  options.out_path = out_;
+  if (crash_after_point_ != nullptr && *crash_after_point_ >= 0) {
+    const auto crash_point = static_cast<std::size_t>(*crash_after_point_);
+    options.after_checkpoint = [crash_point](std::size_t point,
+                                             std::size_t /*seeds_done*/,
+                                             bool complete) {
+      if (complete && point == crash_point) {
+        std::fprintf(stderr, "[drill] SIGKILL after point %zu checkpoint\n",
+                     point);
+        std::raise(SIGKILL);
+      }
+    };
+  }
 }
 
 }  // namespace fadesched::sim

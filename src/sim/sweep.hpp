@@ -1,14 +1,15 @@
-// Crash-safe, resumable sweep driver — the harness every figure bench
-// runs on.
+// Crash-safe, resumable sweep driver — the harness every figure bench and
+// every dynamics bench runs on.
 //
-// RunExperimentSweep executes RunExperimentPoint-style work (points ×
-// seeds × algorithms) with the robustness layer the fire-and-forget loop
-// lacked:
+// RunMetricSweep is the one driver: points (x values) × seeds × series,
+// each seed of each series yielding one double per metric, with the
+// robustness layer a fire-and-forget loop lacks:
 //
 //   * checkpoint/resume: progress is persisted atomically after every
-//     completed seed; a killed sweep resumes from the checkpoint and
-//     re-aggregates bit-identically to an uninterrupted run (guarded by a
-//     config fingerprint so a changed sweep refuses a stale checkpoint);
+//     completed seed in the one checkpoint format (sim/checkpoint.hpp); a
+//     killed sweep resumes from the checkpoint and re-aggregates
+//     bit-identically to an uninterrupted run (guarded by a config
+//     fingerprint so a changed sweep refuses a stale checkpoint);
 //   * watchdog + bounded retries: each seed runs under an optional
 //     deadline; transient failures are retried, timeouts and exhausted
 //     retries degrade to a recorded failed_seeds count instead of
@@ -17,28 +18,24 @@
 //   * graceful shutdown: SIGINT/SIGTERM checkpoints, flushes the partial
 //     CSV atomically, and reports "interrupted" so callers can exit with
 //     the distinct status code 3.
+//
+// RunExperimentSweep is RunMetricSweep instantiated for the paper's
+// figures: series are the algorithms, metrics the seven AlgoSummary
+// accumulators, and each seed is RunExperimentSeed on that seed's
+// topology.
 #pragma once
 
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/deadline.hpp"
 
 namespace fadesched::sim {
-
-/// What to sweep: one experiment point per x value.
-struct SweepSpec {
-  /// Stable sweep identifier (e.g. the bench name); part of the
-  /// checkpoint fingerprint so two different benches cannot consume each
-  /// other's checkpoints.
-  std::string name;
-  std::string x_name;
-  std::vector<double> xs;
-  std::function<ExperimentPoint(double)> make_point;
-};
 
 /// Bounded-retry + watchdog policy, applied per seed.
 struct RetryPolicy {
@@ -49,63 +46,10 @@ struct RetryPolicy {
   double seed_deadline_seconds = 0.0;
 };
 
-struct SweepOptions {
-  ExperimentConfig config;
-  RetryPolicy retry;
-
-  /// Checkpoint file; empty disables checkpointing. The file is written
-  /// atomically after every completed seed and removed after a fully
-  /// successful sweep unless keep_checkpoint is set.
-  std::string checkpoint_path;
-  /// Resume from checkpoint_path if it exists. A checkpoint written
-  /// under a different configuration refuses to load (fatal error).
-  bool resume = false;
-  bool keep_checkpoint = false;
-
-  /// Final CSV destination (atomic write); empty = caller handles the
-  /// table. On interruption the partial table is still flushed here.
-  std::string out_path;
-
-  /// Record scheduler runtimes as 0 so the output CSV is byte-identical
-  /// across runs — required by the kill-and-resume golden test and any
-  /// caller diffing CSVs. Folded into the checkpoint fingerprint.
-  bool deterministic = false;
-
-  /// Fault-drill/test hook, invoked after every checkpoint persist with
-  /// (point_index, seeds_done, point_complete). The kill-and-resume
-  /// test SIGKILLs itself from here.
-  std::function<void(std::size_t, std::size_t, bool)> after_checkpoint;
-};
-
-struct SweepResult {
-  util::CsvTable table;
-  bool interrupted = false;         ///< stopped on SIGINT/SIGTERM
-  std::size_t points_total = 0;
-  std::size_t points_completed = 0; ///< includes resumed points
-  std::size_t points_resumed = 0;   ///< complete before this run started
-  std::size_t seeds_resumed = 0;    ///< seeds restored from checkpoint
-  std::size_t failed_seeds = 0;     ///< degraded, excluded from aggregates
-  std::size_t timed_out_seeds = 0;  ///< subset of failed: watchdog fired
-  std::size_t retried_seeds = 0;    ///< transient failures that retried
-
-  /// 0 on success (even with degraded seeds), 3 when interrupted.
-  [[nodiscard]] int ExitCode() const;
-};
-
-/// Runs the sweep. Throws HarnessError(kFatal) for unrecoverable
-/// conditions (corrupt/mismatched checkpoint, programming errors);
-/// everything else is absorbed into the result counters.
-SweepResult RunExperimentSweep(const SweepSpec& spec,
-                               const SweepOptions& options);
-
-/// A generic crash-safe sweep: points (x values) × seeds × series, each
-/// seed of each series yielding one double per metric. Same checkpoint /
-/// retry / watchdog / graceful-shutdown machinery as RunExperimentSweep,
-/// but the measurement is caller-supplied instead of hardwired to the
-/// one-shot experiment pipeline — the dynamics benches (queue delay vs
-/// load, the stability frontier) run on this.
 struct MetricSweepSpec {
-  /// Stable sweep identifier; part of the checkpoint fingerprint.
+  /// Stable sweep identifier (e.g. the bench name); part of the
+  /// checkpoint fingerprint so two different benches cannot consume each
+  /// other's checkpoints.
   std::string name;
   std::string x_name;
   std::vector<double> xs;
@@ -127,38 +71,98 @@ struct MetricSweepSpec {
   std::function<std::vector<double>(std::size_t, std::size_t, std::size_t,
                                     const util::Deadline&)>
       run_seed;
+  /// Lays out the result table from the checkpoint's completed points.
+  /// Empty = columns x_name, "series", then mean/ci95 per metric, one row
+  /// per (x, series).
+  std::function<util::CsvTable(const MetricSweepCheckpoint&)> make_table;
 };
 
 struct MetricSweepOptions {
   RetryPolicy retry;
+  /// Checkpoint file; empty disables checkpointing. The file is written
+  /// atomically after every completed seed and removed after a fully
+  /// successful sweep unless keep_checkpoint is set.
   std::string checkpoint_path;
+  /// Resume from checkpoint_path if it exists. A checkpoint written
+  /// under a different configuration refuses to load (fatal error).
   bool resume = false;
   bool keep_checkpoint = false;
-  /// Final CSV destination (atomic write); the partial table is flushed
-  /// here on interruption too.
+  /// Final CSV destination (atomic write); empty = caller handles the
+  /// table. On interruption the partial table is still flushed here.
   std::string out_path;
-  /// Same fault-drill hook as SweepOptions::after_checkpoint.
+  /// Fault-drill/test hook, invoked after every checkpoint persist with
+  /// (point_index, seeds_done, point_complete). The kill-and-resume
+  /// tests SIGKILL from here.
   std::function<void(std::size_t, std::size_t, bool)> after_checkpoint;
 };
 
-struct MetricSweepResult {
-  /// Columns: x_name, "series", then mean/ci95 per metric. One row per
-  /// (x, series) once the point completes.
+struct SweepResult {
+  /// One block of rows per completed point (see make_table).
   util::CsvTable table;
-  bool interrupted = false;
+  bool interrupted = false;         ///< stopped on SIGINT/SIGTERM
   std::size_t points_total = 0;
-  std::size_t points_completed = 0;
-  std::size_t points_resumed = 0;
-  std::size_t seeds_resumed = 0;
-  std::size_t failed_seeds = 0;
-  std::size_t timed_out_seeds = 0;
-  std::size_t retried_seeds = 0;
+  std::size_t points_completed = 0; ///< includes resumed points
+  std::size_t points_resumed = 0;   ///< complete before this run started
+  std::size_t seeds_resumed = 0;    ///< seeds restored from checkpoint
+  std::size_t failed_seeds = 0;     ///< degraded, excluded from aggregates
+  std::size_t timed_out_seeds = 0;  ///< subset of failed: watchdog fired
+  std::size_t retried_seeds = 0;    ///< transient failures that retried
 
   /// 0 on success (even with degraded seeds), 3 when interrupted.
   [[nodiscard]] int ExitCode() const;
 };
 
-MetricSweepResult RunMetricSweep(const MetricSweepSpec& spec,
-                                 const MetricSweepOptions& options);
+/// Runs the sweep. Throws HarnessError(kFatal) for unrecoverable
+/// conditions (corrupt/mismatched checkpoint, programming errors);
+/// everything else is absorbed into the result counters.
+SweepResult RunMetricSweep(const MetricSweepSpec& spec,
+                           const MetricSweepOptions& options);
+
+/// A figure sweep: one experiment point per x value.
+struct SweepSpec {
+  std::string name;  ///< as MetricSweepSpec::name
+  std::string x_name;
+  std::vector<double> xs;
+  std::function<ExperimentPoint(double)> make_point;
+};
+
+struct SweepOptions : MetricSweepOptions {
+  ExperimentConfig config;
+  /// Record scheduler runtimes as 0 so the output CSV is byte-identical
+  /// across runs — required by the kill-and-resume golden test and any
+  /// caller diffing CSVs. Folded into the checkpoint fingerprint.
+  bool deterministic = false;
+};
+
+/// RunMetricSweep over config.algorithms × the AlgoSummary metrics; the
+/// table is MakeSummaryTable/AppendSummaryRows'.
+SweepResult RunExperimentSweep(const SweepSpec& spec,
+                               const SweepOptions& options);
+
+/// The harness flags every checkpointed sweep command shares:
+/// --checkpoint --resume --keep-checkpoint --out --seed-deadline
+/// --retries, and on request the --crash-after-point fault drill.
+class SweepFlags {
+ public:
+  /// Registers the six harness flags on `cli`.
+  explicit SweepFlags(util::CliParser& cli);
+  /// Registers --crash-after-point N: SIGKILL this process right after
+  /// point N's completing checkpoint lands, so kill-and-resume can be
+  /// drilled from CI and the shell.
+  void AddCrashDrill();
+  /// After a successful cli.Parse(): copies the parsed flags into
+  /// `options`.
+  void Apply(MetricSweepOptions& options) const;
+
+ private:
+  util::CliParser& cli_;
+  std::string& checkpoint_;
+  bool& resume_;
+  bool& keep_checkpoint_;
+  std::string& out_;
+  double& seed_deadline_;
+  long long& retries_;
+  long long* crash_after_point_ = nullptr;
+};
 
 }  // namespace fadesched::sim

@@ -52,7 +52,7 @@ std::string BaselineTable() {
 }
 
 TEST(MetricSweepTest, AggregatesSeedsIntoExactMeans) {
-  const MetricSweepResult result = RunMetricSweep(TinySpec(), {});
+  const SweepResult result = RunMetricSweep(TinySpec(), {});
   EXPECT_FALSE(result.interrupted);
   EXPECT_EQ(result.ExitCode(), util::kExitOk);
   EXPECT_EQ(result.points_total, 2u);
@@ -124,7 +124,7 @@ TEST(MetricSweepTest, KillAndResumeReproducesBaselineByteForByte) {
   options.checkpoint_path = ck_path;
   options.resume = true;
   options.out_path = out_path;
-  const MetricSweepResult resumed = RunMetricSweep(spec, options);
+  const SweepResult resumed = RunMetricSweep(spec, options);
 
   EXPECT_EQ(resumed.points_resumed, 1u);
   EXPECT_EQ(resumed.seeds_resumed, 3u);  // a seed spans every series
@@ -171,7 +171,7 @@ TEST(MetricSweepTest, TransientFailuresRetryAndSucceed) {
     }
     return inner(point, series, seed_index, dl);
   };
-  const MetricSweepResult result = RunMetricSweep(spec, {});
+  const SweepResult result = RunMetricSweep(spec, {});
   EXPECT_EQ(result.retried_seeds, 1u);
   EXPECT_EQ(result.failed_seeds, 0u);
   EXPECT_EQ(result.table.ToString(), BaselineTable());
@@ -185,7 +185,7 @@ TEST(MetricSweepTest, TimeoutsDegradeWithoutRetrying) {
     ++calls;
     throw util::TimeoutError("too slow");
   };
-  const MetricSweepResult result = RunMetricSweep(spec, {});
+  const SweepResult result = RunMetricSweep(spec, {});
   EXPECT_FALSE(result.interrupted);
   EXPECT_EQ(result.ExitCode(), util::kExitOk);
   // A seed spans every series, so 2 points × 3 seeds degrade, and each
@@ -209,7 +209,7 @@ TEST(MetricSweepTest, ShutdownRequestCheckpointsAndResumesToBaseline) {
   options.after_checkpoint = [](std::size_t, std::size_t, bool) {
     util::RequestShutdown();
   };
-  const MetricSweepResult result = RunMetricSweep(TinySpec(), options);
+  const SweepResult result = RunMetricSweep(TinySpec(), options);
   EXPECT_TRUE(result.interrupted);
   EXPECT_EQ(result.ExitCode(), util::kExitInterrupted);
   EXPECT_TRUE(util::FileExists(ck_path)) << "interrupt must checkpoint";
@@ -220,7 +220,7 @@ TEST(MetricSweepTest, ShutdownRequestCheckpointsAndResumesToBaseline) {
   resume_options.checkpoint_path = ck_path;
   resume_options.out_path = out_path;
   resume_options.resume = true;
-  const MetricSweepResult resumed =
+  const SweepResult resumed =
       RunMetricSweep(TinySpec(), resume_options);
   EXPECT_FALSE(resumed.interrupted);
   EXPECT_GT(resumed.seeds_resumed, 0u);

@@ -13,6 +13,7 @@
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/signal_guard.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fadesched::sim {
 namespace {
@@ -71,6 +72,33 @@ TEST(SweepTest, UninterruptedRunProducesFullTable) {
 TEST(SweepTest, DeterministicRunsAreByteIdentical) {
   const SweepResult again = RunExperimentSweep(TinySpec(), TinyOptions());
   EXPECT_EQ(again.table.ToString(), BaselineTable());
+}
+
+// Both drivers run RunExperimentSeed on the same seeded topologies, so a
+// deterministic sweep equals RunExperimentPoint point by point on every
+// column but the scheduler runtime.
+TEST(SweepTest, AgreesWithRunExperimentPoint) {
+  const SweepSpec spec = TinySpec();
+  const SweepOptions options = TinyOptions();
+  const SweepResult swept = RunExperimentSweep(spec, options);
+
+  util::CsvTable expected = MakeSummaryTable(spec.x_name);
+  {
+    util::ThreadPool pool(options.config.threads);
+    for (const double x : spec.xs) {
+      AppendSummaryRows(expected, x, RunExperimentPoint(spec.make_point(x),
+                                                        options.config, pool));
+    }
+  }
+  ASSERT_EQ(swept.table.Header(), expected.Header());
+  ASSERT_EQ(swept.table.NumRows(), expected.NumRows());
+  for (std::size_t row = 0; row < expected.NumRows(); ++row) {
+    for (std::size_t col = 0; col < expected.NumCols(); ++col) {
+      if (expected.Header()[col] == "sched_ms") continue;
+      EXPECT_EQ(swept.table.Cell(row, col), expected.Cell(row, col))
+          << "row " << row << " column " << expected.Header()[col];
+    }
+  }
 }
 
 // The golden kill-and-resume drill: fork, let the child SIGKILL itself

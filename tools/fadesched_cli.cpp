@@ -333,23 +333,11 @@ int RunSweep(int argc, char** argv) {
   auto& base_seed = cli.AddInt("base-seed", 1, "first topology seed");
   auto& num_links = cli.AddInt(
       "links", 300, "links per topology (when sweeping alpha)");
-  auto& checkpoint = cli.AddString(
-      "checkpoint", "", "checkpoint file (enables crash-safe resume)");
-  auto& resume = cli.AddBool("resume", false,
-                             "resume from --checkpoint if it exists");
-  auto& keep = cli.AddBool("keep-checkpoint", false,
-                           "keep the checkpoint after success");
-  auto& out = cli.AddString("out", "", "write the CSV here (atomic)");
-  auto& seed_deadline = cli.AddDouble(
-      "seed-deadline", 0.0, "per-seed watchdog deadline (seconds; 0 = off)");
-  auto& retries =
-      cli.AddInt("retries", 1, "retries per seed for transient failures");
+  sim::SweepFlags harness(cli);
   auto& deterministic = cli.AddBool(
       "deterministic", false,
       "record sched_ms as 0 so reruns produce byte-identical CSV");
-  auto& crash_after = cli.AddInt(
-      "crash-after-point", -1,
-      "fault drill: SIGKILL this process after point N checkpoints");
+  harness.AddCrashDrill();
   double *alpha, *epsilon, *gamma_th, *noise;
   AddChannelFlags(cli, alpha, epsilon, gamma_th, noise);
   if (!cli.Parse(argc, argv)) return cli.UsageExitCode();
@@ -391,25 +379,8 @@ int RunSweep(int argc, char** argv) {
   options.config.trials = static_cast<std::size_t>(trials);
   options.config.threads =
       threads <= 0 ? 0u : static_cast<unsigned>(threads);
-  options.retry.max_attempts = static_cast<std::size_t>(retries) + 1;
-  options.retry.seed_deadline_seconds = seed_deadline;
-  options.checkpoint_path = checkpoint;
-  options.resume = resume;
-  options.keep_checkpoint = keep;
-  options.out_path = out;
   options.deterministic = deterministic;
-  if (crash_after >= 0) {
-    const auto crash_point = static_cast<std::size_t>(crash_after);
-    options.after_checkpoint = [crash_point](std::size_t point,
-                                             std::size_t /*seeds_done*/,
-                                             bool complete) {
-      if (complete && point == crash_point) {
-        std::fprintf(stderr, "[drill] SIGKILL after point %zu checkpoint\n",
-                     point);
-        std::raise(SIGKILL);
-      }
-    };
-  }
+  harness.Apply(options);
 
   const sim::SweepResult result = sim::RunExperimentSweep(spec, options);
   std::fputs(result.table.ToString().c_str(), stdout);
@@ -615,17 +586,7 @@ int RunQueueSim(int argc, char** argv) {
       cli.AddInt("frontier-iters", 6, "bisection refinements (--frontier)");
   auto& lambda_hi = cli.AddDouble(
       "lambda-hi", 0.3, "initial upper bracket (--frontier)");
-  auto& checkpoint = cli.AddString(
-      "checkpoint", "", "checkpoint file (enables crash-safe resume)");
-  auto& resume = cli.AddBool("resume", false,
-                             "resume from --checkpoint if it exists");
-  auto& keep = cli.AddBool("keep-checkpoint", false,
-                           "keep the checkpoint after success");
-  auto& out = cli.AddString("out", "", "write the CSV here (atomic)");
-  auto& seed_deadline = cli.AddDouble(
-      "seed-deadline", 0.0, "per-seed watchdog deadline (seconds; 0 = off)");
-  auto& retries =
-      cli.AddInt("retries", 1, "retries per seed for transient failures");
+  sim::SweepFlags harness(cli);
   double *alpha, *epsilon, *gamma_th, *noise;
   AddChannelFlags(cli, alpha, epsilon, gamma_th, noise);
   if (!cli.Parse(argc, argv)) return cli.UsageExitCode();
@@ -770,14 +731,9 @@ int RunQueueSim(int argc, char** argv) {
   }
 
   sim::MetricSweepOptions options;
-  options.retry.max_attempts = static_cast<std::size_t>(retries) + 1;
-  options.retry.seed_deadline_seconds = seed_deadline;
-  options.checkpoint_path = checkpoint;
-  options.resume = resume;
-  options.keep_checkpoint = keep;
-  options.out_path = out;
+  harness.Apply(options);
 
-  const sim::MetricSweepResult result = sim::RunMetricSweep(spec, options);
+  const sim::SweepResult result = sim::RunMetricSweep(spec, options);
   std::fputs(result.table.ToString().c_str(), stdout);
   if (result.failed_seeds > 0) {
     std::fprintf(stderr, "warning: %zu seed(s) failed (%zu timed out)\n",
