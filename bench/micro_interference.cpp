@@ -1,35 +1,41 @@
 // Microbenchmark: batched interference-matrix construction and factor
 // queries, across instance sizes. Emits BENCH_interference.json with the
-// serial-baseline vs tiled vs precision-ladder (SIMD) build timings the
-// engine's speedup claims rest on, random vs row-blocked query costs (the
-// cache cliff once the matrix outgrows the LLC), and a ULP differential
-// check: tiled/tables vs the reference calculator, and both ladder builds
-// (dispatched tier and forced scalar) vs the exact matrix build. With
-// --check the exit code reflects ONLY those differential checks — timings
-// are reported but never gate anything. Run with FADESCHED_NO_SIMD=1 to
+// serial-baseline vs tiled (exact kMatrix engine) vs precision-ladder
+// (SIMD) build timings the engine's speedup claims rest on, random vs
+// row-blocked query costs (the cache cliff once the matrix outgrows the
+// LLC), and a ULP differential check: tiled/tables vs the reference
+// calculator, and both ladder builds (dispatched tier and forced scalar)
+// vs the exact matrix build. Every timing is reported as median, p10 and
+// p90 over --reps repetitions, next to a host block. With --check the
+// exit code reflects ONLY those differential checks — timings are
+// reported but never gate anything. Run with FADESCHED_NO_SIMD=1 to
 // measure the forced-scalar dispatch path end to end.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <thread>
 #include <vector>
 
 #include "channel/batch_interference.hpp"
 #include "channel/interference.hpp"
 #include "channel/simd_dispatch.hpp"
+#include "mathx/stats.hpp"
 #include "mathx/ulp.hpp"
 #include "net/scenario.hpp"
 #include "rng/xoshiro256.hpp"
 #include "sched/greedy.hpp"
 #include "sched/rle.hpp"
 #include "util/atomic_io.hpp"
+#include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/stopwatch.hpp"
 #include "util/string_util.hpp"
@@ -51,35 +57,95 @@ net::LinkSet MakeInstance(std::size_t n, std::uint64_t seed) {
   return net::MakeUniformScenario(n, params, gen);
 }
 
-double BestOf(int reps, const std::function<void()>& work) {
-  double best = std::numeric_limits<double>::infinity();
+// Spread of one timing over the repetitions, in the unit it is reported in.
+struct Spread {
+  double median = 0.0;
+  double p10 = 0.0;
+  double p90 = 0.0;
+};
+
+// Times `work` `reps` times; each sample is seconds × `scale`.
+Spread Measure(int reps, double scale, const std::function<void()>& work) {
+  std::vector<double> samples;
   for (int r = 0; r < reps; ++r) {
     util::Stopwatch timer;
     work();
-    best = std::min(best, timer.Seconds());
+    samples.push_back(timer.Seconds() * scale);
   }
-  return best;
+  std::sort(samples.begin(), samples.end());
+  return {mathx::Percentile(samples, 0.5), mathx::Percentile(samples, 0.1),
+          mathx::Percentile(samples, 0.9)};
+}
+
+// JSON value text: fixed six decimals for doubles, integers as is, and a
+// Spread as its {median, p10, p90} object.
+template <typename T>
+std::string Value(const T& value) {
+  std::ostringstream out;
+  out.precision(6);
+  out << std::fixed << value;
+  return out.str();
+}
+std::string Value(const Spread& s) {
+  return "{\"median\": " + Value(s.median) + ", \"p10\": " + Value(s.p10) +
+         ", \"p90\": " + Value(s.p90) + "}";
+}
+
+using Fields = std::vector<std::pair<const char*, std::string>>;
+
+// One named object inside a per-size entry, one field per line.
+void Section(std::ostream& out, const char* name, const Fields& fields,
+             bool last = false) {
+  out << "      \"" << name << "\": {\n";
+  for (std::size_t k = 0; k < fields.size(); ++k) {
+    out << "        \"" << fields[k].first << "\": " << fields[k].second
+        << (k + 1 < fields.size() ? ",\n" : "\n");
+  }
+  out << "      }" << (last ? "\n" : ",\n");
+}
+
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#else
+constexpr const char* kCompiler = "unknown";
+#endif
+
+// The CPU model from /proc/cpuinfo ("unknown" where that is unavailable).
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) {
+        return std::string(util::Trim(line.substr(colon + 1)));
+      }
+    }
+  }
+  return "unknown";
 }
 
 struct SizeReport {
   std::size_t n = 0;
-  double serial_build_ms = 0.0;
-  double tiled_build_ms = 0.0;
-  double tiled_pool_build_ms = 0.0;
-  double fast_build_ms = 0.0;         // precision ladder, dispatched tier
-  double fast_scalar_build_ms = 0.0;  // precision ladder, forced scalar
+  Spread serial_build_ms;
+  Spread tiled_build_ms;       // exact kMatrix engine, serial tiles
+  Spread tiled_pool_build_ms;  // exact kMatrix engine, pool tiles
+  Spread fast_build_ms;         // precision ladder, dispatched tier
+  Spread fast_scalar_build_ms;  // precision ladder, forced scalar
   std::size_t working_set_bytes = 0;  // n·n·8: the matrix the queries walk
-  double calculator_ns_per_pair = 0.0;
-  double tables_ns_per_pair = 0.0;
-  double matrix_ns_per_pair = 0.0;
+  Spread calculator_ns_per_pair;
+  Spread tables_ns_per_pair;
+  Spread matrix_ns_per_pair;
   // Same query pairs sorted by victim row: row-major locality instead of
   // random walks over the n²·8-byte working set. The random-vs-blocked
   // gap is the cache cliff once the matrix outgrows L2/L3 (N ≥ 4000).
-  double matrix_blocked_ns_per_pair = 0.0;
-  double rle_calculator_ms = 0.0;
-  double rle_tables_ms = 0.0;
-  double greedy_calculator_ms = 0.0;
-  double greedy_tables_ms = 0.0;
+  Spread matrix_blocked_ns_per_pair;
+  Spread rle_calculator_ms;
+  Spread rle_tables_ms;
+  Spread greedy_calculator_ms;
+  Spread greedy_tables_ms;
   std::uint64_t max_ulp = 0;
   // Fast (ladder) builds vs the exact matrix build — the ladder's own
   // accuracy contract, measured at the dispatched tier and forced scalar.
@@ -102,65 +168,57 @@ std::string Json(const std::vector<SizeReport>& reports, std::uint64_t seed,
   out << "  \"ulp_tolerance\": " << kUlpTolerance << ",\n";
   out << "  \"simd_level\": \""
       << channel::SimdLevelName(channel::ActiveSimdLevel()) << "\",\n";
+  out << "  \"host\": {\"cpu\": \"" << CpuModel()
+      << "\", \"logical_cpus\": " << std::thread::hardware_concurrency()
+      << ", \"compiler\": \"" << kCompiler << "\"},\n";
+  out << "  \"timing\": \"median, p10, p90 over reps\",\n";
   out << "  \"differential_check_passed\": "
       << (check_passed ? "true" : "false") << ",\n";
   out << "  \"sizes\": [\n";
   for (std::size_t k = 0; k < reports.size(); ++k) {
     const SizeReport& r = reports[k];
+    // Speedups are ratios of medians.
+    const auto ratio = [](const Spread& num, const Spread& den) {
+      return Value(den.median > 0.0 ? num.median / den.median : 0.0);
+    };
     out << "    {\n";
     out << "      \"n\": " << r.n << ",\n";
-    out << "      \"build\": {\n";
-    out << "        \"serial_ms\": " << r.serial_build_ms << ",\n";
-    out << "        \"tiled_ms\": " << r.tiled_build_ms << ",\n";
-    out << "        \"tiled_pool_ms\": " << r.tiled_pool_build_ms << ",\n";
-    out << "        \"fast_ms\": " << r.fast_build_ms << ",\n";
-    out << "        \"fast_scalar_ms\": " << r.fast_scalar_build_ms << ",\n";
-    out << "        \"speedup_tiled_vs_serial\": "
-        << (r.tiled_build_ms > 0.0 ? r.serial_build_ms / r.tiled_build_ms
-                                   : 0.0)
-        << ",\n";
-    out << "        \"speedup_fast_vs_tiled\": "
-        << (r.fast_build_ms > 0.0 ? r.tiled_build_ms / r.fast_build_ms : 0.0)
-        << "\n";
-    out << "      },\n";
-    out << "      \"ladder\": {\n";
-    out << "        \"level\": \"" << channel::SimdLevelName(r.ladder.level)
-        << "\",\n";
-    out << "        \"entries\": " << r.ladder.entries << ",\n";
-    out << "        \"promoted_domain\": " << r.ladder.promoted_domain
-        << ",\n";
-    out << "        \"promoted_verify\": " << r.ladder.promoted_verify
-        << ",\n";
-    out << "        \"promoted_rows\": " << r.ladder.promoted_rows << ",\n";
-    out << "        \"verified_entries\": " << r.ladder.verified_entries
-        << ",\n";
-    out << "        \"verified_rows\": " << r.ladder.verified_rows << "\n";
-    out << "      },\n";
-    out << "      \"query\": {\n";
-    out << "        \"working_set_bytes\": " << r.working_set_bytes << ",\n";
-    out << "        \"calculator_ns_per_pair\": " << r.calculator_ns_per_pair
-        << ",\n";
-    out << "        \"tables_ns_per_pair\": " << r.tables_ns_per_pair
-        << ",\n";
-    out << "        \"matrix_ns_per_pair\": " << r.matrix_ns_per_pair
-        << ",\n";
-    out << "        \"matrix_blocked_ns_per_pair\": "
-        << r.matrix_blocked_ns_per_pair << "\n";
-    out << "      },\n";
-    out << "      \"schedule\": {\n";
-    out << "        \"rle_calculator_ms\": " << r.rle_calculator_ms << ",\n";
-    out << "        \"rle_tables_ms\": " << r.rle_tables_ms << ",\n";
-    out << "        \"greedy_calculator_ms\": " << r.greedy_calculator_ms
-        << ",\n";
-    out << "        \"greedy_tables_ms\": " << r.greedy_tables_ms << "\n";
-    out << "      },\n";
-    out << "      \"check\": {\n";
-    out << "        \"max_ulp\": " << r.max_ulp << ",\n";
-    out << "        \"max_ulp_fast_simd\": " << r.max_ulp_fast_simd << ",\n";
-    out << "        \"max_ulp_fast_scalar\": " << r.max_ulp_fast_scalar
-        << ",\n";
-    out << "        \"entries_checked\": " << r.entries_checked << "\n";
-    out << "      }\n";
+    Section(out, "build",
+            {{"serial_ms", Value(r.serial_build_ms)},
+             {"tiled_ms", Value(r.tiled_build_ms)},
+             {"tiled_pool_ms", Value(r.tiled_pool_build_ms)},
+             {"fast_ms", Value(r.fast_build_ms)},
+             {"fast_scalar_ms", Value(r.fast_scalar_build_ms)},
+             {"speedup_tiled_vs_serial",
+              ratio(r.serial_build_ms, r.tiled_build_ms)},
+             {"speedup_fast_vs_tiled", ratio(r.tiled_build_ms, r.fast_build_ms)}});
+    Section(out, "ladder",
+            {{"level", "\"" + std::string(channel::SimdLevelName(r.ladder.level)) +
+                           "\""},
+             {"entries", Value(r.ladder.entries)},
+             {"promoted_domain", Value(r.ladder.promoted_domain)},
+             {"promoted_verify", Value(r.ladder.promoted_verify)},
+             {"promoted_rows", Value(r.ladder.promoted_rows)},
+             {"verified_entries", Value(r.ladder.verified_entries)},
+             {"verified_rows", Value(r.ladder.verified_rows)}});
+    Section(out, "query",
+            {{"working_set_bytes", Value(r.working_set_bytes)},
+             {"calculator_ns_per_pair", Value(r.calculator_ns_per_pair)},
+             {"tables_ns_per_pair", Value(r.tables_ns_per_pair)},
+             {"matrix_ns_per_pair", Value(r.matrix_ns_per_pair)},
+             {"matrix_blocked_ns_per_pair",
+              Value(r.matrix_blocked_ns_per_pair)}});
+    Section(out, "schedule",
+            {{"rle_calculator_ms", Value(r.rle_calculator_ms)},
+             {"rle_tables_ms", Value(r.rle_tables_ms)},
+             {"greedy_calculator_ms", Value(r.greedy_calculator_ms)},
+             {"greedy_tables_ms", Value(r.greedy_tables_ms)}});
+    Section(out, "check",
+            {{"max_ulp", Value(r.max_ulp)},
+             {"max_ulp_fast_simd", Value(r.max_ulp_fast_simd)},
+             {"max_ulp_fast_scalar", Value(r.max_ulp_fast_scalar)},
+             {"entries_checked", Value(r.entries_checked)}},
+            /*last=*/true);
     out << "    }" << (k + 1 < reports.size() ? "," : "") << "\n";
   }
   out << "  ]\n";
@@ -175,8 +233,9 @@ int main(int argc, char** argv) {
                       "Interference-matrix build/query microbenchmark; "
                       "writes BENCH_interference.json");
   std::string& sizes_flag =
-      cli.AddString("sizes", "100,500,2000,8000", "comma-separated N values");
-  long long& reps = cli.AddInt("reps", 3, "repetitions (best-of) per timing");
+      cli.AddString("sizes", "100,500,2000,4000", "comma-separated N values");
+  long long& reps = cli.AddInt(
+      "reps", 5, "repetitions per timing (median, p10 and p90 are reported)");
   long long& threads =
       cli.AddInt("threads", 0, "pool threads for the parallel build "
                                "(0 = hardware concurrency)");
@@ -187,6 +246,8 @@ int main(int argc, char** argv) {
       "check", false,
       "exit nonzero iff the differential ULP check fails (never on timing)");
   if (!cli.Parse(argc, argv)) return cli.UsageExitCode();
+  FS_CHECK_MSG(reps >= 1, "--reps must be >= 1");
+  const int rep_count = static_cast<int>(reps);
 
   util::ThreadPool pool(static_cast<unsigned>(threads));
   channel::ChannelParams params;
@@ -201,22 +262,20 @@ int main(int argc, char** argv) {
     SizeReport report;
     report.n = n;
 
-    report.serial_build_ms =
-        1e3 * BestOf(static_cast<int>(reps), [&] {
-          const channel::InterferenceMatrix matrix(links, params);
-        });
-    report.tiled_build_ms =
-        1e3 * BestOf(static_cast<int>(reps), [&] {
-          const channel::InterferenceMatrix matrix =
-              channel::BuildInterferenceMatrixTiled(links, params, {});
-        });
-    report.tiled_pool_build_ms =
-        1e3 * BestOf(static_cast<int>(reps), [&] {
-          channel::TiledBuildOptions options;
-          options.pool = &pool;
-          const channel::InterferenceMatrix matrix =
-              channel::BuildInterferenceMatrixTiled(links, params, options);
-        });
+    channel::EngineOptions matrix_options;
+    matrix_options.backend = channel::FactorBackend::kMatrix;
+    channel::EngineOptions matrix_pool_options = matrix_options;
+    matrix_pool_options.pool = &pool;
+    report.serial_build_ms = Measure(rep_count, 1e3, [&] {
+      const channel::InterferenceMatrix matrix(links, params);
+    });
+    report.tiled_build_ms = Measure(rep_count, 1e3, [&] {
+      const channel::InterferenceEngine engine(links, params, matrix_options);
+    });
+    report.tiled_pool_build_ms = Measure(rep_count, 1e3, [&] {
+      const channel::InterferenceEngine engine(links, params,
+                                               matrix_pool_options);
+    });
 
     // Precision-ladder (fast SIMD) engine builds: dispatched tier and
     // forced scalar. Timed serially like tiled_ms so fast/tiled compare
@@ -227,10 +286,10 @@ int main(int argc, char** argv) {
     fast_options.ladder.enabled = true;
     channel::EngineOptions fast_scalar_options = fast_options;
     fast_scalar_options.ladder.force_level = channel::SimdLevel::kScalar;
-    report.fast_build_ms = 1e3 * BestOf(static_cast<int>(reps), [&] {
+    report.fast_build_ms = Measure(rep_count, 1e3, [&] {
       const channel::InterferenceEngine engine(links, params, fast_options);
     });
-    report.fast_scalar_build_ms = 1e3 * BestOf(static_cast<int>(reps), [&] {
+    report.fast_scalar_build_ms = Measure(rep_count, 1e3, [&] {
       const channel::InterferenceEngine engine(links, params,
                                                fast_scalar_options);
     });
@@ -244,8 +303,6 @@ int main(int argc, char** argv) {
     // dead-code elimination.
     const channel::InterferenceCalculator calc(links, params);
     const channel::InterferenceEngine tables(links, params, {});
-    channel::EngineOptions matrix_options;
-    matrix_options.backend = channel::FactorBackend::kMatrix;
     const channel::InterferenceEngine matrix(links, params, matrix_options);
     const std::size_t pairs = std::min<std::size_t>(n * n, 1u << 20);
     std::vector<std::uint32_t> idx(2 * pairs);
@@ -254,15 +311,13 @@ int main(int argc, char** argv) {
       v = static_cast<std::uint32_t>(pair_gen.Next() % n);
     }
     double sink = 0.0;
+    const double ns_per_pair = 1e9 / static_cast<double>(pairs);
     const auto time_queries = [&](const auto& factor_fn) {
-      return 1e9 *
-             BestOf(static_cast<int>(reps),
-                    [&] {
-                      for (std::size_t k = 0; k < pairs; ++k) {
-                        sink += factor_fn(idx[2 * k], idx[2 * k + 1]);
-                      }
-                    }) /
-             static_cast<double>(pairs);
+      return Measure(rep_count, ns_per_pair, [&] {
+        for (std::size_t k = 0; k < pairs; ++k) {
+          sink += factor_fn(idx[2 * k], idx[2 * k + 1]);
+        }
+      });
     };
     report.calculator_ns_per_pair = time_queries(
         [&](std::size_t i, std::size_t j) { return calc.Factor(i, j); });
@@ -277,33 +332,15 @@ int main(int argc, char** argv) {
     // (N ≥ 4000 here); sorted order streams whole rows. Reporting both
     // makes the cliff a measured number instead of a surprise.
     {
-      std::vector<std::uint32_t> blocked_idx = idx;
-      std::vector<std::uint32_t> order(pairs);
+      // Victim-major (j, i) pairs: Factor(i, j) reads row j of the matrix.
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> blocked(pairs);
       for (std::size_t k = 0; k < pairs; ++k) {
-        order[k] = static_cast<std::uint32_t>(k);
+        blocked[k] = {idx[2 * k + 1], idx[2 * k]};
       }
-      std::sort(order.begin(), order.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  // Victim-major: Factor(i, j) reads row j of the matrix.
-                  if (idx[2 * a + 1] != idx[2 * b + 1]) {
-                    return idx[2 * a + 1] < idx[2 * b + 1];
-                  }
-                  return idx[2 * a] < idx[2 * b];
-                });
-      for (std::size_t k = 0; k < pairs; ++k) {
-        blocked_idx[2 * k] = idx[2 * order[k]];
-        blocked_idx[2 * k + 1] = idx[2 * order[k] + 1];
-      }
-      report.matrix_blocked_ns_per_pair =
-          1e9 *
-          BestOf(static_cast<int>(reps),
-                 [&] {
-                   for (std::size_t k = 0; k < pairs; ++k) {
-                     sink += matrix.Factor(blocked_idx[2 * k],
-                                           blocked_idx[2 * k + 1]);
-                   }
-                 }) /
-          static_cast<double>(pairs);
+      std::sort(blocked.begin(), blocked.end());
+      report.matrix_blocked_ns_per_pair = Measure(rep_count, ns_per_pair, [&] {
+        for (const auto& [j, i] : blocked) sink += matrix.Factor(i, j);
+      });
     }
     if (sink == 0.12345) std::cerr << "";  // keep `sink` observable
 
@@ -311,7 +348,7 @@ int main(int argc, char** argv) {
     // the reference path vs the fast tables (micro_schedulers has the
     // full scheduler × backend grid).
     const auto time_schedule = [&](const auto& make_scheduler) {
-      return 1e3 * BestOf(static_cast<int>(reps), [&] {
+      return Measure(rep_count, 1e3, [&] {
         sink += static_cast<double>(
             make_scheduler()->Schedule(links, params).schedule.size());
       });
@@ -333,7 +370,7 @@ int main(int argc, char** argv) {
     report.greedy_tables_ms = time_schedule(
         [&] { return std::make_unique<sched::FadingGreedyScheduler>(); });
 
-    // Differential check: tiled matrix and fast tables vs the reference
+    // Differential check: exact matrix and fast tables vs the reference
     // calculator, plus both precision-ladder builds vs the exact matrix
     // build (the ladder's own ≤ band contract), over sampled entries
     // (full coverage for small N). Bit-equality short-circuits before
@@ -342,8 +379,6 @@ int main(int argc, char** argv) {
       if (std::memcmp(&got, &want, sizeof(double)) == 0) return 0;
       return mathx::UlpDistance(got, want);
     };
-    const channel::InterferenceMatrix tiled =
-        channel::BuildInterferenceMatrixTiled(links, params, {});
     const std::size_t samples = std::min<std::size_t>(n * n, 1u << 18);
     rng::Xoshiro256 sample_gen(static_cast<std::uint64_t>(seed) + n);
     for (std::size_t k = 0; k < samples; ++k) {
@@ -351,7 +386,7 @@ int main(int argc, char** argv) {
       const std::size_t j = sample_gen.Next() % n;
       const double want = calc.Factor(i, j);
       const std::uint64_t ulp_matrix =
-          mathx::UlpDistance(tiled.Factor(i, j), want);
+          mathx::UlpDistance(matrix.Factor(i, j), want);
       const std::uint64_t ulp_tables =
           mathx::UlpDistance(tables.Factor(i, j), want);
       report.max_ulp = std::max({report.max_ulp, ulp_matrix, ulp_tables});
@@ -372,11 +407,12 @@ int main(int argc, char** argv) {
                 << kUlpTolerance << "\n";
     }
     reports.push_back(report);
-    std::cerr << "n=" << n << " serial=" << report.serial_build_ms
-              << "ms tiled=" << report.tiled_build_ms
-              << "ms pool=" << report.tiled_pool_build_ms
-              << "ms fast=" << report.fast_build_ms
-              << "ms fast_scalar=" << report.fast_scalar_build_ms
+    std::cerr << "n=" << n << " median serial="
+              << report.serial_build_ms.median
+              << "ms tiled=" << report.tiled_build_ms.median
+              << "ms pool=" << report.tiled_pool_build_ms.median
+              << "ms fast=" << report.fast_build_ms.median
+              << "ms fast_scalar=" << report.fast_scalar_build_ms.median
               << "ms max_ulp=" << report.max_ulp
               << " fast_ulp=" << report.max_ulp_fast_simd << "/"
               << report.max_ulp_fast_scalar << "\n";

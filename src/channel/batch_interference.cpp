@@ -8,7 +8,6 @@
 #include <optional>
 
 #include "channel/simd_kernel.hpp"
-#include "geom/spatial_hash.hpp"
 #include "mathx/summation.hpp"
 #include "mathx/ulp.hpp"
 #include "rng/splitmix64.hpp"
@@ -28,6 +27,33 @@ HalfPowerKernel::HalfPowerKernel(double alpha) : half_alpha_(alpha / 2.0) {
   } else {
     generic_ = true;
   }
+}
+
+std::vector<double> MeanRxPowerTable(const net::LinkSet& links,
+                                     const ChannelParams& params,
+                                     std::span<const net::LinkId> ids) {
+  const std::size_t m = ids.size();
+  std::vector<char> seen(links.Size(), 0);
+  for (const net::LinkId id : ids) {
+    FS_CHECK_MSG(id < links.Size(), "schedule link id out of range");
+    FS_CHECK_MSG(!seen[id], "schedule lists a link id twice");
+    seen[id] = 1;
+  }
+  const HalfPowerKernel kernel(params.alpha);
+  std::vector<double> mean(m * m);
+  for (std::size_t a = 0; a < m; ++a) {
+    const double power = links.EffectiveTxPower(ids[a], params.tx_power);
+    const geom::Vec2 s = links.Sender(ids[a]);
+    for (std::size_t b = 0; b < m; ++b) {
+      const geom::Vec2 r = links.Receiver(ids[b]);
+      const double dx = s.x - r.x;
+      const double dy = s.y - r.y;
+      const double d2 = dx * dx + dy * dy;
+      FS_CHECK_MSG(d2 > 0.0, "sender coincides with a scheduled receiver");
+      mean[a * m + b] = power / kernel.DistPowAlpha(d2);
+    }
+  }
+  return mean;
 }
 
 InterferenceEngine::InterferenceEngine(const net::LinkSet& links,
@@ -59,21 +85,14 @@ InterferenceEngine::InterferenceEngine(const net::LinkSet& links,
         p.gamma_th * std::pow(links.Length(j), p.alpha) / power_[j];
     noise_factor_[j] = calc_.NoiseFactor(j);
   }
-  max_power_ =
-      n_ == 0 ? 0.0 : *std::max_element(power_.begin(), power_.end());
 
   if (options_.backend == FactorBackend::kMatrix && n_ > 0) {
-    double slack = 0.0;
-    LadderStats stats;
     if (options_.affectance_matrix) {
-      affectance_data_ = BuildMatrixData(/*affectance=*/true, slack, stats);
+      affectance_data_ = BuildMatrixData(/*affectance=*/true, ladder_stats_);
     } else {
       factor_matrix_ = std::make_unique<InterferenceMatrix>(
-          n_, BuildMatrixData(/*affectance=*/false, slack, stats),
-          options_.cutoff_radius, slack);
+          n_, BuildMatrixData(/*affectance=*/false, ladder_stats_));
     }
-    certified_slack_ = slack;
-    ladder_stats_ = stats;
   }
 }
 
@@ -122,13 +141,8 @@ InterferenceEngine::InterferenceEngine(
     victim_coeff_[k] = parent->victim_coeff_[id];
     noise_factor_[k] = parent->noise_factor_[id];
   }
-  max_power_ =
-      n_ == 0 ? 0.0 : *std::max_element(power_.begin(), power_.end());
 
-  // The certified cutoff slack bounds per-victim neglected mass over the
-  // FULL interferer set, so it stays a sound (if looser) bound for any
-  // subset; the ladder stats describe the parent's build the view reads.
-  certified_slack_ = parent->certified_slack_;
+  // The ladder stats describe the parent's build the view reads.
   ladder_stats_ = parent->ladder_stats_;
 
   // Views of views collapse to one indirection: remap through the
@@ -209,52 +223,16 @@ double InterferenceEngine::SumFactor(std::span<const net::LinkId> schedule,
   return sum.Total();
 }
 
-double InterferenceEngine::FillTile(bool affectance,
-                                    const geom::SpatialHash* sender_index,
-                                    std::size_t row_begin, std::size_t row_end,
-                                    double* data) const {
-  double worst_slack = 0.0;
-  const double cutoff = options_.cutoff_radius;
+void InterferenceEngine::FillTile(bool affectance, std::size_t row_begin,
+                                  std::size_t row_end, double* data) const {
   for (std::size_t j = row_begin; j < row_end; ++j) {
     double* row = data + j * n_;
-    const double coeff = victim_coeff_[j];
-    const double rx = receiver_x_[j];
-    const double ry = receiver_y_[j];
-    if (cutoff > 0.0) {
-      std::size_t in_range = 0;
-      sender_index->ForEachInRadius({rx, ry}, cutoff, [&](std::size_t i) {
-        if (i == j) return;
-        const double d2 = SquaredSenderReceiverDistance(i, j);
-        FS_CHECK_MSG(d2 > 0.0,
-                     "interfering sender coincides with victim receiver");
-        const double a = coeff * power_[i] / kernel_.DistPowAlpha(d2);
-        row[i] = affectance ? a : std::log1p(a);
-        ++in_range;
-      });
-      // Every skipped sender sits strictly beyond `cutoff` (the index's
-      // radius is inclusive), so its term is below the boundary value.
-      const std::size_t skipped = n_ - 1 - in_range;
-      if (skipped > 0) {
-        const double boundary =
-            coeff * max_power_ / kernel_.DistPowAlpha(cutoff * cutoff);
-        const double term = affectance ? boundary : std::log1p(boundary);
-        worst_slack =
-            std::max(worst_slack, static_cast<double>(skipped) * term);
-      }
-    } else {
-      for (std::size_t i = 0; i < n_; ++i) {
-        if (i == j) continue;
-        const double dx = sender_x_[i] - rx;
-        const double dy = sender_y_[i] - ry;
-        const double d2 = dx * dx + dy * dy;
-        FS_CHECK_MSG(d2 > 0.0,
-                     "interfering sender coincides with victim receiver");
-        const double a = coeff * power_[i] / kernel_.DistPowAlpha(d2);
-        row[i] = affectance ? a : std::log1p(a);
-      }
+    for (std::size_t i = 0; i < n_; ++i) {
+      // The diagonal is written too (log1p(0) = 0): the buffer is raw.
+      const double a = i == j ? 0.0 : FastAffectance(i, j);
+      row[i] = affectance ? a : std::log1p(a);
     }
   }
-  return worst_slack;
 }
 
 std::size_t InterferenceEngine::FillFastTile(bool affectance, SimdLevel level,
@@ -406,48 +384,28 @@ void InterferenceEngine::VerifyLadder(bool affectance, double* data,
 }
 
 FactorBuffer InterferenceEngine::BuildMatrixData(bool affectance,
-                                                 double& certified_slack,
                                                  LadderStats& stats) const {
-  certified_slack = 0.0;
   stats = LadderStats{};
   FactorBuffer data;
   if (n_ == 0) return data;
 
   // Ladder eligibility: the fast kernel evaluates every off-diagonal
-  // entry of a dense matrix through the quarter-integer chain — a
-  // far-field cutoff (sparse rows via the spatial index) or a generic α
-  // (libm pow) keeps the exact tile loop.
-  bool fast = false;
-  if (options_.ladder.enabled) {
-    if (options_.cutoff_radius > 0.0) {
-      stats.fallback_reason = "far-field cutoff uses the exact indexed build";
-    } else if (!kernel_.IsSpecialized()) {
-      stats.fallback_reason = "generic (non-quarter-integer) alpha";
-    } else {
-      fast = true;
-    }
+  // entry through the quarter-integer chain — a generic α (libm pow)
+  // keeps the exact tile loop.
+  const bool fast = options_.ladder.enabled && kernel_.IsSpecialized();
+  if (options_.ladder.enabled && !fast) {
+    stats.fallback_reason = "generic (non-quarter-integer) alpha";
   }
   const SimdLevel level = ResolveSimdLevel(options_.ladder.force_level);
 
-  if (fast) {
-    // The fast kernel writes every entry (diagonal included), so the
-    // buffer stays uninitialized — the allocator's default-init resize()
-    // skips a full zero-fill pass over the O(N²) working set.
-    data.resize(n_ * n_);
-  } else {
-    // The exact indexed build relies on the zero background for entries
-    // outside the far-field cutoff.
-    data.assign(n_ * n_, 0.0);
-  }
+  // Both tile loops write every entry (diagonal included), so the buffer
+  // stays uninitialized — the allocator's default-init resize() skips a
+  // full zero-fill pass over the O(N²) working set, and a recycled block
+  // may still hold an earlier matrix's bits.
+  data.resize(n_ * n_);
 
-  std::optional<geom::SpatialHash> sender_index;
-  if (options_.cutoff_radius > 0.0) {
-    sender_index.emplace(links_->Senders(), options_.cutoff_radius);
-  }
-  const geom::SpatialHash* index = sender_index ? &*sender_index : nullptr;
   const std::size_t tile = std::max<std::size_t>(1, options_.tile_rows);
   const std::size_t num_tiles = (n_ + tile - 1) / tile;
-  std::vector<double> tile_slack(num_tiles, 0.0);
   std::vector<std::size_t> tile_promoted(num_tiles, 0);
   const auto run_tile = [&](std::size_t t) {
     const std::size_t row_begin = t * tile;
@@ -456,8 +414,7 @@ FactorBuffer InterferenceEngine::BuildMatrixData(bool affectance,
       tile_promoted[t] =
           FillFastTile(affectance, level, row_begin, row_end, data.data());
     } else {
-      tile_slack[t] =
-          FillTile(affectance, index, row_begin, row_end, data.data());
+      FillTile(affectance, row_begin, row_end, data.data());
     }
   };
   if (options_.pool == nullptr) {
@@ -472,8 +429,6 @@ FactorBuffer InterferenceEngine::BuildMatrixData(bool affectance,
     }
     util::WaitAll(futures).Rethrow();
   }
-  certified_slack =
-      *std::max_element(tile_slack.begin(), tile_slack.end());
 
   if (fast) {
     stats.active = true;
@@ -483,23 +438,6 @@ FactorBuffer InterferenceEngine::BuildMatrixData(bool affectance,
     VerifyLadder(affectance, data.data(), stats);
   }
   return data;
-}
-
-InterferenceMatrix BuildInterferenceMatrixTiled(
-    const net::LinkSet& links, const ChannelParams& params,
-    const TiledBuildOptions& options) {
-  EngineOptions engine_options;
-  engine_options.backend = FactorBackend::kTables;
-  engine_options.pool = options.pool;
-  engine_options.tile_rows = options.tile_rows;
-  engine_options.cutoff_radius = options.cutoff_radius;
-  const InterferenceEngine engine(links, params, engine_options);
-  double slack = 0.0;
-  LadderStats stats;  // ladder never enabled here — the exact tile loop
-  FactorBuffer data =
-      engine.BuildMatrixData(/*affectance=*/false, slack, stats);
-  return InterferenceMatrix(links.Size(), std::move(data),
-                            options.cutoff_radius, slack);
 }
 
 IncrementalFeasibility::IncrementalFeasibility(const InterferenceEngine& engine,
@@ -574,8 +512,8 @@ const InterferenceEngine& ObtainEngine(
       shared->Params() == params) {
     // The build-only knobs (pool, tile_rows) never change results, so only
     // the result-bearing configuration must match for reuse to be exact.
-    // Cutoff and affectance shape only a materialized matrix; the other
-    // backends derive both quantities on the fly.
+    // Affectance shapes only a materialized matrix; the other backends
+    // derive both quantities on the fly.
     const EngineOptions& built = shared->Options();
     // Ladder settings shape a materialized matrix too; two disabled
     // ladders are interchangeable regardless of their other knobs.
@@ -584,8 +522,7 @@ const InterferenceEngine& ObtainEngine(
         built.ladder == options.ladder;
     if (built.backend == options.backend &&
         (options.backend != FactorBackend::kMatrix ||
-         (built.cutoff_radius == options.cutoff_radius &&
-          built.affectance_matrix == options.affectance_matrix &&
+         (built.affectance_matrix == options.affectance_matrix &&
           ladder_match))) {
       return *shared;
     }

@@ -1,6 +1,7 @@
 // Batched interference engine: per-link precomputed tables, a tiled
-// (optionally ThreadPool-parallel) InterferenceMatrix builder, and an
-// incremental per-receiver feasibility accumulator.
+// (optionally ThreadPool-parallel) InterferenceMatrix build, an
+// incremental per-receiver feasibility accumulator, and the mean-power
+// table the fading simulators draw their realizations from.
 //
 // Three exactness tiers, from reference to fastest:
 //
@@ -28,15 +29,6 @@
 // and the promotion counts are surfaced via InterferenceEngine::Ladder().
 // With the ladder off (the default) the build is the exact tile loop,
 // bit-identical to prior releases.
-//
-// The optional far-field cutoff (EngineOptions::cutoff_radius) skips
-// matrix entries for senders farther than R from the victim's receiver
-// and certifies the neglected mass: every skipped factor is bounded by
-// f_cut(j) = ln(1 + γ_th·(P_max/P_j)·d_jj^α/R^α), so the per-victim error
-// is at most (#skipped)·f_cut(j). The maximum over victims is surfaced as
-// CertifiedSlack(); a feasibility test that accepts only when
-// Σ_cutoff f ≤ γ_ε − slack is therefore sound. Off by default — exact
-// paths stay bit-identical.
 #pragma once
 
 #include <cmath>
@@ -56,9 +48,6 @@
 
 namespace fadesched::util {
 class ThreadPool;
-}
-namespace fadesched::geom {
-class SpatialHash;
 }
 
 namespace fadesched::channel {
@@ -98,6 +87,19 @@ class HalfPowerKernel {
   bool generic_ = false;     ///< fall back to std::pow
 };
 
+/// Mean received powers P_i·d(s_i, r_j)^{-α} over the links `ids`, as an
+/// m×m row-major table (m = |ids|): entry [a·m + b] is sender ids[a] at
+/// receiver ids[b], so the diagonal is each link's own signal mean. Each
+/// entry is P_i / HalfPowerKernel::DistPowAlpha(d²) — the kTables
+/// expression — with per-link transmit-power overrides honoured. This is
+/// the input of sim::DrawRealization, shared by the Monte-Carlo, feedback
+/// and slotted simulators. Throws CheckFailure unless every id is in range
+/// and distinct (a repeated id would count as its own interferer), and when
+/// a sender coincides with a receiver.
+std::vector<double> MeanRxPowerTable(const net::LinkSet& links,
+                                     const ChannelParams& params,
+                                     std::span<const net::LinkId> ids);
+
 /// How schedulers obtain interference factors.
 enum class FactorBackend {
   kCalculator,  ///< re-derive every factor (reference; original code path)
@@ -124,9 +126,9 @@ class InterferenceEngine;
 ///                 drifts beyond the band-scaled tolerance is rewritten
 ///                 exactly.
 ///
-/// Applies to kMatrix only. Builds with a cutoff radius or a generic
-/// (non-quarter-integer) α fall back to the exact tile loop and report
-/// why via LadderStats::fallback_reason.
+/// Applies to kMatrix only. Builds with a generic (non-quarter-integer) α
+/// fall back to the exact tile loop and report why via
+/// LadderStats::fallback_reason.
 struct PrecisionLadderOptions {
   bool enabled = false;
 
@@ -156,7 +158,7 @@ struct LadderStats {
   bool active = false;  ///< fast build ran (vs. exact tile loop)
   SimdLevel level = SimdLevel::kScalar;  ///< resolved dispatch tier
   /// Why the fast build did not run (nullptr when it did): ladder
-  /// disabled, cutoff enabled, generic alpha, or empty set.
+  /// disabled, generic alpha, or empty set.
   const char* fallback_reason = nullptr;
   std::size_t entries = 0;          ///< off-diagonal entries built fast
   std::size_t promoted_domain = 0;  ///< rung 1 promotions (non-finite)
@@ -173,7 +175,7 @@ struct EngineOptions {
   /// Optional prebuilt engine (the serving cache's memoized state). A
   /// scheduler consults it through ObtainEngine(): when the engine was
   /// built over the *same* LinkSet object, the same channel parameters,
-  /// and the same backend/cutoff/affectance configuration, it is reused
+  /// and the same backend/affectance/ladder configuration, it is reused
   /// and the O(N) table (or O(N²) matrix) build is skipped; any mismatch
   /// falls back to a fresh local build. Engine construction is
   /// deterministic, so reuse is bit-identical to rebuilding.
@@ -185,9 +187,6 @@ struct EngineOptions {
   /// Victim rows per build task (load-balancing grain of the tiled build).
   std::size_t tile_rows = 64;
 
-  /// Far-field cutoff radius for materialized matrices; 0 disables (exact).
-  double cutoff_radius = 0.0;
-
   /// kMatrix only: materialize the deterministic affectance a_ij instead of
   /// the Rayleigh factor f_ij = ln(1 + a_ij) (ApproxDiversity's quantity).
   bool affectance_matrix = false;
@@ -196,21 +195,6 @@ struct EngineOptions {
   /// exact tile loop, bit-identical to prior releases).
   PrecisionLadderOptions ladder;
 };
-
-/// Options for the standalone tiled InterferenceMatrix builder.
-struct TiledBuildOptions {
-  util::ThreadPool* pool = nullptr;  ///< nullptr = serial tiles
-  std::size_t tile_rows = 64;
-  double cutoff_radius = 0.0;        ///< 0 = exact
-};
-
-/// Row-blocked tiled build of the dense factor matrix using the kTables
-/// kernel; parallel across `options.pool` when given. Agrees with the
-/// serial InterferenceMatrix(links, params) to a few ULP per entry and is
-/// deterministic for any thread count (tiles own disjoint rows).
-InterferenceMatrix BuildInterferenceMatrixTiled(const net::LinkSet& links,
-                                                const ChannelParams& params,
-                                                const TiledBuildOptions& options = {});
 
 class InterferenceEngine {
  public:
@@ -253,16 +237,6 @@ class InterferenceEngine {
     return noise_factor_[victim];
   }
 
-  /// Mean received power P_i·d(s_i, r_j)^{-α}; unlike Factor/Affectance the
-  /// diagonal is meaningful (the victim's own signal mean). Used by the
-  /// Monte-Carlo evaluator to batch its per-pair mean table.
-  [[nodiscard]] double MeanRxPower(net::LinkId interferer,
-                                   net::LinkId victim) const {
-    const double d2 = SquaredSenderReceiverDistance(interferer, victim);
-    FS_CHECK_MSG(d2 > 0.0, "sender coincides with a scheduled receiver");
-    return power_[interferer] / kernel_.DistPowAlpha(d2);
-  }
-
   /// Σ_{i∈schedule, i≠victim} f_i,victim with Neumaier compensation.
   [[nodiscard]] double SumFactor(std::span<const net::LinkId> schedule,
                                  net::LinkId victim) const;
@@ -272,10 +246,6 @@ class InterferenceEngine {
   [[nodiscard]] const InterferenceMatrix* FactorMatrix() const {
     return factor_matrix_.get();
   }
-
-  /// Certified bound on the per-victim interference mass neglected by the
-  /// far-field cutoff (0 when the cutoff is off or nothing was skipped).
-  [[nodiscard]] double CertifiedSlack() const { return certified_slack_; }
 
   /// What the precision ladder did during this engine's kMatrix build
   /// (all-zero / inactive for other backends or when the ladder is off).
@@ -296,30 +266,21 @@ class InterferenceEngine {
 
  private:
   friend class IncrementalFeasibility;
-  friend InterferenceMatrix BuildInterferenceMatrixTiled(
-      const net::LinkSet& links, const ChannelParams& params,
-      const TiledBuildOptions& options);
 
-  [[nodiscard]] double SquaredSenderReceiverDistance(net::LinkId i,
-                                                     net::LinkId j) const {
+  /// Table-driven affectance — the exact kernel every kTables/kMatrix path
+  /// shares (the tile loop, the ladder's promotions and on-the-fly queries).
+  [[nodiscard]] double FastAffectance(net::LinkId i, net::LinkId j) const {
     const double dx = sender_x_[i] - receiver_x_[j];
     const double dy = sender_y_[i] - receiver_y_[j];
-    return dx * dx + dy * dy;
-  }
-
-  /// Table-driven affectance — the hot kernel all fast paths share.
-  [[nodiscard]] double FastAffectance(net::LinkId i, net::LinkId j) const {
-    const double d2 = SquaredSenderReceiverDistance(i, j);
+    const double d2 = dx * dx + dy * dy;
     FS_CHECK_MSG(d2 > 0.0, "interfering sender coincides with victim receiver");
     return victim_coeff_[j] * power_[i] / kernel_.DistPowAlpha(d2);
   }
 
-  /// Fills rows [row_begin, row_end) of the dense matrix for one tile and
-  /// returns the tile's worst certified cutoff slack. `sender_index` is
-  /// required iff the far-field cutoff is enabled.
-  double FillTile(bool affectance, const geom::SpatialHash* sender_index,
-                  std::size_t row_begin, std::size_t row_end,
-                  double* data) const;
+  /// Fills rows [row_begin, row_end) of the dense matrix for one tile
+  /// with the exact kTables expression, diagonal included (as 0).
+  void FillTile(bool affectance, std::size_t row_begin, std::size_t row_end,
+                double* data) const;
 
   /// Ladder rung 1: fills a tile with the SIMD fast kernel (rows paired
   /// for the AVX-512 register blocking), zeroes the diagonal, and promotes
@@ -335,11 +296,10 @@ class InterferenceEngine {
   void VerifyLadder(bool affectance, double* data, LadderStats& stats) const;
 
   /// Runs the tiled build (serial or on options_.pool) and returns the
-  /// matrix data plus the certified slack via out-parameter. With the
-  /// precision ladder enabled (and eligible) tiles go through
-  /// FillFastTile + VerifyLadder; `stats` records what happened.
-  FactorBuffer BuildMatrixData(bool affectance, double& certified_slack,
-                               LadderStats& stats) const;
+  /// matrix data. With the precision ladder enabled (and eligible) tiles
+  /// go through FillFastTile + VerifyLadder; `stats` records what
+  /// happened.
+  FactorBuffer BuildMatrixData(bool affectance, LadderStats& stats) const;
 
   const net::LinkSet* links_;
   EngineOptions options_;
@@ -354,11 +314,9 @@ class InterferenceEngine {
   std::vector<double> power_;        // effective transmit power P_i
   std::vector<double> victim_coeff_; // γ_th · d_jj^α / P_j
   std::vector<double> noise_factor_; // γ_th·N₀ / (P_j·d_jj^{-α})
-  double max_power_ = 0.0;           // max effective power (cutoff bound)
 
   std::unique_ptr<InterferenceMatrix> factor_matrix_;
   FactorBuffer affectance_data_;  // kMatrix + affectance_matrix
-  double certified_slack_ = 0.0;
   LadderStats ladder_stats_;
 
   // Subset-view state: the parent engine (kept alive) and the map from
@@ -425,7 +383,7 @@ class IncrementalFeasibility {
 
 /// The scheduler-side entry point for engine reuse: returns
 /// `options.shared.get()` when that engine matches this exact (LinkSet
-/// object, channel parameters, backend, cutoff, affectance) configuration;
+/// object, channel parameters, backend, affectance, ladder) configuration;
 /// otherwise constructs a fresh engine into `local` and returns that.
 /// Identity of the LinkSet is by address — the serving cache hands the
 /// scheduler the very LinkSet its memoized engine was built over, so a

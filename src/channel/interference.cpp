@@ -89,13 +89,8 @@ InterferenceMatrix::InterferenceMatrix(const net::LinkSet& links,
   }
 }
 
-InterferenceMatrix::InterferenceMatrix(std::size_t n, FactorBuffer data,
-                                       double cutoff_radius,
-                                       double certified_slack)
-    : n_(n),
-      data_(std::move(data)),
-      cutoff_radius_(cutoff_radius),
-      certified_slack_(certified_slack) {
+InterferenceMatrix::InterferenceMatrix(std::size_t n, FactorBuffer data)
+    : n_(n), data_(std::move(data)) {
   FS_CHECK_MSG(data_.size() == n_ * n_,
                "matrix data size does not match n*n");
 }

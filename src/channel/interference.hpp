@@ -21,8 +21,8 @@ namespace fadesched::channel {
 /// whole rows (glibc malloc only guarantees 16 bytes for large blocks),
 /// recycled through util::PageRecycler so rebuilds of O(N²) matrices skip
 /// the page-fault storm of a fresh mapping, and — via the allocator's
-/// default-initializing construct() — NOT zero-filled by resize(): use
-/// assign(n, 0.0) when a zero background is required.
+/// default-initializing construct() — NOT zero-filled by resize(): the
+/// engine's tile loops write every entry, diagonal included.
 using FactorBuffer =
     std::vector<double, util::RecyclingAlignedAllocator<double, 64>>;
 
@@ -65,16 +65,13 @@ class InterferenceMatrix {
  public:
   /// Serial build, bit-identical to InterferenceCalculator::Factor (the
   /// scalar baseline the microbenchmarks compare against). For the tiled
-  /// ThreadPool-parallel build see BuildInterferenceMatrixTiled in
-  /// batch_interference.hpp.
+  /// ThreadPool-parallel build use a kMatrix InterferenceEngine
+  /// (batch_interference.hpp) and its FactorMatrix().
   InterferenceMatrix(const net::LinkSet& links, const ChannelParams& params);
 
   /// Wraps externally built factor data (row-major, victim-major, n*n
-  /// entries) — the constructor the batched builders feed. When built
-  /// under a far-field cutoff, entries beyond `cutoff_radius` are 0 and
-  /// `certified_slack` bounds the per-victim mass neglected that way.
-  InterferenceMatrix(std::size_t n, FactorBuffer data,
-                     double cutoff_radius = 0.0, double certified_slack = 0.0);
+  /// entries) — the constructor the batched builders feed.
+  InterferenceMatrix(std::size_t n, FactorBuffer data);
 
   [[nodiscard]] std::size_t Size() const { return n_; }
   [[nodiscard]] double Factor(net::LinkId interferer, net::LinkId victim) const {
@@ -83,18 +80,9 @@ class InterferenceMatrix {
   [[nodiscard]] double SumFactor(std::span<const net::LinkId> schedule,
                                  net::LinkId victim) const;
 
-  /// Far-field cutoff radius this matrix was built with (0 = exact).
-  [[nodiscard]] double CutoffRadius() const { return cutoff_radius_; }
-
-  /// Certified upper bound on Σ of the entries zeroed by the cutoff for
-  /// any single victim (0 for exact builds).
-  [[nodiscard]] double CertifiedSlack() const { return certified_slack_; }
-
  private:
   std::size_t n_;
   FactorBuffer data_;
-  double cutoff_radius_ = 0.0;
-  double certified_slack_ = 0.0;
 };
 
 }  // namespace fadesched::channel

@@ -1,13 +1,11 @@
 #include "dynamics/slotted_sim.hpp"
 
-#include <cmath>
 #include <deque>
 #include <memory>
 #include <utility>
 
-#include "geom/vec2.hpp"
-#include "rng/distributions.hpp"
 #include "rng/splitmix64.hpp"
+#include "rng/xoshiro256.hpp"
 #include "sched/registry.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
@@ -102,6 +100,7 @@ DynamicsResult RunSlottedSimulation(const net::LinkSet& universe,
   // FIFO of arrival slots per universe link; front = oldest packet.
   std::vector<std::deque<std::uint64_t>> queues(n);
   std::vector<net::LinkId> backlogged;
+  std::vector<double> power;  // DrawRealization scratch
   std::uint64_t total_queued = 0;
 
   for (std::size_t slot = 0; slot < options.num_slots; ++slot) {
@@ -206,46 +205,30 @@ DynamicsResult RunSlottedSimulation(const net::LinkSet& universe,
       for (const net::LinkId local : local_schedule) {
         record.schedule.push_back(backlogged[local]);
       }
-      const net::LinkSet& truth = churn.UniverseNow();
+      const std::vector<double> mean = channel::MeanRxPowerTable(
+          churn.UniverseNow(), params, record.schedule);
       rng::Xoshiro256 fading_gen = SlotFadingGen(options.seed, slot);
-      std::vector<double> power(s * s);
-      for (std::size_t a = 0; a < s; ++a) {
-        const net::LinkId ia = record.schedule[a];
-        const double tx = truth.EffectiveTxPower(ia, params.tx_power);
-        for (std::size_t b = 0; b < s; ++b) {
-          const net::LinkId jb = record.schedule[b];
-          const double d = geom::Distance(truth.Sender(ia), truth.Receiver(jb));
-          FS_CHECK_MSG(d > 0.0, "sender on top of a receiver");
-          power[a * s + b] = sim::DrawFadedPower(
-              fading_gen, tx * std::pow(d, -params.alpha), options.fading);
-        }
-      }
-      for (std::size_t b = 0; b < s; ++b) {
-        const net::LinkId link = record.schedule[b];
-        double interference = params.noise_power;
-        for (std::size_t a = 0; a < s; ++a) {
-          if (a != b) interference += power[a * s + b];
-        }
-        const bool ok = interference == 0.0
-                            ? true
-                            : power[b * s + b] >= params.gamma_th * interference;
-        ++result.scheduled_transmissions;
-        if (ok) {
-          const std::uint64_t arrived = queues[link].front();
-          queues[link].pop_front();
-          --total_queued;
-          ++result.ledger.delivered;
-          ++record.delivered;
-          if (slot >= options.warmup_slots) {
-            const auto delay = static_cast<double>(slot - arrived);
-            result.delay_slots.Add(delay);
-            result.delay_samples.push_back(delay);
-          }
-        } else {
-          ++result.failed_transmissions;
-          ++record.failed;
-        }
-      }
+      sim::DrawRealization(
+          fading_gen, mean, s, params, options.fading, power,
+          [&](std::size_t b, bool ok) {
+            const net::LinkId link = record.schedule[b];
+            ++result.scheduled_transmissions;
+            if (ok) {
+              const std::uint64_t arrived = queues[link].front();
+              queues[link].pop_front();
+              --total_queued;
+              ++result.ledger.delivered;
+              ++record.delivered;
+              if (slot >= options.warmup_slots) {
+                const auto delay = static_cast<double>(slot - arrived);
+                result.delay_slots.Add(delay);
+                result.delay_samples.push_back(delay);
+              }
+            } else {
+              ++result.failed_transmissions;
+              ++record.failed;
+            }
+          });
     }
 
     // 6. Backlog sample (after transmissions). Queues of handed-off links

@@ -24,6 +24,9 @@
 // bit-identical schedules. Ground-truth transmission success always uses
 // the current drifted positions, so a stale snapshot costs real failures,
 // making the refresh cadence a measurable knob rather than a free win.
+// That ground truth is the shared realization kernel sim::DrawRealization
+// (fading_models.hpp) over a channel::MeanRxPowerTable of the drifted
+// universe, as in the Monte-Carlo and feedback simulators.
 //
 // Determinism: arrivals, membership churn, mobility, and fading draw from
 // four disjoint seeded substreams; fading additionally uses a fresh

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "rng/distributions.hpp"
+#include "channel/batch_interference.hpp"
 #include "rng/xoshiro256.hpp"
 #include "util/check.hpp"
 
@@ -27,26 +27,16 @@ FeedbackResult RunFeedbackSchedule(const net::LinkSet& links,
 
   FeedbackResult result;
   result.outcomes.resize(m);
-  if (m == 0) return result;
-
-  double total_rate = 0.0;
-  for (std::size_t j = 0; j < m; ++j) {
-    FS_CHECK(schedule[j] < links.Size());
-    result.outcomes[j].link = schedule[j];
-    total_rate += links.Rate(schedule[j]);
-  }
 
   // Mean received powers over scheduled pairs (i = interferer index,
-  // j = victim index within `schedule`), as in the Monte-Carlo simulator.
-  std::vector<double> mean(m * m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const double tx = links.EffectiveTxPower(schedule[i], params.tx_power);
-    for (std::size_t j = 0; j < m; ++j) {
-      const double d = geom::Distance(links.Sender(schedule[i]),
-                                      links.Receiver(schedule[j]));
-      FS_CHECK_MSG(d > 0.0, "sender coincides with a scheduled receiver");
-      mean[i * m + j] = tx * std::pow(d, -params.alpha);
-    }
+  // j = victim index within `schedule`), as in the Monte-Carlo simulator;
+  // the table also rejects out-of-range and repeated ids.
+  const std::vector<double> mean =
+      channel::MeanRxPowerTable(links, params, schedule);
+  double total_rate = 0.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    result.outcomes[j].link = schedule[j];
+    total_rate += links.Rate(schedule[j]);
   }
 
   // Gap before the next retry after `attempts` failures: exponential in
@@ -62,6 +52,7 @@ FeedbackResult RunFeedbackSchedule(const net::LinkSet& links,
 
   std::vector<std::size_t> next_slot(m, 0);
   std::vector<std::size_t> active;
+  std::vector<double> active_mean;
   std::vector<double> power;
   std::size_t pending = m;
   double delivered_rate = 0.0;
@@ -83,37 +74,30 @@ FeedbackResult RunFeedbackSchedule(const net::LinkSet& links,
     rng::Xoshiro256 gen(options.seed ^
                         (0x9e3779b97f4a7c15ULL * (t + 1)));
     const std::size_t a = active.size();
-    power.assign(a * a, 0.0);
+    active_mean.resize(a * a);
     for (std::size_t i = 0; i < a; ++i) {
       for (std::size_t j = 0; j < a; ++j) {
-        power[i * a + j] = sim::DrawFadedPower(
-            gen, mean[active[i] * m + active[j]], options.fading);
+        active_mean[i * a + j] = mean[active[i] * m + active[j]];
       }
     }
 
-    for (std::size_t j = 0; j < a; ++j) {
-      FeedbackLinkOutcome& out = result.outcomes[active[j]];
-      ++out.attempts;
-      double interference = params.noise_power;
-      for (std::size_t i = 0; i < a; ++i) {
-        if (i != j) interference += power[i * a + j];
-      }
-      const bool ok = interference == 0.0
-                          ? true
-                          : power[j * a + j] >=
-                                params.gamma_th * interference;
-      if (ok) {
-        out.delivered = true;
-        out.delivery_slot = t;
-        delivered_rate += links.Rate(out.link);
-        --pending;
-      } else if (out.attempts >= options.max_attempts) {
-        out.blacklisted = true;
-        --pending;
-      } else {
-        next_slot[active[j]] = t + backoff_gap(out.attempts);
-      }
-    }
+    sim::DrawRealization(
+        gen, active_mean, a, params, options.fading, power,
+        [&](std::size_t j, bool ok) {
+          FeedbackLinkOutcome& out = result.outcomes[active[j]];
+          ++out.attempts;
+          if (ok) {
+            out.delivered = true;
+            out.delivery_slot = t;
+            delivered_rate += links.Rate(out.link);
+            --pending;
+          } else if (out.attempts >= options.max_attempts) {
+            out.blacklisted = true;
+            --pending;
+          } else {
+            next_slot[active[j]] = t + backoff_gap(out.attempts);
+          }
+        });
   }
 
   for (const FeedbackLinkOutcome& out : result.outcomes) {

@@ -9,6 +9,10 @@
 // what a link-layer actually observes — delivered rate and the
 // distribution of delivery delays — rather than the per-slot expectation.
 //
+// Each slot's realization and decode test over the links transmitting in
+// it is the shared kernel sim::DrawRealization (fading_models.hpp), fed
+// from one channel::MeanRxPowerTable over the whole schedule.
+//
 // Determinism: slot t draws from a dedicated xoshiro256++ stream keyed by
 // (seed, t), exactly like the Monte-Carlo simulator's per-trial streams,
 // so results are bit-identical across runs and thread counts.
@@ -65,7 +69,8 @@ struct FeedbackResult {
 
 /// Runs `schedule` through per-slot fading realizations with ACK-driven
 /// retries. Links still pending when `max_slots` runs out are reported
-/// as neither delivered nor blacklisted.
+/// as neither delivered nor blacklisted. Throws CheckFailure when a
+/// schedule id is out of range or listed twice.
 FeedbackResult RunFeedbackSchedule(const net::LinkSet& links,
                                    const channel::ChannelParams& params,
                                    const net::Schedule& schedule,

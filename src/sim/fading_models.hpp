@@ -8,10 +8,19 @@
 // *calibrated for Rayleigh* behave when the channel is not Rayleigh.
 // All models are normalized to E[power] = mean, so only the distribution
 // shape changes.
+//
+// DrawRealization is the one §II realization-and-decode kernel: the
+// Monte-Carlo simulator, the feedback retry loop and the slotted dynamics
+// simulator all call it, each with its own stream keying. Header-only so
+// fs_sched can use it without linking fs_sim.
 #pragma once
 
 #include <cmath>
+#include <cstddef>
+#include <span>
+#include <vector>
 
+#include "channel/params.hpp"
 #include "rng/distributions.hpp"
 #include "util/check.hpp"
 
@@ -58,6 +67,34 @@ double DrawFadedPower(Gen& gen, double mean, const FadingOptions& options) {
   }
   FS_CHECK_MSG(false, "unknown fading model");
   return 0.0;
+}
+
+/// One channel realization of m co-transmitting links (paper §II). Draws
+/// Z_ij = DrawFadedPower(gen, mean[i·m + j]) for all m² pairs in row-major
+/// order (i = interferer, j = victim, both positions in the caller's
+/// schedule; `mean` as built by channel::MeanRxPowerTable), then calls
+/// `on_decode(j, ok)` for j = 0..m−1 with
+///   ok ⇔ Z_jj ≥ γ_th·(N₀ + Σ_{i≠j} Z_ij).
+/// With the paper's N₀ = 0 a receiver with no interferer always decodes.
+/// Consumes exactly m² draws from `gen`; `power` is scratch (resized to m²).
+template <typename Gen, typename OnDecode>
+void DrawRealization(Gen& gen, std::span<const double> mean, std::size_t m,
+                     const channel::ChannelParams& params,
+                     const FadingOptions& options, std::vector<double>& power,
+                     OnDecode&& on_decode) {
+  FS_DCHECK(mean.size() == m * m);
+  power.resize(m * m);
+  for (std::size_t k = 0; k < m * m; ++k) {
+    power[k] = DrawFadedPower(gen, mean[k], options);
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    double interference = params.noise_power;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (i != j) interference += power[i * m + j];
+    }
+    on_decode(j, interference == 0.0 ||
+                     power[j * m + j] >= params.gamma_th * interference);
+  }
 }
 
 /// Model name for table output.

@@ -1,13 +1,9 @@
 #include "sim/monte_carlo.hpp"
 
 #include <atomic>
-#include <cmath>
-#include <mutex>
 
 #include "channel/batch_interference.hpp"
-#include "rng/distributions.hpp"
 #include "rng/xoshiro256.hpp"
-#include "util/check.hpp"
 #include "util/error.hpp"
 
 namespace fadesched::sim {
@@ -34,28 +30,11 @@ SimResult SimulateSchedule(const net::LinkSet& links,
   result.trials = options.trials;
   result.scheduled_links = m;
   result.link_success_rate.assign(m, 0.0);
-  if (m == 0) {
-    // An empty schedule trivially has zero failures and zero throughput.
-    for (std::size_t t = 0; t < options.trials; ++t) {
-      result.failed_per_trial.Add(0.0);
-      result.throughput_per_trial.Add(0.0);
-    }
-    return result;
-  }
-  for (net::LinkId id : schedule) FS_CHECK(id < links.Size());
-
-  // Precompute mean powers: mean[i][j] = P_i·d(s_i, r_j)^{-α} over
-  // scheduled pairs; row-major, i = interferer index, j = victim index
-  // (both are positions within `schedule`). The engine's half-power
-  // kernel and effective-power table honour per-link transmit power
-  // overrides and reject zero sender-receiver distances.
-  const channel::InterferenceEngine engine(links, params, {});
-  std::vector<double> mean(m * m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      mean[i * m + j] = engine.MeanRxPower(schedule[i], schedule[j]);
-    }
-  }
+  // Mean powers over scheduled pairs (validates the ids: in range and
+  // distinct). An empty schedule draws nothing and scores zero failures
+  // and zero throughput in every trial.
+  const std::vector<double> mean =
+      channel::MeanRxPowerTable(links, params, schedule);
 
   // Each *trial* gets its own stream keyed by (seed, trial index), so the
   // drawn variates are identical no matter how trials are partitioned
@@ -75,7 +54,7 @@ SimResult SimulateSchedule(const net::LinkSet& links,
       pool, options.trials,
       [&](std::size_t chunk_index, std::size_t begin, std::size_t end) {
         ChunkAccumulator& acc = chunks[chunk_index];
-        std::vector<double> power(m * m);
+        std::vector<double> power;
         for (std::size_t trial = begin; trial < end; ++trial) {
           if ((trial - begin) % 32 == 0 &&
               (cancelled.load(std::memory_order_relaxed) ||
@@ -87,29 +66,17 @@ SimResult SimulateSchedule(const net::LinkSet& links,
           // Stream keyed by (seed, trial): thread-count invariant.
           rng::Xoshiro256 gen(master_seed ^
                               (0x9e3779b97f4a7c15ULL * (trial + 1)));
-          for (std::size_t k = 0; k < m * m; ++k) {
-            power[k] = DrawFadedPower(gen, mean[k], options.fading);
-          }
           double failed = 0.0;
           double delivered = 0.0;
-          for (std::size_t j = 0; j < m; ++j) {
-            double interference = params.noise_power;
-            for (std::size_t i = 0; i < m; ++i) {
-              if (i != j) interference += power[i * m + j];
-            }
-            // With the paper's N₀ = 0 a receiver with no interferer
-            // always decodes; with noise it faces the residual SNR test.
-            const bool ok = interference == 0.0
-                                ? true
-                                : power[j * m + j] >=
-                                      params.gamma_th * interference;
-            if (ok) {
-              delivered += links.Rate(schedule[j]);
-              ++acc.success_count[j];
-            } else {
-              failed += 1.0;
-            }
-          }
+          DrawRealization(gen, mean, m, params, options.fading, power,
+                          [&](std::size_t j, bool ok) {
+                            if (ok) {
+                              delivered += links.Rate(schedule[j]);
+                              ++acc.success_count[j];
+                            } else {
+                              failed += 1.0;
+                            }
+                          });
           acc.failed.Add(failed);
           acc.throughput.Add(delivered);
         }

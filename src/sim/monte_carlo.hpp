@@ -3,7 +3,9 @@
 // For a fixed schedule P, each trial draws every instantaneous power
 // Z_ij ~ Exp(mean P·d_ij^{-α}) independently (paper §II), computes each
 // scheduled receiver's SINR X_j = Z_jj / Σ_{i∈P\j} Z_ij, and records which
-// links decode (X_j ≥ γ_th). The paper's evaluation metrics — number of
+// links decode (X_j ≥ γ_th). The draw and the decode test are the shared
+// kernel sim::DrawRealization (fading_models.hpp) over the mean table of
+// channel::MeanRxPowerTable. The paper's evaluation metrics — number of
 // failed transmissions and throughput — are per-trial functionals whose
 // distribution we summarize across trials.
 //
@@ -57,7 +59,8 @@ struct SimResult {
 };
 
 /// Simulates `schedule` transmitting simultaneously for `options.trials`
-/// independent fading realizations, using `pool` for parallelism.
+/// independent fading realizations, using `pool` for parallelism. Throws
+/// CheckFailure when a schedule id is out of range or listed twice.
 SimResult SimulateSchedule(const net::LinkSet& links,
                            const channel::ChannelParams& params,
                            const net::Schedule& schedule,

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
-#include <numeric>
+#include <limits>
 #include <vector>
 
 #include "channel/feasibility.hpp"
@@ -12,6 +14,7 @@
 #include "net/scenario.hpp"
 #include "rng/xoshiro256.hpp"
 #include "util/check.hpp"
+#include "util/page_recycler.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fadesched::channel {
@@ -131,14 +134,24 @@ TEST(BatchInterferenceTest, MeanRxPowerMatchesPathLossFormula) {
   const net::LinkSet links = RandomLinks(16, 20);
   ChannelParams params;
   params.alpha = 3.0;
-  const InterferenceEngine engine(links, params, {});
-  for (net::LinkId i = 0; i < links.Size(); ++i) {
-    for (net::LinkId j = 0; j < links.Size(); ++j) {
+  const std::vector<net::LinkId> ids = {3, 0, 17, 9, 12};
+  const std::size_t m = ids.size();
+  const std::vector<double> mean = MeanRxPowerTable(links, params, ids);
+  ASSERT_EQ(mean.size(), m * m);
+  const HalfPowerKernel kernel(params.alpha);
+  for (std::size_t a = 0; a < m; ++a) {
+    const net::LinkId i = ids[a];
+    for (std::size_t b = 0; b < m; ++b) {
+      const net::LinkId j = ids[b];
       const double d = geom::Distance(links.Sender(i), links.Receiver(j));
-      const double want =
-          links.EffectiveTxPower(i, params.tx_power) * std::pow(d, -3.0);
-      EXPECT_LE(mathx::UlpDistance(engine.MeanRxPower(i, j), want),
+      const double tx = links.EffectiveTxPower(i, params.tx_power);
+      EXPECT_LE(mathx::UlpDistance(mean[a * m + b], tx * std::pow(d, -3.0)),
                 kUlpTolerance);
+      // Bit-exact against the engine's kTables expression P_i / d^α.
+      const double dx = links.Sender(i).x - links.Receiver(j).x;
+      const double dy = links.Sender(i).y - links.Receiver(j).y;
+      EXPECT_EQ(mean[a * m + b], tx / kernel.DistPowAlpha(dx * dx + dy * dy))
+          << "a=" << a << " b=" << b;
     }
   }
 }
@@ -148,21 +161,39 @@ TEST(BatchInterferenceTest, MeanRxPowerRejectsCoincidentSenderReceiver) {
   links.Add(net::Link{{0, 0}, {1, 0}, 1.0});
   links.Add(net::Link{{1, 0}, {2, 0}, 1.0});  // sender 1 on receiver 0
   ChannelParams params;
-  const InterferenceEngine engine(links, params, {});
-  EXPECT_THROW(static_cast<void>(engine.MeanRxPower(1, 0)),
+  const std::vector<net::LinkId> ids = {0, 1};
+  EXPECT_THROW(static_cast<void>(MeanRxPowerTable(links, params, ids)),
                util::CheckFailure);
+  // Either link alone is a valid table.
+  const std::vector<net::LinkId> one = {1};
+  EXPECT_EQ(MeanRxPowerTable(links, params, one).size(), 1u);
+}
+
+TEST(BatchInterferenceTest, MeanRxPowerTableRejectsBadIds) {
+  const net::LinkSet links = RandomLinks(16, 5);
+  ChannelParams params;
+  const std::vector<net::LinkId> out_of_range = {0, 5};
+  EXPECT_THROW(static_cast<void>(MeanRxPowerTable(links, params, out_of_range)),
+               util::CheckFailure);
+  const std::vector<net::LinkId> repeated = {2, 4, 2};
+  EXPECT_THROW(static_cast<void>(MeanRxPowerTable(links, params, repeated)),
+               util::CheckFailure);
+  EXPECT_TRUE(MeanRxPowerTable(links, params, {}).empty());
 }
 
 TEST(TiledBuildTest, MatchesSerialMatrixToTheUlp) {
   const net::LinkSet links = RandomLinks(17, 60);
   ChannelParams params;
   const InterferenceMatrix serial(links, params);
-  const InterferenceMatrix tiled =
-      BuildInterferenceMatrixTiled(links, params, {});
-  ASSERT_EQ(tiled.Size(), serial.Size());
+  EngineOptions options;
+  options.backend = FactorBackend::kMatrix;
+  const InterferenceEngine engine(links, params, options);
+  const InterferenceMatrix* tiled = engine.FactorMatrix();
+  ASSERT_NE(tiled, nullptr);
+  ASSERT_EQ(tiled->Size(), serial.Size());
   for (net::LinkId i = 0; i < links.Size(); ++i) {
     for (net::LinkId j = 0; j < links.Size(); ++j) {
-      EXPECT_LE(mathx::UlpDistance(tiled.Factor(i, j), serial.Factor(i, j)),
+      EXPECT_LE(mathx::UlpDistance(tiled->Factor(i, j), serial.Factor(i, j)),
                 kUlpTolerance);
     }
   }
@@ -171,58 +202,69 @@ TEST(TiledBuildTest, MatchesSerialMatrixToTheUlp) {
 TEST(TiledBuildTest, PoolAndTileSizeDoNotChangeBits) {
   const net::LinkSet links = RandomLinks(18, 70);
   ChannelParams params;
-  const InterferenceMatrix reference =
-      BuildInterferenceMatrixTiled(links, params, {});
+  EngineOptions serial_options;
+  serial_options.backend = FactorBackend::kMatrix;
+  const InterferenceEngine reference(links, params, serial_options);
   util::ThreadPool pool(4);
   for (std::size_t tile_rows : {1u, 7u, 16u, 128u}) {
-    TiledBuildOptions options;
+    EngineOptions options = serial_options;
     options.pool = &pool;
     options.tile_rows = tile_rows;
-    const InterferenceMatrix parallel =
-        BuildInterferenceMatrixTiled(links, params, options);
+    const InterferenceEngine parallel(links, params, options);
     for (net::LinkId i = 0; i < links.Size(); ++i) {
       for (net::LinkId j = 0; j < links.Size(); ++j) {
-        EXPECT_DOUBLE_EQ(parallel.Factor(i, j), reference.Factor(i, j))
+        EXPECT_EQ(parallel.FactorMatrix()->Factor(i, j),
+                  reference.FactorMatrix()->Factor(i, j))
             << "tile_rows=" << tile_rows;
       }
     }
   }
 }
 
-TEST(TiledBuildTest, GenerousCutoffKeepsEveryEntry) {
-  const net::LinkSet links = RandomLinks(19, 50);
+// The exact tile loop writes its own diagonal zeros instead of relying on a
+// zero-filled buffer, so a rebuild into a recycled block that still holds
+// another matrix's bits (here: NaN poison) must come out identical.
+TEST(TiledBuildTest, RebuildIntoRecycledBlockMatchesFreshBuild) {
+  constexpr std::size_t kN = 400;  // 400²·8 B ≥ PageRecycler::kMinBytes
+  const net::LinkSet links = RandomLinks(22, kN);
   ChannelParams params;
-  const InterferenceMatrix exact =
-      BuildInterferenceMatrixTiled(links, params, {});
-  TiledBuildOptions options;
-  options.cutoff_radius = 1e9;  // farther than any pair in the region
-  const InterferenceMatrix cut =
-      BuildInterferenceMatrixTiled(links, params, options);
-  for (net::LinkId i = 0; i < links.Size(); ++i) {
-    for (net::LinkId j = 0; j < links.Size(); ++j) {
-      EXPECT_DOUBLE_EQ(cut.Factor(i, j), exact.Factor(i, j));
-    }
-  }
-  EXPECT_DOUBLE_EQ(cut.CertifiedSlack(), 0.0);
-}
+  EngineOptions options;
+  options.backend = FactorBackend::kMatrix;
+  util::PageRecycler& recycler = util::PageRecycler::Instance();
+  recycler.Trim();
 
-TEST(TiledBuildTest, CertifiedSlackBoundsDiscardedInterference) {
-  const net::LinkSet links = RandomLinks(20, 80);
-  ChannelParams params;
-  const InterferenceMatrix exact =
-      BuildInterferenceMatrixTiled(links, params, {});
-  TiledBuildOptions options;
-  options.cutoff_radius = 150.0;  // drops a real share of the 500×500 region
-  const InterferenceMatrix cut =
-      BuildInterferenceMatrixTiled(links, params, options);
-  EXPECT_GT(cut.CertifiedSlack(), 0.0);
-  EXPECT_DOUBLE_EQ(cut.CutoffRadius(), 150.0);
-  std::vector<net::LinkId> all(links.Size());
-  std::iota(all.begin(), all.end(), net::LinkId{0});
-  for (net::LinkId j = 0; j < links.Size(); ++j) {
-    const double dropped = exact.SumFactor(all, j) - cut.SumFactor(all, j);
-    EXPECT_GE(dropped, -1e-12) << "cutoff must only remove interference";
-    EXPECT_LE(dropped, cut.CertifiedSlack() + 1e-12) << "victim " << j;
+  FactorBuffer fresh_bits;
+  {
+    const InterferenceEngine fresh(links, params, options);
+    const InterferenceMatrix& matrix = *fresh.FactorMatrix();
+    fresh_bits.resize(kN * kN);
+    for (net::LinkId j = 0; j < kN; ++j) {
+      for (net::LinkId i = 0; i < kN; ++i) {
+        fresh_bits[j * kN + i] = matrix.Factor(i, j);
+      }
+    }
+  }  // the engine's block parks in the recycler
+  {
+    FactorBuffer poison;
+    poison.resize(kN * kN);  // takes the parked block back
+    std::fill(poison.begin(), poison.end(),
+              std::numeric_limits<double>::quiet_NaN());
+  }  // parks again, now full of NaN
+  if (recycler.Enabled()) {
+    EXPECT_GE(recycler.CachedBytes(), kN * kN * sizeof(double));
+  }
+
+  const InterferenceEngine rebuilt(links, params, options);
+  const InterferenceMatrix& matrix = *rebuilt.FactorMatrix();
+  for (net::LinkId j = 0; j < kN; ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(matrix.Factor(j, j)),
+              std::bit_cast<std::uint64_t>(0.0))
+        << "diagonal " << j;
+    for (net::LinkId i = 0; i < kN; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(matrix.Factor(i, j)),
+                std::bit_cast<std::uint64_t>(fresh_bits[j * kN + i]))
+          << "i=" << i << " j=" << j;
+    }
   }
 }
 

@@ -185,26 +185,6 @@ TEST(PrecisionLadderTest, AffectanceMatrixGoesThroughTheLadderToo) {
   }
 }
 
-TEST(PrecisionLadderTest, CutoffBuildsFallBackToExactPath) {
-  const net::LinkSet links = RandomLinks(61, 60);
-  ChannelParams params;
-  EngineOptions options = LadderOptions();
-  options.cutoff_radius = 150.0;
-  const InterferenceEngine engine(links, params, options);
-  EXPECT_FALSE(engine.Ladder().active);
-  ASSERT_NE(engine.Ladder().fallback_reason, nullptr);
-  // The fallback is the certified-cutoff exact build, unchanged.
-  EngineOptions plain = options;
-  plain.ladder = {};
-  const InterferenceEngine exact(links, params, plain);
-  EXPECT_DOUBLE_EQ(engine.CertifiedSlack(), exact.CertifiedSlack());
-  for (net::LinkId i = 0; i < links.Size(); ++i) {
-    for (net::LinkId j = 0; j < links.Size(); ++j) {
-      EXPECT_DOUBLE_EQ(engine.Factor(i, j), exact.Factor(i, j));
-    }
-  }
-}
-
 TEST(PrecisionLadderTest, ObtainEngineTreatsLadderAsResultBearing) {
   const net::LinkSet links = RandomLinks(88, 25);
   ChannelParams params;

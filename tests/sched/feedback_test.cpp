@@ -165,5 +165,14 @@ TEST(FeedbackTest, RejectsInvalidOptionsAndSchedule) {
   EXPECT_THROW(RunFeedbackSchedule(links, params, {5}), util::CheckFailure);
 }
 
+// A repeated id used to interfere with itself in every slot it transmitted.
+TEST(FeedbackTest, DuplicateScheduleIdRejected) {
+  const net::LinkSet links = IsolatedLinks(2, 1e6);
+  const channel::ChannelParams params;
+  EXPECT_THROW(RunFeedbackSchedule(links, params, {1, 1}), util::CheckFailure);
+  EXPECT_THROW(RunFeedbackSchedule(links, params, {0, 1, 0}),
+               util::CheckFailure);
+}
+
 }  // namespace
 }  // namespace fadesched::sched

@@ -180,6 +180,68 @@ TEST(DrawFadedPowerTest, SevereNakagamiIsNotExponential) {
       sample, [mean](double x) { return 1.0 - std::exp(-x / mean); }));
 }
 
+// DrawRealization is the one realization kernel behind the Monte-Carlo,
+// feedback and slotted simulators; pin its draw order and variate count
+// against a hand-rolled loop so a vectorized rewrite cannot reorder draws.
+TEST(DrawRealizationTest, ConsumesMSquaredDrawsInRowMajorOrder) {
+  constexpr std::size_t kM = 5;
+  std::vector<double> mean(kM * kM);
+  for (std::size_t i = 0; i < kM; ++i) {
+    for (std::size_t j = 0; j < kM; ++j) {
+      // Asymmetric, entry-distinct means: a transposed or permuted draw
+      // order changes the decode outcomes.
+      mean[i * kM + j] = i == j ? 1.0 + 0.1 * static_cast<double>(i)
+                                : 0.05 * static_cast<double>(1 + i + 3 * j);
+    }
+  }
+  FadingOptions nakagami;
+  nakagami.model = FadingModel::kNakagami;
+  nakagami.nakagami_m = 0.7;
+  FadingOptions shadowed;
+  shadowed.model = FadingModel::kShadowedRayleigh;
+  for (const FadingOptions& fading : {FadingOptions{}, nakagami, shadowed}) {
+    for (double noise : {0.0, 0.2}) {
+      channel::ChannelParams params;
+      params.gamma_th = 1.0;
+      params.noise_power = noise;
+      rng::Xoshiro256 kernel_gen(77);
+      rng::Xoshiro256 hand_gen(77);
+      std::vector<double> scratch;
+      std::size_t successes = 0;
+      for (int trial = 0; trial < 200; ++trial) {
+        std::vector<char> got;
+        DrawRealization(kernel_gen, mean, kM, params, fading, scratch,
+                        [&](std::size_t j, bool ok) {
+                          EXPECT_EQ(j, got.size());
+                          got.push_back(ok ? 1 : 0);
+                        });
+        std::vector<double> power(kM * kM);
+        for (std::size_t i = 0; i < kM; ++i) {
+          for (std::size_t j = 0; j < kM; ++j) {
+            power[i * kM + j] =
+                DrawFadedPower(hand_gen, mean[i * kM + j], fading);
+          }
+        }
+        ASSERT_EQ(got.size(), kM);
+        for (std::size_t j = 0; j < kM; ++j) {
+          double interference = noise;
+          for (std::size_t i = 0; i < kM; ++i) {
+            if (i != j) interference += power[i * kM + j];
+          }
+          const bool want = power[j * kM + j] >= interference;
+          EXPECT_EQ(got[j] != 0, want) << "trial " << trial << " j=" << j;
+          successes += want ? 1 : 0;
+        }
+        // Same stream position afterwards: exactly m² draws consumed.
+        ASSERT_EQ(kernel_gen.Next(), hand_gen.Next()) << "trial " << trial;
+      }
+      // Both outcomes occur, so the comparison above has teeth.
+      EXPECT_GT(successes, 0u);
+      EXPECT_LT(successes, 200u * kM);
+    }
+  }
+}
+
 TEST(FadingRobustnessTest, NakagamiOneMatchesRayleighClosedForm) {
   rng::Xoshiro256 gen(6);
   net::UniformScenarioParams sp;

@@ -188,6 +188,19 @@ TEST(MonteCarloTest, InvalidScheduleIdRejected) {
                util::CheckFailure);
 }
 
+// A repeated id used to be counted as its own interferer (the skip was
+// positional), so link 0 "failed" about half the time at γ_th = 1 while
+// ComputeExpectedMetrics, which skips by id, reported success 1.
+TEST(MonteCarloTest, DuplicateScheduleIdRejected) {
+  const net::LinkSet links = TwoLinkLine(5.0);
+  SimOptions options;
+  options.trials = 10;
+  EXPECT_THROW(SimulateSchedule(links, PaperParams(), {0, 0}, options),
+               util::CheckFailure);
+  EXPECT_THROW(SimulateSchedule(links, PaperParams(), {1, 0, 1}, options),
+               util::CheckFailure);
+}
+
 TEST(MonteCarloTest, OptionsValidateCatchesBadFields) {
   SimOptions options;
   options.Validate();  // defaults are fine
