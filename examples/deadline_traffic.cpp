@@ -1,7 +1,8 @@
 // Deadline traffic: where fading-resistance actually pays.
 //
 // For throughput alone, aggressive deterministic scheduling can win (see
-// bench/queue_delay_vs_load) — but deadline traffic cares about the
+// `fadesched_cli queue-sim`'s delay-vs-load table, EXPERIMENTS "Queue
+// dynamics") — but deadline traffic cares about the
 // probability that a *scheduled* transmission fails and must be retried,
 // blowing its latency budget. This example runs the slotted dynamics
 // simulator (Bernoulli arrivals, Rayleigh fading) under identical load for

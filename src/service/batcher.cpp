@@ -39,8 +39,7 @@ RequestBatcher::RequestBatcher(Handler handler, BatcherOptions options,
   if (options_.num_workers == 0) options_.num_workers = 1;
   workers_.reserve(options_.num_workers);
   for (std::size_t i = 0; i < options_.num_workers; ++i) {
-    const bool warm_only = options_.reserve_warm_worker &&
-                           options_.num_workers >= 2 && i == 0;
+    const bool warm_only = options_.num_workers >= 2 && i == 0;
     workers_.emplace_back([this, warm_only] { WorkerLoop(warm_only); });
   }
 }

@@ -58,18 +58,17 @@
 namespace fadesched::service {
 
 struct BatcherOptions {
-  /// Worker threads executing the handler.
+  /// Worker threads executing the handler. With ≥ 2, worker 0 serves the
+  /// warm lane only: priority dequeue alone still lets every worker pick
+  /// up a cold build when the warm lane is momentarily empty, so a warm
+  /// request arriving a moment later waits a full build anyway; a
+  /// reserved worker bounds warm wait by warm work, period. A single
+  /// worker serves both lanes.
   std::size_t num_workers = 4;
   /// Queue slots; a Submit() beyond this sheds. Must be ≥ 1.
   std::size_t queue_capacity = 256;
   /// Applied to requests with deadline_seconds == 0; 0 = no deadline.
   double default_deadline_seconds = 0.0;
-  /// With ≥ 2 workers, dedicate one worker to the warm lane. Priority
-  /// dequeue alone still lets every worker pick up a cold build when the
-  /// warm lane is momentarily empty, so a warm request arriving a moment
-  /// later waits a full build anyway; a reserved worker bounds warm wait
-  /// by warm work, period. Ignored with 1 worker (it must serve both).
-  bool reserve_warm_worker = true;
   /// Adaptive admission control (overload.hpp). Set queue_delay_target_ms
   /// to 0 to disable and keep only the hard capacity bound.
   OverloadOptions overload;

@@ -16,11 +16,12 @@
 //     queue-delay EWMA so clients back off proportionally to the actual
 //     congestion instead of a blind ladder;
 //   * brownout: when the delay EWMA climbs past
-//     `brownout_enter_factor × target`, the service degrades cold builds
-//     to the fast kTables backend (bit-identical responses — the backends
-//     are exact, so brownout trades build speed for memory locality,
-//     never correctness). Hysteresis: brownout exits only when the EWMA
-//     falls back below `brownout_exit_factor × target`.
+//     `brownout_enter_factor × target`, the service cheapens cold builds:
+//     a kMatrix backend takes the SIMD precision-ladder build (factors
+//     within 16 ULP, the same schedules), every other backend the
+//     kTables build (ScenarioCache::ObtainScenario). Hysteresis: brownout
+//     exits only when the EWMA falls back below
+//     `brownout_exit_factor × target`.
 //
 // An empty queue resets everything: overload state is a statement about
 // the queue, and a drained queue has none. All decisions are pure

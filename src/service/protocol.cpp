@@ -330,6 +330,15 @@ std::string FormatResponseLine(const SchedulingResponse& response) {
   return SpliceChecksum(line + " msg=" + Flatten(response.message));
 }
 
+std::string FormatErrorLine(util::ErrorKind kind, const std::string& message) {
+  SchedulingResponse response;
+  response.status = ResponseStatus::kError;
+  response.error_kind = kind;
+  response.message = message;
+  response.id = "-";
+  return FormatResponseLine(response);
+}
+
 SchedulingResponse ParseResponseLine(const std::string& raw_line) {
   const std::string line = VerifyAndStripChecksum(raw_line);
   SchedulingResponse response;

@@ -137,6 +137,10 @@ SchedulingRequest ParseRequestFrame(std::string_view frame);
 /// omits cache_hit so hit and miss responses are byte-identical.
 std::string FormatResponseLine(const SchedulingResponse& response);
 
+/// The kError line for a failure no request header could be attributed
+/// to (a frame that did not parse, a connection-level guard): id "-".
+std::string FormatErrorLine(util::ErrorKind kind, const std::string& message);
+
 /// Parses a response line produced by FormatResponseLine. Throws
 /// util::HarnessError (kFatal) on malformed input.
 SchedulingResponse ParseResponseLine(const std::string& line);

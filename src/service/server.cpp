@@ -181,16 +181,11 @@ void Server::HandleConnection(int fd) {
   bool peer_closed = false;
   auto last_byte = std::chrono::steady_clock::now();
 
-  // Best-effort typed protocol error (connection-level failures carry the
-  // "-" id: no request header was successfully attributed).
+  // Best-effort typed connection-level error (no request header was
+  // attributed, so the line carries the "-" id).
   const auto send_error = [&](util::ErrorKind kind,
                               const std::string& message) {
-    SchedulingResponse response;
-    response.status = ResponseStatus::kError;
-    response.error_kind = kind;
-    response.message = message;
-    response.id = "-";
-    return WriteAll(fd, FormatResponseLine(response) + "\n");
+    return WriteAll(fd, FormatErrorLine(kind, message) + "\n");
   };
 
   while (!peer_closed) {
@@ -249,30 +244,9 @@ void Server::HandleConnection(int fd) {
         continue;
       }
 
-      SchedulingResponse response;
-      try {
-        response = service_->Execute(ParseRequestFrame(event.frame));
-      } catch (const util::HarnessError& e) {
-        // Parse failures keep their taxonomy kind on the wire: a check=
-        // mismatch is kTransient (corruption — the client should retry),
-        // a malformed frame is kFatal (caller bug — it should not).
-        if (e.kind() == util::ErrorKind::kTransient) {
-          metrics.checksum_failures.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          metrics.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        }
-        response.status = ResponseStatus::kError;
-        response.error_kind = e.kind();
-        response.message = e.what();
-        response.id = "-";
-      } catch (const std::exception& e) {
-        metrics.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        response.status = ResponseStatus::kError;
-        response.error_kind = util::ErrorKind::kFatal;
-        response.message = e.what();
-        response.id = "-";
-      }
-      if (!WriteAll(fd, FormatResponseLine(response) + "\n")) {
+      if (!WriteAll(fd, FormatResponseLine(
+                            service_->SubmitFrame(event.frame).get()) +
+                            "\n")) {
         peer_closed = true;
         break;
       }

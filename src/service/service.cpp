@@ -6,9 +6,30 @@
 #include <utility>
 
 #include "sched/registry.hpp"
+#include "service/protocol.hpp"
 #include "util/error.hpp"
 
 namespace fadesched::service {
+
+namespace {
+
+std::future<SchedulingResponse> Fulfilled(SchedulingResponse response) {
+  std::promise<SchedulingResponse> ready;
+  ready.set_value(std::move(response));
+  return ready.get_future();
+}
+
+/// A frame no request header could be attributed to answers with id "-".
+SchedulingResponse FrameRejection(util::ErrorKind kind, const char* message) {
+  SchedulingResponse response;
+  response.status = ResponseStatus::kError;
+  response.error_kind = kind;
+  response.message = message;
+  response.id = "-";
+  return response;
+}
+
+}  // namespace
 
 SchedulingService::SchedulingService(ServiceOptions options)
     : cache_(std::make_unique<ScenarioCache>(options.cache, &metrics_)),
@@ -117,9 +138,7 @@ std::future<SchedulingResponse> SchedulingService::Submit(
       metrics_.service_latency.Record(seconds);
       metrics_.total_latency.Record(seconds);
       metrics_.warm_total_latency.Record(seconds);
-      std::promise<SchedulingResponse> ready;
-      ready.set_value(std::move(response));
-      return ready.get_future();
+      return Fulfilled(std::move(response));
     }
 
     const RequestClass cls =
@@ -130,8 +149,21 @@ std::future<SchedulingResponse> SchedulingService::Submit(
   }
 }
 
-SchedulingResponse SchedulingService::Execute(SchedulingRequest request) {
-  return Submit(std::move(request)).get();
+std::future<SchedulingResponse> SchedulingService::SubmitFrame(
+    std::string_view frame) {
+  SchedulingRequest request;
+  try {
+    request = ParseRequestFrame(frame);
+  } catch (const util::HarnessError& e) {
+    (e.kind() == util::ErrorKind::kTransient ? metrics_.checksum_failures
+                                             : metrics_.protocol_errors)
+        .fetch_add(1, std::memory_order_relaxed);
+    return Fulfilled(FrameRejection(e.kind(), e.what()));
+  } catch (const std::exception& e) {
+    metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    return Fulfilled(FrameRejection(util::ErrorKind::kFatal, e.what()));
+  }
+  return Submit(std::move(request));
 }
 
 void SchedulingService::Drain() { batcher_->Drain(); }

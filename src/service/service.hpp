@@ -16,6 +16,7 @@
 
 #include <future>
 #include <memory>
+#include <string_view>
 
 #include "service/batcher.hpp"
 #include "service/metrics.hpp"
@@ -47,8 +48,13 @@ class SchedulingService {
   /// build — are shed first.
   std::future<SchedulingResponse> Submit(SchedulingRequest request);
 
-  /// Submit + wait.
-  SchedulingResponse Execute(SchedulingRequest request);
+  /// The front-ends' one entry point: parses a received frame (header
+  /// line through the line before END) and submits it. A frame that does
+  /// not parse never reaches Submit: it bumps checksum_failures (a check=
+  /// mismatch, kTransient — the client should retry) or protocol_errors
+  /// (anything else, kFatal — a caller bug) and comes back as an already
+  /// fulfilled kError response with id "-".
+  std::future<SchedulingResponse> SubmitFrame(std::string_view frame);
 
   /// Graceful shutdown: stop admission, finish queued + in-flight work.
   void Drain();

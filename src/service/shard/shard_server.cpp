@@ -57,15 +57,6 @@ bool WriteSome(int fd, std::string& data) {
   return true;
 }
 
-std::string ErrorLine(util::ErrorKind kind, const std::string& message) {
-  SchedulingResponse response;
-  response.status = ResponseStatus::kError;
-  response.error_kind = kind;
-  response.message = message;
-  response.id = "-";
-  return FormatResponseLine(response);
-}
-
 }  // namespace
 
 ShardServer::ShardServer(ShardServerOptions options)
@@ -272,7 +263,8 @@ std::size_t ShardServer::PickShard(const std::string& frame) {
 
 void ShardServer::FailTicket(std::uint64_t ticket_id,
                              const std::string& message) {
-  CompleteTicket(ticket_id, ErrorLine(util::ErrorKind::kTransient, message));
+  CompleteTicket(ticket_id,
+                 FormatErrorLine(util::ErrorKind::kTransient, message));
 }
 
 void ShardServer::SyntheticError(Conn& conn, util::ErrorKind kind,
@@ -281,7 +273,7 @@ void ShardServer::SyntheticError(Conn& conn, util::ErrorKind kind,
   Ticket ticket;
   ticket.conn_id = conn.id;
   ticket.done = true;
-  ticket.response = ErrorLine(kind, message);
+  ticket.response = FormatErrorLine(kind, message);
   tickets_.emplace(ticket_id, std::move(ticket));
   conn.fifo.push_back(ticket_id);
 }

@@ -16,7 +16,6 @@
 
 #include "service/protocol.hpp"
 #include "service/shard/pipe.hpp"
-#include "util/error.hpp"
 #include "util/signal_guard.hpp"
 
 namespace fadesched::service::shard {
@@ -143,49 +142,13 @@ int RunShardWorker(const ShardWorkerOptions& options) {
       decoder.Feed(chunk, static_cast<std::size_t>(n));
       while (auto msg = decoder.Pop()) {
         switch (msg->kind) {
-          case PipeMsgKind::kRequest: {
-            SchedulingRequest request;
-            bool parsed = false;
-            SchedulingResponse error_response;
-            try {
-              request = ParseRequestFrame(msg->payload);
-              parsed = true;
-            } catch (const util::HarnessError& e) {
-              // Same taxonomy split as the thread-per-connection server:
-              // corruption (check= mismatch) is kTransient and
-              // retryable; a malformed frame is a caller bug.
-              if (e.kind() == util::ErrorKind::kTransient) {
-                metrics.checksum_failures.fetch_add(1,
-                                                    std::memory_order_relaxed);
-              } else {
-                metrics.protocol_errors.fetch_add(1,
-                                                  std::memory_order_relaxed);
-              }
-              error_response.status = ResponseStatus::kError;
-              error_response.error_kind = e.kind();
-              error_response.message = e.what();
-              error_response.id = "-";
-            } catch (const std::exception& e) {
-              metrics.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-              error_response.status = ResponseStatus::kError;
-              error_response.error_kind = util::ErrorKind::kFatal;
-              error_response.message = e.what();
-              error_response.id = "-";
-            }
-            if (!parsed) {
-              PipeMsg out;
-              out.kind = PipeMsgKind::kResponse;
-              out.ticket = msg->ticket;
-              out.payload = FormatResponseLine(error_response);
-              if (!writer.Write(out)) eof = true;
-              break;
-            }
-            // Submit serves response-cache hits inline (the future comes
-            // back fulfilled), so warm repeats cost the drainer a get()
-            // and a write, never a batcher round-trip.
-            enqueue(msg->ticket, service.Submit(std::move(request)));
+          case PipeMsgKind::kRequest:
+            // SubmitFrame answers a frame that does not parse, and serves
+            // response-cache hits inline, with an already fulfilled
+            // future, so those cost the drainer a get() and a write,
+            // never a batcher round-trip.
+            enqueue(msg->ticket, service.SubmitFrame(msg->payload));
             break;
-          }
           case PipeMsgKind::kStatsQuery: {
             PipeMsg out;
             out.kind = PipeMsgKind::kStatsReply;

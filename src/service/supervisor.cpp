@@ -21,7 +21,6 @@ namespace fadesched::service {
 namespace {
 
 constexpr int kTickMs = 20;
-constexpr int kStartupCrashExit = 77;
 
 // SIGHUP = rolling restart. async-signal-safe flag, polled by the
 // embedder through ConsumeHupRequest() (same pattern as
@@ -46,9 +45,6 @@ void ProcessChaosOptions::Validate() const {
   if (window_seconds <= 0.0) {
     throw util::FatalError("process chaos: window_seconds must be positive");
   }
-  if (stall_seconds < 0.0) {
-    throw util::FatalError("process chaos: stall_seconds must be >= 0");
-  }
 }
 
 std::vector<ProcessFaultEvent> BuildProcessFaultPlan(
@@ -56,35 +52,14 @@ std::vector<ProcessFaultEvent> BuildProcessFaultPlan(
   chaos.Validate();
   FS_CHECK_MSG(num_workers >= 1, "fault plan needs >= 1 worker");
   std::vector<ProcessFaultEvent> plan;
-  plan.reserve(chaos.kills + chaos.stalls + chaos.startup_crashes);
-  // One derived stream per event kind so adding stalls never perturbs
-  // where the kills land (the same isolation idea as the per-connection
-  // socket fault streams).
+  plan.reserve(chaos.kills);
+  // seed·φ+1 is part of the --chaos-seed contract: changing it moves
+  // every seed's kills (ProcessFaultPlanTest.DrillKillPlacementsArePinned).
   rng::SplitMix64 kill_rng(chaos.seed * 0x9e3779b97f4a7c15ULL + 1);
-  rng::SplitMix64 stall_rng(chaos.seed * 0x9e3779b97f4a7c15ULL + 2);
   for (std::size_t k = 0; k < chaos.kills; ++k) {
     ProcessFaultEvent event;
-    event.kind = ProcessFaultEvent::Kind::kKill;
     event.at_seconds = UnitDraw(kill_rng) * chaos.window_seconds;
     event.slot = static_cast<std::size_t>(kill_rng.Next() % num_workers);
-    plan.push_back(event);
-  }
-  for (std::size_t s = 0; s < chaos.stalls; ++s) {
-    ProcessFaultEvent event;
-    event.kind = ProcessFaultEvent::Kind::kStall;
-    event.at_seconds = UnitDraw(stall_rng) * chaos.window_seconds;
-    event.slot = static_cast<std::size_t>(stall_rng.Next() % num_workers);
-    event.stall_seconds = chaos.stall_seconds;
-    plan.push_back(event);
-  }
-  // Startup crashes are not timed events — they poison the first N
-  // spawns — but they ride in the plan so one trace shows the whole
-  // injected history. at_seconds 0, slot = spawn ordinal.
-  for (std::size_t c = 0; c < chaos.startup_crashes; ++c) {
-    ProcessFaultEvent event;
-    event.kind = ProcessFaultEvent::Kind::kStartupCrash;
-    event.at_seconds = 0.0;
-    event.slot = c;
     plan.push_back(event);
   }
   std::stable_sort(plan.begin(), plan.end(),
@@ -92,32 +67,6 @@ std::vector<ProcessFaultEvent> BuildProcessFaultPlan(
                      return a.at_seconds < b.at_seconds;
                    });
   return plan;
-}
-
-std::string FormatProcessFaultPlan(
-    const std::vector<ProcessFaultEvent>& plan) {
-  std::ostringstream out;
-  for (const ProcessFaultEvent& event : plan) {
-    char time_buf[32];
-    std::snprintf(time_buf, sizeof(time_buf), "%.3f", event.at_seconds);
-    switch (event.kind) {
-      case ProcessFaultEvent::Kind::kKill:
-        out << "t=" << time_buf << " slot=" << event.slot << " kill\n";
-        break;
-      case ProcessFaultEvent::Kind::kStall: {
-        char stall_buf[32];
-        std::snprintf(stall_buf, sizeof(stall_buf), "%.3f",
-                      event.stall_seconds);
-        out << "t=" << time_buf << " slot=" << event.slot
-            << " stall=" << stall_buf << "\n";
-        break;
-      }
-      case ProcessFaultEvent::Kind::kStartupCrash:
-        out << "spawn=" << event.slot << " startup-crash\n";
-        break;
-    }
-  }
-  return out.str();
 }
 
 void SupervisorOptions::Validate() const {
@@ -147,9 +96,7 @@ std::string SupervisorReport::ToJson() const {
   out << "  \"restarts\": " << restarts << ",\n";
   out << "  \"rolled\": " << rolled << ",\n";
   out << "  \"crashes\": " << crashes << ",\n";
-  out << "  \"startup_crashes\": " << startup_crashes << ",\n";
   out << "  \"injected_kills\": " << injected_kills << ",\n";
-  out << "  \"injected_stalls\": " << injected_stalls << ",\n";
   out << "  \"breaker_open\": " << (breaker_open ? "true" : "false") << ",\n";
   char wall_buf[32];
   std::snprintf(wall_buf, sizeof(wall_buf), "%.3f", wall_seconds);
@@ -197,8 +144,6 @@ std::size_t Supervisor::LiveWorkers() const {
 void Supervisor::SpawnWorker(std::size_t slot_index) {
   Slot& slot = slots_[slot_index];
   const std::size_t spawn_ordinal = report_.spawned;
-  const bool crash_on_start = slot.startup_crash_next;
-  slot.startup_crash_next = false;
 
   if (options_.hooks.prepare_spawn) options_.hooks.prepare_spawn(slot_index);
 
@@ -225,9 +170,6 @@ void Supervisor::SpawnWorker(std::size_t slot_index) {
     // handlers.
     util::ClearShutdownRequest();
     g_hup_requested = 0;
-    if (crash_on_start) {
-      ::_exit(kStartupCrashExit);  // injected boot failure
-    }
     int rc = 1;
     try {
       rc = worker_main_(slot_index, spawn_ordinal);
@@ -297,13 +239,7 @@ void Supervisor::ReapWorkers() {
       // supervision contract (workers serve until told), but the restart
       // itself is what matters; count it as a crash too.
       report_.crashes += (clean ? 0 : 1);
-      const bool startup_crash =
-          WIFEXITED(status) && WEXITSTATUS(status) == kStartupCrashExit;
-      if (startup_crash) {
-        report_.startup_crashes += 1;
-      }
-      slot.next_spawn_reason =
-          startup_crash ? "startup-crash" : (clean ? "clean-exit" : "crash");
+      slot.next_spawn_reason = clean ? "clean-exit" : "crash";
       const bool was_stable =
           Seconds(now - slot.spawned_at) >= options_.stable_seconds;
       slot.consecutive_crashes =
@@ -324,62 +260,26 @@ void Supervisor::ReapWorkers() {
 }
 
 void Supervisor::FireDueFaults() {
+  // At most one kill per tick: the victim must be reaped before the next
+  // event fires, or a same-tick second kill would land on the already-
+  // dying pid and silently merge two planned faults into one observed
+  // crash — breaking the drill's `restarts == kills` ledger.
   const double elapsed = Seconds(std::chrono::steady_clock::now() - start_);
-  while (next_fault_ < fault_plan_.size() &&
-         fault_plan_[next_fault_].at_seconds <= elapsed) {
-    const ProcessFaultEvent& event = fault_plan_[next_fault_];
-    if (event.kind == ProcessFaultEvent::Kind::kStartupCrash) {
-      ++next_fault_;  // consumed at spawn time, not here
-      continue;
-    }
-    // Land on the planned slot if alive, else the first live worker; if
-    // nobody is alive yet (everyone mid-backoff), hold the event.
-    std::size_t victim = slots_.size();
-    if (slots_[event.slot].pid > 0) {
-      victim = event.slot;
-    } else {
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].pid > 0) {
-          victim = i;
-          break;
-        }
-      }
-    }
-    if (victim == slots_.size()) break;  // nobody alive: retry next tick
-    if (event.kind == ProcessFaultEvent::Kind::kKill) {
-      ::kill(slots_[victim].pid, SIGKILL);
-      report_.injected_kills += 1;
-      ++next_fault_;
-      // At most one kill per tick: the victim must be reaped before the
-      // next event fires, or a same-tick second kill would land on the
-      // already-dying pid and silently merge two planned faults into one
-      // observed crash — breaking the drill's `restarts == kills` ledger.
-      break;
-    }
-    ::kill(slots_[victim].pid, SIGSTOP);
-    report_.injected_stalls += 1;
-    pending_conts_.push_back(
-        {std::chrono::steady_clock::now() +
-             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                 std::chrono::duration<double>(event.stall_seconds)),
-         victim, slots_[victim].pid});
-    ++next_fault_;
+  if (next_fault_ >= fault_plan_.size() ||
+      fault_plan_[next_fault_].at_seconds > elapsed) {
+    return;
   }
-
-  const auto now = std::chrono::steady_clock::now();
-  for (auto it = pending_conts_.begin(); it != pending_conts_.end();) {
-    if (it->due > now) {
-      ++it;
-      continue;
-    }
-    // Only wake the exact process we stopped: if the slot's pid moved
-    // on, the stalled worker is already dead — signalling the number
-    // again could hit a recycled pid.
-    if (slots_[it->slot].pid == it->pid) {
-      ::kill(it->pid, SIGCONT);
-    }
-    it = pending_conts_.erase(it);
+  // Land on the planned slot if alive, else the first live worker; if
+  // nobody is alive yet (everyone mid-backoff), hold the event.
+  std::size_t victim = fault_plan_[next_fault_].slot;
+  if (slots_[victim].pid <= 0) {
+    victim = 0;
+    while (victim < slots_.size() && slots_[victim].pid <= 0) ++victim;
+    if (victim == slots_.size()) return;  // nobody alive: retry next tick
   }
+  ::kill(slots_[victim].pid, SIGKILL);
+  report_.injected_kills += 1;
+  ++next_fault_;
 }
 
 void Supervisor::DrainAll() {
@@ -408,9 +308,6 @@ void Supervisor::DrainAll() {
   }
   for (Slot& slot : slots_) {
     if (slot.pid <= 0) continue;
-    // SIGKILL lands even on a SIGSTOPped worker (KILL and CONT are the
-    // two signals that cannot be held off), so an injected stall cannot
-    // wedge shutdown.
     ::kill(slot.pid, SIGKILL);
     ::waitpid(slot.pid, nullptr, 0);
     slot.pid = -1;
@@ -431,8 +328,6 @@ void Supervisor::Begin() {
   slots_.assign(options_.num_workers, Slot{});
   fault_plan_ = BuildProcessFaultPlan(options_.chaos, options_.num_workers);
   next_fault_ = 0;
-  startup_crashes_left_ = options_.chaos.startup_crashes;
-  pending_conts_.clear();
   restart_times_.clear();
   start_ = std::chrono::steady_clock::now();
 
@@ -443,13 +338,7 @@ void Supervisor::Begin() {
   ::sigaction(SIGHUP, &hup_action, &g_old_hup);
   g_hup_requested = 0;
 
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (startup_crashes_left_ > 0) {
-      slots_[i].startup_crash_next = true;
-      --startup_crashes_left_;
-    }
-    SpawnWorker(i);
-  }
+  for (std::size_t i = 0; i < slots_.size(); ++i) SpawnWorker(i);
 }
 
 void Supervisor::Step() {
@@ -471,10 +360,6 @@ void Supervisor::Step() {
     Slot& slot = slots_[i];
     if (slot.pid > 0 || !slot.respawn_pending || slot.respawn_at > now) {
       continue;
-    }
-    if (startup_crashes_left_ > 0) {
-      slot.startup_crash_next = true;
-      --startup_crashes_left_;
     }
     SpawnWorker(i);
   }
@@ -514,10 +399,6 @@ bool Supervisor::ConsumeHupRequest() {
   return true;
 }
 
-bool Supervisor::StopRequested() const {
-  return stop_.load(std::memory_order_relaxed) || util::ShutdownRequested();
-}
-
 pid_t Supervisor::SlotPid(std::size_t slot) const {
   FS_CHECK_MSG(slot < slots_.size(), "SlotPid: slot out of range");
   return slots_[slot].pid;
@@ -537,16 +418,5 @@ void Supervisor::BeginSlotShutdown(std::size_t slot_index,
           std::chrono::duration<double>(options_.drain_grace_seconds));
   ::kill(slot.pid, SIGTERM);
 }
-
-SupervisorReport Supervisor::Run() {
-  Begin();
-  while (!StopRequested() && !report_.breaker_open) {
-    Step();
-    std::this_thread::sleep_for(std::chrono::milliseconds(kTickMs));
-  }
-  return End();
-}
-
-void Supervisor::Stop() { stop_.store(true, std::memory_order_relaxed); }
 
 }  // namespace fadesched::service

@@ -17,8 +17,11 @@
 //     backoff. The embedder drives rolls through it: shard::ShardServer
 //     polls ConsumeHupRequest() and rolls one arc at a time, draining
 //     each shard's in-flight tickets before its SIGTERM.
-//   * shutdown (Stop()/SIGTERM/SIGINT): SIGTERM to every worker, wait up
-//     to `drain_grace_seconds`, escalate to SIGKILL, reap, return.
+//   * shutdown (End()): SIGTERM to every worker, wait up to
+//     `drain_grace_seconds`, escalate to SIGKILL, reap, return.
+//
+// The embedder owns the loop: shard::ShardServer calls Begin() once,
+// Step() on every epoll tick, and End() when it stops serving.
 //
 // Crash-only rationale: workers are the only state holders, and their
 // state is a cache — so the recovery path IS the startup path. The
@@ -26,16 +29,15 @@
 // makes the injected-SIGKILL drill (below) exercise the exact same code
 // as a real segfault, OOM-kill, or deploy.
 //
-// Process-fault injection: a ProcessChaosOptions seed expands into a
-// deterministic, time-sorted plan of SIGKILLs, SIGSTOP stalls, and
-// startup crashes (same SplitMix64→Xoshiro idiom as the socket-level
-// ChaosPlan, so one seed replays one recovery history). The plan is a
-// plain vector — shrinking a failure is dropping events and re-running.
+// Process-fault injection is kills only: a ProcessChaosOptions seed
+// expands into a deterministic, time-sorted plan of SIGKILLs (same
+// SplitMix64 idiom as the socket-level ChaosPlan, so one seed replays one
+// recovery history). The plan is a plain vector — shrinking a failure is
+// dropping events and re-running.
 #pragma once
 
 #include <sys/types.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -44,29 +46,21 @@
 
 namespace fadesched::service {
 
-/// One scheduled process fault. `at_seconds` is relative to Begin().
+/// One scheduled SIGKILL. `at_seconds` is relative to Begin().
 struct ProcessFaultEvent {
-  enum class Kind { kKill, kStall, kStartupCrash };
-  Kind kind = Kind::kKill;
   double at_seconds = 0.0;
   /// Preferred victim slot; if it happens to be down when the event
   /// fires, the first live worker is hit instead (the fault must land
   /// for `restarts == injected kills` to be assertable).
   std::size_t slot = 0;
-  double stall_seconds = 0.0;  ///< kStall: SIGSTOP → SIGCONT gap
 };
 
-/// Seeded process-fault generator. kills/stalls are spread uniformly
-/// over [0, window_seconds); startup_crashes poison the first N spawns
-/// (the child _exit(77)s before serving), exercising the backoff and
-/// breaker paths deterministically.
+/// Seeded kill generator: `kills` SIGKILLs spread uniformly over
+/// [0, window_seconds).
 struct ProcessChaosOptions {
   std::uint64_t seed = 1;
   std::size_t kills = 0;
-  std::size_t stalls = 0;
-  std::size_t startup_crashes = 0;
   double window_seconds = 10.0;
-  double stall_seconds = 0.2;
 
   void Validate() const;
 };
@@ -74,11 +68,6 @@ struct ProcessChaosOptions {
 /// Expands the options into a time-sorted plan (deterministic per seed).
 std::vector<ProcessFaultEvent> BuildProcessFaultPlan(
     const ProcessChaosOptions& chaos, std::size_t num_workers);
-
-/// One line per event ("t=1.234 slot=2 kill" / "... stall=0.200" /
-/// "spawn=3 startup-crash"), sorted — byte-identical across runs of the
-/// same seed, diffable like the socket-level FaultTrace.
-std::string FormatProcessFaultPlan(const std::vector<ProcessFaultEvent>& plan);
 
 /// Lifecycle callbacks for embedders that interleave supervision with
 /// their own event loop (the shard router). All fire on the supervising
@@ -90,9 +79,9 @@ struct SupervisorHooks {
   /// After a successful fork, parent side.
   std::function<void(std::size_t slot, pid_t pid)> worker_spawned;
   /// A worker left its slot (reaped). `reason` is the slot's respawn
-  /// reason ("crash", "clean-exit", "startup-crash", "rolled", ...); the
-  /// router fails that shard's in-flight tickets and closes its pipe end
-  /// here. Fires before the respawn is scheduled.
+  /// reason ("crash", "clean-exit", "rolled", ...); the router fails that
+  /// shard's in-flight tickets and closes its pipe end here. Fires before
+  /// the respawn is scheduled.
   std::function<void(std::size_t slot, const std::string& reason)> worker_down;
   /// Extra JSON fields for this slot's entry in the status report, e.g.
   /// `"ring_arc": 0.25, "live": true`. Must be valid JSON object-body
@@ -145,9 +134,7 @@ struct SupervisorReport {
   std::size_t restarts = 0;         ///< crash-driven respawns
   std::size_t rolled = 0;           ///< "rolled" slot-shutdown respawns
   std::size_t crashes = 0;          ///< non-clean worker exits observed
-  std::size_t startup_crashes = 0;  ///< injected boot failures
   std::size_t injected_kills = 0;
-  std::size_t injected_stalls = 0;
   bool breaker_open = false;
   double wall_seconds = 0.0;
   std::vector<SlotStatus> slots;
@@ -169,15 +156,10 @@ class Supervisor {
 
   Supervisor(WorkerMain worker_main, SupervisorOptions options);
 
-  /// Begin(), a Step() loop at the tick cadence until Stop(), a guarded
-  /// SIGTERM/SIGINT, or the breaker opens, then End(). SIGHUP is not
-  /// acted on (see ConsumeHupRequest). Not reentrant.
-  SupervisorReport Run();
-
-  /// Stepwise API for embedders with their own event loop (the shard
-  /// router interleaves supervision ticks with epoll readiness — a
-  /// blocking Run() could never coordinate ring-aware draining, because
-  /// drain progress depends on that same loop pumping responses).
+  /// Stepwise API for an embedder with its own event loop (the shard
+  /// router interleaves supervision ticks with epoll readiness, because
+  /// ring-aware draining depends on that same loop pumping responses).
+  /// Not reentrant.
   ///
   /// Begin() installs the SIGHUP handler and forks the initial workers.
   /// Step() is one non-blocking supervision tick: reap, fire due faults,
@@ -193,9 +175,8 @@ class Supervisor {
   /// True once per delivered SIGHUP (clears the flag).
   [[nodiscard]] bool ConsumeHupRequest();
 
-  /// Breaker / external stop state, for embedder loop conditions.
+  /// Breaker state, for the embedder's loop condition.
   [[nodiscard]] bool BreakerOpen() const { return report_.breaker_open; }
-  [[nodiscard]] bool StopRequested() const;
 
   /// Pid of the worker currently in `slot` (-1 while between spawns).
   [[nodiscard]] pid_t SlotPid(std::size_t slot) const;
@@ -209,9 +190,6 @@ class Supervisor {
   /// worker_spawned.
   void BeginSlotShutdown(std::size_t slot, const std::string& reason);
 
-  /// Requests shutdown from any thread (idempotent).
-  void Stop();
-
  private:
   struct Slot {
     pid_t pid = -1;
@@ -219,7 +197,6 @@ class Supervisor {
     std::chrono::steady_clock::time_point spawned_at{};
     std::chrono::steady_clock::time_point respawn_at{};
     bool respawn_pending = false;
-    bool startup_crash_next = false;
     /// BeginSlotShutdown state: the next exit is expected (classified as
     /// `pending_reason`, respawned without backoff); past
     /// `shutdown_deadline` Step() escalates to SIGKILL.
@@ -247,19 +224,8 @@ class Supervisor {
   std::vector<Slot> slots_;
   std::vector<ProcessFaultEvent> fault_plan_;
   std::size_t next_fault_ = 0;
-  std::size_t startup_crashes_left_ = 0;
-  /// {due time, slot, pid at SIGSTOP time} — SIGCONT is skipped if the
-  /// slot's pid changed (the stalled worker died; never signal a reused
-  /// pid).
-  struct PendingCont {
-    std::chrono::steady_clock::time_point due;
-    std::size_t slot;
-    pid_t pid;
-  };
-  std::vector<PendingCont> pending_conts_;
   std::vector<std::chrono::steady_clock::time_point> restart_times_;
   std::chrono::steady_clock::time_point start_{};
-  std::atomic<bool> stop_{false};
   bool began_ = false;
 };
 

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <future>
+#include <string>
 #include <vector>
 
 #include "sched/registry.hpp"
@@ -95,7 +96,7 @@ TEST(SchedulingServiceTest, BatchedPathMatchesDirectPath) {
   SchedulingService service;
   const SchedulingRequest request = MakeRequest(2);
   const SchedulingResponse direct = service.HandleNow(request);
-  const SchedulingResponse batched = service.Execute(request);
+  const SchedulingResponse batched = service.Submit(request).get();
   ASSERT_TRUE(direct.Ok());
   ASSERT_TRUE(batched.Ok());
   EXPECT_EQ(FormatResponseLine(direct), FormatResponseLine(batched));
@@ -132,7 +133,8 @@ TEST(SchedulingServiceTest, ConcurrentIdenticalRequestsAgreeByteForByte) {
 TEST(SchedulingServiceTest, ResponseCacheHitIsServedInlineAlreadyFulfilled) {
   SchedulingService service;
   const SchedulingRequest request = MakeRequest(0);
-  ASSERT_TRUE(service.Execute(request).Ok());  // populate the response cache
+  // Populate the response cache.
+  ASSERT_TRUE(service.Submit(request).get().Ok());
 
   const auto submitted_before = service.Metrics().submitted.load();
   std::future<SchedulingResponse> warm = service.Submit(request);
@@ -154,13 +156,68 @@ TEST(SchedulingServiceTest, ResponseCacheHitIsServedInlineAlreadyFulfilled) {
 TEST(SchedulingServiceTest, DrainClosesTheInlineFastPathToo) {
   SchedulingService service;
   const SchedulingRequest request = MakeRequest(0);
-  ASSERT_TRUE(service.Execute(request).Ok());
+  ASSERT_TRUE(service.Submit(request).get().Ok());
   service.Drain();
   // A cached response must not be a backdoor around drain: the rejection
   // comes from the batcher with the canonical typed kind.
   const SchedulingResponse rejected = service.Submit(request).get();
   EXPECT_EQ(rejected.status, ResponseStatus::kShed);
   EXPECT_EQ(rejected.error_kind, util::ErrorKind::kInterrupted);
+}
+
+/// A request frame as the front-ends hand it over: END line stripped.
+std::string FrameOf(const SchedulingRequest& request) {
+  const std::string frame = FormatRequestFrame(request);
+  return frame.substr(0, frame.size() - 4);
+}
+
+TEST(SubmitFrameTest, ValidFrameAnswersLikeHandleNow) {
+  const SchedulingRequest request = MakeRequest(0);
+  const std::string frame = FrameOf(request);
+  SchedulingService service;
+  const std::string line =
+      FormatResponseLine(service.SubmitFrame(frame).get());
+  SchedulingService reference;
+  EXPECT_EQ(line,
+            FormatResponseLine(reference.HandleNow(ParseRequestFrame(frame))));
+  EXPECT_EQ(service.Metrics().submitted.load(), 1u);
+  EXPECT_EQ(service.Metrics().checksum_failures.load(), 0u);
+  EXPECT_EQ(service.Metrics().protocol_errors.load(), 0u);
+}
+
+TEST(SubmitFrameTest, TamperedCheckIsATransientChecksumFailure) {
+  std::string frame = FrameOf(MakeRequest(0));
+  const std::size_t digit = frame.find(" check=") + 7;
+  ASSERT_LT(digit, frame.size());
+  frame[digit] = frame[digit] == '0' ? '1' : '0';
+  SchedulingService service;
+  std::future<SchedulingResponse> future = service.SubmitFrame(frame);
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  const SchedulingResponse response = future.get();
+  EXPECT_EQ(response.status, ResponseStatus::kError);
+  EXPECT_EQ(response.error_kind, util::ErrorKind::kTransient);
+  EXPECT_EQ(response.id, "-");
+  EXPECT_EQ(service.Metrics().checksum_failures.load(), 1u);
+  EXPECT_EQ(service.Metrics().protocol_errors.load(), 0u);
+  EXPECT_EQ(service.Metrics().submitted.load(), 0u);
+}
+
+TEST(SubmitFrameTest, GarbageIsAFatalProtocolError) {
+  SchedulingService service;
+  std::future<SchedulingResponse> future =
+      service.SubmitFrame("this is not a request\n");
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  const SchedulingResponse response = future.get();
+  EXPECT_EQ(response.status, ResponseStatus::kError);
+  EXPECT_EQ(response.error_kind, util::ErrorKind::kFatal);
+  EXPECT_EQ(response.id, "-");
+  EXPECT_NE(response.message.find("request frame line 1"), std::string::npos)
+      << response.message;
+  EXPECT_EQ(service.Metrics().protocol_errors.load(), 1u);
+  EXPECT_EQ(service.Metrics().checksum_failures.load(), 0u);
+  EXPECT_EQ(service.Metrics().submitted.load(), 0u);
 }
 
 TEST(SchedulingServiceTest, EmptyLinkSetIsServed) {
