@@ -5,11 +5,16 @@
 // row-blocked query costs (the cache cliff once the matrix outgrows the
 // LLC), and a ULP differential check: tiled/tables vs the reference
 // calculator, and both ladder builds (dispatched tier and forced scalar)
-// vs the exact matrix build. Every timing is reported as median, p10 and
-// p90 over --reps repetitions, next to a host block. With --check the
-// exit code reflects ONLY those differential checks — timings are
-// reported but never gate anything. Run with FADESCHED_NO_SIMD=1 to
-// measure the forced-scalar dispatch path end to end.
+// vs the exact matrix build. A realization block times the §II fading
+// draw in ns per draw at m = 20/40/80 — the batched Rayleigh draw at
+// every SIMD tier the host supports, and sim::DrawRealization at the
+// dispatched tier — and checks that the tiers' batched draws are
+// bit-identical to scalar rng::Exponential. Every
+// timing is reported as median, p10 and p90 over --reps repetitions, next
+// to a host block. With --check the exit code reflects ONLY those
+// differential and bit-identity checks — timings are reported but never
+// gate anything. Run with FADESCHED_NO_SIMD=1 to measure the
+// forced-scalar dispatch path end to end.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -26,14 +31,17 @@
 #include <vector>
 
 #include "channel/batch_interference.hpp"
+#include "channel/exponential_kernel.hpp"
 #include "channel/interference.hpp"
 #include "channel/simd_dispatch.hpp"
 #include "mathx/stats.hpp"
 #include "mathx/ulp.hpp"
 #include "net/scenario.hpp"
+#include "rng/distributions.hpp"
 #include "rng/xoshiro256.hpp"
 #include "sched/greedy.hpp"
 #include "sched/rle.hpp"
+#include "sim/fading_models.hpp"
 #include "util/atomic_io.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -155,8 +163,91 @@ struct SizeReport {
   channel::LadderStats ladder;  // stats of the dispatched-tier fast build
 };
 
-std::string Json(const std::vector<SizeReport>& reports, std::uint64_t seed,
-                 long long reps, unsigned threads, bool check_passed) {
+// The realization kernel at one schedule size m: ns per Rayleigh draw
+// (m² uniforms and one batched exponential transform) for each tier the
+// host supports, lowest tier first, and ns per draw of the whole
+// sim::DrawRealization (draw, interference sums, decodes) at the
+// dispatched tier, with the fraction of receivers that decoded.
+struct RealizationReport {
+  std::size_t m = 0;
+  std::size_t trials = 0;
+  std::vector<std::pair<channel::SimdLevel, Spread>> draw_ns;
+  Spread realization_ns;
+  double decode_rate = 0.0;
+};
+
+// Schedule sizes of the realization block: Figs. 5–6 schedule a few
+// dozen links per slot.
+constexpr std::size_t kRealizationSizes[] = {20, 40, 80};
+
+std::vector<channel::SimdLevel> SupportedLevels() {
+  std::vector<channel::SimdLevel> levels;
+  for (const channel::SimdLevel level :
+       {channel::SimdLevel::kScalar, channel::SimdLevel::kAvx2,
+        channel::SimdLevel::kAvx512}) {
+    if (level <= channel::DetectSimdLevel()) levels.push_back(level);
+  }
+  return levels;
+}
+
+// Times about 2·10⁶ draws per rep at each tier and through
+// DrawRealization, and checks each tier's batched draw against m² scalar
+// rng::Exponential calls bit for bit. Returns false on a mismatch.
+bool MeasureRealization(std::size_t m, std::uint64_t seed, int reps,
+                        RealizationReport& report) {
+  const net::LinkSet links = MakeInstance(m, seed);
+  std::vector<net::LinkId> ids(m);
+  for (std::size_t i = 0; i < m; ++i) ids[i] = static_cast<net::LinkId>(i);
+  channel::ChannelParams params;
+  params.alpha = 3.0;
+  const std::vector<double> mean = channel::MeanRxPowerTable(links, params, ids);
+  const std::size_t n = m * m;
+  report.m = m;
+  report.trials = std::max<std::size_t>(1, 2000000 / n);
+  const double ns_per_draw = 1e9 / static_cast<double>(report.trials * n);
+  // Per-trial streams keyed like the Monte-Carlo simulator's.
+  const auto trial_gen = [&](std::size_t t) {
+    return rng::Xoshiro256(seed ^ (0x9e3779b97f4a7c15ULL * (t + 1)));
+  };
+  bool identical = true;
+  std::vector<double> z(n);
+  for (const channel::SimdLevel level : SupportedLevels()) {
+    report.draw_ns.emplace_back(
+        level, Measure(reps, ns_per_draw, [&] {
+          for (std::size_t t = 0; t < report.trials; ++t) {
+            rng::Xoshiro256 gen = trial_gen(t);
+            for (double& x : z) x = 1.0 - rng::UniformUnit(gen);
+            channel::simd::ExponentialInPlace(level, mean.data(), z.data(), n);
+          }
+        }));
+    rng::Xoshiro256 batch_gen(seed + m);
+    rng::Xoshiro256 scalar_gen(seed + m);
+    for (double& x : z) x = 1.0 - rng::UniformUnit(batch_gen);
+    channel::simd::ExponentialInPlace(level, mean.data(), z.data(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const double want = rng::Exponential(scalar_gen, mean[k]);
+      identical = identical && std::memcmp(&z[k], &want, sizeof(double)) == 0;
+    }
+  }
+  std::size_t decoded = 0;
+  std::vector<double> power;
+  report.realization_ns = Measure(reps, ns_per_draw, [&] {
+    for (std::size_t t = 0; t < report.trials; ++t) {
+      rng::Xoshiro256 gen = trial_gen(t);
+      sim::DrawRealization(gen, mean, m, params, sim::FadingOptions{}, power,
+                           [&](std::size_t, bool ok) { decoded += ok; });
+    }
+  });
+  report.decode_rate = static_cast<double>(decoded) /
+                       static_cast<double>(static_cast<std::size_t>(reps) *
+                                           report.trials * m);
+  return identical;
+}
+
+std::string Json(const std::vector<SizeReport>& reports,
+                 const std::vector<RealizationReport>& realization,
+                 std::uint64_t seed, long long reps, unsigned threads,
+                 bool check_passed) {
   std::ostringstream out;
   out.precision(6);
   out << std::fixed;
@@ -174,6 +265,25 @@ std::string Json(const std::vector<SizeReport>& reports, std::uint64_t seed,
   out << "  \"timing\": \"median, p10, p90 over reps\",\n";
   out << "  \"differential_check_passed\": "
       << (check_passed ? "true" : "false") << ",\n";
+  out << "  \"realization\": {\n";
+  out << "    \"unit\": \"ns per draw\",\n";
+  out << "    \"draw\": \"m² uniforms + simd::ExponentialInPlace, per tier\",\n";
+  out << "    \"realization\": \"sim::DrawRealization, Rayleigh, dispatched "
+         "tier\",\n";
+  out << "    \"sizes\": [\n";
+  for (std::size_t k = 0; k < realization.size(); ++k) {
+    const RealizationReport& r = realization[k];
+    out << "      {\"m\": " << r.m << ", \"trials\": " << r.trials;
+    for (const auto& [level, spread] : r.draw_ns) {
+      out << ",\n       \"draw_" << channel::SimdLevelName(level)
+          << "\": " << Value(spread);
+    }
+    out << ",\n       \"realization\": " << Value(r.realization_ns)
+        << ",\n       \"decode_rate\": " << Value(r.decode_rate) << "}"
+        << (k + 1 < realization.size() ? "," : "") << "\n";
+  }
+  out << "    ]\n";
+  out << "  },\n";
   out << "  \"sizes\": [\n";
   for (std::size_t k = 0; k < reports.size(); ++k) {
     const SizeReport& r = reports[k];
@@ -244,7 +354,8 @@ int main(int argc, char** argv) {
       cli.AddString("out", "BENCH_interference.json", "output JSON path");
   bool& check_only = cli.AddBool(
       "check", false,
-      "exit nonzero iff the differential ULP check fails (never on timing)");
+      "exit nonzero iff the differential ULP check or the realization "
+      "tiers' bit-identity check fails (never on timing)");
   if (!cli.Parse(argc, argv)) return cli.UsageExitCode();
   FS_CHECK_MSG(reps >= 1, "--reps must be >= 1");
   const int rep_count = static_cast<int>(reps);
@@ -253,8 +364,27 @@ int main(int argc, char** argv) {
   channel::ChannelParams params;
   params.alpha = 3.0;
 
-  std::vector<SizeReport> reports;
+  std::vector<RealizationReport> realization;
   bool check_passed = true;
+  for (const std::size_t m : kRealizationSizes) {
+    RealizationReport report;
+    if (!MeasureRealization(m, static_cast<std::uint64_t>(seed), rep_count,
+                            report)) {
+      check_passed = false;
+      std::cerr << "REALIZATION MISMATCH at m=" << m
+                << ": a SIMD tier's batched draw differs from "
+                   "rng::Exponential\n";
+    }
+    std::cerr << "realization m=" << m << " ns/draw";
+    for (const auto& [level, spread] : report.draw_ns) {
+      std::cerr << " draw_" << channel::SimdLevelName(level) << "="
+                << spread.median;
+    }
+    std::cerr << " realization=" << report.realization_ns.median << "\n";
+    realization.push_back(std::move(report));
+  }
+
+  std::vector<SizeReport> reports;
   for (const std::string& token : util::Split(sizes_flag, ',')) {
     const std::size_t n = static_cast<std::size_t>(std::stoull(token));
     const net::LinkSet links =
@@ -419,8 +549,8 @@ int main(int argc, char** argv) {
   }
 
   util::AtomicWriteFile(
-      out_path, Json(reports, static_cast<std::uint64_t>(seed), reps,
-                     pool.NumThreads(), check_passed));
+      out_path, Json(reports, realization, static_cast<std::uint64_t>(seed),
+                     reps, pool.NumThreads(), check_passed));
   std::cout << "wrote " << out_path << "\n";
   if (check_only && !check_passed) return 1;
   return 0;

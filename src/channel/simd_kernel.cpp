@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "rng/log_positive.hpp"
+
 #if defined(__x86_64__) || defined(_M_X64)
 #define FADESCHED_SIMD_X86 1
 #include <immintrin.h>
@@ -37,16 +39,17 @@ constexpr double kS2 = 1.0 / 3.0;
 constexpr double kS1 = -1.0 / 2.0;
 
 // fdlibm log(): atanh-series split polynomial over s = (m−1)/(m+1) with
-// m folded into [√2/2, √2), plus the exact-sum split of ln 2.
-constexpr double kLg1 = 6.666666666666735130e-01;
-constexpr double kLg2 = 3.999999999940941908e-01;
-constexpr double kLg3 = 2.857142874366239149e-01;
-constexpr double kLg4 = 2.222219843214978396e-01;
-constexpr double kLg5 = 1.818357216161805012e-01;
-constexpr double kLg6 = 1.531383769920937332e-01;
-constexpr double kLg7 = 1.479819860511658591e-01;
-constexpr double kLn2Hi = 6.93147180369123816490e-01;
-constexpr double kLn2Lo = 1.90821492927058770002e-10;
+// m folded into [√2/2, √2), plus the exact-sum split of ln 2 — the
+// constants of rng::LogPositive.
+using rng::kLg1;
+using rng::kLg2;
+using rng::kLg3;
+using rng::kLg4;
+using rng::kLg5;
+using rng::kLg6;
+using rng::kLg7;
+using rng::kLn2Hi;
+using rng::kLn2Lo;
 constexpr double kSqrt2 = 1.4142135623730951;
 
 constexpr std::uint64_t kMantissaMask = 0x000FFFFFFFFFFFFFull;

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "rng/log_positive.hpp"
 #include "util/check.hpp"
 
 namespace fadesched::rng {
@@ -41,8 +42,10 @@ std::uint64_t UniformIndex(Gen& gen, std::uint64_t bound) {
 template <typename Gen>
 double Exponential(Gen& gen, double mean) {
   FS_DCHECK(mean > 0);
-  // 1 - U is in (0, 1], so the log argument never hits zero.
-  return -mean * std::log1p(-UniformUnit(gen));
+  // 1 - U is exact and in [2⁻⁵³, 1], so the log argument never hits zero
+  // and ln(1 - U) = log1p(-U). The batched fading draw
+  // (channel::simd::ExponentialInPlace) reproduces these bits.
+  return -mean * LogPositive(1.0 - UniformUnit(gen));
 }
 
 /// Rayleigh *amplitude* with scale sigma; its square is Exponential(2σ²).
@@ -51,7 +54,7 @@ double Exponential(Gen& gen, double mean) {
 template <typename Gen>
 double RayleighAmplitude(Gen& gen, double sigma) {
   FS_DCHECK(sigma > 0);
-  return sigma * std::sqrt(-2.0 * std::log1p(-UniformUnit(gen)));
+  return sigma * std::sqrt(-2.0 * LogPositive(1.0 - UniformUnit(gen)));
 }
 
 /// Standard normal via Box–Muller on two independent uniforms.

@@ -3,29 +3,10 @@
 #include "rng/splitmix64.hpp"
 
 namespace fadesched::rng {
-namespace {
-
-constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 Xoshiro256::Xoshiro256(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& word : state_) word = sm.Next();
-}
-
-std::uint64_t Xoshiro256::Next() {
-  const std::uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 void Xoshiro256::Jump() {

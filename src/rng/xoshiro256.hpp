@@ -18,7 +18,18 @@ class Xoshiro256 {
   /// Seeds the 256-bit state by running SplitMix64 on `seed`.
   explicit Xoshiro256(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  std::uint64_t Next();
+  /// Inline: the §II fading draw calls it m² times per realization.
+  std::uint64_t Next() {
+    const std::uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   // UniformRandomBitGenerator interface so std distributions also work.
   std::uint64_t operator()() { return Next(); }
@@ -38,6 +49,10 @@ class Xoshiro256 {
   [[nodiscard]] std::array<std::uint64_t, 4> State() const { return state_; }
 
  private:
+  static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_;
 };
 

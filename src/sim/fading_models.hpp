@@ -12,7 +12,12 @@
 // DrawRealization is the one §II realization-and-decode kernel: the
 // Monte-Carlo simulator, the feedback retry loop and the slotted dynamics
 // simulator all call it, each with its own stream keying. Header-only so
-// fs_sched can use it without linking fs_sim.
+// fs_sched can use it without linking fs_sim. Its Rayleigh path keeps the
+// per-trial stream serial — m² complements 1 − U in row-major order — and
+// vectorizes only the log, through one batched
+// channel::simd::ExponentialInPlace call whose SIMD tiers are
+// bit-identical to m² scalar rng::Exponential draws. Nakagami and
+// shadowed fading keep the per-draw DrawFadedPower loop.
 #pragma once
 
 #include <cmath>
@@ -20,7 +25,9 @@
 #include <span>
 #include <vector>
 
+#include "channel/exponential_kernel.hpp"
 #include "channel/params.hpp"
+#include "channel/simd_dispatch.hpp"
 #include "rng/distributions.hpp"
 #include "util/check.hpp"
 
@@ -76,24 +83,42 @@ double DrawFadedPower(Gen& gen, double mean, const FadingOptions& options) {
 /// `on_decode(j, ok)` for j = 0..m−1 with
 ///   ok ⇔ Z_jj ≥ γ_th·(N₀ + Σ_{i≠j} Z_ij).
 /// With the paper's N₀ = 0 a receiver with no interferer always decodes.
-/// Consumes exactly m² draws from `gen`; `power` is scratch (resized to m²).
+/// Consumes exactly m² draws from `gen`; `power` is scratch (resized to
+/// m² + m: the powers, then the per-victim interference sums).
+///
+/// Rayleigh draws all m² complements 1 − U first and turns them into
+/// powers with one batched call; the values are those of m² scalar
+/// rng::Exponential calls at every dispatch tier. Interference is summed
+/// row by row (contiguous), but each victim j still adds i = 0..m−1 in
+/// order, so the sums are bitwise those of a column walk.
 template <typename Gen, typename OnDecode>
 void DrawRealization(Gen& gen, std::span<const double> mean, std::size_t m,
                      const channel::ChannelParams& params,
                      const FadingOptions& options, std::vector<double>& power,
                      OnDecode&& on_decode) {
   FS_DCHECK(mean.size() == m * m);
-  power.resize(m * m);
-  for (std::size_t k = 0; k < m * m; ++k) {
-    power[k] = DrawFadedPower(gen, mean[k], options);
+  const std::size_t n = m * m;
+  power.resize(n + m);
+  double* const z = power.data();
+  if (options.model == FadingModel::kRayleigh) {
+    for (std::size_t k = 0; k < n; ++k) z[k] = 1.0 - rng::UniformUnit(gen);
+    channel::simd::ExponentialInPlace(channel::SimdLevel::kAuto, mean.data(),
+                                      z, n);
+  } else {
+    for (std::size_t k = 0; k < n; ++k) {
+      z[k] = DrawFadedPower(gen, mean[k], options);
+    }
+  }
+  double* const interference = z + n;
+  for (std::size_t j = 0; j < m; ++j) interference[j] = params.noise_power;
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* row = z + i * m;
+    for (std::size_t j = 0; j < i; ++j) interference[j] += row[j];
+    for (std::size_t j = i + 1; j < m; ++j) interference[j] += row[j];
   }
   for (std::size_t j = 0; j < m; ++j) {
-    double interference = params.noise_power;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (i != j) interference += power[i * m + j];
-    }
-    on_decode(j, interference == 0.0 ||
-                     power[j * m + j] >= params.gamma_th * interference);
+    on_decode(j, interference[j] == 0.0 ||
+                     z[j * m + j] >= params.gamma_th * interference[j]);
   }
 }
 

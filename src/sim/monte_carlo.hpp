@@ -5,13 +5,16 @@
 // scheduled receiver's SINR X_j = Z_jj / Σ_{i∈P\j} Z_ij, and records which
 // links decode (X_j ≥ γ_th). The draw and the decode test are the shared
 // kernel sim::DrawRealization (fading_models.hpp) over the mean table of
-// channel::MeanRxPowerTable. The paper's evaluation metrics — number of
-// failed transmissions and throughput — are per-trial functionals whose
-// distribution we summarize across trials.
+// channel::MeanRxPowerTable; its Rayleigh draw applies the log to all m²
+// uniforms of a trial in one batched SIMD call. The paper's evaluation
+// metrics — number of failed transmissions and throughput — are per-trial
+// functionals whose distribution we summarize across trials.
 //
 // Trials are split across a thread pool; every trial owns a dedicated
 // xoshiro256++ stream derived from the master seed, so results are
-// bit-identical for any thread count.
+// bit-identical for any thread count, and — because the batched draw's
+// SIMD tiers reproduce the scalar variates bit for bit — for any
+// FADESCHED_NO_SIMD / FADESCHED_SIMD_LEVEL setting.
 #pragma once
 
 #include <cstdint>

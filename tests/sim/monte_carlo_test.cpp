@@ -211,5 +211,52 @@ TEST(MonteCarloTest, OptionsValidateCatchesBadFields) {
   EXPECT_THROW(options.Validate(), util::CheckFailure);
 }
 
+// Rayleigh and shadowed results pinned as hex floats captured before the
+// fading draw moved to the in-house log and the batched SIMD transform.
+// ln(1 − U) there is within 1 ULP of the libm log1p(−U) it replaced; a
+// decode flips only if that ULP straddles a threshold, and none does
+// here, so any change to these bits is a change to the §II sampling.
+TEST(MonteCarloTest, RayleighAndShadowedResultsArePinned) {
+  rng::Xoshiro256 gen(2017);
+  net::UniformScenarioParams layout;
+  layout.region_size = 120.0;
+  const net::LinkSet links = net::MakeUniformScenario(12, layout, gen);
+  net::Schedule schedule(links.Size());
+  std::iota(schedule.begin(), schedule.end(), 0);
+  struct Pinned {
+    FadingModel model;
+    double failed_mean;
+    double failed_variance;
+    std::vector<double> link_success_rate;
+  };
+  const std::vector<Pinned> pinned = {
+      {FadingModel::kRayleigh, 0x1.dd020c49ba5e5p+2, 0x1.dda3d0e0c98f6p+0,
+       {0x1.25e353f7ced91p-2, 0x1.c8b4395810625p-5, 0x1.72f1a9fbe76c9p-2,
+        0x1.ae147ae147ae1p-5, 0x1.a53f7ced91687p-1, 0x1.8604189374bc7p-1,
+        0x1.ea7ef9db22d0ep-4, 0x1.8fdf3b645a1cbp-2, 0x1.a1cac083126e9p-6,
+        0x1.849ba5e353f7dp-1, 0x1.50a3d70a3d70ap-1, 0x1.028f5c28f5c29p-2}},
+      {FadingModel::kShadowedRayleigh, 0x1.0151eb851eb8bp+3,
+       0x1.24c05af43550ap+1,
+       {0x1.272b020c49ba6p-2, 0x1.dc28f5c28f5c3p-4, 0x1.3604189374bc7p-2,
+        0x1.06a7ef9db22d1p-3, 0x1.49db22d0e5604p-1, 0x1.1b851eb851eb8p-1,
+        0x1.4e5604189374cp-3, 0x1.34395810624ddp-2, 0x1.8f5c28f5c28f6p-4,
+        0x1.17ced916872bp-1, 0x1.07ced916872bp-1, 0x1.34fdf3b645a1dp-2}},
+  };
+  for (const Pinned& want : pinned) {
+    SimOptions options;
+    options.trials = 4000;
+    options.seed = 31;
+    options.fading.model = want.model;
+    const SimResult result =
+        SimulateSchedule(links, PaperParams(), schedule, options);
+    EXPECT_EQ(result.failed_per_trial.Mean(), want.failed_mean)
+        << FadingModelName(want.model);
+    EXPECT_EQ(result.failed_per_trial.Variance(), want.failed_variance)
+        << FadingModelName(want.model);
+    EXPECT_EQ(result.link_success_rate, want.link_success_rate)
+        << FadingModelName(want.model);
+  }
+}
+
 }  // namespace
 }  // namespace fadesched::sim
