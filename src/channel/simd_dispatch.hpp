@@ -7,9 +7,16 @@
 //   kAvx512 — AVX-512 F/DQ/VL. Uses reciprocal/rsqrt seed iterations, so
 //             results differ from the scalar expression by a few ULP
 //             (the precision ladder bounds and repairs the difference).
-//   kAvx2   — AVX2+FMA with real vdivpd/vsqrtpd. Bit-identical to
-//             kScalar by construction: the same correctly-rounded
-//             operations in the same order, four lanes at a time.
+//   kAvx2   — AVX2+FMA with real vdivpd/vsqrtpd, written as kScalar's
+//             correctly-rounded operations in kScalar's order, four lanes
+//             at a time. That does not make it bit-identical: the kernel
+//             TU is built with -ffp-contract=fast, and GCC 12 fuses four
+//             multiply/add pairs of Avx2Fill into FMAs, which round once
+//             instead of twice. What is pinned is narrower:
+//             SimdKernelTest.Avx2IsBitIdenticalToScalar compares rows bit
+//             for bit on one fixed sample (131 links, five α, both row
+//             modes), and EveryTierWithinBandOfExactExpression bounds
+//             every tier against the exact expression in ULPs.
 //   kScalar — portable fallback; also what `FADESCHED_NO_SIMD=1` forces.
 //
 // Dispatch is observable and overridable in two ways:

@@ -30,6 +30,18 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 RequestBatcher::RequestBatcher(Handler handler, BatcherOptions options,
                                ServiceMetrics* metrics)
+    : RequestBatcher(
+          handler == nullptr
+              ? FingerprintedHandler()
+              : FingerprintedHandler(
+                    [plain = std::move(handler)](
+                        const SchedulingRequest& request, const Fingerprint*) {
+                      return plain(request);
+                    }),
+          options, metrics) {}
+
+RequestBatcher::RequestBatcher(FingerprintedHandler handler,
+                               BatcherOptions options, ServiceMetrics* metrics)
     : handler_(std::move(handler)),
       options_(options),
       metrics_(metrics),
@@ -46,8 +58,9 @@ RequestBatcher::RequestBatcher(Handler handler, BatcherOptions options,
 
 RequestBatcher::~RequestBatcher() { Drain(); }
 
-std::future<SchedulingResponse> RequestBatcher::Submit(SchedulingRequest request,
-                                                       RequestClass cls) {
+std::future<SchedulingResponse> RequestBatcher::Submit(
+    SchedulingRequest request, RequestClass cls,
+    std::optional<Fingerprint> fingerprint) {
   std::promise<SchedulingResponse> promise;
   std::future<SchedulingResponse> future = promise.get_future();
   if (metrics_ != nullptr) {
@@ -122,6 +135,7 @@ std::future<SchedulingResponse> RequestBatcher::Submit(SchedulingRequest request
     item.deadline = util::Deadline::After(deadline_seconds);
     item.enqueued = std::chrono::steady_clock::now();
     item.request = std::move(request);
+    item.fingerprint = std::move(fingerprint);
     item.promise = std::move(promise);
     item.cls = cls;
     (cls == RequestClass::kCold ? cold_queue_ : warm_queue_)
@@ -193,7 +207,8 @@ void RequestBatcher::WorkerLoop(bool warm_only) {
     const auto service_start = std::chrono::steady_clock::now();
     SchedulingResponse response;
     try {
-      response = handler_(item.request);
+      response = handler_(item.request, item.fingerprint ? &*item.fingerprint
+                                                          : nullptr);
       response.id = item.request.id;
     } catch (...) {
       const util::ErrorKind kind =

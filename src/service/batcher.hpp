@@ -47,6 +47,7 @@
 #include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -79,9 +80,15 @@ class RequestBatcher {
   /// Executes one admitted request. Runs on worker threads; may throw
   /// (classified into a kError response). Must not block indefinitely.
   using Handler = std::function<SchedulingResponse(const SchedulingRequest&)>;
+  /// A handler that also receives the fingerprint Submit was given, or
+  /// nullptr, so a request is not fingerprinted twice.
+  using FingerprintedHandler = std::function<SchedulingResponse(
+      const SchedulingRequest&, const Fingerprint*)>;
 
   /// `metrics` may be null. Workers start immediately.
   RequestBatcher(Handler handler, BatcherOptions options = {},
+                 ServiceMetrics* metrics = nullptr);
+  RequestBatcher(FingerprintedHandler handler, BatcherOptions options = {},
                  ServiceMetrics* metrics = nullptr);
   ~RequestBatcher();
 
@@ -92,9 +99,11 @@ class RequestBatcher {
   /// resolve the future with the corresponding status — the future never
   /// carries an exception and is always fulfilled. `cls` feeds the
   /// two-tier shedder; callers that cannot classify pass the default
-  /// kWarm, which is only shed under ShedPolicy::kAll.
-  std::future<SchedulingResponse> Submit(SchedulingRequest request,
-                                         RequestClass cls = RequestClass::kWarm);
+  /// kWarm, which is only shed under ShedPolicy::kAll. `fingerprint`
+  /// rides with the request to a FingerprintedHandler.
+  std::future<SchedulingResponse> Submit(
+      SchedulingRequest request, RequestClass cls = RequestClass::kWarm,
+      std::optional<Fingerprint> fingerprint = std::nullopt);
 
   /// Submit + wait (convenience for synchronous callers).
   SchedulingResponse Execute(SchedulingRequest request,
@@ -114,6 +123,7 @@ class RequestBatcher {
  private:
   struct Item {
     SchedulingRequest request;
+    std::optional<Fingerprint> fingerprint;
     std::promise<SchedulingResponse> promise;
     util::Deadline deadline;
     std::chrono::steady_clock::time_point enqueued;
@@ -126,7 +136,7 @@ class RequestBatcher {
 
   void SetDepthGauge(std::size_t depth) const;
 
-  Handler handler_;
+  FingerprintedHandler handler_;
   BatcherOptions options_;
   ServiceMetrics* metrics_;
   OverloadController overload_;

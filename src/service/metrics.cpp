@@ -86,6 +86,7 @@ std::string ServiceMetrics::ToJson() const {
   out << "  \"failed\": " << get(failed) << ",\n";
   out << "  \"cache\": {\n";
   out << "    \"response_hits\": " << get(response_hits) << ",\n";
+  out << "    \"raw_hits\": " << get(raw_hits) << ",\n";
   out << "    \"response_misses\": " << get(response_misses) << ",\n";
   out << "    \"scenario_hits\": " << get(scenario_hits) << ",\n";
   out << "    \"scenario_misses\": " << get(scenario_misses) << ",\n";

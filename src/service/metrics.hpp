@@ -63,6 +63,7 @@ struct ServiceMetrics {
 
   // Cache.
   std::atomic<std::uint64_t> response_hits{0};
+  std::atomic<std::uint64_t> raw_hits{0};  ///< response_hits needing no parse
   std::atomic<std::uint64_t> response_misses{0};
   std::atomic<std::uint64_t> scenario_hits{0};
   std::atomic<std::uint64_t> scenario_misses{0};

@@ -150,33 +150,32 @@ std::string FormatRequestFrame(const SchedulingRequest& request) {
   return frame;
 }
 
-SchedulingRequest ParseRequestFrame(std::string_view frame) {
+RequestHeader ParseRequestHeader(std::string_view frame) {
   const std::size_t header_end = frame.find('\n');
   if (header_end == std::string_view::npos) {
     throw util::FatalError(
         "request frame line 1: header is not newline-terminated");
   }
-  const std::string_view header = frame.substr(0, header_end);
-  const std::string_view payload = frame.substr(header_end + 1);
-  const std::vector<std::string_view> tokens = SplitTokens(header);
+  RequestHeader header;
+  header.line = frame.substr(0, header_end);
+  header.payload = frame.substr(header_end + 1);
+  const std::vector<std::string_view> tokens = SplitTokens(header.line);
   if (tokens.empty() || tokens[0] != "REQUEST") {
     throw util::FatalError(
         "request frame line 1: expected 'REQUEST id=... scheduler=...', got '" +
-        std::string(header) + "'");
+        std::string(header.line) + "'");
   }
 
-  SchedulingRequest request;
-  request.scheduler.clear();
   std::optional<std::uint64_t> check;
   for (std::size_t t = 1; t < tokens.size(); ++t) {
     const auto [key, value] = SplitKeyValue(tokens[t], 1);
     if (key == "id") {
-      request.id = value;
+      header.id = value;
     } else if (key == "scheduler") {
-      request.scheduler = value;
+      header.scheduler = value;
     } else if (key == "deadline") {
       try {
-        request.deadline_seconds = ParseDouble(value, "deadline");
+        header.deadline_seconds = ParseDouble(value, "deadline");
       } catch (const util::HarnessError& e) {
         // Prefixed so the retry client's corruption heuristic (fatal
         // errors naming the frame on a frame *we* formatted correctly)
@@ -184,7 +183,7 @@ SchedulingRequest ParseRequestFrame(std::string_view frame) {
         throw util::FatalError(std::string("request frame line 1: ") +
                                e.what());
       }
-      if (request.deadline_seconds < 0.0) {
+      if (header.deadline_seconds < 0.0) {
         throw util::FatalError(
             "request frame line 1: deadline must be non-negative");
       }
@@ -200,10 +199,10 @@ SchedulingRequest ParseRequestFrame(std::string_view frame) {
                              std::string(key) + "'");
     }
   }
-  if (request.id.empty()) {
+  if (header.id.empty()) {
     throw util::FatalError("request frame line 1: missing id=");
   }
-  if (request.scheduler.empty()) {
+  if (header.scheduler.empty()) {
     throw util::FatalError("request frame line 1: missing scheduler=");
   }
   if (!check.has_value()) {
@@ -216,9 +215,61 @@ SchedulingRequest ParseRequestFrame(std::string_view frame) {
         "request frame line 1: missing check= integrity token (wire "
         "corruption, or a pre-checksum peer — retry with check=)");
   }
+  header.check = *check;
+  return header;
+}
 
+namespace {
+
+// Where the check token sits in the header: [begin, end) covers the token
+// and the one separator before it, the bytes the body hash splices out.
+struct CheckSplice {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+// The token is located by any whitespace boundary, not just ' ': a space
+// corrupted into a tab still tokenizes, and must not silently disable
+// verification. Empty when no "check=" follows a space or tab.
+std::optional<CheckSplice> LocateCheckToken(std::string_view line) {
+  std::size_t pos = 0;
+  for (;;) {
+    pos = line.find("check=", pos);
+    if (pos == std::string_view::npos || pos == 0) return std::nullopt;
+    const char before = line[pos - 1];
+    if (before == ' ' || before == '\t') break;
+    ++pos;
+  }
+  // The token ends where the tokenizer ended it, so a stray '\r' or '\v'
+  // after it is hashed rather than spliced away.
+  return CheckSplice{pos - 1,
+                     std::min(line.find_first_of(kBlanks, pos), line.size())};
+}
+
+// The body is the frame with the check token spliced out, mirroring the
+// format side, hashed in place as three chained pieces.
+std::uint64_t BodyCheck(const RequestHeader& header, const CheckSplice& at) {
+  return Fnv1a64(header.payload,
+                 Fnv1a64("\n", Fnv1a64(header.line.substr(at.end),
+                                       Fnv1a64(header.line.substr(
+                                           0, at.begin)))));
+}
+
+}  // namespace
+
+bool RequestCheckMatches(const RequestHeader& header) {
+  const std::optional<CheckSplice> at = LocateCheckToken(header.line);
+  return at.has_value() && BodyCheck(header, *at) == header.check;
+}
+
+SchedulingRequest ParseRequestBody(const RequestHeader& header,
+                                   bool check_matched) {
+  SchedulingRequest request;
+  request.id = header.id;
+  request.scheduler = header.scheduler;
+  request.deadline_seconds = header.deadline_seconds;
   try {
-    request.scenario = fadesched::testing::ParseScenario(payload);
+    request.scenario = fadesched::testing::ParseScenario(header.payload);
   } catch (const std::exception& e) {
     // ParseScenario's message already names its own 1-based line/row; the
     // payload starts at frame line 2.
@@ -226,48 +277,34 @@ SchedulingRequest ParseRequestFrame(std::string_view frame) {
         std::string("request frame scenario payload (frame line 2 onward): ") +
         e.what());
   }
+  if (check_matched) return request;
   // Verified after the parse on purpose: a corrupted payload that fails
   // to parse keeps its precise row diagnostic; one that still parses —
   // or a flipped header token that still splits as key=value — is caught
-  // here instead of silently scheduling the wrong instance. The body is
-  // the frame with the check token (and the one separator before it)
-  // spliced out, mirroring the format side, and is hashed in place as
-  // three chained pieces. The token is located by any whitespace
-  // boundary, not just ' ': a space corrupted into a tab still tokenizes,
-  // and must not silently disable verification.
-  std::size_t pos = 0;
-  for (;;) {
-    pos = header.find("check=", pos);
-    if (pos == std::string_view::npos || pos == 0) {
-      // Unreachable when `check` parsed from a token, kept as a guard.
-      throw util::TransientError(
-          "request frame line 1: check= token lost during reparse (wire "
-          "corruption — retry)");
-    }
-    const char before = header[pos - 1];
-    if (before == ' ' || before == '\t') {
-      --pos;  // splice the separator out together with the token
-      break;
-    }
-    ++pos;
+  // here instead of silently scheduling the wrong instance.
+  const std::optional<CheckSplice> at = LocateCheckToken(header.line);
+  if (!at.has_value()) {
+    // A check= token that follows a separator other than space or tab.
+    throw util::TransientError(
+        "request frame line 1: check= token lost during reparse (wire "
+        "corruption — retry)");
   }
-  // The token ends where the tokenizer ended it, so a stray '\r' or '\v'
-  // after it is hashed rather than spliced away.
-  const std::size_t token_end =
-      std::min(header.find_first_of(kBlanks, pos + 1), header.size());
-  const std::uint64_t hash =
-      Fnv1a64(payload, Fnv1a64("\n", Fnv1a64(header.substr(token_end),
-                                             Fnv1a64(header.substr(0, pos)))));
-  if (*check != hash) {
-    const std::size_t body_bytes =
-        pos + (header.size() - token_end) + 1 + payload.size();
+  const std::uint64_t hash = BodyCheck(header, *at);
+  if (header.check != hash) {
+    const std::size_t body_bytes = at->begin +
+                                   (header.line.size() - at->end) + 1 +
+                                   header.payload.size();
     throw util::TransientError(
         "request frame checksum mismatch: " + std::to_string(body_bytes) +
         " frame byte(s) hash to " + FormatHash(hash) +
-        ", header claims check=" + FormatHash(*check) +
+        ", header claims check=" + FormatHash(header.check) +
         " (wire corruption — retry)");
   }
   return request;
+}
+
+SchedulingRequest ParseRequestFrame(std::string_view frame) {
+  return ParseRequestBody(ParseRequestHeader(frame));
 }
 
 namespace {

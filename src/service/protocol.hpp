@@ -131,7 +131,35 @@ std::string FormatRequestFrame(const SchedulingRequest& request);
 /// Throws util::HarnessError naming the offending 1-based frame line on
 /// malformed input: kFatal for structural errors (a caller bug),
 /// kTransient for a missing or mismatching check= (wire corruption).
+/// Equivalent to ParseRequestBody(ParseRequestHeader(frame)).
 SchedulingRequest ParseRequestFrame(std::string_view frame);
+
+/// A request frame's header line, validated. The views point into the
+/// frame, which must outlive the header.
+struct RequestHeader {
+  std::string_view line;       ///< the header line, without its newline
+  std::string_view payload;    ///< every frame byte after the header line
+  std::string_view id;
+  std::string_view scheduler;
+  double deadline_seconds = 0.0;
+  std::uint64_t check = 0;     ///< the check= value the header claims
+};
+
+/// ParseRequestFrame's first half: every check it makes on the header
+/// line (keys, id=, scheduler=, deadline=, the check= spelling and its
+/// presence), with the same errors in the same order.
+RequestHeader ParseRequestHeader(std::string_view frame);
+
+/// True when check= matches the frame body: one FNV pass over the frame.
+/// False also when the token cannot be located (ParseRequestBody then
+/// reports which).
+bool RequestCheckMatches(const RequestHeader& header);
+
+/// ParseRequestFrame's second half: parses the payload (kFatal on error),
+/// then verifies check= (kTransient on a mismatch) unless the caller has
+/// already seen RequestCheckMatches(header) return true.
+SchedulingRequest ParseRequestBody(const RequestHeader& header,
+                                   bool check_matched = false);
 
 /// Formats the single response line (no trailing newline). Deliberately
 /// omits cache_hit so hit and miss responses are byte-identical.

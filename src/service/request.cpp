@@ -1,6 +1,7 @@
 #include "service/request.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "geom/vec2.hpp"
 #include "util/check.hpp"
@@ -33,6 +34,37 @@ std::uint64_t Fnv1a64(std::string_view bytes, std::uint64_t seed) {
 
 namespace {
 
+// Odd 64-bit constants (the golden ratio and splitmix64's multipliers).
+constexpr std::uint64_t kWordK0 = 0x9e3779b97f4a7c15ull;
+constexpr std::uint64_t kWordK1 = 0xbf58476d1ce4e5b9ull;
+constexpr std::uint64_t kWordK2 = 0x94d049bb133111ebull;
+constexpr std::uint64_t kWordK3 = 0xd6e8feb86659fd93ull;
+
+std::uint64_t Load64(const char* p) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+__extension__ typedef unsigned __int128 Uint128;  // GCC/Clang builtin
+
+// The full 128-bit product folded to 64 bits: every output bit depends on
+// every bit of both operands.
+std::uint64_t Fold(std::uint64_t a, std::uint64_t b) {
+  const Uint128 product = static_cast<Uint128>(a) * b;
+  return static_cast<std::uint64_t>(product) ^
+         static_cast<std::uint64_t>(product >> 64);
+}
+
+// One 32-byte step: each lane folds its two words and multiplies the
+// result into its state by an odd constant, which is invertible, so no
+// input can wipe what the lane has absorbed.
+void WordStep(const char* p, std::uint64_t& a, std::uint64_t& b) {
+  a = (a ^ Fold(Load64(p) ^ kWordK0, Load64(p + 8) ^ kWordK1)) * kWordK2;
+  b = (b ^ Fold(Load64(p + 16) ^ kWordK2, Load64(p + 24) ^ kWordK3)) *
+      kWordK0;
+}
+
 void AppendDouble(std::string& out, double value) {
   char bytes[sizeof(double)];
   std::memcpy(bytes, &value, sizeof(double));
@@ -47,14 +79,40 @@ void AppendU64(std::string& out, std::uint64_t value) {
 
 }  // namespace
 
+std::uint64_t WordHash64(std::string_view bytes, std::uint64_t seed) {
+  std::uint64_t a = seed ^ kWordK0;
+  std::uint64_t b = Fold(seed ^ kWordK1, kWordK2);
+  const char* p = bytes.data();
+  std::size_t left = bytes.size();
+  for (; left >= 32; p += 32, left -= 32) WordStep(p, a, b);
+  // The last 0..31 bytes, zero-padded; the length is folded in below, so
+  // a trailing zero byte still changes the hash.
+  char tail[32] = {};
+  if (left > 0) std::memcpy(tail, p, left);
+  WordStep(tail, a, b);
+  return Fold(a ^ bytes.size(), b ^ kWordK3);
+}
+
+std::uint64_t PayloadKey(std::string_view scheduler,
+                         std::string_view payload) {
+  return WordHash64(payload, WordHash64(scheduler));
+}
+
+SharedBytes::SharedBytes(std::string bytes)
+    : bytes_(std::make_shared<const std::string>(std::move(bytes))) {}
+
+const std::string& SharedBytes::Str() const {
+  static const std::string kEmpty;
+  return bytes_ != nullptr ? *bytes_ : kEmpty;
+}
+
 Fingerprint FingerprintRequest(const SchedulingRequest& request) {
   FS_CHECK_MSG(!request.scheduler.empty(),
                "request carries no scheduler name");
   const net::LinkSet& links = request.scenario.links;
   const channel::ChannelParams& params = request.scenario.params;
 
-  Fingerprint fp;
-  std::string& blob = fp.canonical_scenario;
+  std::string blob;
   blob.reserve(64 + links.Size() * 6 * sizeof(double));
   blob.append("fadesched-fp-v1");
   blob.push_back('\0');
@@ -75,12 +133,14 @@ Fingerprint FingerprintRequest(const SchedulingRequest& request) {
     AppendDouble(blob, links.TxPower(i));
   }
 
+  Fingerprint fp;
   fp.scheduler = request.scheduler;
-  fp.scenario_hash = Fnv1a64(fp.canonical_scenario);
+  fp.scenario_hash = WordHash64(blob);
   // Chain the scheduler name (plus a separator that cannot appear in a
   // name) so "rle" on scenario X never collides with "ldp" on X.
-  fp.request_hash = Fnv1a64(fp.scheduler, Fnv1a64("\n#scheduler:",
-                                                  fp.scenario_hash));
+  fp.request_hash =
+      WordHash64(fp.scheduler, WordHash64("\n#scheduler:", fp.scenario_hash));
+  fp.canonical_scenario = SharedBytes(std::move(blob));
   return fp;
 }
 

@@ -12,17 +12,6 @@ namespace {
 // a cache of thousands of tiny responses still respects the budget.
 constexpr std::size_t kNodeOverheadBytes = 512;
 
-std::string ResponseGuard(const Fingerprint& fp) {
-  // Scheduler first, then its newline terminator (names cannot contain
-  // one), then the canonical blob: the split is unambiguous even though
-  // the blob is binary, and a response guard can never equal a scenario
-  // guard (which is the bare blob starting with the version magic).
-  std::string guard = fp.scheduler;
-  guard += '\n';
-  guard += fp.canonical_scenario;
-  return guard;
-}
-
 std::size_t EstimateResponseBytes(const Fingerprint& fp,
                                   const SchedulingResponse& response) {
   return kNodeOverheadBytes + fp.canonical_scenario.size() +
@@ -46,29 +35,47 @@ void ScenarioCache::Bump(
   }
 }
 
-ScenarioCache::LruList::iterator ScenarioCache::FindLocked(
-    std::uint64_t hash, const std::string& guard) {
+std::optional<ScenarioCache::LruList::iterator> ScenarioCache::FindLocked(
+    std::uint64_t hash, std::string_view scheduler, std::string_view blob,
+    bool count_collisions) const {
+  const bool response_level = !scheduler.empty();
   auto [begin, end] = index_.equal_range(hash);
   for (auto it = begin; it != end; ++it) {
-    if (it->second->guard == guard) return it->second;
-    Bump(&ServiceMetrics::cache_collisions);
+    const Node& node = *it->second;
+    if (node.response.has_value() == response_level &&
+        node.scheduler == scheduler && node.blob.view() == blob) {
+      return it->second;
+    }
+    if (count_collisions) Bump(&ServiceMetrics::cache_collisions);
   }
-  return lru_.end();
+  return std::nullopt;
 }
 
 void ScenarioCache::TouchLocked(LruList::iterator it) {
   lru_.splice(lru_.begin(), lru_, it);
 }
 
+namespace {
+
+template <typename Index, typename Iterator>
+void Unindex(Index& index, std::uint64_t hash, Iterator node) {
+  auto [begin, end] = index.equal_range(hash);
+  for (auto it = begin; it != end; ++it) {
+    if (it->second == node) {
+      index.erase(it);
+      return;
+    }
+  }
+}
+
+}  // namespace
+
 void ScenarioCache::EvictLocked() {
   while (current_bytes_ > options_.capacity_bytes && lru_.size() > 1) {
     const auto victim = std::prev(lru_.end());
-    auto [begin, end] = index_.equal_range(victim->hash);
-    for (auto it = begin; it != end; ++it) {
-      if (it->second == victim) {
-        index_.erase(it);
-        break;
-      }
+    Unindex(index_, victim->hash, victim);
+    if (victim->raw_payload.has_value()) {
+      Unindex(raw_index_, victim->raw_key, victim);
     }
     current_bytes_ -= victim->cost_bytes;
     lru_.erase(victim);
@@ -76,11 +83,27 @@ void ScenarioCache::EvictLocked() {
   }
 }
 
+void ScenarioCache::AttachRawLocked(LruList::iterator it,
+                                    const RawPayload& raw) {
+  if (it->raw_payload.has_value()) {
+    Unindex(raw_index_, it->raw_key, it);
+    it->cost_bytes -= it->raw_payload->size();
+    current_bytes_ -= it->raw_payload->size();
+  }
+  it->raw_payload.emplace(raw.payload);
+  it->raw_key = raw.key;
+  raw_index_.emplace(raw.key, it);
+  it->cost_bytes += raw.payload.size();
+  current_bytes_ += raw.payload.size();
+  EvictLocked();  // `it` was just touched, and the front is never evicted
+}
+
 std::size_t ScenarioCache::EstimateScenarioBytes(
     const Scenario& scenario, const channel::EngineOptions& engine) {
   const std::size_t n = scenario.links.Size();
   // LinkSet SoA (7 doubles/link) + the engine's per-link tables (another
-  // 7 doubles/link) + the canonical bytes held for the collision guard.
+  // 7 doubles/link) + the canonical bytes held for the collision guard
+  // (charged here and to each response entry, though they share them).
   std::size_t bytes = kNodeOverheadBytes + scenario.canonical_scenario.size() +
                       14 * sizeof(double) * n;
   if (engine.backend == channel::FactorBackend::kMatrix) {
@@ -90,17 +113,10 @@ std::size_t ScenarioCache::EstimateScenarioBytes(
 }
 
 bool ScenarioCache::IsWarm(const Fingerprint& fp) const {
-  const std::string response_guard = ResponseGuard(fp);
+  const std::string_view blob = fp.canonical_scenario.view();
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto resident = [this](std::uint64_t hash, const std::string& guard) {
-    auto [begin, end] = index_.equal_range(hash);
-    for (auto it = begin; it != end; ++it) {
-      if (it->second->guard == guard) return true;
-    }
-    return false;
-  };
-  return resident(fp.request_hash, response_guard) ||
-         resident(fp.scenario_hash, fp.canonical_scenario);
+  return FindLocked(fp.request_hash, fp.scheduler, blob, false) ||
+         FindLocked(fp.scenario_hash, {}, blob, false);
 }
 
 ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
@@ -108,12 +124,13 @@ ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
     bool degrade_build) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = FindLocked(fp.scenario_hash, fp.canonical_scenario);
-    if (it != lru_.end()) {
-      TouchLocked(it);
+    const auto it =
+        FindLocked(fp.scenario_hash, {}, fp.canonical_scenario.view());
+    if (it) {
+      TouchLocked(*it);
       Bump(&ServiceMetrics::scenario_hits);
       if (hit != nullptr) *hit = true;
-      return it->scenario;
+      return (*it)->scenario;
     }
   }
 
@@ -143,14 +160,15 @@ ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
   std::lock_guard<std::mutex> lock(mutex_);
   // Two threads may have raced the build; first insert wins and the loser
   // adopts it (both engines are bit-identical, so either is correct).
-  const auto raced = FindLocked(fp.scenario_hash, fp.canonical_scenario);
-  if (raced != lru_.end()) {
-    TouchLocked(raced);
-    return raced->scenario;
+  const auto raced =
+      FindLocked(fp.scenario_hash, {}, fp.canonical_scenario.view());
+  if (raced) {
+    TouchLocked(*raced);
+    return (*raced)->scenario;
   }
   Node node;
   node.hash = fp.scenario_hash;
-  node.guard = fp.canonical_scenario;
+  node.blob = built->canonical_scenario;
   node.scenario = built;
   node.cost_bytes = built->cost_bytes;
   lru_.push_front(std::move(node));
@@ -162,18 +180,39 @@ ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
 
 bool ScenarioCache::LookupResponse(const Fingerprint& fp,
                                    SchedulingResponse* out,
-                                   bool count_miss) {
-  const std::string guard = ResponseGuard(fp);
+                                   bool count_miss, const RawPayload* attach) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = FindLocked(fp.request_hash, guard);
-  if (it == lru_.end()) {
+  const auto it = FindLocked(fp.request_hash, fp.scheduler,
+                             fp.canonical_scenario.view());
+  if (!it) {
     if (count_miss) Bump(&ServiceMetrics::response_misses);
     return false;
   }
-  TouchLocked(it);
+  TouchLocked(*it);
   Bump(&ServiceMetrics::response_hits);
-  if (out != nullptr) *out = *it->response;
+  if (out != nullptr) *out = *(*it)->response;
+  if (attach != nullptr && (*it)->raw_payload != attach->payload) {
+    AttachRawLocked(*it, *attach);
+  }
   return true;
+}
+
+bool ScenarioCache::LookupRaw(const RawPayload& raw, SchedulingResponse* out) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto [begin, end] = raw_index_.equal_range(raw.key);
+  for (auto entry = begin; entry != end; ++entry) {
+    const LruList::iterator it = entry->second;
+    if (it->scheduler != raw.scheduler || *it->raw_payload != raw.payload) {
+      Bump(&ServiceMetrics::cache_collisions);
+      continue;
+    }
+    TouchLocked(it);
+    Bump(&ServiceMetrics::response_hits);
+    Bump(&ServiceMetrics::raw_hits);
+    if (out != nullptr) *out = *it->response;
+    return true;
+  }
+  return false;
 }
 
 void ScenarioCache::StoreResponse(const Fingerprint& fp,
@@ -182,14 +221,17 @@ void ScenarioCache::StoreResponse(const Fingerprint& fp,
   SchedulingResponse stored = response;
   stored.id.clear();          // correlation tag is per-request
   stored.cache_hit = false;   // stamped by the caller on each serve
-  const std::string guard = ResponseGuard(fp);
   const std::size_t cost = EstimateResponseBytes(fp, stored);
 
   std::lock_guard<std::mutex> lock(mutex_);
-  if (FindLocked(fp.request_hash, guard) != lru_.end()) return;
+  if (FindLocked(fp.request_hash, fp.scheduler,
+                 fp.canonical_scenario.view())) {
+    return;
+  }
   Node node;
   node.hash = fp.request_hash;
-  node.guard = guard;
+  node.blob = fp.canonical_scenario;
+  node.scheduler = fp.scheduler;
   node.response = std::move(stored);
   node.cost_bytes = cost;
   lru_.push_front(std::move(node));
@@ -212,6 +254,7 @@ void ScenarioCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   lru_.clear();
   index_.clear();
+  raw_index_.clear();
   current_bytes_ = 0;
 }
 

@@ -13,10 +13,19 @@
 //     (scenario, scheduler), so an identical repeat request skips
 //     scheduling entirely.
 //
-// Hash collisions are rejected, not served: every entry stores the
-// canonical bytes it was keyed by and a lookup compares them before
-// declaring a hit (a 64-bit content hash makes collisions vanishingly
-// rare; comparing makes serving a wrong schedule impossible).
+// A response entry may also carry one raw frame payload (the raw level):
+// the exact `.scenario` bytes of a frame whose fingerprint hit it. A later
+// frame with the same scheduler and byte-identical payload is served from
+// it by LookupRaw without parsing or fingerprinting. The payload is
+// attached on the entry's first fingerprint hit from a frame, so one-shot
+// misses copy nothing; it is charged to the entry's cost and dies with it.
+//
+// Hash collisions are rejected, not served: every entry stores the bytes
+// it was keyed by (canonical blob, scheduler name, raw payload) and a
+// lookup compares them before declaring a hit (a 64-bit content hash
+// makes collisions vanishingly rare; comparing makes serving a wrong
+// schedule impossible). The canonical blob is held once per scenario: the
+// fingerprint, the scenario entry and its response entries share it.
 //
 // All operations are thread-safe behind one mutex; engine builds happen
 // OUTSIDE the lock so a large miss cannot stall concurrent hits. Two
@@ -30,6 +39,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "channel/batch_interference.hpp"
@@ -53,6 +63,14 @@ struct CacheOptions {
   channel::EngineOptions engine;
 };
 
+/// A request frame's payload as the raw level keys it. The views point
+/// into the frame and are only read during the call that receives them.
+struct RawPayload {
+  std::uint64_t key = 0;  ///< PayloadKey(scheduler, payload)
+  std::string_view scheduler;
+  std::string_view payload;
+};
+
 class ScenarioCache {
  public:
   /// Memoized per-scenario state. Immutable after construction; the
@@ -61,7 +79,7 @@ class ScenarioCache {
   struct Scenario {
     net::LinkSet links;
     channel::ChannelParams params;
-    std::string canonical_scenario;
+    SharedBytes canonical_scenario;
     std::optional<channel::InterferenceEngine> engine;
     std::size_t cost_bytes = 0;
   };
@@ -96,10 +114,19 @@ class ScenarioCache {
   /// `count_miss=false` is for pre-handler probes (the Submit fast path):
   /// a probe that misses hands the request to HandleNow, whose own lookup
   /// is the authoritative miss — counting both would double every cold
-  /// request in the warm-hit-rate denominator.
+  /// request in the warm-hit-rate denominator. On a hit, `attach` (the
+  /// payload of the frame the request was parsed from) becomes the
+  /// entry's raw payload, replacing any other.
   bool LookupResponse(const Fingerprint& fp, SchedulingResponse* out,
-                      bool count_miss = true);
+                      bool count_miss = true,
+                      const RawPayload* attach = nullptr);
   void StoreResponse(const Fingerprint& fp, const SchedulingResponse& response);
+
+  /// The raw level: a response entry whose attached payload and scheduler
+  /// equal `raw`'s byte for byte. A hit touches and counts like a
+  /// LookupResponse hit, and also bumps raw_hits; a miss counts nothing
+  /// (the parse path that follows does).
+  bool LookupRaw(const RawPayload& raw, SchedulingResponse* out);
 
   [[nodiscard]] std::size_t CurrentBytes() const;
   [[nodiscard]] std::size_t NumEntries() const;
@@ -113,22 +140,33 @@ class ScenarioCache {
 
  private:
   // One LRU node covers either level; exactly one of scenario/response is
-  // set. `guard` is the exact-match key (canonical bytes, plus the
-  // scheduler name for responses).
+  // set. The exact-match key is `blob` at the scenario level and
+  // (`scheduler`, `blob`) at the response level.
   struct Node {
     std::uint64_t hash = 0;
-    std::string guard;
+    SharedBytes blob;
+    std::string scheduler;
     ScenarioPtr scenario;
     std::optional<SchedulingResponse> response;
+    /// Response level only: the attached raw payload, keyed in raw_index_.
+    std::optional<std::string> raw_payload;
+    std::uint64_t raw_key = 0;
     std::size_t cost_bytes = 0;
   };
   using LruList = std::list<Node>;
+  using Index = std::unordered_multimap<std::uint64_t, LruList::iterator>;
 
   /// Moves the node to the front (most recent). Caller holds the mutex.
   void TouchLocked(LruList::iterator it);
   /// Evicts LRU tail nodes until the budget holds. Caller holds the mutex.
   void EvictLocked();
-  LruList::iterator FindLocked(std::uint64_t hash, const std::string& guard);
+  /// The node of the given level matching the key exactly, if resident.
+  /// An empty `scheduler` selects the scenario level.
+  std::optional<LruList::iterator> FindLocked(std::uint64_t hash, std::string_view scheduler,
+                               std::string_view blob,
+                               bool count_collisions = true) const;
+  /// Makes `payload` the node's one raw payload. Caller holds the mutex.
+  void AttachRawLocked(LruList::iterator it, const RawPayload& raw);
 
   void Bump(std::atomic<std::uint64_t> ServiceMetrics::* counter) const;
 
@@ -137,7 +175,8 @@ class ScenarioCache {
 
   mutable std::mutex mutex_;
   LruList lru_;  // front = most recently used
-  std::unordered_multimap<std::uint64_t, LruList::iterator> index_;
+  Index index_;      // both levels, by scenario_hash / request_hash
+  Index raw_index_;  // response nodes with a raw payload, by its key
   std::size_t current_bytes_ = 0;
 };
 

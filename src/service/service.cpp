@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -29,18 +30,43 @@ SchedulingResponse FrameRejection(util::ErrorKind kind, const char* message) {
   return response;
 }
 
+using Clock = std::chrono::steady_clock;
+
+/// Answers a response-cache hit, its id already stamped, on the calling
+/// thread: the one place an inline hit is counted and timed from `since`.
+std::future<SchedulingResponse> ServeHit(ServiceMetrics& metrics,
+                                         SchedulingResponse response,
+                                         Clock::time_point since) {
+  response.cache_hit = true;
+  metrics.submitted.fetch_add(1, std::memory_order_relaxed);
+  metrics.admitted.fetch_add(1, std::memory_order_relaxed);
+  metrics.completed.fetch_add(1, std::memory_order_relaxed);
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - since).count();
+  metrics.service_latency.Record(seconds);
+  metrics.total_latency.Record(seconds);
+  metrics.warm_total_latency.Record(seconds);
+  return Fulfilled(std::move(response));
+}
+
 }  // namespace
 
 SchedulingService::SchedulingService(ServiceOptions options)
     : cache_(std::make_unique<ScenarioCache>(options.cache, &metrics_)),
       batcher_(std::make_unique<RequestBatcher>(
-          [this](const SchedulingRequest& request) {
-            return HandleNow(request);
+          [this](const SchedulingRequest& request,
+                 const Fingerprint* fingerprint) {
+            return Handle(request, fingerprint);
           },
           options.batcher, &metrics_)) {}
 
 SchedulingResponse SchedulingService::HandleNow(
     const SchedulingRequest& request) {
+  return Handle(request, nullptr);
+}
+
+SchedulingResponse SchedulingService::Handle(const SchedulingRequest& request,
+                                             const Fingerprint* submitted) {
   SchedulingResponse response;
   response.id = request.id;
   try {
@@ -50,7 +76,8 @@ SchedulingResponse SchedulingService::HandleNow(
       response.message = "unknown scheduler '" + request.scheduler + "'";
       return response;
     }
-    const Fingerprint fp = FingerprintRequest(request);
+    Fingerprint fp =
+        submitted != nullptr ? *submitted : FingerprintRequest(request);
 
     if (cache_->LookupResponse(fp, &response)) {
       response.id = request.id;
@@ -71,6 +98,9 @@ SchedulingResponse SchedulingService::HandleNow(
     if (!scenario_hit && degrade_build) {
       metrics_.brownout_builds.fetch_add(1, std::memory_order_relaxed);
     }
+    // The response entry shares the scenario entry's canonical blob (the
+    // bytes are equal; ObtainScenario compared them).
+    fp.canonical_scenario = entry->canonical_scenario;
     channel::EngineOptions engine_options = entry->engine->Options();
     // Aliasing: the engine pointer shares the entry's lifetime, so an
     // eviction mid-schedule cannot free state the scheduler is reading.
@@ -106,15 +136,19 @@ SchedulingResponse SchedulingService::HandleNow(
 
 std::future<SchedulingResponse> SchedulingService::Submit(
     SchedulingRequest request) {
-  // Fingerprinting costs a canonical serialization (~µs), paid again
-  // inside HandleNow on admitted requests — accepted: admission cannot
-  // reuse it without threading cache state through the request, and
-  // sheds/fast-path hits (the cases this exists for) never reach
-  // HandleNow at all. A request whose fingerprint throws is submitted
-  // kWarm so the handler, not the shedder, reports the real error.
+  return SubmitParsed(std::move(request), nullptr);
+}
+
+std::future<SchedulingResponse> SchedulingService::SubmitParsed(
+    SchedulingRequest request, const RawPayload* raw) {
+  // The fingerprint (a canonical serialization plus a WordHash64 pass:
+  // about 8 µs at N=600) is computed once here and rides the batcher to
+  // the handler, so an admitted miss does not pay for it again. A request
+  // whose fingerprint throws is submitted kWarm without one, so the
+  // handler, not the shedder, reports the real error.
   try {
-    const auto submitted_at = std::chrono::steady_clock::now();
-    const Fingerprint fp = FingerprintRequest(request);
+    const Clock::time_point submitted_at = Clock::now();
+    Fingerprint fp = FingerprintRequest(request);
 
     // Fast path: a resident response is a pure lookup, so it is served
     // inline on the caller thread. Routing it through the worker queue
@@ -125,25 +159,14 @@ std::future<SchedulingResponse> SchedulingService::Submit(
     // stays consistent.
     SchedulingResponse response;
     if (!batcher_->Draining() &&
-        cache_->LookupResponse(fp, &response, /*count_miss=*/false)) {
+        cache_->LookupResponse(fp, &response, /*count_miss=*/false, raw)) {
       response.id = request.id;
-      response.cache_hit = true;
-      metrics_.submitted.fetch_add(1, std::memory_order_relaxed);
-      metrics_.admitted.fetch_add(1, std::memory_order_relaxed);
-      metrics_.completed.fetch_add(1, std::memory_order_relaxed);
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        submitted_at)
-              .count();
-      metrics_.service_latency.Record(seconds);
-      metrics_.total_latency.Record(seconds);
-      metrics_.warm_total_latency.Record(seconds);
-      return Fulfilled(std::move(response));
+      return ServeHit(metrics_, std::move(response), submitted_at);
     }
 
     const RequestClass cls =
         cache_->IsWarm(fp) ? RequestClass::kWarm : RequestClass::kCold;
-    return batcher_->Submit(std::move(request), cls);
+    return batcher_->Submit(std::move(request), cls, std::move(fp));
   } catch (...) {
     return batcher_->Submit(std::move(request), RequestClass::kWarm);
   }
@@ -151,9 +174,27 @@ std::future<SchedulingResponse> SchedulingService::Submit(
 
 std::future<SchedulingResponse> SchedulingService::SubmitFrame(
     std::string_view frame) {
+  const Clock::time_point received_at = Clock::now();
   SchedulingRequest request;
+  RawPayload raw;
+  std::optional<SchedulingResponse> raw_hit;
   try {
-    request = ParseRequestFrame(frame);
+    const RequestHeader header = ParseRequestHeader(frame);
+    raw = {PayloadKey(header.scheduler, header.payload), header.scheduler,
+           header.payload};
+    // The raw level: a payload byte-identical to one that already parsed
+    // parses again, so after the header checks only check= can still
+    // fail, and it is verified first. A mismatch, a drain or a raw miss
+    // takes the parse path, which reports errors in their usual order.
+    const bool check_matched = RequestCheckMatches(header);
+    SchedulingResponse response;
+    if (check_matched && !batcher_->Draining() &&
+        cache_->LookupRaw(raw, &response)) {
+      response.id = header.id;
+      raw_hit = std::move(response);
+    } else {
+      request = ParseRequestBody(header, check_matched);
+    }
   } catch (const util::HarnessError& e) {
     (e.kind() == util::ErrorKind::kTransient ? metrics_.checksum_failures
                                              : metrics_.protocol_errors)
@@ -163,7 +204,8 @@ std::future<SchedulingResponse> SchedulingService::SubmitFrame(
     metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
     return Fulfilled(FrameRejection(util::ErrorKind::kFatal, e.what()));
   }
-  return Submit(std::move(request));
+  if (raw_hit) return ServeHit(metrics_, std::move(*raw_hit), received_at);
+  return SubmitParsed(std::move(request), &raw);
 }
 
 void SchedulingService::Drain() { batcher_->Drain(); }

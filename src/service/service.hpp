@@ -35,25 +35,29 @@ class SchedulingService {
   explicit SchedulingService(ServiceOptions options = {});
 
   /// The full request pipeline, synchronously on the calling thread
-  /// (workers call this; tests and the bench may too). Never throws.
+  /// (tests and the bench call this). Never throws.
   SchedulingResponse HandleNow(const SchedulingRequest& request);
 
   /// Admission-controlled path through the batcher (see batcher.hpp for
   /// the shed/timeout contract). The future is always fulfilled. Submit
-  /// fingerprints the request; a response-cache hit is served inline on
-  /// the calling thread (the future comes back already fulfilled), so
+  /// fingerprints the request once; a response-cache hit is served inline
+  /// on the calling thread (the future comes back already fulfilled), so
   /// warm latency never rides the worker queue. Misses are classified
-  /// warm/cold (a pure cache peek) for the two-tier shedder; under
-  /// overload, cold requests — the ones that would trigger a full engine
-  /// build — are shed first.
+  /// warm/cold (a pure cache peek) for the two-tier shedder — under
+  /// overload, cold requests, the ones that would trigger a full engine
+  /// build, are shed first — and carry the fingerprint to the worker.
   std::future<SchedulingResponse> Submit(SchedulingRequest request);
 
-  /// The front-ends' one entry point: parses a received frame (header
-  /// line through the line before END) and submits it. A frame that does
-  /// not parse never reaches Submit: it bumps checksum_failures (a check=
-  /// mismatch, kTransient — the client should retry) or protocol_errors
-  /// (anything else, kFatal — a caller bug) and comes back as an already
-  /// fulfilled kError response with id "-".
+  /// The front-ends' one entry point for a received frame (header line
+  /// through the line before END). After the header is validated and
+  /// check= verified, a payload the cache's raw level holds for the
+  /// header's scheduler is answered like a Submit fast-path hit, without
+  /// parsing the payload; while draining, or on a raw miss, the frame is
+  /// parsed and submitted. A frame that does not parse never reaches
+  /// Submit: it bumps checksum_failures (a check= mismatch, kTransient —
+  /// the client should retry) or protocol_errors (anything else, kFatal —
+  /// a caller bug) and comes back as an already fulfilled kError response
+  /// with id "-". Errors and their precedence are ParseRequestFrame's.
   std::future<SchedulingResponse> SubmitFrame(std::string_view frame);
 
   /// Graceful shutdown: stop admission, finish queued + in-flight work.
@@ -64,6 +68,15 @@ class SchedulingService {
   [[nodiscard]] OverloadController& Overload() { return batcher_->Overload(); }
 
  private:
+  /// HandleNow's body; `submitted` is the fingerprint Submit computed, or
+  /// nullptr to compute it here.
+  SchedulingResponse Handle(const SchedulingRequest& request,
+                            const Fingerprint* submitted);
+  /// Submit's body; a fast-path hit attaches `raw` (when non-null) to the
+  /// response entry.
+  std::future<SchedulingResponse> SubmitParsed(SchedulingRequest request,
+                                               const RawPayload* raw);
+
   ServiceMetrics metrics_;
   std::unique_ptr<ScenarioCache> cache_;
   std::unique_ptr<RequestBatcher> batcher_;

@@ -33,7 +33,7 @@ std::uint64_t RoutingKey(const std::string& frame) {
   // Header is the first line; payload is everything after it (including
   // the END terminator — constant across frames, so harmless to hash).
   const std::size_t header_end = frame.find('\n');
-  if (header_end == std::string::npos) return Fnv1a64(frame);
+  if (header_end == std::string::npos) return WordHash64(frame);
   const std::string_view header(frame.data(), header_end);
   const std::string_view payload(frame.data() + header_end + 1,
                                  frame.size() - header_end - 1);
@@ -53,8 +53,8 @@ std::uint64_t RoutingKey(const std::string& frame) {
     }
     pos = end + 1;
   }
-  if (scheduler.empty()) return Fnv1a64(frame);
-  return Fnv1a64(payload, Fnv1a64(scheduler));
+  if (scheduler.empty()) return WordHash64(frame);
+  return PayloadKey(scheduler, payload);
 }
 
 }  // namespace fadesched::service::shard

@@ -67,8 +67,8 @@ class FrameScanner {
   FrameAssembler assembler_;
 };
 
-/// Consistent-hash routing key of a raw request frame: FNV-1a over the
-/// scheduler= header token chained over the scenario payload. The id=,
+/// Consistent-hash routing key of a raw request frame: PayloadKey of the
+/// scheduler= header token and the scenario payload. The id=,
 /// deadline= and check= tokens are deliberately excluded so repeat
 /// requests for the same (scenario, scheduler) pair land on the same
 /// shard — affinity is what turns N per-process caches into one warm

@@ -116,7 +116,7 @@ TEST(DeterministicSinrTest, CoincidentSenderReceiverRejected) {
   links.Add(net::Link{{1, 0}, {2, 0}, 1.0});
   ChannelParams params;
   const DeterministicSinr sinr(links, params);
-  EXPECT_THROW(sinr.Affectance(1, 0), util::CheckFailure);
+  EXPECT_THROW((void)sinr.Affectance(1, 0), util::CheckFailure);
 }
 
 }  // namespace

@@ -110,7 +110,7 @@ TEST(InterferenceCalculatorTest, CoincidentSenderAndReceiverRejected) {
   links.Add(net::Link{{1, 0}, {2, 0}, 1.0});  // sender 1 on receiver 0
   ChannelParams params;
   const InterferenceCalculator calc(links, params);
-  EXPECT_THROW(calc.Factor(1, 0), util::CheckFailure);
+  EXPECT_THROW((void)calc.Factor(1, 0), util::CheckFailure);
 }
 
 TEST(InterferenceCalculatorTest, SumFactorSkipsVictim) {

@@ -65,7 +65,7 @@ TEST(HistogramTest, InvalidConstructionRejected) {
 
 TEST(HistogramTest, OutOfRangeBucketQueryThrows) {
   Histogram h(0.0, 1.0, 2);
-  EXPECT_THROW(h.BucketCount(2), util::CheckFailure);
+  EXPECT_THROW((void)h.BucketCount(2), util::CheckFailure);
 }
 
 }  // namespace

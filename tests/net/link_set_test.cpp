@@ -83,7 +83,7 @@ TEST(LinkSetTest, TotalRateRejectsInvalidId) {
   LinkSet links;
   links.Add(MakeLink(0, 0, 1, 0));
   const std::vector<LinkId> bad{3};
-  EXPECT_THROW(links.TotalRate(bad), util::CheckFailure);
+  EXPECT_THROW((void)links.TotalRate(bad), util::CheckFailure);
 }
 
 TEST(LinkSetTest, UniformRateDetection) {
@@ -117,9 +117,9 @@ TEST(LinkSetTest, MinMaxLength) {
 
 TEST(LinkSetTest, EmptySetQueriesThrow) {
   LinkSet links;
-  EXPECT_THROW(links.BoundingBox(), util::CheckFailure);
-  EXPECT_THROW(links.MinLength(), util::CheckFailure);
-  EXPECT_THROW(links.MaxLength(), util::CheckFailure);
+  EXPECT_THROW((void)links.BoundingBox(), util::CheckFailure);
+  EXPECT_THROW((void)links.MinLength(), util::CheckFailure);
+  EXPECT_THROW((void)links.MaxLength(), util::CheckFailure);
 }
 
 TEST(LinkSetTest, SubsetPreservesOrderAndData) {

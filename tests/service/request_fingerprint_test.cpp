@@ -30,6 +30,36 @@ TEST(Fnv1a64Test, SeedChainsAcrossCalls) {
   EXPECT_EQ(whole, chained);
 }
 
+TEST(WordHash64Test, EverySingleBitFlipChangesTheHash) {
+  // Lengths around the 32-byte step and the zero-padded tail.
+  for (std::size_t length = 0; length <= 100; ++length) {
+    std::string bytes(length, '\0');
+    for (std::size_t i = 0; i < length; ++i) {
+      bytes[i] = static_cast<char>('a' + (i * 7) % 26);
+    }
+    const std::uint64_t base = WordHash64(bytes);
+    EXPECT_EQ(WordHash64(bytes), base);
+    for (std::size_t i = 0; i < length; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = bytes;
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+        ASSERT_NE(WordHash64(flipped), base)
+            << "length " << length << " byte " << i << " bit " << bit;
+      }
+    }
+  }
+}
+
+TEST(WordHash64Test, TrailingZerosAndSeedsAreContent) {
+  EXPECT_NE(WordHash64(""), WordHash64(std::string(1, '\0')));
+  EXPECT_NE(WordHash64("a"), WordHash64(std::string("a\0", 2)));
+  EXPECT_NE(WordHash64(std::string(32, '\0')), WordHash64(std::string(33, '\0')));
+  EXPECT_NE(WordHash64("payload", 1), WordHash64("payload", 2));
+  // The scheduler/payload split is part of the key.
+  EXPECT_NE(PayloadKey("rle", "x"), PayloadKey("rl", "ex"));
+  EXPECT_EQ(PayloadKey("rle", "x"), WordHash64("x", WordHash64("rle")));
+}
+
 TEST(FingerprintTest, DeterministicAcrossCalls) {
   const SchedulingRequest request = MakeRequest();
   const Fingerprint a = FingerprintRequest(request);

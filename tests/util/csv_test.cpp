@@ -37,7 +37,7 @@ TEST(CsvTableTest, ColumnIndexLookup) {
   EXPECT_EQ(table.ColumnIndex("y"), 2u);
   EXPECT_TRUE(table.HasColumn("x"));
   EXPECT_FALSE(table.HasColumn("z"));
-  EXPECT_THROW(table.ColumnIndex("z"), CheckFailure);
+  EXPECT_THROW((void)table.ColumnIndex("z"), CheckFailure);
 }
 
 TEST(CsvTableTest, CellAccessByNameAndIndex) {
@@ -50,14 +50,14 @@ TEST(CsvTableTest, CellAccessByNameAndIndex) {
 
 TEST(CsvTableTest, MalformedNumericCellThrows) {
   CsvTable table = SampleTable();
-  EXPECT_THROW(table.CellAsDouble(0, "name"), CheckFailure);
-  EXPECT_THROW(table.CellAsInt(0, "y"), CheckFailure);  // 2.5 is not an int
+  EXPECT_THROW((void)table.CellAsDouble(0, "name"), CheckFailure);
+  EXPECT_THROW((void)table.CellAsInt(0, "y"), CheckFailure);  // 2.5 is not an int
 }
 
 TEST(CsvTableTest, OutOfRangeAccessThrows) {
   CsvTable table = SampleTable();
-  EXPECT_THROW(table.Cell(5, 0), CheckFailure);
-  EXPECT_THROW(table.Cell(0, 9), CheckFailure);
+  EXPECT_THROW((void)table.Cell(5, 0), CheckFailure);
+  EXPECT_THROW((void)table.Cell(0, 9), CheckFailure);
 }
 
 TEST(CsvTableTest, WriteParseRoundTrip) {
