@@ -20,14 +20,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
-#include <thread>
 #include <vector>
 
 #include "channel/batch_interference.hpp"
@@ -35,6 +32,7 @@
 #include "channel/interference.hpp"
 #include "channel/simd_dispatch.hpp"
 #include "mathx/stats.hpp"
+#include "micro_common.hpp"
 #include "mathx/ulp.hpp"
 #include "net/scenario.hpp"
 #include "rng/distributions.hpp"
@@ -52,6 +50,9 @@
 namespace {
 
 using namespace fadesched;
+using bench::Measure;
+using bench::Spread;
+using bench::Value;
 
 // The ULP budget for the fast kernel vs the reference expression; a real
 // formula divergence shows up orders of magnitude above this.
@@ -65,40 +66,6 @@ net::LinkSet MakeInstance(std::size_t n, std::uint64_t seed) {
   return net::MakeUniformScenario(n, params, gen);
 }
 
-// Spread of one timing over the repetitions, in the unit it is reported in.
-struct Spread {
-  double median = 0.0;
-  double p10 = 0.0;
-  double p90 = 0.0;
-};
-
-// Times `work` `reps` times; each sample is seconds × `scale`.
-Spread Measure(int reps, double scale, const std::function<void()>& work) {
-  std::vector<double> samples;
-  for (int r = 0; r < reps; ++r) {
-    util::Stopwatch timer;
-    work();
-    samples.push_back(timer.Seconds() * scale);
-  }
-  std::sort(samples.begin(), samples.end());
-  return {mathx::Percentile(samples, 0.5), mathx::Percentile(samples, 0.1),
-          mathx::Percentile(samples, 0.9)};
-}
-
-// JSON value text: fixed six decimals for doubles, integers as is, and a
-// Spread as its {median, p10, p90} object.
-template <typename T>
-std::string Value(const T& value) {
-  std::ostringstream out;
-  out.precision(6);
-  out << std::fixed << value;
-  return out.str();
-}
-std::string Value(const Spread& s) {
-  return "{\"median\": " + Value(s.median) + ", \"p10\": " + Value(s.p10) +
-         ", \"p90\": " + Value(s.p90) + "}";
-}
-
 using Fields = std::vector<std::pair<const char*, std::string>>;
 
 // One named object inside a per-size entry, one field per line.
@@ -110,29 +77,6 @@ void Section(std::ostream& out, const char* name, const Fields& fields,
         << (k + 1 < fields.size() ? ",\n" : "\n");
   }
   out << "      }" << (last ? "\n" : ",\n");
-}
-
-#if defined(__clang__)
-constexpr const char* kCompiler = "clang " __clang_version__;
-#elif defined(__GNUC__)
-constexpr const char* kCompiler = "gcc " __VERSION__;
-#else
-constexpr const char* kCompiler = "unknown";
-#endif
-
-// The CPU model from /proc/cpuinfo ("unknown" where that is unavailable).
-std::string CpuModel() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const std::size_t colon = line.find(':');
-      if (colon != std::string::npos) {
-        return std::string(util::Trim(line.substr(colon + 1)));
-      }
-    }
-  }
-  return "unknown";
 }
 
 struct SizeReport {
@@ -259,9 +203,7 @@ std::string Json(const std::vector<SizeReport>& reports,
   out << "  \"ulp_tolerance\": " << kUlpTolerance << ",\n";
   out << "  \"simd_level\": \""
       << channel::SimdLevelName(channel::ActiveSimdLevel()) << "\",\n";
-  out << "  \"host\": {\"cpu\": \"" << CpuModel()
-      << "\", \"logical_cpus\": " << std::thread::hardware_concurrency()
-      << ", \"compiler\": \"" << kCompiler << "\"},\n";
+  out << "  \"host\": " << bench::HostJson() << ",\n";
   out << "  \"timing\": \"median, p10, p90 over reps\",\n";
   out << "  \"differential_check_passed\": "
       << (check_passed ? "true" : "false") << ",\n";

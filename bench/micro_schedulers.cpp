@@ -1,21 +1,27 @@
-// Microbenchmark: end-to-end scheduler wall time per interference backend
-// (reference calculator vs precomputed tables vs materialized matrix).
-// Emits BENCH_schedulers.json. Every run re-verifies the differential
-// guarantee — each scheduler must emit the identical schedule on every
-// backend — and with --check the exit code reflects only that, never a
-// timing.
-#include <algorithm>
+// Microbenchmark: scheduler time per interference backend (reference
+// calculator vs precomputed tables vs materialized matrix), and for the
+// schedulers built on the Corollary 3.1 accumulator (rle,
+// approx_diversity, fading_greedy) per SIMD tier. Emits
+// BENCH_schedulers.json with every timing as median, p10 and p90 over
+// --reps repetitions next to a host block.
+//
+// Every run re-verifies two differential guarantees: each scheduler emits
+// the identical schedule on every backend, and each accumulator scheduler
+// the identical schedule at every tier the host supports (pinned with
+// channel::ScopedSimdLevel, so the tiers are covered whatever
+// FADESCHED_SIMD_LEVEL says). With --check the exit code reflects only
+// those, never a timing.
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "channel/batch_interference.hpp"
+#include "channel/simd_dispatch.hpp"
+#include "micro_common.hpp"
 #include "net/scenario.hpp"
 #include "rng/xoshiro256.hpp"
 #include "sched/approx_diversity.hpp"
@@ -24,13 +30,16 @@
 #include "sched/ldp.hpp"
 #include "sched/rle.hpp"
 #include "util/atomic_io.hpp"
+#include "util/check.hpp"
 #include "util/cli.hpp"
-#include "util/stopwatch.hpp"
 #include "util/string_util.hpp"
 
 namespace {
 
 using namespace fadesched;
+using bench::Measure;
+using bench::Spread;
+using bench::Value;
 
 net::LinkSet MakeInstance(std::size_t n, std::uint64_t seed) {
   rng::Xoshiro256 gen(seed);
@@ -70,49 +79,74 @@ std::unique_ptr<sched::Scheduler> MakeNamed(
   std::exit(2);
 }
 
-struct BackendTiming {
-  const char* backend = "";
-  double schedule_ms = 0.0;
+bool UsesAccumulator(const std::string& name) {
+  return name == "rle" || name == "approx_diversity" ||
+         name == "fading_greedy";
+}
+
+struct Timing {
+  std::string label;  // backend or tier
+  Spread ms;
 };
 
 struct SchedulerReport {
   std::string name;
   std::size_t n = 0;
   std::size_t scheduled = 0;
-  bool backends_agree = true;
-  std::vector<BackendTiming> timings;
+  bool agree = true;
+  std::vector<Timing> timings;
 };
 
-std::string Json(const std::vector<SchedulerReport>& reports,
+std::string TimingsJson(const std::vector<Timing>& timings) {
+  std::string out = "{";
+  for (std::size_t t = 0; t < timings.size(); ++t) {
+    out += "\"" + timings[t].label + "\": " + Value(timings[t].ms) +
+           (t + 1 < timings.size() ? ",\n                     " : "");
+  }
+  return out + "}";
+}
+
+void RunsJson(std::ostream& out, const std::vector<SchedulerReport>& reports,
+              const char* agree_key) {
+  for (std::size_t k = 0; k < reports.size(); ++k) {
+    const SchedulerReport& r = reports[k];
+    out << "      {\"scheduler\": \"" << r.name << "\", \"n\": " << r.n
+        << ", \"links_scheduled\": " << r.scheduled << ", \"" << agree_key
+        << "\": " << (r.agree ? "true" : "false") << ",\n"
+        << "       \"timings_ms\": " << TimingsJson(r.timings) << "}"
+        << (k + 1 < reports.size() ? "," : "") << "\n";
+  }
+}
+
+std::string Json(const std::vector<SchedulerReport>& backends,
+                 const std::vector<SchedulerReport>& tiers,
                  std::uint64_t seed, long long reps, bool check_passed) {
   std::ostringstream out;
-  out.precision(6);
-  out << std::fixed;
   out << "{\n";
   out << "  \"benchmark\": \"micro_schedulers\",\n";
   out << "  \"seed\": " << seed << ",\n";
   out << "  \"reps\": " << reps << ",\n";
+  out << "  \"simd_level\": \""
+      << channel::SimdLevelName(channel::ActiveSimdLevel()) << "\",\n";
+  out << "  \"host\": " << bench::HostJson() << ",\n";
+  out << "  \"timing\": \"median, p10, p90 over reps\",\n";
   out << "  \"differential_check_passed\": "
       << (check_passed ? "true" : "false") << ",\n";
-  out << "  \"runs\": [\n";
-  for (std::size_t k = 0; k < reports.size(); ++k) {
-    const SchedulerReport& r = reports[k];
-    out << "    {\n";
-    out << "      \"scheduler\": \"" << r.name << "\",\n";
-    out << "      \"n\": " << r.n << ",\n";
-    out << "      \"links_scheduled\": " << r.scheduled << ",\n";
-    out << "      \"backends_agree\": "
-        << (r.backends_agree ? "true" : "false") << ",\n";
-    out << "      \"timings_ms\": {";
-    for (std::size_t t = 0; t < r.timings.size(); ++t) {
-      out << "\"" << r.timings[t].backend
-          << "\": " << r.timings[t].schedule_ms
-          << (t + 1 < r.timings.size() ? ", " : "");
-    }
-    out << "}\n";
-    out << "    }" << (k + 1 < reports.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n";
+  out << "  \"tiers\": {\n";
+  out << "    \"what\": \"accumulator schedulers on a prebuilt, shared "
+         "kTables engine (as the serving cache supplies it), per SIMD "
+         "tier\",\n";
+  out << "    \"runs\": [\n";
+  RunsJson(out, tiers, "tiers_agree");
+  out << "    ]\n";
+  out << "  },\n";
+  out << "  \"backends\": {\n";
+  out << "    \"what\": \"whole Schedule() calls, engine build included, at "
+         "the dispatched tier\",\n";
+  out << "    \"runs\": [\n";
+  RunsJson(out, backends, "backends_agree");
+  out << "    ]\n";
+  out << "  }\n";
   out << "}\n";
   return out.str();
 }
@@ -121,21 +155,26 @@ std::string Json(const std::vector<SchedulerReport>& reports,
 
 int main(int argc, char** argv) {
   util::CliParser cli("micro_schedulers",
-                      "Per-backend scheduler timings + differential "
-                      "verification; writes BENCH_schedulers.json");
+                      "Per-backend and per-tier scheduler timings + "
+                      "differential verification; writes "
+                      "BENCH_schedulers.json");
   std::string& sizes_flag =
-      cli.AddString("sizes", "100,500,2000", "comma-separated N values");
+      cli.AddString("sizes", "100,600,2000", "comma-separated N values");
   std::string& schedulers_flag = cli.AddString(
       "schedulers", "rle,fading_greedy,ldp,approx_logn,approx_diversity",
       "comma-separated scheduler names");
-  long long& reps = cli.AddInt("reps", 3, "repetitions (best-of) per timing");
+  long long& reps = cli.AddInt(
+      "reps", 5, "repetitions per timing (median, p10 and p90 are reported)");
   long long& seed = cli.AddInt("seed", 1234, "scenario seed");
   std::string& out_path =
       cli.AddString("out", "BENCH_schedulers.json", "output JSON path");
   bool& check_only = cli.AddBool(
       "check", false,
-      "exit nonzero iff any backend changes a schedule (never on timing)");
+      "exit nonzero iff a backend or a tier changes a schedule (never on "
+      "timing)");
   if (!cli.Parse(argc, argv)) return cli.UsageExitCode();
+  FS_CHECK_MSG(reps >= 1, "--reps must be >= 1");
+  const int rep_count = static_cast<int>(reps);
 
   channel::ChannelParams params;
   params.alpha = 3.0;
@@ -149,8 +188,14 @@ int main(int argc, char** argv) {
       {"tables", channel::FactorBackend::kTables},
       {"matrix", channel::FactorBackend::kMatrix},
   };
+  std::vector<channel::SimdLevel> levels{channel::SimdLevel::kScalar};
+  for (const channel::SimdLevel level :
+       {channel::SimdLevel::kAvx2, channel::SimdLevel::kAvx512}) {
+    if (channel::ResolveSimdLevel(level) == level) levels.push_back(level);
+  }
 
-  std::vector<SchedulerReport> reports;
+  std::vector<SchedulerReport> backend_reports;
+  std::vector<SchedulerReport> tier_reports;
   bool check_passed = true;
   for (const std::string& token : util::Split(sizes_flag, ',')) {
     const std::size_t n = static_cast<std::size_t>(std::stoull(token));
@@ -166,18 +211,16 @@ int main(int argc, char** argv) {
         engine.backend = b.backend;
         const auto scheduler = MakeNamed(name, engine);
         net::Schedule schedule;
-        double best = std::numeric_limits<double>::infinity();
-        for (int r = 0; r < static_cast<int>(reps); ++r) {
-          util::Stopwatch timer;
-          schedule = scheduler->Schedule(links, params).schedule;
-          best = std::min(best, timer.Seconds());
-        }
-        report.timings.push_back({b.label, 1e3 * best});
+        report.timings.push_back({b.label, Measure(rep_count, 1e3, [&] {
+                                    schedule =
+                                        scheduler->Schedule(links, params)
+                                            .schedule;
+                                  })});
         if (b.backend == channel::FactorBackend::kCalculator) {
           reference = schedule;
           report.scheduled = schedule.size();
         } else if (schedule != reference) {
-          report.backends_agree = false;
+          report.agree = false;
           check_passed = false;
           std::cerr << "DIFFERENTIAL MISMATCH: " << name << " n=" << n
                     << " backend=" << b.label
@@ -185,13 +228,42 @@ int main(int argc, char** argv) {
         }
       }
       std::cerr << name << " n=" << n << " scheduled=" << report.scheduled
-                << (report.backends_agree ? "" : " MISMATCH") << "\n";
-      reports.push_back(std::move(report));
+                << (report.agree ? "" : " MISMATCH") << "\n";
+      backend_reports.push_back(std::move(report));
+
+      if (!UsesAccumulator(name)) continue;
+      SchedulerReport tiers;
+      tiers.name = name;
+      tiers.n = n;
+      channel::EngineOptions engine;
+      engine.shared =
+          std::make_shared<const channel::InterferenceEngine>(links, params);
+      const auto scheduler = MakeNamed(name, engine);
+      for (const channel::SimdLevel level : levels) {
+        const channel::ScopedSimdLevel pin(level);
+        net::Schedule schedule;
+        tiers.timings.push_back(
+            {channel::SimdLevelName(level), Measure(rep_count, 1e3, [&] {
+               schedule = scheduler->Schedule(links, params).schedule;
+             })});
+        if (level == channel::SimdLevel::kScalar) {
+          reference = schedule;
+          tiers.scheduled = schedule.size();
+        } else if (schedule != reference) {
+          tiers.agree = false;
+          check_passed = false;
+          std::cerr << "DIFFERENTIAL MISMATCH: " << name << " n=" << n
+                    << " tier=" << channel::SimdLevelName(level)
+                    << " diverged from the scalar tier\n";
+        }
+      }
+      tier_reports.push_back(std::move(tiers));
     }
   }
 
   util::AtomicWriteFile(out_path,
-                        Json(reports, static_cast<std::uint64_t>(seed), reps,
+                        Json(backend_reports, tier_reports,
+                             static_cast<std::uint64_t>(seed), reps,
                              check_passed));
   std::cout << "wrote " << out_path << "\n";
   if (check_only && !check_passed) return 1;

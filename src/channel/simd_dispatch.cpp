@@ -67,10 +67,23 @@ SimdLevel ActiveSimdLevel() {
   return active;
 }
 
+namespace {
+thread_local SimdLevel pinned_level = SimdLevel::kAuto;
+}  // namespace
+
 SimdLevel ResolveSimdLevel(SimdLevel requested) {
-  if (requested == SimdLevel::kAuto) return ActiveSimdLevel();
+  if (requested == SimdLevel::kAuto) {
+    if (pinned_level == SimdLevel::kAuto) return ActiveSimdLevel();
+    requested = pinned_level;
+  }
   const SimdLevel hardware = DetectSimdLevel();
   return requested < hardware ? requested : hardware;
 }
+
+ScopedSimdLevel::ScopedSimdLevel(SimdLevel level) : previous_(pinned_level) {
+  pinned_level = level;
+}
+
+ScopedSimdLevel::~ScopedSimdLevel() { pinned_level = previous_; }
 
 }  // namespace fadesched::channel

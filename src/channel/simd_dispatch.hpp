@@ -1,30 +1,39 @@
-// Runtime SIMD dispatch for the vectorized interference kernel.
+// Runtime SIMD dispatch for the vectorized kernels: the precision
+// ladder's fast matrix fill (channel/simd_kernel), the §II fading draw
+// (channel/exponential_kernel) and the Corollary 3.1 accumulator
+// (channel/accumulator_kernel).
 //
 // The repository builds without -march flags so one binary runs on any
 // x86-64 (and non-x86) host; the vector kernels are compiled per-function
-// with `__attribute__((target(...)))` and selected here at runtime:
+// with `__attribute__((target(...)))` (or a `#pragma GCC target` region)
+// and selected here at runtime:
 //
-//   kAvx512 — AVX-512 F/DQ/VL. Uses reciprocal/rsqrt seed iterations, so
-//             results differ from the scalar expression by a few ULP
-//             (the precision ladder bounds and repairs the difference).
-//   kAvx2   — AVX2+FMA with real vdivpd/vsqrtpd, written as kScalar's
-//             correctly-rounded operations in kScalar's order, four lanes
-//             at a time. That does not make it bit-identical: the kernel
-//             TU is built with -ffp-contract=fast, and GCC 12 fuses four
-//             multiply/add pairs of Avx2Fill into FMAs, which round once
-//             instead of twice. What is pinned is narrower:
-//             SimdKernelTest.Avx2IsBitIdenticalToScalar compares rows bit
-//             for bit on one fixed sample (131 links, five α, both row
-//             modes), and EveryTierWithinBandOfExactExpression bounds
-//             every tier against the exact expression in ULPs.
+//   kAvx512 — AVX-512 F/DQ/VL.
+//   kAvx2   — AVX2+FMA.
 //   kScalar — portable fallback; also what `FADESCHED_NO_SIMD=1` forces.
 //
-// Dispatch is observable and overridable in two ways:
-//   * process-wide, via the environment (CI's forced-scalar runs):
+// What each kernel promises across tiers differs:
+//   * The fading draw's and the accumulator's tiers are bit-identical to
+//     their scalar code (the accumulator's factor lanes port glibc's FMA
+//     build of log1p, which is what std::log1p runs on every host with a
+//     vector tier; see accumulator_kernel.hpp).
+//   * The fast matrix fill is not. Its AVX-512 tier uses reciprocal/rsqrt
+//     seed iterations, a few ULP from the scalar expression, and its AVX2
+//     tier's translation unit is built with -ffp-contract=fast, where GCC 12
+//     fuses four multiply/add pairs of Avx2Fill into FMAs. What is pinned
+//     is narrower: SimdKernelTest.Avx2IsBitIdenticalToScalar compares rows
+//     bit for bit on one fixed sample (131 links, five α, both row modes),
+//     and EveryTierWithinBandOfExactExpression bounds every tier against
+//     the exact expression in ULPs; the precision ladder repairs the rest.
+//
+// Dispatch is observable and overridable in three ways:
+//   * process-wide, via the environment (CI's forced-scalar and AVX2 runs):
 //       FADESCHED_NO_SIMD=1          force kScalar
 //       FADESCHED_SIMD_LEVEL=LEVEL   cap at scalar|avx2|avx512
-//   * per-engine, via PrecisionLadderOptions::force_level (tests pin
-//     both dispatch modes inside one process).
+//   * per thread, with a ScopedSimdLevel guard (tests and micro_schedulers
+//     run whole schedulers at each tier in one process);
+//   * per engine, via PrecisionLadderOptions::force_level (tests pin
+//     both dispatch modes of the fast fill inside one process).
 #pragma once
 
 namespace fadesched::channel {
@@ -54,9 +63,26 @@ enum class SimdLevel {
                                      const char* level_cap);
 
 /// Maps a requested level to the one that will actually run: kAuto →
+/// the calling thread's ScopedSimdLevel if one is live, else
 /// ActiveSimdLevel(); an explicit request bypasses the environment caps
 /// (so tests can pin a tier regardless of CI settings) but is clamped to
 /// what the hardware supports.
 [[nodiscard]] SimdLevel ResolveSimdLevel(SimdLevel requested);
+
+/// Pins what kAuto resolves to on the calling thread while the guard
+/// lives, as if `level` had been requested explicitly (so it bypasses the
+/// environment caps and is clamped to the hardware). Benches and tests use
+/// it to run whole schedulers at each tier in one process. Other threads,
+/// a ThreadPool's workers included, are not affected. Guards nest.
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(SimdLevel level);
+  ~ScopedSimdLevel();
+  ScopedSimdLevel(const ScopedSimdLevel&) = delete;
+  ScopedSimdLevel& operator=(const ScopedSimdLevel&) = delete;
+
+ private:
+  SimdLevel previous_;
+};
 
 }  // namespace fadesched::channel

@@ -1,12 +1,8 @@
 #include "sched/approx_diversity.hpp"
 
-#include <algorithm>
-#include <numeric>
-#include <vector>
-
 #include "channel/batch_interference.hpp"
-#include "geom/spatial_hash.hpp"
 #include "sched/constants.hpp"
+#include "sched/elimination.hpp"
 #include "util/check.hpp"
 
 namespace fadesched::sched {
@@ -31,48 +27,12 @@ ScheduleResult ApproxDiversityScheduler::Schedule(
       channel::ObtainEngine(links, params, engine_options, local_engine);
   channel::ChannelParams effective = params;
   effective.gamma_th *= links.TxPowerRatio(params.tx_power);
-  const double c1 = ApproxDiversityC1(effective, options_.c2);
-  const std::size_t n = links.Size();
-
-  std::vector<net::LinkId> order(n);
-  std::iota(order.begin(), order.end(), net::LinkId{0});
-  std::sort(order.begin(), order.end(), [&](net::LinkId a, net::LinkId b) {
-    if (links.Length(a) != links.Length(b)) {
-      return links.Length(a) < links.Length(b);
-    }
-    return a < b;
-  });
-
-  const geom::SpatialHash sender_index(links.Senders(),
-                                       std::max(1e-9, c1 * links.MinLength()));
-
-  std::vector<char> alive(n, 1);
-  // Accumulated affectance per receiver (incremental Neumaier sums seeded
-  // with the noise affectance — 0 in the paper's N₀ = 0 setting);
-  // hopeless links drop up front.
-  channel::IncrementalFeasibility acc(
-      engine, channel::IncrementalFeasibility::Quantity::kAffectance);
-  for (net::LinkId j = 0; j < n; ++j) {
-    if (acc.Sum(j) > options_.c2) alive[j] = 0;
-  }
-  net::Schedule picked;
-
-  for (net::LinkId i : order) {
-    if (!alive[i]) continue;
-    picked.push_back(i);
-    alive[i] = 0;
-
-    sender_index.ForEachInRadius(links.Receiver(i), c1 * links.Length(i),
-                                 [&](std::size_t j) { alive[j] = 0; });
-
-    // Deterministic affectance budget: the decode test is Σ a ≤ 1.
-    const double budget = options_.c2;
-    acc.Add(i, alive);
-    for (net::LinkId j = 0; j < n; ++j) {
-      if (alive[j] && acc.Sum(j) > budget) alive[j] = 0;
-    }
-  }
-  return FinalizeResult(links, std::move(picked), Name());
+  // Deterministic affectance budget: the decode test is Σ a ≤ 1, of which
+  // the picked set may use c2.
+  const EliminationRule rule{
+      channel::IncrementalFeasibility::Quantity::kAffectance,
+      ApproxDiversityC1(effective, options_.c2), options_.c2};
+  return FinalizeResult(links, EliminationScan(links, engine, rule), Name());
 }
 
 }  // namespace fadesched::sched

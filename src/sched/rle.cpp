@@ -1,12 +1,8 @@
 #include "sched/rle.hpp"
 
-#include <algorithm>
-#include <numeric>
-#include <vector>
-
 #include "channel/batch_interference.hpp"
-#include "geom/spatial_hash.hpp"
 #include "sched/constants.hpp"
+#include "sched/elimination.hpp"
 #include "util/check.hpp"
 
 namespace fadesched::sched {
@@ -23,67 +19,16 @@ ScheduleResult RleScheduler::Schedule(
   std::optional<channel::InterferenceEngine> local_engine;
   const channel::InterferenceEngine& engine =
       channel::ObtainEngine(links, params, options_.interference, local_engine);
-  const double gamma_eps = params.GammaEpsilon();
   // With per-link power control, every pairwise factor is bounded by the
   // uniform-power expression with γ_th inflated by the max/min power
   // ratio, so computing c1 from the inflated γ_th preserves Theorem 4.3.
   channel::ChannelParams effective = params;
   effective.gamma_th *= links.TxPowerRatio(params.tx_power);
-  const double c1 = RleC1(effective, options_.c2) * options_.c1_scale;
-  const std::size_t n = links.Size();
-
-  // Visit order: ascending link length, ties by id (deterministic).
-  std::vector<net::LinkId> order(n);
-  std::iota(order.begin(), order.end(), net::LinkId{0});
-  std::sort(order.begin(), order.end(), [&](net::LinkId a, net::LinkId b) {
-    if (links.Length(a) != links.Length(b)) {
-      return links.Length(a) < links.Length(b);
-    }
-    return a < b;
-  });
-
-  // Sender index for the radius eliminations (rule A). Bucket size on the
-  // order of the smallest elimination radius keeps queries tight.
-  const geom::SpatialHash sender_index(links.Senders(),
-                                       std::max(1e-9, c1 * links.MinLength()));
-
-  std::vector<char> alive(n, 1);
-  // Accumulated budget consumption per receiver, maintained by the
-  // incremental accumulator (per-receiver Neumaier sums seeded with the
-  // noise factor — 0 in the paper's N₀ = 0 setting — so rule B naturally
-  // accounts for noise). Links whose noise alone blows the rule-B budget
-  // can never be scheduled alongside anything and are dropped up front.
-  channel::IncrementalFeasibility acc(engine);
-  const double rule_b_budget = options_.c2 * gamma_eps;
-  for (net::LinkId j = 0; j < n; ++j) {
-    if (acc.Sum(j) > rule_b_budget) alive[j] = 0;
-  }
-  net::Schedule picked;
-
-  for (net::LinkId i : order) {
-    if (!alive[i]) continue;
-    picked.push_back(i);
-    alive[i] = 0;
-
-    // Rule A (Algorithm 2, line 4): drop links whose sender is within
-    // c1·d_ii of the picked receiver.
-    sender_index.ForEachInRadius(links.Receiver(i), c1 * links.Length(i),
-                                 [&](std::size_t j) {
-                                   // Paper uses strict '<'; the index's
-                                   // inclusive boundary differs only on a
-                                   // measure-zero set and is conservative.
-                                   alive[j] = 0;
-                                 });
-
-    // Rule B (line 5): accumulate the new pick's factor on every surviving
-    // receiver — O(survivors) cached additions through the engine's tables
-    // — and drop those whose budget from the picked set is blown.
-    acc.Add(i, alive);
-    for (net::LinkId j = 0; j < n; ++j) {
-      if (alive[j] && acc.Sum(j) > rule_b_budget) alive[j] = 0;
-    }
-  }
-  return FinalizeResult(links, std::move(picked), Name());
+  const EliminationRule rule{
+      channel::IncrementalFeasibility::Quantity::kFactor,
+      RleC1(effective, options_.c2) * options_.c1_scale,
+      options_.c2 * params.GammaEpsilon()};
+  return FinalizeResult(links, EliminationScan(links, engine, rule), Name());
 }
 
 }  // namespace fadesched::sched

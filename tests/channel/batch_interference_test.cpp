@@ -268,6 +268,13 @@ TEST(TiledBuildTest, RebuildIntoRecycledBlockMatchesFreshBuild) {
   }
 }
 
+// Adds `interferer` onto every other receiver: all live, none pruned.
+void AddToAll(IncrementalFeasibility& acc, net::LinkId interferer,
+              std::size_t n) {
+  std::vector<char> alive(n, 1);
+  acc.AddAndPrune(interferer, alive, std::numeric_limits<double>::infinity());
+}
+
 TEST(IncrementalFeasibilityTest, SumTracksEngineSumFactor) {
   const net::LinkSet links = RandomLinks(21, 30);
   ChannelParams params;
@@ -275,38 +282,13 @@ TEST(IncrementalFeasibilityTest, SumTracksEngineSumFactor) {
   IncrementalFeasibility acc(engine);
   std::vector<net::LinkId> active;
   for (net::LinkId i = 0; i < links.Size(); i += 2) {
-    acc.Add(i);
+    AddToAll(acc, i, links.Size());
     active.push_back(i);
   }
   for (net::LinkId j = 0; j < links.Size(); ++j) {
     EXPECT_NEAR(acc.Sum(j),
                 engine.NoiseFactor(j) + engine.SumFactor(active, j), 1e-12);
   }
-}
-
-TEST(IncrementalFeasibilityTest, RemoveUndoesAdd) {
-  const net::LinkSet links = RandomLinks(22, 25);
-  ChannelParams params;
-  const InterferenceEngine engine(links, params, {});
-  IncrementalFeasibility acc(engine);
-  acc.Add(0);
-  acc.Add(1);
-  std::vector<double> before(links.Size());
-  for (net::LinkId j = 0; j < links.Size(); ++j) before[j] = acc.Sum(j);
-  acc.Add(2);
-  acc.Remove(2);
-  for (net::LinkId j = 0; j < links.Size(); ++j) {
-    EXPECT_NEAR(acc.Sum(j), before[j], 1e-13) << "victim " << j;
-  }
-  EXPECT_EQ(acc.Active().size(), 2u);
-}
-
-TEST(IncrementalFeasibilityTest, RemoveWithoutAddThrows) {
-  const net::LinkSet links = RandomLinks(23, 10);
-  ChannelParams params;
-  const InterferenceEngine engine(links, params, {});
-  IncrementalFeasibility acc(engine);
-  EXPECT_THROW(acc.Remove(3), util::CheckFailure);
 }
 
 TEST(IncrementalFeasibilityTest, GatedAddSkipsDeadVictims) {
@@ -319,24 +301,56 @@ TEST(IncrementalFeasibilityTest, GatedAddSkipsDeadVictims) {
   alive[7] = 0;
   const double sum3 = acc.Sum(3);
   const double sum7 = acc.Sum(7);
-  acc.Add(0, alive);
+  // An infinite budget prunes nothing, so only the gate acts.
+  acc.AddAndPrune(0, alive, std::numeric_limits<double>::infinity());
   EXPECT_DOUBLE_EQ(acc.Sum(3), sum3);  // dead rows stay stale by contract
   EXPECT_DOUBLE_EQ(acc.Sum(7), sum7);
   EXPECT_GT(acc.Sum(1), engine.NoiseFactor(1));
+  EXPECT_EQ(std::count(alive.begin(), alive.end(), 0), 2);
 }
 
-TEST(IncrementalFeasibilityTest, SumWithPreviewsWithoutCommitting) {
+TEST(IncrementalFeasibilityTest,
+     AddAndPruneClearsExactlyTheReceiversOverBudget) {
+  const net::LinkSet links = RandomLinks(27, 45);
+  ChannelParams params;
+  const InterferenceEngine engine(links, params, {});
+  IncrementalFeasibility acc(engine);
+  IncrementalFeasibility reference(engine);
+  std::vector<char> alive(links.Size(), 1);
+  alive[0] = 0;
+  AddToAll(reference, 0, links.Size());
+  // A budget at the median receiver's sum prunes about half.
+  std::vector<double> sums;
+  for (net::LinkId j = 1; j < links.Size(); ++j) {
+    sums.push_back(reference.Sum(j));
+  }
+  std::nth_element(sums.begin(), sums.begin() + sums.size() / 2, sums.end());
+  const double budget = sums[sums.size() / 2];
+  acc.AddAndPrune(0, alive, budget);
+  for (net::LinkId j = 1; j < links.Size(); ++j) {
+    EXPECT_EQ(acc.Sum(j), reference.Sum(j)) << "receiver " << j;
+    EXPECT_EQ(alive[j] != 0, reference.Sum(j) <= budget) << "receiver " << j;
+  }
+  EXPECT_EQ(alive[0], 0);
+}
+
+TEST(IncrementalFeasibilityTest, AnyOverWithPreviewsWithoutCommitting) {
   const net::LinkSet links = RandomLinks(25, 15);
   ChannelParams params;
   const InterferenceEngine engine(links, params, {});
   IncrementalFeasibility acc(engine);
-  acc.Add(0);
-  const double preview = acc.SumWith(1, 2);
-  EXPECT_NEAR(preview, acc.Sum(2) + engine.Factor(1, 2), 1e-15);
+  AddToAll(acc, 0, links.Size());
+  const double before = acc.Sum(2);
+  const double preview = before + engine.Factor(1, 2);
+  const std::vector<net::LinkId> victim{2};
+  EXPECT_FALSE(acc.AnyOverWith(1, victim, preview));
+  EXPECT_TRUE(acc.AnyOverWith(1, victim, std::nextafter(preview, 0.0)));
   // The victim itself contributes nothing.
-  EXPECT_DOUBLE_EQ(acc.SumWith(2, 2), acc.Sum(2));
+  EXPECT_FALSE(acc.AnyOverWith(2, victim, before));
+  EXPECT_TRUE(acc.AnyOverWith(2, victim, std::nextafter(before, 0.0)));
+  EXPECT_FALSE(acc.AnyOverWith(1, {}, 0.0));
   // No commit happened.
-  EXPECT_EQ(acc.Active().size(), 1u);
+  EXPECT_EQ(acc.Sum(2), before);
 }
 
 TEST(IncrementalFeasibilityTest, AffectanceQuantityUsesDeterministicModel) {
@@ -346,8 +360,8 @@ TEST(IncrementalFeasibilityTest, AffectanceQuantityUsesDeterministicModel) {
   const InterferenceEngine engine(links, params, {});
   IncrementalFeasibility acc(engine,
                              IncrementalFeasibility::Quantity::kAffectance);
-  acc.Add(0);
-  acc.Add(5);
+  AddToAll(acc, 0, links.Size());
+  AddToAll(acc, 5, links.Size());
   for (net::LinkId j = 0; j < links.Size(); ++j) {
     if (j == 0 || j == 5) continue;
     const double want = sinr.NoiseAffectance(j) + sinr.Affectance(0, j) +
