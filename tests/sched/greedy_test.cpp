@@ -6,9 +6,11 @@
 
 #include "channel/feasibility.hpp"
 #include "channel/interference.hpp"
+#include "channel/simd_dispatch.hpp"
 #include "net/scenario.hpp"
 #include "rng/xoshiro256.hpp"
 #include "sched/ldp.hpp"
+#include "util/check.hpp"
 
 namespace fadesched::sched {
 namespace {
@@ -31,6 +33,41 @@ TEST(FadingGreedyTest, SingleLinkScheduled) {
   links.Add(net::Link{{0, 0}, {5, 0}, 2.0});
   const auto result = FadingGreedyScheduler().Schedule(links, PaperParams());
   EXPECT_EQ(result.schedule, net::Schedule{0});
+}
+
+TEST(FadingGreedyTest, CommittedSenderOnARejectedReceiverThrows) {
+  // Link 1 is rejected: link 0's sender is 1 from its receiver, its own
+  // sender 100. Link 2 is then committed, with its sender `shift` from
+  // link 1's receiver. At shift 0 that term is a domain error on every
+  // backend and tier, as it would be were link 1's receiver still read.
+  const auto layout = [](double shift) {
+    net::LinkSet links;
+    links.Add(net::Link{{0, 0}, {0, 0.01}, 3.0});
+    links.Add(net::Link{{-1, -100}, {-1, 0}, 2.0});
+    links.Add(net::Link{{-1 + shift, 0}, {-1, -0.01}, 1.0});
+    return links;
+  };
+  std::vector<channel::SimdLevel> levels{channel::SimdLevel::kScalar};
+  for (const channel::SimdLevel level :
+       {channel::SimdLevel::kAvx2, channel::SimdLevel::kAvx512}) {
+    if (channel::ResolveSimdLevel(level) == level) levels.push_back(level);
+  }
+  for (const channel::FactorBackend backend :
+       {channel::FactorBackend::kTables, channel::FactorBackend::kMatrix,
+        channel::FactorBackend::kCalculator}) {
+    FadingGreedyOptions options;
+    options.interference.backend = backend;
+    const FadingGreedyScheduler greedy(options);
+    for (const channel::SimdLevel level : levels) {
+      const channel::ScopedSimdLevel pin(level);
+      EXPECT_THROW(greedy.Schedule(layout(0.0), PaperParams()),
+                   util::CheckFailure)
+          << static_cast<int>(backend) << " " << SimdLevelName(level);
+      EXPECT_EQ(greedy.Schedule(layout(1e-3), PaperParams()).schedule,
+                (net::Schedule{0, 2}))
+          << static_cast<int>(backend) << " " << SimdLevelName(level);
+    }
+  }
 }
 
 TEST(FadingGreedyTest, AlwaysFeasibleByConstruction) {
