@@ -1,11 +1,11 @@
 // Microbenchmark: batched interference-matrix construction and factor
 // queries, across instance sizes. Emits BENCH_interference.json with the
-// serial-baseline vs tiled (exact kMatrix engine) vs precision-ladder
-// (SIMD) build timings the engine's speedup claims rest on, random vs
-// row-blocked query costs (the cache cliff once the matrix outgrows the
-// LLC), and a ULP differential check: tiled/tables vs the reference
-// calculator, and both ladder builds (dispatched tier and forced scalar)
-// vs the exact matrix build. A realization block times the §II fading
+// serial-baseline vs tiled (kMatrix engine) build timings the engine's
+// speedup claims rest on, random vs row-blocked query costs (the cache
+// cliff once the matrix outgrows the LLC), and two differential checks
+// over sampled entries: matrix and tables within the ULP tolerance of the
+// reference calculator, and matrix bit-identical to tables (the fact a
+// brownout's tables build relies on). A realization block times the §II fading
 // draw in ns per draw at m = 20/40/80 — the batched Rayleigh draw at
 // every SIMD tier the host supports, and sim::DrawRealization at the
 // dispatched tier — and checks that the tiers' batched draws are
@@ -54,8 +54,8 @@ using bench::Measure;
 using bench::Spread;
 using bench::Value;
 
-// The ULP budget for the fast kernel vs the reference expression; a real
-// formula divergence shows up orders of magnitude above this.
+// The ULP budget for the engine's expression vs the reference calculator;
+// a real formula divergence shows up orders of magnitude above this.
 constexpr std::uint64_t kUlpTolerance = 16;
 
 net::LinkSet MakeInstance(std::size_t n, std::uint64_t seed) {
@@ -84,8 +84,6 @@ struct SizeReport {
   Spread serial_build_ms;
   Spread tiled_build_ms;       // exact kMatrix engine, serial tiles
   Spread tiled_pool_build_ms;  // exact kMatrix engine, pool tiles
-  Spread fast_build_ms;         // precision ladder, dispatched tier
-  Spread fast_scalar_build_ms;  // precision ladder, forced scalar
   std::size_t working_set_bytes = 0;  // n·n·8: the matrix the queries walk
   Spread calculator_ns_per_pair;
   Spread tables_ns_per_pair;
@@ -99,12 +97,10 @@ struct SizeReport {
   Spread greedy_calculator_ms;
   Spread greedy_tables_ms;
   std::uint64_t max_ulp = 0;
-  // Fast (ladder) builds vs the exact matrix build — the ladder's own
-  // accuracy contract, measured at the dispatched tier and forced scalar.
-  std::uint64_t max_ulp_fast_simd = 0;
-  std::uint64_t max_ulp_fast_scalar = 0;
+  // Sampled entries where matrix.Factor and tables.Factor differ in any
+  // bit; the check requires 0.
+  std::size_t matrix_tables_mismatches = 0;
   std::size_t entries_checked = 0;
-  channel::LadderStats ladder;  // stats of the dispatched-tier fast build
 };
 
 // The realization kernel at one schedule size m: ns per Rayleigh draw
@@ -239,20 +235,8 @@ std::string Json(const std::vector<SizeReport>& reports,
             {{"serial_ms", Value(r.serial_build_ms)},
              {"tiled_ms", Value(r.tiled_build_ms)},
              {"tiled_pool_ms", Value(r.tiled_pool_build_ms)},
-             {"fast_ms", Value(r.fast_build_ms)},
-             {"fast_scalar_ms", Value(r.fast_scalar_build_ms)},
              {"speedup_tiled_vs_serial",
-              ratio(r.serial_build_ms, r.tiled_build_ms)},
-             {"speedup_fast_vs_tiled", ratio(r.tiled_build_ms, r.fast_build_ms)}});
-    Section(out, "ladder",
-            {{"level", "\"" + std::string(channel::SimdLevelName(r.ladder.level)) +
-                           "\""},
-             {"entries", Value(r.ladder.entries)},
-             {"promoted_domain", Value(r.ladder.promoted_domain)},
-             {"promoted_verify", Value(r.ladder.promoted_verify)},
-             {"promoted_rows", Value(r.ladder.promoted_rows)},
-             {"verified_entries", Value(r.ladder.verified_entries)},
-             {"verified_rows", Value(r.ladder.verified_rows)}});
+              ratio(r.serial_build_ms, r.tiled_build_ms)}});
     Section(out, "query",
             {{"working_set_bytes", Value(r.working_set_bytes)},
              {"calculator_ns_per_pair", Value(r.calculator_ns_per_pair)},
@@ -267,8 +251,7 @@ std::string Json(const std::vector<SizeReport>& reports,
              {"greedy_tables_ms", Value(r.greedy_tables_ms)}});
     Section(out, "check",
             {{"max_ulp", Value(r.max_ulp)},
-             {"max_ulp_fast_simd", Value(r.max_ulp_fast_simd)},
-             {"max_ulp_fast_scalar", Value(r.max_ulp_fast_scalar)},
+             {"matrix_tables_mismatches", Value(r.matrix_tables_mismatches)},
              {"entries_checked", Value(r.entries_checked)}},
             /*last=*/true);
     out << "    }" << (k + 1 < reports.size() ? "," : "") << "\n";
@@ -296,8 +279,9 @@ int main(int argc, char** argv) {
       cli.AddString("out", "BENCH_interference.json", "output JSON path");
   bool& check_only = cli.AddBool(
       "check", false,
-      "exit nonzero iff the differential ULP check or the realization "
-      "tiers' bit-identity check fails (never on timing)");
+      "exit nonzero iff the differential ULP check, the matrix/tables "
+      "bit-identity check or the realization tiers' bit-identity check "
+      "fails (never on timing)");
   if (!cli.Parse(argc, argv)) return cli.UsageExitCode();
   FS_CHECK_MSG(reps >= 1, "--reps must be >= 1");
   const int rep_count = static_cast<int>(reps);
@@ -349,26 +333,6 @@ int main(int argc, char** argv) {
                                                matrix_pool_options);
     });
 
-    // Precision-ladder (fast SIMD) engine builds: dispatched tier and
-    // forced scalar. Timed serially like tiled_ms so fast/tiled compare
-    // one thread against one thread; the ladder's sampled verification
-    // work is part of the timed build, as in production.
-    channel::EngineOptions fast_options;
-    fast_options.backend = channel::FactorBackend::kMatrix;
-    fast_options.ladder.enabled = true;
-    channel::EngineOptions fast_scalar_options = fast_options;
-    fast_scalar_options.ladder.force_level = channel::SimdLevel::kScalar;
-    report.fast_build_ms = Measure(rep_count, 1e3, [&] {
-      const channel::InterferenceEngine engine(links, params, fast_options);
-    });
-    report.fast_scalar_build_ms = Measure(rep_count, 1e3, [&] {
-      const channel::InterferenceEngine engine(links, params,
-                                               fast_scalar_options);
-    });
-    const channel::InterferenceEngine fast(links, params, fast_options);
-    const channel::InterferenceEngine fast_scalar(links, params,
-                                                  fast_scalar_options);
-    report.ladder = fast.Ladder();
     report.working_set_bytes = n * n * sizeof(double);
 
     // Query timings: random pairs through each backend. The sink defeats
@@ -442,52 +406,44 @@ int main(int argc, char** argv) {
     report.greedy_tables_ms = time_schedule(
         [&] { return std::make_unique<sched::FadingGreedyScheduler>(); });
 
-    // Differential check: exact matrix and fast tables vs the reference
-    // calculator, plus both precision-ladder builds vs the exact matrix
-    // build (the ladder's own ≤ band contract), over sampled entries
-    // (full coverage for small N). Bit-equality short-circuits before
-    // UlpDistance so promoted non-finite entries compare as exact.
-    const auto ulp_or_equal = [](double got, double want) -> std::uint64_t {
-      if (std::memcmp(&got, &want, sizeof(double)) == 0) return 0;
-      return mathx::UlpDistance(got, want);
-    };
+    // Differential checks over sampled entries (full coverage for small
+    // N): matrix and tables within kUlpTolerance of the reference
+    // calculator, and matrix bit-identical to tables.
     const std::size_t samples = std::min<std::size_t>(n * n, 1u << 18);
     rng::Xoshiro256 sample_gen(static_cast<std::uint64_t>(seed) + n);
     for (std::size_t k = 0; k < samples; ++k) {
       const std::size_t i = sample_gen.Next() % n;
       const std::size_t j = sample_gen.Next() % n;
       const double want = calc.Factor(i, j);
-      const std::uint64_t ulp_matrix =
-          mathx::UlpDistance(matrix.Factor(i, j), want);
-      const std::uint64_t ulp_tables =
-          mathx::UlpDistance(tables.Factor(i, j), want);
-      report.max_ulp = std::max({report.max_ulp, ulp_matrix, ulp_tables});
-      const double exact = matrix.Factor(i, j);
-      report.max_ulp_fast_simd = std::max(
-          report.max_ulp_fast_simd, ulp_or_equal(fast.Factor(i, j), exact));
-      report.max_ulp_fast_scalar =
-          std::max(report.max_ulp_fast_scalar,
-                   ulp_or_equal(fast_scalar.Factor(i, j), exact));
+      const double from_matrix = matrix.Factor(i, j);
+      const double from_tables = tables.Factor(i, j);
+      report.max_ulp =
+          std::max({report.max_ulp, mathx::UlpDistance(from_matrix, want),
+                    mathx::UlpDistance(from_tables, want)});
+      report.matrix_tables_mismatches +=
+          std::memcmp(&from_matrix, &from_tables, sizeof(double)) != 0;
     }
     report.entries_checked = samples;
-    const std::uint64_t worst = std::max(
-        {report.max_ulp, report.max_ulp_fast_simd, report.max_ulp_fast_scalar});
-    if (worst > kUlpTolerance) {
+    if (report.max_ulp > kUlpTolerance) {
       check_passed = false;
       std::cerr << "DIFFERENTIAL MISMATCH at n=" << n
-                << ": max ULP distance " << worst << " > "
+                << ": max ULP distance " << report.max_ulp << " > "
                 << kUlpTolerance << "\n";
+    }
+    if (report.matrix_tables_mismatches != 0) {
+      check_passed = false;
+      std::cerr << "MATRIX/TABLES MISMATCH at n=" << n << ": "
+                << report.matrix_tables_mismatches
+                << " sampled entries differ in some bit\n";
     }
     reports.push_back(report);
     std::cerr << "n=" << n << " median serial="
               << report.serial_build_ms.median
               << "ms tiled=" << report.tiled_build_ms.median
               << "ms pool=" << report.tiled_pool_build_ms.median
-              << "ms fast=" << report.fast_build_ms.median
-              << "ms fast_scalar=" << report.fast_scalar_build_ms.median
               << "ms max_ulp=" << report.max_ulp
-              << " fast_ulp=" << report.max_ulp_fast_simd << "/"
-              << report.max_ulp_fast_scalar << "\n";
+              << " matrix_tables_mismatches="
+              << report.matrix_tables_mismatches << "\n";
   }
 
   util::AtomicWriteFile(

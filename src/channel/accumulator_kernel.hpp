@@ -38,9 +38,17 @@
 #include <cstddef>
 
 #include "channel/simd_dispatch.hpp"
-#include "channel/simd_kernel.hpp"
 
 namespace fadesched::channel::simd {
+
+/// HalfPowerKernel decomposition replicated lane-wise:
+/// d^α = (d²)^whole · (√d²)^use_sqrt · ((d²)^¼)^use_quarter.
+struct RowKernelSpec {
+  int whole = 0;
+  bool use_sqrt = false;
+  bool use_quarter = false;
+  bool affectance = false;  ///< a_ij instead of f_ij = ln(1 + a_ij)
+};
 
 /// One interferer's kTables terms: the lanes derive each receiver's term
 /// from the receiver tables and the interferer's sender (spec.affectance

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <future>
-#include <limits>
 #include <optional>
+#include <unordered_map>
 
-#include "channel/simd_kernel.hpp"
 #include "mathx/summation.hpp"
-#include "mathx/ulp.hpp"
-#include "rng/splitmix64.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fadesched::channel {
@@ -88,10 +86,10 @@ InterferenceEngine::InterferenceEngine(const net::LinkSet& links,
 
   if (options_.backend == FactorBackend::kMatrix && n_ > 0) {
     if (options_.affectance_matrix) {
-      affectance_data_ = BuildMatrixData(/*affectance=*/true, ladder_stats_);
+      affectance_data_ = BuildMatrixData(/*affectance=*/true);
     } else {
       factor_matrix_ = std::make_unique<InterferenceMatrix>(
-          n_, BuildMatrixData(/*affectance=*/false, ladder_stats_));
+          n_, BuildMatrixData(/*affectance=*/false));
     }
   }
 }
@@ -141,9 +139,6 @@ InterferenceEngine::InterferenceEngine(
     victim_coeff_[k] = parent->victim_coeff_[id];
     noise_factor_[k] = parent->noise_factor_[id];
   }
-
-  // The ladder stats describe the parent's build the view reads.
-  ladder_stats_ = parent->ladder_stats_;
 
   // Views of views collapse to one indirection: remap through the
   // intermediate view and adopt its parent, so a chain of per-slot
@@ -223,6 +218,31 @@ double InterferenceEngine::SumFactor(std::span<const net::LinkId> schedule,
   return sum.Total();
 }
 
+void InterferenceEngine::CheckNoCoincidentPairs() const {
+  // d² = dx² + dy² is 0 only when |dx| and |dy| are below 2⁻⁵³⁷, and two
+  // distinct doubles that close both lie below 2⁻⁴⁸⁰ in magnitude.
+  // Snapping those to 0 gives every such pair one key; FastAffectance
+  // then tests each candidate exactly (a hash collision only costs it).
+  const auto snap = [](double v) {
+    return std::bit_cast<std::uint64_t>(std::abs(v) <= 0x1p-480 ? 0.0 : v);
+  };
+  const auto key = [&](double x, double y) {
+    return snap(x) * 0x9e3779b97f4a7c15ull ^ snap(y);
+  };
+  std::unordered_multimap<std::uint64_t, net::LinkId> receivers;
+  receivers.reserve(n_);
+  for (net::LinkId j = 0; j < n_; ++j) {
+    receivers.emplace(key(receiver_x_[j], receiver_y_[j]), j);
+  }
+  for (net::LinkId i = 0; i < n_; ++i) {
+    const auto [begin, end] = receivers.equal_range(key(sender_x_[i],
+                                                        sender_y_[i]));
+    for (auto it = begin; it != end; ++it) {
+      if (it->second != i) static_cast<void>(FastAffectance(i, it->second));
+    }
+  }
+}
+
 void InterferenceEngine::FillTile(bool affectance, std::size_t row_begin,
                                   std::size_t row_end, double* data) const {
   for (std::size_t j = row_begin; j < row_end; ++j) {
@@ -235,170 +255,11 @@ void InterferenceEngine::FillTile(bool affectance, std::size_t row_begin,
   }
 }
 
-std::size_t InterferenceEngine::FillFastTile(bool affectance, SimdLevel level,
-                                             std::size_t row_begin,
-                                             std::size_t row_end,
-                                             double* data) const {
-  const simd::RowKernelSpec spec{kernel_.WholeSteps(), kernel_.UsesSqrt(),
-                                 kernel_.UsesQuarter(), affectance};
-  const double* sx = sender_x_.data();
-  const double* sy = sender_y_.data();
-  const double* pw = power_.data();
-  // The kernel accumulates a per-row "wrote a non-finite value" flag
-  // in-register, so the rung-1 scan below touches only flagged rows —
-  // on clean geometry the O(N²) output, freshly streamed past the cache
-  // to DRAM, is never read back during the build.
-  std::vector<std::size_t> flagged;
-  std::size_t j = row_begin;
-  for (; j + 2 <= row_end; j += 2) {
-    const double rx[2] = {receiver_x_[j], receiver_x_[j + 1]};
-    const double ry[2] = {receiver_y_[j], receiver_y_[j + 1]};
-    const double coeff[2] = {victim_coeff_[j], victim_coeff_[j + 1]};
-    if (simd::FillFastRowPair(level, spec, sx, sy, pw, rx, ry, coeff, n_,
-                              data + j * n_, data + (j + 1) * n_)) {
-      flagged.push_back(j);
-      flagged.push_back(j + 1);
-    }
-  }
-  for (; j < row_end; ++j) {
-    if (simd::FillFastRow(level, spec, sx, sy, pw, receiver_x_[j],
-                          receiver_y_[j], victim_coeff_[j], n_,
-                          data + j * n_)) {
-      flagged.push_back(j);
-    }
-  }
-  // Drain the streaming stores before this core reads flagged rows back
-  // (and before the tile is published to other threads via the pool's
-  // future synchronization).
-  simd::StoreFence();
-
-  for (j = row_begin; j < row_end; ++j) data[j * n_ + j] = 0.0;
-
-  // Ladder rung 1 (domain): the fast kernel passes non-finite lanes
-  // through untouched — coincident positions and d^α overflow at extreme
-  // geometry surface as inf/NaN and flag their row. Recompute every
-  // non-finite entry exactly; FastAffectance re-raises the exact build's
-  // FS_CHECK on coincident positions. (The diagonal is finite in the fast
-  // expression — d_jj is the link length — and zeroed above, so it never
-  // flags a row by itself.)
-  std::size_t promoted = 0;
-  for (const std::size_t row_j : flagged) {
-    double* row = data + row_j * n_;
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (i == row_j || std::isfinite(row[i])) continue;
-      const double a = FastAffectance(i, row_j);
-      row[i] = affectance ? a : std::log1p(a);
-      ++promoted;
-    }
-  }
-  return promoted;
-}
-
-void InterferenceEngine::VerifyLadder(bool affectance, double* data,
-                                      LadderStats& stats) const {
-  const PrecisionLadderOptions& ladder = options_.ladder;
-  if (n_ < 2) return;
-  const std::size_t off_diag = n_ * (n_ - 1);
-
-  // Rung 2 (entry): recompute a seeded sample — or everything — through
-  // the exact expression; promote whatever sits outside the ULP band.
-  // Bit equality is checked before UlpDistance so entries the domain rung
-  // already promoted (possibly to ±inf, where UlpDistance saturates)
-  // count as distance zero.
-  const auto check_entry = [&](std::size_t i, std::size_t j) {
-    double* slot = data + j * n_ + i;
-    const double a = FastAffectance(i, j);
-    const double want = affectance ? a : std::log1p(a);
-    ++stats.verified_entries;
-    if (std::bit_cast<std::uint64_t>(*slot) ==
-        std::bit_cast<std::uint64_t>(want)) {
-      return;
-    }
-    const std::uint64_t ulp = mathx::UlpDistance(*slot, want);
-    stats.max_verify_ulp = std::max(stats.max_verify_ulp, ulp);
-    if (ulp > ladder.ulp_band) {
-      *slot = want;
-      ++stats.promoted_verify;
-    }
-  };
-  switch (ladder.verify) {
-    case PrecisionLadderOptions::Verify::kOff:
-      break;
-    case PrecisionLadderOptions::Verify::kSampled: {
-      rng::SplitMix64 rng(ladder.verify_seed);
-      const std::size_t samples = std::min(ladder.verify_samples, off_diag);
-      for (std::size_t k = 0; k < samples; ++k) {
-        const std::size_t j = rng.Next() % n_;
-        std::size_t i = rng.Next() % (n_ - 1);
-        if (i >= j) ++i;
-        check_entry(i, j);
-      }
-      break;
-    }
-    case PrecisionLadderOptions::Verify::kFull:
-      for (std::size_t j = 0; j < n_; ++j) {
-        for (std::size_t i = 0; i < n_; ++i) {
-          if (i != j) check_entry(i, j);
-        }
-      }
-      break;
-  }
-
-  // Rung 3 (row): seeded rows are re-summed with Neumaier compensation
-  // in the exact expression. The tolerance scales the band by the
-  // compensated-summation error model — per-entry disagreements of up to
-  // `ulp_band` ULP displace the row sum by at most ~band·ε·Σ|e_i| — with
-  // an n·ε·|Σ| envelope plus a denormal floor so an all-tiny row cannot
-  // trip on absolute noise. A drifting row is rewritten exactly.
-  const std::size_t rows = std::min(ladder.verify_rows, n_);
-  if (rows == 0) return;
-  rng::SplitMix64 row_rng(ladder.verify_seed ^ 0xda3e39cb94b95bdbull);
-  std::vector<double> exact_row(n_, 0.0);
-  for (std::size_t k = 0; k < rows; ++k) {
-    const std::size_t j = row_rng.Next() % n_;
-    ++stats.verified_rows;
-    double* row = data + j * n_;
-    mathx::NeumaierSum exact_sum;
-    mathx::NeumaierSum fast_sum;
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (i == j) {
-        exact_row[i] = 0.0;
-        continue;
-      }
-      const double a = FastAffectance(i, j);
-      exact_row[i] = affectance ? a : std::log1p(a);
-      exact_sum.Add(exact_row[i]);
-      fast_sum.Add(row[i]);
-    }
-    const double want = exact_sum.Total();
-    const double tol =
-        static_cast<double>(ladder.ulp_band) *
-        (std::numeric_limits<double>::epsilon() * static_cast<double>(n_) *
-             std::abs(want) +
-         std::numeric_limits<double>::min());
-    if (std::abs(fast_sum.Total() - want) > tol) {
-      std::copy(exact_row.begin(), exact_row.end(), row);
-      ++stats.promoted_rows;
-    }
-  }
-}
-
-FactorBuffer InterferenceEngine::BuildMatrixData(bool affectance,
-                                                 LadderStats& stats) const {
-  stats = LadderStats{};
+FactorBuffer InterferenceEngine::BuildMatrixData(bool affectance) const {
   FactorBuffer data;
   if (n_ == 0) return data;
 
-  // Ladder eligibility: the fast kernel evaluates every off-diagonal
-  // entry through the quarter-integer chain — a generic α (libm pow)
-  // keeps the exact tile loop.
-  const bool fast = options_.ladder.enabled && kernel_.IsSpecialized();
-  if (options_.ladder.enabled && !fast) {
-    stats.fallback_reason = "generic (non-quarter-integer) alpha";
-  }
-  const SimdLevel level = ResolveSimdLevel(options_.ladder.force_level);
-
-  // Both tile loops write every entry (diagonal included), so the buffer
+  // The tile loop writes every entry (diagonal included), so the buffer
   // stays uninitialized — the allocator's default-init resize() skips a
   // full zero-fill pass over the O(N²) working set, and a recycled block
   // may still hold an earlier matrix's bits.
@@ -406,16 +267,10 @@ FactorBuffer InterferenceEngine::BuildMatrixData(bool affectance,
 
   const std::size_t tile = std::max<std::size_t>(1, options_.tile_rows);
   const std::size_t num_tiles = (n_ + tile - 1) / tile;
-  std::vector<std::size_t> tile_promoted(num_tiles, 0);
   const auto run_tile = [&](std::size_t t) {
     const std::size_t row_begin = t * tile;
-    const std::size_t row_end = std::min(n_, row_begin + tile);
-    if (fast) {
-      tile_promoted[t] =
-          FillFastTile(affectance, level, row_begin, row_end, data.data());
-    } else {
-      FillTile(affectance, row_begin, row_end, data.data());
-    }
+    FillTile(affectance, row_begin, std::min(n_, row_begin + tile),
+             data.data());
   };
   if (options_.pool == nullptr) {
     for (std::size_t t = 0; t < num_tiles; ++t) run_tile(t);
@@ -428,14 +283,6 @@ FactorBuffer InterferenceEngine::BuildMatrixData(bool affectance,
       futures.push_back(options_.pool->Submit([&run_tile, t] { run_tile(t); }));
     }
     util::WaitAll(futures).Rethrow();
-  }
-
-  if (fast) {
-    stats.active = true;
-    stats.level = level;
-    stats.entries = n_ * (n_ - 1);
-    for (const std::size_t p : tile_promoted) stats.promoted_domain += p;
-    VerifyLadder(affectance, data.data(), stats);
   }
   return data;
 }
@@ -563,15 +410,9 @@ const InterferenceEngine& ObtainEngine(
     // Affectance shapes only a materialized matrix; the other backends
     // derive both quantities on the fly.
     const EngineOptions& built = shared->Options();
-    // Ladder settings shape a materialized matrix too; two disabled
-    // ladders are interchangeable regardless of their other knobs.
-    const bool ladder_match =
-        (!built.ladder.enabled && !options.ladder.enabled) ||
-        built.ladder == options.ladder;
     if (built.backend == options.backend &&
         (options.backend != FactorBackend::kMatrix ||
-         (built.affectance_matrix == options.affectance_matrix &&
-          ladder_match))) {
+         built.affectance_matrix == options.affectance_matrix)) {
       return *shared;
     }
   }

@@ -20,15 +20,9 @@
 //                 by a row-blocked tiled build, parallel across a
 //                 ThreadPool when one is supplied. Queries are loads.
 //
-// The kMatrix build has an opt-in *precision ladder*
-// (EngineOptions::ladder): tiles are filled by the runtime-dispatched
-// SIMD kernel in channel/simd_kernel (AVX-512 / AVX2 / scalar), entries
-// the fast expression cannot certify (non-finite lanes, verification
-// misses outside the configured ULP band, rows whose Neumaier re-sum
-// drifts) are *promoted* — recomputed through the exact kTables kernel —
-// and the promotion counts are surfaced via InterferenceEngine::Ladder().
-// With the ladder off (the default) the build is the exact tile loop,
-// bit-identical to prior releases.
+// kMatrix's tile loop evaluates FastAffectance, the expression kTables
+// evaluates on the fly, so every Factor/Affectance query gives the same
+// bits on kTables and kMatrix.
 //
 // The accumulator (IncrementalFeasibility) adds one interferer's terms and
 // runs RLE's rule-B prune in one pass, on kTables through the SIMD lanes
@@ -81,7 +75,8 @@ class HalfPowerKernel {
   [[nodiscard]] bool IsSpecialized() const { return !generic_; }
 
   /// Chain decomposition d^α = (d²)^WholeSteps · √d²^UsesSqrt · (d²)^¼^…,
-  /// exposed so the SIMD row kernel can replicate the chain lane-wise.
+  /// exposed so the accumulator lanes (channel/accumulator_kernel) can
+  /// replicate the chain lane-wise.
   /// Meaningful only when IsSpecialized().
   [[nodiscard]] int WholeSteps() const { return whole_; }
   [[nodiscard]] bool UsesSqrt() const { return use_sqrt_; }
@@ -117,73 +112,13 @@ enum class FactorBackend {
 
 class InterferenceEngine;
 
-/// Opt-in fast kMatrix build with verified precision (the "ladder"): the
-/// vectorized fast kernel fills the matrix, then ascending verification
-/// rungs promote any entry it cannot certify back to the exact kTables
-/// expression. Rungs, cheapest first:
-///
-///   1. domain   — non-finite fast entries (coincident positions, d^α
-///                 overflow at extreme geometry) are always recomputed
-///                 exactly; coincident positions therefore raise the same
-///                 FS_CHECK as the exact build.
-///   2. entry    — a seeded sample (or, under kFull, every entry) is
-///                 recomputed in the exact expression; entries beyond
-///                 `ulp_band` ULP are promoted.
-///   3. row      — `verify_rows` whole rows are re-summed with Neumaier
-///                 compensation in the exact expression; a row whose sum
-///                 drifts beyond the band-scaled tolerance is rewritten
-///                 exactly.
-///
-/// Applies to kMatrix only. Builds with a generic (non-quarter-integer) α
-/// fall back to the exact tile loop and report why via
-/// LadderStats::fallback_reason.
-struct PrecisionLadderOptions {
-  bool enabled = false;
-
-  /// Post-build verification depth for the entry rung.
-  enum class Verify { kOff, kSampled, kFull };
-  Verify verify = Verify::kSampled;
-
-  /// Promotion threshold: fast entries farther than this many ULP from
-  /// the exact expression are recomputed exactly. 16 matches the repo's
-  /// cross-backend accuracy contract.
-  std::uint64_t ulp_band = 16;
-
-  std::size_t verify_samples = 4096;  ///< entry rung sample count (kSampled)
-  std::size_t verify_rows = 8;        ///< row rung: rows re-summed exactly
-  std::uint64_t verify_seed = 0x9e3779b97f4a7c15ull;  ///< sampling stream
-
-  /// Pins the SIMD tier (tests run fast-vs-fast_scalar differentials in
-  /// one process); kAuto defers to hardware + environment.
-  SimdLevel force_level = SimdLevel::kAuto;
-
-  friend bool operator==(const PrecisionLadderOptions&,
-                         const PrecisionLadderOptions&) = default;
-};
-
-/// Observed outcome of one ladder build (InterferenceEngine::Ladder()).
-struct LadderStats {
-  bool active = false;  ///< fast build ran (vs. exact tile loop)
-  SimdLevel level = SimdLevel::kScalar;  ///< resolved dispatch tier
-  /// Why the fast build did not run (nullptr when it did): ladder
-  /// disabled, generic alpha, or empty set.
-  const char* fallback_reason = nullptr;
-  std::size_t entries = 0;          ///< off-diagonal entries built fast
-  std::size_t promoted_domain = 0;  ///< rung 1 promotions (non-finite)
-  std::size_t promoted_verify = 0;  ///< rung 2 promotions (> ulp_band)
-  std::size_t promoted_rows = 0;    ///< rung 3 rewrites
-  std::size_t verified_entries = 0; ///< rung 2 entries checked
-  std::size_t verified_rows = 0;    ///< rung 3 rows checked
-  std::uint64_t max_verify_ulp = 0; ///< worst rung-2 distance observed
-};
-
 struct EngineOptions {
   FactorBackend backend = FactorBackend::kTables;
 
   /// Optional prebuilt engine (the serving cache's memoized state). A
   /// scheduler consults it through ObtainEngine(): when the engine was
   /// built over the *same* LinkSet object, the same channel parameters,
-  /// and the same backend/affectance/ladder configuration, it is reused
+  /// and the same backend/affectance configuration, it is reused
   /// and the O(N) table (or O(N²) matrix) build is skipped; any mismatch
   /// falls back to a fresh local build. Engine construction is
   /// deterministic, so reuse is bit-identical to rebuilding.
@@ -198,10 +133,6 @@ struct EngineOptions {
   /// kMatrix only: materialize the deterministic affectance a_ij instead of
   /// the Rayleigh factor f_ij = ln(1 + a_ij) (ApproxDiversity's quantity).
   bool affectance_matrix = false;
-
-  /// kMatrix only: fast SIMD build with verified promotion (off = the
-  /// exact tile loop, bit-identical to prior releases).
-  PrecisionLadderOptions ladder;
 };
 
 class InterferenceEngine {
@@ -215,11 +146,10 @@ class InterferenceEngine {
   /// `subset_links` — which must equal parent->Links().Subset(ids) — whose
   /// per-link tables are gathered from `parent` in O(|ids|) and whose
   /// kMatrix queries remap into the parent's materialized matrix instead
-  /// of rebuilding O(|ids|²) factors. With the parent built by the exact
-  /// tile loop (ladder off), every query is bit-identical to a cold
-  /// engine built over `subset_links` with the same options; a laddered
-  /// parent stays within the ladder's ULP band. `subset_links` must
-  /// outlive the view; the parent is kept alive by the shared_ptr.
+  /// of rebuilding O(|ids|²) factors. Every query is bit-identical to a
+  /// cold engine built over `subset_links` with the same options.
+  /// `subset_links` must outlive the view; the parent is kept alive by
+  /// the shared_ptr.
   InterferenceEngine(std::shared_ptr<const InterferenceEngine> parent,
                      const net::LinkSet& subset_links,
                      std::span<const net::LinkId> ids);
@@ -245,6 +175,12 @@ class InterferenceEngine {
     return noise_factor_[victim];
   }
 
+  /// Raises the check a kMatrix build raises when some link's sender sits
+  /// on another link's receiver (d² = 0), in O(N) expected time without
+  /// building the matrix. kTables raises it only when that pair is
+  /// queried, so a tables build standing in for a kMatrix one calls this.
+  void CheckNoCoincidentPairs() const;
+
   /// Σ_{i∈schedule, i≠victim} f_i,victim with Neumaier compensation.
   [[nodiscard]] double SumFactor(std::span<const net::LinkId> schedule,
                                  net::LinkId victim) const;
@@ -254,10 +190,6 @@ class InterferenceEngine {
   [[nodiscard]] const InterferenceMatrix* FactorMatrix() const {
     return factor_matrix_.get();
   }
-
-  /// What the precision ladder did during this engine's kMatrix build
-  /// (all-zero / inactive for other backends or when the ladder is off).
-  [[nodiscard]] const LadderStats& Ladder() const { return ladder_stats_; }
 
   /// True when this engine is a warm subset view over a parent engine.
   [[nodiscard]] bool IsSubsetView() const { return parent_ != nullptr; }
@@ -275,8 +207,8 @@ class InterferenceEngine {
  private:
   friend class IncrementalFeasibility;
 
-  /// Table-driven affectance — the exact kernel every kTables/kMatrix path
-  /// shares (the tile loop, the ladder's promotions and on-the-fly queries).
+  /// Table-driven affectance — the one kernel every kTables/kMatrix path
+  /// shares (the tile loop and on-the-fly queries).
   [[nodiscard]] double FastAffectance(net::LinkId i, net::LinkId j) const {
     const double dx = sender_x_[i] - receiver_x_[j];
     const double dy = sender_y_[i] - receiver_y_[j];
@@ -290,24 +222,9 @@ class InterferenceEngine {
   void FillTile(bool affectance, std::size_t row_begin, std::size_t row_end,
                 double* data) const;
 
-  /// Ladder rung 1: fills a tile with the SIMD fast kernel (rows paired
-  /// for the AVX-512 register blocking), zeroes the diagonal, and promotes
-  /// every non-finite fast entry through the exact expression. Returns the
-  /// tile's promotion count.
-  std::size_t FillFastTile(bool affectance, SimdLevel level,
-                           std::size_t row_begin, std::size_t row_end,
-                           double* data) const;
-
-  /// Ladder rungs 2 and 3 (serial, deterministic): entry sampling and
-  /// exact Neumaier row re-sums over the fast-built matrix; promotes in
-  /// place and accumulates into `stats`.
-  void VerifyLadder(bool affectance, double* data, LadderStats& stats) const;
-
   /// Runs the tiled build (serial or on options_.pool) and returns the
-  /// matrix data. With the precision ladder enabled (and eligible) tiles
-  /// go through FillFastTile + VerifyLadder; `stats` records what
-  /// happened.
-  FactorBuffer BuildMatrixData(bool affectance, LadderStats& stats) const;
+  /// matrix data.
+  FactorBuffer BuildMatrixData(bool affectance) const;
 
   const net::LinkSet* links_;
   EngineOptions options_;
@@ -325,7 +242,6 @@ class InterferenceEngine {
 
   std::unique_ptr<InterferenceMatrix> factor_matrix_;
   FactorBuffer affectance_data_;  // kMatrix + affectance_matrix
-  LadderStats ladder_stats_;
 
   // Subset-view state: the parent engine (kept alive) and the map from
   // this engine's link ids to the parent's. Empty for direct builds.
@@ -402,7 +318,7 @@ class IncrementalFeasibility {
 
 /// The scheduler-side entry point for engine reuse: returns
 /// `options.shared.get()` when that engine matches this exact (LinkSet
-/// object, channel parameters, backend, affectance, ladder) configuration;
+/// object, channel parameters, backend, affectance) configuration;
 /// otherwise constructs a fresh engine into `local` and returns that.
 /// Identity of the LinkSet is by address — the serving cache hands the
 /// scheduler the very LinkSet its memoized engine was built over, so a

@@ -9,9 +9,7 @@
 // the same correctly-rounded operations in the same order — a true
 // divide, no reciprocal seeds, no FMA — and the project is built with
 // -ffp-contract=off, so kScalar, kAvx2 and kAvx512 are bit-identical to
-// each other and to rng::Exponential. (The interference engine's
-// AVX-512 tier is not: it trades exactness for rcp14/rsqrt14 seeds and
-// explicit FMAs, and its precision ladder bounds the gap.)
+// each other and to rng::Exponential.
 #pragma once
 
 #include <cstddef>

@@ -16,13 +16,11 @@
 
 namespace fadesched::channel {
 
-/// Backing storage for dense factor/affectance matrices. 64-byte aligned
-/// so the vectorized builders can use cache-line streaming stores on
-/// whole rows (glibc malloc only guarantees 16 bytes for large blocks),
-/// recycled through util::PageRecycler so rebuilds of O(N²) matrices skip
-/// the page-fault storm of a fresh mapping, and — via the allocator's
-/// default-initializing construct() — NOT zero-filled by resize(): the
-/// engine's tile loops write every entry, diagonal included.
+/// Backing storage for dense factor/affectance matrices. Cache-line (64
+/// byte) aligned, recycled through util::PageRecycler so rebuilds of
+/// O(N²) matrices skip the page-fault storm of a fresh mapping, and — via
+/// the allocator's default-initializing construct() — NOT zero-filled by
+/// resize(): the engine's tile loop writes every entry, diagonal included.
 using FactorBuffer =
     std::vector<double, util::RecyclingAlignedAllocator<double, 64>>;
 

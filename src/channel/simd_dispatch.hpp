@@ -1,5 +1,4 @@
-// Runtime SIMD dispatch for the vectorized kernels: the precision
-// ladder's fast matrix fill (channel/simd_kernel), the §II fading draw
+// Runtime SIMD dispatch for the vectorized kernels: the §II fading draw
 // (channel/exponential_kernel) and the Corollary 3.1 accumulator
 // (channel/accumulator_kernel).
 //
@@ -12,28 +11,17 @@
 //   kAvx2   — AVX2+FMA.
 //   kScalar — portable fallback; also what `FADESCHED_NO_SIMD=1` forces.
 //
-// What each kernel promises across tiers differs:
-//   * The fading draw's and the accumulator's tiers are bit-identical to
-//     their scalar code (the accumulator's factor lanes port glibc's FMA
-//     build of log1p, which is what std::log1p runs on every host with a
-//     vector tier; see accumulator_kernel.hpp).
-//   * The fast matrix fill is not. Its AVX-512 tier uses reciprocal/rsqrt
-//     seed iterations, a few ULP from the scalar expression, and its AVX2
-//     tier's translation unit is built with -ffp-contract=fast, where GCC 12
-//     fuses four multiply/add pairs of Avx2Fill into FMAs. What is pinned
-//     is narrower: SimdKernelTest.Avx2IsBitIdenticalToScalar compares rows
-//     bit for bit on one fixed sample (131 links, five α, both row modes),
-//     and EveryTierWithinBandOfExactExpression bounds every tier against
-//     the exact expression in ULPs; the precision ladder repairs the rest.
+// Both kernels' tiers are bit-identical to their scalar code (the
+// accumulator's factor lanes port glibc's FMA build of log1p, which is
+// what std::log1p runs on every host with a vector tier; see
+// accumulator_kernel.hpp), so the tier changes speed, never results.
 //
-// Dispatch is observable and overridable in three ways:
+// Dispatch is observable and overridable in two ways:
 //   * process-wide, via the environment (CI's forced-scalar and AVX2 runs):
 //       FADESCHED_NO_SIMD=1          force kScalar
 //       FADESCHED_SIMD_LEVEL=LEVEL   cap at scalar|avx2|avx512
 //   * per thread, with a ScopedSimdLevel guard (tests and micro_schedulers
-//     run whole schedulers at each tier in one process);
-//   * per engine, via PrecisionLadderOptions::force_level (tests pin
-//     both dispatch modes of the fast fill inside one process).
+//     run whole schedulers at each tier in one process).
 #pragma once
 
 namespace fadesched::channel {

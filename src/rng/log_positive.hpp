@@ -28,8 +28,7 @@
 namespace fadesched::rng {
 
 // fdlibm log(): atanh-series split polynomial over s = f/(2+f) with the
-// mantissa folded into [√2/2, √2), plus the exact-sum split of ln 2. The
-// interference engine's fast log (channel/simd_kernel.cpp) shares them.
+// mantissa folded into [√2/2, √2), plus the exact-sum split of ln 2.
 inline constexpr double kLg1 = 6.666666666666735130e-01;
 inline constexpr double kLg2 = 3.999999999940941908e-01;
 inline constexpr double kLg3 = 2.857142874366239149e-01;

@@ -1,5 +1,5 @@
 // Overload controller for the request batcher: CoDel-style adaptive
-// admission, two-tier load shedding, and a brownout ladder.
+// admission, two-tier load shedding, and brownout.
 //
 // The hard queue-capacity bound (batcher.hpp) protects memory; this
 // controller protects *latency*. It watches the queue delay each request
@@ -16,10 +16,9 @@
 //     queue-delay EWMA so clients back off proportionally to the actual
 //     congestion instead of a blind ladder;
 //   * brownout: when the delay EWMA climbs past
-//     `brownout_enter_factor × target`, the service cheapens cold builds:
-//     a kMatrix backend takes the SIMD precision-ladder build (factors
-//     within 16 ULP, the same schedules), every other backend the
-//     kTables build (ScenarioCache::ObtainScenario). Hysteresis: brownout
+//     `brownout_enter_factor × target`, the service cheapens cold builds
+//     to the O(N) kTables build whatever the backend, with byte-identical
+//     replies (ScenarioCache::ObtainScenario). Hysteresis: brownout
 //     exits only when the EWMA falls back below
 //     `brownout_exit_factor × target`.
 //

@@ -144,17 +144,15 @@ ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
   built->canonical_scenario = fp.canonical_scenario;
   channel::EngineOptions engine_options = options_.engine;
   engine_options.shared.reset();
-  if (degrade_build) {
-    // Brownout: a matrix backend keeps matrix-speed queries but takes the
-    // ~10× cheaper SIMD ladder build; everything else degrades to the
-    // tables-only build as before.
-    if (engine_options.backend == channel::FactorBackend::kMatrix) {
-      engine_options.ladder.enabled = true;
-    } else {
-      engine_options.backend = channel::FactorBackend::kTables;
-    }
-  }
+  // Brownout: every backend drops to the O(N) tables build, whose
+  // queries carry the kMatrix build's bits. A kMatrix build also rejects
+  // a sender on a receiver up front, so its stand-in must too.
+  const bool matrix_checks =
+      degrade_build &&
+      engine_options.backend == channel::FactorBackend::kMatrix;
+  if (degrade_build) engine_options.backend = channel::FactorBackend::kTables;
   built->engine.emplace(built->links, built->params, engine_options);
+  if (matrix_checks) built->engine->CheckNoCoincidentPairs();
   built->cost_bytes = EstimateScenarioBytes(*built, engine_options);
 
   std::lock_guard<std::mutex> lock(mutex_);

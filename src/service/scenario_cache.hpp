@@ -93,11 +93,11 @@ class ScenarioCache {
   /// `request.scenario`, engine constructed with the configured backend)
   /// and inserting on miss. Sets *hit accordingly when non-null.
   /// `degrade_build` cheapens the engine build for this miss only (the
-  /// brownout path): a kMatrix backend keeps its matrix but builds it
-  /// through the SIMD precision ladder; any other backend drops to the
-  /// kTables tables-only build. Safe because the ladder stays inside the
-  /// backends' accuracy contract and schedules are identical, so
-  /// whichever entry lands first serves everyone correctly.
+  /// brownout path): every backend drops to the O(N) kTables build, and a
+  /// kMatrix backend keeps its build-time rejection of a sender on a
+  /// receiver. Safe because kTables answers every query with the kMatrix
+  /// build's bits, so every scheduler returns the same schedule on either,
+  /// and whichever entry lands first serves byte-identical replies.
   ScenarioPtr ObtainScenario(const Fingerprint& fp,
                              const SchedulingRequest& request,
                              bool* hit = nullptr, bool degrade_build = false);

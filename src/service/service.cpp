@@ -86,10 +86,8 @@ SchedulingResponse SchedulingService::Handle(const SchedulingRequest& request,
     }
 
     // Brownout: while the overload controller says the queue delay is
-    // critical, degrade this miss to a cheap build — the SIMD precision
-    // ladder for matrix backends (keeps matrix-speed queries), the
-    // tables-only build otherwise. Schedules are identical and factors
-    // stay within the cross-backend ULP contract; hits are untouched.
+    // critical, degrade this miss to the O(N) kTables build. Its replies
+    // are byte-identical to a normal build's; hits are untouched.
     const bool degrade_build =
         batcher_ != nullptr && batcher_->Overload().Brownout();
     bool scenario_hit = false;

@@ -6,7 +6,9 @@
 // must leave the same sums, the same pruned alive masks and give the same
 // member-test answers at every tier, on clustered, near-far and colinear
 // layouts, for both quantities and every backend. CI reruns this binary
-// with the dispatch forced to scalar and capped at AVX2.
+// with the dispatch forced to scalar and capped at AVX2. The dispatch's
+// own rules (environment caps, clamping to the hardware, thread pins)
+// are pinned at the end.
 #include "channel/accumulator_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -350,6 +352,29 @@ TEST(AccumulatorKernelTest, ScopedLevelPinsAutoDispatchOnThisThread) {
     EXPECT_EQ(ResolveSimdLevel(SimdLevel::kAuto), SimdLevel::kScalar);
   }
   EXPECT_EQ(ResolveSimdLevel(SimdLevel::kAuto), before);
+}
+
+TEST(SimdDispatchTest, EnvOverridesOnlyCap) {
+  const SimdLevel hw = SimdLevel::kAvx512;
+  EXPECT_EQ(ApplySimdEnv(hw, nullptr, nullptr), SimdLevel::kAvx512);
+  EXPECT_EQ(ApplySimdEnv(hw, "1", nullptr), SimdLevel::kScalar);
+  EXPECT_EQ(ApplySimdEnv(hw, "0", nullptr), SimdLevel::kAvx512);
+  EXPECT_EQ(ApplySimdEnv(hw, "", nullptr), SimdLevel::kAvx512);
+  EXPECT_EQ(ApplySimdEnv(hw, nullptr, "avx2"), SimdLevel::kAvx2);
+  EXPECT_EQ(ApplySimdEnv(hw, nullptr, "scalar"), SimdLevel::kScalar);
+  EXPECT_EQ(ApplySimdEnv(hw, nullptr, "bogus"), SimdLevel::kAvx512);
+  // The cap cannot raise above hardware.
+  EXPECT_EQ(ApplySimdEnv(SimdLevel::kAvx2, nullptr, "avx512"),
+            SimdLevel::kAvx2);
+  // NO_SIMD wins over a higher cap.
+  EXPECT_EQ(ApplySimdEnv(hw, "1", "avx512"), SimdLevel::kScalar);
+}
+
+TEST(SimdDispatchTest, ResolveClampsToHardware) {
+  EXPECT_EQ(ResolveSimdLevel(SimdLevel::kScalar), SimdLevel::kScalar);
+  EXPECT_LE(ResolveSimdLevel(SimdLevel::kAvx512), DetectSimdLevel());
+  EXPECT_LE(ResolveSimdLevel(SimdLevel::kAuto), DetectSimdLevel());
+  EXPECT_NE(ResolveSimdLevel(SimdLevel::kAuto), SimdLevel::kAuto);
 }
 
 }  // namespace

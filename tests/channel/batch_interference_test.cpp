@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "channel/feasibility.hpp"
@@ -20,9 +22,9 @@
 namespace fadesched::channel {
 namespace {
 
-// The fast kernel reorders the floating-point expression, so engine
-// factors may differ from the calculator by rounding noise. Anything
-// beyond a handful of ULPs would indicate a real formula mismatch.
+// The engine's tables reorder the calculator's floating-point expression,
+// so engine factors may differ from it by rounding noise. Anything beyond
+// a handful of ULPs would indicate a real formula mismatch.
 constexpr std::uint64_t kUlpTolerance = 16;
 
 net::LinkSet RandomLinks(std::uint64_t seed, std::size_t n = 40) {
@@ -267,6 +269,141 @@ TEST(TiledBuildTest, RebuildIntoRecycledBlockMatchesFreshBuild) {
     }
   }
 }
+
+// An interfering sender on a victim's receiver (d² = 0, exactly or by
+// underflow) has no defined factor: the kMatrix build raises the same
+// check a kTables query does, serial or pooled, for both matrix kinds,
+// and so does the tables engine's CheckNoCoincidentPairs. A sender 1e-150
+// off the receiver is a defined factor, and neither raises.
+TEST(TiledBuildTest, CoincidentPositionsThrow) {
+  struct Layout {
+    geom::Vec2 sender;  // link 1's sender; link 0 ends at the origin
+    bool coincident;
+  };
+  for (const Layout layout : {Layout{{0.0, 0.0}, true},
+                              Layout{{1e-170, -1e-170}, true},
+                              Layout{{1e-150, 0.0}, false}}) {
+    net::LinkSet links;
+    links.Add({{-10.0, 0.0}, {0.0, 0.0}});
+    links.Add({layout.sender, {10.0, 0.0}});
+    ChannelParams params;
+    const InterferenceEngine tables(links, params);
+    util::ThreadPool pool(2);
+    for (const bool affectance : {false, true}) {
+      for (util::ThreadPool* build_pool :
+           {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+        EngineOptions options;
+        options.backend = FactorBackend::kMatrix;
+        options.affectance_matrix = affectance;
+        options.pool = build_pool;
+        if (layout.coincident) {
+          EXPECT_THROW(InterferenceEngine(links, params, options),
+                       util::CheckFailure)
+              << "affectance=" << affectance
+              << " pooled=" << (build_pool != nullptr);
+        } else {
+          EXPECT_NO_THROW(InterferenceEngine(links, params, options));
+        }
+      }
+    }
+    if (layout.coincident) {
+      EXPECT_THROW(static_cast<void>(tables.Factor(1, 0)), util::CheckFailure);
+      EXPECT_THROW(tables.CheckNoCoincidentPairs(), util::CheckFailure);
+    } else {
+      EXPECT_GT(tables.Factor(1, 0), 0.0);
+      EXPECT_NO_THROW(tables.CheckNoCoincidentPairs());
+    }
+  }
+}
+
+// kMatrix materializes the expression kTables evaluates on the fly, so
+// every Factor and Affectance query carries the same bits on both, from a
+// factor matrix and from an affectance matrix alike. The geometries are
+// the edge cases of the engine's arithmetic: long quarter-integer power
+// chains (α = 7, 10), a generic α (libm pow), subnormal gains and
+// duplicated links.
+struct Geometry {
+  const char* name;
+  double alpha;
+  net::LinkSet (*make)();
+};
+
+const Geometry kGeometries[] = {
+    {"Uniform", 3.0, [] { return RandomLinks(3000); }},
+    {"Alpha7", 7.0, [] { return RandomLinks(3107); }},
+    {"Alpha10", 10.0, [] { return RandomLinks(3110); }},
+    {"GenericAlpha", 2.01, [] { return RandomLinks(3001); }},
+    {"SubnormalGains", 3.0,
+     [] {
+       // A vanishing transmit power drives affectances subnormal on some
+       // victims and victim coefficients enormous on its own receiver.
+       net::LinkSet links;
+       net::Link weak{{0.0, 0.0}, {10.0, 0.0}};
+       weak.tx_power = 1e-290;
+       links.Add(weak);
+       links.Add({{200.0, 0.0}, {210.0, 0.0}});
+       links.Add({{50.0, 80.0}, {55.0, 90.0}});
+       return links;
+     }},
+    {"DuplicateLinks", 3.0,
+     [] {
+       // Same sender and receiver twice (a duplicated request) is legal:
+       // the cross distances equal the link length.
+       net::LinkSet links;
+       links.Add({{0.0, 0.0}, {10.0, 0.0}});
+       links.Add({{0.0, 0.0}, {10.0, 0.0}});
+       links.Add({{100.0, 5.0}, {110.0, 5.0}});
+       return links;
+     }},
+};
+
+// Prints a case by name, so the test names CTest discovers do not carry
+// the struct's pointer bytes, which change from one run to the next.
+void PrintTo(const Geometry& geometry, std::ostream* os) {
+  *os << geometry.name;
+}
+
+class MatrixTablesBitsTest : public ::testing::TestWithParam<Geometry> {};
+
+TEST_P(MatrixTablesBitsTest, FactorAndAffectanceAreBitIdentical) {
+  const net::LinkSet links = GetParam().make();
+  ChannelParams params;
+  params.alpha = GetParam().alpha;
+  const InterferenceEngine tables(links, params);
+  EXPECT_NO_THROW(tables.CheckNoCoincidentPairs());
+  EngineOptions factor_options;
+  factor_options.backend = FactorBackend::kMatrix;
+  EngineOptions affectance_options = factor_options;
+  affectance_options.affectance_matrix = true;
+  const InterferenceEngine factor_matrix(links, params, factor_options);
+  const InterferenceEngine affectance_matrix(links, params, affectance_options);
+  ASSERT_NE(factor_matrix.FactorMatrix(), nullptr);
+  ASSERT_EQ(affectance_matrix.FactorMatrix(), nullptr);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (net::LinkId i = 0; i < links.Size(); ++i) {
+    for (net::LinkId j = 0; j < links.Size(); ++j) {
+      const double factor = tables.Factor(i, j);
+      const double affectance = tables.Affectance(i, j);
+      ASSERT_TRUE(std::isfinite(factor) && std::isfinite(affectance))
+          << "i=" << i << " j=" << j;
+      for (const InterferenceEngine* matrix :
+           {&factor_matrix, &affectance_matrix}) {
+        EXPECT_EQ(bits(matrix->Factor(i, j)), bits(factor))
+            << "i=" << i << " j=" << j << " affectance_matrix="
+            << matrix->Options().affectance_matrix;
+        EXPECT_EQ(bits(matrix->Affectance(i, j)), bits(affectance))
+            << "i=" << i << " j=" << j << " affectance_matrix="
+            << matrix->Options().affectance_matrix;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, MatrixTablesBitsTest, ::testing::ValuesIn(kGeometries),
+    [](const ::testing::TestParamInfo<Geometry>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 // Adds `interferer` onto every other receiver: all live, none pruned.
 void AddToAll(IncrementalFeasibility& acc, net::LinkId interferer,

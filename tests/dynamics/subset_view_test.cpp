@@ -1,9 +1,8 @@
 // The warm subset view is the tentpole contract of the dynamics
 // subsystem: MakeSubsetEngineView(parent, subset, ids) must answer every
-// query bit-identically to a cold engine built over the same subset (exact
-// builds), so per-slot re-scheduling on the backlogged subset is a pure
+// query bit-identically to a cold engine built over the same subset, so
+// per-slot re-scheduling on the backlogged subset is a pure
 // optimization — never a semantic change.
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -27,17 +26,6 @@ std::vector<net::LinkId> EveryThirdLink(std::size_t n) {
   std::vector<net::LinkId> ids;
   for (net::LinkId i = 1; i < n; i += 3) ids.push_back(i);
   return ids;
-}
-
-std::uint64_t UlpDistance(double a, double b) {
-  const auto key = [](double v) {
-    const auto bits = std::bit_cast<std::uint64_t>(v);
-    return (bits & 0x8000000000000000ull) ? ~bits
-                                          : bits | 0x8000000000000000ull;
-  };
-  const std::uint64_t ka = key(a);
-  const std::uint64_t kb = key(b);
-  return ka > kb ? ka - kb : kb - ka;
 }
 
 class SubsetViewBackendTest
@@ -91,35 +79,6 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, SubsetViewBackendTest,
                            }
                            return "Unknown";
                          });
-
-// A view over a laddered kMatrix parent inherits the ladder's accuracy
-// contract: every remapped entry is within the 16-ULP band of the exact
-// kTables expression.
-TEST(SubsetViewTest, LadderedParentStaysWithinUlpBand) {
-  const net::LinkSet universe = MakeUniverse(80, 23);
-  const ChannelParams params;
-  EngineOptions laddered;
-  laddered.backend = FactorBackend::kMatrix;
-  laddered.ladder.enabled = true;
-
-  const auto parent = std::make_shared<const InterferenceEngine>(
-      universe, params, laddered);
-  const std::vector<net::LinkId> ids = EveryThirdLink(universe.Size());
-  const net::LinkSet subset = universe.Subset(ids);
-  const auto view = MakeSubsetEngineView(parent, subset, ids);
-
-  EngineOptions exact;
-  exact.backend = FactorBackend::kTables;
-  const InterferenceEngine reference(subset, params, exact);
-
-  for (net::LinkId j = 0; j < subset.Size(); ++j) {
-    for (net::LinkId i = 0; i < subset.Size(); ++i) {
-      ASSERT_LE(UlpDistance(view->Factor(i, j), reference.Factor(i, j)),
-                16u)
-          << "factor (" << i << ", " << j << ")";
-    }
-  }
-}
 
 // View-of-a-view collapses to the root parent (no remap chains), and the
 // composed remap still answers bit-identically to a cold build over the

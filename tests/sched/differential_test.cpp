@@ -1,10 +1,9 @@
 // Differential tests: every scheduler must return the *identical* schedule
 // whether its feasibility sums come from the reference calculator, the
-// precomputed fast tables, a materialized (optionally thread-pool built)
-// matrix, or the SIMD precision-ladder fast matrix build — at the native
-// dispatch tier and forced scalar. This is the schedule-level guarantee
-// that the batched engine is a pure optimization, checked across 50+
-// seeded scenarios (and re-run by CI under FADESCHED_NO_SIMD=1).
+// precomputed fast tables, or a materialized (optionally thread-pool
+// built) matrix. This is the schedule-level guarantee that the batched
+// engine is a pure optimization, checked across 50+ seeded scenarios (and
+// re-run by CI under FADESCHED_NO_SIMD=1).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -73,16 +72,6 @@ std::vector<channel::EngineOptions> BackendSweep(util::ThreadPool* pool) {
   pooled_matrix.pool = pool;
   pooled_matrix.tile_rows = 16;
   sweep.push_back(pooled_matrix);
-  // Precision-ladder fast builds: once at the dispatcher's preferred SIMD
-  // tier (which FADESCHED_NO_SIMD=1 pins to scalar — CI runs this suite
-  // in both modes) and once at the forced-scalar tier, so a single run
-  // still differentials fast-vs-scalar.
-  channel::EngineOptions fast = matrix;
-  fast.ladder.enabled = true;
-  sweep.push_back(fast);
-  channel::EngineOptions fast_scalar = fast;
-  fast_scalar.ladder.force_level = channel::SimdLevel::kScalar;
-  sweep.push_back(fast_scalar);
   return sweep;
 }
 
@@ -145,11 +134,7 @@ TEST(DifferentialTest, AllSchedulersAgreeAcrossBackends) {
             << factory.name << " diverged on seed " << scenario.seed
             << " n=" << scenario.num_links << " backend="
             << static_cast<int>(engine.backend)
-            << (engine.pool != nullptr ? " (pooled)" : "")
-            << (engine.ladder.enabled ? " (ladder)" : "")
-            << (engine.ladder.force_level == channel::SimdLevel::kScalar
-                    ? " (forced-scalar)"
-                    : "");
+            << (engine.pool != nullptr ? " (pooled)" : "");
       }
     }
   }

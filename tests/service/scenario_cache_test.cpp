@@ -42,31 +42,25 @@ TEST(ScenarioCacheTest, MissBuildsThenHits) {
   EXPECT_EQ(metrics.scenario_hits.load(), 1u);
 }
 
-TEST(ScenarioCacheTest, DegradedMatrixBuildsUseThePrecisionLadder) {
-  // Brownout misses on a kMatrix configuration keep the matrix backend
-  // (query speed is the point of the config) but take the cheap SIMD
-  // precision-ladder build.
-  CacheOptions options;
-  options.engine.backend = channel::FactorBackend::kMatrix;
-  ScenarioCache cache(options);
-  const SchedulingRequest request = MakeRequest(3);
-  const Fingerprint fp = FingerprintRequest(request);
-  const ScenarioCache::ScenarioPtr entry =
-      cache.ObtainScenario(fp, request, nullptr, /*degrade_build=*/true);
-  ASSERT_TRUE(entry->engine.has_value());
-  EXPECT_EQ(entry->engine->Backend(), channel::FactorBackend::kMatrix);
-  EXPECT_TRUE(entry->engine->Options().ladder.enabled);
-}
-
 TEST(ScenarioCacheTest, DegradedNonMatrixBuildsDropToTables) {
-  ScenarioCache cache;  // default engine backend: kTables
-  const SchedulingRequest request = MakeRequest(4);
-  const Fingerprint fp = FingerprintRequest(request);
-  const ScenarioCache::ScenarioPtr entry =
-      cache.ObtainScenario(fp, request, nullptr, /*degrade_build=*/true);
-  ASSERT_TRUE(entry->engine.has_value());
-  EXPECT_EQ(entry->engine->Backend(), channel::FactorBackend::kTables);
-  EXPECT_FALSE(entry->engine->Options().ladder.enabled);
+  // A brownout miss takes the O(N) tables build whatever the configured
+  // backend, a kMatrix one included: kTables answers with the matrix
+  // build's bits, so nothing is lost but the O(N²) build.
+  for (const channel::FactorBackend backend :
+       {channel::FactorBackend::kCalculator, channel::FactorBackend::kTables,
+        channel::FactorBackend::kMatrix}) {
+    CacheOptions options;
+    options.engine.backend = backend;
+    ScenarioCache cache(options);
+    const SchedulingRequest request = MakeRequest(4);
+    const Fingerprint fp = FingerprintRequest(request);
+    const ScenarioCache::ScenarioPtr entry =
+        cache.ObtainScenario(fp, request, nullptr, /*degrade_build=*/true);
+    ASSERT_TRUE(entry->engine.has_value());
+    EXPECT_EQ(entry->engine->Backend(), channel::FactorBackend::kTables)
+        << static_cast<int>(backend);
+    EXPECT_EQ(entry->engine->FactorMatrix(), nullptr);
+  }
 }
 
 TEST(ScenarioCacheTest, EngineIsBuiltOverTheEntrysOwnLinks) {

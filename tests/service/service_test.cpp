@@ -230,5 +230,58 @@ TEST(SchedulingServiceTest, EmptyLinkSetIsServed) {
   EXPECT_TRUE(response.schedule.empty());
 }
 
+// Brownout drops a miss to the O(N) kTables build whatever the backend.
+// Its replies must be the normal replies byte for byte, for all five
+// schedulers, on a tables and on a matrix configuration. The last input
+// puts a sender on another link's receiver: the matrix configuration
+// rejects it at build time, and must under brownout too.
+TEST(SchedulingServiceTest, BrownoutRepliesAreByteIdenticalToNormalReplies) {
+  const char* const kSchedulers[] = {"rle", "ldp", "approx_logn",
+                                     "approx_diversity", "fading_greedy"};
+  constexpr std::uint64_t kFuzzCases = 6;
+  const auto make_request = [&](std::uint64_t index, const char* scheduler) {
+    SchedulingRequest request = MakeRequest(index, scheduler);
+    if (index == kFuzzCases) {
+      request.scenario.links = net::LinkSet{};
+      request.scenario.links.Add({{0.0, 0.0}, {10.0, 0.0}});
+      request.scenario.links.Add({{10.0, 0.0}, {20.0, 0.0}});
+      request.scenario.links.Add({{100.0, 0.0}, {110.0, 0.0}});
+    }
+    return request;
+  };
+  for (const channel::FactorBackend backend :
+       {channel::FactorBackend::kTables, channel::FactorBackend::kMatrix}) {
+    ServiceOptions options;
+    options.cache.engine.backend = backend;
+    SchedulingService normal(options);
+    SchedulingService degraded(options);
+    // One queue delay far past the enter threshold puts the controller
+    // into brownout; nothing drains it here, so it stays there.
+    degraded.Overload().ObserveQueueDelay(10.0,
+                                          std::chrono::steady_clock::now());
+    ASSERT_TRUE(degraded.Overload().Brownout());
+
+    std::size_t ok = 0;
+    for (std::uint64_t index = 0; index <= kFuzzCases; ++index) {
+      for (const char* scheduler : kSchedulers) {
+        const SchedulingRequest request = make_request(index, scheduler);
+        const SchedulingResponse want = normal.HandleNow(request);
+        const SchedulingResponse got = degraded.HandleNow(request);
+        EXPECT_EQ(FormatResponseLine(got), FormatResponseLine(want))
+            << "backend=" << static_cast<int>(backend) << " case=" << index
+            << " scheduler=" << scheduler;
+        ok += want.Ok() ? 1 : 0;
+      }
+    }
+    EXPECT_GT(ok, 0u);
+    // Every scenario was built once, degraded, except the coincident one
+    // on the matrix configuration, whose build fails on every request.
+    const bool matrix = backend == channel::FactorBackend::kMatrix;
+    EXPECT_EQ(degraded.Metrics().brownout_builds.load(),
+              matrix ? kFuzzCases : kFuzzCases + 1);
+    EXPECT_EQ(normal.Metrics().brownout_builds.load(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace fadesched::service

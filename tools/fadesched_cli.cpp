@@ -768,8 +768,8 @@ OverloadFlags AddOverloadFlags(util::CliParser& cli) {
       "requests first) | all");
   flags.brownout = &cli.AddBool(
       "brownout", true,
-      "degrade cold engine builds under critical queue delay (matrix "
-      "backends: SIMD precision-ladder build; others: tables backend)");
+      "degrade cold engine builds to the tables backend under critical "
+      "queue delay (replies stay byte-identical)");
   return flags;
 }
 
