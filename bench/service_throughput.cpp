@@ -1,8 +1,11 @@
-// Service-level benchmark: cold vs warm request latency through the
-// scenario/response cache, byte-determinism under a multi-worker batcher,
-// and admission-control shedding under overload. Emits BENCH_service.json.
+// Service-level benchmark: request-frame decode time against the check=
+// FNV floor, cold vs warm request latency through the scenario/response
+// cache, byte-determinism under a multi-worker batcher, and
+// admission-control shedding under overload. Emits BENCH_service.json.
 //
 // With --check the exit code gates the PR's serving claims:
+//   * a decoded frame's scenario is bit-identical to the one formatted
+//     (decode timings are reported, never gated),
 //   * warm (cached) serving ≥ 5× faster than cold at N = 2000 links,
 //   * zero byte-level response divergence across ≥ 4 worker threads,
 //   * a saturated queue sheds (status=shed, kind=transient, exit code 1).
@@ -24,6 +27,7 @@
 #include <filesystem>
 #include <memory>
 
+#include "micro_common.hpp"
 #include "net/scenario.hpp"
 #include "rng/xoshiro256.hpp"
 #include "service/client.hpp"
@@ -61,6 +65,41 @@ service::SchedulingRequest MakeRequest(const testing::ScenarioCase& scenario,
   request.scheduler = scheduler;
   request.id = id;
   return request;
+}
+
+// One size of the decode block: ParseRequestFrame on a whole frame (END
+// stripped, as the front-ends hand it over) against Fnv1a64 alone over
+// the same bytes, the check= floor the decode cannot go below.
+struct DecodePoint {
+  std::size_t links = 0;
+  std::size_t frame_bytes = 0;
+  bench::Spread parse_us;
+  bench::Spread fnv_us;
+  bool bit_identical = false;
+};
+
+DecodePoint MeasureDecode(std::size_t n, int reps) {
+  DecodePoint point;
+  point.links = n;
+  const service::SchedulingRequest request =
+      MakeRequest(MakeCase(n, 20261018), "rle", "decode");
+  std::string frame = service::FormatRequestFrame(request);
+  frame.resize(frame.size() - 4);  // the END line
+  point.frame_bytes = frame.size();
+  // The canonical blob holds every double raw, so equal blobs mean a
+  // bit-identical scenario.
+  point.bit_identical =
+      service::FingerprintRequest(service::ParseRequestFrame(frame))
+          .canonical_scenario ==
+      service::FingerprintRequest(request).canonical_scenario;
+  volatile std::uint64_t sink = 0;
+  point.parse_us = bench::Measure(reps, 1e6, [&] {
+    sink = service::ParseRequestFrame(frame).scenario.links.Size();
+  });
+  point.fnv_us =
+      bench::Measure(reps, 1e6, [&] { sink = service::Fnv1a64(frame); });
+  (void)sink;
+  return point;
 }
 
 // Same deterministic warm/cold interleaving as the loadgen: request i is
@@ -168,10 +207,20 @@ int main(int argc, char** argv) {
       "shard-requests", 600, "measured requests per shard-scaling point");
   auto& out_path = cli.AddString("out", "BENCH_service.json", "JSON output");
   auto& check = cli.AddBool(
-      "check", false, "exit 1 unless speedup >= 5, zero divergence, the "
-      "overloaded queue shed, sharding scales capacity, and affinity beats "
-      "round-robin on warm hits");
+      "check", false, "exit 1 unless decoded frames are bit-identical, "
+      "speedup >= 5, zero divergence, the overloaded queue shed, sharding "
+      "scales capacity, and affinity beats round-robin on warm hits");
   if (!cli.Parse(argc, argv)) return cli.UsageExitCode();
+
+  // --- 0. Decode against the FNV floor, on a quiet process ----------------
+  constexpr int kDecodeReps = 21;
+  std::vector<DecodePoint> decode;
+  for (const std::size_t n : {600u, 2000u}) {
+    decode.push_back(MeasureDecode(n, kDecodeReps));
+  }
+  const bool decode_identical =
+      std::all_of(decode.begin(), decode.end(),
+                  [](const DecodePoint& point) { return point.bit_identical; });
 
   // --- 1. Cold vs warm at N = n_links -------------------------------------
   const testing::ScenarioCase big =
@@ -613,6 +662,21 @@ int main(int argc, char** argv) {
   json << "  \"scheduler\": \"" << scheduler << "\",\n";
   json.precision(4);
   json << std::fixed;
+  json << "  \"decode\": {\"reps\": " << kDecodeReps
+       << ", \"host\": " << bench::HostJson() << ", \"sizes\": [\n";
+  for (std::size_t i = 0; i < decode.size(); ++i) {
+    const DecodePoint& point = decode[i];
+    json << "    {\"links\": " << point.links
+         << ", \"frame_bytes\": " << point.frame_bytes
+         << ", \"parse_request_frame_us\": " << bench::Value(point.parse_us)
+         << ", \"fnv1a64_us\": " << bench::Value(point.fnv_us)
+         << ", \"parse_over_fnv\": "
+         << bench::Value(point.parse_us.median / point.fnv_us.median)
+         << ", \"bit_identical\": "
+         << (point.bit_identical ? "true" : "false") << "}"
+         << (i + 1 < decode.size() ? "," : "") << "\n";
+  }
+  json << "  ]},\n";
   json << "  \"cold_ms\": " << cold_ms << ",\n";
   json << "  \"warm_ms\": " << warm_ms << ",\n";
   json << "  \"warm_speedup\": " << speedup << ",\n";
@@ -697,15 +761,16 @@ int main(int argc, char** argv) {
         1.3 * shard_series.front().capacity_rps;
     const bool affinity_wins =
         affinity_point.warm_hit_rate > round_robin_point.warm_hit_rate;
-    const bool ok = speedup >= 5.0 && deterministic_pair &&
+    const bool ok = decode_identical && speedup >= 5.0 && deterministic_pair &&
                     det_mismatches == 0 && shed_count > 0 &&
                     shed_exit_code == util::kExitRuntime && shards_scale &&
                     affinity_wins;
     if (!ok) {
       std::fprintf(stderr,
                    "service_throughput --check FAILED "
-                   "(shards_scale=%d affinity_wins=%d)\n",
-                   shards_scale ? 1 : 0, affinity_wins ? 1 : 0);
+                   "(decode_identical=%d shards_scale=%d affinity_wins=%d)\n",
+                   decode_identical ? 1 : 0, shards_scale ? 1 : 0,
+                   affinity_wins ? 1 : 0);
       return util::kExitRuntime;
     }
   }

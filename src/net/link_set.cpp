@@ -27,12 +27,27 @@ LinkId LinkSet::Add(const Link& link) {
   FS_CHECK_MSG(std::isfinite(length), "non-finite link endpoint");
   FS_CHECK_MSG(link.rate > 0.0, "link rate must be positive");
   FS_CHECK_MSG(link.tx_power >= 0.0, "negative per-link tx power");
+  Append(link, length);
+  return senders_.size() - 1;
+}
+
+bool LinkSet::TryAdd(const Link& link) {
+  // Add's four checks, in its order, without building a message.
+  const double length = link.Length();
+  if (!(length > 0.0) || !std::isfinite(length) || !(link.rate > 0.0) ||
+      !(link.tx_power >= 0.0)) {
+    return false;
+  }
+  Append(link, length);
+  return true;
+}
+
+void LinkSet::Append(const Link& link, double length) {
   senders_.push_back(link.sender);
   receivers_.push_back(link.receiver);
   rates_.push_back(link.rate);
   lengths_.push_back(length);
   tx_powers_.push_back(link.tx_power);
-  return senders_.size() - 1;
 }
 
 double LinkSet::TotalRate(std::span<const LinkId> subset) const {

@@ -45,6 +45,10 @@ class LinkSet {
   /// which the interference model cannot represent.
   LinkId Add(const Link& link);
 
+  /// Add without the exception: false, and nothing appended, where Add
+  /// would throw. For parsers that fall back to a checked path.
+  bool TryAdd(const Link& link);
+
   [[nodiscard]] std::size_t Size() const { return senders_.size(); }
   [[nodiscard]] bool Empty() const { return senders_.empty(); }
 
@@ -96,6 +100,8 @@ class LinkSet {
   [[nodiscard]] LinkSet Subset(std::span<const LinkId> ids) const;
 
  private:
+  void Append(const Link& link, double length);
+
   std::vector<geom::Vec2> senders_;
   std::vector<geom::Vec2> receivers_;
   std::vector<double> rates_;

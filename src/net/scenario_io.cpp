@@ -1,12 +1,14 @@
 #include "net/scenario_io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 #include "util/string_util.hpp"
 
 namespace fadesched::net {
@@ -32,6 +34,24 @@ util::CsvTable ToCsv(const LinkSet& links) {
   return table;
 }
 
+namespace {
+
+// One newline per data row but perhaps the last, which the header's
+// newline makes up for: an upper bound on the link count. Counted with
+// memchr, several times faster here than std::count.
+std::size_t CountNewlines(std::string_view text) {
+  std::size_t newlines = 0;
+  const char* const end = text.data() + text.size();
+  for (const char* at = text.data();
+       (at = static_cast<const char*>(std::memchr(at, '\n', end - at)));
+       ++at) {
+    ++newlines;
+  }
+  return newlines;
+}
+
+}  // namespace
+
 LinkSet ParseLinkCsv(std::string_view csv) {
   util::CsvReader reader(csv);
   // Cells are checked in this order, whatever the file's column order.
@@ -47,17 +67,7 @@ LinkSet ParseLinkCsv(std::string_view csv) {
   const bool with_power = index[kTxPower] < header.size();
 
   LinkSet links;
-  // One newline per data row but perhaps the last, which the header's
-  // newline makes up for: an upper bound on the link count. Counted with
-  // memchr, several times faster here than std::count.
-  std::size_t newlines = 0;
-  const char* const end = csv.data() + csv.size();
-  for (const char* at = csv.data();
-       (at = static_cast<const char*>(std::memchr(at, '\n', end - at)));
-       ++at) {
-    ++newlines;
-  }
-  links.Reserve(newlines);
+  links.Reserve(CountNewlines(csv));
   while (reader.Next()) {
     // Every malformed-value failure names the 1-based data row, so a bad
     // line in a thousand-link scenario file is findable.
@@ -94,6 +104,42 @@ LinkSet ParseLinkCsv(std::string_view csv) {
       throw util::CheckFailure(where() + ": " + e.what());
     }
   }
+  return links;
+}
+
+std::optional<LinkSet> ParseLinkRows(std::string_view csv,
+                                     std::uint64_t* fnv) {
+  constexpr std::string_view kHeader = "sx,sy,rx,ry,rate\n";
+  constexpr std::string_view kPowerHeader = "sx,sy,rx,ry,rate,tx_power\n";
+  const bool with_power = csv.starts_with(kPowerHeader);
+  if (!with_power && !csv.starts_with(kHeader)) return std::nullopt;
+  const std::size_t columns = with_power ? 6 : 5;
+  const char* at = csv.data() + (with_power ? kPowerHeader : kHeader).size();
+  const char* const end = csv.data() + csv.size();
+  std::uint64_t hash =
+      fnv != nullptr ? util::FnvFold(*fnv, csv.data(), at) : 0;
+
+  LinkSet links;
+  links.Reserve(CountNewlines(std::string_view(at, end - at)));
+  while (at != end) {
+    double cells[6] = {};  // sx, sy, rx, ry, rate, tx_power (0 = default)
+    for (std::size_t c = 0; c < columns; ++c) {
+      const auto [stop, error] = std::from_chars(at, end, cells[c]);
+      if (error != std::errc() || stop == end ||
+          *stop != (c + 1 < columns ? ',' : '\n') ||
+          !std::isfinite(cells[c])) {
+        return std::nullopt;
+      }
+      if (fnv != nullptr) hash = util::FnvFold(hash, at, stop + 1);
+      at = stop + 1;
+    }
+    // LinkSet::TryAdd also requires rate > 0 and tx_power >= 0.
+    if (!links.TryAdd(Link{{cells[0], cells[1]}, {cells[2], cells[3]},
+                           cells[4], cells[5]})) {
+      return std::nullopt;
+    }
+  }
+  if (fnv != nullptr) *fnv = hash;
   return links;
 }
 

@@ -41,9 +41,10 @@ void PollOrTimeout(int fd, short events, const util::Deadline& deadline,
         throw util::TimeoutError(std::string(what) +
                                  " timed out (peer stalled)");
       }
+      // Re-check the deadline each 200 ms tick; clamped before the cast,
+      // since a saturated deadline has infinite time left.
       const double remaining = deadline.RemainingSeconds();
-      wait_ms = static_cast<int>(remaining * 1e3) + 1;
-      if (wait_ms > 200) wait_ms = 200;  // re-check the deadline each tick
+      wait_ms = remaining < 0.2 ? static_cast<int>(remaining * 1e3) + 1 : 200;
     }
     pollfd pfd{fd, events, 0};
     const int ready = ::poll(&pfd, 1, wait_ms);

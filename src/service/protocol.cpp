@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -187,6 +188,10 @@ RequestHeader ParseRequestHeader(std::string_view frame) {
         throw util::FatalError(
             "request frame line 1: deadline must be non-negative");
       }
+      if (!std::isfinite(header.deadline_seconds)) {
+        throw util::FatalError(
+            "request frame line 1: deadline must be finite");
+      }
     } else if (key == "check") {
       try {
         check = ParseHash(value, "check");
@@ -247,19 +252,19 @@ std::optional<CheckSplice> LocateCheckToken(std::string_view line) {
 }
 
 // The body is the frame with the check token spliced out, mirroring the
-// format side, hashed in place as three chained pieces.
-std::uint64_t BodyCheck(const RequestHeader& header, const CheckSplice& at) {
-  return Fnv1a64(header.payload,
-                 Fnv1a64("\n", Fnv1a64(header.line.substr(at.end),
-                                       Fnv1a64(header.line.substr(
-                                           0, at.begin)))));
+// format side. This is the FNV state after the header pieces and their
+// newline; the payload is chained on from it.
+std::uint64_t HeaderCheck(const RequestHeader& header, const CheckSplice& at) {
+  return Fnv1a64("\n", Fnv1a64(header.line.substr(at.end),
+                               Fnv1a64(header.line.substr(0, at.begin))));
 }
 
 }  // namespace
 
 bool RequestCheckMatches(const RequestHeader& header) {
   const std::optional<CheckSplice> at = LocateCheckToken(header.line);
-  return at.has_value() && BodyCheck(header, *at) == header.check;
+  return at.has_value() &&
+         Fnv1a64(header.payload, HeaderCheck(header, *at)) == header.check;
 }
 
 SchedulingRequest ParseRequestBody(const RequestHeader& header,
@@ -268,8 +273,15 @@ SchedulingRequest ParseRequestBody(const RequestHeader& header,
   request.id = header.id;
   request.scheduler = header.scheduler;
   request.deadline_seconds = header.deadline_seconds;
+  // The payload's FNV is chained on during the parse (one pass over the
+  // link block when it is in FormatScenario's spelling), so a frame pays
+  // for the check once.
+  const std::optional<CheckSplice> at =
+      check_matched ? std::nullopt : LocateCheckToken(header.line);
+  std::uint64_t hash = at.has_value() ? HeaderCheck(header, *at) : 0;
   try {
-    request.scenario = fadesched::testing::ParseScenario(header.payload);
+    request.scenario = fadesched::testing::ParseScenario(
+        header.payload, at.has_value() ? &hash : nullptr);
   } catch (const std::exception& e) {
     // ParseScenario's message already names its own 1-based line/row; the
     // payload starts at frame line 2.
@@ -282,14 +294,12 @@ SchedulingRequest ParseRequestBody(const RequestHeader& header,
   // to parse keeps its precise row diagnostic; one that still parses —
   // or a flipped header token that still splits as key=value — is caught
   // here instead of silently scheduling the wrong instance.
-  const std::optional<CheckSplice> at = LocateCheckToken(header.line);
   if (!at.has_value()) {
     // A check= token that follows a separator other than space or tab.
     throw util::TransientError(
         "request frame line 1: check= token lost during reparse (wire "
         "corruption — retry)");
   }
-  const std::uint64_t hash = BodyCheck(header, *at);
   if (header.check != hash) {
     const std::size_t body_bytes = at->begin +
                                    (header.line.size() - at->end) + 1 +

@@ -42,6 +42,17 @@
 // a payload that still parses, the request checksum is verified *after*
 // a successful scenario parse: parse errors keep their precise row
 // diagnostics, and the checksum closes the corrupted-but-parseable hole.
+//
+// Decode cost: the check= FNV-1a is a serial multiply chain, so it is
+// computed during the parse, not as a pass of its own. A link block in
+// FormatScenario's exact spelling is read in one pass (net::ParseLinkRows)
+// that parses each cell, appends each row to the LinkSet and folds each
+// cell's bytes into the running FNV state; the chain then executes in the
+// shadow of the next cell's parse. Any other spelling falls back to the
+// CsvReader parse and a standalone FNV pass, with the same errors. The
+// serving path (SchedulingService::SubmitFrame) probes the response
+// cache's raw level before any FNV, verifies check= only on a raw match,
+// before the hit is counted, and otherwise decodes with this one pass.
 // Besides scheduling frames, a connection may send the bare line `STATS`
 // (no payload, no END) between frames; the server answers with one
 // `STATS sum=<16hex> key=value ...` line — a consistent-enough snapshot
@@ -157,7 +168,8 @@ bool RequestCheckMatches(const RequestHeader& header);
 
 /// ParseRequestFrame's second half: parses the payload (kFatal on error),
 /// then verifies check= (kTransient on a mismatch) unless the caller has
-/// already seen RequestCheckMatches(header) return true.
+/// already seen RequestCheckMatches(header) return true. The payload's
+/// FNV is folded in during the parse, so the frame is read once.
 SchedulingRequest ParseRequestBody(const RequestHeader& header,
                                    bool check_matched = false);
 

@@ -23,15 +23,6 @@ int SchedulingResponse::ExitCode() const {
   return util::ExitCodeForError(error_kind);
 }
 
-std::uint64_t Fnv1a64(std::string_view bytes, std::uint64_t seed) {
-  std::uint64_t hash = seed;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 namespace {
 
 // Odd 64-bit constants (the golden ratio and splitmix64's multipliers).

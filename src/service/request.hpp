@@ -21,6 +21,7 @@
 #include "net/link_set.hpp"
 #include "testing/corpus.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace fadesched::service {
 
@@ -75,10 +76,8 @@ struct SchedulingResponse {
   [[nodiscard]] int ExitCode() const;
 };
 
-/// 64-bit FNV-1a over `bytes`, chainable via `seed`. Byte-serial; the
-/// wire checksums (check=, sum=) are defined with it.
-std::uint64_t Fnv1a64(std::string_view bytes,
-                      std::uint64_t seed = 14695981039346656037ull);
+/// The wire checksums' FNV-1a (util/fnv.hpp), under its serving name.
+using util::Fnv1a64;
 
 /// 64-bit hash of `bytes` that consumes 32 bytes per step in two
 /// independent multiply-fold lanes: 5.7–5.9 µs on a 46,756-byte frame

@@ -92,6 +92,7 @@ void ScenarioCache::AttachRawLocked(LruList::iterator it,
   }
   it->raw_payload.emplace(raw.payload);
   it->raw_key = raw.key;
+  it->raw_serial = ++raw_attaches_;
   raw_index_.emplace(raw.key, it);
   it->cost_bytes += raw.payload.size();
   current_bytes_ += raw.payload.size();
@@ -195,22 +196,42 @@ bool ScenarioCache::LookupResponse(const Fingerprint& fp,
   return true;
 }
 
-bool ScenarioCache::LookupRaw(const RawPayload& raw, SchedulingResponse* out) {
-  std::lock_guard<std::mutex> lock(mutex_);
+std::optional<ScenarioCache::LruList::iterator> ScenarioCache::FindRawLocked(
+    const RawPayload& raw) const {
   auto [begin, end] = raw_index_.equal_range(raw.key);
   for (auto entry = begin; entry != end; ++entry) {
     const LruList::iterator it = entry->second;
-    if (it->scheduler != raw.scheduler || *it->raw_payload != raw.payload) {
-      Bump(&ServiceMetrics::cache_collisions);
-      continue;
+    if (it->scheduler == raw.scheduler && *it->raw_payload == raw.payload) {
+      return it;
     }
-    TouchLocked(it);
-    Bump(&ServiceMetrics::response_hits);
-    Bump(&ServiceMetrics::raw_hits);
-    if (out != nullptr) *out = *it->response;
-    return true;
+    Bump(&ServiceMetrics::cache_collisions);
   }
-  return false;
+  return std::nullopt;
+}
+
+bool ScenarioCache::LookupRaw(const RawPayload& raw, SchedulingResponse* out,
+                              const std::function<bool()>& verify) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  std::optional<LruList::iterator> found = FindRawLocked(raw);
+  if (found && verify) {
+    // Unlocked: a verify may be a full pass over the frame. The serial
+    // finds the same attach again, or nothing if it is gone.
+    const std::uint64_t serial = (*found)->raw_serial;
+    lock.unlock();
+    if (!verify()) return false;
+    lock.lock();
+    found.reset();
+    auto [begin, end] = raw_index_.equal_range(raw.key);
+    for (auto entry = begin; entry != end && !found; ++entry) {
+      if (entry->second->raw_serial == serial) found = entry->second;
+    }
+  }
+  if (!found) return false;
+  TouchLocked(*found);
+  Bump(&ServiceMetrics::response_hits);
+  Bump(&ServiceMetrics::raw_hits);
+  if (out != nullptr) *out = *(*found)->response;
+  return true;
 }
 
 void ScenarioCache::StoreResponse(const Fingerprint& fp,

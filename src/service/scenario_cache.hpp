@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -125,8 +126,12 @@ class ScenarioCache {
   /// The raw level: a response entry whose attached payload and scheduler
   /// equal `raw`'s byte for byte. A hit touches and counts like a
   /// LookupResponse hit, and also bumps raw_hits; a miss counts nothing
-  /// (the parse path that follows does).
-  bool LookupRaw(const RawPayload& raw, SchedulingResponse* out);
+  /// (the parse path that follows does). A non-empty `verify` runs on a
+  /// match, outside the lock, before anything is touched or counted; if
+  /// it returns false, or the entry is evicted or re-attached meanwhile,
+  /// the lookup misses.
+  bool LookupRaw(const RawPayload& raw, SchedulingResponse* out,
+                 const std::function<bool()>& verify = {});
 
   [[nodiscard]] std::size_t CurrentBytes() const;
   [[nodiscard]] std::size_t NumEntries() const;
@@ -151,6 +156,7 @@ class ScenarioCache {
     /// Response level only: the attached raw payload, keyed in raw_index_.
     std::optional<std::string> raw_payload;
     std::uint64_t raw_key = 0;
+    std::uint64_t raw_serial = 0;  ///< distinct for every attach
     std::size_t cost_bytes = 0;
   };
   using LruList = std::list<Node>;
@@ -167,6 +173,9 @@ class ScenarioCache {
                                bool count_collisions = true) const;
   /// Makes `payload` the node's one raw payload. Caller holds the mutex.
   void AttachRawLocked(LruList::iterator it, const RawPayload& raw);
+  /// The response node whose raw payload and scheduler equal `raw`'s.
+  /// Bumps cache_collisions for each same-key node that differs.
+  std::optional<LruList::iterator> FindRawLocked(const RawPayload& raw) const;
 
   void Bump(std::atomic<std::uint64_t> ServiceMetrics::* counter) const;
 
@@ -177,6 +186,7 @@ class ScenarioCache {
   LruList lru_;  // front = most recently used
   Index index_;      // both levels, by scenario_hash / request_hash
   Index raw_index_;  // response nodes with a raw payload, by its key
+  std::uint64_t raw_attaches_ = 0;
   std::size_t current_bytes_ = 0;
 };
 

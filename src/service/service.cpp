@@ -182,12 +182,16 @@ std::future<SchedulingResponse> SchedulingService::SubmitFrame(
            header.payload};
     // The raw level: a payload byte-identical to one that already parsed
     // parses again, so after the header checks only check= can still
-    // fail, and it is verified first. A mismatch, a drain or a raw miss
-    // takes the parse path, which reports errors in their usual order.
-    const bool check_matched = RequestCheckMatches(header);
+    // fail. It is probed first, and check= is verified only on a match,
+    // before the hit is counted or touched. A mismatch, a drain or a raw
+    // miss takes the parse path, which folds check= into its one pass
+    // over the payload and reports errors in their usual order.
+    bool check_matched = false;
+    const auto verify = [&] {
+      return check_matched = RequestCheckMatches(header);
+    };
     SchedulingResponse response;
-    if (check_matched && !batcher_->Draining() &&
-        cache_->LookupRaw(raw, &response)) {
+    if (!batcher_->Draining() && cache_->LookupRaw(raw, &response, verify)) {
       response.id = header.id;
       raw_hit = std::move(response);
     } else {

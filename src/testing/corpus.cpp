@@ -1,11 +1,14 @@
 #include "testing/corpus.hpp"
 
 #include <array>
+#include <optional>
 #include <string_view>
+#include <utility>
 
 #include "net/scenario_io.hpp"
 #include "util/atomic_io.hpp"
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 #include "util/string_util.hpp"
 
 namespace fadesched::testing {
@@ -59,7 +62,7 @@ std::string FormatScenario(const ScenarioCase& scenario) {
   return out;
 }
 
-ScenarioCase ParseScenario(std::string_view text) {
+ScenarioCase ParseScenario(std::string_view text, std::uint64_t* fnv) {
   std::string_view rest = text;
   std::string_view line;
   std::size_t line_no = 1;
@@ -129,7 +132,15 @@ ScenarioCase ParseScenario(std::string_view text) {
   FS_CHECK_MSG(!util::Trim(rest).empty(),
                "scenario file: truncated after 'links:' — missing CSV "
                "header row");
+  if (fnv != nullptr) {
+    *fnv = util::Fnv1a64(text.substr(0, text.size() - rest.size()), *fnv);
+  }
+  if (std::optional<net::LinkSet> links = net::ParseLinkRows(rest, fnv)) {
+    result.links = std::move(*links);
+    return result;
+  }
   result.links = net::ParseLinkCsv(rest);
+  if (fnv != nullptr) *fnv = util::Fnv1a64(rest, *fnv);
   return result;
 }
 

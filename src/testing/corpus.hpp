@@ -22,6 +22,7 @@
 // those messages.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -41,7 +42,13 @@ std::string FormatScenario(const ScenarioCase& scenario);
 
 /// Parse the `.scenario` text format; throws CheckFailure with the
 /// offending 1-based line (header) or row (link block) on malformed input.
-ScenarioCase ParseScenario(std::string_view text);
+/// The link block takes net::ParseLinkRows' one-pass path when it is
+/// spelled as FormatScenario spells it, and net::ParseLinkCsv otherwise.
+/// With `fnv` non-null, *fnv (an FNV-1a state) is chained over every byte
+/// of `text`, folded in during that pass when it is taken: one FNV pass
+/// either way.
+ScenarioCase ParseScenario(std::string_view text,
+                           std::uint64_t* fnv = nullptr);
 
 /// File round-trips. Saving is atomic (temp → fsync → rename); loading
 /// throws CheckFailure / HarnessError on I/O or parse failure.

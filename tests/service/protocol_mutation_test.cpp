@@ -5,8 +5,13 @@
 // util::HarnessError: kTransient for wire corruption the checksum caught,
 // kFatal for a frame that no longer parses. Runs under ASan/UBSan in CI's
 // fuzz-smoke job, so a decoder that reads past a view also fails here.
+// The digest of every mutant's (kind, message) pins the decoder's error
+// messages and their precedence: it is the value the two-pass decoder
+// (a CsvReader parse, then a separate check= pass) produced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ios>
 #include <string>
 
 #include "service/protocol.hpp"
@@ -15,6 +20,26 @@
 
 namespace fadesched::service {
 namespace {
+
+// A CheckFailure's message with its source location (" at <file>:<line>")
+// blanked to " at -": it names the checkout and moves with any edit to the
+// file, while the message is the contract.
+std::string BlankLocations(std::string message) {
+  for (std::size_t at = message.find(" at "); at != std::string::npos;
+       at = message.find(" at ", at + 1)) {
+    const std::size_t begin = at + 4;
+    const std::size_t end = std::min(message.find(' ', begin), message.size());
+    const std::size_t colon = message.rfind(':', end - 1);
+    if (colon == std::string::npos || colon <= begin || colon + 1 >= end ||
+        message.find_first_not_of("0123456789", colon + 1) < end) {
+      continue;
+    }
+    message.replace(begin, end - begin, "-");
+  }
+  return message;
+}
+
+constexpr std::uint64_t kOutcomeDigest = 0xcb7190bbac5fd4b4ull;
 
 TEST(FrameMutationSweepTest, EveryFlipDeletionAndInsertionIsRejected) {
   fadesched::testing::FuzzerOptions options;
@@ -31,12 +56,20 @@ TEST(FrameMutationSweepTest, EveryFlipDeletionAndInsertionIsRejected) {
 
   std::size_t transient = 0;
   std::size_t fatal = 0;
+  // FNV-1a over each outcome in sweep order.
+  std::uint64_t outcomes = Fnv1a64("");
+  const auto record = [&](const char* kind, const std::string& message) {
+    outcomes = Fnv1a64(
+        std::string(kind) + '\0' + BlankLocations(message) + '\0', outcomes);
+  };
   const auto expect_rejected = [&](const std::string& mutant, const char* how,
                                    std::size_t at) {
     try {
       (void)ParseRequestFrame(mutant);
+      record("accepted", "");
       ADD_FAILURE() << how << " at byte " << at << " was accepted";
     } catch (const util::HarnessError& e) {
+      record(util::ErrorKindName(e.kind()), e.what());
       if (e.kind() == util::ErrorKind::kTransient) {
         ++transient;
         EXPECT_NE(std::string(e.what()).find("check"), std::string::npos)
@@ -47,6 +80,7 @@ TEST(FrameMutationSweepTest, EveryFlipDeletionAndInsertionIsRejected) {
             << how << " at byte " << at << ": " << e.what();
       }
     } catch (const std::exception& e) {
+      record("other", e.what());
       ADD_FAILURE() << how << " at byte " << at
                     << " threw a non-HarnessError: " << e.what();
     }
@@ -74,6 +108,8 @@ TEST(FrameMutationSweepTest, EveryFlipDeletionAndInsertionIsRejected) {
   EXPECT_EQ(transient + fatal, 3 * body.size() + 1);
   EXPECT_GT(transient, 0u);
   EXPECT_GT(fatal, 0u);
+  EXPECT_EQ(outcomes, kOutcomeDigest)
+      << "outcome digest 0x" << std::hex << outcomes;
 }
 
 // The check token ends where the header tokenizer ends it, so any

@@ -78,6 +78,24 @@ TEST(RequestFrameTest, RejectsMalformedHeadersNamingLineOne) {
   EXPECT_NE(msg4.find("unknown header key 'frobnicate'"), std::string::npos);
 }
 
+TEST(RequestFrameTest, RejectsNonFiniteDeadlinesNamingLineOne) {
+  for (const char* deadline : {"inf", "nan", "-nan", "infinity", "1e400"}) {
+    const std::string header =
+        std::string("REQUEST id=a scheduler=rle deadline=") + deadline +
+        " check=0000000000000000\nx\n";
+    EXPECT_EQ(ExpectThrowMessage([&] { (void)ParseRequestHeader(header); }),
+              "request frame line 1: deadline must be finite")
+        << deadline;
+  }
+  // A negative infinity keeps its sign error.
+  EXPECT_EQ(ExpectThrowMessage([] {
+              (void)ParseRequestHeader(
+                  "REQUEST id=a scheduler=rle deadline=-inf "
+                  "check=0000000000000000\nx\n");
+            }),
+            "request frame line 1: deadline must be non-negative");
+}
+
 TEST(RequestFrameTest, MissingCheckTokenIsTransientCorruptionNotACallerBug) {
   // check= is mandatory: a flipped separator byte can merge the token
   // into its neighbour, and treating the result as a checkless frame

@@ -102,6 +102,46 @@ TEST(RawIndexTest, TamperedCheckOnAResidentPayloadIsTransientAndNotServed) {
   EXPECT_EQ(service.Metrics().raw_hits.load(), 0u);
   EXPECT_EQ(service.Metrics().submitted.load(), submitted);
   EXPECT_EQ(service.Metrics().protocol_errors.load(), 0u);
+  EXPECT_EQ(service.Metrics().cache_collisions.load(), 0u);
+
+  // Nor does it refresh the entry's LRU position. Three equal-sized
+  // scenarios fill a cache to capacity; with the oldest tampered, one
+  // more insert evicts from the tail, so the oldest response goes (its
+  // scenario entry first) while the next oldest stays.
+  fadesched::testing::FuzzerOptions sized;
+  sized.min_links = sized.max_links = 40;
+  std::vector<SchedulingRequest> fill;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    SchedulingRequest each = request;
+    each.scenario = fadesched::testing::ScenarioFuzzer(7, sized).Case(i);
+    fill.push_back(each);
+  }
+  ServiceOptions options;
+  {
+    SchedulingService probe;
+    for (std::size_t i = 0; i < 3; ++i) MakeResident(probe, fill[i]);
+    options.cache.capacity_bytes = probe.Cache().CurrentBytes();
+  }
+  SchedulingService lru(options);
+  for (std::size_t i = 0; i < 3; ++i) MakeResident(lru, fill[i]);
+  ASSERT_EQ(lru.Metrics().cache_evictions.load(), 0u);
+  std::string tampered_oldest = FrameOf(WithId(fill[0], "t"));
+  const std::size_t at = tampered_oldest.find(" check=") + 7;
+  tampered_oldest[at] = tampered_oldest[at] == '0' ? '1' : '0';
+  EXPECT_EQ(lru.SubmitFrame(tampered_oldest).get().error_kind,
+            util::ErrorKind::kTransient);
+  ASSERT_TRUE(lru.SubmitFrame(FrameOf(WithId(fill[3], "n"))).get().Ok());
+  ASSERT_GT(lru.Metrics().cache_evictions.load(), 0u);
+  const auto resident = [&lru](const SchedulingRequest& each) {
+    const std::string payload =
+        fadesched::testing::FormatScenario(each.scenario);
+    return lru.Cache().LookupRaw(
+        {PayloadKey(each.scheduler, payload), each.scheduler, payload},
+        nullptr);
+  };
+  EXPECT_FALSE(resident(fill[0])) << "the tampered frame refreshed its entry";
+  EXPECT_TRUE(resident(fill[1]));
+  EXPECT_EQ(lru.Metrics().cache_collisions.load(), 0u);
 }
 
 TEST(RawIndexTest, HeaderErrorsOnAResidentPayloadMatchTheParsePath) {

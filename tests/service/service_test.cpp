@@ -203,6 +203,18 @@ TEST(SubmitFrameTest, TamperedCheckIsATransientChecksumFailure) {
   EXPECT_EQ(service.Metrics().submitted.load(), 0u);
 }
 
+// About 317 years: past the steady clock's range, so the admission
+// deadline saturates to "never" rather than overflowing into the past.
+TEST(SubmitFrameTest, AGenerousDeadlineIsServedNotTimedOut) {
+  SchedulingRequest request = MakeRequest(0);
+  request.deadline_seconds = 1e10;
+  SchedulingService service;
+  const SchedulingResponse response =
+      service.SubmitFrame(FrameOf(request)).get();
+  EXPECT_TRUE(response.Ok()) << response.message;
+  EXPECT_EQ(service.Metrics().timed_out.load(), 0u);
+}
+
 TEST(SubmitFrameTest, GarbageIsAFatalProtocolError) {
   SchedulingService service;
   std::future<SchedulingResponse> future =

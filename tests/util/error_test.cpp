@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <thread>
@@ -83,6 +85,8 @@ TEST(DeadlineTest, DefaultConstructedIsDisabledAndNeverExpires) {
 TEST(DeadlineTest, NonPositiveBudgetDisables) {
   EXPECT_FALSE(Deadline::After(0.0).Enabled());
   EXPECT_FALSE(Deadline::After(-5.0).Enabled());
+  EXPECT_FALSE(
+      Deadline::After(std::numeric_limits<double>::quiet_NaN()).Enabled());
 }
 
 TEST(DeadlineTest, GenerousBudgetDoesNotExpireImmediately) {
@@ -90,6 +94,22 @@ TEST(DeadlineTest, GenerousBudgetDoesNotExpireImmediately) {
   EXPECT_TRUE(deadline.Enabled());
   EXPECT_FALSE(deadline.Expired());
   EXPECT_GT(deadline.RemainingSeconds(), 3000.0);
+}
+
+// 1e10 s is about 317 years, past the steady clock's int64 nanoseconds:
+// the conversion used to overflow, and the deadline read as expired.
+TEST(DeadlineTest, BudgetPastTheClocksRangeSaturatesToNever) {
+  for (const double seconds :
+       {1e10, 1e300, std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity()}) {
+    const Deadline deadline = Deadline::After(seconds);
+    EXPECT_TRUE(deadline.Enabled()) << seconds;
+    EXPECT_FALSE(deadline.Expired()) << seconds;
+    EXPECT_TRUE(std::isinf(deadline.RemainingSeconds())) << seconds;
+  }
+  // A century is still inside the range, and stays a finite deadline.
+  const double century = 100.0 * 365.25 * 86400.0;
+  EXPECT_NEAR(Deadline::After(century).RemainingSeconds(), century, 1.0);
 }
 
 TEST(DeadlineTest, TinyBudgetExpires) {
