@@ -5,6 +5,11 @@
 // BENCH_schedulers.json with every timing as median, p10 and p90 over
 // --reps repetitions next to a host block.
 //
+// A third section times sched::EliminationScan alone, the loop behind
+// rle and approx_diversity, on the serving benchmark's layout (uniform on
+// the default 500×500 region), so its cost is read without the engine
+// build or the result bookkeeping around it.
+//
 // Every run re-verifies two differential guarantees: each scheduler emits
 // the identical schedule on every backend, and each accumulator scheduler
 // the identical schedule at every tier the host supports (pinned with
@@ -26,6 +31,8 @@
 #include "rng/xoshiro256.hpp"
 #include "sched/approx_diversity.hpp"
 #include "sched/approx_logn.hpp"
+#include "sched/constants.hpp"
+#include "sched/elimination.hpp"
 #include "sched/greedy.hpp"
 #include "sched/ldp.hpp"
 #include "sched/rle.hpp"
@@ -118,8 +125,59 @@ void RunsJson(std::ostream& out, const std::vector<SchedulerReport>& reports,
   }
 }
 
+struct ScanReport {
+  std::string name;
+  std::size_t n = 0;
+  double mean_picks = 0.0;
+  Spread ms;
+};
+
+// The scan on kScanSeeds layouts of n links from the benchmark's generator
+// (seeds seed, seed+1, ...), each with its own prebuilt kTables engine, at
+// the dispatched tier. One rep scans every layout once; its sample is the
+// mean time per scan. The rule is the one the scheduler derives at
+// uniform power.
+constexpr std::uint64_t kScanSeeds = 8;
+
+ScanReport TimeScan(const std::string& name, std::size_t n,
+                    std::uint64_t seed, int reps,
+                    const channel::ChannelParams& params) {
+  std::vector<net::LinkSet> layouts;
+  layouts.reserve(kScanSeeds);  // engines point at these LinkSets
+  std::vector<std::unique_ptr<channel::InterferenceEngine>> engines;
+  for (std::uint64_t s = 0; s < kScanSeeds; ++s) {
+    rng::Xoshiro256 gen(seed + s);
+    layouts.push_back(
+        net::MakeUniformScenario(n, net::UniformScenarioParams{}, gen));
+    engines.push_back(
+        std::make_unique<channel::InterferenceEngine>(layouts.back(), params));
+  }
+  const bool rle = name == "rle";
+  const double c2 = rle ? sched::RleOptions{}.c2
+                        : sched::ApproxDiversityOptions{}.c2;
+  const sched::EliminationRule rule =
+      rle ? sched::EliminationRule{
+                channel::IncrementalFeasibility::Quantity::kFactor,
+                sched::RleC1(params, c2), c2 * params.GammaEpsilon()}
+          : sched::EliminationRule{
+                channel::IncrementalFeasibility::Quantity::kAffectance,
+                sched::ApproxDiversityC1(params, c2), c2};
+  std::size_t picks = 0;
+  ScanReport report{name, n, 0.0, {}};
+  report.ms = Measure(reps, 1e3 / static_cast<double>(kScanSeeds), [&] {
+    picks = 0;
+    for (std::uint64_t s = 0; s < kScanSeeds; ++s) {
+      picks += sched::EliminationScan(layouts[s], *engines[s], rule).size();
+    }
+  });
+  report.mean_picks =
+      static_cast<double>(picks) / static_cast<double>(kScanSeeds);
+  return report;
+}
+
 std::string Json(const std::vector<SchedulerReport>& backends,
                  const std::vector<SchedulerReport>& tiers,
+                 const std::vector<ScanReport>& scans,
                  std::uint64_t seed, long long reps, bool check_passed) {
   std::ostringstream out;
   out << "{\n";
@@ -138,6 +196,23 @@ std::string Json(const std::vector<SchedulerReport>& backends,
          "tier\",\n";
   out << "    \"runs\": [\n";
   RunsJson(out, tiers, "tiers_agree");
+  out << "    ]\n";
+  out << "  },\n";
+  out << "  \"scan\": {\n";
+  out << "    \"what\": \"sched::EliminationScan alone on the serving "
+         "benchmark's layout (n links uniform on a 500x500 region, lengths "
+         "U[5,20]), prebuilt kTables engine, dispatched tier; each rep is "
+         "the mean over "
+      << kScanSeeds << " layouts (seeds seed.." << seed + kScanSeeds - 1
+      << ")\",\n";
+  out << "    \"runs\": [\n";
+  for (std::size_t k = 0; k < scans.size(); ++k) {
+    const ScanReport& r = scans[k];
+    out << "      {\"scheduler\": \"" << r.name << "\", \"n\": " << r.n
+        << ", \"mean_picks\": " << Value(r.mean_picks)
+        << ", \"timings_ms\": " << Value(r.ms) << "}"
+        << (k + 1 < scans.size() ? "," : "") << "\n";
+  }
   out << "    ]\n";
   out << "  },\n";
   out << "  \"backends\": {\n";
@@ -196,6 +271,7 @@ int main(int argc, char** argv) {
 
   std::vector<SchedulerReport> backend_reports;
   std::vector<SchedulerReport> tier_reports;
+  std::vector<ScanReport> scan_reports;
   bool check_passed = true;
   for (const std::string& token : util::Split(sizes_flag, ',')) {
     const std::size_t n = static_cast<std::size_t>(std::stoull(token));
@@ -258,11 +334,16 @@ int main(int argc, char** argv) {
         }
       }
       tier_reports.push_back(std::move(tiers));
+
+      if (name == "rle" || name == "approx_diversity") {
+        scan_reports.push_back(TimeScan(
+            name, n, static_cast<std::uint64_t>(seed), rep_count, params));
+      }
     }
   }
 
   util::AtomicWriteFile(out_path,
-                        Json(backend_reports, tier_reports,
+                        Json(backend_reports, tier_reports, scan_reports,
                              static_cast<std::uint64_t>(seed), reps,
                              check_passed));
   std::cout << "wrote " << out_path << "\n";

@@ -1,8 +1,8 @@
 // Spatial hash index for radius queries over a static point set.
 //
-// RLE removes all senders within radius c1·d_ii of the picked receiver —
-// with N up to thousands, a bucketed index turns that from O(N) per pick
-// into (expected) output-sensitive time.
+// DLS estimates each link's interference from the senders within its
+// sensing radius; a bucketed index makes that query (expected)
+// output-sensitive instead of O(N) per link.
 #pragma once
 
 #include <cstdint>

@@ -101,7 +101,7 @@ LinkSet ParseLinkCsv(std::string_view csv) {
     } catch (const util::CheckFailure& e) {
       // Re-raise LinkSet's own validation (e.g. zero-length links) with
       // the row attached.
-      throw util::CheckFailure(where() + ": " + e.what());
+      throw util::CheckFailure(where() + ": " + e.what(), e.location());
     }
   }
   return links;

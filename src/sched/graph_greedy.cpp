@@ -4,8 +4,6 @@
 #include <numeric>
 #include <vector>
 
-#include "geom/spatial_hash.hpp"
-
 namespace fadesched::sched {
 
 GraphGreedyScheduler::GraphGreedyScheduler(GraphGreedyOptions options)

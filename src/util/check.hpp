@@ -7,22 +7,33 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace fadesched::util {
 
 /// Thrown when an FS_CHECK fails. Deriving from std::logic_error keeps the
 /// failure catchable in tests while signalling a programming error.
+/// what() is the expression and message only; the check's source location
+/// is kept apart, so a message served to a client names no source path and
+/// stays the same when the file that raised it is edited.
 class CheckFailure : public std::logic_error {
  public:
-  explicit CheckFailure(const std::string& what) : std::logic_error(what) {}
+  explicit CheckFailure(const std::string& what, std::string location = {})
+      : std::logic_error(what), location_(std::move(location)) {}
+
+  /// "<file>:<line>" of the failed check, or empty.
+  [[nodiscard]] const std::string& location() const { return location_; }
+
+ private:
+  std::string location_;
 };
 
 [[noreturn]] inline void RaiseCheckFailure(const char* expr, const char* file,
                                            int line, const std::string& msg) {
   std::ostringstream os;
-  os << "check failed: " << expr << " at " << file << ":" << line;
+  os << "check failed: " << expr;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckFailure(os.str());
+  throw CheckFailure(os.str(), std::string(file) + ":" + std::to_string(line));
 }
 
 }  // namespace fadesched::util

@@ -8,7 +8,9 @@
 // both lane widths see full chunks and tails, a third of them with ambient
 // noise; then the fuzzer's adversarial cases with wide parameter ranges
 // (mostly generic α, where the engine computes terms and the lanes only
-// accumulate).
+// accumulate); then two N=2000 uniform layouts on the benchmark's 500×500
+// region and one layout of exact duplicate links, captured before the scan
+// dropped its length sort and spatial index.
 #pragma once
 
 #include <cmath>
@@ -83,6 +85,21 @@ inline std::vector<NamedCase> GoldenCases() {
   for (std::uint64_t index = 0; index < 24; ++index) {
     cases.push_back({"fuzz-21-" + std::to_string(index), fuzzer.Case(index)});
   }
+  // The benchmark's size and layout: N=2000 on a 500×500 region at the
+  // paper's defaults, where most links die within a few picks.
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    rng::Xoshiro256 gen(2000 + seed);
+    testing::ScenarioCase c;
+    c.links = net::MakeUniformScenario(2000, net::UniformScenarioParams{}, gen);
+    cases.push_back({"uniform500-s" + std::to_string(seed) + "-n2000",
+                     std::move(c)});
+  }
+  // Exact duplicate links: every tie in (length, id) order is an id tie.
+  rng::Xoshiro256 gen(301);
+  testing::ScenarioCase duplicates;
+  duplicates.links = net::MakeDuplicatePositionScenario(
+      301, net::DuplicatePositionScenarioParams{}, gen);
+  cases.push_back({"duplicate-s1-n301", std::move(duplicates)});
   return cases;
 }
 

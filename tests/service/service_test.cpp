@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <chrono>
 #include <future>
 #include <string>
@@ -230,6 +231,31 @@ TEST(SubmitFrameTest, GarbageIsAFatalProtocolError) {
   EXPECT_EQ(service.Metrics().protocol_errors.load(), 1u);
   EXPECT_EQ(service.Metrics().checksum_failures.load(), 0u);
   EXPECT_EQ(service.Metrics().submitted.load(), 0u);
+}
+
+// A check that fails while a frame decodes is served as its expression and
+// message only: the reply names no source file and no line, so it does not
+// leak the server's source tree or move when that file is edited.
+TEST(SubmitFrameTest, ABadLinkRowsReplyNamesNoSourceLocation) {
+  std::string frame = FrameOf(MakeRequest(0));
+  const std::size_t row = frame.find("\n", frame.find("sx,sy,rx,ry,rate")) + 1;
+  ASSERT_NE(row, std::string::npos);
+  frame.replace(row, frame.find(',', row) - row, "bad");
+  SchedulingService service;
+  const SchedulingResponse response = service.SubmitFrame(frame).get();
+  ASSERT_EQ(response.status, ResponseStatus::kError);
+  EXPECT_EQ(response.error_kind, util::ErrorKind::kFatal);
+  const std::string line = FormatResponseLine(response);
+  const std::string msg = line.substr(line.find(" msg="));
+  EXPECT_NE(msg.find("check failed"), std::string::npos) << line;
+  EXPECT_EQ(msg.find('/'), std::string::npos) << line;
+  EXPECT_EQ(msg.find(".cpp"), std::string::npos) << line;
+  for (std::size_t colon = msg.find(':'); colon != std::string::npos;
+       colon = msg.find(':', colon + 1)) {
+    EXPECT_FALSE(colon + 1 < msg.size() &&
+                 std::isdigit(static_cast<unsigned char>(msg[colon + 1])))
+        << "a :<line> in " << line;
+  }
 }
 
 TEST(SchedulingServiceTest, EmptyLinkSetIsServed) {

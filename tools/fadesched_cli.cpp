@@ -1245,7 +1245,7 @@ int main(int argc, char** argv) {
                  fadesched::util::ErrorKindName(e.kind()), e.what());
     return fadesched::util::ExitCodeForError(e.kind());
   } catch (const fadesched::util::CheckFailure& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
+    std::fprintf(stderr, "error: %s (%s)\n", e.what(), e.location().c_str());
     return 1;
   }
   std::fprintf(stderr, "unknown subcommand '%s'\n\n", command.c_str());
