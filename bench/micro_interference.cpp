@@ -1,11 +1,10 @@
-// Microbenchmark: batched interference-matrix construction and factor
-// queries, across instance sizes. Emits BENCH_interference.json with the
-// serial-baseline vs tiled (kMatrix engine) build timings the engine's
-// speedup claims rest on, random vs row-blocked query costs (the cache
-// cliff once the matrix outgrows the LLC), and two differential checks
-// over sampled entries: matrix and tables within the ULP tolerance of the
-// reference calculator, and matrix bit-identical to tables (the fact a
-// brownout's tables build relies on). A realization block times the §II fading
+// Microbenchmark: interference engine construction and factor queries,
+// across instance sizes. Emits BENCH_interference.json with the dense
+// InterferenceMatrix build (the exact solvers' O(N²) path) next to the
+// kTables engine's O(N) table build, per-pair query costs on the
+// calculator and tables backends, and a differential check over sampled
+// entries: tables within the ULP tolerance of the reference calculator.
+// A realization block times the §II fading
 // draw in ns per draw at m = 20/40/80 — the batched Rayleigh draw at
 // every SIMD tier the host supports, and sim::DrawRealization at the
 // dispatched tier — and checks that the tiers' batched draws are
@@ -45,7 +44,6 @@
 #include "util/cli.hpp"
 #include "util/stopwatch.hpp"
 #include "util/string_util.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -81,25 +79,15 @@ void Section(std::ostream& out, const char* name, const Fields& fields,
 
 struct SizeReport {
   std::size_t n = 0;
-  Spread serial_build_ms;
-  Spread tiled_build_ms;       // exact kMatrix engine, serial tiles
-  Spread tiled_pool_build_ms;  // exact kMatrix engine, pool tiles
-  std::size_t working_set_bytes = 0;  // n·n·8: the matrix the queries walk
+  Spread serial_build_ms;  // dense InterferenceMatrix, serial
+  Spread tables_build_ms;  // kTables engine (per-link tables)
   Spread calculator_ns_per_pair;
   Spread tables_ns_per_pair;
-  Spread matrix_ns_per_pair;
-  // Same query pairs sorted by victim row: row-major locality instead of
-  // random walks over the n²·8-byte working set. The random-vs-blocked
-  // gap is the cache cliff once the matrix outgrows L2/L3 (N ≥ 4000).
-  Spread matrix_blocked_ns_per_pair;
   Spread rle_calculator_ms;
   Spread rle_tables_ms;
   Spread greedy_calculator_ms;
   Spread greedy_tables_ms;
   std::uint64_t max_ulp = 0;
-  // Sampled entries where matrix.Factor and tables.Factor differ in any
-  // bit; the check requires 0.
-  std::size_t matrix_tables_mismatches = 0;
   std::size_t entries_checked = 0;
 };
 
@@ -186,8 +174,7 @@ bool MeasureRealization(std::size_t m, std::uint64_t seed, int reps,
 
 std::string Json(const std::vector<SizeReport>& reports,
                  const std::vector<RealizationReport>& realization,
-                 std::uint64_t seed, long long reps, unsigned threads,
-                 bool check_passed) {
+                 std::uint64_t seed, long long reps, bool check_passed) {
   std::ostringstream out;
   out.precision(6);
   out << std::fixed;
@@ -195,7 +182,6 @@ std::string Json(const std::vector<SizeReport>& reports,
   out << "  \"benchmark\": \"micro_interference\",\n";
   out << "  \"seed\": " << seed << ",\n";
   out << "  \"reps\": " << reps << ",\n";
-  out << "  \"threads\": " << threads << ",\n";
   out << "  \"ulp_tolerance\": " << kUlpTolerance << ",\n";
   out << "  \"simd_level\": \""
       << channel::SimdLevelName(channel::ActiveSimdLevel()) << "\",\n";
@@ -225,25 +211,14 @@ std::string Json(const std::vector<SizeReport>& reports,
   out << "  \"sizes\": [\n";
   for (std::size_t k = 0; k < reports.size(); ++k) {
     const SizeReport& r = reports[k];
-    // Speedups are ratios of medians.
-    const auto ratio = [](const Spread& num, const Spread& den) {
-      return Value(den.median > 0.0 ? num.median / den.median : 0.0);
-    };
     out << "    {\n";
     out << "      \"n\": " << r.n << ",\n";
     Section(out, "build",
             {{"serial_ms", Value(r.serial_build_ms)},
-             {"tiled_ms", Value(r.tiled_build_ms)},
-             {"tiled_pool_ms", Value(r.tiled_pool_build_ms)},
-             {"speedup_tiled_vs_serial",
-              ratio(r.serial_build_ms, r.tiled_build_ms)}});
+             {"tables_ms", Value(r.tables_build_ms)}});
     Section(out, "query",
-            {{"working_set_bytes", Value(r.working_set_bytes)},
-             {"calculator_ns_per_pair", Value(r.calculator_ns_per_pair)},
-             {"tables_ns_per_pair", Value(r.tables_ns_per_pair)},
-             {"matrix_ns_per_pair", Value(r.matrix_ns_per_pair)},
-             {"matrix_blocked_ns_per_pair",
-              Value(r.matrix_blocked_ns_per_pair)}});
+            {{"calculator_ns_per_pair", Value(r.calculator_ns_per_pair)},
+             {"tables_ns_per_pair", Value(r.tables_ns_per_pair)}});
     Section(out, "schedule",
             {{"rle_calculator_ms", Value(r.rle_calculator_ms)},
              {"rle_tables_ms", Value(r.rle_tables_ms)},
@@ -251,7 +226,6 @@ std::string Json(const std::vector<SizeReport>& reports,
              {"greedy_tables_ms", Value(r.greedy_tables_ms)}});
     Section(out, "check",
             {{"max_ulp", Value(r.max_ulp)},
-             {"matrix_tables_mismatches", Value(r.matrix_tables_mismatches)},
              {"entries_checked", Value(r.entries_checked)}},
             /*last=*/true);
     out << "    }" << (k + 1 < reports.size() ? "," : "") << "\n";
@@ -265,28 +239,23 @@ std::string Json(const std::vector<SizeReport>& reports,
 
 int main(int argc, char** argv) {
   util::CliParser cli("micro_interference",
-                      "Interference-matrix build/query microbenchmark; "
+                      "Interference engine build/query microbenchmark; "
                       "writes BENCH_interference.json");
   std::string& sizes_flag =
       cli.AddString("sizes", "100,500,2000,4000", "comma-separated N values");
   long long& reps = cli.AddInt(
       "reps", 5, "repetitions per timing (median, p10 and p90 are reported)");
-  long long& threads =
-      cli.AddInt("threads", 0, "pool threads for the parallel build "
-                               "(0 = hardware concurrency)");
   long long& seed = cli.AddInt("seed", 1234, "scenario seed");
   std::string& out_path =
       cli.AddString("out", "BENCH_interference.json", "output JSON path");
   bool& check_only = cli.AddBool(
       "check", false,
-      "exit nonzero iff the differential ULP check, the matrix/tables "
-      "bit-identity check or the realization tiers' bit-identity check "
-      "fails (never on timing)");
+      "exit nonzero iff the differential ULP check or the realization "
+      "tiers' bit-identity check fails (never on timing)");
   if (!cli.Parse(argc, argv)) return cli.UsageExitCode();
   FS_CHECK_MSG(reps >= 1, "--reps must be >= 1");
   const int rep_count = static_cast<int>(reps);
 
-  util::ThreadPool pool(static_cast<unsigned>(threads));
   channel::ChannelParams params;
   params.alpha = 3.0;
 
@@ -318,28 +287,17 @@ int main(int argc, char** argv) {
     SizeReport report;
     report.n = n;
 
-    channel::EngineOptions matrix_options;
-    matrix_options.backend = channel::FactorBackend::kMatrix;
-    channel::EngineOptions matrix_pool_options = matrix_options;
-    matrix_pool_options.pool = &pool;
     report.serial_build_ms = Measure(rep_count, 1e3, [&] {
       const channel::InterferenceMatrix matrix(links, params);
     });
-    report.tiled_build_ms = Measure(rep_count, 1e3, [&] {
-      const channel::InterferenceEngine engine(links, params, matrix_options);
+    report.tables_build_ms = Measure(rep_count, 1e3, [&] {
+      const channel::InterferenceEngine engine(links, params, {});
     });
-    report.tiled_pool_build_ms = Measure(rep_count, 1e3, [&] {
-      const channel::InterferenceEngine engine(links, params,
-                                               matrix_pool_options);
-    });
-
-    report.working_set_bytes = n * n * sizeof(double);
 
     // Query timings: random pairs through each backend. The sink defeats
     // dead-code elimination.
     const channel::InterferenceCalculator calc(links, params);
     const channel::InterferenceEngine tables(links, params, {});
-    const channel::InterferenceEngine matrix(links, params, matrix_options);
     const std::size_t pairs = std::min<std::size_t>(n * n, 1u << 20);
     std::vector<std::uint32_t> idx(2 * pairs);
     rng::Xoshiro256 pair_gen(static_cast<std::uint64_t>(seed) ^ n);
@@ -359,25 +317,6 @@ int main(int argc, char** argv) {
         [&](std::size_t i, std::size_t j) { return calc.Factor(i, j); });
     report.tables_ns_per_pair = time_queries(
         [&](std::size_t i, std::size_t j) { return tables.Factor(i, j); });
-    report.matrix_ns_per_pair = time_queries(
-        [&](std::size_t i, std::size_t j) { return matrix.Factor(i, j); });
-
-    // The same pairs sorted by victim row, i.e. the order a row-blocked
-    // consumer (tiled scheduler sweep) touches the matrix. Random order
-    // takes a cache miss per query once n²·8 bytes outgrow the LLC
-    // (N ≥ 4000 here); sorted order streams whole rows. Reporting both
-    // makes the cliff a measured number instead of a surprise.
-    {
-      // Victim-major (j, i) pairs: Factor(i, j) reads row j of the matrix.
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> blocked(pairs);
-      for (std::size_t k = 0; k < pairs; ++k) {
-        blocked[k] = {idx[2 * k + 1], idx[2 * k]};
-      }
-      std::sort(blocked.begin(), blocked.end());
-      report.matrix_blocked_ns_per_pair = Measure(rep_count, ns_per_pair, [&] {
-        for (const auto& [j, i] : blocked) sink += matrix.Factor(i, j);
-      });
-    }
     if (sink == 0.12345) std::cerr << "";  // keep `sink` observable
 
     // End-to-end schedule timings of the two engine-heavy schedulers on
@@ -406,22 +345,16 @@ int main(int argc, char** argv) {
     report.greedy_tables_ms = time_schedule(
         [&] { return std::make_unique<sched::FadingGreedyScheduler>(); });
 
-    // Differential checks over sampled entries (full coverage for small
-    // N): matrix and tables within kUlpTolerance of the reference
-    // calculator, and matrix bit-identical to tables.
+    // Differential check over sampled entries (full coverage for small
+    // N): tables within kUlpTolerance of the reference calculator.
     const std::size_t samples = std::min<std::size_t>(n * n, 1u << 18);
     rng::Xoshiro256 sample_gen(static_cast<std::uint64_t>(seed) + n);
     for (std::size_t k = 0; k < samples; ++k) {
       const std::size_t i = sample_gen.Next() % n;
       const std::size_t j = sample_gen.Next() % n;
-      const double want = calc.Factor(i, j);
-      const double from_matrix = matrix.Factor(i, j);
-      const double from_tables = tables.Factor(i, j);
-      report.max_ulp =
-          std::max({report.max_ulp, mathx::UlpDistance(from_matrix, want),
-                    mathx::UlpDistance(from_tables, want)});
-      report.matrix_tables_mismatches +=
-          std::memcmp(&from_matrix, &from_tables, sizeof(double)) != 0;
+      report.max_ulp = std::max(
+          report.max_ulp, mathx::UlpDistance(tables.Factor(i, j),
+                                             calc.Factor(i, j)));
     }
     report.entries_checked = samples;
     if (report.max_ulp > kUlpTolerance) {
@@ -430,25 +363,16 @@ int main(int argc, char** argv) {
                 << ": max ULP distance " << report.max_ulp << " > "
                 << kUlpTolerance << "\n";
     }
-    if (report.matrix_tables_mismatches != 0) {
-      check_passed = false;
-      std::cerr << "MATRIX/TABLES MISMATCH at n=" << n << ": "
-                << report.matrix_tables_mismatches
-                << " sampled entries differ in some bit\n";
-    }
     reports.push_back(report);
     std::cerr << "n=" << n << " median serial="
               << report.serial_build_ms.median
-              << "ms tiled=" << report.tiled_build_ms.median
-              << "ms pool=" << report.tiled_pool_build_ms.median
-              << "ms max_ulp=" << report.max_ulp
-              << " matrix_tables_mismatches="
-              << report.matrix_tables_mismatches << "\n";
+              << "ms tables=" << report.tables_build_ms.median
+              << "ms max_ulp=" << report.max_ulp << "\n";
   }
 
   util::AtomicWriteFile(
       out_path, Json(reports, realization, static_cast<std::uint64_t>(seed),
-                     reps, pool.NumThreads(), check_passed));
+                     reps, check_passed));
   std::cout << "wrote " << out_path << "\n";
   if (check_only && !check_passed) return 1;
   return 0;

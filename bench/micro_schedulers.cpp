@@ -1,5 +1,5 @@
 // Microbenchmark: scheduler time per interference backend (reference
-// calculator vs precomputed tables vs materialized matrix), and for the
+// calculator vs precomputed tables), and for the
 // schedulers built on the Corollary 3.1 accumulator (rle,
 // approx_diversity, fading_greedy) per SIMD tier. Emits
 // BENCH_schedulers.json with every timing as median, p10 and p90 over
@@ -261,7 +261,6 @@ int main(int argc, char** argv) {
   const Backend backends[] = {
       {"calculator", channel::FactorBackend::kCalculator},
       {"tables", channel::FactorBackend::kTables},
-      {"matrix", channel::FactorBackend::kMatrix},
   };
   std::vector<channel::SimdLevel> levels{channel::SimdLevel::kScalar};
   for (const channel::SimdLevel level :

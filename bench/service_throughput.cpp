@@ -194,13 +194,13 @@ int main(int argc, char** argv) {
   // *work*, hence 0.5 rather than a production-like 0.9.
   auto& hot_fraction = cli.AddDouble(
       "hot-fraction", 0.5, "warm share of the open-loop request mix");
-  auto& shard_links = cli.AddInt("shard-links", 150,
+  auto& shard_links = cli.AddInt("shard-links", 600,
                                  "instance size for the shard-scaling series");
   auto& shard_pool = cli.AddInt("shard-pool", 30,
                                 "warm working set for the shard series; "
                                 "sized to overflow ONE shard's cache");
   auto& shard_cache_kb = cli.AddInt(
-      "shard-cache-kb", 2048,
+      "shard-cache-kb", 1536,
       "per-shard scenario/response cache budget — the fixed resource that "
       "sharding multiplies");
   auto& shard_requests = cli.AddInt(
@@ -550,6 +550,14 @@ int main(int argc, char** argv) {
   // is really a rebuild) but to fit comfortably once split 8 ways — so
   // aggregate throughput at a fixed p99 budget rises with the shard count
   // even though the core count does not.
+  //
+  // The defaults set that regime up on the tables backend. An N=600 miss
+  // (parse, engine tables, schedule) costs several times a raw-level hit,
+  // so a thrashing shard is miss-bound rather than router-bound, and a
+  // pool entry (scenario + response + raw payload, ~290 B per link) is
+  // ~170 KB, so a 1536 KB shard holds about nine: fewer than the pool of
+  // 30 or the 25 a round-robin shard sees, more than an affinity shard's
+  // share of either.
   const std::size_t kShardLinks = static_cast<std::size_t>(shard_links);
   const std::size_t kShardPool = static_cast<std::size_t>(shard_pool);
   const std::size_t kShardRequests = static_cast<std::size_t>(shard_requests);
@@ -564,14 +572,6 @@ int main(int argc, char** argv) {
     options.server.unix_socket_path = ShardSocketPath(tag);
     options.server.service.batcher.num_workers = 1;
     options.server.service.cache.capacity_bytes = kShardCacheBytes;
-    // Matrix backend: the memoized engine carries the O(N²) factor matrix,
-    // which makes a cache entry genuinely expensive to rebuild (~1 ms at
-    // N=150) and expensive to hold (~210 KB) — the regime where cache
-    // capacity, the resource sharding multiplies, decides throughput. The
-    // default tables backend would make entries so small and rebuilds so
-    // cheap that every shard count would serve the pool equally well.
-    options.server.service.cache.engine.backend =
-        channel::FactorBackend::kMatrix;
     options.num_shards = shards;
     options.routing = routing;
     options.completion_threads_per_shard = 1;

@@ -1,8 +1,7 @@
 // Stability-frontier bench: the empirically measured λ* (largest stable
 // per-link arrival rate) per scheduler × α × fading model, plus delivery
-// delay percentiles as load approaches each frontier, plus the
-// warm-subset vs cold-rebuild per-slot scheduling cost at N = 2000.
-// Emits BENCH_stability.json.
+// delay percentiles as load approaches each frontier. Emits
+// BENCH_stability.json with a host block.
 //
 // Both measurement grids run on the crash-safe RunMetricSweep harness
 // (checkpoint/resume via --checkpoint/--resume, atomic --out-csv, exit
@@ -17,6 +16,7 @@
 #include "dynamics/slotted_sim.hpp"
 #include "dynamics/stability.hpp"
 #include "mathx/stats.hpp"
+#include "micro_common.hpp"
 #include "net/scenario.hpp"
 #include "rng/xoshiro256.hpp"
 #include "sim/checkpoint.hpp"
@@ -77,62 +77,6 @@ std::string Num(double value) {
   return os.str();
 }
 
-/// Warm vs cold per-slot scheduling cost on a large saturated instance —
-/// the acceptance measurement for the subset-view fast path.
-struct SpeedupReport {
-  std::size_t links = 0;
-  std::size_t slots = 0;
-  std::string scheduler;
-  double warm_s_per_slot = 0.0;
-  double cold_s_per_slot = 0.0;
-  double speedup = 0.0;
-  bool schedules_identical = false;
-};
-
-SpeedupReport MeasureWarmVsCold(std::size_t num_links, std::size_t num_slots,
-                                const std::string& scheduler,
-                                std::uint64_t seed) {
-  rng::Xoshiro256 gen(seed);
-  const net::LinkSet links =
-      net::MakeUniformScenario(num_links, {}, gen);
-  channel::ChannelParams params;
-  params.alpha = 3.0;
-
-  dynamics::DynamicsOptions options;
-  options.num_slots = num_slots;
-  options.warmup_slots = 0;
-  options.seed = seed;
-  // Saturate every queue so the scheduler sees the full N-link instance
-  // each slot — the regime where cold rebuilds pay the O(N²) factor bill.
-  options.arrivals.family = dynamics::ArrivalFamily::kBernoulli;
-  options.arrivals.rate = 1.0;
-  options.backend = channel::FactorBackend::kMatrix;
-
-  SpeedupReport report;
-  report.links = num_links;
-  report.slots = num_slots;
-  report.scheduler = scheduler;
-
-  std::vector<std::string> traces[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    dynamics::DynamicsOptions run = options;
-    run.engine_mode = mode == 0 ? dynamics::EngineMode::kWarmSubset
-                                : dynamics::EngineMode::kColdRebuild;
-    run.slot_observer = [&traces, mode](const dynamics::SlotRecord& record) {
-      traces[mode].push_back(dynamics::FormatSlotRecord(record));
-    };
-    const dynamics::DynamicsResult result =
-        dynamics::RunSlottedSimulation(links, params, scheduler, run);
-    (mode == 0 ? report.warm_s_per_slot : report.cold_s_per_slot) =
-        result.ScheduleSecondsPerSlot();
-  }
-  report.speedup = report.warm_s_per_slot > 0.0
-                       ? report.cold_s_per_slot / report.warm_s_per_slot
-                       : 0.0;
-  report.schedules_identical = traces[0] == traces[1];
-  return report;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -159,15 +103,6 @@ int main(int argc, char** argv) {
   auto& fractions_text = cli.AddString(
       "load-fractions", "0.5,0.8,0.95",
       "delay percentiles measured at these fractions of each lambda*");
-  auto& speedup_links = cli.AddInt(
-      "speedup-links", 2000, "instance size for the warm-vs-cold timing");
-  auto& speedup_slots =
-      cli.AddInt("speedup-slots", 12, "slots for the warm-vs-cold timing");
-  auto& speedup_scheduler = cli.AddString(
-      "speedup-scheduler", "fading_greedy",
-      "scheduler for the warm-vs-cold timing");
-  auto& skip_speedup = cli.AddBool(
-      "skip-speedup", false, "skip the N=2000 warm-vs-cold measurement");
   auto& checkpoint = cli.AddString(
       "checkpoint", "", "checkpoint file prefix (enables crash-safe resume)");
   auto& resume =
@@ -322,22 +257,12 @@ int main(int argc, char** argv) {
       sim::RunMetricSweep(delay_spec, delay_sweep);
   if (delay_result.interrupted) return delay_result.ExitCode();
 
-  // --- Warm vs cold per-slot cost at N = 2000. ---------------------------
-  SpeedupReport speedup;
-  if (!skip_speedup) {
-    std::fprintf(stderr, "[stability] warm-vs-cold timing at N=%lld\n",
-                 speedup_links);
-    speedup = MeasureWarmVsCold(static_cast<std::size_t>(speedup_links),
-                                static_cast<std::size_t>(speedup_slots),
-                                speedup_scheduler,
-                                static_cast<std::uint64_t>(seed));
-  }
-
   // --- JSON. -------------------------------------------------------------
   std::ostringstream json;
   json << "{\n";
   json << "  \"benchmark\": \"stability_frontier\",\n";
   json << "  \"seed\": " << seed << ",\n";
+  json << "  \"host\": " << bench::HostJson() << ",\n";
   json << "  \"links\": " << num_links << ",\n";
   json << "  \"slots\": " << num_slots << ",\n";
   json << "  \"warmup_slots\": " << base.warmup_slots << ",\n";
@@ -398,34 +323,10 @@ int main(int argc, char** argv) {
            << Num(table.CellAsDouble(row, "failure_rate_pct_mean")) << "}";
     }
   }
-  json << "\n  ],\n";
-  json << "  \"warm_vs_cold\": ";
-  if (skip_speedup) {
-    json << "null\n";
-  } else {
-    json << "{\n";
-    json << "    \"links\": " << speedup.links << ",\n";
-    json << "    \"slots\": " << speedup.slots << ",\n";
-    json << "    \"scheduler\": \"" << speedup.scheduler << "\",\n";
-    json << "    \"backend\": \"matrix\",\n";
-    json << "    \"warm_s_per_slot\": " << Num(speedup.warm_s_per_slot)
-         << ",\n";
-    json << "    \"cold_s_per_slot\": " << Num(speedup.cold_s_per_slot)
-         << ",\n";
-    json << "    \"speedup\": " << Num(speedup.speedup) << ",\n";
-    json << "    \"schedules_identical\": "
-         << (speedup.schedules_identical ? "true" : "false") << "\n";
-    json << "  }\n";
-  }
+  json << "\n  ]\n";
   json << "}\n";
 
   util::AtomicWriteFile(out_path, json.str());
   std::printf("wrote %s\n", out_path.c_str());
-  if (!skip_speedup) {
-    std::printf("warm %.6f s/slot vs cold %.6f s/slot -> %.1fx (identical=%s)\n",
-                speedup.warm_s_per_slot, speedup.cold_s_per_slot,
-                speedup.speedup,
-                speedup.schedules_identical ? "yes" : "no");
-  }
   return 0;
 }

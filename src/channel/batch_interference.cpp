@@ -1,15 +1,9 @@
 #include "channel/batch_interference.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
-#include <future>
 #include <optional>
-#include <unordered_map>
 
 #include "mathx/summation.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fadesched::channel {
 
@@ -83,103 +77,13 @@ InterferenceEngine::InterferenceEngine(const net::LinkSet& links,
         p.gamma_th * std::pow(links.Length(j), p.alpha) / power_[j];
     noise_factor_[j] = calc_.NoiseFactor(j);
   }
-
-  if (options_.backend == FactorBackend::kMatrix && n_ > 0) {
-    if (options_.affectance_matrix) {
-      affectance_data_ = BuildMatrixData(/*affectance=*/true);
-    } else {
-      factor_matrix_ = std::make_unique<InterferenceMatrix>(
-          n_, BuildMatrixData(/*affectance=*/false));
-    }
-  }
-}
-
-InterferenceEngine::InterferenceEngine(
-    std::shared_ptr<const InterferenceEngine> parent,
-    const net::LinkSet& subset_links, std::span<const net::LinkId> ids)
-    : links_(&subset_links),
-      options_(parent->options_),
-      calc_(subset_links, parent->Params()),
-      det_(subset_links, parent->Params()),
-      kernel_(parent->kernel_),
-      n_(ids.size()) {
-  FS_CHECK_MSG(subset_links.Size() == ids.size(),
-               "subset view: LinkSet size does not match id count");
-  // A view must never pin a third engine alive, and has nothing left to
-  // build in parallel.
-  options_.shared.reset();
-  options_.pool = nullptr;
-
-  sender_x_.resize(n_);
-  sender_y_.resize(n_);
-  receiver_x_.resize(n_);
-  receiver_y_.resize(n_);
-  power_.resize(n_);
-  victim_coeff_.resize(n_);
-  noise_factor_.resize(n_);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const net::LinkId id = ids[k];
-    FS_CHECK_MSG(id < parent->n_, "subset view: link id out of parent range");
-    // `subset_links` must be parent->Links().Subset(ids): Subset() copies
-    // coordinates bitwise, so exact equality is the correct test.
-    const geom::Vec2 s = subset_links.Sender(k);
-    const geom::Vec2 r = subset_links.Receiver(k);
-    FS_CHECK_MSG(s.x == parent->sender_x_[id] && s.y == parent->sender_y_[id] &&
-                     r.x == parent->receiver_x_[id] &&
-                     r.y == parent->receiver_y_[id],
-                 "subset view: link geometry does not match parent");
-    FS_CHECK_MSG(subset_links.EffectiveTxPower(k, parent->Params().tx_power) ==
-                     parent->power_[id],
-                 "subset view: link power does not match parent");
-    sender_x_[k] = parent->sender_x_[id];
-    sender_y_[k] = parent->sender_y_[id];
-    receiver_x_[k] = parent->receiver_x_[id];
-    receiver_y_[k] = parent->receiver_y_[id];
-    power_[k] = parent->power_[id];
-    victim_coeff_[k] = parent->victim_coeff_[id];
-    noise_factor_[k] = parent->noise_factor_[id];
-  }
-
-  // Views of views collapse to one indirection: remap through the
-  // intermediate view and adopt its parent, so a chain of per-slot
-  // subsets never degrades query cost.
-  if (parent->IsSubsetView()) {
-    remap_.resize(n_);
-    for (std::size_t k = 0; k < n_; ++k) remap_[k] = parent->remap_[ids[k]];
-    parent_ = parent->parent_;
-  } else {
-    remap_.assign(ids.begin(), ids.end());
-    parent_ = std::move(parent);
-  }
 }
 
 double InterferenceEngine::Factor(net::LinkId interferer,
                                   net::LinkId victim) const {
   if (interferer == victim) return 0.0;
-  switch (options_.backend) {
-    case FactorBackend::kCalculator:
-      return calc_.Factor(interferer, victim);
-    case FactorBackend::kMatrix:
-      if (parent_ != nullptr) {
-        // Subset view: remap into the parent's materialized data.
-        const net::LinkId pi = remap_[interferer];
-        const net::LinkId pj = remap_[victim];
-        if (parent_->factor_matrix_) {
-          return parent_->factor_matrix_->Factor(pi, pj);
-        }
-        if (!parent_->affectance_data_.empty()) {
-          return std::log1p(
-              parent_->affectance_data_[pj * parent_->n_ + pi]);
-        }
-        break;  // parent matrix elided (empty set) — fall through to tables
-      }
-      if (factor_matrix_) return factor_matrix_->Factor(interferer, victim);
-      if (!affectance_data_.empty()) {
-        return std::log1p(affectance_data_[victim * n_ + interferer]);
-      }
-      break;  // matrix elided (empty set) — fall through to tables
-    case FactorBackend::kTables:
-      break;
+  if (options_.backend == FactorBackend::kCalculator) {
+    return calc_.Factor(interferer, victim);
   }
   return std::log1p(FastAffectance(interferer, victim));
 }
@@ -187,23 +91,8 @@ double InterferenceEngine::Factor(net::LinkId interferer,
 double InterferenceEngine::Affectance(net::LinkId interferer,
                                       net::LinkId victim) const {
   if (interferer == victim) return 0.0;
-  switch (options_.backend) {
-    case FactorBackend::kCalculator:
-      return det_.Affectance(interferer, victim);
-    case FactorBackend::kMatrix:
-      if (parent_ != nullptr) {
-        if (!parent_->affectance_data_.empty()) {
-          return parent_->affectance_data_[remap_[victim] * parent_->n_ +
-                                           remap_[interferer]];
-        }
-        break;  // factor matrix materialized — recompute from tables
-      }
-      if (!affectance_data_.empty()) {
-        return affectance_data_[victim * n_ + interferer];
-      }
-      break;  // factor matrix materialized — recompute from tables
-    case FactorBackend::kTables:
-      break;
+  if (options_.backend == FactorBackend::kCalculator) {
+    return det_.Affectance(interferer, victim);
   }
   return FastAffectance(interferer, victim);
 }
@@ -216,75 +105,6 @@ double InterferenceEngine::SumFactor(std::span<const net::LinkId> schedule,
     sum.Add(Factor(i, victim));
   }
   return sum.Total();
-}
-
-void InterferenceEngine::CheckNoCoincidentPairs() const {
-  // d² = dx² + dy² is 0 only when |dx| and |dy| are below 2⁻⁵³⁷, and two
-  // distinct doubles that close both lie below 2⁻⁴⁸⁰ in magnitude.
-  // Snapping those to 0 gives every such pair one key; FastAffectance
-  // then tests each candidate exactly (a hash collision only costs it).
-  const auto snap = [](double v) {
-    return std::bit_cast<std::uint64_t>(std::abs(v) <= 0x1p-480 ? 0.0 : v);
-  };
-  const auto key = [&](double x, double y) {
-    return snap(x) * 0x9e3779b97f4a7c15ull ^ snap(y);
-  };
-  std::unordered_multimap<std::uint64_t, net::LinkId> receivers;
-  receivers.reserve(n_);
-  for (net::LinkId j = 0; j < n_; ++j) {
-    receivers.emplace(key(receiver_x_[j], receiver_y_[j]), j);
-  }
-  for (net::LinkId i = 0; i < n_; ++i) {
-    const auto [begin, end] = receivers.equal_range(key(sender_x_[i],
-                                                        sender_y_[i]));
-    for (auto it = begin; it != end; ++it) {
-      if (it->second != i) static_cast<void>(FastAffectance(i, it->second));
-    }
-  }
-}
-
-void InterferenceEngine::FillTile(bool affectance, std::size_t row_begin,
-                                  std::size_t row_end, double* data) const {
-  for (std::size_t j = row_begin; j < row_end; ++j) {
-    double* row = data + j * n_;
-    for (std::size_t i = 0; i < n_; ++i) {
-      // The diagonal is written too (log1p(0) = 0): the buffer is raw.
-      const double a = i == j ? 0.0 : FastAffectance(i, j);
-      row[i] = affectance ? a : std::log1p(a);
-    }
-  }
-}
-
-FactorBuffer InterferenceEngine::BuildMatrixData(bool affectance) const {
-  FactorBuffer data;
-  if (n_ == 0) return data;
-
-  // The tile loop writes every entry (diagonal included), so the buffer
-  // stays uninitialized — the allocator's default-init resize() skips a
-  // full zero-fill pass over the O(N²) working set, and a recycled block
-  // may still hold an earlier matrix's bits.
-  data.resize(n_ * n_);
-
-  const std::size_t tile = std::max<std::size_t>(1, options_.tile_rows);
-  const std::size_t num_tiles = (n_ + tile - 1) / tile;
-  const auto run_tile = [&](std::size_t t) {
-    const std::size_t row_begin = t * tile;
-    FillTile(affectance, row_begin, std::min(n_, row_begin + tile),
-             data.data());
-  };
-  if (options_.pool == nullptr) {
-    for (std::size_t t = 0; t < num_tiles; ++t) run_tile(t);
-  } else {
-    // Tiles own disjoint row ranges, so workers never write the same
-    // element and the result is identical for any thread count.
-    std::vector<std::future<void>> futures;
-    futures.reserve(num_tiles);
-    for (std::size_t t = 0; t < num_tiles; ++t) {
-      futures.push_back(options_.pool->Submit([&run_tile, t] { run_tile(t); }));
-    }
-    util::WaitAll(futures).Rethrow();
-  }
-  return data;
 }
 
 IncrementalFeasibility::IncrementalFeasibility(const InterferenceEngine& engine,
@@ -391,30 +211,14 @@ bool IncrementalFeasibility::AnyOverWith(net::LinkId extra,
   return any_over(k, victims.size());
 }
 
-std::shared_ptr<const InterferenceEngine> MakeSubsetEngineView(
-    std::shared_ptr<const InterferenceEngine> parent,
-    const net::LinkSet& subset_links, std::span<const net::LinkId> ids) {
-  FS_CHECK_MSG(parent != nullptr, "subset view requires a parent engine");
-  return std::make_shared<const InterferenceEngine>(std::move(parent),
-                                                    subset_links, ids);
-}
-
 const InterferenceEngine& ObtainEngine(
     const net::LinkSet& links, const ChannelParams& params,
     const EngineOptions& options, std::optional<InterferenceEngine>& local) {
   const InterferenceEngine* shared = options.shared.get();
   if (shared != nullptr && &shared->Links() == &links &&
-      shared->Params() == params) {
-    // The build-only knobs (pool, tile_rows) never change results, so only
-    // the result-bearing configuration must match for reuse to be exact.
-    // Affectance shapes only a materialized matrix; the other backends
-    // derive both quantities on the fly.
-    const EngineOptions& built = shared->Options();
-    if (built.backend == options.backend &&
-        (options.backend != FactorBackend::kMatrix ||
-         built.affectance_matrix == options.affectance_matrix)) {
-      return *shared;
-    }
+      shared->Params() == params &&
+      shared->Backend() == options.backend) {
+    return *shared;
   }
   // Drop the rejected shared engine before building locally, so the local
   // engine's stored options don't pin someone else's tables alive.

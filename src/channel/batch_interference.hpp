@@ -1,9 +1,8 @@
-// Batched interference engine: per-link precomputed tables, a tiled
-// (optionally ThreadPool-parallel) InterferenceMatrix build, an
+// Batched interference engine: per-link precomputed tables, an
 // incremental per-receiver feasibility accumulator, and the mean-power
 // table the fading simulators draw their realizations from.
 //
-// Three exactness tiers, from reference to fastest:
+// Two exactness tiers, reference first:
 //
 //   kCalculator — every factor re-derived through InterferenceCalculator /
 //                 DeterministicSinr, bit-identical to the original serial
@@ -16,13 +15,10 @@
 //                 quarter-integer α. Values agree with kCalculator to a
 //                 few ULP; the differential suite pins schedule-level
 //                 equality on all schedulers.
-//   kMatrix     — the kTables kernel materialized into a dense N×N matrix
-//                 by a row-blocked tiled build, parallel across a
-//                 ThreadPool when one is supplied. Queries are loads.
 //
-// kMatrix's tile loop evaluates FastAffectance, the expression kTables
-// evaluates on the fly, so every Factor/Affectance query gives the same
-// bits on kTables and kMatrix.
+// The schedulers only ever ask for one factor or one affectance at a time
+// (Corollary 3.1, RLE rule B, ApproxDiversity), so kTables evaluates each
+// on the fly and nothing O(N²) is materialized.
 //
 // The accumulator (IncrementalFeasibility) adds one interferer's terms and
 // runs RLE's rule-B prune in one pass, on kTables through the SIMD lanes
@@ -34,7 +30,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -47,10 +42,6 @@
 #include "channel/simd_dispatch.hpp"
 #include "net/link_set.hpp"
 #include "util/check.hpp"
-
-namespace fadesched::util {
-class ThreadPool;
-}
 
 namespace fadesched::channel {
 
@@ -107,7 +98,6 @@ std::vector<double> MeanRxPowerTable(const net::LinkSet& links,
 enum class FactorBackend {
   kCalculator,  ///< re-derive every factor (reference; original code path)
   kTables,      ///< precomputed per-link tables, factors on the fly (default)
-  kMatrix,      ///< materialized N×N matrix built tiled (optionally parallel)
 };
 
 class InterferenceEngine;
@@ -117,42 +107,20 @@ struct EngineOptions {
 
   /// Optional prebuilt engine (the serving cache's memoized state). A
   /// scheduler consults it through ObtainEngine(): when the engine was
-  /// built over the *same* LinkSet object, the same channel parameters,
-  /// and the same backend/affectance configuration, it is reused
-  /// and the O(N) table (or O(N²) matrix) build is skipped; any mismatch
-  /// falls back to a fresh local build. Engine construction is
-  /// deterministic, so reuse is bit-identical to rebuilding.
+  /// built over the *same* LinkSet object, the same channel parameters
+  /// and the same backend, it is reused and the O(N) table build is
+  /// skipped; any mismatch falls back to a fresh local build. Engine
+  /// construction is deterministic, so reuse is bit-identical to
+  /// rebuilding.
   std::shared_ptr<const InterferenceEngine> shared;
-
-  /// Workers for the kMatrix tiled build; nullptr = build tiles serially.
-  util::ThreadPool* pool = nullptr;
-
-  /// Victim rows per build task (load-balancing grain of the tiled build).
-  std::size_t tile_rows = 64;
-
-  /// kMatrix only: materialize the deterministic affectance a_ij instead of
-  /// the Rayleigh factor f_ij = ln(1 + a_ij) (ApproxDiversity's quantity).
-  bool affectance_matrix = false;
 };
 
 class InterferenceEngine {
  public:
-  /// Builds the per-link tables (O(N)) and, for kMatrix, the materialized
-  /// matrix (O(N²/threads) wall clock). The LinkSet must outlive the engine.
+  /// Builds the per-link tables (O(N)). The LinkSet must outlive the
+  /// engine.
   InterferenceEngine(const net::LinkSet& links, const ChannelParams& params,
                      EngineOptions options = {});
-
-  /// Warm subset view (see MakeSubsetEngineView): an engine over
-  /// `subset_links` — which must equal parent->Links().Subset(ids) — whose
-  /// per-link tables are gathered from `parent` in O(|ids|) and whose
-  /// kMatrix queries remap into the parent's materialized matrix instead
-  /// of rebuilding O(|ids|²) factors. Every query is bit-identical to a
-  /// cold engine built over `subset_links` with the same options.
-  /// `subset_links` must outlive the view; the parent is kept alive by
-  /// the shared_ptr.
-  InterferenceEngine(std::shared_ptr<const InterferenceEngine> parent,
-                     const net::LinkSet& subset_links,
-                     std::span<const net::LinkId> ids);
 
   [[nodiscard]] const net::LinkSet& Links() const { return *links_; }
   [[nodiscard]] const ChannelParams& Params() const { return calc_.Params(); }
@@ -175,56 +143,22 @@ class InterferenceEngine {
     return noise_factor_[victim];
   }
 
-  /// Raises the check a kMatrix build raises when some link's sender sits
-  /// on another link's receiver (d² = 0), in O(N) expected time without
-  /// building the matrix. kTables raises it only when that pair is
-  /// queried, so a tables build standing in for a kMatrix one calls this.
-  void CheckNoCoincidentPairs() const;
-
   /// Σ_{i∈schedule, i≠victim} f_i,victim with Neumaier compensation.
   [[nodiscard]] double SumFactor(std::span<const net::LinkId> schedule,
                                  net::LinkId victim) const;
 
-  /// The materialized factor matrix, or nullptr unless backend == kMatrix
-  /// with affectance_matrix == false.
-  [[nodiscard]] const InterferenceMatrix* FactorMatrix() const {
-    return factor_matrix_.get();
-  }
-
-  /// True when this engine is a warm subset view over a parent engine.
-  [[nodiscard]] bool IsSubsetView() const { return parent_ != nullptr; }
-
-  /// The parent of a subset view (nullptr for a directly built engine).
-  [[nodiscard]] const InterferenceEngine* Parent() const {
-    return parent_.get();
-  }
-
-  /// Parent link id backing subset id `i` (valid only for subset views).
-  [[nodiscard]] net::LinkId ParentId(net::LinkId i) const {
-    return remap_[i];
-  }
-
  private:
   friend class IncrementalFeasibility;
 
-  /// Table-driven affectance — the one kernel every kTables/kMatrix path
-  /// shares (the tile loop and on-the-fly queries).
+  /// Table-driven affectance — the one kTables kernel (the accumulator
+  /// lanes replicate it).
   [[nodiscard]] double FastAffectance(net::LinkId i, net::LinkId j) const {
     const double dx = sender_x_[i] - receiver_x_[j];
     const double dy = sender_y_[i] - receiver_y_[j];
     const double d2 = dx * dx + dy * dy;
-    FS_CHECK_MSG(d2 > 0.0, "interfering sender coincides with victim receiver");
+    CheckSenderOffReceiver(d2 > 0.0);
     return victim_coeff_[j] * power_[i] / kernel_.DistPowAlpha(d2);
   }
-
-  /// Fills rows [row_begin, row_end) of the dense matrix for one tile
-  /// with the exact kTables expression, diagonal included (as 0).
-  void FillTile(bool affectance, std::size_t row_begin, std::size_t row_end,
-                double* data) const;
-
-  /// Runs the tiled build (serial or on options_.pool) and returns the
-  /// matrix data.
-  FactorBuffer BuildMatrixData(bool affectance) const;
 
   const net::LinkSet* links_;
   EngineOptions options_;
@@ -239,25 +173,7 @@ class InterferenceEngine {
   std::vector<double> power_;        // effective transmit power P_i
   std::vector<double> victim_coeff_; // γ_th · d_jj^α / P_j
   std::vector<double> noise_factor_; // γ_th·N₀ / (P_j·d_jj^{-α})
-
-  std::unique_ptr<InterferenceMatrix> factor_matrix_;
-  FactorBuffer affectance_data_;  // kMatrix + affectance_matrix
-
-  // Subset-view state: the parent engine (kept alive) and the map from
-  // this engine's link ids to the parent's. Empty for direct builds.
-  std::shared_ptr<const InterferenceEngine> parent_;
-  std::vector<net::LinkId> remap_;
 };
-
-/// Builds a warm subset view of `parent` over `subset_links` =
-/// parent->Links().Subset(ids). O(|ids|) — no matrix rebuild. The view is
-/// returned as a shared_ptr so it can ride EngineOptions::shared straight
-/// into a scheduler: set `options.shared = view` with the view's own
-/// Options() and pass `subset_links` to Scheduler::Schedule, and
-/// ObtainEngine reuses the view instead of rebuilding factors per slot.
-std::shared_ptr<const InterferenceEngine> MakeSubsetEngineView(
-    std::shared_ptr<const InterferenceEngine> parent,
-    const net::LinkSet& subset_links, std::span<const net::LinkId> ids);
 
 /// Per-receiver Neumaier running sums of interference (Rayleigh factor or
 /// deterministic affectance) from a growing transmitter set. Seeded with
@@ -318,7 +234,7 @@ class IncrementalFeasibility {
 
 /// The scheduler-side entry point for engine reuse: returns
 /// `options.shared.get()` when that engine matches this exact (LinkSet
-/// object, channel parameters, backend, affectance) configuration;
+/// object, channel parameters, backend) configuration;
 /// otherwise constructs a fresh engine into `local` and returns that.
 /// Identity of the LinkSet is by address — the serving cache hands the
 /// scheduler the very LinkSet its memoized engine was built over, so a

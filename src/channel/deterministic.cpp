@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "channel/interference.hpp"
 #include "mathx/summation.hpp"
 #include "util/check.hpp"
 
@@ -20,7 +21,7 @@ double DeterministicSinr::Affectance(net::LinkId interferer,
   if (interferer == victim) return 0.0;
   const double d_ij =
       geom::Distance(links_->Sender(interferer), links_->Receiver(victim));
-  FS_CHECK_MSG(d_ij > 0.0, "interfering sender coincides with victim receiver");
+  CheckSenderOffReceiver(d_ij > 0.0);
   const double d_jj = links_->Length(victim);
   const double power_ratio =
       links_->EffectiveTxPower(interferer, params_.tx_power) /

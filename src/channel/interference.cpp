@@ -18,7 +18,7 @@ double InterferenceCalculator::Factor(net::LinkId interferer,
   if (interferer == victim) return 0.0;
   const double d_ij =
       geom::Distance(links_->Sender(interferer), links_->Receiver(victim));
-  FS_CHECK_MSG(d_ij > 0.0, "interfering sender coincides with victim receiver");
+  CheckSenderOffReceiver(d_ij > 0.0);
   const double d_jj = links_->Length(victim);
   // Heterogeneous transmit powers scale the interference-to-signal mean
   // ratio by P_i/P_j (both default to the channel-wide P).
@@ -34,7 +34,7 @@ double InterferenceCalculator::FactorFromPoint(geom::Vec2 sender_pos,
   // The hypothetical sender transmits at the channel default P; used by
   // the Knapsack reduction, which lives in the uniform-power model.
   const double d_ij = geom::Distance(sender_pos, links_->Receiver(victim));
-  FS_CHECK_MSG(d_ij > 0.0, "interfering sender coincides with victim receiver");
+  CheckSenderOffReceiver(d_ij > 0.0);
   const double d_jj = links_->Length(victim);
   const double power_ratio =
       params_.tx_power / links_->EffectiveTxPower(victim, params_.tx_power);
@@ -79,20 +79,13 @@ InterferenceMatrix::InterferenceMatrix(const net::LinkSet& links,
     for (net::LinkId i = 0; i < n_; ++i) {
       if (i == j) continue;
       const double d_ij = geom::Distance(links.Sender(i), receiver);
-      FS_CHECK_MSG(d_ij > 0.0,
-                   "interfering sender coincides with victim receiver");
+      CheckSenderOffReceiver(d_ij > 0.0);
       const double power_ratio =
           links.EffectiveTxPower(i, p.tx_power) / victim_power;
       row[i] = std::log1p(p.gamma_th * power_ratio *
                           std::pow(d_jj / d_ij, p.alpha));
     }
   }
-}
-
-InterferenceMatrix::InterferenceMatrix(std::size_t n, FactorBuffer data)
-    : n_(n), data_(std::move(data)) {
-  FS_CHECK_MSG(data_.size() == n_ * n_,
-               "matrix data size does not match n*n");
 }
 
 double InterferenceMatrix::SumFactor(std::span<const net::LinkId> schedule,

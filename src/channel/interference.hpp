@@ -12,17 +12,17 @@
 
 #include "channel/params.hpp"
 #include "net/link_set.hpp"
-#include "util/page_recycler.hpp"
+#include "util/check.hpp"
 
 namespace fadesched::channel {
 
-/// Backing storage for dense factor/affectance matrices. Cache-line (64
-/// byte) aligned, recycled through util::PageRecycler so rebuilds of
-/// O(N²) matrices skip the page-fault storm of a fresh mapping, and — via
-/// the allocator's default-initializing construct() — NOT zero-filled by
-/// resize(): the engine's tile loop writes every entry, diagonal included.
-using FactorBuffer =
-    std::vector<double, util::RecyclingAlignedAllocator<double, 64>>;
+/// The one check every backend raises when an interfering sender sits on
+/// the victim's receiver, so a served reply's error text does not depend
+/// on which backend evaluated the pair.
+inline void CheckSenderOffReceiver(bool sender_off_receiver) {
+  FS_CHECK_MSG(sender_off_receiver,
+               "interfering sender coincides with victim receiver");
+}
 
 /// Computes factors on demand from link geometry. Cheap to copy; holds a
 /// reference to the LinkSet, which must outlive it.
@@ -57,19 +57,12 @@ class InterferenceCalculator {
 };
 
 /// Dense N×N factor matrix (row = victim j, col = interferer i). Memory is
-/// O(N²); intended for schedulers that query factors repeatedly on
-/// moderate N (the exact solvers, DLS rounds, feasibility sweeps).
+/// O(N²); it backs the exact solvers (sched/exact), which query every pair
+/// of a small instance many times.
 class InterferenceMatrix {
  public:
-  /// Serial build, bit-identical to InterferenceCalculator::Factor (the
-  /// scalar baseline the microbenchmarks compare against). For the tiled
-  /// ThreadPool-parallel build use a kMatrix InterferenceEngine
-  /// (batch_interference.hpp) and its FactorMatrix().
+  /// Serial build, bit-identical to InterferenceCalculator::Factor.
   InterferenceMatrix(const net::LinkSet& links, const ChannelParams& params);
-
-  /// Wraps externally built factor data (row-major, victim-major, n*n
-  /// entries) — the constructor the batched builders feed.
-  InterferenceMatrix(std::size_t n, FactorBuffer data);
 
   [[nodiscard]] std::size_t Size() const { return n_; }
   [[nodiscard]] double Factor(net::LinkId interferer, net::LinkId victim) const {
@@ -80,7 +73,7 @@ class InterferenceMatrix {
 
  private:
   std::size_t n_;
-  FactorBuffer data_;
+  std::vector<double> data_;
 };
 
 }  // namespace fadesched::channel

@@ -22,7 +22,7 @@
 // by the repo's SplitMix64 → xoshiro discipline, so arrivals at link i are
 // byte-identical regardless of how many other links exist, which links
 // are active, or which scheduler runs — the property the churn-replay and
-// warm/cold determinism tests pin.
+// trace determinism tests pin.
 #pragma once
 
 #include <cstdint>

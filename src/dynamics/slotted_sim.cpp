@@ -8,7 +8,6 @@
 #include "rng/xoshiro256.hpp"
 #include "sched/registry.hpp"
 #include "util/check.hpp"
-#include "util/stopwatch.hpp"
 
 namespace fadesched::dynamics {
 
@@ -24,14 +23,6 @@ rng::Xoshiro256 SlotFadingGen(std::uint64_t seed, std::uint64_t slot) {
 }
 
 }  // namespace
-
-const char* EngineModeName(EngineMode mode) {
-  switch (mode) {
-    case EngineMode::kWarmSubset: return "warm_subset";
-    case EngineMode::kColdRebuild: return "cold_rebuild";
-  }
-  return "?";
-}
 
 std::string FormatSlotRecord(const SlotRecord& r) {
   std::string out = "slot=" + std::to_string(r.slot);
@@ -82,18 +73,13 @@ DynamicsResult RunSlottedSimulation(const net::LinkSet& universe,
   channel::EngineOptions engine_options;
   engine_options.backend = options.backend;
 
-  // Cold mode's scheduler is built once; its per-Schedule() ObtainEngine
-  // call finds no shared engine and rebuilds over the subset every slot.
-  // Warm mode constructs a scheduler per slot instead, threading the
-  // slot's subset view through EngineOptions::shared.
-  const bool warm = options.engine_mode == EngineMode::kWarmSubset;
-  sched::SchedulerPtr cold_scheduler;
-  if (!warm) cold_scheduler = sched::MakeScheduler(scheduler_name, engine_options);
+  // Built once; each Schedule() call's ObtainEngine finds no shared
+  // engine and builds one over that slot's backlogged subset.
+  const sched::SchedulerPtr scheduler =
+      sched::MakeScheduler(scheduler_name, engine_options);
 
-  // The bounded-staleness snapshot both modes schedule on, plus (warm
-  // only) the engine built over it. The snapshot must outlive the engine.
+  // The bounded-staleness snapshot the scheduler sees.
   std::unique_ptr<net::LinkSet> snapshot;
-  std::shared_ptr<const channel::InterferenceEngine> base_engine;
   std::uint64_t staleness_events = 0;
   std::size_t slots_since_refresh = 0;
 
@@ -122,8 +108,7 @@ DynamicsResult RunSlottedSimulation(const net::LinkSet& universe,
     result.fade_rechecks += slot_churn.fade_rechecks;
     staleness_events += slot_churn.StalenessEvents();
 
-    // 2. Snapshot refresh — decided identically in both engine modes, so
-    // warm and cold schedule on byte-identical geometry.
+    // 2. Snapshot refresh.
     const bool refresh =
         snapshot == nullptr ||
         (options.refresh.period_slots > 0 &&
@@ -133,17 +118,9 @@ DynamicsResult RunSlottedSimulation(const net::LinkSet& universe,
     if (refresh) {
       if (snapshot != nullptr) ++result.snapshot_refreshes;
       record.snapshot_refreshed = true;
-      util::Stopwatch build_timer;
-      base_engine.reset();  // frees the old snapshot's tables first
-      auto fresh = std::make_unique<net::LinkSet>(churn.UniverseNow());
-      if (warm) {
-        base_engine = std::make_shared<const channel::InterferenceEngine>(
-            *fresh, params, engine_options);
-      }
-      snapshot = std::move(fresh);
+      snapshot = std::make_unique<net::LinkSet>(churn.UniverseNow());
       staleness_events = 0;
       slots_since_refresh = 0;
-      result.schedule_seconds += build_timer.Seconds();
     }
     ++slots_since_refresh;
 
@@ -179,19 +156,8 @@ DynamicsResult RunSlottedSimulation(const net::LinkSet& universe,
     record.backlogged = backlogged.size();
     net::Schedule local_schedule;
     if (!backlogged.empty()) {
-      util::Stopwatch schedule_timer;
       const net::LinkSet sub = snapshot->Subset(backlogged);
-      if (warm) {
-        auto view = channel::MakeSubsetEngineView(base_engine, sub, backlogged);
-        channel::EngineOptions slot_options = view->Options();
-        slot_options.shared = view;
-        const sched::SchedulerPtr scheduler =
-            sched::MakeScheduler(scheduler_name, slot_options);
-        local_schedule = scheduler->Schedule(sub, params).schedule;
-      } else {
-        local_schedule = cold_scheduler->Schedule(sub, params).schedule;
-      }
-      result.schedule_seconds += schedule_timer.Seconds();
+      local_schedule = scheduler->Schedule(sub, params).schedule;
       ++result.scheduled_slots;
     }
 

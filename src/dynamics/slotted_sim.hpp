@@ -6,24 +6,13 @@
 // backlogged active links, and scheduled transmissions succeed or fail
 // under per-slot fading evaluated on the *true* (drifted) geometry.
 //
-// Engine modes — the tentpole contrast this module exists to measure:
-//
-//   kWarmSubset  — one InterferenceEngine is built over a snapshot of the
-//                  full universe; each slot the backlogged subset is
-//                  scheduled through an O(m) subset *view* of it
-//                  (channel::MakeSubsetEngineView) that remaps queries
-//                  into the warm factors instead of rebuilding them.
-//   kColdRebuild — each slot the scheduler rebuilds its engine over the
-//                  backlogged subset from scratch (O(m²) factor work for
-//                  the kMatrix backend). The reference the warm path must
-//                  be schedule-identical to.
-//
-// Both modes schedule on the same bounded-staleness *snapshot* geometry
-// (refreshed by EngineRefreshPolicy), so the only difference between them
-// is how factors are obtained — which the warm/cold oracle pins to
-// bit-identical schedules. Ground-truth transmission success always uses
-// the current drifted positions, so a stale snapshot costs real failures,
-// making the refresh cadence a measurable knob rather than a free win.
+// Each slot the scheduler builds its engine over the backlogged subset of
+// a bounded-staleness *snapshot* of the universe (refreshed by
+// EngineRefreshPolicy). On the default kTables backend that build is
+// O(m) per-link tables; every factor is evaluated on demand. Ground-truth
+// transmission success always uses the current drifted positions, so a
+// stale snapshot costs real failures, making the refresh cadence a
+// measurable knob rather than a free win.
 // That ground truth is the shared realization kernel sim::DrawRealization
 // (fading_models.hpp) over a channel::MeanRxPowerTable of the drifted
 // universe, as in the Monte-Carlo and feedback simulators.
@@ -50,16 +39,9 @@
 
 namespace fadesched::dynamics {
 
-enum class EngineMode {
-  kWarmSubset,   ///< warm full-universe engine + per-slot subset view
-  kColdRebuild,  ///< per-slot engine rebuild over the backlogged subset
-};
-
-const char* EngineModeName(EngineMode mode);
-
-/// Bounded-staleness policy for the scheduling snapshot (and, in warm
-/// mode, the engine built over it). Both triggers may be active at once;
-/// with neither set the snapshot from slot 0 is used for the whole run.
+/// Bounded-staleness policy for the scheduling snapshot. Both triggers may
+/// be active at once; with neither set the snapshot from slot 0 is used
+/// for the whole run.
 struct EngineRefreshPolicy {
   /// Refresh every this many slots (0 = no periodic refresh).
   std::size_t period_slots = 0;
@@ -69,7 +51,7 @@ struct EngineRefreshPolicy {
 };
 
 /// One slot's observable outcome — the unit of the determinism trace and
-/// the warm/cold oracle diff.
+/// the replay oracle diff.
 struct SlotRecord {
   std::uint64_t slot = 0;
   std::uint64_t arrivals = 0;    ///< packets generated this slot
@@ -115,10 +97,8 @@ struct DynamicsOptions {
   ChurnOptions churn;
   sim::FadingOptions fading;
 
-  EngineMode engine_mode = EngineMode::kWarmSubset;
-  /// Factor backend for the scheduling engine (both modes). kMatrix is
-  /// where warm-vs-cold matters most; kTables/kCalculator also work.
-  channel::FactorBackend backend = channel::FactorBackend::kMatrix;
+  /// Factor backend for the per-slot scheduling engine.
+  channel::FactorBackend backend = channel::FactorBackend::kTables;
   EngineRefreshPolicy refresh;
 
   /// Per-link queue bound; arrivals beyond it are dropped (0 = unbounded).
@@ -153,10 +133,6 @@ struct DynamicsResult {
   std::uint64_t links_left = 0;
   std::uint64_t fade_rechecks = 0;
 
-  /// Wall-clock seconds spent obtaining engines and scheduling (the
-  /// quantity the warm-vs-cold speedup compares). Excludes arrivals,
-  /// fading evaluation, and bookkeeping.
-  double schedule_seconds = 0.0;
   /// Slots that actually invoked the scheduler (nonempty backlog).
   std::uint64_t scheduled_slots = 0;
 
@@ -165,11 +141,6 @@ struct DynamicsResult {
                ? 0.0
                : static_cast<double>(failed_transmissions) /
                      static_cast<double>(scheduled_transmissions);
-  }
-  [[nodiscard]] double ScheduleSecondsPerSlot() const {
-    return scheduled_slots == 0
-               ? 0.0
-               : schedule_seconds / static_cast<double>(scheduled_slots);
   }
 };
 

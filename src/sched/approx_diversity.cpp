@@ -17,14 +17,9 @@ ScheduleResult ApproxDiversityScheduler::Schedule(
     const net::LinkSet& links, const channel::ChannelParams& params) const {
   if (links.Empty()) return FinalizeResult(links, {}, Name());
 
-  channel::EngineOptions engine_options = options_.interference;
-  // This scheduler's quantity is the deterministic affectance, so a
-  // materialized matrix must hold a_ij, not f_ij (and a shared engine
-  // built for the factor quantity is rejected by ObtainEngine).
-  engine_options.affectance_matrix = true;
   std::optional<channel::InterferenceEngine> local_engine;
-  const channel::InterferenceEngine& engine =
-      channel::ObtainEngine(links, params, engine_options, local_engine);
+  const channel::InterferenceEngine& engine = channel::ObtainEngine(
+      links, params, options_.interference, local_engine);
   channel::ChannelParams effective = params;
   effective.gamma_th *= links.TxPowerRatio(params.tx_power);
   // Deterministic affectance budget: the decode test is Σ a ≤ 1, of which

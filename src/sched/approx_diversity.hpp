@@ -19,9 +19,7 @@ struct ApproxDiversityOptions {
   /// Affectance budget split, analogous to RLE's c2.
   double c2 = 0.5;
 
-  /// How the elimination loop obtains affectances. With kMatrix the
-  /// engine materializes the affectance matrix (this scheduler's
-  /// quantity) rather than the Rayleigh factor matrix.
+  /// How the elimination loop obtains affectances.
   channel::EngineOptions interference;
 };
 

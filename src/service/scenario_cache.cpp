@@ -100,17 +100,13 @@ void ScenarioCache::AttachRawLocked(LruList::iterator it,
 }
 
 std::size_t ScenarioCache::EstimateScenarioBytes(
-    const Scenario& scenario, const channel::EngineOptions& engine) {
-  const std::size_t n = scenario.links.Size();
+    const Scenario& scenario, const channel::EngineOptions& /*engine*/) {
   // LinkSet SoA (7 doubles/link) + the engine's per-link tables (another
-  // 7 doubles/link) + the canonical bytes held for the collision guard
-  // (charged here and to each response entry, though they share them).
-  std::size_t bytes = kNodeOverheadBytes + scenario.canonical_scenario.size() +
-                      14 * sizeof(double) * n;
-  if (engine.backend == channel::FactorBackend::kMatrix) {
-    bytes += n * n * sizeof(double);  // the materialized factor matrix
-  }
-  return bytes;
+  // 7 doubles/link, on either backend) + the canonical bytes held for the
+  // collision guard (charged here and to each response entry, though they
+  // share them).
+  return kNodeOverheadBytes + scenario.canonical_scenario.size() +
+         14 * sizeof(double) * scenario.links.Size();
 }
 
 bool ScenarioCache::IsWarm(const Fingerprint& fp) const {
@@ -145,15 +141,9 @@ ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
   built->canonical_scenario = fp.canonical_scenario;
   channel::EngineOptions engine_options = options_.engine;
   engine_options.shared.reset();
-  // Brownout: every backend drops to the O(N) tables build, whose
-  // queries carry the kMatrix build's bits. A kMatrix build also rejects
-  // a sender on a receiver up front, so its stand-in must too.
-  const bool matrix_checks =
-      degrade_build &&
-      engine_options.backend == channel::FactorBackend::kMatrix;
+  // Brownout: a kCalculator configuration drops to the tables build.
   if (degrade_build) engine_options.backend = channel::FactorBackend::kTables;
   built->engine.emplace(built->links, built->params, engine_options);
-  if (matrix_checks) built->engine->CheckNoCoincidentPairs();
   built->cost_bytes = EstimateScenarioBytes(*built, engine_options);
 
   std::lock_guard<std::mutex> lock(mutex_);

@@ -5,10 +5,9 @@
 //
 //   * scenario entries — the parsed LinkSet plus a built
 //     channel::InterferenceEngine (the service's configured backend), so
-//     a repeated or perturbed-then-repeated topology skips the O(N)
-//     table / O(N²) matrix rebuild. Entries are handed out as
-//     shared_ptr<const ...>, so eviction can never invalidate an engine a
-//     worker is scheduling against.
+//     a repeated or perturbed-then-repeated topology skips the O(N) table
+//     build. Entries are handed out as shared_ptr<const ...>, so eviction
+//     can never invalidate an engine a worker is scheduling against.
 //   * response entries — the completed SchedulingResponse for
 //     (scenario, scheduler), so an identical repeat request skips
 //     scheduling entirely.
@@ -94,11 +93,11 @@ class ScenarioCache {
   /// `request.scenario`, engine constructed with the configured backend)
   /// and inserting on miss. Sets *hit accordingly when non-null.
   /// `degrade_build` cheapens the engine build for this miss only (the
-  /// brownout path): every backend drops to the O(N) kTables build, and a
-  /// kMatrix backend keeps its build-time rejection of a sender on a
-  /// receiver. Safe because kTables answers every query with the kMatrix
-  /// build's bits, so every scheduler returns the same schedule on either,
-  /// and whichever entry lands first serves byte-identical replies.
+  /// brownout path): a kCalculator backend drops to the kTables build.
+  /// Safe because every scheduler returns the same schedule on either
+  /// backend (the differential suite pins it), and both raise a sender on
+  /// a receiver only when a scheduler queries that pair, so whichever
+  /// entry lands first serves byte-identical replies.
   ScenarioPtr ObtainScenario(const Fingerprint& fp,
                              const SchedulingRequest& request,
                              bool* hit = nullptr, bool degrade_build = false);
@@ -139,7 +138,8 @@ class ScenarioCache {
   /// Drops everything (tests; administrative reset).
   void Clear();
 
-  /// Cost model used for the byte budget, exposed for tests.
+  /// Cost model used for the byte budget, exposed for tests. Every
+  /// backend holds O(N) tables, so `engine` does not change the estimate.
   static std::size_t EstimateScenarioBytes(const Scenario& scenario,
                                            const channel::EngineOptions& engine);
 

@@ -36,7 +36,6 @@ const char* BackendName(channel::FactorBackend backend) {
   switch (backend) {
     case channel::FactorBackend::kCalculator: return "calculator";
     case channel::FactorBackend::kTables: return "tables";
-    case channel::FactorBackend::kMatrix: return "matrix";
   }
   return "?";
 }
@@ -46,8 +45,6 @@ bool ParseBackend(std::string_view name, channel::FactorBackend& out) {
     out = channel::FactorBackend::kCalculator;
   } else if (name == "tables") {
     out = channel::FactorBackend::kTables;
-  } else if (name == "matrix") {
-    out = channel::FactorBackend::kMatrix;
   } else {
     return false;
   }
@@ -99,11 +96,9 @@ std::string SanitizeForFilename(std::string text) {
   return text;
 }
 
-/// Runs the case in the given engine mode and captures the per-slot trace.
-std::vector<std::string> TraceRun(const DynamicCase& dyn,
-                                  dynamics::EngineMode mode) {
+/// Runs the case and captures the per-slot trace.
+std::vector<std::string> TraceRun(const DynamicCase& dyn) {
   dynamics::DynamicsOptions options = dyn.dynamics;
-  options.engine_mode = mode;
   std::vector<std::string> trace;
   trace.reserve(options.num_slots);
   options.slot_observer = [&trace](const dynamics::SlotRecord& record) {
@@ -141,9 +136,8 @@ std::string DiffTraces(const std::vector<std::string>& a,
 }  // namespace
 
 std::vector<std::string> DefaultDynamicSchedulers() {
-  // The engine-aware registry subset (these consult the shared engine and
-  // thus exercise the warm subset view), plus the geometry-only greedy as
-  // a control.
+  // The engine-aware registry subset (these obtain an engine over every
+  // slot's backlogged subset), plus the geometry-only greedy as a control.
   return {"ldp",   "rle",         "fading_greedy",
           "approx_diversity",     "approx_logn",
           "graph_greedy"};
@@ -177,10 +171,9 @@ DynamicCase DynamicFuzzer::Case(std::uint64_t index) const {
   d.warmup_slots = d.num_slots / 8;
   d.seed = gen();
 
-  const std::uint64_t backend_draw = rng::UniformIndex(gen, 4);
-  d.backend = backend_draw == 0   ? channel::FactorBackend::kCalculator
-              : backend_draw == 1 ? channel::FactorBackend::kTables
-                                  : channel::FactorBackend::kMatrix;
+  d.backend = rng::UniformIndex(gen, 2) == 0
+                  ? channel::FactorBackend::kCalculator
+                  : channel::FactorBackend::kTables;
 
   d.queue_capacity = rng::UniformIndex(gen, 4) == 0
                          ? 1 + static_cast<std::size_t>(
@@ -411,17 +404,9 @@ DynamicCase LoadDynScenarioFile(const std::string& path) {
 DynOracleOutcome CheckDynamicCase(const DynamicCase& dyn) {
   DynOracleOutcome out;
   try {
-    const auto warm = TraceRun(dyn, dynamics::EngineMode::kWarmSubset);
-    const auto cold = TraceRun(dyn, dynamics::EngineMode::kColdRebuild);
-    std::string diff = DiffTraces(warm, cold, "warm", "cold");
-    if (!diff.empty()) {
-      out.ok = false;
-      out.check = "warm_cold_divergence";
-      out.detail = std::move(diff);
-      return out;
-    }
-    const auto replay = TraceRun(dyn, dynamics::EngineMode::kWarmSubset);
-    diff = DiffTraces(warm, replay, "run1", "run2");
+    const auto first = TraceRun(dyn);
+    const auto replay = TraceRun(dyn);
+    std::string diff = DiffTraces(first, replay, "run1", "run2");
     if (!diff.empty()) {
       out.ok = false;
       out.check = "replay_divergence";

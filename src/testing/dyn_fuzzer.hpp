@@ -7,10 +7,8 @@
 // scheduler under test. Cases are pure in (master seed, index), same as
 // the static fuzzer.
 //
-// The oracle is the tentpole contract of the dynamics subsystem: a run in
-// kWarmSubset mode (warm full-universe engine + per-slot subset views)
-// must produce a per-slot trace *byte-identical* to the kColdRebuild
-// reference, and a warm re-run must replay byte-identically (seed
+// The oracle is the replay contract of the dynamics subsystem: a re-run of
+// the case must reproduce its per-slot trace *byte-identically* (seed
 // determinism). Packet-ledger conservation is FS_CHECKed inside the
 // simulator; a thrown check surfaces here as a "crash" outcome.
 //
@@ -43,7 +41,7 @@ struct DynamicCase {
 struct DynFuzzerOptions {
   /// Topology families for the embedded static scenario. Smaller default
   /// cap than the static fuzzer: the oracle runs the slotted simulator
-  /// three times per case.
+  /// twice per case.
   FuzzerOptions topology{.min_links = 2, .max_links = 14};
   std::size_t min_slots = 40;
   std::size_t max_slots = 160;
@@ -88,17 +86,16 @@ DynamicCase LoadDynScenarioFile(const std::string& path);
 /// Oracle outcome for one dynamic case.
 struct DynOracleOutcome {
   bool ok = true;
-  /// Stable failure identity: "warm_cold_divergence", "replay_divergence",
-  /// or "crash". Empty when ok.
+  /// Stable failure identity: "replay_divergence" or "crash". Empty when
+  /// ok.
   std::string check;
   /// Human-readable detail (first diverging slot + both trace lines, or
   /// the exception message).
   std::string detail;
 };
 
-/// Runs the warm/cold schedule-identity + warm-replay oracle. Never
-/// throws: simulator exceptions (including ledger FS_CHECK failures)
-/// become a "crash" outcome.
+/// Runs the replay oracle. Never throws: simulator exceptions (including
+/// ledger FS_CHECK failures) become a "crash" outcome.
 DynOracleOutcome CheckDynamicCase(const DynamicCase& dyn);
 
 struct DynShrinkOptions {

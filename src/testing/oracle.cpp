@@ -74,8 +74,7 @@ class CaseContext {
     if (engines_.empty()) {
       for (channel::FactorBackend backend :
            {channel::FactorBackend::kCalculator,
-            channel::FactorBackend::kTables,
-            channel::FactorBackend::kMatrix}) {
+            channel::FactorBackend::kTables}) {
         channel::EngineOptions engine_options;
         engine_options.backend = backend;
         engines_.emplace_back(scenario_.links, scenario_.params,

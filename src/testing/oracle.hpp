@@ -12,9 +12,9 @@
 //   feasibility    — every scheduled link informed per Corollary 3.1,
 //                    judged by the reference InterferenceCalculator
 //                    (contract.fading_feasible only).
-//   backend_ulp    — per-victim interference sums from the kCalculator,
-//                    kTables, and kMatrix engine backends agree with the
-//                    reference to ≤ max_ulp ULP.
+//   backend_ulp    — per-victim interference sums from the kCalculator
+//                    and kTables engine backends agree with the reference
+//                    to ≤ max_ulp ULP.
 //   exact_*        — on instances with N ≤ exact_cap, cross-validation
 //                    against BranchAndBoundScheduler: the informed rate of
 //                    ANY schedule is bounded by the optimum (removing

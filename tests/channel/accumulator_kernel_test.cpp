@@ -244,13 +244,11 @@ TEST(AccumulatorKernelTest, EveryTierMatchesScalarSumsMasksAndAnswers) {
       params.alpha = alpha;
       params.noise_power = 1e-9;
       for (const FactorBackend backend :
-           {FactorBackend::kTables, FactorBackend::kMatrix,
-            FactorBackend::kCalculator}) {
+           {FactorBackend::kTables, FactorBackend::kCalculator}) {
         for (const Quantity quantity :
              {Quantity::kFactor, Quantity::kAffectance}) {
           EngineOptions options;
           options.backend = backend;
-          options.affectance_matrix = quantity == Quantity::kAffectance;
           const InterferenceEngine engine(layout.links, params, options);
           const double budget = quantity == Quantity::kFactor
                                     ? 0.5 * params.GammaEpsilon()

@@ -3,11 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "channel/feasibility.hpp"
@@ -16,8 +13,6 @@
 #include "net/scenario.hpp"
 #include "rng/xoshiro256.hpp"
 #include "util/check.hpp"
-#include "util/page_recycler.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fadesched::channel {
 namespace {
@@ -84,23 +79,6 @@ TEST(BatchInterferenceTest, TablesBackendMatchesCalculatorToTheUlp) {
   }
 }
 
-TEST(BatchInterferenceTest, MatrixBackendMatchesCalculatorToTheUlp) {
-  const net::LinkSet links = RandomLinks(13);
-  ChannelParams params;
-  params.alpha = 4.0;
-  const InterferenceCalculator calc(links, params);
-  EngineOptions options;
-  options.backend = FactorBackend::kMatrix;
-  const InterferenceEngine engine(links, params, options);
-  ASSERT_NE(engine.FactorMatrix(), nullptr);
-  for (net::LinkId i = 0; i < links.Size(); ++i) {
-    for (net::LinkId j = 0; j < links.Size(); ++j) {
-      EXPECT_LE(mathx::UlpDistance(engine.Factor(i, j), calc.Factor(i, j)),
-                kUlpTolerance);
-    }
-  }
-}
-
 TEST(BatchInterferenceTest, AffectanceMatchesDeterministicSinr) {
   const net::LinkSet links = RandomLinks(14);
   ChannelParams params;
@@ -120,9 +98,8 @@ TEST(BatchInterferenceTest, NoiseFactorIsExactAcrossBackends) {
   ChannelParams params;
   params.noise_power = 1e-6;
   const InterferenceCalculator calc(links, params);
-  for (FactorBackend backend : {FactorBackend::kCalculator,
-                                FactorBackend::kTables,
-                                FactorBackend::kMatrix}) {
+  for (FactorBackend backend :
+       {FactorBackend::kCalculator, FactorBackend::kTables}) {
     EngineOptions options;
     options.backend = backend;
     const InterferenceEngine engine(links, params, options);
@@ -183,99 +160,11 @@ TEST(BatchInterferenceTest, MeanRxPowerTableRejectsBadIds) {
   EXPECT_TRUE(MeanRxPowerTable(links, params, {}).empty());
 }
 
-TEST(TiledBuildTest, MatchesSerialMatrixToTheUlp) {
-  const net::LinkSet links = RandomLinks(17, 60);
-  ChannelParams params;
-  const InterferenceMatrix serial(links, params);
-  EngineOptions options;
-  options.backend = FactorBackend::kMatrix;
-  const InterferenceEngine engine(links, params, options);
-  const InterferenceMatrix* tiled = engine.FactorMatrix();
-  ASSERT_NE(tiled, nullptr);
-  ASSERT_EQ(tiled->Size(), serial.Size());
-  for (net::LinkId i = 0; i < links.Size(); ++i) {
-    for (net::LinkId j = 0; j < links.Size(); ++j) {
-      EXPECT_LE(mathx::UlpDistance(tiled->Factor(i, j), serial.Factor(i, j)),
-                kUlpTolerance);
-    }
-  }
-}
-
-TEST(TiledBuildTest, PoolAndTileSizeDoNotChangeBits) {
-  const net::LinkSet links = RandomLinks(18, 70);
-  ChannelParams params;
-  EngineOptions serial_options;
-  serial_options.backend = FactorBackend::kMatrix;
-  const InterferenceEngine reference(links, params, serial_options);
-  util::ThreadPool pool(4);
-  for (std::size_t tile_rows : {1u, 7u, 16u, 128u}) {
-    EngineOptions options = serial_options;
-    options.pool = &pool;
-    options.tile_rows = tile_rows;
-    const InterferenceEngine parallel(links, params, options);
-    for (net::LinkId i = 0; i < links.Size(); ++i) {
-      for (net::LinkId j = 0; j < links.Size(); ++j) {
-        EXPECT_EQ(parallel.FactorMatrix()->Factor(i, j),
-                  reference.FactorMatrix()->Factor(i, j))
-            << "tile_rows=" << tile_rows;
-      }
-    }
-  }
-}
-
-// The exact tile loop writes its own diagonal zeros instead of relying on a
-// zero-filled buffer, so a rebuild into a recycled block that still holds
-// another matrix's bits (here: NaN poison) must come out identical.
-TEST(TiledBuildTest, RebuildIntoRecycledBlockMatchesFreshBuild) {
-  constexpr std::size_t kN = 400;  // 400²·8 B ≥ PageRecycler::kMinBytes
-  const net::LinkSet links = RandomLinks(22, kN);
-  ChannelParams params;
-  EngineOptions options;
-  options.backend = FactorBackend::kMatrix;
-  util::PageRecycler& recycler = util::PageRecycler::Instance();
-  recycler.Trim();
-
-  FactorBuffer fresh_bits;
-  {
-    const InterferenceEngine fresh(links, params, options);
-    const InterferenceMatrix& matrix = *fresh.FactorMatrix();
-    fresh_bits.resize(kN * kN);
-    for (net::LinkId j = 0; j < kN; ++j) {
-      for (net::LinkId i = 0; i < kN; ++i) {
-        fresh_bits[j * kN + i] = matrix.Factor(i, j);
-      }
-    }
-  }  // the engine's block parks in the recycler
-  {
-    FactorBuffer poison;
-    poison.resize(kN * kN);  // takes the parked block back
-    std::fill(poison.begin(), poison.end(),
-              std::numeric_limits<double>::quiet_NaN());
-  }  // parks again, now full of NaN
-  if (recycler.Enabled()) {
-    EXPECT_GE(recycler.CachedBytes(), kN * kN * sizeof(double));
-  }
-
-  const InterferenceEngine rebuilt(links, params, options);
-  const InterferenceMatrix& matrix = *rebuilt.FactorMatrix();
-  for (net::LinkId j = 0; j < kN; ++j) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(matrix.Factor(j, j)),
-              std::bit_cast<std::uint64_t>(0.0))
-        << "diagonal " << j;
-    for (net::LinkId i = 0; i < kN; ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(matrix.Factor(i, j)),
-                std::bit_cast<std::uint64_t>(fresh_bits[j * kN + i]))
-          << "i=" << i << " j=" << j;
-    }
-  }
-}
-
 // An interfering sender on a victim's receiver (d² = 0, exactly or by
-// underflow) has no defined factor: the kMatrix build raises the same
-// check a kTables query does, serial or pooled, for both matrix kinds,
-// and so does the tables engine's CheckNoCoincidentPairs. A sender 1e-150
-// off the receiver is a defined factor, and neither raises.
-TEST(TiledBuildTest, CoincidentPositionsThrow) {
+// underflow) has no defined factor: the tables engine builds, and raises
+// only when that pair is queried, for the factor and the affectance
+// alike. A sender 1e-150 off the receiver is a defined factor.
+TEST(BatchInterferenceTest, CoincidentPositionsThrowOnQuery) {
   struct Layout {
     geom::Vec2 sender;  // link 1's sender; link 0 ends at the origin
     bool coincident;
@@ -288,122 +177,17 @@ TEST(TiledBuildTest, CoincidentPositionsThrow) {
     links.Add({layout.sender, {10.0, 0.0}});
     ChannelParams params;
     const InterferenceEngine tables(links, params);
-    util::ThreadPool pool(2);
-    for (const bool affectance : {false, true}) {
-      for (util::ThreadPool* build_pool :
-           {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-        EngineOptions options;
-        options.backend = FactorBackend::kMatrix;
-        options.affectance_matrix = affectance;
-        options.pool = build_pool;
-        if (layout.coincident) {
-          EXPECT_THROW(InterferenceEngine(links, params, options),
-                       util::CheckFailure)
-              << "affectance=" << affectance
-              << " pooled=" << (build_pool != nullptr);
-        } else {
-          EXPECT_NO_THROW(InterferenceEngine(links, params, options));
-        }
-      }
-    }
+    EXPECT_GT(tables.Factor(0, 1), 0.0);
     if (layout.coincident) {
       EXPECT_THROW(static_cast<void>(tables.Factor(1, 0)), util::CheckFailure);
-      EXPECT_THROW(tables.CheckNoCoincidentPairs(), util::CheckFailure);
+      EXPECT_THROW(static_cast<void>(tables.Affectance(1, 0)),
+                   util::CheckFailure);
     } else {
       EXPECT_GT(tables.Factor(1, 0), 0.0);
-      EXPECT_NO_THROW(tables.CheckNoCoincidentPairs());
+      EXPECT_GT(tables.Affectance(1, 0), 0.0);
     }
   }
 }
-
-// kMatrix materializes the expression kTables evaluates on the fly, so
-// every Factor and Affectance query carries the same bits on both, from a
-// factor matrix and from an affectance matrix alike. The geometries are
-// the edge cases of the engine's arithmetic: long quarter-integer power
-// chains (α = 7, 10), a generic α (libm pow), subnormal gains and
-// duplicated links.
-struct Geometry {
-  const char* name;
-  double alpha;
-  net::LinkSet (*make)();
-};
-
-const Geometry kGeometries[] = {
-    {"Uniform", 3.0, [] { return RandomLinks(3000); }},
-    {"Alpha7", 7.0, [] { return RandomLinks(3107); }},
-    {"Alpha10", 10.0, [] { return RandomLinks(3110); }},
-    {"GenericAlpha", 2.01, [] { return RandomLinks(3001); }},
-    {"SubnormalGains", 3.0,
-     [] {
-       // A vanishing transmit power drives affectances subnormal on some
-       // victims and victim coefficients enormous on its own receiver.
-       net::LinkSet links;
-       net::Link weak{{0.0, 0.0}, {10.0, 0.0}};
-       weak.tx_power = 1e-290;
-       links.Add(weak);
-       links.Add({{200.0, 0.0}, {210.0, 0.0}});
-       links.Add({{50.0, 80.0}, {55.0, 90.0}});
-       return links;
-     }},
-    {"DuplicateLinks", 3.0,
-     [] {
-       // Same sender and receiver twice (a duplicated request) is legal:
-       // the cross distances equal the link length.
-       net::LinkSet links;
-       links.Add({{0.0, 0.0}, {10.0, 0.0}});
-       links.Add({{0.0, 0.0}, {10.0, 0.0}});
-       links.Add({{100.0, 5.0}, {110.0, 5.0}});
-       return links;
-     }},
-};
-
-// Prints a case by name, so the test names CTest discovers do not carry
-// the struct's pointer bytes, which change from one run to the next.
-void PrintTo(const Geometry& geometry, std::ostream* os) {
-  *os << geometry.name;
-}
-
-class MatrixTablesBitsTest : public ::testing::TestWithParam<Geometry> {};
-
-TEST_P(MatrixTablesBitsTest, FactorAndAffectanceAreBitIdentical) {
-  const net::LinkSet links = GetParam().make();
-  ChannelParams params;
-  params.alpha = GetParam().alpha;
-  const InterferenceEngine tables(links, params);
-  EXPECT_NO_THROW(tables.CheckNoCoincidentPairs());
-  EngineOptions factor_options;
-  factor_options.backend = FactorBackend::kMatrix;
-  EngineOptions affectance_options = factor_options;
-  affectance_options.affectance_matrix = true;
-  const InterferenceEngine factor_matrix(links, params, factor_options);
-  const InterferenceEngine affectance_matrix(links, params, affectance_options);
-  ASSERT_NE(factor_matrix.FactorMatrix(), nullptr);
-  ASSERT_EQ(affectance_matrix.FactorMatrix(), nullptr);
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  for (net::LinkId i = 0; i < links.Size(); ++i) {
-    for (net::LinkId j = 0; j < links.Size(); ++j) {
-      const double factor = tables.Factor(i, j);
-      const double affectance = tables.Affectance(i, j);
-      ASSERT_TRUE(std::isfinite(factor) && std::isfinite(affectance))
-          << "i=" << i << " j=" << j;
-      for (const InterferenceEngine* matrix :
-           {&factor_matrix, &affectance_matrix}) {
-        EXPECT_EQ(bits(matrix->Factor(i, j)), bits(factor))
-            << "i=" << i << " j=" << j << " affectance_matrix="
-            << matrix->Options().affectance_matrix;
-        EXPECT_EQ(bits(matrix->Affectance(i, j)), bits(affectance))
-            << "i=" << i << " j=" << j << " affectance_matrix="
-            << matrix->Options().affectance_matrix;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, MatrixTablesBitsTest, ::testing::ValuesIn(kGeometries),
-    [](const ::testing::TestParamInfo<Geometry>& param_info) {
-      return std::string(param_info.param.name);
-    });
 
 // Adds `interferer` onto every other receiver: all live, none pruned.
 void AddToAll(IncrementalFeasibility& acc, net::LinkId interferer,

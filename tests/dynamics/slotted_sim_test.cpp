@@ -1,6 +1,6 @@
 // Contracts of the slotted dynamics simulator: exact packet conservation
 // (including bounded queues, churn-blocked arrivals, and mid-run
-// interruption), warm/cold trace identity, byte-identical replay, the
+// interruption), trace identity across backends, byte-identical replay, the
 // bounded-staleness refresh policy, and the queueing behaviour the paper's
 // schedulers should show under Bernoulli arrivals.
 #include <algorithm>
@@ -149,20 +149,21 @@ TEST(SlottedSimTest, ReplayTraceIsByteIdentical) {
   }
 }
 
-// The tentpole acceptance property at simulator level: the warm subset
-// view and the cold per-slot rebuild produce byte-identical traces — the
-// engine mode is a pure optimization.
-TEST(SlottedSimTest, WarmAndColdTracesAreByteIdentical) {
+// The backend is a pure optimization at simulator level too: the
+// reference calculator and the tables engine produce byte-identical
+// traces.
+TEST(SlottedSimTest, CalculatorAndTablesTracesAreByteIdentical) {
   const net::LinkSet universe = MakeUniverse(28, 6);
   for (const char* scheduler : {"ldp", "fading_greedy", "approx_diversity"}) {
     DynamicsOptions options = ChurnyOptions();
-    options.engine_mode = EngineMode::kWarmSubset;
-    const std::vector<std::string> warm = Trace(universe, scheduler, options);
-    options.engine_mode = EngineMode::kColdRebuild;
-    const std::vector<std::string> cold = Trace(universe, scheduler, options);
-    ASSERT_EQ(warm.size(), cold.size()) << scheduler;
-    for (std::size_t i = 0; i < warm.size(); ++i) {
-      ASSERT_EQ(warm[i], cold[i]) << scheduler << " slot " << i;
+    options.backend = channel::FactorBackend::kCalculator;
+    const std::vector<std::string> calculator =
+        Trace(universe, scheduler, options);
+    options.backend = channel::FactorBackend::kTables;
+    const std::vector<std::string> tables = Trace(universe, scheduler, options);
+    ASSERT_EQ(calculator.size(), tables.size()) << scheduler;
+    for (std::size_t i = 0; i < calculator.size(); ++i) {
+      ASSERT_EQ(calculator[i], tables[i]) << scheduler << " slot " << i;
     }
   }
 }

@@ -1,9 +1,8 @@
 // Differential tests: every scheduler must return the *identical* schedule
-// whether its feasibility sums come from the reference calculator, the
-// precomputed fast tables, or a materialized (optionally thread-pool
-// built) matrix. This is the schedule-level guarantee that the batched
-// engine is a pure optimization, checked across 50+ seeded scenarios (and
-// re-run by CI under FADESCHED_NO_SIMD=1).
+// whether its feasibility sums come from the reference calculator or the
+// precomputed fast tables. This is the schedule-level guarantee that the
+// batched engine is a pure optimization, checked across 50+ seeded
+// scenarios (and re-run by CI under FADESCHED_NO_SIMD=1).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,7 +17,6 @@
 #include "sched/greedy.hpp"
 #include "sched/ldp.hpp"
 #include "sched/rle.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fadesched::sched {
 namespace {
@@ -58,20 +56,13 @@ net::LinkSet MakeLinks(const Scenario& s) {
   return net::MakeUniformScenario(s.num_links, {}, gen);
 }
 
-std::vector<channel::EngineOptions> BackendSweep(util::ThreadPool* pool) {
+std::vector<channel::EngineOptions> BackendSweep() {
   std::vector<channel::EngineOptions> sweep;
   channel::EngineOptions calculator;
   calculator.backend = channel::FactorBackend::kCalculator;
   sweep.push_back(calculator);
   channel::EngineOptions tables;  // the default
   sweep.push_back(tables);
-  channel::EngineOptions matrix;
-  matrix.backend = channel::FactorBackend::kMatrix;
-  sweep.push_back(matrix);
-  channel::EngineOptions pooled_matrix = matrix;
-  pooled_matrix.pool = pool;
-  pooled_matrix.tile_rows = 16;
-  sweep.push_back(pooled_matrix);
   return sweep;
 }
 
@@ -117,7 +108,6 @@ const NamedFactory kFactories[] = {
 };
 
 TEST(DifferentialTest, AllSchedulersAgreeAcrossBackends) {
-  util::ThreadPool pool(3);
   const std::vector<Scenario> scenarios = MakeScenarios();
   ASSERT_GE(scenarios.size(), 50u);
   for (const Scenario& scenario : scenarios) {
@@ -127,14 +117,13 @@ TEST(DifferentialTest, AllSchedulersAgreeAcrossBackends) {
           factory.make(channel::EngineOptions{})
               ->Schedule(links, scenario.params)
               .schedule;
-      for (const channel::EngineOptions& engine : BackendSweep(&pool)) {
+      for (const channel::EngineOptions& engine : BackendSweep()) {
         const net::Schedule got =
             factory.make(engine)->Schedule(links, scenario.params).schedule;
         EXPECT_EQ(got, reference)
             << factory.name << " diverged on seed " << scenario.seed
             << " n=" << scenario.num_links << " backend="
-            << static_cast<int>(engine.backend)
-            << (engine.pool != nullptr ? " (pooled)" : "");
+            << static_cast<int>(engine.backend);
       }
     }
   }

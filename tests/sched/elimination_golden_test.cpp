@@ -83,8 +83,7 @@ TEST(EliminationGoldenTest, EveryTierAndBackendGivesTheGoldenSchedules) {
     if (channel::ResolveSimdLevel(level) == level) levels.push_back(level);
   }
   for (const channel::FactorBackend backend :
-       {channel::FactorBackend::kTables, channel::FactorBackend::kMatrix,
-        channel::FactorBackend::kCalculator}) {
+       {channel::FactorBackend::kTables, channel::FactorBackend::kCalculator}) {
     channel::EngineOptions engine;
     engine.backend = backend;
     RleOptions rle;

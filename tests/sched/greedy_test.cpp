@@ -53,8 +53,7 @@ TEST(FadingGreedyTest, CommittedSenderOnARejectedReceiverThrows) {
     if (channel::ResolveSimdLevel(level) == level) levels.push_back(level);
   }
   for (const channel::FactorBackend backend :
-       {channel::FactorBackend::kTables, channel::FactorBackend::kMatrix,
-        channel::FactorBackend::kCalculator}) {
+       {channel::FactorBackend::kTables, channel::FactorBackend::kCalculator}) {
     FadingGreedyOptions options;
     options.interference.backend = backend;
     const FadingGreedyScheduler greedy(options);

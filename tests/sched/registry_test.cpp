@@ -122,7 +122,7 @@ TEST(RegistryTest, UnregisterRefusesBuiltins) {
 
 TEST(RegistryTest, EngineOptionsReachTheScheduler) {
   channel::EngineOptions options;
-  options.backend = channel::FactorBackend::kMatrix;
+  options.backend = channel::FactorBackend::kCalculator;
   // The engine-aware factories thread the options through; the scheduler
   // must still produce the same schedule (pinned broadly by the
   // differential suite — here we just prove the plumbing constructs).

@@ -268,11 +268,10 @@ TEST(SchedulingServiceTest, EmptyLinkSetIsServed) {
   EXPECT_TRUE(response.schedule.empty());
 }
 
-// Brownout drops a miss to the O(N) kTables build whatever the backend.
-// Its replies must be the normal replies byte for byte, for all five
-// schedulers, on a tables and on a matrix configuration. The last input
-// puts a sender on another link's receiver: the matrix configuration
-// rejects it at build time, and must under brownout too.
+// Brownout drops a miss to the kTables build whatever the backend. Its
+// replies must be the normal replies byte for byte, for all five
+// schedulers, on a tables and on a calculator configuration. The last
+// input puts a sender on another link's receiver.
 TEST(SchedulingServiceTest, BrownoutRepliesAreByteIdenticalToNormalReplies) {
   const char* const kSchedulers[] = {"rle", "ldp", "approx_logn",
                                      "approx_diversity", "fading_greedy"};
@@ -288,7 +287,7 @@ TEST(SchedulingServiceTest, BrownoutRepliesAreByteIdenticalToNormalReplies) {
     return request;
   };
   for (const channel::FactorBackend backend :
-       {channel::FactorBackend::kTables, channel::FactorBackend::kMatrix}) {
+       {channel::FactorBackend::kTables, channel::FactorBackend::kCalculator}) {
     ServiceOptions options;
     options.cache.engine.backend = backend;
     SchedulingService normal(options);
@@ -312,12 +311,52 @@ TEST(SchedulingServiceTest, BrownoutRepliesAreByteIdenticalToNormalReplies) {
       }
     }
     EXPECT_GT(ok, 0u);
-    // Every scenario was built once, degraded, except the coincident one
-    // on the matrix configuration, whose build fails on every request.
-    const bool matrix = backend == channel::FactorBackend::kMatrix;
-    EXPECT_EQ(degraded.Metrics().brownout_builds.load(),
-              matrix ? kFuzzCases : kFuzzCases + 1);
+    // Every scenario was built once, degraded.
+    EXPECT_EQ(degraded.Metrics().brownout_builds.load(), kFuzzCases + 1);
     EXPECT_EQ(normal.Metrics().brownout_builds.load(), 0u);
+  }
+}
+
+// A sender on another link's receiver has no defined factor for that
+// pair. A served request must get one reply whatever the backend: the
+// same bytes on kCalculator and kTables for all five schedulers, in normal
+// and in brownout mode. The layout is the brownout test's, in both link
+// orders: in the second, fading_greedy queries the coincident pair and
+// both backends must raise the same error.
+TEST(SchedulingServiceTest, SenderOnAReceiverGetsTheSameReplyOnEveryBackend) {
+  const char* const kSchedulers[] = {"rle", "ldp", "approx_logn",
+                                     "approx_diversity", "fading_greedy"};
+  const net::Link first{{0.0, 0.0}, {10.0, 0.0}};
+  const net::Link on_first{{10.0, 0.0}, {20.0, 0.0}};  // sender on r_first
+  const net::Link far{{100.0, 0.0}, {110.0, 0.0}};
+  for (const bool swapped : {false, true}) {
+    SchedulingRequest request;
+    request.scenario.params.Validate();
+    request.scenario.links.Add(swapped ? on_first : first);
+    request.scenario.links.Add(swapped ? first : on_first);
+    request.scenario.links.Add(far);
+    for (const bool brownout : {false, true}) {
+      ServiceOptions calculator_options;
+      calculator_options.cache.engine.backend =
+          channel::FactorBackend::kCalculator;
+      SchedulingService calculator(calculator_options);
+      SchedulingService tables;
+      if (brownout) {
+        for (SchedulingService* service : {&calculator, &tables}) {
+          service->Overload().ObserveQueueDelay(
+              10.0, std::chrono::steady_clock::now());
+          ASSERT_TRUE(service->Overload().Brownout());
+        }
+      }
+      for (const char* scheduler : kSchedulers) {
+        request.scheduler = scheduler;
+        request.id = scheduler;
+        EXPECT_EQ(FormatResponseLine(tables.HandleNow(request)),
+                  FormatResponseLine(calculator.HandleNow(request)))
+            << "swapped=" << swapped << " brownout=" << brownout
+            << " scheduler=" << scheduler;
+      }
+    }
   }
 }
 

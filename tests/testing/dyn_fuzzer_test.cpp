@@ -1,5 +1,5 @@
 // The dynamic fuzz family: case purity, .dynscenario round-trips, the
-// warm/cold oracle, and the shrinker's contract.
+// replay oracle, and the shrinker's contract.
 #include "testing/dyn_fuzzer.hpp"
 
 #include <gtest/gtest.h>
@@ -80,11 +80,9 @@ TEST(DynScenarioFormatTest, MalformedInputNamesTheOffendingLine) {
       util::CheckFailure);
 }
 
-// The oracle holds on generated cases: warm subset views are
-// schedule-identical to cold rebuilds, and replays are deterministic.
-// This is the in-suite smoke of the property `fuzz --dynamic` checks at
-// scale.
-TEST(DynOracleTest, GeneratedCasesPassTheWarmColdOracle) {
+// The oracle holds on generated cases: replays are deterministic. This is
+// the in-suite smoke of the property `fuzz --dynamic` checks at scale.
+TEST(DynOracleTest, GeneratedCasesPassTheReplayOracle) {
   const DynamicFuzzer fuzzer(2024);
   for (std::uint64_t i = 0; i < 8; ++i) {
     const DynOracleOutcome outcome = CheckDynamicCase(fuzzer.Case(i));

@@ -123,14 +123,15 @@ TEST(CliExitCodesTest, QueueSimSweepTraceAndErrors) {
                        " --algorithms ldp"),
             util::kExitOk);
 
-  // --trace needs exactly one algorithm and rate; a bogus engine mode is
-  // a runtime failure, an unknown flag a usage error.
+  // --trace needs exactly one algorithm and rate; an unknown backend (the
+  // retired matrix one included) is a runtime failure, an unknown flag a
+  // usage error.
   EXPECT_EQ(RunCommand(Cli() + " queue-sim --in " + links +
                        " --slots 40 --rates 0.05 --algorithms ldp,rle"
                        " --trace"),
             util::kExitRuntime);
   EXPECT_EQ(RunCommand(Cli() + " queue-sim --in " + links +
-                       " --mode lukewarm"),
+                       " --backend matrix"),
             util::kExitRuntime);
   EXPECT_EQ(RunCommand(Cli() + " queue-sim --no-such-flag"),
             util::kExitUsage);

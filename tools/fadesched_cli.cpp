@@ -417,8 +417,8 @@ int RunFuzzCmd(int argc, char** argv) {
   auto& dynamic = cli.AddBool(
       "dynamic", false,
       "fuzz the dynamics subsystem instead: slotted runs with random "
-      "arrival/churn knobs, checked against the warm-vs-cold "
-      "schedule-identity + replay oracle (.dynscenario reproducers)");
+      "arrival/churn knobs, checked against the replay oracle "
+      "(.dynscenario reproducers)");
   auto& min_slots =
       cli.AddInt("min-slots", 40, "shortest dynamic run (--dynamic)");
   auto& max_slots =
@@ -524,16 +524,15 @@ int RunFuzzCmd(int argc, char** argv) {
 channel::FactorBackend BackendFromName(const std::string& name) {
   if (name == "calculator") return channel::FactorBackend::kCalculator;
   if (name == "tables") return channel::FactorBackend::kTables;
-  if (name == "matrix") return channel::FactorBackend::kMatrix;
   throw util::FatalError("unknown --backend '" + name +
-                         "' (calculator | tables | matrix)");
+                         "' (calculator | tables)");
 }
 
 int RunQueueSim(int argc, char** argv) {
   util::CliParser cli(
       "fadesched_cli queue-sim",
       "slotted dynamic-traffic simulation on the crash-safe sweep harness: "
-      "arrival processes, churn, warm-engine scheduling; --frontier "
+      "arrival processes, churn, per-slot scheduling; --frontier "
       "binary-searches the stability frontier lambda*");
   auto& in = cli.AddString("in", "", "scenario CSV (empty = generate "
                                      "uniform from --links/--seed)");
@@ -557,10 +556,8 @@ int RunQueueSim(int argc, char** argv) {
   auto& depth = cli.AddDouble("bucket-depth", 4.0, "leaky: bucket depth");
   auto& release = cli.AddDouble("release-prob", 0.25,
                                 "leaky: early-release probability");
-  auto& mode_text = cli.AddString(
-      "mode", "warm", "engine mode: warm (subset views) | cold (rebuild)");
   auto& backend_text =
-      cli.AddString("backend", "matrix", "calculator | tables | matrix");
+      cli.AddString("backend", "tables", "calculator | tables");
   auto& capacity = cli.AddInt("queue-capacity", 0,
                               "per-link queue bound (0 = unbounded)");
   auto& churn = cli.AddBool("churn", false, "enable membership churn/drift");
@@ -578,7 +575,7 @@ int RunQueueSim(int argc, char** argv) {
   auto& seeds = cli.AddInt("seeds", 1, "simulation seeds per point");
   auto& trace = cli.AddBool(
       "trace", false, "print the per-slot trace (single rate + algorithm; "
-                      "byte-identical across reruns and engine modes)");
+                      "byte-identical across reruns and backends)");
   auto& frontier = cli.AddBool(
       "frontier", false, "binary-search lambda* per scheduler instead of "
                          "sweeping --rates");
@@ -615,8 +612,6 @@ int RunQueueSim(int argc, char** argv) {
     rates.push_back(*value);
   }
   FS_CHECK_MSG(!rates.empty(), "--rates must be non-empty");
-  FS_CHECK_MSG(mode_text == "warm" || mode_text == "cold",
-               "--mode must be 'warm' or 'cold'");
 
   dynamics::DynamicsOptions base;
   base.num_slots = static_cast<std::size_t>(num_slots);
@@ -630,8 +625,6 @@ int RunQueueSim(int argc, char** argv) {
   base.arrivals.mean_burst_slots = burst;
   base.arrivals.bucket_depth = depth;
   base.arrivals.release_probability = release;
-  base.engine_mode = mode_text == "warm" ? dynamics::EngineMode::kWarmSubset
-                                         : dynamics::EngineMode::kColdRebuild;
   base.backend = BackendFromName(backend_text);
   base.queue_capacity = static_cast<std::size_t>(capacity);
   if (churn) {
@@ -677,7 +670,6 @@ int RunQueueSim(int argc, char** argv) {
     h = sim::FingerprintMix64(h, base.num_slots);
     h = sim::FingerprintMix64(h, base.seed);
     h = sim::FingerprintMixString(h, family_text);
-    h = sim::FingerprintMixString(h, mode_text);
     h = sim::FingerprintMixDouble(h, *alpha);
     spec.config_fingerprint = h;
   }
@@ -816,7 +808,7 @@ int RunServe(int argc, char** argv) {
       "scenario+response cache budget (MiB; per shard when sharded)");
   auto& backend = cli.AddString(
       "backend", "tables",
-      "interference backend for cached engines (calculator|tables|matrix)");
+      "interference backend for cached engines (calculator|tables)");
   auto& metrics_out = cli.AddString(
       "metrics-out", "",
       "write the metrics JSON here on shutdown (single-process mode only; "
@@ -1184,9 +1176,9 @@ void PrintTopLevelUsage() {
       "  ilp        export the ILP (paper formulas (20)-(22))\n"
       "  sweep      crash-safe multi-point sweep (checkpoint/resume)\n"
       "  queue-sim  slotted dynamic-traffic simulation (arrivals, churn,\n"
-      "             warm-engine scheduling); --frontier finds lambda*\n"
+      "             per-slot scheduling); --frontier finds lambda*\n"
       "  fuzz       metamorphic fuzzing + oracle checks, shrunk reproducers\n"
-      "             (--dynamic: warm-vs-cold + replay oracle on slotted runs)\n"
+      "             (--dynamic: replay oracle on slotted runs)\n"
       "  serve      scheduling server (unix socket / TCP, line protocol);\n"
       "             in-process by default; --shards N forks N crash-only\n"
       "             workers behind a consistent-hash fingerprint router\n"
