@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "mathx/stats.hpp"
@@ -24,6 +25,13 @@ struct Spread {
   double p90 = 0.0;
 };
 
+// Spread of a set of samples.
+inline Spread SpreadOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return {mathx::Percentile(samples, 0.5), mathx::Percentile(samples, 0.1),
+          mathx::Percentile(samples, 0.9)};
+}
+
 // Times `work` `reps` times; each sample is seconds × `scale`.
 inline Spread Measure(int reps, double scale,
                       const std::function<void()>& work) {
@@ -33,9 +41,7 @@ inline Spread Measure(int reps, double scale,
     work();
     samples.push_back(timer.Seconds() * scale);
   }
-  std::sort(samples.begin(), samples.end());
-  return {mathx::Percentile(samples, 0.5), mathx::Percentile(samples, 0.1),
-          mathx::Percentile(samples, 0.9)};
+  return SpreadOf(std::move(samples));
 }
 
 // JSON value text: fixed six decimals for doubles, integers as is, and a

@@ -109,10 +109,6 @@ class RequestBatcher {
   SchedulingResponse Execute(SchedulingRequest request,
                              RequestClass cls = RequestClass::kWarm);
 
-  /// The adaptive admission controller (live state: Overloaded(),
-  /// Brownout(), QueueDelayEwmaSeconds()).
-  [[nodiscard]] OverloadController& Overload() { return overload_; }
-
   /// Stops admission, completes queued + in-flight work, joins workers.
   /// Idempotent; safe to call concurrently with Submit().
   void Drain();

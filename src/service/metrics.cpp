@@ -106,9 +106,6 @@ std::string ServiceMetrics::ToJson() const {
   out << "  \"overload\": {\n";
   out << "    \"queue_depth\": " << get(queue_depth) << ",\n";
   out << "    \"queue_delay_ewma_us\": " << get(queue_delay_ewma_us) << ",\n";
-  out << "    \"brownout_active\": " << get(brownout_active) << ",\n";
-  out << "    \"brownout_entries\": " << get(brownout_entries) << ",\n";
-  out << "    \"brownout_builds\": " << get(brownout_builds) << ",\n";
   out << "    \"worker_restarts\": " << get(worker_restarts) << "\n";
   out << "  },\n";
   out << "  \"queue_latency\": " << queue_latency.ToJson() << ",\n";

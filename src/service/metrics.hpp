@@ -81,11 +81,6 @@ struct ServiceMetrics {
   std::atomic<std::uint64_t> chaos_injected{0};   ///< faults injected
   std::atomic<std::uint64_t> chaos_recovered{0};  ///< calls ok after ≥1 retry
 
-  // Overload controller (src/service/overload.hpp). brownout_entries
-  // counts idle→brownout transitions; brownout_builds counts engine
-  // builds actually degraded to the fast backend.
-  std::atomic<std::uint64_t> brownout_entries{0};
-  std::atomic<std::uint64_t> brownout_builds{0};
   /// Global fork ordinal inherited from the supervisor at fork time (how
   /// many spawns preceded this shard worker); 0 for in-process `serve`.
   std::atomic<std::uint64_t> worker_restarts{0};
@@ -94,7 +89,6 @@ struct ServiceMetrics {
   // snapshot-consistency monotonicity test).
   std::atomic<std::uint64_t> queue_depth{0};
   std::atomic<std::uint64_t> queue_delay_ewma_us{0};
-  std::atomic<std::uint64_t> brownout_active{0};  ///< 0 or 1
 
   LatencyHistogram queue_latency;    ///< enqueue → worker pickup
   LatencyHistogram service_latency;  ///< handler execution

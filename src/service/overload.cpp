@@ -27,22 +27,20 @@ ShedPolicy ParseShedPolicy(const std::string& name) {
                          "' (expected none|cold|all)");
 }
 
+// Each check is written so that NaN fails it: util::ParseDouble reads
+// "nan", and every ordered comparison with NaN is false.
 void OverloadOptions::Validate() const {
-  if (queue_delay_target_ms < 0.0) {
+  if (!(queue_delay_target_ms >= 0.0)) {
     throw util::FatalError("queue_delay_target_ms must be >= 0");
   }
-  if (interval_ms <= 0.0) {
+  if (!(interval_ms > 0.0)) {
     throw util::FatalError("overload interval_ms must be positive");
   }
   if (!(ewma_alpha > 0.0) || ewma_alpha > 1.0) {
     throw util::FatalError("overload ewma_alpha must be in (0, 1]");
   }
-  if (brownout_exit_factor > brownout_enter_factor) {
-    throw util::FatalError(
-        "brownout_exit_factor must not exceed brownout_enter_factor "
-        "(hysteresis would invert)");
-  }
-  if (retry_after_min_ms < 0.0 || retry_after_max_ms < retry_after_min_ms) {
+  if (!(retry_after_min_ms >= 0.0) ||
+      !(retry_after_max_ms >= retry_after_min_ms)) {
     throw util::FatalError("retry_after bounds must satisfy 0 <= min <= max");
   }
 }
@@ -87,18 +85,6 @@ void OverloadController::ObserveQueueDelay(double seconds,
     above_target_ = false;
     overloaded_ = false;
   }
-
-  // Brownout rides the smoothed estimate, with hysteresis so the backend
-  // choice does not flap at the threshold.
-  if (options_.brownout_enabled) {
-    if (!brownout_ &&
-        ewma_seconds_ > options_.brownout_enter_factor * target_s) {
-      SetBrownoutLocked(true);
-    } else if (brownout_ &&
-               ewma_seconds_ < options_.brownout_exit_factor * target_s) {
-      SetBrownoutLocked(false);
-    }
-  }
 }
 
 AdmitDecision OverloadController::Admit(RequestClass cls,
@@ -138,25 +124,9 @@ bool OverloadController::Overloaded() const {
   return overloaded_;
 }
 
-bool OverloadController::Brownout() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return brownout_;
-}
-
 double OverloadController::QueueDelayEwmaSeconds() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return ewma_seconds_;
-}
-
-void OverloadController::SetBrownoutLocked(bool on) {
-  if (brownout_ == on) return;
-  brownout_ = on;
-  if (metrics_ != nullptr) {
-    metrics_->brownout_active.store(on ? 1 : 0, std::memory_order_relaxed);
-    if (on) {
-      metrics_->brownout_entries.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
 }
 
 void OverloadController::ResetLocked() {
@@ -164,7 +134,6 @@ void OverloadController::ResetLocked() {
   have_ewma_ = false;
   overloaded_ = false;
   above_target_ = false;
-  SetBrownoutLocked(false);
   if (metrics_ != nullptr) {
     metrics_->queue_delay_ewma_us.store(0, std::memory_order_relaxed);
   }

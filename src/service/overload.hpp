@@ -1,5 +1,5 @@
 // Overload controller for the request batcher: CoDel-style adaptive
-// admission, two-tier load shedding, and brownout.
+// admission and two-tier load shedding.
 //
 // The hard queue-capacity bound (batcher.hpp) protects memory; this
 // controller protects *latency*. It watches the queue delay each request
@@ -10,17 +10,11 @@
 //
 //   * two-tier shedding: requests classified kCold (their fingerprint is
 //     not in the scenario/response cache, so serving them costs a full
-//     engine build — ~20× a warm hit per BENCH_service.json) are shed
+//     engine build — ~100× a warm hit per BENCH_service.json) are shed
 //     first; kWarm requests are only shed under ShedPolicy::kAll. Every
 //     shed carries a `retry_after_ms` hint derived from the current
 //     queue-delay EWMA so clients back off proportionally to the actual
-//     congestion instead of a blind ladder;
-//   * brownout: when the delay EWMA climbs past
-//     `brownout_enter_factor × target`, the service cheapens cold builds
-//     to the O(N) kTables build whatever the backend, with byte-identical
-//     replies (ScenarioCache::ObtainScenario). Hysteresis: brownout
-//     exits only when the EWMA falls back below
-//     `brownout_exit_factor × target`.
+//     congestion instead of a blind ladder.
 //
 // An empty queue resets everything: overload state is a statement about
 // the queue, and a drained queue has none. All decisions are pure
@@ -52,26 +46,22 @@ ShedPolicy ParseShedPolicy(const std::string& name);
 
 struct OverloadOptions {
   /// CoDel target: the queue delay the controller defends. 0 disables
-  /// the controller entirely (no shedding, no brownout).
+  /// the controller entirely (no shedding).
   double queue_delay_target_ms = 5.0;
   /// Delay must exceed the target continuously this long before the
   /// service counts as overloaded.
   double interval_ms = 100.0;
   /// EWMA smoothing for the delay estimate (per observation).
   double ewma_alpha = 0.2;
-  /// Brownout hysteresis, as multiples of the target (enter > exit).
-  double brownout_enter_factor = 4.0;
-  double brownout_exit_factor = 1.0;
   /// Shed hints: retry_after = clamp(2 × EWMA, min, max).
   double retry_after_min_ms = 10.0;
   double retry_after_max_ms = 250.0;
 
   ShedPolicy shed_policy = ShedPolicy::kCold;
-  /// false pins the full-fidelity backend even under pressure.
-  bool brownout_enabled = true;
 
-  /// Throws util::FatalError on non-positive intervals, alpha outside
-  /// (0, 1], or exit factor above enter factor.
+  /// Throws util::FatalError on a negative target, a non-positive
+  /// interval, alpha outside (0, 1], or retry-after bounds not ordered
+  /// 0 <= min <= max. NaN fails every check.
   void Validate() const;
 };
 
@@ -86,14 +76,13 @@ class OverloadController {
   using Clock = std::chrono::steady_clock;
 
   /// `metrics` may be null; when given, the controller keeps the
-  /// queue_delay_ewma_us and brownout_active gauges and the
-  /// brownout_entries counter current (shed counters belong to the
+  /// queue_delay_ewma_us gauge current (shed counters belong to the
   /// batcher, which knows the request class).
   explicit OverloadController(OverloadOptions options,
                               ServiceMetrics* metrics = nullptr);
 
   /// One dequeue observation: how long the request sat in the queue.
-  /// Called by batcher workers; drives the overload and brownout state.
+  /// Called by batcher workers; drives the overload state.
   void ObserveQueueDelay(double seconds, Clock::time_point now);
 
   /// Admission check at Submit time. `queue_depth` is the depth the
@@ -106,13 +95,11 @@ class OverloadController {
   [[nodiscard]] double RetryAfterMs() const;
 
   [[nodiscard]] bool Overloaded() const;
-  [[nodiscard]] bool Brownout() const;
   [[nodiscard]] double QueueDelayEwmaSeconds() const;
   [[nodiscard]] const OverloadOptions& Options() const { return options_; }
 
  private:
   [[nodiscard]] double RetryAfterMsLocked() const;
-  void SetBrownoutLocked(bool on);
   void ResetLocked();
 
   OverloadOptions options_;
@@ -122,7 +109,6 @@ class OverloadController {
   double ewma_seconds_ = 0.0;
   bool have_ewma_ = false;
   bool overloaded_ = false;
-  bool brownout_ = false;
   bool above_target_ = false;
   Clock::time_point first_above_{};
 };

@@ -468,8 +468,6 @@ StatsSnapshot CaptureStats(const ServiceMetrics& metrics) {
   s.shed_overload = get(metrics.shed_overload);
   s.shed_cold = get(metrics.shed_cold);
   s.rejected_draining = get(metrics.rejected_draining);
-  s.brownout_entries = get(metrics.brownout_entries);
-  s.brownout_builds = get(metrics.brownout_builds);
   s.worker_restarts = get(metrics.worker_restarts);
   s.response_hits = get(metrics.response_hits);
   s.response_misses = get(metrics.response_misses);
@@ -477,7 +475,6 @@ StatsSnapshot CaptureStats(const ServiceMetrics& metrics) {
   s.scenario_misses = get(metrics.scenario_misses);
   s.queue_depth = get(metrics.queue_depth);
   s.queue_delay_ewma_us = get(metrics.queue_delay_ewma_us);
-  s.brownout_active = get(metrics.brownout_active);
   return s;
 }
 
@@ -491,8 +488,6 @@ void AccumulateStats(StatsSnapshot& into, const StatsSnapshot& from) {
   into.shed_overload += from.shed_overload;
   into.shed_cold += from.shed_cold;
   into.rejected_draining += from.rejected_draining;
-  into.brownout_entries += from.brownout_entries;
-  into.brownout_builds += from.brownout_builds;
   into.worker_restarts += from.worker_restarts;
   into.response_hits += from.response_hits;
   into.response_misses += from.response_misses;
@@ -500,7 +495,6 @@ void AccumulateStats(StatsSnapshot& into, const StatsSnapshot& from) {
   into.scenario_misses += from.scenario_misses;
   into.queue_depth += from.queue_depth;
   into.queue_delay_ewma_us += from.queue_delay_ewma_us;
-  into.brownout_active += from.brownout_active;
 }
 
 namespace {
@@ -522,8 +516,6 @@ constexpr StatsField kStatsFields[] = {
     {"shed_overload", &StatsSnapshot::shed_overload},
     {"shed_cold", &StatsSnapshot::shed_cold},
     {"rejected_draining", &StatsSnapshot::rejected_draining},
-    {"brownout_entries", &StatsSnapshot::brownout_entries},
-    {"brownout_builds", &StatsSnapshot::brownout_builds},
     {"worker_restarts", &StatsSnapshot::worker_restarts},
     {"response_hits", &StatsSnapshot::response_hits},
     {"response_misses", &StatsSnapshot::response_misses},
@@ -531,7 +523,6 @@ constexpr StatsField kStatsFields[] = {
     {"scenario_misses", &StatsSnapshot::scenario_misses},
     {"queue_depth", &StatsSnapshot::queue_depth},
     {"queue_delay_ewma_us", &StatsSnapshot::queue_delay_ewma_us},
-    {"brownout_active", &StatsSnapshot::brownout_active},
 };
 
 std::uint64_t ParseCounter(std::string_view token, const char* what) {
@@ -570,19 +561,16 @@ StatsSnapshot ParseStatsLine(const std::string& raw_line) {
   bool seen[std::size(kStatsFields)] = {};
   for (std::size_t t = 1; t < tokens.size(); ++t) {
     const auto [key, value] = SplitKeyValue(tokens[t], 1);
-    bool known = false;
+    // Unknown keys are skipped, so a client reads the stats lines of
+    // workers built with more (or since-retired) fields.
     for (std::size_t f = 0; f < std::size(kStatsFields); ++f) {
       if (key == kStatsFields[f].key) {
         snapshot.*(kStatsFields[f].member) =
             ParseCounter(value, kStatsFields[f].key);
         seen[f] = true;
-        known = true;
         break;
       }
     }
-    // Unknown keys are tolerated so older clients can read stats lines
-    // from newer workers.
-    (void)known;
   }
   for (std::size_t f = 0; f < std::size(kStatsFields); ++f) {
     if (!seen[f]) {

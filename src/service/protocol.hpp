@@ -76,7 +76,7 @@ inline constexpr const char* kFrameEnd = "END";
 inline constexpr const char* kStatsVerb = "STATS";
 
 /// Point-in-time view of a worker's ServiceMetrics, as served by the
-/// STATS verb. Counters are monotone; the last three are gauges.
+/// STATS verb. Counters are monotone; the last two are gauges.
 struct StatsSnapshot {
   std::uint64_t submitted = 0;
   std::uint64_t admitted = 0;
@@ -87,8 +87,6 @@ struct StatsSnapshot {
   std::uint64_t shed_overload = 0;  ///< adaptive controller sheds
   std::uint64_t shed_cold = 0;
   std::uint64_t rejected_draining = 0;
-  std::uint64_t brownout_entries = 0;
-  std::uint64_t brownout_builds = 0;
   std::uint64_t worker_restarts = 0;
   std::uint64_t response_hits = 0;    ///< whole-response cache hits
   std::uint64_t response_misses = 0;
@@ -96,7 +94,6 @@ struct StatsSnapshot {
   std::uint64_t scenario_misses = 0;
   std::uint64_t queue_depth = 0;           ///< gauge
   std::uint64_t queue_delay_ewma_us = 0;   ///< gauge
-  std::uint64_t brownout_active = 0;       ///< gauge (0/1)
 
   /// Total sheds of any flavour (the "shed" term of the admission
   /// identity: submitted == admitted + Sheds() + rejected_draining).
@@ -121,8 +118,8 @@ struct StatsSnapshot {
 /// Accumulates `from` into `into`, counter by counter. Used by the shard
 /// router's STATS fan-out: per-shard snapshots sum into one tier-wide
 /// line. Gauges sum too (queue_depth is additive across shards;
-/// queue_delay_ewma_us and brownout_active become tier totals — callers
-/// wanting a mean divide by the shard count).
+/// queue_delay_ewma_us becomes a tier total — callers wanting a mean
+/// divide by the shard count).
 void AccumulateStats(StatsSnapshot& into, const StatsSnapshot& from);
 
 /// Relaxed-load snapshot of the counters this protocol exports.

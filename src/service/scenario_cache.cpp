@@ -117,8 +117,7 @@ bool ScenarioCache::IsWarm(const Fingerprint& fp) const {
 }
 
 ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
-    const Fingerprint& fp, const SchedulingRequest& request, bool* hit,
-    bool degrade_build) {
+    const Fingerprint& fp, const SchedulingRequest& request, bool* hit) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it =
@@ -141,8 +140,6 @@ ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
   built->canonical_scenario = fp.canonical_scenario;
   channel::EngineOptions engine_options = options_.engine;
   engine_options.shared.reset();
-  // Brownout: a kCalculator configuration drops to the tables build.
-  if (degrade_build) engine_options.backend = channel::FactorBackend::kTables;
   built->engine.emplace(built->links, built->params, engine_options);
   built->cost_bytes = EstimateScenarioBytes(*built, engine_options);
 

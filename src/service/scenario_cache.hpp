@@ -92,15 +92,9 @@ class ScenarioCache {
   /// Returns the memoized state for `fp`, building (links copied out of
   /// `request.scenario`, engine constructed with the configured backend)
   /// and inserting on miss. Sets *hit accordingly when non-null.
-  /// `degrade_build` cheapens the engine build for this miss only (the
-  /// brownout path): a kCalculator backend drops to the kTables build.
-  /// Safe because every scheduler returns the same schedule on either
-  /// backend (the differential suite pins it), and both raise a sender on
-  /// a receiver only when a scheduler queries that pair, so whichever
-  /// entry lands first serves byte-identical replies.
   ScenarioPtr ObtainScenario(const Fingerprint& fp,
                              const SchedulingRequest& request,
-                             bool* hit = nullptr, bool degrade_build = false);
+                             bool* hit = nullptr);
 
   /// True when serving `fp` would be cheap: its response or its built
   /// scenario is resident. A pure peek — no LRU touch, no counters — so

@@ -85,17 +85,8 @@ SchedulingResponse SchedulingService::Handle(const SchedulingRequest& request,
       return response;
     }
 
-    // Brownout: while the overload controller says the queue delay is
-    // critical, degrade this miss to the O(N) kTables build. Its replies
-    // are byte-identical to a normal build's; hits are untouched.
-    const bool degrade_build =
-        batcher_ != nullptr && batcher_->Overload().Brownout();
-    bool scenario_hit = false;
     const ScenarioCache::ScenarioPtr entry =
-        cache_->ObtainScenario(fp, request, &scenario_hit, degrade_build);
-    if (!scenario_hit && degrade_build) {
-      metrics_.brownout_builds.fetch_add(1, std::memory_order_relaxed);
-    }
+        cache_->ObtainScenario(fp, request);
     // The response entry shares the scenario entry's canonical blob (the
     // bytes are equal; ObtainScenario compared them).
     fp.canonical_scenario = entry->canonical_scenario;

@@ -65,7 +65,6 @@ class SchedulingService {
 
   [[nodiscard]] ServiceMetrics& Metrics() { return metrics_; }
   [[nodiscard]] ScenarioCache& Cache() { return *cache_; }
-  [[nodiscard]] OverloadController& Overload() { return batcher_->Overload(); }
 
  private:
   /// HandleNow's body; `submitted` is the fingerprint Submit computed, or

@@ -1,13 +1,13 @@
 // OverloadController unit tests. Time is passed in explicitly, so every
-// CoDel interval / hysteresis transition is pinned deterministically —
-// no sleeps, no wall clock.
+// CoDel interval transition is pinned deterministically — no sleeps, no
+// wall clock.
 #include "service/overload.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 
-#include "service/metrics.hpp"
 #include "util/error.hpp"
 
 namespace fadesched::service {
@@ -125,36 +125,6 @@ TEST(OverloadControllerTest, RetryAfterTracksEwmaWithinClamp) {
   EXPECT_DOUBLE_EQ(ctl.RetryAfterMs(), 10.0);
 }
 
-TEST(OverloadControllerTest, BrownoutHysteresis) {
-  ServiceMetrics metrics;
-  OverloadOptions options = FastOptions();
-  options.brownout_enter_factor = 4.0;  // enter above 20 ms EWMA
-  options.brownout_exit_factor = 1.0;   // exit below 5 ms EWMA
-  OverloadController ctl(options, &metrics);
-  auto now = Feed(ctl, 30.0, 3, T0());
-  EXPECT_TRUE(ctl.Brownout());
-  EXPECT_EQ(metrics.brownout_active.load(), 1u);
-  EXPECT_EQ(metrics.brownout_entries.load(), 1u);
-  // Between exit and enter thresholds: stays in brownout (hysteresis).
-  now = Feed(ctl, 10.0, 3, now);
-  EXPECT_TRUE(ctl.Brownout());
-  now = Feed(ctl, 2.0, 3, now);
-  EXPECT_FALSE(ctl.Brownout());
-  EXPECT_EQ(metrics.brownout_active.load(), 0u);
-  // Re-entry bumps the entry counter again.
-  Feed(ctl, 30.0, 3, now);
-  EXPECT_TRUE(ctl.Brownout());
-  EXPECT_EQ(metrics.brownout_entries.load(), 2u);
-}
-
-TEST(OverloadControllerTest, BrownoutDisabledStaysOff) {
-  OverloadOptions options = FastOptions();
-  options.brownout_enabled = false;
-  OverloadController ctl(options);
-  Feed(ctl, 500.0, 10, T0());
-  EXPECT_FALSE(ctl.Brownout());
-}
-
 TEST(OverloadControllerTest, ZeroTargetDisablesController) {
   OverloadOptions options = FastOptions();
   options.queue_delay_target_ms = 0.0;
@@ -192,12 +162,19 @@ TEST(OverloadOptionsTest, ValidateRejectsBadConfigs) {
   }
   {
     OverloadOptions bad = FastOptions();
-    bad.brownout_exit_factor = 5.0;  // > enter factor: inverted hysteresis
+    bad.retry_after_max_ms = bad.retry_after_min_ms - 1.0;
     EXPECT_THROW(bad.Validate(), util::HarnessError);
   }
-  {
+  // NaN compares false with everything, so each check must be written to
+  // fail on it: a NaN target or interval would switch shedding off, and a
+  // NaN retry-after bound would break std::clamp's precondition.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double OverloadOptions::*field :
+       {&OverloadOptions::queue_delay_target_ms, &OverloadOptions::interval_ms,
+        &OverloadOptions::retry_after_min_ms,
+        &OverloadOptions::retry_after_max_ms}) {
     OverloadOptions bad = FastOptions();
-    bad.retry_after_max_ms = bad.retry_after_min_ms - 1.0;
+    bad.*field = nan;
     EXPECT_THROW(bad.Validate(), util::HarnessError);
   }
 }

@@ -250,12 +250,10 @@ std::vector<std::uint64_t> Delta(const StatsSnapshot& after,
       &StatsSnapshot::completed,        &StatsSnapshot::failed,
       &StatsSnapshot::timed_out,        &StatsSnapshot::shed,
       &StatsSnapshot::shed_overload,    &StatsSnapshot::shed_cold,
-      &StatsSnapshot::rejected_draining, &StatsSnapshot::brownout_entries,
-      &StatsSnapshot::brownout_builds,  &StatsSnapshot::worker_restarts,
+      &StatsSnapshot::rejected_draining, &StatsSnapshot::worker_restarts,
       &StatsSnapshot::response_hits,    &StatsSnapshot::response_misses,
       &StatsSnapshot::scenario_hits,    &StatsSnapshot::scenario_misses,
-      &StatsSnapshot::queue_depth,      &StatsSnapshot::queue_delay_ewma_us,
-      &StatsSnapshot::brownout_active};
+      &StatsSnapshot::queue_depth,      &StatsSnapshot::queue_delay_ewma_us};
   std::vector<std::uint64_t> delta;
   for (const auto field : fields) delta.push_back(after.*field - before.*field);
   return delta;

@@ -42,24 +42,6 @@ TEST(ScenarioCacheTest, MissBuildsThenHits) {
   EXPECT_EQ(metrics.scenario_hits.load(), 1u);
 }
 
-TEST(ScenarioCacheTest, DegradedNonMatrixBuildsDropToTables) {
-  // A brownout miss takes the tables build whatever the configured
-  // backend: every scheduler returns the same schedule on either.
-  for (const channel::FactorBackend backend :
-       {channel::FactorBackend::kCalculator, channel::FactorBackend::kTables}) {
-    CacheOptions options;
-    options.engine.backend = backend;
-    ScenarioCache cache(options);
-    const SchedulingRequest request = MakeRequest(4);
-    const Fingerprint fp = FingerprintRequest(request);
-    const ScenarioCache::ScenarioPtr entry =
-        cache.ObtainScenario(fp, request, nullptr, /*degrade_build=*/true);
-    ASSERT_TRUE(entry->engine.has_value());
-    EXPECT_EQ(entry->engine->Backend(), channel::FactorBackend::kTables)
-        << static_cast<int>(backend);
-  }
-}
-
 TEST(ScenarioCacheTest, EngineIsBuiltOverTheEntrysOwnLinks) {
   ScenarioCache cache;
   const SchedulingRequest request = MakeRequest(0);

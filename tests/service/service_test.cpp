@@ -268,64 +268,19 @@ TEST(SchedulingServiceTest, EmptyLinkSetIsServed) {
   EXPECT_TRUE(response.schedule.empty());
 }
 
-// Brownout drops a miss to the kTables build whatever the backend. Its
-// replies must be the normal replies byte for byte, for all five
-// schedulers, on a tables and on a calculator configuration. The last
-// input puts a sender on another link's receiver.
-TEST(SchedulingServiceTest, BrownoutRepliesAreByteIdenticalToNormalReplies) {
-  const char* const kSchedulers[] = {"rle", "ldp", "approx_logn",
-                                     "approx_diversity", "fading_greedy"};
-  constexpr std::uint64_t kFuzzCases = 6;
-  const auto make_request = [&](std::uint64_t index, const char* scheduler) {
-    SchedulingRequest request = MakeRequest(index, scheduler);
-    if (index == kFuzzCases) {
-      request.scenario.links = net::LinkSet{};
-      request.scenario.links.Add({{0.0, 0.0}, {10.0, 0.0}});
-      request.scenario.links.Add({{10.0, 0.0}, {20.0, 0.0}});
-      request.scenario.links.Add({{100.0, 0.0}, {110.0, 0.0}});
-    }
-    return request;
-  };
-  for (const channel::FactorBackend backend :
-       {channel::FactorBackend::kTables, channel::FactorBackend::kCalculator}) {
-    ServiceOptions options;
-    options.cache.engine.backend = backend;
-    SchedulingService normal(options);
-    SchedulingService degraded(options);
-    // One queue delay far past the enter threshold puts the controller
-    // into brownout; nothing drains it here, so it stays there.
-    degraded.Overload().ObserveQueueDelay(10.0,
-                                          std::chrono::steady_clock::now());
-    ASSERT_TRUE(degraded.Overload().Brownout());
-
-    std::size_t ok = 0;
-    for (std::uint64_t index = 0; index <= kFuzzCases; ++index) {
-      for (const char* scheduler : kSchedulers) {
-        const SchedulingRequest request = make_request(index, scheduler);
-        const SchedulingResponse want = normal.HandleNow(request);
-        const SchedulingResponse got = degraded.HandleNow(request);
-        EXPECT_EQ(FormatResponseLine(got), FormatResponseLine(want))
-            << "backend=" << static_cast<int>(backend) << " case=" << index
-            << " scheduler=" << scheduler;
-        ok += want.Ok() ? 1 : 0;
-      }
-    }
-    EXPECT_GT(ok, 0u);
-    // Every scenario was built once, degraded.
-    EXPECT_EQ(degraded.Metrics().brownout_builds.load(), kFuzzCases + 1);
-    EXPECT_EQ(normal.Metrics().brownout_builds.load(), 0u);
-  }
-}
-
-// A sender on another link's receiver has no defined factor for that
-// pair. A served request must get one reply whatever the backend: the
-// same bytes on kCalculator and kTables for all five schedulers, in normal
-// and in brownout mode. The layout is the brownout test's, in both link
-// orders: in the second, fading_greedy queries the coincident pair and
-// both backends must raise the same error.
+// The server serves kTables; kCalculator is the reference. A served
+// request must get the same reply bytes from both, for all five
+// schedulers: on six fuzzer cases, and on a sender sitting on another
+// link's receiver, which has no defined factor for that pair. That layout
+// runs in both link orders: in the second, fading_greedy queries the
+// coincident pair and both backends must raise the same error.
 TEST(SchedulingServiceTest, SenderOnAReceiverGetsTheSameReplyOnEveryBackend) {
   const char* const kSchedulers[] = {"rle", "ldp", "approx_logn",
                                      "approx_diversity", "fading_greedy"};
+  std::vector<SchedulingRequest> inputs;
+  for (std::uint64_t index = 0; index < 6; ++index) {
+    inputs.push_back(MakeRequest(index));
+  }
   const net::Link first{{0.0, 0.0}, {10.0, 0.0}};
   const net::Link on_first{{10.0, 0.0}, {20.0, 0.0}};  // sender on r_first
   const net::Link far{{100.0, 0.0}, {110.0, 0.0}};
@@ -335,29 +290,29 @@ TEST(SchedulingServiceTest, SenderOnAReceiverGetsTheSameReplyOnEveryBackend) {
     request.scenario.links.Add(swapped ? on_first : first);
     request.scenario.links.Add(swapped ? first : on_first);
     request.scenario.links.Add(far);
-    for (const bool brownout : {false, true}) {
-      ServiceOptions calculator_options;
-      calculator_options.cache.engine.backend =
-          channel::FactorBackend::kCalculator;
-      SchedulingService calculator(calculator_options);
-      SchedulingService tables;
-      if (brownout) {
-        for (SchedulingService* service : {&calculator, &tables}) {
-          service->Overload().ObserveQueueDelay(
-              10.0, std::chrono::steady_clock::now());
-          ASSERT_TRUE(service->Overload().Brownout());
-        }
-      }
-      for (const char* scheduler : kSchedulers) {
-        request.scheduler = scheduler;
-        request.id = scheduler;
-        EXPECT_EQ(FormatResponseLine(tables.HandleNow(request)),
-                  FormatResponseLine(calculator.HandleNow(request)))
-            << "swapped=" << swapped << " brownout=" << brownout
-            << " scheduler=" << scheduler;
-      }
+    request.id = swapped ? "swapped" : "coincident";
+    inputs.push_back(request);
+  }
+
+  ServiceOptions calculator_options;
+  calculator_options.cache.engine.backend = channel::FactorBackend::kCalculator;
+  SchedulingService calculator(calculator_options);
+  SchedulingService tables;
+  std::size_t ok = 0;
+  for (SchedulingRequest& request : inputs) {
+    for (const char* scheduler : kSchedulers) {
+      request.scheduler = scheduler;
+      const SchedulingResponse want = calculator.HandleNow(request);
+      EXPECT_EQ(FormatResponseLine(tables.HandleNow(request)),
+                FormatResponseLine(want))
+          << "input=" << request.id << " scheduler=" << scheduler;
+      ok += want.Ok() ? 1 : 0;
     }
   }
+  EXPECT_GT(ok, 0u);
+  // Each service built every input's engine on its own backend.
+  EXPECT_EQ(calculator.Metrics().scenario_misses.load(), inputs.size());
+  EXPECT_EQ(tables.Metrics().scenario_misses.load(), inputs.size());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -51,8 +52,6 @@ StatsSnapshot DistinctSnapshot() {
   s.shed_overload = 3;
   s.shed_cold = 9;
   s.rejected_draining = 1;
-  s.brownout_entries = 2;
-  s.brownout_builds = 5;
   s.worker_restarts = 12;
   s.response_hits = 30;
   s.response_misses = 10;
@@ -60,7 +59,6 @@ StatsSnapshot DistinctSnapshot() {
   s.scenario_misses = 8;
   s.queue_depth = 13;
   s.queue_delay_ewma_us = 12345;
-  s.brownout_active = 1;
   return s;
 }
 
@@ -76,8 +74,6 @@ TEST(StatsProtocolTest, FormatParseRoundTripsEveryField) {
   EXPECT_EQ(out.shed_overload, in.shed_overload);
   EXPECT_EQ(out.shed_cold, in.shed_cold);
   EXPECT_EQ(out.rejected_draining, in.rejected_draining);
-  EXPECT_EQ(out.brownout_entries, in.brownout_entries);
-  EXPECT_EQ(out.brownout_builds, in.brownout_builds);
   EXPECT_EQ(out.worker_restarts, in.worker_restarts);
   EXPECT_EQ(out.response_hits, in.response_hits);
   EXPECT_EQ(out.response_misses, in.response_misses);
@@ -85,8 +81,26 @@ TEST(StatsProtocolTest, FormatParseRoundTripsEveryField) {
   EXPECT_EQ(out.scenario_misses, in.scenario_misses);
   EXPECT_EQ(out.queue_depth, in.queue_depth);
   EXPECT_EQ(out.queue_delay_ewma_us, in.queue_delay_ewma_us);
-  EXPECT_EQ(out.brownout_active, in.brownout_active);
   EXPECT_EQ(out.Sheds(), in.shed + in.shed_overload);
+}
+
+// ParseStatsLine skips keys it does not know, so a client reads the STATS
+// line of a worker from an earlier build. This one still carries the
+// retired brownout_* fields, in that build's wire order.
+TEST(StatsProtocolTest, ParseSkipsTheFieldsOfAnEarlierBuild) {
+  const std::string body =
+      "STATS submitted=101 admitted=90 completed=80 failed=6 timed_out=4 "
+      "shed=7 shed_overload=3 shed_cold=9 rejected_draining=1 "
+      "brownout_entries=2 brownout_builds=5 worker_restarts=12 "
+      "response_hits=30 response_misses=10 scenario_hits=21 "
+      "scenario_misses=8 queue_depth=13 queue_delay_ewma_us=12345 "
+      "brownout_active=1";
+  char sum[17];
+  std::snprintf(sum, sizeof(sum), "%016llx",
+                static_cast<unsigned long long>(Fnv1a64(body)));
+  const std::string line = "STATS sum=" + std::string(sum) + body.substr(5);
+  EXPECT_EQ(FormatStatsLine(ParseStatsLine(line)),
+            FormatStatsLine(DistinctSnapshot()));
 }
 
 TEST(StatsProtocolTest, WarmHitRateDerivesFromResponseCacheCounters) {
@@ -110,7 +124,7 @@ TEST(StatsProtocolTest, AccumulateSumsEveryFieldIncludingGauges) {
   EXPECT_EQ(out.response_hits, 2 * one.response_hits);
   EXPECT_EQ(out.scenario_misses, 2 * one.scenario_misses);
   EXPECT_EQ(out.queue_depth, 2 * one.queue_depth);  // gauges sum too
-  EXPECT_EQ(out.brownout_active, 2 * one.brownout_active);
+  EXPECT_EQ(out.queue_delay_ewma_us, 2 * one.queue_delay_ewma_us);
 }
 
 TEST(StatsProtocolTest, ToJsonCarriesEveryWireFieldAndWarmHitRate) {
@@ -182,12 +196,12 @@ class StatsLoopbackTest : public ::testing::Test {
 };
 
 /// Monotone counters of the snapshot — everything except the trailing
-/// gauges (queue_depth, queue_delay_ewma_us, brownout_active).
+/// gauges (queue_depth, queue_delay_ewma_us).
 std::vector<std::uint64_t> MonotoneCounters(const StatsSnapshot& s) {
-  return {s.submitted,       s.admitted,         s.completed,
-          s.failed,          s.timed_out,        s.shed,
-          s.shed_overload,   s.shed_cold,        s.rejected_draining,
-          s.brownout_entries, s.brownout_builds, s.worker_restarts};
+  return {s.submitted,     s.admitted,          s.completed,
+          s.failed,        s.timed_out,         s.shed,
+          s.shed_overload, s.shed_cold,         s.rejected_draining,
+          s.worker_restarts};
 }
 
 void ExpectAdmissionIdentity(const StatsSnapshot& s) {

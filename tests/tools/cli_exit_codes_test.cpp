@@ -44,6 +44,14 @@ TEST(CliExitCodesTest, UsageErrorsExitTwo) {
   EXPECT_EQ(RunCommand(Cli() + " generate --no-such-flag 1"),
             util::kExitUsage);
   EXPECT_EQ(RunCommand(Cli() + " solve --trials"), util::kExitUsage);
+  // Retired flags. Under a timeout, so one that still parsed fails the
+  // test instead of leaving a server listening.
+  EXPECT_EQ(RunCommand("timeout 10 " + Cli() + " serve --brownout"),
+            util::kExitUsage);
+  EXPECT_EQ(RunCommand("timeout 10 " + Cli() + " serve --backend tables"),
+            util::kExitUsage);
+  EXPECT_EQ(RunCommand("timeout 10 " + Cli() + " queue-sim --backend tables"),
+            util::kExitUsage);
 }
 
 TEST(CliExitCodesTest, RuntimeFailuresExitOne) {
@@ -55,6 +63,10 @@ TEST(CliExitCodesTest, RuntimeFailuresExitOne) {
             util::kExitOk);
   EXPECT_EQ(RunCommand(Cli() + " solve --in " + links +
                        " --algorithm no_such_scheduler"),
+            util::kExitRuntime);
+  // "nan" parses as a double; the overload options must still reject it.
+  EXPECT_EQ(RunCommand("timeout 10 " + Cli() +
+                       " serve --queue-delay-target-ms nan"),
             util::kExitRuntime);
   std::remove(links.c_str());
 }
@@ -123,15 +135,11 @@ TEST(CliExitCodesTest, QueueSimSweepTraceAndErrors) {
                        " --algorithms ldp"),
             util::kExitOk);
 
-  // --trace needs exactly one algorithm and rate; an unknown backend (the
-  // retired matrix one included) is a runtime failure, an unknown flag a
-  // usage error.
+  // --trace needs exactly one algorithm and rate (a runtime failure); an
+  // unknown flag is a usage error.
   EXPECT_EQ(RunCommand(Cli() + " queue-sim --in " + links +
                        " --slots 40 --rates 0.05 --algorithms ldp,rle"
                        " --trace"),
-            util::kExitRuntime);
-  EXPECT_EQ(RunCommand(Cli() + " queue-sim --in " + links +
-                       " --backend matrix"),
             util::kExitRuntime);
   EXPECT_EQ(RunCommand(Cli() + " queue-sim --no-such-flag"),
             util::kExitUsage);

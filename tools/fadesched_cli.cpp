@@ -521,13 +521,6 @@ int RunFuzzCmd(int argc, char** argv) {
   return report.Ok() ? 0 : 1;
 }
 
-channel::FactorBackend BackendFromName(const std::string& name) {
-  if (name == "calculator") return channel::FactorBackend::kCalculator;
-  if (name == "tables") return channel::FactorBackend::kTables;
-  throw util::FatalError("unknown --backend '" + name +
-                         "' (calculator | tables)");
-}
-
 int RunQueueSim(int argc, char** argv) {
   util::CliParser cli(
       "fadesched_cli queue-sim",
@@ -556,8 +549,6 @@ int RunQueueSim(int argc, char** argv) {
   auto& depth = cli.AddDouble("bucket-depth", 4.0, "leaky: bucket depth");
   auto& release = cli.AddDouble("release-prob", 0.25,
                                 "leaky: early-release probability");
-  auto& backend_text =
-      cli.AddString("backend", "tables", "calculator | tables");
   auto& capacity = cli.AddInt("queue-capacity", 0,
                               "per-link queue bound (0 = unbounded)");
   auto& churn = cli.AddBool("churn", false, "enable membership churn/drift");
@@ -575,7 +566,7 @@ int RunQueueSim(int argc, char** argv) {
   auto& seeds = cli.AddInt("seeds", 1, "simulation seeds per point");
   auto& trace = cli.AddBool(
       "trace", false, "print the per-slot trace (single rate + algorithm; "
-                      "byte-identical across reruns and backends)");
+                      "byte-identical across reruns)");
   auto& frontier = cli.AddBool(
       "frontier", false, "binary-search lambda* per scheduler instead of "
                          "sweeping --rates");
@@ -625,7 +616,6 @@ int RunQueueSim(int argc, char** argv) {
   base.arrivals.mean_burst_slots = burst;
   base.arrivals.bucket_depth = depth;
   base.arrivals.release_probability = release;
-  base.backend = BackendFromName(backend_text);
   base.queue_capacity = static_cast<std::size_t>(capacity);
   if (churn) {
     base.churn.enabled = true;
@@ -742,7 +732,6 @@ struct OverloadFlags {
   double* target_ms = nullptr;
   double* interval_ms = nullptr;
   std::string* shed_policy = nullptr;
-  bool* brownout = nullptr;
 };
 
 OverloadFlags AddOverloadFlags(util::CliParser& cli) {
@@ -758,10 +747,6 @@ OverloadFlags AddOverloadFlags(util::CliParser& cli) {
       "shed-policy", "cold",
       "who gets shed under overload: none | cold (cold-fingerprint "
       "requests first) | all");
-  flags.brownout = &cli.AddBool(
-      "brownout", true,
-      "degrade cold engine builds to the tables backend under critical "
-      "queue delay (replies stay byte-identical)");
   return flags;
 }
 
@@ -770,7 +755,6 @@ service::OverloadOptions MakeOverloadOptions(const OverloadFlags& flags) {
   overload.queue_delay_target_ms = *flags.target_ms;
   overload.interval_ms = *flags.interval_ms;
   overload.shed_policy = service::ParseShedPolicy(*flags.shed_policy);
-  overload.brownout_enabled = *flags.brownout;
   overload.Validate();
   return overload;
 }
@@ -806,9 +790,6 @@ int RunServe(int argc, char** argv) {
   auto& cache_mb = cli.AddInt(
       "cache-mb", 256,
       "scenario+response cache budget (MiB; per shard when sharded)");
-  auto& backend = cli.AddString(
-      "backend", "tables",
-      "interference backend for cached engines (calculator|tables)");
   auto& metrics_out = cli.AddString(
       "metrics-out", "",
       "write the metrics JSON here on shutdown (single-process mode only; "
@@ -856,7 +837,6 @@ int RunServe(int argc, char** argv) {
   options.service.batcher.overload = MakeOverloadOptions(overload_flags);
   options.service.cache.capacity_bytes =
       static_cast<std::size_t>(cache_mb) << 20;
-  options.service.cache.engine.backend = BackendFromName(backend);
 
   if (shards > 0) {
     service::shard::ShardServerOptions shard_options;
