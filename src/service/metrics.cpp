@@ -87,6 +87,7 @@ std::string ServiceMetrics::ToJson() const {
   out << "  \"cache\": {\n";
   out << "    \"response_hits\": " << get(response_hits) << ",\n";
   out << "    \"raw_hits\": " << get(raw_hits) << ",\n";
+  out << "    \"raw_check_passes\": " << get(raw_check_passes) << ",\n";
   out << "    \"response_misses\": " << get(response_misses) << ",\n";
   out << "    \"scenario_hits\": " << get(scenario_hits) << ",\n";
   out << "    \"scenario_misses\": " << get(scenario_misses) << ",\n";

@@ -151,6 +151,43 @@ std::string FormatRequestFrame(const SchedulingRequest& request) {
   return frame;
 }
 
+namespace {
+
+// Where the check token sits in the header: [begin, end) covers the token
+// and the one separator before it, the bytes the body hash splices out.
+struct CheckSplice {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+// The token is located by any whitespace boundary, not just ' ': a space
+// corrupted into a tab still tokenizes, and must not silently disable
+// verification. Empty when no "check=" follows a space or tab.
+std::optional<CheckSplice> LocateCheckToken(std::string_view line) {
+  std::size_t pos = 0;
+  for (;;) {
+    pos = line.find("check=", pos);
+    if (pos == std::string_view::npos || pos == 0) return std::nullopt;
+    const char before = line[pos - 1];
+    if (before == ' ' || before == '\t') break;
+    ++pos;
+  }
+  // The token ends where the tokenizer ended it, so a stray '\r' or '\v'
+  // after it is hashed rather than spliced away.
+  return CheckSplice{pos - 1,
+                     std::min(line.find_first_of(kBlanks, pos), line.size())};
+}
+
+// The body is the frame with the check token spliced out, mirroring the
+// format side. This is the FNV state after the header pieces and their
+// newline; the payload is chained on from it.
+std::uint64_t HeaderCheck(std::string_view line, const CheckSplice& at) {
+  return Fnv1a64("\n", Fnv1a64(line.substr(at.end),
+                               Fnv1a64(line.substr(0, at.begin))));
+}
+
+}  // namespace
+
 RequestHeader ParseRequestHeader(std::string_view frame) {
   const std::size_t header_end = frame.find('\n');
   if (header_end == std::string_view::npos) {
@@ -221,50 +258,10 @@ RequestHeader ParseRequestHeader(std::string_view frame) {
         "corruption, or a pre-checksum peer — retry with check=)");
   }
   header.check = *check;
-  return header;
-}
-
-namespace {
-
-// Where the check token sits in the header: [begin, end) covers the token
-// and the one separator before it, the bytes the body hash splices out.
-struct CheckSplice {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-// The token is located by any whitespace boundary, not just ' ': a space
-// corrupted into a tab still tokenizes, and must not silently disable
-// verification. Empty when no "check=" follows a space or tab.
-std::optional<CheckSplice> LocateCheckToken(std::string_view line) {
-  std::size_t pos = 0;
-  for (;;) {
-    pos = line.find("check=", pos);
-    if (pos == std::string_view::npos || pos == 0) return std::nullopt;
-    const char before = line[pos - 1];
-    if (before == ' ' || before == '\t') break;
-    ++pos;
+  if (const std::optional<CheckSplice> at = LocateCheckToken(header.line)) {
+    header.check_state = HeaderCheck(header.line, *at);
   }
-  // The token ends where the tokenizer ended it, so a stray '\r' or '\v'
-  // after it is hashed rather than spliced away.
-  return CheckSplice{pos - 1,
-                     std::min(line.find_first_of(kBlanks, pos), line.size())};
-}
-
-// The body is the frame with the check token spliced out, mirroring the
-// format side. This is the FNV state after the header pieces and their
-// newline; the payload is chained on from it.
-std::uint64_t HeaderCheck(const RequestHeader& header, const CheckSplice& at) {
-  return Fnv1a64("\n", Fnv1a64(header.line.substr(at.end),
-                               Fnv1a64(header.line.substr(0, at.begin))));
-}
-
-}  // namespace
-
-bool RequestCheckMatches(const RequestHeader& header) {
-  const std::optional<CheckSplice> at = LocateCheckToken(header.line);
-  return at.has_value() &&
-         Fnv1a64(header.payload, HeaderCheck(header, *at)) == header.check;
+  return header;
 }
 
 SchedulingRequest ParseRequestBody(const RequestHeader& header,
@@ -276,12 +273,11 @@ SchedulingRequest ParseRequestBody(const RequestHeader& header,
   // The payload's FNV is chained on during the parse (one pass over the
   // link block when it is in FormatScenario's spelling), so a frame pays
   // for the check once.
-  const std::optional<CheckSplice> at =
-      check_matched ? std::nullopt : LocateCheckToken(header.line);
-  std::uint64_t hash = at.has_value() ? HeaderCheck(header, *at) : 0;
+  const bool hashed = !check_matched && header.check_state.has_value();
+  std::uint64_t hash = hashed ? *header.check_state : 0;
   try {
     request.scenario = fadesched::testing::ParseScenario(
-        header.payload, at.has_value() ? &hash : nullptr);
+        header.payload, hashed ? &hash : nullptr);
   } catch (const std::exception& e) {
     // ParseScenario's message already names its own 1-based line/row; the
     // payload starts at frame line 2.
@@ -294,16 +290,17 @@ SchedulingRequest ParseRequestBody(const RequestHeader& header,
   // to parse keeps its precise row diagnostic; one that still parses —
   // or a flipped header token that still splits as key=value — is caught
   // here instead of silently scheduling the wrong instance.
-  if (!at.has_value()) {
+  if (!hashed) {
     // A check= token that follows a separator other than space or tab.
     throw util::TransientError(
         "request frame line 1: check= token lost during reparse (wire "
         "corruption — retry)");
   }
   if (header.check != hash) {
-    const std::size_t body_bytes = at->begin +
-                                   (header.line.size() - at->end) + 1 +
-                                   header.payload.size();
+    // Located again only here, to name the hashed byte count.
+    const CheckSplice at = *LocateCheckToken(header.line);
+    const std::size_t body_bytes = at.begin + (header.line.size() - at.end) +
+                                   1 + header.payload.size();
     throw util::TransientError(
         "request frame checksum mismatch: " + std::to_string(body_bytes) +
         " frame byte(s) hash to " + FormatHash(hash) +
