@@ -14,7 +14,7 @@ namespace {
 /// An error response that can only mean our frame was damaged in flight:
 /// checksum mismatches arrive as kTransient (handled by kind), and fatal
 /// protocol errors that name the frame ("request frame line 1: ...",
-/// "truncated request frame after N line(s)") are impossible for a
+/// TruncatedFrameMessage's) are impossible for a
 /// client whose frames come from FormatRequestFrame — so they are
 /// retried as corruption rather than surfaced as caller bugs.
 bool LooksLikeWireCorruption(const SchedulingResponse& response) {

@@ -606,12 +606,12 @@ bool FrameAssembler::Feed(std::string_view line) {
 }
 
 SchedulingRequest FrameAssembler::Parse() const {
-  if (!done_) throw util::FatalError(Truncated());
+  if (!done_) throw util::FatalError(TruncatedFrameMessage(lines_));
   return ParseRequestFrame(frame_);
 }
 
-std::string FrameAssembler::Truncated() const {
-  return "truncated request frame after " + std::to_string(lines_) +
+std::string TruncatedFrameMessage(std::size_t lines) {
+  return "truncated request frame after " + std::to_string(lines) +
          " line(s) — missing END terminator";
 }
 

@@ -186,10 +186,14 @@ std::string FormatErrorLine(util::ErrorKind kind, const std::string& message);
 /// util::HarnessError (kFatal) on malformed input.
 SchedulingResponse ParseResponseLine(const std::string& line);
 
-/// Incremental frame assembler for a line-oriented transport: feed lines
-/// as they arrive; Done() flips when the END terminator lands. Reuse via
-/// Reset(). A frame abandoned mid-way (connection closed before END) is
-/// reported by Truncated(), which names how many lines arrived.
+/// The error for a frame cut off before END, naming the `lines` that
+/// arrived. FrameAssembler and the front-ends' EOF guard both print it.
+std::string TruncatedFrameMessage(std::size_t lines);
+
+/// Line-by-line frame assembler: feed lines as they arrive; Done() flips
+/// when the END terminator lands. Reuse via Reset(). No serving path uses
+/// it (they carve with shard::FrameScanner); it stays for perfbench's
+/// driver, whose source pins this API.
 class FrameAssembler {
  public:
   /// Consumes one line (without its newline). Returns true when this line
@@ -199,22 +203,9 @@ class FrameAssembler {
   [[nodiscard]] bool Done() const { return done_; }
   [[nodiscard]] bool Empty() const { return lines_ == 0; }
 
-  /// Bytes accumulated so far (the server's max-frame guard sums this
-  /// with its unscanned buffer) and lines fed (named in guard errors).
-  [[nodiscard]] std::size_t ByteSize() const { return frame_.size(); }
-  [[nodiscard]] std::size_t Lines() const { return lines_; }
-
-  /// Parses the assembled frame (requires Done()).
+  /// Parses the assembled frame; before Done() it throws the
+  /// TruncatedFrameMessage for the lines fed so far.
   [[nodiscard]] SchedulingRequest Parse() const;
-
-  /// Raw frame bytes accumulated so far (each fed line + '\n'). The shard
-  /// router forwards this verbatim to a worker instead of re-serializing,
-  /// so the worker sees — and checksums — exactly what the client sent.
-  [[nodiscard]] const std::string& Body() const { return frame_; }
-
-  /// Error message for a frame cut off before END ("truncated request
-  /// frame after N line(s) — missing END terminator").
-  [[nodiscard]] std::string Truncated() const;
 
   void Reset();
 

@@ -179,7 +179,6 @@ void Server::HandleConnection(int fd) {
   shard::FrameScanner scanner;
   char chunk[16384];
   bool peer_closed = false;
-  auto last_byte = std::chrono::steady_clock::now();
 
   // Best-effort typed connection-level error (no request header was
   // attributed, so the line carries the "-" id).
@@ -195,29 +194,17 @@ void Server::HandleConnection(int fd) {
       if (errno == EINTR) continue;
       break;
     }
-    const bool mid_frame = scanner.MidFrame();
     if (ready == 0) {
       // Idle tick: only hang up between frames, never mid-frame — a
       // client that already sent half a request gets its answer.
-      if (StopRequested() && !mid_frame) break;
-      // Slow-loris guard: a peer that started a frame must keep bytes
-      // coming; after read_deadline_seconds of mid-frame silence it is
-      // told why and evicted.
-      if (mid_frame && options_.read_deadline_seconds > 0.0) {
-        const double stalled =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          last_byte)
-                .count();
-        if (stalled > options_.read_deadline_seconds) {
-          metrics.evicted_slow.fetch_add(1, std::memory_order_relaxed);
-          send_error(util::ErrorKind::kTimeout,
-                     "read deadline: frame stalled after " +
-                         std::to_string(scanner.Lines()) +
-                         " line(s) with no byte for " +
-                         std::to_string(options_.read_deadline_seconds) +
-                         " s — connection evicted");
-          break;
-        }
+      if (StopRequested() && !scanner.MidFrame()) break;
+      // Slow-loris guard: a stalled frame's peer is told why and evicted.
+      if (const auto stalled =
+              scanner.Stalled(options_.read_deadline_seconds,
+                              std::chrono::steady_clock::now())) {
+        metrics.evicted_slow.fetch_add(1, std::memory_order_relaxed);
+        send_error(util::ErrorKind::kTimeout, *stalled);
+        break;
       }
       continue;
     }
@@ -226,12 +213,8 @@ void Server::HandleConnection(int fd) {
       if (errno == EINTR) continue;
       break;
     }
-    if (n == 0) {
-      peer_closed = true;
-    } else {
-      scanner.Feed(chunk, static_cast<std::size_t>(n));
-      last_byte = std::chrono::steady_clock::now();
-    }
+    peer_closed = n == 0;
+    scanner.Feed(chunk, static_cast<std::size_t>(n));  // nothing at EOF
 
     for (const shard::ScanEvent& event : scanner.Drain()) {
       if (event.kind == shard::ScanEvent::Kind::kStats) {
@@ -254,23 +237,17 @@ void Server::HandleConnection(int fd) {
 
     // Max-frame guard (checked once per recv, so the effective cap has
     // one chunk of slack): reject instead of buffering unboundedly.
-    const std::size_t frame_bytes = scanner.PendingBytes();
-    if (!peer_closed && frame_bytes > options_.max_frame_bytes) {
-      metrics.oversized_frames.fetch_add(1, std::memory_order_relaxed);
-      send_error(util::ErrorKind::kFatal,
-                 "request frame line " + std::to_string(scanner.Lines() + 1) +
-                     ": frame exceeds max_frame_bytes=" +
-                     std::to_string(options_.max_frame_bytes) + " (" +
-                     std::to_string(frame_bytes) +
-                     " bytes buffered) — rejected, connection closed");
-      break;
-    }
-
-    if (peer_closed && scanner.Lines() > 0) {
+    if (!peer_closed) {
+      if (const auto oversized = scanner.Oversized(options_.max_frame_bytes)) {
+        metrics.oversized_frames.fetch_add(1, std::memory_order_relaxed);
+        send_error(util::ErrorKind::kFatal, *oversized);
+        break;
+      }
+    } else if (const auto truncated = scanner.TruncatedAtEof()) {
       // EOF mid-frame: best-effort error naming how far the frame got
       // (the peer may keep its read side open after shutdown(SHUT_WR)).
       metrics.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(util::ErrorKind::kFatal, scanner.Truncated());
+      send_error(util::ErrorKind::kFatal, *truncated);
     }
   }
   ::close(fd);

@@ -1,60 +1,97 @@
 #include "service/shard/frame_scanner.hpp"
 
+#include <cstring>
+
+#include "service/protocol.hpp"
 #include "service/request.hpp"
 
 namespace fadesched::service::shard {
 
 void FrameScanner::Feed(const char* data, std::size_t size) {
   buffer_.append(data, size);
+  last_byte_ = Clock::now();
 }
 
 std::vector<ScanEvent> FrameScanner::Drain() {
   std::vector<ScanEvent> events;
-  // A cursor walks the complete lines in place; the consumed prefix is
-  // dropped once at the end, and a trailing partial line stays buffered.
-  std::size_t begin = 0;
-  for (std::size_t end; (end = buffer_.find('\n', begin)) != std::string::npos;
-       begin = end + 1) {
-    std::string_view line(buffer_.data() + begin, end - begin);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (assembler_.Empty() && line == kStatsVerb) {
-      events.push_back({ScanEvent::Kind::kStats, {}});
+  char* const base = buffer_.data();
+  std::size_t frame = 0;          // first byte of the pending frame
+  std::size_t line = frame_end_;  // first byte of the next line
+  while (const void* newline = std::memchr(base + scanned_, '\n',
+                                           buffer_.size() - scanned_)) {
+    const std::size_t end = static_cast<const char*>(newline) - base;
+    const std::size_t length =
+        end - line - (end > line && base[end - 1] == '\r');
+    const std::string_view text(base + line, length);
+    line = scanned_ = end + 1;
+    // A STATS event's frame is empty: no line is pending before it.
+    const bool stats = lines_ == 0 && text == kStatsVerb;
+    if (stats || text == kFrameEnd) {
+      events.push_back(
+          {stats ? ScanEvent::Kind::kStats : ScanEvent::Kind::kFrame,
+           std::string(base + frame, frame_end_ - frame)});
+      frame = frame_end_ = line;
+      lines_ = 0;
       continue;
     }
-    if (!assembler_.Feed(line)) continue;
-    events.push_back({ScanEvent::Kind::kFrame, assembler_.Body()});
-    assembler_.Reset();
+    // Close up behind a stripped '\r'; on LF-only traffic the line is
+    // already in place.
+    if (text.data() != base + frame_end_) {
+      std::memmove(base + frame_end_, text.data(), length);
+    }
+    base[frame_end_ + length] = '\n';
+    frame_end_ += length + 1;
+    ++lines_;
   }
-  buffer_.erase(0, begin);
+  // Keep the pending frame and the partial line contiguous at the front:
+  // drop the gap the stripped '\r's left, then the carved events.
+  buffer_.erase(frame_end_, line - frame_end_);
+  buffer_.erase(0, frame);
+  frame_end_ -= frame;
+  scanned_ = buffer_.size();
   return events;
 }
 
-std::uint64_t RoutingKey(const std::string& frame) {
-  // Header is the first line; payload is everything after it (including
-  // the END terminator — constant across frames, so harmless to hash).
-  const std::size_t header_end = frame.find('\n');
-  if (header_end == std::string::npos) return WordHash64(frame);
-  const std::string_view header(frame.data(), header_end);
-  const std::string_view payload(frame.data() + header_end + 1,
-                                 frame.size() - header_end - 1);
-  // Extract the scheduler= token value from the header by scanning
-  // space-separated tokens; no full parse — a malformed header must
-  // still route somewhere deterministic.
-  std::string_view scheduler;
-  std::size_t pos = 0;
-  while (pos < header.size()) {
-    std::size_t end = header.find(' ', pos);
-    if (end == std::string_view::npos) end = header.size();
-    const std::string_view token = header.substr(pos, end - pos);
-    constexpr std::string_view kKey = "scheduler=";
-    if (token.size() > kKey.size() && token.substr(0, kKey.size()) == kKey) {
-      scheduler = token.substr(kKey.size());
-      break;
-    }
-    pos = end + 1;
+std::optional<std::string> FrameScanner::Oversized(
+    std::size_t max_frame_bytes) const {
+  if (buffer_.size() <= max_frame_bytes) return std::nullopt;
+  return "request frame line " + std::to_string(lines_ + 1) +
+         ": frame exceeds max_frame_bytes=" + std::to_string(max_frame_bytes) +
+         " (" + std::to_string(buffer_.size()) +
+         " bytes buffered) — rejected, connection closed";
+}
+
+std::optional<std::string> FrameScanner::Stalled(double deadline_seconds,
+                                                 Clock::time_point now) const {
+  if (!MidFrame() || deadline_seconds <= 0.0 ||
+      std::chrono::duration<double>(now - last_byte_).count() <=
+          deadline_seconds) {
+    return std::nullopt;
   }
-  if (scheduler.empty()) return WordHash64(frame);
-  return PayloadKey(scheduler, payload);
+  return "read deadline: frame stalled after " + std::to_string(lines_) +
+         " line(s) with no byte for " + std::to_string(deadline_seconds) +
+         " s — connection evicted";
+}
+
+std::optional<std::string> FrameScanner::TruncatedAtEof() const {
+  if (!MidFrame()) return std::nullopt;
+  return TruncatedFrameMessage(lines_);
+}
+
+std::uint64_t RoutingKey(std::string_view frame) {
+  // The header is the first line and the payload the rest, as
+  // ParseRequestHeader splits them for the worker's PayloadKey. No full
+  // parse: a malformed header must still route somewhere deterministic.
+  const std::string_view header = frame.substr(0, frame.find('\n'));
+  constexpr std::string_view kKey = " scheduler=";
+  const std::size_t key = header.find(kKey);
+  if (header.size() == frame.size() || key == std::string_view::npos) {
+    return WordHash64(frame);
+  }
+  const std::size_t begin = key + kKey.size();
+  const std::string_view scheduler =
+      header.substr(begin, header.find(' ', begin) - begin);
+  return PayloadKey(scheduler, frame.substr(header.size() + 1));
 }
 
 }  // namespace fadesched::service::shard

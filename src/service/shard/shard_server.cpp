@@ -450,7 +450,6 @@ void ShardServer::AcceptNewConnections() {
     Conn conn;
     conn.fd = fd;
     conn.id = conn_id;
-    conn.last_byte = std::chrono::steady_clock::now();
     epoll_event event{};
     event.events = EPOLLIN | EPOLLET;
     event.data.u64 = MakeTag(kTagConn, conn_id);
@@ -463,24 +462,24 @@ void ShardServer::HandleConnReadable(std::uint64_t conn_id) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   Conn& conn = it->second;
-  if (conn.evict) return;  // input after eviction is ignored
+  // Input after eviction is ignored, and after EOF there is none: a
+  // readable edge then (EPOLLOUT's, say) must not report EOF again.
+  if (conn.evict || conn.peer_closed) return;
 
   char chunk[16384];
-  bool saw_eof = false;
   for (;;) {
     const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      saw_eof = true;  // hard error: treat as gone
+      conn.peer_closed = true;  // hard error: treat as gone
       break;
     }
     if (n == 0) {
-      saw_eof = true;
+      conn.peer_closed = true;
       break;
     }
     conn.scanner.Feed(chunk, static_cast<std::size_t>(n));
-    conn.last_byte = std::chrono::steady_clock::now();
   }
 
   for (ScanEvent& event : conn.scanner.Drain()) {
@@ -491,26 +490,17 @@ void ShardServer::HandleConnReadable(std::uint64_t conn_id) {
     }
   }
 
-  // Max-frame guard, same contract (and nearly the same wording) as the
-  // thread-per-connection server: reject instead of buffering unboundedly.
-  if (!conn.evict &&
-      conn.scanner.PendingBytes() > options_.server.max_frame_bytes) {
-    SyntheticError(conn, util::ErrorKind::kFatal,
-                   "request frame line " +
-                       std::to_string(conn.scanner.Lines() + 1) +
-                       ": frame exceeds max_frame_bytes=" +
-                       std::to_string(options_.server.max_frame_bytes) + " (" +
-                       std::to_string(conn.scanner.PendingBytes()) +
-                       " bytes buffered) — rejected, connection closed");
+  // Max-frame guard, the thread-per-connection server's contract: reject
+  // instead of buffering unboundedly. Its error is the connection's last.
+  if (const auto oversized =
+          conn.scanner.Oversized(options_.server.max_frame_bytes)) {
+    SyntheticError(conn, util::ErrorKind::kFatal, *oversized);
     conn.evict = true;
-  }
-
-  if (saw_eof) {
-    conn.peer_closed = true;
-    if (conn.scanner.MidFrame()) {
+  } else if (conn.peer_closed) {
+    if (const auto truncated = conn.scanner.TruncatedAtEof()) {
       // EOF mid-frame: best-effort truncation error before the close
       // (the peer may keep its read side open after shutdown(SHUT_WR)).
-      SyntheticError(conn, util::ErrorKind::kFatal, conn.scanner.Truncated());
+      SyntheticError(conn, util::ErrorKind::kFatal, *truncated);
     }
   }
   // `conn` was safe to hold through the drain loop above because ticket
@@ -608,20 +598,15 @@ void ShardServer::HandleTick() {
   }
 
   const auto now = std::chrono::steady_clock::now();
-  const double deadline = options_.server.read_deadline_seconds;
   std::vector<std::uint64_t> to_close;
   for (auto& [conn_id, conn] : conns_) {
     // Slow-loris guard, same contract as the threaded server: a started
-    // frame must keep bytes coming; idle *between* frames is legitimate.
-    if (!conn.evict && conn.scanner.MidFrame() && deadline > 0.0 &&
-        std::chrono::duration<double>(now - conn.last_byte).count() >
-            deadline) {
-      SyntheticError(conn, util::ErrorKind::kTimeout,
-                     "read deadline: frame stalled after " +
-                         std::to_string(conn.scanner.Lines()) +
-                         " line(s) with no byte for " +
-                         std::to_string(deadline) +
-                         " s — connection evicted");
+    // frame must keep bytes coming; idle *between* frames is legitimate,
+    // and a frame cut by EOF was already reported.
+    if (const auto stalled =
+            conn.scanner.Stalled(options_.server.read_deadline_seconds, now);
+        stalled && !conn.evict && !conn.peer_closed) {
+      SyntheticError(conn, util::ErrorKind::kTimeout, *stalled);
       conn.evict = true;
       FlushConn(conn);  // may erase conn — restart iteration via ids
       to_close.clear();

@@ -117,7 +117,6 @@ class ShardServer {
     FrameScanner scanner;
     std::string out;                  ///< bytes pending toward the client
     std::deque<std::uint64_t> fifo;   ///< tickets in request order
-    std::chrono::steady_clock::time_point last_byte{};
     bool peer_closed = false;         ///< read side saw EOF
     bool evict = false;               ///< close once fifo + out drain
   };

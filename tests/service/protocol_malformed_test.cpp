@@ -3,8 +3,9 @@
 // typed, line/byte-named error response — never a crash, never an
 // unbounded buffer — and the server must keep serving afterwards. Every
 // case runs against both front-ends: the in-process Server and the
-// sharded router (ShardServer, 2 forked shards), whose frame-size and
-// read-deadline guards are its own code. Counter assertions apply to the
+// sharded router (ShardServer, 2 forked shards). Both take their
+// frame-size, truncation and read-deadline guards from FrameScanner but
+// act on them in their own loops. Counter assertions apply to the
 // Server only; the router keeps no metrics. Run under ASan/UBSan in CI's
 // chaos-smoke job.
 #include <gtest/gtest.h>
@@ -111,6 +112,50 @@ TEST_P(MalformedFrameTest, TruncatedFrameNamesHowManyLinesArrived) {
   if (ServiceMetrics* metrics = Metrics()) {
     EXPECT_GE(metrics->protocol_errors.load(), 1u);
   }
+}
+
+// EOF mid-frame means any pending byte: a partial first line with no
+// newline yet is reported too, by both front-ends, as zero lines.
+TEST_P(MalformedFrameTest, PartialFirstLineAtEofIsReportedTruncated) {
+  StartServer("partial");
+  Client client;
+  client.ConnectUnix(options_.unix_socket_path);
+  client.SendRaw("REQUEST id=x sch");
+  client.ShutdownWrite();
+  const SchedulingResponse err = ParseResponseLine(client.ReadLine());
+  EXPECT_EQ(err.status, ResponseStatus::kError);
+  EXPECT_EQ(err.error_kind, util::ErrorKind::kFatal);
+  EXPECT_NE(err.message.find("truncated request frame after 0 line(s)"),
+            std::string::npos)
+      << err.message;
+  if (ServiceMetrics* metrics = Metrics()) {
+    EXPECT_EQ(metrics->protocol_errors.load(), 1u);
+  }
+}
+
+// The truncation error is the connection's last line, sent once, even
+// when the replies ahead of it back up past the read deadline while the
+// client is not reading.
+TEST_P(MalformedFrameTest, EofMidFrameIsReportedOnceBehindBackedUpReplies) {
+  StartServer("backlog", [](ServerOptions& options) {
+    options.read_deadline_seconds = 0.1;
+  });
+  Client client;
+  client.ConnectUnix(options_.unix_socket_path);
+  constexpr int kQueries = 2000;  // replies well past a socket buffer
+  std::string wire;
+  for (int i = 0; i < kQueries; ++i) wire += std::string(kStatsVerb) + "\n";
+  client.SendRaw(wire + "REQUEST id=x sch");
+  client.ShutdownWrite();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  for (int i = 0; i < kQueries; ++i) {
+    ASSERT_NO_THROW((void)ParseStatsLine(client.ReadLine())) << "reply " << i;
+  }
+  const SchedulingResponse err = ParseResponseLine(client.ReadLine());
+  EXPECT_NE(err.message.find("truncated request frame after 0 line(s)"),
+            std::string::npos)
+      << err.message;
+  EXPECT_THROW(client.ReadLine(), util::HarnessError) << "a second error";
 }
 
 TEST_P(MalformedFrameTest, OversizedFrameIsRejectedNamingTheCap) {

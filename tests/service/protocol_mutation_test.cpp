@@ -9,12 +9,19 @@
 // messages and their precedence: it is the value the two-pass decoder
 // (a CsvReader parse, then a separate check= pass) produced, with each
 // CheckFailure's old " at <file>:<line>" removed, as messages now read.
+// Every mutant, END-terminated, also goes through the connection
+// scanner in 1-byte and 7-byte chunks, which must carve the same events
+// and leave the same pending state: a mutant's inserted '\r' or '\n'
+// drives the scanner's in-place compaction under ASan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ios>
 #include <string>
+#include <vector>
 
 #include "service/protocol.hpp"
+#include "service/shard/frame_scanner.hpp"
 #include "testing/fuzzer.hpp"
 #include "util/error.hpp"
 
@@ -22,6 +29,25 @@ namespace fadesched::service {
 namespace {
 
 constexpr std::uint64_t kOutcomeDigest = 0x7f0dcd9f6a54ab52ull;
+
+/// What a scanner makes of `wire` fed in `chunk`-byte pieces: each
+/// event's kind and bytes, then the pending bytes' guard texts.
+std::vector<std::string> ScanOutcome(const std::string& wire,
+                                     std::size_t chunk) {
+  shard::FrameScanner scanner;
+  std::vector<std::string> outcome;
+  for (std::size_t at = 0; at < wire.size(); at += chunk) {
+    scanner.Feed(wire.data() + at, std::min(chunk, wire.size() - at));
+    for (shard::ScanEvent& event : scanner.Drain()) {
+      outcome.push_back(event.kind == shard::ScanEvent::Kind::kStats
+                            ? std::string(kStatsVerb)
+                            : "frame:" + std::move(event.frame));
+    }
+  }
+  outcome.push_back(scanner.TruncatedAtEof().value_or("-"));
+  outcome.push_back(scanner.Oversized(0).value_or("-"));
+  return outcome;
+}
 
 TEST(FrameMutationSweepTest, EveryFlipDeletionAndInsertionIsRejected) {
   fadesched::testing::FuzzerOptions options;
@@ -46,6 +72,9 @@ TEST(FrameMutationSweepTest, EveryFlipDeletionAndInsertionIsRejected) {
   };
   const auto expect_rejected = [&](const std::string& mutant, const char* how,
                                    std::size_t at) {
+    const std::string wire = mutant + kFrameEnd + '\n';
+    EXPECT_EQ(ScanOutcome(wire, 1), ScanOutcome(wire, 7))
+        << how << " at byte " << at << " scans differently by chunking";
     try {
       (void)ParseRequestFrame(mutant);
       record("accepted", "");

@@ -42,7 +42,8 @@ TEST(DeterminismAuditTest, NoEnvironmentEntropyInProductionCode) {
   // Timing-only code; it may read the monotonic clock but is banned from
   // the entropy list below like everything else. The serving layer's
   // uses are latency histograms, queue-age deadlines, open-loop load
-  // pacing, the server's slow-client read deadline, the chaos soak's
+  // pacing, the connection scanner's slow-client read deadline (stamped
+  // by the scanner, checked by both front-ends), the chaos soak's
   // wall-clock report, the overload controller's queue-delay clocking,
   // the supervisor's backoff/uptime/fault-instant bookkeeping, the
   // inline fast-path latency stamp, and the shard front-end's
@@ -56,7 +57,8 @@ TEST(DeterminismAuditTest, NoEnvironmentEntropyInProductionCode) {
       "service/chaos/soak.cpp", "service/overload.hpp",
       "service/service.cpp",    "service/supervisor.hpp",
       "service/supervisor.cpp", "service/shard/shard_server.hpp",
-      "service/shard/shard_server.cpp"};
+      "service/shard/shard_server.cpp",
+      "service/shard/frame_scanner.hpp"};
   const std::vector<std::string> forbidden = {
       "std::random_device", "random_device{", "system_clock",
       "high_resolution_clock", "srand(", "time(nullptr)", "time(NULL)",
