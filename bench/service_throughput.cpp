@@ -10,16 +10,14 @@
 //   * warm (cached) serving ≥ 5× faster than cold at N = 2000 links,
 //   * zero byte-level response divergence across ≥ 4 worker threads,
 //   * a saturated queue sheds (status=shed, kind=transient, exit code 1),
-//   * the 8-shard tier's median calibrated capacity is > 1.3× the
-//     1-shard tier's, and affinity routing beats round-robin on warm hits.
+//   * the 8-shard tier's calibrated CPU per request, at its p90, is
+//     below the 1-shard tier's p10 by more than 1.3×, and affinity
+//     routing beats round-robin on warm hits.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <future>
-#include <mutex>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,6 +37,7 @@
 #include "service/loadgen.hpp"
 #include "service/protocol.hpp"
 #include "service/request.hpp"
+#include "service/server.hpp"
 #include "service/service.hpp"
 #include "service/shard/shard_server.hpp"
 #include "testing/corpus.hpp"
@@ -149,90 +148,236 @@ DecodePoint MeasureDecode(std::size_t n, int reps) {
   return point;
 }
 
-// Same deterministic warm/cold interleaving as the loadgen: request i is
-// warm iff the Bresenham accumulator crosses an integer at i.
-bool IsWarmIndex(std::size_t i, double hot_fraction) {
-  return std::floor(static_cast<double>(i + 1) * hot_fraction) >
-         std::floor(static_cast<double>(i) * hot_fraction);
+// A serving tier to build: plain `serve`'s in-process Server when
+// `shards` is 0, else a ShardServer forking `shards` workers, each
+// building its service from `server.service`.
+struct TierSpec {
+  service::ServerOptions server;
+  std::size_t shards = 0;
+  service::shard::RoutingMode routing = service::shard::RoutingMode::kAffinity;
+};
+
+double ClockSeconds(clockid_t clock) {
+  timespec cpu{};
+  if (::clock_gettime(clock, &cpu) != 0) return 0.0;
+  return static_cast<double>(cpu.tv_sec) +
+         1e-9 * static_cast<double>(cpu.tv_nsec);
 }
 
-// One point of the open-loop throughput/latency curve.
-struct LoadPoint {
-  double multiplier = 0.0;
-  double offered_rps = 0.0;
-  /// Submissions per second the pacing thread actually achieved; when
-  /// this falls below offered_rps the arrival process, not the service,
-  /// was the bottleneck, and the point understates the intended load.
-  double achieved_rps = 0.0;
-  std::size_t requests = 0;
-  std::size_t warm_ok = 0, cold_ok = 0;
-  std::size_t warm_shed = 0, cold_shed = 0;
-  std::size_t timed_out = 0;
-  /// Service-side percentiles (enqueue → response ready, per-class
-  /// histograms in ServiceMetrics): the latency the serving tier is
-  /// answerable for, free of the bench's own client-thread scheduling
-  /// noise — which on a small CI box dwarfs the service's contribution.
-  double warm_p50_ms = 0.0, warm_p99_ms = 0.0, cold_p99_ms = 0.0;
-  /// Client-observed p99s (submit → future consumed) for comparison.
-  double observed_warm_p99_ms = 0.0, observed_cold_p99_ms = 0.0;
+// One serving tier on its own unix socket, served on a background thread
+// until destroyed.
+class Tier {
+ public:
+  Tier(TierSpec spec, const std::string& tag) : shards_(spec.shards) {
+    spec.server.unix_socket_path =
+        (std::filesystem::temp_directory_path() /
+         ("fs_bench_" + tag + "_" + std::to_string(::getpid()) + ".sock"))
+            .string();
+    socket_ = spec.server.unix_socket_path;
+    if (shards_ == 0) {
+      server_ = std::make_unique<service::Server>(spec.server);
+      server_->Start();
+      serving_ = std::thread([this] { server_->Serve(); });
+      return;
+    }
+    service::shard::ShardServerOptions options;
+    options.server = spec.server;
+    options.num_shards = shards_;
+    options.routing = spec.routing;
+    options.completion_threads_per_shard = 1;
+    options.supervisor.drain_grace_seconds = 10.0;
+    router_ = std::make_unique<service::shard::ShardServer>(options);
+    router_->Start();
+    serving_ = std::thread([this] { router_->Serve(); });
+  }
+  ~Tier() {
+    if (server_ != nullptr) server_->Stop();
+    if (router_ != nullptr) router_->Stop();
+    serving_.join();
+  }
+  Tier(const Tier&) = delete;
+  Tier& operator=(const Tier&) = delete;
+
+  [[nodiscard]] const std::string& Socket() const { return socket_; }
+
+  // CPU seconds the tier has used. In process: the process clock less the
+  // calling thread's, which is the one running the loadgen. Sharded: the
+  // router's event-loop thread plus every live shard worker process.
+  [[nodiscard]] double CpuSeconds() {
+    if (server_ != nullptr) {
+      return ClockSeconds(CLOCK_PROCESS_CPUTIME_ID) -
+             ClockSeconds(CLOCK_THREAD_CPUTIME_ID);
+    }
+    clockid_t clock{};
+    double total = 0.0;
+    if (::pthread_getcpuclockid(serving_.native_handle(), &clock) == 0) {
+      total += ClockSeconds(clock);
+    }
+    for (std::size_t slot = 0; slot < shards_; ++slot) {
+      const pid_t pid = router_->WorkerPid(slot);
+      if (pid > 0 && ::clock_getcpuclockid(pid, &clock) == 0) {
+        total += ClockSeconds(clock);
+      }
+    }
+    return total;
+  }
+
+  // The in-process tier's service; null when sharded.
+  [[nodiscard]] service::SchedulingService* Service() {
+    return server_ != nullptr ? &server_->Service() : nullptr;
+  }
+
+ private:
+  std::size_t shards_;
+  std::string socket_;
+  std::unique_ptr<service::Server> server_;
+  std::unique_ptr<service::shard::ShardServer> router_;
+  std::thread serving_;
 };
 
-// One row of the shard-scaling series. capacity_rps and cpu_us_per_req
-// spread over the closed-loop calibration runs.
-struct ShardPoint {
-  std::size_t shards = 0;
-  bench::Spread capacity_rps;
-  bench::Spread cpu_us_per_req;
-  double offered_rps = 0.0;
-  double achieved_rps = 0.0;
-  std::size_t requests = 0;
-  std::size_t ok = 0, shed = 0;
-  double warm_p50_ms = 0.0, warm_p99_ms = 0.0;
-  double warm_corrected_p99_ms = 0.0;
-  double cold_p99_ms = 0.0, cold_corrected_p99_ms = 0.0;
+// One measured loadgen run and what the tier spent serving it.
+struct MeasuredRun {
+  service::LoadgenReport report;
+  double cpu_us_per_req = 0.0;
+  /// Response-cache hit rate over the measured run alone: the delta of the
+  /// tier-aggregate STATS counters, so the prewarm pass does not dilute it.
   double warm_hit_rate = 0.0;
+  /// Service-side percentiles (enqueue → response ready, the per-class
+  /// histograms in ServiceMetrics) of an in-process tier: the latency the
+  /// serving tier is answerable for, free of the loadgen thread's
+  /// scheduling noise. They include the prewarm pass's first touches.
+  double service_warm_p50_ms = 0.0, service_warm_p99_ms = 0.0,
+         service_cold_p99_ms = 0.0;
 };
 
-// Response-cache hit rate over the *measured* window only: the delta of
-// the tier-aggregate counters, so the fill pass and the calibration burst
-// don't dilute the number.
-double HitRateDelta(const service::StatsSnapshot& before,
-                    const service::StatsSnapshot& after) {
+// Runs `load` once on a fresh tier whose warm pool a hot_fraction 1.0
+// pass has prewarmed. A fresh tier per run keeps the run's colds cold:
+// RunLoadgen resends the same colds on every call with the same options.
+// The prewarm sends one request at a time, so no first touch queues long
+// enough to be shed.
+MeasuredRun ServeOnce(const TierSpec& spec, service::LoadgenOptions load,
+                      const std::string& tag) {
+  Tier tier(spec, tag);
+  load.unix_socket_path = tier.Socket();
+  service::LoadgenOptions prewarm = load;
+  prewarm.num_requests = load.pool_size;
+  prewarm.connections = 1;
+  prewarm.rate_per_sec = 0.0;
+  prewarm.hot_fraction = 1.0;
+  service::RunLoadgen(prewarm);
+
+  service::Client stats;
+  stats.ConnectUnix(tier.Socket());
+  const service::StatsSnapshot before = stats.Stats();
+  MeasuredRun run;
+  const double cpu_before = tier.CpuSeconds();
+  run.report = service::RunLoadgen(load);
+  run.cpu_us_per_req = 1e6 * (tier.CpuSeconds() - cpu_before) /
+                       static_cast<double>(std::max<std::size_t>(
+                           run.report.sent, 1));
+  const service::StatsSnapshot after = stats.Stats();
+  stats.Close();
   service::StatsSnapshot delta;
   delta.response_hits = after.response_hits - before.response_hits;
   delta.response_misses = after.response_misses - before.response_misses;
-  return delta.WarmHitRate();
+  run.warm_hit_rate = delta.WarmHitRate();
+  if (service::SchedulingService* svc = tier.Service()) {
+    const service::ServiceMetrics& metrics = svc->Metrics();
+    const auto ms = [](const service::LatencyHistogram& hist, double p) {
+      return hist.Percentile(p) * 1e3;
+    };
+    run.service_warm_p50_ms = ms(metrics.warm_total_latency, 0.50);
+    run.service_warm_p99_ms = ms(metrics.warm_total_latency, 0.99);
+    run.service_cold_p99_ms = ms(metrics.cold_total_latency, 0.99);
+  }
+  return run;
 }
 
-// CPU seconds the shard tier has used: the router's event-loop thread
-// plus every live shard worker process.
-double TierCpuSeconds(const service::shard::ShardServer& server,
-                      std::size_t shards, std::thread& router) {
-  const auto seconds = [](clockid_t clock) {
-    timespec cpu{};
-    if (::clock_gettime(clock, &cpu) != 0) return 0.0;
-    return static_cast<double>(cpu.tv_sec) +
-           1e-9 * static_cast<double>(cpu.tv_nsec);
-  };
-  clockid_t clock{};
-  double total = 0.0;
-  if (::pthread_getcpuclockid(router.native_handle(), &clock) == 0) {
-    total += seconds(clock);
+constexpr int kCalibrationRuns = 5;
+
+struct LoadPoint {
+  double multiplier = 0.0;
+  double offered_rps = 0.0;
+  MeasuredRun run;
+};
+
+struct TierCurve {
+  bench::Spread capacity_rps;
+  bench::Spread cpu_us_per_req;
+  std::vector<LoadPoint> points;
+};
+
+// The serve-and-measure helper of the curve and the shard series. Closed-
+// loop calibration, repeated: the tier's capacity for this mix and its CPU
+// per request, with the overload controller off so nothing sheds. One run
+// is too noisy to compare tiers on (a 1-shard tier read anywhere from ~740
+// to ~4200 rps over identical runs). Then one open-loop run per multiplier
+// of the median capacity, sending `point_seconds` of its rate clamped to
+// 1–4× load.num_requests. Every run gets a fresh tier (ServeOnce).
+TierCurve ServeAndMeasure(const TierSpec& spec, service::LoadgenOptions load,
+                          std::initializer_list<double> multipliers,
+                          double point_seconds, const std::string& tag) {
+  TierSpec calibration = spec;
+  calibration.server.service.batcher.overload.queue_delay_target_ms = 0.0;
+  std::vector<double> rps, cpu_us;
+  for (int run = 0; run < kCalibrationRuns; ++run) {
+    const MeasuredRun measured = ServeOnce(calibration, load, tag);
+    rps.push_back(measured.report.throughput_rps);
+    cpu_us.push_back(measured.cpu_us_per_req);
   }
-  for (std::size_t slot = 0; slot < shards; ++slot) {
-    const pid_t pid = server.WorkerPid(slot);
-    if (pid > 0 && ::clock_getcpuclockid(pid, &clock) == 0) {
-      total += seconds(clock);
-    }
+  TierCurve curve;
+  curve.capacity_rps = bench::SpreadOf(rps);
+  curve.cpu_us_per_req = bench::SpreadOf(cpu_us);
+  const double floor = static_cast<double>(load.num_requests);
+  for (const double multiplier : multipliers) {
+    load.rate_per_sec = multiplier * curve.capacity_rps.median;
+    load.num_requests = static_cast<std::size_t>(
+        std::clamp(load.rate_per_sec * point_seconds, floor, 4.0 * floor));
+    curve.points.push_back(
+        {multiplier, load.rate_per_sec, ServeOnce(spec, load, tag)});
   }
-  return total;
+  return curve;
 }
 
-std::string ShardSocketPath(const char* tag) {
-  return (std::filesystem::temp_directory_path() /
-          ("fs_bench_shard_" + std::string(tag) + "_" +
-           std::to_string(::getpid()) + ".sock"))
-      .string();
+// The calibration's spreads, as the members of a JSON object.
+std::string CalibrationJson(const TierCurve& curve) {
+  return "\"capacity_rps\": " + bench::Value(curve.capacity_rps) +
+         ", \"cpu_us_per_req\": " + bench::Value(curve.cpu_us_per_req);
+}
+
+// One open-loop point as a JSON object. achieved_rps is answers per
+// second of the run's wall time; when it falls below offered_rps the
+// tier, or the client, did not keep up with the schedule.
+std::string PointJson(const LoadPoint& point, bool service_side) {
+  const service::LoadgenReport& r = point.run.report;
+  std::string json =
+      "{\"multiplier\": " + bench::Value(point.multiplier) +
+      ", \"offered_rps\": " + bench::Value(point.offered_rps) +
+      ", \"achieved_rps\": " + bench::Value(r.throughput_rps) +
+      ", \"cpu_us_per_req\": " + bench::Value(point.run.cpu_us_per_req) +
+      ", \"requests\": " + bench::Value(r.sent) +
+      ", \"warm_ok\": " + bench::Value(r.warm_ok) +
+      ", \"cold_ok\": " + bench::Value(r.cold_ok) +
+      ", \"warm_shed\": " + bench::Value(r.warm_shed) +
+      ", \"cold_shed\": " + bench::Value(r.cold_shed) +
+      ", \"timed_out\": " + bench::Value(r.timed_out) +
+      ", \"errors\": " + bench::Value(r.errors) +
+      ", \"warm_hit_rate\": " + bench::Value(point.run.warm_hit_rate) +
+      ", \"warm_p50_ms\": " + bench::Value(r.warm_p50_ms) +
+      ", \"warm_p99_ms\": " + bench::Value(r.warm_p99_ms) +
+      ", \"warm_corrected_p99_ms\": " + bench::Value(r.warm_corrected_p99_ms) +
+      ", \"cold_p99_ms\": " + bench::Value(r.cold_p99_ms) +
+      ", \"cold_corrected_p99_ms\": " + bench::Value(r.cold_corrected_p99_ms);
+  if (service_side) {
+    const MeasuredRun& run = point.run;
+    json += ", \"service_warm_p50_ms\": " +
+            bench::Value(run.service_warm_p50_ms) +
+            ", \"service_warm_p99_ms\": " +
+            bench::Value(run.service_warm_p99_ms) +
+            ", \"service_cold_p99_ms\": " +
+            bench::Value(run.service_cold_p99_ms);
+  }
+  return json + "}";
 }
 
 }  // namespace
@@ -250,12 +395,14 @@ int main(int argc, char** argv) {
                                   "requests in the determinism run");
   auto& load_links = cli.AddInt("load-links", 600,
                                 "instance size for the open-loop curve");
-  auto& load_requests = cli.AddInt("load-requests", 400,
-                                   "request floor per open-loop load point");
+  auto& load_requests = cli.AddInt(
+      "load-requests", 1000,
+      "requests per calibration run; an open-loop point sends "
+      "load-seconds of its rate, between 1x and 4x this");
   auto& load_seconds = cli.AddDouble(
-      "load-seconds", 1.2,
+      "load-seconds", 0.5,
       "target duration per load point; must comfortably exceed the "
-      "controller's interval or shedding can never engage");
+      "controller's 10 ms interval or shedding can never engage");
   auto& load_workers = cli.AddInt("load-workers", 2,
                                   "batcher workers for the open-loop curve");
   // The default keeps the post-shed residual (warm work that cannot be
@@ -281,8 +428,8 @@ int main(int argc, char** argv) {
   auto& check = cli.AddBool(
       "check", false, "exit 1 unless decoded frames are bit-identical, "
       "repeated raw hits skip the check= pass, speedup >= 5, zero "
-      "divergence, the overloaded queue shed, sharding scales capacity, and "
-      "affinity beats round-robin on warm hits");
+      "divergence, the overloaded queue shed, sharding cuts CPU per "
+      "request, and affinity beats round-robin on warm hits");
   if (!cli.Parse(argc, argv)) return cli.UsageExitCode();
 
   // --- 0. Decode against the FNV floor, on a quiet process ----------------
@@ -402,214 +549,43 @@ int main(int argc, char** argv) {
     svc.Drain();
   }
 
-  // --- 4. Open-loop throughput vs client-observed p99 ---------------------
-  // Offered load is paced by the wall clock (open loop: a slow service
-  // does not slow the arrival process), at multiples of an empirically
-  // calibrated capacity. The controller's job under 2× overload: shed
-  // cold requests, keep warm p99 near the uncontended value. Each series
-  // entry reports achieved_rps next to offered_rps — on a small CI box
-  // the pacing thread timeshares with the workers, and the delta is the
-  // honest record of how much of the intended load actually arrived.
-  // Timing here is recorded, never gated — CI boxes are too noisy for
-  // latency assertions.
-  const std::size_t kLoadLinks = static_cast<std::size_t>(load_links);
-  const std::size_t kLoadWorkers = static_cast<std::size_t>(load_workers);
-  const std::size_t kLoadRequests = static_cast<std::size_t>(load_requests);
-  double cold_small_ms = 0.0;
-  double warm_small_ms = 0.0;
-  {
-    service::SchedulingService svc;
-    for (int i = 0; i < 3; ++i) {
-      const testing::ScenarioCase scenario =
-          MakeCase(kLoadLinks, 5000 + static_cast<std::uint64_t>(i));
-      util::Stopwatch timer;
-      svc.HandleNow(MakeRequest(scenario, scheduler, "m" + std::to_string(i)));
-      cold_small_ms += timer.Seconds() * 1e3 / 3.0;
-    }
-    const service::SchedulingRequest warm_probe =
-        MakeRequest(MakeCase(kLoadLinks, 5000), scheduler, "m0");
-    double best = cold_small_ms;
-    for (int r = 0; r < 10; ++r) {
-      util::Stopwatch timer;
-      svc.HandleNow(warm_probe);
-      best = std::min(best, timer.Seconds() * 1e3);
-    }
-    warm_small_ms = best;
-  }
-  // Capacity is calibrated empirically — a closed-loop burst of the same
-  // warm/cold mix through the same Submit path, controller off and the
-  // queue wide open so nothing sheds. This folds in every real cost the
-  // analytic workers/service-time figure misses: fingerprinting on the
-  // submit thread, scenario generation for colds, and (on small CI boxes)
-  // the arrival and service paths timesharing the same cores.
-  double capacity_rps = 0.0;
-  {
-    service::ServiceOptions options;
-    options.batcher.num_workers = kLoadWorkers;
-    options.batcher.queue_capacity = 1 << 14;
-    options.batcher.overload.queue_delay_target_ms = 0.0;
-    service::SchedulingService svc(options);
-    constexpr std::size_t kPool = 8;
-    std::vector<service::SchedulingRequest> warm_pool;
-    for (std::size_t p = 0; p < kPool; ++p) {
-      warm_pool.push_back(MakeRequest(MakeCase(kLoadLinks, 8000 + p),
-                                      scheduler, "w" + std::to_string(p)));
-      svc.HandleNow(warm_pool.back());
-    }
-    constexpr std::size_t kCalibration = 1000;
-    std::vector<std::future<service::SchedulingResponse>> futures;
-    futures.reserve(kCalibration);
-    util::Stopwatch timer;
-    for (std::size_t i = 0; i < kCalibration; ++i) {
-      futures.push_back(svc.Submit(
-          IsWarmIndex(i, hot_fraction)
-              ? warm_pool[i % kPool]
-              : MakeRequest(MakeCase(kLoadLinks, 7000 + i), scheduler,
-                            "k" + std::to_string(i))));
-    }
-    for (auto& future : futures) future.get();
-    capacity_rps = static_cast<double>(kCalibration) / timer.Seconds();
-    svc.Drain();
-  }
-
-  std::vector<LoadPoint> curve;
-  for (const double multiplier : {0.5, 1.0, 2.0}) {
-    LoadPoint point;
-    point.multiplier = multiplier;
-    point.offered_rps = multiplier * capacity_rps;
-    // Each point must run long enough for sustained queue delay to
-    // outlast the controller's interval, so the request count scales
-    // with the offered rate instead of being fixed.
-    point.requests = std::max(
-        kLoadRequests,
-        static_cast<std::size_t>(point.offered_rps * load_seconds));
-
-    service::ServiceOptions options;
-    options.batcher.num_workers = kLoadWorkers;
-    // Tighter than the production defaults (5 ms target / 100 ms
-    // interval): at these request rates an interval of queued work is
-    // what the warm tail rides out, so a fast-reacting controller is
-    // what keeps the p99 curve flat.
-    options.batcher.overload.queue_delay_target_ms = 1.0;
-    options.batcher.overload.interval_ms = 10.0;
-    service::SchedulingService svc(options);
-
-    // Pre-warmed pool: these are the cache hits of the steady state.
-    constexpr std::size_t kPool = 8;
-    std::vector<service::SchedulingRequest> warm_pool;
-    for (std::size_t p = 0; p < kPool; ++p) {
-      warm_pool.push_back(MakeRequest(MakeCase(kLoadLinks, 8000 + p),
-                                      scheduler, "w" + std::to_string(p)));
-      svc.HandleNow(warm_pool.back());
-    }
-    using SteadyClock = std::chrono::steady_clock;
-    struct Pending {
-      std::future<service::SchedulingResponse> future;
-      SteadyClock::time_point submitted;
-    };
-    // One collector per class: within a class the batcher is FIFO, so
-    // in-order get() observes completion times faithfully. A single
-    // shared collector would charge a lagging cold build's wait to every
-    // warm completion queued behind it in the inbox — exactly the skew
-    // the warm-priority queue exists to remove.
-    struct Lane {
-      std::deque<Pending> inbox;
-      std::mutex mutex;
-      std::condition_variable ready;
-      bool done = false;
-      std::size_t ok = 0, shed = 0, timed_out = 0;
-      service::LatencyHistogram hist;
-      std::thread collector;
-
-      void Start() {
-        collector = std::thread([this] {
-          for (;;) {
-            Pending pending;
-            {
-              std::unique_lock<std::mutex> lock(mutex);
-              ready.wait(lock, [this] { return !inbox.empty() || done; });
-              if (inbox.empty()) return;
-              pending = std::move(inbox.front());
-              inbox.pop_front();
-            }
-            const service::SchedulingResponse response =
-                pending.future.get();
-            if (response.Ok()) {
-              hist.Record(std::chrono::duration<double>(SteadyClock::now() -
-                                                        pending.submitted)
-                              .count());
-              ok += 1;
-            } else if (response.status == service::ResponseStatus::kShed) {
-              shed += 1;
-            } else if (response.status ==
-                       service::ResponseStatus::kTimeout) {
-              timed_out += 1;
-            }
-          }
-        });
-      }
-      void Push(Pending pending) {
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          inbox.push_back(std::move(pending));
-        }
-        ready.notify_one();
-      }
-      void Finish() {
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          done = true;
-        }
-        ready.notify_all();
-        collector.join();
-      }
-    };
-    Lane warm_lane, cold_lane;
-    warm_lane.Start();
-    cold_lane.Start();
-
-    const auto interarrival =
-        std::chrono::duration_cast<SteadyClock::duration>(
-            std::chrono::duration<double>(1.0 / point.offered_rps));
-    const SteadyClock::time_point start = SteadyClock::now();
-    std::size_t cold_next = 0;
-    for (std::size_t i = 0; i < point.requests; ++i) {
-      std::this_thread::sleep_until(
-          start + interarrival * static_cast<std::int64_t>(i));
-      const bool warm = IsWarmIndex(i, hot_fraction);
-      // Cold scenarios are unique (guaranteed cache misses), generated
-      // lazily here so a long run never holds thousands of instances in
-      // memory at once. The clock for this request starts *after*
-      // generation — scenario construction is the client's cost, not the
-      // service's.
-      service::SchedulingRequest request =
-          warm ? warm_pool[i % kPool]
-               : MakeRequest(MakeCase(kLoadLinks, 9000 + i), scheduler,
-                             "c" + std::to_string(cold_next++));
-      Pending pending;
-      pending.submitted = SteadyClock::now();
-      pending.future = svc.Submit(std::move(request));
-      (warm ? warm_lane : cold_lane).Push(std::move(pending));
-    }
-    point.achieved_rps =
-        static_cast<double>(point.requests) /
-        std::chrono::duration<double>(SteadyClock::now() - start).count();
-    warm_lane.Finish();
-    cold_lane.Finish();
-    svc.Drain();
-
-    point.warm_ok = warm_lane.ok;
-    point.cold_ok = cold_lane.ok;
-    point.warm_shed = warm_lane.shed;
-    point.cold_shed = cold_lane.shed;
-    point.timed_out = warm_lane.timed_out + cold_lane.timed_out;
-    point.warm_p50_ms = svc.Metrics().warm_total_latency.Percentile(0.50) * 1e3;
-    point.warm_p99_ms = svc.Metrics().warm_total_latency.Percentile(0.99) * 1e3;
-    point.cold_p99_ms = svc.Metrics().cold_total_latency.Percentile(0.99) * 1e3;
-    point.observed_warm_p99_ms = warm_lane.hist.Percentile(0.99) * 1e3;
-    point.observed_cold_p99_ms = cold_lane.hist.Percentile(0.99) * 1e3;
-    curve.push_back(point);
-  }
+  // --- 4. Open-loop throughput vs p99 on plain `serve` --------------------
+  // RunLoadgen drives an in-process Server through its socket: calibrated
+  // closed-loop capacity first, then open-loop points at multiples of it
+  // (open loop: a slow service does not slow the arrival process). The
+  // controller's job under 2× overload: shed cold requests, keep warm p99
+  // near the uncontended value. Each point reports achieved_rps and server
+  // CPU per request next to offered_rps. Timing here is recorded, never
+  // gated — CI boxes are too noisy for latency assertions.
+  TierSpec load_tier;
+  load_tier.server.service.batcher.num_workers =
+      static_cast<std::size_t>(load_workers);
+  // Tighter than the production defaults (5 ms target / 100 ms interval):
+  // at these request rates an interval of queued work is what the warm
+  // tail rides out, so a fast-reacting controller is what keeps the p99
+  // curve flat.
+  load_tier.server.service.batcher.overload.queue_delay_target_ms = 1.0;
+  load_tier.server.service.batcher.overload.interval_ms = 10.0;
+  // The pool takes under 2 MB; the bound keeps a 2× point's colds (~170 KB
+  // each once served) from growing the cache to its 256 MiB default.
+  load_tier.server.service.cache.capacity_bytes = 64u << 20;
+  service::LoadgenOptions load;
+  // Enough connections that the server's queue, not the loadgen's ready
+  // queue, holds an overloaded point's backlog: the controller sheds on
+  // the queue delay it sees.
+  load.connections = 64;
+  load.pool_size = 8;
+  load.links = static_cast<std::size_t>(load_links);
+  load.seed = 8000;
+  load.scheduler = scheduler;
+  load.hot_fraction = hot_fraction;
+  // Each point runs load_seconds so sustained queue delay can outlast the
+  // controller's interval. Every cold frame is serialized before its run
+  // starts (~47 KB at N = 600), so the 4× cap bounds the 2× point's memory
+  // however high the calibration reads.
+  load.num_requests = static_cast<std::size_t>(load_requests);
+  const TierCurve curve =
+      ServeAndMeasure(load_tier, load, {0.5, 1.0, 2.0}, load_seconds, "curve");
 
   // --- 5. Shard scaling: cache capacity is the multiplied resource --------
   // On a single-core box sharding cannot add CPU, so the scaling story is
@@ -618,8 +594,8 @@ int main(int argc, char** argv) {
   // effective cache capacity N× one shard's. The warm pool is sized to
   // overflow one shard's cache (LRU + cyclic replay → every "warm" request
   // is really a rebuild) but to fit comfortably once split 8 ways — so
-  // aggregate throughput at a fixed p99 budget rises with the shard count
-  // even though the core count does not.
+  // the tier's CPU per request falls with the shard count even though the
+  // core count does not.
   //
   // The defaults set that regime up on the tables backend. An N=600 miss
   // (parse, engine tables, schedule) costs several times a raw-level hit,
@@ -628,101 +604,35 @@ int main(int argc, char** argv) {
   // ~170 KB, so a 1536 KB shard holds about nine: fewer than the pool of
   // 30 or the 25 a round-robin shard sees, more than an affinity shard's
   // share of either.
-  const std::size_t kShardLinks = static_cast<std::size_t>(shard_links);
-  const std::size_t kShardPool = static_cast<std::size_t>(shard_pool);
-  const std::size_t kShardRequests = static_cast<std::size_t>(shard_requests);
-  const std::size_t kShardCacheBytes =
-      static_cast<std::size_t>(shard_cache_kb) << 10;
-  constexpr int kCalibrationRuns = 5;
-
-  const auto run_shard_point = [&](std::size_t shards,
-                                   service::shard::RoutingMode routing,
-                                   std::size_t pool, std::size_t requests,
-                                   double hot, const char* tag) {
-    service::shard::ShardServerOptions options;
-    options.server.unix_socket_path = ShardSocketPath(tag);
-    options.server.service.batcher.num_workers = 1;
-    options.server.service.cache.capacity_bytes = kShardCacheBytes;
-    options.num_shards = shards;
-    options.routing = routing;
-    options.completion_threads_per_shard = 1;
-    options.supervisor.drain_grace_seconds = 10.0;
-    service::shard::ShardServer server(options);
-    server.Start();
-    std::thread serving([&server] { server.Serve(); });
-
-    ShardPoint point;
-    point.shards = shards;
-    try {
-      service::LoadgenOptions load;
-      load.unix_socket_path = options.server.unix_socket_path;
-      load.connections = 4;
-      load.pool_size = pool;
-      load.links = kShardLinks;
-      load.seed = 42;
-      load.scheduler = scheduler;
-      load.hot_fraction = hot;
-
-      // Fill pass: the calibration's own request sequence once, colds
-      // included, so every timed pass starts from the steady state this
-      // shard count can actually hold.
-      load.num_requests = requests;
-      service::RunLoadgen(load);
-
-      // Closed-loop calibration, repeated: the tier's capacity for this
-      // mix. One run is too noisy to compare shard counts on (a 1-shard
-      // tier read anywhere from ~740 to ~4200 rps over identical runs).
-      std::vector<double> rps, cpu_us;
-      for (int run = 0; run < kCalibrationRuns; ++run) {
-        const double cpu_before = TierCpuSeconds(server, shards, serving);
-        const service::LoadgenReport calibration = service::RunLoadgen(load);
-        const double cpu = TierCpuSeconds(server, shards, serving) - cpu_before;
-        rps.push_back(calibration.throughput_rps);
-        cpu_us.push_back(1e6 * cpu / static_cast<double>(calibration.sent));
-      }
-      point.capacity_rps = bench::SpreadOf(rps);
-      point.cpu_us_per_req = bench::SpreadOf(cpu_us);
-
-      service::Client stats_client;
-      stats_client.ConnectUnix(options.server.unix_socket_path);
-      const service::StatsSnapshot before = stats_client.Stats();
-
-      // Open loop at 0.8× capacity: below saturation, so the p99s are
-      // queue-free and comparable across shard counts at a fixed budget.
-      load.rate_per_sec = 0.8 * point.capacity_rps.median;
-      const service::LoadgenReport measured = service::RunLoadgen(load);
-      const service::StatsSnapshot after = stats_client.Stats();
-      stats_client.Close();
-
-      point.offered_rps = load.rate_per_sec;
-      point.achieved_rps = measured.throughput_rps;
-      point.requests = measured.sent;
-      point.ok = measured.ok;
-      point.shed = measured.shed;
-      point.warm_p50_ms = measured.warm_p50_ms;
-      point.warm_p99_ms = measured.warm_p99_ms;
-      point.warm_corrected_p99_ms = measured.warm_corrected_p99_ms;
-      point.cold_p99_ms = measured.cold_p99_ms;
-      point.cold_corrected_p99_ms = measured.cold_corrected_p99_ms;
-      point.warm_hit_rate = HitRateDelta(before, after);
-    } catch (...) {
-      server.Stop();
-      serving.join();
-      throw;
-    }
-    server.Stop();
-    serving.join();
-    return point;
+  const auto shard_tier = [&](std::size_t shards,
+                              service::shard::RoutingMode routing) {
+    TierSpec spec;
+    spec.shards = shards;
+    spec.routing = routing;
+    spec.server.service.batcher.num_workers = 1;
+    spec.server.service.cache.capacity_bytes =
+        static_cast<std::size_t>(shard_cache_kb) << 10;
+    return spec;
   };
-
-  // 90% pool replays + 10% unique colds: the colds populate the cold
-  // percentiles and keep a trickle of eviction pressure on every shard.
-  std::vector<ShardPoint> shard_series;
-  for (const std::size_t shards : {1UL, 2UL, 4UL, 8UL}) {
-    shard_series.push_back(
-        run_shard_point(shards, service::shard::RoutingMode::kAffinity,
-                        kShardPool, kShardRequests, 0.9,
-                        ("s" + std::to_string(shards)).c_str()));
+  service::LoadgenOptions shard_load;
+  shard_load.connections = 4;
+  shard_load.pool_size = static_cast<std::size_t>(shard_pool);
+  shard_load.links = static_cast<std::size_t>(shard_links);
+  shard_load.seed = 42;
+  shard_load.scheduler = scheduler;
+  shard_load.num_requests = static_cast<std::size_t>(shard_requests);
+  // 90% pool replays + 10% colds. Every run's tier is fresh, so its colds
+  // are misses: they populate the cold percentiles and keep a trickle of
+  // eviction pressure on every shard. The open-loop point at 0.8×
+  // capacity stays below saturation, so its p99s are queue-free and
+  // comparable across shard counts at a fixed budget.
+  shard_load.hot_fraction = 0.9;
+  constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
+  std::vector<TierCurve> shard_series;
+  for (const std::size_t shards : kShardCounts) {
+    shard_series.push_back(ServeAndMeasure(
+        shard_tier(shards, service::shard::RoutingMode::kAffinity),
+        shard_load, {0.8}, 0.0, "s" + std::to_string(shards)));
   }
 
   // Routing comparison at 4 shards: identical seeded traffic, only the
@@ -730,12 +640,14 @@ int main(int argc, char** argv) {
   // affinity (~6 scenarios per shard) and, being coprime with 4, makes
   // round-robin cycle every scenario across every shard — each shard then
   // sees the whole pool and thrashes. Any hit-rate gap is pure routing.
-  const ShardPoint affinity_point =
-      run_shard_point(4, service::shard::RoutingMode::kAffinity, 25,
-                      kShardRequests, 1.0, "aff");
-  const ShardPoint round_robin_point =
-      run_shard_point(4, service::shard::RoutingMode::kRoundRobin, 25,
-                      kShardRequests, 1.0, "rr");
+  shard_load.pool_size = 25;
+  shard_load.hot_fraction = 1.0;
+  const TierCurve affinity = ServeAndMeasure(
+      shard_tier(4, service::shard::RoutingMode::kAffinity), shard_load,
+      {0.8}, 0.0, "aff");
+  const TierCurve round_robin = ServeAndMeasure(
+      shard_tier(4, service::shard::RoutingMode::kRoundRobin), shard_load,
+      {0.8}, 0.0, "rr");
 
   std::ostringstream json;
   json << "{\n";
@@ -775,79 +687,55 @@ int main(int argc, char** argv) {
   json << "  \"throughput_vs_p99\": {\n";
   json << "    \"links\": " << load_links << ",\n";
   json << "    \"workers\": " << load_workers << ",\n";
+  json << "    \"connections\": " << load.connections << ",\n";
   json << "    \"hot_fraction\": " << hot_fraction << ",\n";
-  json << "    \"cold_ms\": " << cold_small_ms << ",\n";
-  json << "    \"warm_ms\": " << warm_small_ms << ",\n";
-  json << "    \"capacity_rps\": " << capacity_rps << ",\n";
+  json << "    \"calibration_runs\": " << kCalibrationRuns << ",\n";
+  json << "    \"host\": " << bench::HostJson() << ",\n";
+  json << "    \"calibration\": {" << CalibrationJson(curve) << "},\n";
   json << "    \"series\": [\n";
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    const LoadPoint& point = curve[i];
-    json << "      {\"multiplier\": " << point.multiplier
-         << ", \"offered_rps\": " << point.offered_rps
-         << ", \"achieved_rps\": " << point.achieved_rps
-         << ", \"requests\": " << point.requests
-         << ", \"warm_ok\": " << point.warm_ok
-         << ", \"cold_ok\": " << point.cold_ok
-         << ", \"warm_shed\": " << point.warm_shed
-         << ", \"cold_shed\": " << point.cold_shed
-         << ", \"timed_out\": " << point.timed_out
-         << ", \"warm_p50_ms\": " << point.warm_p50_ms
-         << ", \"warm_p99_ms\": " << point.warm_p99_ms
-         << ", \"cold_p99_ms\": " << point.cold_p99_ms
-         << ", \"observed_warm_p99_ms\": " << point.observed_warm_p99_ms
-         << ", \"observed_cold_p99_ms\": " << point.observed_cold_p99_ms << "}"
-         << (i + 1 < curve.size() ? "," : "") << "\n";
+  for (std::size_t i = 0; i < curve.points.size(); ++i) {
+    json << "      " << PointJson(curve.points[i], true)
+         << (i + 1 < curve.points.size() ? "," : "") << "\n";
   }
   json << "    ]\n";
   json << "  },\n";
   json << "  \"shard_scaling\": {\n";
   json << "    \"links\": " << shard_links << ",\n";
   json << "    \"pool\": " << shard_pool << ",\n";
-  json << "    \"per_shard_cache_bytes\": " << kShardCacheBytes << ",\n";
+  json << "    \"per_shard_cache_bytes\": " << (shard_cache_kb << 10) << ",\n";
   json << "    \"calibration_runs\": " << kCalibrationRuns << ",\n";
   json << "    \"host\": " << bench::HostJson() << ",\n";
   json << "    \"series\": [\n";
   for (std::size_t i = 0; i < shard_series.size(); ++i) {
-    const ShardPoint& point = shard_series[i];
-    json << "      {\"shards\": " << point.shards
-         << ", \"capacity_rps\": " << bench::Value(point.capacity_rps)
-         << ", \"cpu_us_per_req\": " << bench::Value(point.cpu_us_per_req)
-         << ", \"offered_rps\": " << point.offered_rps
-         << ", \"achieved_rps\": " << point.achieved_rps
-         << ", \"requests\": " << point.requests
-         << ", \"ok\": " << point.ok
-         << ", \"shed\": " << point.shed
-         << ", \"warm_p50_ms\": " << point.warm_p50_ms
-         << ", \"warm_p99_ms\": " << point.warm_p99_ms
-         << ", \"warm_corrected_p99_ms\": " << point.warm_corrected_p99_ms
-         << ", \"cold_p99_ms\": " << point.cold_p99_ms
-         << ", \"cold_corrected_p99_ms\": " << point.cold_corrected_p99_ms
-         << ", \"warm_hit_rate\": " << point.warm_hit_rate << "}"
-         << (i + 1 < shard_series.size() ? "," : "") << "\n";
+    json << "      {\"shards\": " << kShardCounts[i] << ", "
+         << CalibrationJson(shard_series[i])
+         << ", \"point\": " << PointJson(shard_series[i].points[0], false)
+         << "}" << (i + 1 < shard_series.size() ? "," : "") << "\n";
   }
   json << "    ],\n";
   json << "    \"routing_comparison\": {\"shards\": 4, \"pool\": 25, "
-       << "\"affinity_hit_rate\": " << affinity_point.warm_hit_rate
-       << ", \"affinity_capacity_rps\": "
-       << bench::Value(affinity_point.capacity_rps)
-       << ", \"round_robin_hit_rate\": " << round_robin_point.warm_hit_rate
+       << "\"affinity_hit_rate\": " << affinity.points[0].run.warm_hit_rate
+       << ", \"affinity_capacity_rps\": " << bench::Value(affinity.capacity_rps)
+       << ", \"round_robin_hit_rate\": "
+       << round_robin.points[0].run.warm_hit_rate
        << ", \"round_robin_capacity_rps\": "
-       << bench::Value(round_robin_point.capacity_rps) << "}\n";
+       << bench::Value(round_robin.capacity_rps) << "}\n";
   json << "  }\n";
   json << "}\n";
   util::AtomicWriteFile(out_path, json.str());
   std::fputs(json.str().c_str(), stdout);
 
   if (check) {
-    // Shard gates: the tier's median capacity must grow with the shard
-    // count (cache multiplication, not CPU — so the bar is 1.3×, not N×),
-    // and fingerprint affinity must strictly beat round-robin on warm
-    // hits under identical traffic.
-    const bool shards_scale =
-        shard_series.back().capacity_rps.median >
-        1.3 * shard_series.front().capacity_rps.median;
-    const bool affinity_wins =
-        affinity_point.warm_hit_rate > round_robin_point.warm_hit_rate;
+    // Shard gates: the 8-shard tier must spend less CPU per request than
+    // the 1-shard tier by a margin of 1.3× between the intervals, not the
+    // medians (cache multiplication, not CPU — so the bar is 1.3×, not N×;
+    // wall-clock rps moved several-fold between identical runs on a shared
+    // host), and fingerprint affinity must strictly beat round-robin on
+    // warm hits under identical traffic.
+    const bool shards_scale = 1.3 * shard_series.back().cpu_us_per_req.p90 <
+                              shard_series.front().cpu_us_per_req.p10;
+    const bool affinity_wins = affinity.points[0].run.warm_hit_rate >
+                               round_robin.points[0].run.warm_hit_rate;
     const bool ok = decode_identical && speedup >= 5.0 && deterministic_pair &&
                     det_mismatches == 0 && shed_count > 0 &&
                     shed_exit_code == util::kExitRuntime && shards_scale &&

@@ -99,7 +99,8 @@ class RequestBatcher {
   /// resolve the future with the corresponding status — the future never
   /// carries an exception and is always fulfilled. `cls` feeds the
   /// two-tier shedder; callers that cannot classify pass the default
-  /// kWarm, which is only shed under ShedPolicy::kAll. `fingerprint`
+  /// kWarm, which the controller never sheds (a full queue still can).
+  /// `fingerprint`
   /// rides with the request to a FingerprintedHandler.
   std::future<SchedulingResponse> Submit(
       SchedulingRequest request, RequestClass cls = RequestClass::kWarm,

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -121,18 +120,14 @@ RequestPlan BuildPlan(const LoadgenOptions& options) {
 ///
 /// Accounting: one outcome per request, transport failure counted once
 /// per dead connection (its in-flight request is abandoned; siblings keep
-/// draining the plan), shed-retry re-sends the identical frame after the
-/// hinted backoff without resetting first_send, so a retried request pays
-/// its backoff in the client-observed latency.
+/// draining the plan).
 LoadgenReport RunPlan(const LoadgenOptions& options, const RequestPlan& plan) {
   using Clock = std::chrono::steady_clock;
 
   struct Pending {
     std::size_t index = 0;
     Clock::time_point intended{};
-    Clock::time_point first_send{};
-    std::size_t attempts = 0;
-    bool sent_once = false;
+    Clock::time_point sent{};
   };
   struct MuxConn {
     std::unique_ptr<Client> client;
@@ -150,8 +145,8 @@ LoadgenReport RunPlan(const LoadgenOptions& options, const RequestPlan& plan) {
   const bool open_loop = options.rate_per_sec > 0.0;
   const double interarrival = open_loop ? 1.0 / options.rate_per_sec : 0.0;
 
-  std::size_t ok = 0, shed = 0, timed_out = 0, errors = 0, retried = 0,
-              transport = 0, mismatches = 0;
+  std::size_t ok = 0, shed = 0, timed_out = 0, errors = 0, transport = 0,
+              mismatches = 0;
   std::size_t warm_ok = 0, cold_ok = 0, warm_shed = 0, cold_shed = 0;
   LatencyHistogram warm_latency, cold_latency;
   LatencyHistogram warm_corrected, cold_corrected;
@@ -200,7 +195,6 @@ LoadgenReport RunPlan(const LoadgenOptions& options, const RequestPlan& plan) {
   };
 
   std::deque<Pending> ready;
-  std::multimap<Clock::time_point, Pending> retries;
   std::size_t next_release = 0;
   std::size_t settled = 0;  ///< accounted (ok/shed/timeout/error) + abandoned
 
@@ -256,11 +250,8 @@ LoadgenReport RunPlan(const LoadgenOptions& options, const RequestPlan& plan) {
   const auto assign = [&](std::size_t idx, Pending pending) {
     MuxConn& conn = conns[idx];
     const auto now = Clock::now();
-    if (!pending.sent_once) {
-      pending.first_send = now;
-      pending.sent_once = true;
-      if (!open_loop) pending.intended = now;
-    }
+    pending.sent = now;
+    if (!open_loop) pending.intended = now;
     conn.current = pending;
     conn.busy = true;
     const double budget = conn.client->Options().io_timeout_seconds;
@@ -285,26 +276,13 @@ LoadgenReport RunPlan(const LoadgenOptions& options, const RequestPlan& plan) {
       ++settled;
       return;
     }
-    if (response.status == ResponseStatus::kShed && options.retry_on_shed &&
-        response.retry_after_ms > 0.0 &&
-        pending.attempts < options.max_shed_retries) {
-      ++retried;
-      Pending again = pending;
-      ++again.attempts;
-      retries.emplace(
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(
-                                 response.retry_after_ms * 1e-3)),
-          again);
-      return;  // not settled yet — the backoff clock is running
-    }
     const RequestPlan::Slot slot = plan.slots[pending.index];
     switch (response.status) {
       case ResponseStatus::kOk: {
         ++ok;
         const auto reply_at = Clock::now();
         const double seconds =
-            std::chrono::duration<double>(reply_at - pending.first_send)
+            std::chrono::duration<double>(reply_at - pending.sent)
                 .count();
         const double corrected =
             std::chrono::duration<double>(reply_at - pending.intended).count();
@@ -371,12 +349,7 @@ LoadgenReport RunPlan(const LoadgenOptions& options, const RequestPlan& plan) {
   while (settled < options.num_requests && live > 0) {
     const auto now = Clock::now();
 
-    // Stage 1: move everything due into the ready queue. Retries first —
-    // they were released before anything still waiting on the schedule.
-    while (!retries.empty() && retries.begin()->first <= now) {
-      ready.push_back(retries.begin()->second);
-      retries.erase(retries.begin());
-    }
+    // Stage 1: move everything due into the ready queue.
     if (open_loop) {
       while (next_release < options.num_requests &&
              due_at(next_release) <= now) {
@@ -425,7 +398,6 @@ LoadgenReport RunPlan(const LoadgenOptions& options, const RequestPlan& plan) {
     if (open_loop && next_release < options.num_requests) {
       clamp_to(due_at(next_release));
     }
-    if (!retries.empty()) clamp_to(retries.begin()->first);
     if (!ready.empty()) timeout_ms = 0;
 
     const int n_ready =
@@ -473,7 +445,6 @@ LoadgenReport RunPlan(const LoadgenOptions& options, const RequestPlan& plan) {
   report.shed = shed;
   report.timed_out = timed_out;
   report.errors = errors;
-  report.retried = retried;
   report.transport_failures = transport;
   report.determinism_mismatches = mismatches;
   report.sent = ok + shed + timed_out + errors;
@@ -510,7 +481,6 @@ std::string LoadgenReport::ToJson() const {
   out << "  \"shed\": " << shed << ",\n";
   out << "  \"timed_out\": " << timed_out << ",\n";
   out << "  \"errors\": " << errors << ",\n";
-  out << "  \"retried\": " << retried << ",\n";
   out << "  \"transport_failures\": " << transport_failures << ",\n";
   out << "  \"determinism_mismatches\": " << determinism_mismatches << ",\n";
   out.precision(6);

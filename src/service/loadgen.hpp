@@ -12,9 +12,10 @@
 // (intended-start) latency makes visible.
 //
 // `hot_fraction` carves the request stream into a warm tier (pool
-// replays, cache-hot) and a cold tier (unique scenarios, guaranteed
-// cache misses) so the two-tier shed policy is observable from the
-// client side: the report carries per-class ok/shed counts and p50/95/99.
+// replays, cache-hot) and a cold tier (scenarios sent once per call, so
+// cache misses within the call) so the controller's cold-only shedding
+// is observable from the client side: the report carries per-class
+// ok/shed counts and p50/95/99.
 //
 // Because requests use the pool index as their wire id, every OK response
 // for pool entry k must be byte-identical across the whole run and across
@@ -51,18 +52,14 @@ struct LoadgenOptions {
   double rate_per_sec = 0.0;
 
   /// Fraction of requests drawn from the warm pool (replayed round-robin,
-  /// cache-hot after the first pass). The rest are *unique* scenarios —
-  /// each sent exactly once, so every one misses the cache. The split is
+  /// cache-hot after the first pass). The rest are cold scenarios, each
+  /// sent exactly once per call, so within one call every one misses the
+  /// cache. They are a pure function of (seed, cold ordinal): a second
+  /// call with the same options resends the same colds, which a server
+  /// that still holds them answers from its cache. The split is
   /// deterministic in the request index (Bresenham spread), independent
   /// of which connection draws the request.
   double hot_fraction = 1.0;
-
-  /// When a SHED response carries a retry_after_ms hint, sleep the hint
-  /// and re-send the same frame (up to max_shed_retries times) instead of
-  /// abandoning the request — the polite-client behaviour the overload
-  /// controller's hint is designed for.
-  bool retry_on_shed = false;
-  std::size_t max_shed_retries = 3;
 
   /// > 0: every `drift_period` requests, one warm-pool entry (round
   /// robin) is replaced by a fresh scenario — a drifting working set, so
@@ -77,10 +74,6 @@ struct LoadgenReport {
   std::size_t shed = 0;
   std::size_t timed_out = 0;
   std::size_t errors = 0;
-  /// Re-sends after a SHED carrying a retry_after_ms hint (each request
-  /// still counts exactly once in ok/shed/timed_out/errors — this is the
-  /// extra wire traffic the backpressure cost).
-  std::size_t retried = 0;
   std::size_t transport_failures = 0;
   /// OK responses whose bytes differ from the first OK response for the
   /// same pool entry — must be zero for a deterministic server.

@@ -7,26 +7,6 @@
 
 namespace fadesched::service {
 
-const char* ShedPolicyName(ShedPolicy policy) {
-  switch (policy) {
-    case ShedPolicy::kNone:
-      return "none";
-    case ShedPolicy::kCold:
-      return "cold";
-    case ShedPolicy::kAll:
-      return "all";
-  }
-  return "?";
-}
-
-ShedPolicy ParseShedPolicy(const std::string& name) {
-  if (name == "none") return ShedPolicy::kNone;
-  if (name == "cold") return ShedPolicy::kCold;
-  if (name == "all") return ShedPolicy::kAll;
-  throw util::FatalError("unknown shed policy '" + name +
-                         "' (expected none|cold|all)");
-}
-
 // Each check is written so that NaN fails it: util::ParseDouble reads
 // "nan", and every ordered comparison with NaN is false.
 void OverloadOptions::Validate() const {
@@ -90,10 +70,7 @@ void OverloadController::ObserveQueueDelay(double seconds,
 AdmitDecision OverloadController::Admit(RequestClass cls,
                                         std::size_t queue_depth,
                                         Clock::time_point /*now*/) {
-  if (options_.queue_delay_target_ms <= 0.0 ||
-      options_.shed_policy == ShedPolicy::kNone) {
-    return {};
-  }
+  if (options_.queue_delay_target_ms <= 0.0) return {};
   std::lock_guard<std::mutex> lock(mutex_);
   if (queue_depth == 0) {
     // An empty queue cannot be overloaded, whatever the history says —
@@ -102,10 +79,7 @@ AdmitDecision OverloadController::Admit(RequestClass cls,
     ResetLocked();
     return {};
   }
-  if (!overloaded_) return {};
-  if (options_.shed_policy == ShedPolicy::kCold && cls == RequestClass::kWarm) {
-    return {};
-  }
+  if (!overloaded_ || cls == RequestClass::kWarm) return {};
   return {false, RetryAfterMsLocked()};
 }
 

@@ -8,13 +8,13 @@
 // above `queue_delay_target_ms` continuously for `interval_ms` — a burst
 // that drains inside one interval never sheds. While overloaded:
 //
-//   * two-tier shedding: requests classified kCold (their fingerprint is
+//   * cold-only shedding: requests classified kCold (their fingerprint is
 //     not in the scenario/response cache, so serving them costs a full
-//     engine build — ~100× a warm hit per BENCH_service.json) are shed
-//     first; kWarm requests are only shed under ShedPolicy::kAll. Every
-//     shed carries a `retry_after_ms` hint derived from the current
-//     queue-delay EWMA so clients back off proportionally to the actual
-//     congestion instead of a blind ladder.
+//     engine build — tens of times a warm hit per BENCH_service.json) are
+//     shed; kWarm requests are always admitted. Every shed carries a
+//     `retry_after_ms` hint derived from the current queue-delay EWMA so
+//     clients back off proportionally to the actual congestion instead
+//     of a blind ladder.
 //
 // An empty queue resets everything: overload state is a statement about
 // the queue, and a drained queue has none. All decisions are pure
@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstddef>
 #include <mutex>
-#include <string>
 
 #include "service/metrics.hpp"
 
@@ -34,15 +33,6 @@ namespace fadesched::service {
 /// Admission class of a request: kWarm = its fingerprint is already
 /// cached (cheap to serve), kCold = it will need a full engine build.
 enum class RequestClass { kWarm, kCold };
-
-/// Who gets shed while overloaded. kNone disables adaptive shedding
-/// (the hard queue cap still applies), kCold sheds cold-fingerprint
-/// requests only, kAll sheds everything.
-enum class ShedPolicy { kNone, kCold, kAll };
-
-/// Stable names ("none" | "cold" | "all"); parse throws on unknown.
-const char* ShedPolicyName(ShedPolicy policy);
-ShedPolicy ParseShedPolicy(const std::string& name);
 
 struct OverloadOptions {
   /// CoDel target: the queue delay the controller defends. 0 disables
@@ -56,8 +46,6 @@ struct OverloadOptions {
   /// Shed hints: retry_after = clamp(2 × EWMA, min, max).
   double retry_after_min_ms = 10.0;
   double retry_after_max_ms = 250.0;
-
-  ShedPolicy shed_policy = ShedPolicy::kCold;
 
   /// Throws util::FatalError on a negative target, a non-positive
   /// interval, alpha outside (0, 1], or retry-after bounds not ordered

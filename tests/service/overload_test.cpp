@@ -73,22 +73,6 @@ TEST(OverloadControllerTest, ColdPolicyStillAdmitsWarm) {
   EXPECT_FALSE(ctl.Admit(RequestClass::kCold, 4, end).admit);
 }
 
-TEST(OverloadControllerTest, AllPolicyShedsWarmToo) {
-  OverloadOptions options = FastOptions();
-  options.shed_policy = ShedPolicy::kAll;
-  OverloadController ctl(options);
-  const auto end = Feed(ctl, 20.0, 5, T0());
-  EXPECT_FALSE(ctl.Admit(RequestClass::kWarm, 4, end).admit);
-}
-
-TEST(OverloadControllerTest, NonePolicyNeverSheds) {
-  OverloadOptions options = FastOptions();
-  options.shed_policy = ShedPolicy::kNone;
-  OverloadController ctl(options);
-  const auto end = Feed(ctl, 20.0, 10, T0());
-  EXPECT_TRUE(ctl.Admit(RequestClass::kCold, 100, end).admit);
-}
-
 TEST(OverloadControllerTest, BelowTargetSampleClearsOverload) {
   OverloadController ctl(FastOptions());
   auto now = Feed(ctl, 20.0, 5, T0());
@@ -177,14 +161,6 @@ TEST(OverloadOptionsTest, ValidateRejectsBadConfigs) {
     bad.*field = nan;
     EXPECT_THROW(bad.Validate(), util::HarnessError);
   }
-}
-
-TEST(ShedPolicyTest, NamesRoundTrip) {
-  EXPECT_EQ(ParseShedPolicy("none"), ShedPolicy::kNone);
-  EXPECT_EQ(ParseShedPolicy("cold"), ShedPolicy::kCold);
-  EXPECT_EQ(ParseShedPolicy("all"), ShedPolicy::kAll);
-  EXPECT_STREQ(ShedPolicyName(ShedPolicy::kCold), "cold");
-  EXPECT_THROW(ParseShedPolicy("warm"), util::HarnessError);
 }
 
 }  // namespace

@@ -731,7 +731,6 @@ int RunQueueSim(int argc, char** argv) {
 struct OverloadFlags {
   double* target_ms = nullptr;
   double* interval_ms = nullptr;
-  std::string* shed_policy = nullptr;
 };
 
 OverloadFlags AddOverloadFlags(util::CliParser& cli) {
@@ -742,11 +741,8 @@ OverloadFlags AddOverloadFlags(util::CliParser& cli) {
       "adaptively (0 = disable the overload controller)");
   flags.interval_ms = &cli.AddDouble(
       "overload-interval-ms", 100.0,
-      "delay must stay above target this long before shedding starts");
-  flags.shed_policy = &cli.AddString(
-      "shed-policy", "cold",
-      "who gets shed under overload: none | cold (cold-fingerprint "
-      "requests first) | all");
+      "delay must stay above target this long before cold requests are "
+      "shed");
   return flags;
 }
 
@@ -754,7 +750,6 @@ service::OverloadOptions MakeOverloadOptions(const OverloadFlags& flags) {
   service::OverloadOptions overload;
   overload.queue_delay_target_ms = *flags.target_ms;
   overload.interval_ms = *flags.interval_ms;
-  overload.shed_policy = service::ParseShedPolicy(*flags.shed_policy);
   overload.Validate();
   return overload;
 }
@@ -928,13 +923,9 @@ int RunLoadgen(int argc, char** argv) {
       "rate", 0.0, "open-loop offered load (req/s); 0 = closed loop");
   auto& hot_fraction = cli.AddDouble(
       "hot-fraction", 1.0,
-      "fraction of requests replaying the warm pool; the rest are unique "
-      "cold scenarios (guaranteed cache misses)");
-  auto& retry_on_shed = cli.AddBool(
-      "retry-on-shed", false,
-      "sleep the server's retry_after_ms hint and re-send shed requests");
-  auto& max_shed_retries = cli.AddInt(
-      "max-shed-retries", 3, "re-send budget per request");
+      "fraction of requests replaying the warm pool; the rest are "
+      "scenarios sent once per run (cache misses unless an earlier run "
+      "with the same seed sent them)");
   auto& drift = cli.AddInt(
       "drift", 0,
       "every N requests, replace one warm-pool entry with a fresh "
@@ -956,8 +947,6 @@ int RunLoadgen(int argc, char** argv) {
   options.deadline_seconds = deadline;
   options.rate_per_sec = rate;
   options.hot_fraction = hot_fraction;
-  options.retry_on_shed = retry_on_shed;
-  options.max_shed_retries = static_cast<std::size_t>(max_shed_retries);
   options.drift_period = static_cast<std::size_t>(drift);
 
   const service::LoadgenReport report = service::RunLoadgen(options);
