@@ -4,7 +4,8 @@
 // admission-control shedding under overload. Emits BENCH_service.json.
 //
 // With --check the exit code gates the serving claims:
-//   * a decoded frame's scenario is bit-identical to the one formatted,
+//   * a carved frame is the formatted frame without END byte for byte,
+//     a decoded frame's scenario is bit-identical to the one formatted,
 //     and every timed raw hit is served with no full check= pass (decode
 //     timings are reported, never gated),
 //   * warm (cached) serving ≥ 5× faster than cold at N = 2000 links,
@@ -16,10 +17,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <initializer_list>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -39,6 +43,7 @@
 #include "service/request.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
+#include "service/shard/frame_scanner.hpp"
 #include "service/shard/shard_server.hpp"
 #include "testing/corpus.hpp"
 #include "util/atomic_io.hpp"
@@ -71,25 +76,70 @@ service::SchedulingRequest MakeRequest(const testing::ScenarioCase& scenario,
   return request;
 }
 
-// One size of the decode block: ParseRequestFrame on a whole frame (END
-// stripped, as the front-ends hand it over) against Fnv1a64 alone over
-// the same bytes, the check= floor a parse cannot go below, and a raw-level
+// One size of the decode block: the connection's carve (the frame
+// received into the scanner's window and its END found), then
+// ParseRequestFrame on the carved frame against Fnv1a64 alone over the
+// same bytes, the check= floor a parse cannot go below, and a raw-level
 // hit (SubmitFrame repeating a frame whose payload is resident and whose
 // check= the entry has verified), which skips both.
 struct DecodePoint {
   std::size_t links = 0;
   std::size_t frame_bytes = 0;
+  bench::Spread carve_us;
   bench::Spread parse_us;
   bench::Spread fnv_us;
   bench::Spread raw_hit_us;
   bool bit_identical = false;
+  /// Every timed frame came in one window and carved to the formatted
+  /// frame without END (its size each time, its bytes the last time).
+  bool carve_identical = false;
   /// Every timed raw hit was served OK, as a raw hit, with no full pass.
   bool raw_hit_verified = false;
 };
 
-// Raw hits timed per rep: one call is a few µs, below a single
-// Stopwatch sample's useful resolution.
-constexpr int kRawHitsPerRep = 64;
+// Carves and raw hits timed per rep: one call is a few µs, below a
+// single Stopwatch sample's useful resolution.
+constexpr int kCallsPerRep = 64;
+
+// One frame received and carved as plain `serve` does it: a memcpy into
+// the scanner's receive window stands in for recv, then Carve finds END.
+// After one untimed frame the window holds a whole frame at either size.
+bench::Spread MeasureCarve(const std::string& wire, std::string_view body,
+                           int reps, bool* identical) {
+  const std::size_t cap = service::ServerOptions{}.max_frame_bytes;
+  service::shard::FrameScanner scanner;
+  std::size_t windows = 0;
+  std::size_t frames = 0;
+  std::string_view last;
+  const auto receive_one = [&] {
+    for (std::size_t at = 0; at < wire.size();) {
+      const std::span<char> window = scanner.ReceiveWindow(cap);
+      const std::size_t size = std::min(window.size(), wire.size() - at);
+      std::memcpy(window.data(), wire.data() + at, size);
+      scanner.Received(size);
+      at += size;
+      ++windows;
+      while (const auto event = scanner.Carve()) {
+        frames += event->frame.size() == body.size();
+        last = event->frame;
+      }
+    }
+  };
+  receive_one();
+  windows = frames = 0;
+  std::vector<double> samples;
+  for (int r = 0; r < reps; ++r) {
+    util::Stopwatch timer;
+    for (int i = 0; i < kCallsPerRep; ++i) receive_one();
+    samples.push_back(timer.Seconds() * 1e6 / kCallsPerRep);
+  }
+  // Every timed frame came in one window and carved to its body's size;
+  // the last one's bytes are compared (the view lives until a receive).
+  const std::size_t calls = static_cast<std::size_t>(reps) * kCallsPerRep;
+  *identical = windows == calls && frames == calls && last == body &&
+               !scanner.MidFrame();
+  return bench::SpreadOf(std::move(samples));
+}
 
 // SubmitFrame of one frame whose payload is resident, repeated as
 // perfbench and loadgen repeat theirs: after one warm-up call, whose full
@@ -110,15 +160,15 @@ bench::Spread MeasureRawHit(const service::SchedulingRequest& request,
   std::vector<double> samples;
   for (int r = 0; r < reps; ++r) {
     util::Stopwatch timer;
-    for (int i = 0; i < kRawHitsPerRep; ++i) {
+    for (int i = 0; i < kCallsPerRep; ++i) {
       ok = svc.SubmitFrame(frame).get().Ok() && ok;
     }
-    samples.push_back(timer.Seconds() * 1e6 / kRawHitsPerRep);
+    samples.push_back(timer.Seconds() * 1e6 / kCallsPerRep);
   }
   const service::ServiceMetrics& m = svc.Metrics();
   *verified = ok && m.raw_check_passes.load() == 1 &&
               m.raw_hits.load() ==
-                  1 + static_cast<std::uint64_t>(reps) * kRawHitsPerRep;
+                  1 + static_cast<std::uint64_t>(reps) * kCallsPerRep;
   return bench::SpreadOf(std::move(samples));
 }
 
@@ -127,9 +177,10 @@ DecodePoint MeasureDecode(std::size_t n, int reps) {
   point.links = n;
   const service::SchedulingRequest request =
       MakeRequest(MakeCase(n, 20261018), "rle", "decode");
-  std::string frame = service::FormatRequestFrame(request);
-  frame.resize(frame.size() - 4);  // the END line
+  const std::string wire = service::FormatRequestFrame(request);
+  const std::string frame = wire.substr(0, wire.size() - 4);  // no END line
   point.frame_bytes = frame.size();
+  point.carve_us = MeasureCarve(wire, frame, reps, &point.carve_identical);
   // The canonical blob holds every double raw, so equal blobs mean a
   // bit-identical scenario.
   point.bit_identical =
@@ -426,10 +477,10 @@ int main(int argc, char** argv) {
       "shard-requests", 600, "measured requests per shard-scaling point");
   auto& out_path = cli.AddString("out", "BENCH_service.json", "JSON output");
   auto& check = cli.AddBool(
-      "check", false, "exit 1 unless decoded frames are bit-identical, "
-      "repeated raw hits skip the check= pass, speedup >= 5, zero "
-      "divergence, the overloaded queue shed, sharding cuts CPU per "
-      "request, and affinity beats round-robin on warm hits");
+      "check", false, "exit 1 unless carved and decoded frames are "
+      "bit-identical, repeated raw hits skip the check= pass, speedup >= "
+      "5, zero divergence, the overloaded queue shed, sharding cuts CPU "
+      "per request, and affinity beats round-robin on warm hits");
   if (!cli.Parse(argc, argv)) return cli.UsageExitCode();
 
   // --- 0. Decode against the FNV floor, on a quiet process ----------------
@@ -441,7 +492,8 @@ int main(int argc, char** argv) {
   const bool decode_identical =
       std::all_of(decode.begin(), decode.end(),
                   [](const DecodePoint& point) {
-                    return point.bit_identical && point.raw_hit_verified;
+                    return point.bit_identical && point.carve_identical &&
+                           point.raw_hit_verified;
                   });
 
   // --- 1. Cold vs warm at N = n_links -------------------------------------
@@ -661,6 +713,7 @@ int main(int argc, char** argv) {
     const DecodePoint& point = decode[i];
     json << "    {\"links\": " << point.links
          << ", \"frame_bytes\": " << point.frame_bytes
+         << ", \"carve_us\": " << bench::Value(point.carve_us)
          << ", \"parse_request_frame_us\": " << bench::Value(point.parse_us)
          << ", \"fnv1a64_us\": " << bench::Value(point.fnv_us)
          << ", \"raw_hit_us\": " << bench::Value(point.raw_hit_us)
@@ -668,6 +721,8 @@ int main(int argc, char** argv) {
          << bench::Value(point.parse_us.median / point.fnv_us.median)
          << ", \"bit_identical\": "
          << (point.bit_identical ? "true" : "false")
+         << ", \"carve_identical\": "
+         << (point.carve_identical ? "true" : "false")
          << ", \"raw_hit_verified\": "
          << (point.raw_hit_verified ? "true" : "false") << "}"
          << (i + 1 < decode.size() ? "," : "") << "\n";

@@ -320,9 +320,14 @@ namespace {
 // with msg=, which runs to end of line. The checksum covers the line
 // with the sum token removed, so verification is splice-inverse.
 std::string SpliceChecksum(const std::string& body) {
+  constexpr std::string_view kSum = " sum=";
+  const std::string hash = FormatHash(Fnv1a64(body));
   const std::size_t space = body.find(' ');
-  return body.substr(0, space) + " sum=" + FormatHash(Fnv1a64(body)) +
-         body.substr(space);
+  std::string line;
+  // One allocation, with room for the '\n' the front-ends append.
+  line.reserve(body.size() + kSum.size() + hash.size() + 1);
+  line.append(body, 0, space).append(kSum).append(hash).append(body, space);
+  return line;
 }
 
 // Returns the line with a leading sum token stripped, after verifying it.

@@ -11,6 +11,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "service/protocol.hpp"
@@ -177,7 +179,7 @@ void Server::Serve() {
 void Server::HandleConnection(int fd) {
   ServiceMetrics& metrics = service_->Metrics();
   shard::FrameScanner scanner;
-  char chunk[16384];
+  std::string reply;
   bool peer_closed = false;
 
   // Best-effort typed connection-level error (no request header was
@@ -208,35 +210,37 @@ void Server::HandleConnection(int fd) {
       }
       continue;
     }
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    // Straight into the scanner's buffer, clipped at the frame cap.
+    const std::span<char> window =
+        scanner.ReceiveWindow(options_.max_frame_bytes);
+    const ssize_t n = ::recv(fd, window.data(), window.size(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
     }
     peer_closed = n == 0;
-    scanner.Feed(chunk, static_cast<std::size_t>(n));  // nothing at EOF
+    scanner.Received(static_cast<std::size_t>(n));  // nothing at EOF
 
-    for (const shard::ScanEvent& event : scanner.Drain()) {
-      if (event.kind == shard::ScanEvent::Kind::kStats) {
+    while (const std::optional<shard::CarvedFrame> event = scanner.Carve()) {
+      if (event->kind == shard::CarvedFrame::Kind::kStats) {
         // Metrics query, valid only between frames — inside a frame the
         // same bytes are scenario payload.
-        if (!WriteAll(fd, FormatStatsLine(CaptureStats(metrics)) + "\n")) {
-          peer_closed = true;
-          break;
-        }
-        continue;
+        reply = FormatStatsLine(CaptureStats(metrics));
+      } else {
+        // The view stays valid through the call: nothing is received
+        // before the reply is written.
+        reply = FormatResponseLine(service_->SubmitFrame(event->frame).get());
       }
-
-      if (!WriteAll(fd, FormatResponseLine(
-                            service_->SubmitFrame(event.frame).get()) +
-                            "\n")) {
+      reply += '\n';
+      if (!WriteAll(fd, reply)) {
         peer_closed = true;
         break;
       }
     }
 
-    // Max-frame guard (checked once per recv, so the effective cap has
-    // one chunk of slack): reject instead of buffering unboundedly.
+    // Max-frame guard: the window clip lets at most one byte past the
+    // cap in, so a frame is rejected at exactly max_frame_bytes + 1
+    // pending bytes instead of being buffered without bound.
     if (!peer_closed) {
       if (const auto oversized = scanner.Oversized(options_.max_frame_bytes)) {
         metrics.oversized_frames.fetch_add(1, std::memory_order_relaxed);

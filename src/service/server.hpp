@@ -38,11 +38,11 @@ struct ServerOptions {
   /// Connection guards (the chaos layer's server-side defenses). A frame
   /// accumulating beyond `max_frame_bytes` — including a single line that
   /// long — is answered with a typed protocol error and the connection is
-  /// closed; without the cap a hostile or corrupted peer could buffer
-  /// unboundedly. A connection that has started a frame but delivers no
-  /// byte for `read_deadline_seconds` (slow-loris) is evicted the same
-  /// way; 0 disables the deadline. Idle connections *between* frames are
-  /// never evicted — keepalive is legitimate.
+  /// closed; receives are clipped so that no connection buffers more than
+  /// `max_frame_bytes + 1` bytes. A connection that has started a frame
+  /// but delivers no byte for `read_deadline_seconds` (slow-loris) is
+  /// evicted the same way; 0 disables the deadline. Idle connections
+  /// *between* frames are never evicted — keepalive is legitimate.
   std::size_t max_frame_bytes = 1 << 20;
   double read_deadline_seconds = 30.0;
 

@@ -38,19 +38,24 @@ std::uint64_t GetU64(const char* p) {
 
 }  // namespace
 
-void AppendPipeMsg(std::string& out, const PipeMsg& msg) {
-  if (msg.payload.size() > kMaxPipePayloadBytes) {
+void AppendPipeMsg(std::string& out, PipeMsgKind kind, std::uint64_t ticket,
+                   std::string_view payload) {
+  if (payload.size() > kMaxPipePayloadBytes) {
     throw util::FatalError("pipe payload of " +
-                           std::to_string(msg.payload.size()) +
+                           std::to_string(payload.size()) +
                            " bytes exceeds the " +
                            std::to_string(kMaxPipePayloadBytes) + " cap");
   }
-  out.reserve(out.size() + kPipeHeaderBytes + msg.payload.size());
+  out.reserve(out.size() + kPipeHeaderBytes + payload.size());
   PutU32(out, kPipeMagic);
-  PutU32(out, static_cast<std::uint32_t>(msg.kind));
-  PutU64(out, msg.ticket);
-  PutU32(out, static_cast<std::uint32_t>(msg.payload.size()));
-  out += msg.payload;
+  PutU32(out, static_cast<std::uint32_t>(kind));
+  PutU64(out, ticket);
+  PutU32(out, static_cast<std::uint32_t>(payload.size()));
+  out += payload;
+}
+
+void AppendPipeMsg(std::string& out, const PipeMsg& msg) {
+  AppendPipeMsg(out, msg.kind, msg.ticket, msg.payload);
 }
 
 void PipeDecoder::Feed(const char* data, std::size_t size) {

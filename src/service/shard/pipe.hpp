@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace fadesched::service::shard {
 
@@ -49,6 +50,11 @@ inline constexpr std::size_t kPipeHeaderBytes = 20;
 /// far below anything a healthy worker emits, so a torn/garbage header
 /// trips it immediately.
 inline constexpr std::uint32_t kMaxPipePayloadBytes = 16u << 20;
+
+/// Serializes a message onto the end of `out` (header + payload), with
+/// no copy of the payload on the way.
+void AppendPipeMsg(std::string& out, PipeMsgKind kind, std::uint64_t ticket,
+                   std::string_view payload);
 
 /// Serializes `msg` onto the end of `out` (header + payload).
 void AppendPipeMsg(std::string& out, const PipeMsg& msg);

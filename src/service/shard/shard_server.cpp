@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "service/shard/shard_worker.hpp"
@@ -245,7 +247,7 @@ std::string ShardServer::SlotAnnotation(std::size_t slot) const {
   return out;
 }
 
-std::size_t ShardServer::PickShard(const std::string& frame) {
+std::size_t ShardServer::PickShard(std::string_view frame) {
   if (options_.routing == RoutingMode::kAffinity) {
     return ring_.ShardFor(RoutingKey(frame));
   }
@@ -369,7 +371,7 @@ void ShardServer::FlushShard(std::size_t slot_index) {
                       !slot.out.empty());
 }
 
-void ShardServer::RouteFrame(Conn& conn, std::string frame) {
+void ShardServer::RouteFrame(Conn& conn, std::string_view frame) {
   const std::uint64_t ticket_id = next_ticket_id_++;
   Ticket ticket;
   ticket.conn_id = conn.id;
@@ -388,11 +390,7 @@ void ShardServer::RouteFrame(Conn& conn, std::string frame) {
                    " backpressure: pipe buffer full — retry");
     return;
   }
-  PipeMsg msg;
-  msg.kind = PipeMsgKind::kRequest;
-  msg.ticket = ticket_id;
-  msg.payload = std::move(frame);
-  AppendPipeMsg(slot.out, msg);
+  AppendPipeMsg(slot.out, PipeMsgKind::kRequest, ticket_id, frame);
   slot.in_flight.insert(ticket_id);
   FlushShard(slot_index);
 }
@@ -423,10 +421,8 @@ void ShardServer::RouteStats(Conn& conn) {
     return;
   }
   for (const std::size_t slot_index : targets) {
-    PipeMsg msg;
-    msg.kind = PipeMsgKind::kStatsQuery;
-    msg.ticket = ticket_id;
-    AppendPipeMsg(slots_[slot_index].out, msg);
+    AppendPipeMsg(slots_[slot_index].out, PipeMsgKind::kStatsQuery, ticket_id,
+                  {});
     slots_[slot_index].in_flight.insert(ticket_id);
     FlushShard(slot_index);
   }
@@ -466,9 +462,13 @@ void ShardServer::HandleConnReadable(std::uint64_t conn_id) {
   // readable edge then (EPOLLOUT's, say) must not report EOF again.
   if (conn.evict || conn.peer_closed) return;
 
-  char chunk[16384];
+  // Edge-triggered: read until EAGAIN, carving after each receive so the
+  // window's clip at the frame cap counts only the pending frame, and
+  // complete frames pipelined behind it never stall the connection.
   for (;;) {
-    const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
+    const std::span<char> window =
+        conn.scanner.ReceiveWindow(options_.server.max_frame_bytes);
+    const ssize_t n = ::recv(conn.fd, window.data(), window.size(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -479,24 +479,26 @@ void ShardServer::HandleConnReadable(std::uint64_t conn_id) {
       conn.peer_closed = true;
       break;
     }
-    conn.scanner.Feed(chunk, static_cast<std::size_t>(n));
-  }
-
-  for (ScanEvent& event : conn.scanner.Drain()) {
-    if (event.kind == ScanEvent::Kind::kStats) {
-      RouteStats(conn);
-    } else {
-      RouteFrame(conn, std::move(event.frame));
+    conn.scanner.Received(static_cast<std::size_t>(n));
+    while (const std::optional<CarvedFrame> event = conn.scanner.Carve()) {
+      if (event->kind == CarvedFrame::Kind::kStats) {
+        RouteStats(conn);
+      } else {
+        RouteFrame(conn, event->frame);
+      }
+    }
+    // Max-frame guard, the thread-per-connection server's contract:
+    // reject at max_frame_bytes + 1 pending bytes instead of buffering
+    // without bound. Its error is the connection's last.
+    if (const auto oversized =
+            conn.scanner.Oversized(options_.server.max_frame_bytes)) {
+      SyntheticError(conn, util::ErrorKind::kFatal, *oversized);
+      conn.evict = true;
+      break;
     }
   }
 
-  // Max-frame guard, the thread-per-connection server's contract: reject
-  // instead of buffering unboundedly. Its error is the connection's last.
-  if (const auto oversized =
-          conn.scanner.Oversized(options_.server.max_frame_bytes)) {
-    SyntheticError(conn, util::ErrorKind::kFatal, *oversized);
-    conn.evict = true;
-  } else if (conn.peer_closed) {
+  if (conn.peer_closed && !conn.evict) {
     if (const auto truncated = conn.scanner.TruncatedAtEof()) {
       // EOF mid-frame: best-effort truncation error before the close
       // (the peer may keep its read side open after shutdown(SHUT_WR)).

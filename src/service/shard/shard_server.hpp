@@ -7,9 +7,10 @@
 // One loop, three duties, no threads:
 //
 //   * network: edge-triggered accept/read/write on the listener, every
-//     client connection, and every worker socketpair. Per-connection
-//     FrameScanners carve frames out of byte chunks; completed frames
-//     become tickets routed by fingerprint over the HashRing; worker
+//     client connection, and every worker socketpair. Each connection
+//     receives into its FrameScanner, which carves frames in place; each
+//     frame's bytes go straight into a ticket's pipe message, routed by
+//     fingerprint over the HashRing; worker
 //     responses re-sequence through a per-connection FIFO so each client
 //     sees its replies in request order even when shards complete out of
 //     order.
@@ -35,6 +36,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -150,7 +152,7 @@ class ShardServer {
   void HandleTick();
 
   // Routing and ticket plumbing.
-  void RouteFrame(Conn& conn, std::string frame);
+  void RouteFrame(Conn& conn, std::string_view frame);
   void RouteStats(Conn& conn);
   void FailTicket(std::uint64_t ticket_id, const std::string& message);
   void SyntheticError(Conn& conn, util::ErrorKind kind,
@@ -160,7 +162,7 @@ class ShardServer {
   void FlushConn(Conn& conn);
   void CloseConn(std::uint64_t conn_id);
   void FlushShard(std::size_t slot);
-  [[nodiscard]] std::size_t PickShard(const std::string& frame);
+  [[nodiscard]] std::size_t PickShard(std::string_view frame);
 
   // Supervision hooks (run on this loop via Supervisor::Step()).
   void OnPrepareSpawn(std::size_t slot);

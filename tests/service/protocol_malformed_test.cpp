@@ -173,6 +173,10 @@ TEST_P(MalformedFrameTest, OversizedFrameIsRejectedNamingTheCap) {
   EXPECT_EQ(err.error_kind, util::ErrorKind::kFatal);
   EXPECT_NE(err.message.find("max_frame_bytes=4096"), std::string::npos)
       << err.message;
+  // Receives are clipped at the cap, so neither front-end buffers more
+  // than one byte past it, however much the socket holds.
+  EXPECT_NE(err.message.find("(4097 bytes buffered)"), std::string::npos)
+      << err.message;
   if (ServiceMetrics* metrics = Metrics()) {
     EXPECT_EQ(metrics->oversized_frames.load(), 1u);
   }

@@ -8,14 +8,26 @@
 //   * CRLF wire carves to the same bytes as LF wire;
 //   * STATS is a verb only BETWEEN frames — inside a frame it's payload;
 //   * the connection guards' texts are the front-ends' error messages;
+//   * the one-pass END search carves exactly what the per-line walk it
+//     replaced carved (a reference copy below), and a receive window
+//     never lets more than max_frame_bytes + 1 bytes pend;
 //   * the routing key depends on (scenario payload, scheduler) and
 //     nothing else, so repeats of a scenario land on the same shard no
 //     matter what id= or check= their headers carry, and it is the key
 //     the worker's raw cache level probes with.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <optional>
+#include <random>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "service/protocol.hpp"
@@ -172,6 +184,309 @@ TEST(FrameScannerTest, TruncatedAtEofCountsCompleteLines) {
   EXPECT_EQ(partial.TruncatedAtEof(), TruncatedFrameMessage(0));
   EXPECT_NE(TruncatedFrameMessage(0).find("after 0 line(s)"),
             std::string::npos);
+}
+
+// The per-line carve the one-pass search replaced, kept as the
+// reference: one memchr per line, every line closed up behind a stripped
+// '\r', a line count kept for the guards, and the carved prefix erased
+// at the end of each drain.
+class PerLineScanner {
+ public:
+  void Feed(const char* data, std::size_t size) { buffer_.append(data, size); }
+
+  std::vector<ScanEvent> Drain() {
+    std::vector<ScanEvent> events;
+    char* const base = buffer_.data();
+    std::size_t frame = 0;
+    std::size_t line = frame_end_;
+    while (const void* newline = std::memchr(base + scanned_, '\n',
+                                             buffer_.size() - scanned_)) {
+      const std::size_t end = static_cast<const char*>(newline) - base;
+      const std::size_t length =
+          end - line - (end > line && base[end - 1] == '\r');
+      const std::string_view text(base + line, length);
+      line = scanned_ = end + 1;
+      const bool stats = lines_ == 0 && text == kStatsVerb;
+      if (stats || text == kFrameEnd) {
+        events.push_back(
+            {stats ? ScanEvent::Kind::kStats : ScanEvent::Kind::kFrame,
+             std::string(base + frame, frame_end_ - frame)});
+        frame = frame_end_ = line;
+        lines_ = 0;
+        continue;
+      }
+      if (text.data() != base + frame_end_) {
+        std::memmove(base + frame_end_, text.data(), length);
+      }
+      base[frame_end_ + length] = '\n';
+      frame_end_ += length + 1;
+      ++lines_;
+    }
+    buffer_.erase(frame_end_, line - frame_end_);
+    buffer_.erase(0, frame);
+    frame_end_ -= frame;
+    scanned_ = buffer_.size();
+    return events;
+  }
+
+  /// The three guard texts, in the scanner's wording, for `cap` and a
+  /// deadline long past.
+  std::vector<std::string> Guards(std::size_t cap) const {
+    if (buffer_.empty()) return {"-", "-", "-"};
+    return {buffer_.size() <= cap
+                ? "-"
+                : "request frame line " + std::to_string(lines_ + 1) +
+                      ": frame exceeds max_frame_bytes=" +
+                      std::to_string(cap) + " (" +
+                      std::to_string(buffer_.size()) +
+                      " bytes buffered) — rejected, connection closed",
+            "read deadline: frame stalled after " + std::to_string(lines_) +
+                " line(s) with no byte for " + std::to_string(0.5) +
+                " s — connection evicted",
+            TruncatedFrameMessage(lines_)};
+  }
+
+ private:
+  std::string buffer_;
+  std::size_t frame_end_ = 0;
+  std::size_t scanned_ = 0;
+  std::size_t lines_ = 0;
+};
+
+std::vector<std::string> Guards(const FrameScanner& scanner, std::size_t cap) {
+  return {scanner.Oversized(cap).value_or("-"),
+          scanner.Stalled(0.5, FrameScanner::Clock::now() +
+                                   std::chrono::hours(1))
+              .value_or("-"),
+          scanner.TruncatedAtEof().value_or("-")};
+}
+
+std::string Describe(const std::vector<ScanEvent>& events) {
+  std::string out;
+  for (const ScanEvent& event : events) {
+    out += event.kind == ScanEvent::Kind::kStats ? "[STATS]" : "[frame]";
+    out += event.frame;
+  }
+  return out;
+}
+
+/// Carves `wire` cut at `cuts` on both scanners and requires the same
+/// events and guard texts after every window. The scanner under test
+/// receives every other piece through ReceiveWindow (the front-ends'
+/// path) and the rest through Feed.
+void ExpectSameCarve(const std::string& wire, std::vector<std::size_t> cuts,
+                     std::size_t cap) {
+  cuts.push_back(wire.size());
+  PerLineScanner reference;
+  FrameScanner scanner;
+  std::size_t at = 0;
+  for (const std::size_t cut : cuts) {
+    const std::size_t size = cut - at;
+    const std::span<char> window = scanner.ReceiveWindow(SIZE_MAX);
+    if (cut % 2 == 0 && size <= window.size()) {
+      std::memcpy(window.data(), wire.data() + at, size);
+      scanner.Received(size);
+    } else {
+      scanner.Feed(wire.data() + at, size);
+    }
+    reference.Feed(wire.data() + at, size);
+    const std::vector<ScanEvent> got = scanner.Drain();
+    const std::vector<ScanEvent> want = reference.Drain();
+    ASSERT_EQ(Describe(got), Describe(want))
+        << "window ending at byte " << cut << " of:\n" << wire;
+    ASSERT_EQ(Guards(scanner, cap), reference.Guards(cap))
+        << "window ending at byte " << cut << " of:\n" << wire;
+    at = cut;
+  }
+}
+
+// Lines chosen to sit next to the search's edges: the terminator's
+// prefixes and near-misses, the STATS verb, upper-case words, a lone
+// '\r' mid-line, and a line of nothing but '\r'.
+constexpr const char* kLines[] = {
+    "1.25,-3.5e-07,7,0.5",
+    "REQUEST id=a scheduler=rle check=0123456789abcdef",
+    "# description: the END of the road",
+    "END",
+    "ENDX",
+    "XEND",
+    "NaN",
+    "STATS",
+    "E",
+    "EN",
+    "",
+    "a\rb",
+    "\r",
+    "links:",
+    "EXTRA,ROW",
+};
+
+/// A seeded stream: frames (some empty), STATS verbs between them, and
+/// sometimes a trailing partial frame. Each line ends in LF, CRLF, or
+/// either at random, per the stream's style. Half the streams then have
+/// a few bytes overwritten, as a corrupting wire would, often with a
+/// byte the carve looks for.
+std::string RandomStream(std::mt19937_64& rng) {
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const std::size_t style = pick(3);  // 0 LF, 1 CRLF, 2 mixed
+  const auto eol = [&] {
+    return style == 1 || (style == 2 && pick(2) == 0) ? "\r\n" : "\n";
+  };
+  std::string wire;
+  const std::size_t events = 1 + pick(5);
+  for (std::size_t e = 0; e < events; ++e) {
+    if (pick(4) == 0) {
+      wire += std::string(kStatsVerb) + eol();
+      continue;
+    }
+    const std::size_t lines = pick(6);
+    for (std::size_t l = 0; l < lines; ++l) {
+      wire += kLines[pick(std::size(kLines))];
+      wire += eol();
+    }
+    wire += std::string(kFrameEnd) + eol();
+  }
+  if (pick(2) == 0) {
+    const std::size_t partial = pick(4);
+    for (std::size_t l = 0; l < partial; ++l) {
+      wire += kLines[pick(std::size(kLines))];
+      wire += eol();
+    }
+    wire += std::string(kLines[pick(std::size(kLines))]).substr(0, pick(4));
+  }
+  if (!wire.empty() && pick(2) == 0) {
+    constexpr std::string_view kSearched = "\r\nEND";
+    for (std::size_t flips = 1 + pick(3); flips > 0; --flips) {
+      wire[pick(wire.size())] = pick(2) == 0
+                                    ? kSearched[pick(kSearched.size())]
+                                    : static_cast<char>(pick(256));
+    }
+  }
+  return wire;
+}
+
+TEST(FrameScannerCarveDifferentialTest, HandPickedWiresAtEverySplit) {
+  const std::string wires[] = {
+      // LF, CRLF and mixed endings.
+      "H a=1\nrow\nEND\n",
+      "H a=1\r\nrow\r\nEND\r\n",
+      "H a=1\r\nrow\nEND\r\nH b=2\nEND\n",
+      // A lone '\r' mid-line stays; only a '\r' before '\n' goes.
+      "H a=1\nx\ry\nEND\n",
+      "H a=1\n\r\nEND\n",
+      // Near-misses of the terminator, and END inside a description.
+      "H a=1\nENDX\nXEND\nNaN\n# description: END\nEND\n",
+      "H a=1\nEN\nE\nEND",
+      // STATS is a verb only at a frame's first line.
+      "STATS\nH a=1\nSTATS\nEND\nSTATS\r\n",
+      // The empty frame, and back-to-back frames in one window.
+      "END\nEND\r\nH a=1\nEND\nH b=2\nEND\nSTATS\n",
+      // Frames whose first line looks like a terminator's prefix.
+      "ENDX\nEND\nE\nEND\n",
+      // A frame cut off mid-line, for the guards.
+      "H a=1\nrow\r\nro",
+  };
+  for (const std::string& wire : wires) {
+    ExpectSameCarve(wire, {}, 8);
+    for (std::size_t cut = 1; cut < wire.size(); ++cut) {
+      ExpectSameCarve(wire, {cut}, 8);
+      for (std::size_t second = cut + 1; second < wire.size(); ++second) {
+        ExpectSameCarve(wire, {cut, second}, 8);
+      }
+    }
+  }
+}
+
+TEST(FrameScannerCarveDifferentialTest, SeededStreamsUnderRandomChunking) {
+  std::mt19937_64 rng(20261019);
+  for (int stream = 0; stream < 400; ++stream) {
+    const std::string wire = RandomStream(rng);
+    const std::size_t cap = 4 + rng() % 64;
+    for (const std::size_t max_chunk : {1UL, 4UL, 16UL, 256UL}) {
+      std::vector<std::size_t> cuts;
+      for (std::size_t at = 1 + rng() % max_chunk; at < wire.size();
+           at += 1 + rng() % max_chunk) {
+        cuts.push_back(at);
+      }
+      ExpectSameCarve(wire, cuts, cap);
+    }
+  }
+}
+
+// Fills receive windows from `wire` as the front-ends' recv would,
+// carving after each one, until the wire runs out or the guard fires.
+// Returns the frames carved and the guard's text, if it fired.
+std::pair<std::vector<std::string>, std::optional<std::string>> ReceiveAll(
+    const std::string& wire, std::size_t cap, std::size_t max_recv) {
+  FrameScanner scanner;
+  std::vector<std::string> frames;
+  for (std::size_t at = 0; at < wire.size();) {
+    const std::span<char> window = scanner.ReceiveWindow(cap);
+    if (window.empty()) {
+      ADD_FAILURE() << "an empty receive window below the cap";
+      break;
+    }
+    const std::size_t size =
+        std::min({window.size(), wire.size() - at, max_recv});
+    std::memcpy(window.data(), wire.data() + at, size);
+    scanner.Received(size);
+    at += size;
+    while (const auto event = scanner.Carve()) {
+      frames.emplace_back(event->frame);
+    }
+    if (auto oversized = scanner.Oversized(cap)) {
+      return {frames, oversized};
+    }
+  }
+  return {frames, std::nullopt};
+}
+
+TEST(FrameScannerTest, ReceiveWindowHoldsAtMostTheCapPlusOneByte) {
+  const std::string line = "REQUEST id=big scheduler=rle\n" +
+                           std::string(8192, 'a');
+  for (const std::size_t max_recv : {1UL, 1000UL, 1UL << 20}) {
+    const auto [frames, oversized] = ReceiveAll(line, 4096, max_recv);
+    EXPECT_TRUE(frames.empty());
+    EXPECT_EQ(oversized,
+              "request frame line 2: frame exceeds max_frame_bytes=4096 "
+              "(4097 bytes buffered) — rejected, connection closed")
+        << "max_recv=" << max_recv;
+  }
+  // A frame whose lines and END line fill exactly cap + 1 bytes is
+  // carved; one byte more and it is rejected, however it arrives.
+  const std::string fits = std::string(4092, 'b') + "\nEND\n";
+  ASSERT_EQ(fits.size(), 4097u);
+  const std::string wire = fits + "H\nEND\n";
+  for (const std::size_t max_recv : {1UL, 1000UL, 1UL << 20}) {
+    const auto [frames, oversized] = ReceiveAll(wire, 4096, max_recv);
+    EXPECT_EQ(frames, (std::vector<std::string>{
+                          std::string(4092, 'b') + "\n", "H\n"}));
+    EXPECT_FALSE(oversized);
+    const auto [none, rejected] = ReceiveAll("c" + wire, 4096, max_recv);
+    EXPECT_TRUE(none.empty());
+    EXPECT_NE(rejected.value_or("").find("(4097 bytes buffered)"),
+              std::string::npos);
+  }
+}
+
+TEST(FrameScannerTest, ViewsStayValidUntilTheNextReceive) {
+  const std::string wire = "H a=1\nrow\nEND\nSTATS\nH b=2\nEND\nH c";
+  FrameScanner scanner;
+  const std::span<char> window = scanner.ReceiveWindow(1 << 20);
+  ASSERT_GE(window.size(), FrameScanner::kReceiveWindowBytes);
+  std::memcpy(window.data(), wire.data(), wire.size());
+  scanner.Received(wire.size());
+  std::vector<CarvedFrame> events;
+  while (const auto event = scanner.Carve()) events.push_back(*event);
+  ASSERT_EQ(events.size(), 3u);
+  // Carving on past a view leaves it untouched; so does a guard query.
+  EXPECT_FALSE(scanner.Oversized(1 << 20));
+  EXPECT_EQ(events[0].frame, "H a=1\nrow\n");
+  EXPECT_EQ(events[1].kind, CarvedFrame::Kind::kStats);
+  EXPECT_EQ(events[2].frame, "H b=2\n");
+  EXPECT_TRUE(scanner.MidFrame());
 }
 
 TEST(RoutingKeyTest, IgnoresIdAndChecksum) {
