@@ -79,9 +79,11 @@ service::SchedulingRequest MakeRequest(const testing::ScenarioCase& scenario,
 // One size of the decode block: the connection's carve (the frame
 // received into the scanner's window and its END found), then
 // ParseRequestFrame on the carved frame against Fnv1a64 alone over the
-// same bytes, the check= floor a parse cannot go below, and a raw-level
-// hit (SubmitFrame repeating a frame whose payload is resident and whose
-// check= the entry has verified), which skips both.
+// same bytes, the check= floor a parse cannot go below, and two
+// payload-level hits, which skip the parse: a raw hit (SubmitFrame
+// repeating a frame whose check= the entry has verified) and a payload
+// hit (a frame with a header state the entry has no residue for, so its
+// check= takes one full pass).
 struct DecodePoint {
   std::size_t links = 0;
   std::size_t frame_bytes = 0;
@@ -89,12 +91,15 @@ struct DecodePoint {
   bench::Spread parse_us;
   bench::Spread fnv_us;
   bench::Spread raw_hit_us;
+  bench::Spread payload_hit_us;
   bool bit_identical = false;
   /// Every timed frame came in one window and carved to the formatted
   /// frame without END (its size each time, its bytes the last time).
   bool carve_identical = false;
   /// Every timed raw hit was served OK, as a raw hit, with no full pass.
   bool raw_hit_verified = false;
+  /// Every timed payload hit was served OK, as a raw hit, with one pass.
+  bool payload_hit_verified = false;
 };
 
 // Carves and raw hits timed per rep: one call is a few µs, below a
@@ -143,7 +148,8 @@ bench::Spread MeasureCarve(const std::string& wire, std::string_view body,
 
 // SubmitFrame of one frame whose payload is resident, repeated as
 // perfbench and loadgen repeat theirs: after one warm-up call, whose full
-// pass the entry remembers, every timed call decides check= by a compare.
+// pass leaves the entry a residue for the header state's low byte, every
+// timed call decides check= by a multiply and a compare.
 bench::Spread MeasureRawHit(const service::SchedulingRequest& request,
                             const std::string& frame, int reps,
                             bool* verified) {
@@ -172,6 +178,54 @@ bench::Spread MeasureRawHit(const service::SchedulingRequest& request,
   return bench::SpreadOf(std::move(samples));
 }
 
+// SubmitFrame of frames whose payload is resident but whose header state
+// is fresh: each carries an id whose header state's low byte the entry
+// has no residue for, so check= takes one full pass, then the payload
+// and response probes answer it. An entry keeps at most 256 residues, so
+// each rep primes a fresh service.
+bench::Spread MeasurePayloadHit(const service::SchedulingRequest& request,
+                                int reps, bool* verified) {
+  constexpr int kFramesPerRep = 32;
+  const auto frame_for = [&request](const std::string& id) {
+    service::SchedulingRequest each = request;
+    each.id = id;
+    std::string frame = service::FormatRequestFrame(each);
+    frame.resize(frame.size() - 4);
+    return frame;
+  };
+  std::vector<std::string> frames;
+  std::vector<bool> low_byte_used(256, false);
+  const auto low_byte = [](const std::string& frame) {
+    return *service::ParseRequestHeader(frame).check_state & 0xff;
+  };
+  low_byte_used[low_byte(frame_for("prime-1"))] = true;
+  low_byte_used[low_byte(frame_for("prime-2"))] = true;
+  for (int i = 0; frames.size() < kFramesPerRep; ++i) {
+    std::string frame = frame_for("fresh-" + std::to_string(i));
+    if (low_byte_used[low_byte(frame)]) continue;
+    low_byte_used[low_byte(frame)] = true;
+    frames.push_back(std::move(frame));
+  }
+  bool ok = true;
+  std::vector<double> samples;
+  for (int r = 0; r < reps; ++r) {
+    service::SchedulingService svc;
+    for (const char* id : {"prime-1", "prime-2"}) {  // a miss, then the attach
+      ok = svc.SubmitFrame(frame_for(id)).get().Ok() && ok;
+    }
+    util::Stopwatch timer;
+    for (const std::string& frame : frames) {
+      ok = svc.SubmitFrame(frame).get().Ok() && ok;
+    }
+    samples.push_back(timer.Seconds() * 1e6 / kFramesPerRep);
+    const service::ServiceMetrics& m = svc.Metrics();
+    ok = ok && m.raw_check_passes.load() == kFramesPerRep &&
+         m.raw_hits.load() == kFramesPerRep;
+  }
+  *verified = ok;
+  return bench::SpreadOf(std::move(samples));
+}
+
 DecodePoint MeasureDecode(std::size_t n, int reps) {
   DecodePoint point;
   point.links = n;
@@ -196,6 +250,8 @@ DecodePoint MeasureDecode(std::size_t n, int reps) {
   (void)sink;
   point.raw_hit_us =
       MeasureRawHit(request, frame, reps, &point.raw_hit_verified);
+  point.payload_hit_us =
+      MeasurePayloadHit(request, reps, &point.payload_hit_verified);
   return point;
 }
 
@@ -650,12 +706,12 @@ int main(int argc, char** argv) {
   // core count does not.
   //
   // The defaults set that regime up on the tables backend. An N=600 miss
-  // (parse, engine tables, schedule) costs several times a raw-level hit,
-  // so a thrashing shard is miss-bound rather than router-bound, and a
-  // pool entry (scenario + response + raw payload, ~290 B per link) is
-  // ~170 KB, so a 1536 KB shard holds about nine: fewer than the pool of
-  // 30 or the 25 a round-robin shard sees, more than an affinity shard's
-  // share of either.
+  // (parse, engine tables, schedule) costs several times a payload-level
+  // hit, so a thrashing shard is miss-bound rather than router-bound, and
+  // a pool entry (scenario + response + payload entries, ~340 B per link)
+  // is ~200 KB, so a 1536 KB shard holds about seven: fewer than the pool
+  // of 30 or the 25 a round-robin shard sees, more than an affinity
+  // shard's share of either.
   const auto shard_tier = [&](std::size_t shards,
                               service::shard::RoutingMode routing) {
     TierSpec spec;
@@ -717,6 +773,7 @@ int main(int argc, char** argv) {
          << ", \"parse_request_frame_us\": " << bench::Value(point.parse_us)
          << ", \"fnv1a64_us\": " << bench::Value(point.fnv_us)
          << ", \"raw_hit_us\": " << bench::Value(point.raw_hit_us)
+         << ", \"payload_hit_us\": " << bench::Value(point.payload_hit_us)
          << ", \"parse_over_fnv\": "
          << bench::Value(point.parse_us.median / point.fnv_us.median)
          << ", \"bit_identical\": "
@@ -724,7 +781,9 @@ int main(int argc, char** argv) {
          << ", \"carve_identical\": "
          << (point.carve_identical ? "true" : "false")
          << ", \"raw_hit_verified\": "
-         << (point.raw_hit_verified ? "true" : "false") << "}"
+         << (point.raw_hit_verified ? "true" : "false")
+         << ", \"payload_hit_verified\": "
+         << (point.payload_hit_verified ? "true" : "false") << "}"
          << (i + 1 < decode.size() ? "," : "") << "\n";
   }
   json << "  ]},\n";

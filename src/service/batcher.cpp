@@ -32,15 +32,15 @@ RequestBatcher::RequestBatcher(Handler handler, BatcherOptions options,
                                ServiceMetrics* metrics)
     : RequestBatcher(
           handler == nullptr
-              ? FingerprintedHandler()
-              : FingerprintedHandler(
+              ? PreparedHandler()
+              : PreparedHandler(
                     [plain = std::move(handler)](
-                        const SchedulingRequest& request, const Fingerprint*) {
+                        const SchedulingRequest& request, const Prepared*) {
                       return plain(request);
                     }),
           options, metrics) {}
 
-RequestBatcher::RequestBatcher(FingerprintedHandler handler,
+RequestBatcher::RequestBatcher(PreparedHandler handler,
                                BatcherOptions options, ServiceMetrics* metrics)
     : handler_(std::move(handler)),
       options_(options),
@@ -60,7 +60,7 @@ RequestBatcher::~RequestBatcher() { Drain(); }
 
 std::future<SchedulingResponse> RequestBatcher::Submit(
     SchedulingRequest request, RequestClass cls,
-    std::optional<Fingerprint> fingerprint) {
+    std::optional<Prepared> prepared) {
   std::promise<SchedulingResponse> promise;
   std::future<SchedulingResponse> future = promise.get_future();
   if (metrics_ != nullptr) {
@@ -135,7 +135,7 @@ std::future<SchedulingResponse> RequestBatcher::Submit(
     item.deadline = util::Deadline::After(deadline_seconds);
     item.enqueued = std::chrono::steady_clock::now();
     item.request = std::move(request);
-    item.fingerprint = std::move(fingerprint);
+    item.prepared = std::move(prepared);
     item.promise = std::move(promise);
     item.cls = cls;
     (cls == RequestClass::kCold ? cold_queue_ : warm_queue_)
@@ -207,8 +207,8 @@ void RequestBatcher::WorkerLoop(bool warm_only) {
     const auto service_start = std::chrono::steady_clock::now();
     SchedulingResponse response;
     try {
-      response = handler_(item.request, item.fingerprint ? &*item.fingerprint
-                                                          : nullptr);
+      response =
+          handler_(item.request, item.prepared ? &*item.prepared : nullptr);
       response.id = item.request.id;
     } catch (...) {
       const util::ErrorKind kind =

@@ -54,9 +54,19 @@
 #include "service/metrics.hpp"
 #include "service/overload.hpp"
 #include "service/request.hpp"
+#include "service/scenario_cache.hpp"
 #include "util/deadline.hpp"
 
 namespace fadesched::service {
+
+/// What the service learned about a request before queueing it, so the
+/// handler does not repeat the work: its fingerprint and, for a frame the
+/// cache's payload level answered, the resident scenario, pinned so that
+/// an eviction before the run cannot send the request back to a parse.
+struct Prepared {
+  Fingerprint fingerprint;
+  ScenarioCache::ScenarioPtr scenario;  ///< null unless pinned
+};
 
 struct BatcherOptions {
   /// Worker threads executing the handler. With ≥ 2, worker 0 serves the
@@ -80,15 +90,15 @@ class RequestBatcher {
   /// Executes one admitted request. Runs on worker threads; may throw
   /// (classified into a kError response). Must not block indefinitely.
   using Handler = std::function<SchedulingResponse(const SchedulingRequest&)>;
-  /// A handler that also receives the fingerprint Submit was given, or
-  /// nullptr, so a request is not fingerprinted twice.
-  using FingerprintedHandler = std::function<SchedulingResponse(
-      const SchedulingRequest&, const Fingerprint*)>;
+  /// A handler that also receives what Submit was given as `prepared`,
+  /// or nullptr, so a request is not fingerprinted twice.
+  using PreparedHandler = std::function<SchedulingResponse(
+      const SchedulingRequest&, const Prepared*)>;
 
   /// `metrics` may be null. Workers start immediately.
   RequestBatcher(Handler handler, BatcherOptions options = {},
                  ServiceMetrics* metrics = nullptr);
-  RequestBatcher(FingerprintedHandler handler, BatcherOptions options = {},
+  RequestBatcher(PreparedHandler handler, BatcherOptions options = {},
                  ServiceMetrics* metrics = nullptr);
   ~RequestBatcher();
 
@@ -100,11 +110,10 @@ class RequestBatcher {
   /// carries an exception and is always fulfilled. `cls` feeds the
   /// two-tier shedder; callers that cannot classify pass the default
   /// kWarm, which the controller never sheds (a full queue still can).
-  /// `fingerprint`
-  /// rides with the request to a FingerprintedHandler.
+  /// `prepared` rides with the request to a PreparedHandler.
   std::future<SchedulingResponse> Submit(
       SchedulingRequest request, RequestClass cls = RequestClass::kWarm,
-      std::optional<Fingerprint> fingerprint = std::nullopt);
+      std::optional<Prepared> prepared = std::nullopt);
 
   /// Submit + wait (convenience for synchronous callers).
   SchedulingResponse Execute(SchedulingRequest request,
@@ -120,7 +129,7 @@ class RequestBatcher {
  private:
   struct Item {
     SchedulingRequest request;
-    std::optional<Fingerprint> fingerprint;
+    std::optional<Prepared> prepared;
     std::promise<SchedulingResponse> promise;
     util::Deadline deadline;
     std::chrono::steady_clock::time_point enqueued;
@@ -133,7 +142,7 @@ class RequestBatcher {
 
   void SetDepthGauge(std::size_t depth) const;
 
-  FingerprintedHandler handler_;
+  PreparedHandler handler_;
   BatcherOptions options_;
   ServiceMetrics* metrics_;
   OverloadController overload_;

@@ -63,10 +63,13 @@ struct ServiceMetrics {
 
   // Cache.
   std::atomic<std::uint64_t> response_hits{0};
-  std::atomic<std::uint64_t> raw_hits{0};  ///< response_hits needing no parse
-  /// Full check= FNV passes run on raw matches (the rest repeated the
-  /// header state of the entry's last verified pass): the byte-serial
-  /// work warm traffic still pays.
+  /// Frames answered without a parse: payload-level hits served from the
+  /// response level (also in response_hits) or queued with a resident
+  /// scenario (also in scenario_hits).
+  std::atomic<std::uint64_t> raw_hits{0};
+  /// Full check= FNV passes run on payload matches (the rest found a
+  /// residue for their header state's low byte): the byte-serial work
+  /// warm traffic still pays.
   std::atomic<std::uint64_t> raw_check_passes{0};
   std::atomic<std::uint64_t> response_misses{0};
   std::atomic<std::uint64_t> scenario_hits{0};

@@ -50,11 +50,11 @@
 // cell's bytes into the running FNV state; the chain then executes in the
 // shadow of the next cell's parse. Any other spelling falls back to the
 // CsvReader parse and a standalone FNV pass, with the same errors. The
-// serving path (SchedulingService::SubmitFrame) probes the response
-// cache's raw level before any payload FNV and verifies check= only on a
-// raw match, before the hit is counted: by one compare when the entry's
-// last full pass that matched had this header state, by one full pass
-// otherwise. A raw miss decodes with the one pass above.
+// serving path (SchedulingService::SubmitFrame) probes the cache's
+// payload level before any payload FNV and verifies check= only on a
+// payload match, before the hit is counted: from the entry's residue for
+// the header state's low byte when it has one, by one full pass
+// otherwise. A payload miss decodes with the one pass above.
 // Besides scheduling frames, a connection may send the bare line `STATS`
 // (no payload, no END) between frames; the server answers with one
 // `STATS sum=<16hex> key=value ...` line — a consistent-enough snapshot

@@ -1,5 +1,6 @@
 #include "service/request.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -56,16 +57,11 @@ void WordStep(const char* p, std::uint64_t& a, std::uint64_t& b) {
       kWordK0;
 }
 
-void AppendDouble(std::string& out, double value) {
-  char bytes[sizeof(double)];
-  std::memcpy(bytes, &value, sizeof(double));
-  out.append(bytes, sizeof(double));
-}
-
-void AppendU64(std::string& out, std::uint64_t value) {
-  char bytes[sizeof(value)];
-  std::memcpy(bytes, &value, sizeof(value));
-  out.append(bytes, sizeof(value));
+// Writes `value`'s bytes at `out` and returns the byte after them.
+template <typename T>
+char* Put(char* out, T value) {
+  std::memcpy(out, &value, sizeof(value));
+  return out + sizeof(value);
 }
 
 }  // namespace
@@ -84,11 +80,6 @@ std::uint64_t WordHash64(std::string_view bytes, std::uint64_t seed) {
   return Fold(a ^ bytes.size(), b ^ kWordK3);
 }
 
-std::uint64_t PayloadKey(std::string_view scheduler,
-                         std::string_view payload) {
-  return WordHash64(payload, WordHash64(scheduler));
-}
-
 SharedBytes::SharedBytes(std::string bytes)
     : bytes_(std::make_shared<const std::string>(std::move(bytes))) {}
 
@@ -103,36 +94,43 @@ Fingerprint FingerprintRequest(const SchedulingRequest& request) {
   const net::LinkSet& links = request.scenario.links;
   const channel::ChannelParams& params = request.scenario.params;
 
-  std::string blob;
-  blob.reserve(64 + links.Size() * 6 * sizeof(double));
-  blob.append("fadesched-fp-v1");
-  blob.push_back('\0');
-  AppendDouble(blob, params.alpha);
-  AppendDouble(blob, params.epsilon);
-  AppendDouble(blob, params.gamma_th);
-  AppendDouble(blob, params.tx_power);
-  AppendDouble(blob, params.noise_power);
-  AppendU64(blob, static_cast<std::uint64_t>(links.Size()));
+  // Sized once, then each double stored at its offset: at N = 2000 that
+  // is 96 KB of plain stores instead of about 12k appends.
+  constexpr std::string_view kVersion("fadesched-fp-v1\0", 16);
+  constexpr std::size_t kLinkBytes = 6 * sizeof(double);
+  std::string blob(kVersion.size() + 5 * sizeof(double) +
+                       sizeof(std::uint64_t) + links.Size() * kLinkBytes,
+                   '\0');
+  char* out = blob.data();
+  out = std::copy(kVersion.begin(), kVersion.end(), out);
+  for (const double value : {params.alpha, params.epsilon, params.gamma_th,
+                             params.tx_power, params.noise_power}) {
+    out = Put(out, value);
+  }
+  out = Put(out, static_cast<std::uint64_t>(links.Size()));
   for (net::LinkId i = 0; i < links.Size(); ++i) {
     const geom::Vec2 sender = links.Sender(i);
     const geom::Vec2 receiver = links.Receiver(i);
-    AppendDouble(blob, sender.x);
-    AppendDouble(blob, sender.y);
-    AppendDouble(blob, receiver.x);
-    AppendDouble(blob, receiver.y);
-    AppendDouble(blob, links.Rate(i));
-    AppendDouble(blob, links.TxPower(i));
+    for (const double value : {sender.x, sender.y, receiver.x, receiver.y,
+                               links.Rate(i), links.TxPower(i)}) {
+      out = Put(out, value);
+    }
   }
+  FS_CHECK(out == blob.data() + blob.size());
 
   Fingerprint fp;
   fp.scheduler = request.scheduler;
   fp.scenario_hash = WordHash64(blob);
-  // Chain the scheduler name (plus a separator that cannot appear in a
-  // name) so "rle" on scenario X never collides with "ldp" on X.
-  fp.request_hash =
-      WordHash64(fp.scheduler, WordHash64("\n#scheduler:", fp.scenario_hash));
+  fp.request_hash = RequestHash(fp.scenario_hash, fp.scheduler);
   fp.canonical_scenario = SharedBytes(std::move(blob));
   return fp;
+}
+
+std::uint64_t RequestHash(std::uint64_t scenario_hash,
+                          std::string_view scheduler) {
+  // Chain the scheduler name (plus a separator that cannot appear in a
+  // name) so "rle" on scenario X never collides with "ldp" on X.
+  return WordHash64(scheduler, WordHash64("\n#scheduler:", scenario_hash));
 }
 
 }  // namespace fadesched::service

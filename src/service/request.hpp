@@ -87,10 +87,6 @@ using util::Fnv1a64;
 /// compares the bytes before it serves anything.
 std::uint64_t WordHash64(std::string_view bytes, std::uint64_t seed = 0);
 
-/// The key of a (scheduler, frame payload) pair: what the shard router
-/// routes by and what the response cache's raw level is indexed by.
-std::uint64_t PayloadKey(std::string_view scheduler, std::string_view payload);
-
 /// Immutable bytes held by reference: copies share one allocation, so the
 /// canonical blob is stored once per scenario however many cache entries
 /// key on it. Reads like a const std::string.
@@ -104,8 +100,9 @@ class SharedBytes {
   /// Implicit: the blob passes wherever a const std::string& is expected.
   operator const std::string&() const { return Str(); }
 
+  /// Copies of one allocation are equal without reading their bytes.
   friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
-    return a.view() == b.view();
+    return a.bytes_ == b.bytes_ || a.view() == b.view();
   }
 
  private:
@@ -137,5 +134,10 @@ struct Fingerprint {
 /// produce identical canonical bytes and hashes; the description and the
 /// request id are deliberately excluded.
 Fingerprint FingerprintRequest(const SchedulingRequest& request);
+
+/// A fingerprint's request_hash: `scenario_hash` chained with the
+/// scheduler name, so one scenario keys a response per scheduler.
+std::uint64_t RequestHash(std::uint64_t scenario_hash,
+                          std::string_view scheduler);
 
 }  // namespace fadesched::service

@@ -37,14 +37,14 @@ void ScenarioCache::Bump(
 }
 
 std::optional<ScenarioCache::LruList::iterator> ScenarioCache::FindLocked(
-    std::uint64_t hash, std::string_view scheduler, std::string_view blob,
+    std::uint64_t hash, std::string_view scheduler, const SharedBytes& blob,
     bool count_collisions) const {
   const bool response_level = !scheduler.empty();
   auto [begin, end] = index_.equal_range(hash);
   for (auto it = begin; it != end; ++it) {
     const Node& node = *it->second;
     if (node.response.has_value() == response_level &&
-        node.scheduler == scheduler && node.blob.view() == blob) {
+        node.scheduler == scheduler && node.blob == blob) {
       return it->second;
     }
     if (count_collisions) Bump(&ServiceMetrics::cache_collisions);
@@ -52,8 +52,26 @@ std::optional<ScenarioCache::LruList::iterator> ScenarioCache::FindLocked(
   return std::nullopt;
 }
 
+std::optional<ScenarioCache::LruList::iterator>
+ScenarioCache::FindPayloadLocked(const RawPayload& raw) const {
+  auto [begin, end] = payload_index_.equal_range(raw.key);
+  for (auto entry = begin; entry != end; ++entry) {
+    if (entry->second->payload->bytes == raw.payload) return entry->second;
+    Bump(&ServiceMetrics::cache_collisions);
+  }
+  return std::nullopt;
+}
+
 void ScenarioCache::TouchLocked(LruList::iterator it) {
   lru_.splice(lru_.begin(), lru_, it);
+}
+
+void ScenarioCache::InsertLocked(Node node, Index& index) {
+  const std::uint64_t hash = node.hash;
+  current_bytes_ += node.cost_bytes;
+  lru_.push_front(std::move(node));
+  index.emplace(hash, lru_.begin());
+  EvictLocked();  // the front is never evicted
 }
 
 namespace {
@@ -74,56 +92,44 @@ void Unindex(Index& index, std::uint64_t hash, Iterator node) {
 void ScenarioCache::EvictLocked() {
   while (current_bytes_ > options_.capacity_bytes && lru_.size() > 1) {
     const auto victim = std::prev(lru_.end());
-    Unindex(index_, victim->hash, victim);
-    if (victim->raw_payload.has_value()) {
-      Unindex(raw_index_, victim->raw_key, victim);
-    }
+    Unindex(victim->payload ? payload_index_ : index_, victim->hash, victim);
     current_bytes_ -= victim->cost_bytes;
     lru_.erase(victim);
     Bump(&ServiceMetrics::cache_evictions);
   }
 }
 
-void ScenarioCache::AttachRawLocked(LruList::iterator it,
-                                    const RawPayload& raw) {
-  if (it->raw_payload.has_value()) {
-    Unindex(raw_index_, it->raw_key, it);
-    it->cost_bytes -= it->raw_payload->size();
-    current_bytes_ -= it->raw_payload->size();
-  }
-  it->raw_payload.emplace(raw.payload);
-  it->verified.reset();
-  it->raw_key = raw.key;
-  it->raw_serial = ++raw_attaches_;
-  raw_index_.emplace(raw.key, it);
-  it->cost_bytes += raw.payload.size();
-  current_bytes_ += raw.payload.size();
-  EvictLocked();  // `it` was just touched, and the front is never evicted
-}
-
 std::size_t ScenarioCache::EstimateScenarioBytes(
     const Scenario& scenario, const channel::EngineOptions& /*engine*/) {
   // LinkSet SoA (7 doubles/link) + the engine's per-link tables (another
   // 7 doubles/link, on either backend) + the canonical bytes held for the
-  // collision guard (charged here and to each response entry, though they
-  // share them).
+  // collision guard (charged here and to each response and payload
+  // entry, though they share them).
   return kNodeOverheadBytes + scenario.canonical_scenario.size() +
          14 * sizeof(double) * scenario.links.Size();
 }
 
 bool ScenarioCache::IsWarm(const Fingerprint& fp) const {
-  const std::string_view blob = fp.canonical_scenario.view();
   std::lock_guard<std::mutex> lock(mutex_);
-  return FindLocked(fp.request_hash, fp.scheduler, blob, false) ||
-         FindLocked(fp.scenario_hash, {}, blob, false);
+  return FindLocked(fp.request_hash, fp.scheduler, fp.canonical_scenario,
+                    false) ||
+         FindLocked(fp.scenario_hash, {}, fp.canonical_scenario, false);
+}
+
+ScenarioCache::ScenarioPtr ScenarioCache::PeekScenario(
+    const Fingerprint& fp) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = FindLocked(fp.scenario_hash, {}, fp.canonical_scenario,
+                             false);
+  return it ? (*it)->scenario : nullptr;
 }
 
 ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
-    const Fingerprint& fp, const SchedulingRequest& request, bool* hit) {
+    const Fingerprint& fp, const SchedulingRequest& request, bool* hit,
+    ScenarioPtr pinned) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it =
-        FindLocked(fp.scenario_hash, {}, fp.canonical_scenario.view());
+    const auto it = FindLocked(fp.scenario_hash, {}, fp.canonical_scenario);
     if (it) {
       TouchLocked(*it);
       Bump(&ServiceMetrics::scenario_hits);
@@ -132,46 +138,48 @@ ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
     }
   }
 
-  // Miss: build outside the lock. The entry sits behind a shared_ptr, so
+  // Miss: a pinned entry goes back in as it is; anything else is built
+  // outside the lock. The entry sits behind a shared_ptr, so
   // `built->links` has its final address before the engine captures it.
-  Bump(&ServiceMetrics::scenario_misses);
-  if (hit != nullptr) *hit = false;
-  auto built = std::make_shared<Scenario>();
-  built->links = request.scenario.links;
-  built->params = request.scenario.params;
-  built->canonical_scenario = fp.canonical_scenario;
-  channel::EngineOptions engine_options = options_.engine;
-  engine_options.shared.reset();
-  built->engine.emplace(built->links, built->params, engine_options);
-  built->cost_bytes = EstimateScenarioBytes(*built, engine_options);
+  if (hit != nullptr) *hit = pinned != nullptr;
+  ScenarioPtr entry = std::move(pinned);
+  if (entry != nullptr) {
+    Bump(&ServiceMetrics::scenario_hits);
+  } else {
+    Bump(&ServiceMetrics::scenario_misses);
+    auto built = std::make_shared<Scenario>();
+    built->links = request.scenario.links;
+    built->params = request.scenario.params;
+    built->canonical_scenario = fp.canonical_scenario;
+    channel::EngineOptions engine_options = options_.engine;
+    engine_options.shared.reset();
+    built->engine.emplace(built->links, built->params, engine_options);
+    built->cost_bytes = EstimateScenarioBytes(*built, engine_options);
+    entry = std::move(built);
+  }
 
   std::lock_guard<std::mutex> lock(mutex_);
   // Two threads may have raced the build; first insert wins and the loser
   // adopts it (both engines are bit-identical, so either is correct).
-  const auto raced =
-      FindLocked(fp.scenario_hash, {}, fp.canonical_scenario.view());
+  const auto raced = FindLocked(fp.scenario_hash, {}, fp.canonical_scenario);
   if (raced) {
     TouchLocked(*raced);
     return (*raced)->scenario;
   }
   Node node;
   node.hash = fp.scenario_hash;
-  node.blob = built->canonical_scenario;
-  node.scenario = built;
-  node.cost_bytes = built->cost_bytes;
-  lru_.push_front(std::move(node));
-  index_.emplace(fp.scenario_hash, lru_.begin());
-  current_bytes_ += built->cost_bytes;
-  EvictLocked();
-  return built;
+  node.blob = entry->canonical_scenario;
+  node.scenario = entry;
+  node.cost_bytes = entry->cost_bytes;
+  InsertLocked(std::move(node), index_);
+  return entry;
 }
 
 bool ScenarioCache::LookupResponse(const Fingerprint& fp,
-                                   SchedulingResponse* out,
-                                   bool count_miss, const RawPayload* attach) {
+                                   SchedulingResponse* out, bool count_miss) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = FindLocked(fp.request_hash, fp.scheduler,
-                             fp.canonical_scenario.view());
+  const auto it =
+      FindLocked(fp.request_hash, fp.scheduler, fp.canonical_scenario);
   if (!it) {
     if (count_miss) Bump(&ServiceMetrics::response_misses);
     return false;
@@ -179,62 +187,77 @@ bool ScenarioCache::LookupResponse(const Fingerprint& fp,
   TouchLocked(*it);
   Bump(&ServiceMetrics::response_hits);
   if (out != nullptr) *out = *(*it)->response;
-  if (attach != nullptr && (*it)->raw_payload != attach->payload) {
-    AttachRawLocked(*it, *attach);
-  }
   return true;
 }
 
-std::optional<ScenarioCache::LruList::iterator> ScenarioCache::FindRawLocked(
-    const RawPayload& raw) const {
-  auto [begin, end] = raw_index_.equal_range(raw.key);
-  for (auto entry = begin; entry != end; ++entry) {
-    const LruList::iterator it = entry->second;
-    if (it->scheduler == raw.scheduler && *it->raw_payload == raw.payload) {
-      return it;
-    }
-    Bump(&ServiceMetrics::cache_collisions);
-  }
-  return std::nullopt;
-}
-
-bool ScenarioCache::LookupRaw(const RawPayload& raw, SchedulingResponse* out,
-                              std::optional<RawCheck> check,
-                              bool* check_matched) {
+std::optional<Fingerprint> ScenarioCache::LookupPayload(
+    const RawPayload& raw, std::string_view scheduler, RawCheck check,
+    bool* check_matched) {
+  const std::size_t low = check.state & 0xff;
   std::unique_lock<std::mutex> lock(mutex_);
-  std::optional<LruList::iterator> found = FindRawLocked(raw);
-  bool passed = false;
-  if (found && check) {
-    const std::optional<RawCheck>& verified = (*found)->verified;
-    if (verified && verified->state == check->state) {
-      // The payload's hash from this state is known: one compare decides.
-      if (verified->expected != check->expected) return false;
-    } else {
-      // Unlocked: a full pass over the payload. The serial finds the same
-      // attach again, or nothing if it is gone.
-      const std::uint64_t serial = (*found)->raw_serial;
-      lock.unlock();
-      Bump(&ServiceMetrics::raw_check_passes);
-      if (util::Fnv1a64(raw.payload, check->state) != check->expected) {
-        return false;
-      }
-      passed = true;
-      if (check_matched != nullptr) *check_matched = true;
-      lock.lock();
-      found.reset();
-      auto [begin, end] = raw_index_.equal_range(raw.key);
-      for (auto entry = begin; entry != end && !found; ++entry) {
-        if (entry->second->raw_serial == serial) found = entry->second;
-      }
+  std::optional<LruList::iterator> found = FindPayloadLocked(raw);
+  if (!found) return std::nullopt;
+  const Payload* entry = (*found)->payload.get();
+  if (entry->known[low]) {
+    if (check.state * entry->power + entry->residue[low] != check.expected) {
+      return std::nullopt;
     }
+    if (check_matched != nullptr) *check_matched = true;
+  } else {
+    // Unlocked: a full pass over the frame's copy of the bytes. The
+    // serial finds the same entry again, or nothing if it is gone.
+    const std::uint64_t serial = entry->serial;
+    lock.unlock();
+    Bump(&ServiceMetrics::raw_check_passes);
+    const std::uint64_t hash = util::Fnv1a64(raw.payload, check.state);
+    if (hash != check.expected) return std::nullopt;
+    if (check_matched != nullptr) *check_matched = true;
+    lock.lock();
+    found.reset();
+    auto [begin, end] = payload_index_.equal_range(raw.key);
+    for (auto it = begin; it != end && !found; ++it) {
+      if (it->second->payload->serial == serial) found = it->second;
+    }
+    if (!found) return std::nullopt;
+    Payload& memo = *(*found)->payload;
+    memo.residue[low] = hash - check.state * memo.power;
+    memo.known.set(low);
   }
-  if (!found) return false;
   TouchLocked(*found);
-  if (passed) (*found)->verified = *check;
-  Bump(&ServiceMetrics::response_hits);
-  Bump(&ServiceMetrics::raw_hits);
-  if (out != nullptr) *out = *(*found)->response;
-  return true;
+  Fingerprint fp;
+  fp.scenario_hash = (*found)->payload->scenario_hash;
+  fp.canonical_scenario = (*found)->blob;
+  lock.unlock();
+  fp.scheduler = scheduler;
+  fp.request_hash = RequestHash(fp.scenario_hash, scheduler);
+  return fp;
+}
+
+void ScenarioCache::AttachPayload(const RawPayload& raw,
+                                  const Fingerprint& fp) {
+  // Copied and sized outside the lock; dropped if the payload turns out
+  // to be resident already or the fingerprint not to be.
+  auto payload = std::make_unique<Payload>();
+  payload->bytes.assign(raw.payload);
+  payload->scenario_hash = fp.scenario_hash;
+  payload->power = util::FnvPower(raw.payload.size());
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (FindPayloadLocked(raw)) return;
+  auto resident =
+      FindLocked(fp.request_hash, fp.scheduler, fp.canonical_scenario, false);
+  if (!resident) {
+    resident = FindLocked(fp.scenario_hash, {}, fp.canonical_scenario, false);
+  }
+  if (!resident) return;
+  payload->serial = ++payload_serial_;
+  Node node;
+  node.hash = raw.key;
+  node.blob = (*resident)->blob;  // the resident allocation, not fp's copy
+  node.cost_bytes = kNodeOverheadBytes + sizeof(Payload) +
+                    payload->bytes.size() + node.blob.size();
+  node.payload = std::move(payload);
+  InsertLocked(std::move(node), payload_index_);
 }
 
 void ScenarioCache::StoreResponse(const Fingerprint& fp,
@@ -246,8 +269,7 @@ void ScenarioCache::StoreResponse(const Fingerprint& fp,
   const std::size_t cost = EstimateResponseBytes(fp, stored);
 
   std::lock_guard<std::mutex> lock(mutex_);
-  if (FindLocked(fp.request_hash, fp.scheduler,
-                 fp.canonical_scenario.view())) {
+  if (FindLocked(fp.request_hash, fp.scheduler, fp.canonical_scenario)) {
     return;
   }
   Node node;
@@ -256,10 +278,7 @@ void ScenarioCache::StoreResponse(const Fingerprint& fp,
   node.scheduler = fp.scheduler;
   node.response = std::move(stored);
   node.cost_bytes = cost;
-  lru_.push_front(std::move(node));
-  index_.emplace(fp.request_hash, lru_.begin());
-  current_bytes_ += cost;
-  EvictLocked();
+  InsertLocked(std::move(node), index_);
 }
 
 std::size_t ScenarioCache::CurrentBytes() const {
@@ -276,7 +295,7 @@ void ScenarioCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   lru_.clear();
   index_.clear();
-  raw_index_.clear();
+  payload_index_.clear();
   current_bytes_ = 0;
 }
 

@@ -54,9 +54,8 @@ std::future<SchedulingResponse> ServeHit(ServiceMetrics& metrics,
 SchedulingService::SchedulingService(ServiceOptions options)
     : cache_(std::make_unique<ScenarioCache>(options.cache, &metrics_)),
       batcher_(std::make_unique<RequestBatcher>(
-          [this](const SchedulingRequest& request,
-                 const Fingerprint* fingerprint) {
-            return Handle(request, fingerprint);
+          [this](const SchedulingRequest& request, const Prepared* prepared) {
+            return Handle(request, prepared);
           },
           options.batcher, &metrics_)) {}
 
@@ -66,7 +65,7 @@ SchedulingResponse SchedulingService::HandleNow(
 }
 
 SchedulingResponse SchedulingService::Handle(const SchedulingRequest& request,
-                                             const Fingerprint* submitted) {
+                                             const Prepared* prepared) {
   SchedulingResponse response;
   response.id = request.id;
   try {
@@ -76,8 +75,8 @@ SchedulingResponse SchedulingService::Handle(const SchedulingRequest& request,
       response.message = "unknown scheduler '" + request.scheduler + "'";
       return response;
     }
-    Fingerprint fp =
-        submitted != nullptr ? *submitted : FingerprintRequest(request);
+    Fingerprint fp = prepared != nullptr ? prepared->fingerprint
+                                         : FingerprintRequest(request);
 
     if (cache_->LookupResponse(fp, &response)) {
       response.id = request.id;
@@ -85,8 +84,12 @@ SchedulingResponse SchedulingService::Handle(const SchedulingRequest& request,
       return response;
     }
 
+    // A pinned scenario stands in for the request's, which a frame the
+    // payload level answered was never parsed into.
     const ScenarioCache::ScenarioPtr entry =
-        cache_->ObtainScenario(fp, request);
+        cache_->ObtainScenario(fp, request, nullptr,
+                               prepared != nullptr ? prepared->scenario
+                                                   : nullptr);
     // The response entry shares the scenario entry's canonical blob (the
     // bytes are equal; ObtainScenario compared them).
     fp.canonical_scenario = entry->canonical_scenario;
@@ -147,15 +150,21 @@ std::future<SchedulingResponse> SchedulingService::SubmitParsed(
     // issues the canonical typed rejection and the admission ledger
     // stays consistent.
     SchedulingResponse response;
-    if (!batcher_->Draining() &&
-        cache_->LookupResponse(fp, &response, /*count_miss=*/false, raw)) {
+    const bool hit =
+        !batcher_->Draining() &&
+        cache_->LookupResponse(fp, &response, /*count_miss=*/false);
+    const bool warm = hit || cache_->IsWarm(fp);
+    // Only a payload whose fingerprint is resident is kept: its repeats,
+    // under any scheduler, then skip the parse, and a one-shot frame
+    // copies nothing.
+    if (warm && raw != nullptr) cache_->AttachPayload(*raw, fp);
+    if (hit) {
       response.id = request.id;
       return ServeHit(metrics_, std::move(response), submitted_at);
     }
-
-    const RequestClass cls =
-        cache_->IsWarm(fp) ? RequestClass::kWarm : RequestClass::kCold;
-    return batcher_->Submit(std::move(request), cls, std::move(fp));
+    return batcher_->Submit(std::move(request),
+                            warm ? RequestClass::kWarm : RequestClass::kCold,
+                            Prepared{std::move(fp), nullptr});
   } catch (...) {
     return batcher_->Submit(std::move(request), RequestClass::kWarm);
   }
@@ -166,28 +175,36 @@ std::future<SchedulingResponse> SchedulingService::SubmitFrame(
   const Clock::time_point received_at = Clock::now();
   SchedulingRequest request;
   RawPayload raw;
-  std::optional<SchedulingResponse> raw_hit;
+  std::optional<SchedulingResponse> hit;
+  std::optional<Prepared> resident;
   try {
     const RequestHeader header = ParseRequestHeader(frame);
-    raw = {PayloadKey(header.scheduler, header.payload), header.scheduler,
-           header.payload};
-    // The raw level: a payload byte-identical to one that already parsed
-    // parses again, so after the header checks only check= can still
-    // fail. It is probed first, and check= is verified only on a match,
-    // before the hit is counted or touched: by one compare when the
-    // entry's last verified pass had this header state, otherwise by one
-    // full pass over the payload. A mismatch, a drain, a raw miss or an
-    // unlocatable check token takes the parse path, which folds check=
-    // into its one pass over the payload and reports errors in their
-    // usual order.
+    raw = {WordHash64(header.payload), header.payload};
+    // The payload level: a payload byte-identical to one that already
+    // parsed parses again, so after the header checks only check= can
+    // still fail. It is probed first, and check= is verified only on a
+    // match, before anything is touched or counted. A mismatch, a drain,
+    // a payload miss, a fingerprint no longer resident or an unlocatable
+    // check token takes the parse path, which folds check= into its one
+    // pass over the payload (unless the probe already matched it) and
+    // reports errors in their usual order.
     bool check_matched = false;
+    std::optional<Fingerprint> fp;
+    if (header.check_state && !batcher_->Draining()) {
+      fp = cache_->LookupPayload(raw, header.scheduler,
+                                 RawCheck{*header.check_state, header.check},
+                                 &check_matched);
+    }
     SchedulingResponse response;
-    if (header.check_state && !batcher_->Draining() &&
-        cache_->LookupRaw(raw, &response,
-                          RawCheck{*header.check_state, header.check},
-                          &check_matched)) {
+    ScenarioCache::ScenarioPtr scenario;
+    if (fp && cache_->LookupResponse(*fp, &response, /*count_miss=*/false)) {
       response.id = header.id;
-      raw_hit = std::move(response);
+      hit = std::move(response);
+    } else if (fp && (scenario = cache_->PeekScenario(*fp)) != nullptr) {
+      request.id = header.id;
+      request.scheduler = header.scheduler;
+      request.deadline_seconds = header.deadline_seconds;
+      resident = Prepared{std::move(*fp), std::move(scenario)};
     } else {
       request = ParseRequestBody(header, check_matched);
     }
@@ -200,7 +217,14 @@ std::future<SchedulingResponse> SchedulingService::SubmitFrame(
     metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
     return Fulfilled(FrameRejection(util::ErrorKind::kFatal, e.what()));
   }
-  if (raw_hit) return ServeHit(metrics_, std::move(*raw_hit), received_at);
+  if (hit || resident) {
+    metrics_.raw_hits.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (hit) return ServeHit(metrics_, std::move(*hit), received_at);
+  if (resident) {
+    return batcher_->Submit(std::move(request), RequestClass::kWarm,
+                            std::move(resident));
+  }
   return SubmitParsed(std::move(request), &raw);
 }
 

@@ -49,15 +49,19 @@ class SchedulingService {
   std::future<SchedulingResponse> Submit(SchedulingRequest request);
 
   /// The front-ends' one entry point for a received frame (header line
-  /// through the line before END). After the header is validated and
-  /// check= verified, a payload the cache's raw level holds for the
-  /// header's scheduler is answered like a Submit fast-path hit, without
-  /// parsing the payload; while draining, or on a raw miss, the frame is
-  /// parsed and submitted. A frame that does not parse never reaches
-  /// Submit: it bumps checksum_failures (a check= mismatch, kTransient —
-  /// the client should retry) or protocol_errors (anything else, kFatal —
-  /// a caller bug) and comes back as an already fulfilled kError response
-  /// with id "-". Errors and their precedence are ParseRequestFrame's.
+  /// through the line before END). After the header is validated, a
+  /// payload the cache's payload level holds, with check= verified
+  /// against it, is not parsed: under the header's scheduler it is
+  /// answered like a Submit fast-path hit when the response is resident,
+  /// or queued as warm with its resident scenario pinned. While
+  /// draining, on a payload miss, or when neither is resident, the frame
+  /// is parsed and submitted, and a parsed frame whose fingerprint is
+  /// resident leaves its payload in the cache. A frame that does not
+  /// parse never reaches Submit: it bumps checksum_failures (a check=
+  /// mismatch, kTransient — the client should retry) or protocol_errors
+  /// (anything else, kFatal — a caller bug) and comes back as an already
+  /// fulfilled kError response with id "-". Errors and their precedence
+  /// are ParseRequestFrame's.
   std::future<SchedulingResponse> SubmitFrame(std::string_view frame);
 
   /// Graceful shutdown: stop admission, finish queued + in-flight work.
@@ -67,12 +71,13 @@ class SchedulingService {
   [[nodiscard]] ScenarioCache& Cache() { return *cache_; }
 
  private:
-  /// HandleNow's body; `submitted` is the fingerprint Submit computed, or
-  /// nullptr to compute it here.
+  /// HandleNow's body; `prepared` is what Submit or SubmitFrame
+  /// computed, or nullptr to fingerprint the request here.
   SchedulingResponse Handle(const SchedulingRequest& request,
-                            const Fingerprint* submitted);
-  /// Submit's body; a fast-path hit attaches `raw` (when non-null) to the
-  /// response entry.
+                            const Prepared* prepared);
+  /// Submit's body; when the fingerprint is resident, `raw` (the payload
+  /// of the frame the request was parsed from, when non-null) is attached
+  /// to it.
   std::future<SchedulingResponse> SubmitParsed(SchedulingRequest request,
                                                const RawPayload* raw);
 

@@ -200,19 +200,13 @@ std::optional<std::string> FrameScanner::TruncatedAtEof() const {
 }
 
 std::uint64_t RoutingKey(std::string_view frame) {
-  // The header is the first line and the payload the rest, as
-  // ParseRequestHeader splits them for the worker's PayloadKey. No full
-  // parse: a malformed header must still route somewhere deterministic.
-  const std::string_view header = frame.substr(0, frame.find('\n'));
-  constexpr std::string_view kKey = " scheduler=";
-  const std::size_t key = header.find(kKey);
-  if (header.size() == frame.size() || key == std::string_view::npos) {
-    return WordHash64(frame);
-  }
-  const std::size_t begin = key + kKey.size();
-  const std::string_view scheduler =
-      header.substr(begin, header.find(' ', begin) - begin);
-  return PayloadKey(scheduler, frame.substr(header.size() + 1));
+  // The payload is every byte after the header line, as
+  // ParseRequestHeader splits it. No parse: a frame without a newline
+  // still routes somewhere deterministic.
+  const std::size_t header_end = frame.find('\n');
+  return WordHash64(header_end == std::string_view::npos
+                        ? frame
+                        : frame.substr(header_end + 1));
 }
 
 }  // namespace fadesched::service::shard

@@ -128,13 +128,13 @@ class FrameScanner {
 };
 
 /// Consistent-hash routing key of a scanned frame (the lines before its
-/// END): PayloadKey of the scheduler= header token and the scenario
-/// payload, the key the worker's raw cache level probes with. The id=,
-/// deadline= and check= tokens are deliberately excluded so repeat
-/// requests for the same (scenario, scheduler) pair land on the same
-/// shard — affinity is what turns N per-process caches into one warm
-/// tier. Malformed headers hash the whole frame: still deterministic, so
-/// the worker that answers the typed parse error is stable too.
+/// END): WordHash64 of its scenario payload, the key the worker's
+/// payload level is indexed by. The header is left out, scheduler=
+/// included, so one topology lands on one shard under every scheduler:
+/// the tier parses it and builds its engine once, and a repeated
+/// (scenario, scheduler) pair finds its response there too. A frame with
+/// no header line hashes whole: still deterministic, so the worker that
+/// answers the typed parse error is stable too.
 std::uint64_t RoutingKey(std::string_view frame);
 
 }  // namespace fadesched::service::shard

@@ -69,9 +69,8 @@ ShardServer::ShardServer(ShardServerOptions options)
           // Worker main runs in the forked child: shed every inherited
           // router fd, then serve this slot's pipe until EOF/SIGTERM.
           [this](std::size_t slot, std::size_t spawn_ordinal) {
-            CloseInheritedFdsInChild(slot);
             ShardWorkerOptions worker;
-            worker.pipe_fd = slots_[slot].worker_fd;
+            worker.pipe_fd = CloseInheritedFdsInChild(slot);
             worker.completion_threads = options_.completion_threads_per_shard;
             worker.shard_id = slot;
             worker.spawn_ordinal = spawn_ordinal;
@@ -141,20 +140,20 @@ void ShardServer::UpdateEpollInterest(int fd, std::uint64_t tag,
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &event);
 }
 
-void ShardServer::CloseInheritedFdsInChild(std::size_t slot) const {
-  // Forked child: the worker keeps exactly one fd — its own pipe end.
-  // Everything else (listener, epoll, client conns, every router pipe
-  // end, siblings' worker ends) must go, or a dead router's sockets
-  // would be held open by its orphans.
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  for (const auto& [id, conn] : conns_) {
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
-  for (std::size_t j = 0; j < slots_.size(); ++j) {
-    if (slots_[j].router_fd >= 0) ::close(slots_[j].router_fd);
-    if (j != slot && slots_[j].worker_fd >= 0) ::close(slots_[j].worker_fd);
-  }
+int ShardServer::CloseInheritedFdsInChild(std::size_t slot) const {
+  // Forked child: the worker keeps stdio and its own pipe end, moved to
+  // fd 3, and nothing else. Every other fd goes, whoever opened it: the
+  // router's listener, epoll, connections and pipe ends, and anything the
+  // embedding process held, such as its own clients' sockets. A worker
+  // holding a copy of a client socket would keep it open after the
+  // client closes, so the router would never see that EOF.
+  constexpr int kPipeFd = 3;
+  const int inherited = slots_[slot].worker_fd;
+  const int pipe_fd = inherited < 0 || inherited == kPipeFd
+                          ? inherited
+                          : ::dup2(inherited, kPipeFd);
+  ::closefrom(pipe_fd == kPipeFd ? kPipeFd + 1 : kPipeFd);
+  return pipe_fd;
 }
 
 void ShardServer::OnPrepareSpawn(std::size_t slot_index) {

@@ -170,7 +170,10 @@ class ShardServer {
   void OnWorkerDown(std::size_t slot, const std::string& reason);
   [[nodiscard]] std::string SlotAnnotation(std::size_t slot) const;
   void AdvanceRoll();
-  void CloseInheritedFdsInChild(std::size_t slot) const;
+  /// In the forked worker: closes every fd but stdio and the slot's pipe
+  /// end, which it moves to fd 3, and returns the pipe's fd (-1 if the
+  /// slot has none).
+  [[nodiscard]] int CloseInheritedFdsInChild(std::size_t slot) const;
 
   void UpdateEpollInterest(int fd, std::uint64_t tag, bool want_write);
   [[nodiscard]] bool StopRequested() const;

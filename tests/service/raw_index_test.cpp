@@ -1,11 +1,13 @@
-// The response cache's raw level, as SubmitFrame uses it: a frame whose
-// (scheduler, payload) bytes are resident is answered without a scenario
-// parse, and must be indistinguishable on the wire and in STATS from the
-// parse path it skips.
+// The cache's payload level, as SubmitFrame uses it: a frame whose
+// payload bytes are resident is answered without a scenario parse, under
+// any scheduler, and must be indistinguishable on the wire and in STATS
+// from the parse path it skips.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <future>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,12 +51,92 @@ std::string ColdAnswer(const std::string& frame) {
 }
 
 /// Sends `request` twice under fresh ids: a miss, then a canonical hit
-/// that attaches its payload to the response entry.
+/// that gives its payload an entry of the payload level.
 void MakeResident(SchedulingService& service, const SchedulingRequest& request) {
   const std::uint64_t raw_hits = service.Metrics().raw_hits.load();
   ASSERT_TRUE(service.SubmitFrame(FrameOf(WithId(request, "prime-1"))).get().Ok());
   ASSERT_TRUE(service.SubmitFrame(FrameOf(WithId(request, "prime-2"))).get().Ok());
   ASSERT_EQ(service.Metrics().raw_hits.load(), raw_hits);
+}
+
+/// A request's fingerprint and payload, for driving the cache directly.
+struct Entry {
+  Fingerprint fp;
+  std::string payload;
+
+  RawPayload Raw() const { return {WordHash64(payload), payload}; }
+  /// The claim a genuine frame with header state `state` makes.
+  RawCheck Check(std::uint64_t state) const {
+    return {state, util::Fnv1a64(payload, state)};
+  }
+};
+
+Entry EntryOf(const SchedulingRequest& request) {
+  return {FingerprintRequest(request),
+          fadesched::testing::FormatScenario(request.scenario)};
+}
+
+/// Requests for `count` fuzzer cases of `links` links each, so their
+/// canonical blobs, scenario entries and response entries cost the same.
+std::vector<SchedulingRequest> SizedRequests(std::size_t count,
+                                             std::size_t links = 40) {
+  fadesched::testing::FuzzerOptions sized;
+  sized.min_links = sized.max_links = links;
+  std::vector<SchedulingRequest> requests;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    SchedulingRequest each = MakeRequest(0);
+    each.scenario = fadesched::testing::ScenarioFuzzer(7, sized).Case(i);
+    requests.push_back(each);
+  }
+  return requests;
+}
+
+/// A claim on a resident payload that is refused must leave the entry's
+/// LRU position alone. The entry is put at the tail behind two equal
+/// response entries, the claim is refused (by the residue memo when
+/// `memo_decides`, else by a full pass), and one more equal response
+/// fills the budget: the payload entry, not the response behind it, is
+/// what goes.
+void ExpectARefusedClaimLeavesTheTail(bool memo_decides) {
+  const std::vector<SchedulingRequest> requests = SizedRequests(3);
+  std::vector<Entry> entries;
+  for (const SchedulingRequest& request : requests) {
+    entries.push_back(EntryOf(request));
+  }
+  constexpr std::uint64_t kState = 0x5eed0042u;
+  RawCheck tampered = entries[0].Check(kState);
+  tampered.expected ^= 1;
+  SchedulingResponse ok;
+  ok.schedule = {0};
+  const auto fill = [&](ScenarioCache& cache, const ServiceMetrics& metrics) {
+    cache.StoreResponse(entries[0].fp, ok);
+    cache.AttachPayload(entries[0].Raw(), entries[0].fp);
+    if (memo_decides) {
+      ASSERT_TRUE(cache.LookupPayload(entries[0].Raw(), "rle",
+                                      entries[0].Check(kState)));
+    }
+    ASSERT_TRUE(cache.LookupResponse(entries[0].fp, nullptr));
+    cache.StoreResponse(entries[1].fp, ok);  // LRU: r1, r0, payload 0
+    const std::uint64_t passes = metrics.raw_check_passes.load();
+    EXPECT_FALSE(cache.LookupPayload(entries[0].Raw(), "rle", tampered));
+    EXPECT_EQ(metrics.raw_check_passes.load(), passes + (memo_decides ? 0 : 1));
+  };
+  CacheOptions options;
+  {
+    ServiceMetrics metrics;
+    ScenarioCache probe({}, &metrics);
+    fill(probe, metrics);
+    options.capacity_bytes = probe.CurrentBytes();
+  }
+  ServiceMetrics metrics;
+  ScenarioCache cache(options, &metrics);
+  fill(cache, metrics);
+  ASSERT_EQ(cache.CurrentBytes(), options.capacity_bytes);
+  cache.StoreResponse(entries[2].fp, ok);
+  EXPECT_EQ(metrics.cache_evictions.load(), 1u);
+  EXPECT_TRUE(cache.IsWarm(entries[0].fp)) << "the refusal touched the entry";
+  EXPECT_FALSE(cache.LookupPayload(entries[0].Raw(), "rle",
+                                   entries[0].Check(kState)));
 }
 
 TEST(RawIndexTest, RawHitIsByteIdenticalToHandleNowAndEchoesItsId) {
@@ -106,44 +188,8 @@ TEST(RawIndexTest, TamperedCheckOnAResidentPayloadIsTransientAndNotServed) {
   EXPECT_EQ(service.Metrics().protocol_errors.load(), 0u);
   EXPECT_EQ(service.Metrics().cache_collisions.load(), 0u);
 
-  // Nor does it refresh the entry's LRU position. Three equal-sized
-  // scenarios fill a cache to capacity; with the oldest tampered, one
-  // more insert evicts from the tail, so the oldest response goes (its
-  // scenario entry first) while the next oldest stays.
-  fadesched::testing::FuzzerOptions sized;
-  sized.min_links = sized.max_links = 40;
-  std::vector<SchedulingRequest> fill;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    SchedulingRequest each = request;
-    each.scenario = fadesched::testing::ScenarioFuzzer(7, sized).Case(i);
-    fill.push_back(each);
-  }
-  ServiceOptions options;
-  {
-    SchedulingService probe;
-    for (std::size_t i = 0; i < 3; ++i) MakeResident(probe, fill[i]);
-    options.cache.capacity_bytes = probe.Cache().CurrentBytes();
-  }
-  SchedulingService lru(options);
-  for (std::size_t i = 0; i < 3; ++i) MakeResident(lru, fill[i]);
-  ASSERT_EQ(lru.Metrics().cache_evictions.load(), 0u);
-  std::string tampered_oldest = FrameOf(WithId(fill[0], "t"));
-  const std::size_t at = tampered_oldest.find(" check=") + 7;
-  tampered_oldest[at] = tampered_oldest[at] == '0' ? '1' : '0';
-  EXPECT_EQ(lru.SubmitFrame(tampered_oldest).get().error_kind,
-            util::ErrorKind::kTransient);
-  ASSERT_TRUE(lru.SubmitFrame(FrameOf(WithId(fill[3], "n"))).get().Ok());
-  ASSERT_GT(lru.Metrics().cache_evictions.load(), 0u);
-  const auto resident = [&lru](const SchedulingRequest& each) {
-    const std::string payload =
-        fadesched::testing::FormatScenario(each.scenario);
-    return lru.Cache().LookupRaw(
-        {PayloadKey(each.scheduler, payload), each.scheduler, payload},
-        nullptr);
-  };
-  EXPECT_FALSE(resident(fill[0])) << "the tampered frame refreshed its entry";
-  EXPECT_TRUE(resident(fill[1]));
-  EXPECT_EQ(lru.Metrics().cache_collisions.load(), 0u);
+  // Nor does it refresh the entry's LRU position.
+  ExpectARefusedClaimLeavesTheTail(/*memo_decides=*/false);
 }
 
 TEST(RawIndexTest, HeaderErrorsOnAResidentPayloadMatchTheParsePath) {
@@ -203,8 +249,6 @@ TEST(RawIndexTest, DescriptionOnlyChangeFallsBackToACanonicalHitThenAttaches) {
   SchedulingRequest b = a;
   b.scenario.description = "a second, longer provenance";
   SchedulingService service;
-  MakeResident(service, a);
-  const std::size_t bytes_with_a = service.Cache().CurrentBytes();
   ServiceMetrics& m = service.Metrics();
 
   const auto send = [&](const SchedulingRequest& request, const char* id) {
@@ -213,18 +257,23 @@ TEST(RawIndexTest, DescriptionOnlyChangeFallsBackToACanonicalHitThenAttaches) {
               ColdAnswer(frame))
         << id;
   };
-  send(b, "b1");  // canonical hit: b's payload replaces a's
+  send(a, "a1");  // miss
+  const std::size_t bytes_before_a = service.Cache().CurrentBytes();
+  send(a, "a2");  // canonical hit: a's payload gets an entry
+  const std::size_t bytes_with_a = service.Cache().CurrentBytes();
+  send(b, "b1");  // canonical hit: b's payload gets an entry of its own
   EXPECT_EQ(m.raw_hits.load(), 0u);
   EXPECT_EQ(m.response_hits.load(), 2u);
   EXPECT_EQ(m.response_misses.load(), 1u);
   const std::size_t payload_growth =
       fadesched::testing::FormatScenario(b.scenario).size() -
       fadesched::testing::FormatScenario(a.scenario).size();
-  EXPECT_EQ(service.Cache().CurrentBytes(), bytes_with_a + payload_growth);
+  EXPECT_EQ(service.Cache().CurrentBytes() - bytes_with_a,
+            bytes_with_a - bytes_before_a + payload_growth);
   send(b, "b2");  // raw hit
   EXPECT_EQ(m.raw_hits.load(), 1u);
-  send(a, "a3");  // a's payload was replaced: canonical hit again
-  EXPECT_EQ(m.raw_hits.load(), 1u);
+  send(a, "a3");  // a's payload is still resident: a raw hit too
+  EXPECT_EQ(m.raw_hits.load(), 2u);
   EXPECT_EQ(m.response_hits.load(), 4u);
   EXPECT_EQ(m.response_misses.load(), 1u);
 }
@@ -243,9 +292,10 @@ std::string WithFlippedCheck(std::string frame) {
 }
 
 TEST(RawIndexTest, EachNewHeaderStateTakesOneFullCheckPass) {
-  // Only the last verified header state is remembered: fresh ids each
-  // pay a pass, the last one repeated pays none, an earlier one pays
-  // again. Every reply is still the parse path's.
+  // The entry keeps a residue per low byte of the header state: a fresh
+  // id pays a pass only when no earlier one shared its state's low byte,
+  // and a repeated or earlier id pays none. Every reply is still the
+  // parse path's.
   const SchedulingRequest request = MakeRequest(3);
   SchedulingService service;
   SchedulingService reference;
@@ -257,13 +307,19 @@ TEST(RawIndexTest, EachNewHeaderStateTakesOneFullCheckPass) {
         << id;
   };
   const ServiceMetrics& m = service.Metrics();
-  for (int i = 0; i < 20; ++i) send("f" + std::to_string(i));
-  EXPECT_EQ(m.raw_check_passes.load(), 20u);
-  send("f19");
-  EXPECT_EQ(m.raw_check_passes.load(), 20u);
+  // More ids than low bytes, so some must share one.
+  std::set<std::uint64_t> low_bytes;
+  for (int i = 0; i < 300; ++i) {
+    const std::string id = "f" + std::to_string(i);
+    low_bytes.insert(CheckState(FrameOf(WithId(request, id))) & 0xff);
+    send(id);
+    EXPECT_EQ(m.raw_check_passes.load(), low_bytes.size()) << id;
+  }
+  ASSERT_LE(low_bytes.size(), 256u);
+  send("f299");
   send("f0");
-  EXPECT_EQ(m.raw_check_passes.load(), 21u);
-  EXPECT_EQ(m.raw_hits.load(), 22u);
+  EXPECT_EQ(m.raw_check_passes.load(), low_bytes.size());
+  EXPECT_EQ(m.raw_hits.load(), 302u);
   EXPECT_EQ(m.checksum_failures.load(), 0u);
 }
 
@@ -281,39 +337,20 @@ TEST(RawIndexTest, ARepeatedFrameTakesOneFullCheckPass) {
 }
 
 TEST(RawIndexTest, TamperedCheckOnAVerifiedEntryChangesNothing) {
-  // Three equal-sized scenarios fill a cache to capacity; the oldest has
-  // a verified pass. A tampered frame for it, with the same header state,
-  // is decided by the compare (no full pass), answered as on the parse
-  // path, and neither touches the entry nor charges a byte: one more
-  // insert still evicts it first.
-  fadesched::testing::FuzzerOptions sized;
-  sized.min_links = sized.max_links = 40;
-  std::vector<SchedulingRequest> fill;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    SchedulingRequest each = MakeRequest(0);
-    each.scenario = fadesched::testing::ScenarioFuzzer(7, sized).Case(i);
-    fill.push_back(each);
-  }
-  const std::string genuine = FrameOf(WithId(fill[0], "k"));
-  const auto warm = [&](SchedulingService& service) {
-    MakeResident(service, fill[0]);
-    ASSERT_TRUE(service.SubmitFrame(genuine).get().Ok());  // verifies it
-    for (std::size_t i = 1; i < 3; ++i) MakeResident(service, fill[i]);
-  };
-  ServiceOptions options;
-  {
-    SchedulingService probe;
-    warm(probe);
-    options.cache.capacity_bytes = probe.Cache().CurrentBytes();
-  }
-  SchedulingService service(options);
-  warm(service);
+  // The entry has a residue for the genuine frame's header state. A
+  // tampered frame with the same state is decided by it (no full pass),
+  // answered as on the parse path, and neither counts, touches the entry
+  // nor charges a byte.
+  const SchedulingRequest request = MakeRequest(0);
+  SchedulingService service;
+  MakeResident(service, request);
+  const std::string genuine = FrameOf(WithId(request, "k"));
+  ASSERT_TRUE(service.SubmitFrame(genuine).get().Ok());  // verifies it
   ServiceMetrics& m = service.Metrics();
   ASSERT_EQ(m.raw_hits.load(), 1u);
   ASSERT_EQ(m.raw_check_passes.load(), 1u);
-  ASSERT_EQ(m.cache_evictions.load(), 0u);
   const std::size_t bytes = service.Cache().CurrentBytes();
-  const std::uint64_t hits = m.response_hits.load();
+  const StatsSnapshot before = CaptureStats(m);
 
   const std::string tampered = WithFlippedCheck(genuine);
   ASSERT_EQ(CheckState(tampered), CheckState(genuine));
@@ -321,22 +358,15 @@ TEST(RawIndexTest, TamperedCheckOnAVerifiedEntryChangesNothing) {
   EXPECT_EQ(response.error_kind, util::ErrorKind::kTransient);
   EXPECT_EQ(FormatResponseLine(response), ColdAnswer(tampered));
   EXPECT_EQ(m.checksum_failures.load(), 1u);
-  EXPECT_EQ(m.raw_check_passes.load(), 1u) << "the compare did not decide";
+  EXPECT_EQ(m.raw_check_passes.load(), 1u) << "the residue did not decide";
   EXPECT_EQ(m.raw_hits.load(), 1u);
-  EXPECT_EQ(m.response_hits.load(), hits);
+  const StatsSnapshot after = CaptureStats(m);
+  EXPECT_EQ(after.response_hits, before.response_hits);
+  EXPECT_EQ(after.scenario_hits, before.scenario_hits);
+  EXPECT_EQ(after.submitted, before.submitted);
   EXPECT_EQ(service.Cache().CurrentBytes(), bytes);
 
-  ASSERT_TRUE(service.SubmitFrame(FrameOf(WithId(fill[3], "n"))).get().Ok());
-  ASSERT_GT(m.cache_evictions.load(), 0u);
-  const auto resident = [&service](const SchedulingRequest& each) {
-    const std::string payload =
-        fadesched::testing::FormatScenario(each.scenario);
-    return service.Cache().LookupRaw(
-        {PayloadKey(each.scheduler, payload), each.scheduler, payload},
-        nullptr);
-  };
-  EXPECT_FALSE(resident(fill[0])) << "the tampered frame refreshed its entry";
-  EXPECT_TRUE(resident(fill[1]));
+  ExpectARefusedClaimLeavesTheTail(/*memo_decides=*/true);
 }
 
 TEST(RawIndexTest, OnlyAFullPassThatMatchedIsRemembered) {
@@ -373,9 +403,10 @@ TEST(RawIndexTest, OnlyAFullPassThatMatchedIsRemembered) {
 
 TEST(RawIndexTest, ReattachingAVariantForgetsTheVerifiedPass) {
   // a and b differ only in the description line, so one header state
-  // covers both. After b replaces a, a frame with a's header (and so a's
-  // check=) but b's payload bytes must fail: a's verified pass says
-  // nothing about b's bytes.
+  // covers both. Once b's payload has its own entry, a frame with a's
+  // header (and so a's check=) but b's payload bytes must fail: a's
+  // verified pass says nothing about b's bytes, so b's entry takes its
+  // own pass.
   SchedulingRequest a = MakeRequest(2);
   a.scenario.description = "first provenance";
   SchedulingRequest b = a;
@@ -391,7 +422,7 @@ TEST(RawIndexTest, ReattachingAVariantForgetsTheVerifiedPass) {
             ColdAnswer(frame_a));  // raw hit: a's pass is remembered
   EXPECT_EQ(m.raw_check_passes.load(), 1u);
   EXPECT_EQ(FormatResponseLine(service.SubmitFrame(frame_b).get()),
-            ColdAnswer(frame_b));  // canonical hit: b replaces a
+            ColdAnswer(frame_b));  // canonical hit: b gets an entry
   EXPECT_EQ(m.raw_hits.load(), 1u);
 
   const std::string spliced =
@@ -406,37 +437,23 @@ TEST(RawIndexTest, ReattachingAVariantForgetsTheVerifiedPass) {
 }
 
 TEST(RawIndexTest, AVerifiedRawHitChargesNothingAndEvictionReturnsAll) {
-  // Entry i's cost is what its store and attach add; a verified raw hit
-  // adds nothing. Entry 0 is the largest, so a fourth entry evicts it
-  // alone.
+  // Entry i's cost is what its response and payload entries add; a
+  // verified payload hit adds nothing. Entry 0 is the largest, so a
+  // fourth entry evicts its two nodes alone.
   CacheOptions unbounded;
   unbounded.capacity_bytes = std::size_t{1} << 40;
-  fadesched::testing::FuzzerOptions sized;
-  struct Entry {
-    Fingerprint fp;
-    std::string payload;
-    RawPayload Raw() const {
-      return {PayloadKey(fp.scheduler, payload), fp.scheduler, payload};
-    }
-  };
   std::vector<Entry> entries;
   for (std::uint64_t i = 0; i < 4; ++i) {
-    sized.min_links = sized.max_links = i == 0 ? 80 : 40;
-    SchedulingRequest request = MakeRequest(0);
-    request.scenario = fadesched::testing::ScenarioFuzzer(7, sized).Case(i);
-    entries.push_back({FingerprintRequest(request),
-                       fadesched::testing::FormatScenario(request.scenario)});
+    entries.push_back(EntryOf(SizedRequests(4, i == 0 ? 80 : 40)[i]));
   }
   SchedulingResponse ok;
   ok.schedule = {0};
   const auto add = [&ok](ScenarioCache& cache, const Entry& entry) {
-    const RawPayload raw = entry.Raw();
     const std::uint64_t state = 0x5eed0000u + entry.payload.size();
     cache.StoreResponse(entry.fp, ok);
-    ASSERT_TRUE(cache.LookupResponse(entry.fp, nullptr, false, &raw));
+    cache.AttachPayload(entry.Raw(), entry.fp);
     const std::size_t attached = cache.CurrentBytes();
-    ASSERT_TRUE(cache.LookupRaw(
-        raw, nullptr, RawCheck{state, util::Fnv1a64(entry.payload, state)}));
+    ASSERT_TRUE(cache.LookupPayload(entry.Raw(), "rle", entry.Check(state)));
     ASSERT_EQ(cache.CurrentBytes(), attached);
   };
   std::vector<std::size_t> cost;
@@ -457,9 +474,10 @@ TEST(RawIndexTest, AVerifiedRawHitChargesNothingAndEvictionReturnsAll) {
   for (std::size_t i = 0; i < 3; ++i) add(cache, entries[i]);
   ASSERT_EQ(cache.CurrentBytes(), options.capacity_bytes);
   add(cache, entries[3]);
-  EXPECT_EQ(metrics.cache_evictions.load(), 1u);
+  EXPECT_EQ(metrics.cache_evictions.load(), 2u);
   EXPECT_EQ(cache.CurrentBytes(), cost[1] + cost[2] + cost[3]);
-  EXPECT_FALSE(cache.LookupRaw(entries[0].Raw(), nullptr));
+  EXPECT_FALSE(cache.LookupPayload(entries[0].Raw(), "rle",
+                                   entries[0].Check(1)));
   EXPECT_EQ(metrics.raw_check_passes.load(), 4u);
   cache.Clear();
   EXPECT_EQ(cache.CurrentBytes(), 0u);
@@ -529,50 +547,185 @@ TEST(RawIndexTest, RawHitMovesStatsExactlyLikeACanonicalHit) {
   EXPECT_EQ(raw, canonical);
 }
 
-TEST(RawIndexTest, FilledToCapacityNoRawEntryOutlivesItsResponse) {
+TEST(RawIndexTest, FilledToCapacityThePayloadLevelStaysWithinBudget) {
   constexpr std::size_t kCapacity = 96u << 10;
   CacheOptions options;
   options.capacity_bytes = kCapacity;
   ServiceMetrics metrics;
   ScenarioCache cache(options, &metrics);
 
-  struct Entry {
-    Fingerprint fp;
-    std::string payload;
-    RawPayload Raw() const {
-      return {PayloadKey(fp.scheduler, payload), fp.scheduler, payload};
-    }
-  };
   std::vector<Entry> entries;
   SchedulingResponse ok;
   ok.schedule = {0};
   for (std::uint64_t i = 0; i < 64; ++i) {
-    const SchedulingRequest request = MakeRequest(i);
-    entries.push_back({FingerprintRequest(request),
-                       fadesched::testing::FormatScenario(request.scenario)});
+    entries.push_back(EntryOf(MakeRequest(i)));
     const Entry& entry = entries.back();
-    const RawPayload raw = entry.Raw();
     cache.StoreResponse(entry.fp, ok);
-    ASSERT_TRUE(cache.LookupResponse(entry.fp, nullptr, false, &raw));
+    cache.AttachPayload(entry.Raw(), entry.fp);
     EXPECT_LE(cache.CurrentBytes(), kCapacity) << "after entry " << i;
-    EXPECT_TRUE(cache.LookupRaw(raw, nullptr)) << "entry " << i;
+    const std::optional<Fingerprint> fp =
+        cache.LookupPayload(entry.Raw(), "rle", entry.Check(i));
+    ASSERT_TRUE(fp) << "entry " << i;
+    EXPECT_EQ(fp->request_hash, entry.fp.request_hash);
+    EXPECT_EQ(fp->canonical_scenario, entry.fp.canonical_scenario);
   }
   ASSERT_GT(metrics.cache_evictions.load(), 0u) << "the budget never bound";
 
-  std::size_t raw_resident = 0;
-  for (const Entry& entry : entries) {
-    // Probe the raw level first: a raw hit touches the node, so the
-    // response probe that follows sees it still resident.
-    const bool raw = cache.LookupRaw(entry.Raw(), nullptr);
-    const bool response = cache.LookupResponse(entry.fp, nullptr, false);
-    EXPECT_TRUE(!raw || response);
-    raw_resident += raw ? 1 : 0;
+  std::size_t payloads_resident = 0;
+  for (std::uint64_t i = 0; i < entries.size(); ++i) {
+    const Entry& entry = entries[i];
+    payloads_resident +=
+        cache.LookupPayload(entry.Raw(), "rle", entry.Check(i)) ? 1 : 0;
   }
-  EXPECT_GT(raw_resident, 0u);
-  EXPECT_LT(raw_resident, entries.size());
+  EXPECT_GT(payloads_resident, 0u);
+  EXPECT_LT(payloads_resident, entries.size());
   EXPECT_LE(cache.CurrentBytes(), kCapacity);
   cache.Clear();
-  EXPECT_FALSE(cache.LookupRaw(entries.back().Raw(), nullptr));
+  EXPECT_FALSE(cache.LookupPayload(entries.back().Raw(), "rle",
+                                   entries.back().Check(63)));
+}
+
+TEST(RawIndexTest, AResidentPayloadUnderANewSchedulerSkipsTheParse) {
+  // The paper's comparison: one topology under each scheduler. Once its
+  // payload is resident, a new scheduler's frame is a scenario hit built
+  // from no parse, and answers as HandleNow does.
+  const SchedulingRequest request = MakeRequest(4);
+  SchedulingService service;
+  SchedulingService reference;
+  MakeResident(service, request);
+  ServiceMetrics& m = service.Metrics();
+  for (const char* scheduler :
+       {"ldp", "approx_logn", "approx_diversity", "fading_greedy"}) {
+    SchedulingRequest other = WithId(request, std::string("n-") + scheduler);
+    other.scheduler = scheduler;
+    const std::string frame = FrameOf(other);
+    const StatsSnapshot before = CaptureStats(m);
+    const std::uint64_t raw_hits = m.raw_hits.load();
+    EXPECT_EQ(FormatResponseLine(service.SubmitFrame(frame).get()),
+              FormatResponseLine(reference.HandleNow(ParseRequestFrame(frame))))
+        << scheduler;
+    const StatsSnapshot after = CaptureStats(m);
+    EXPECT_EQ(after.scenario_hits, before.scenario_hits + 1) << scheduler;
+    EXPECT_EQ(after.scenario_misses, before.scenario_misses) << scheduler;
+    EXPECT_EQ(after.response_misses, before.response_misses + 1) << scheduler;
+    EXPECT_EQ(m.raw_hits.load(), raw_hits + 1) << scheduler << " was parsed";
+
+    // Its repeat is a response hit, still without a parse.
+    const std::string want =
+        FormatResponseLine(reference.HandleNow(ParseRequestFrame(frame)));
+    EXPECT_EQ(FormatResponseLine(service.SubmitFrame(frame).get()), want);
+    EXPECT_EQ(m.raw_hits.load(), raw_hits + 2) << scheduler;
+    EXPECT_EQ(CaptureStats(m).response_hits, after.response_hits + 1);
+  }
+  EXPECT_EQ(m.checksum_failures.load(), 0u);
+}
+
+TEST(RawIndexTest, TamperedCheckUnderANewSchedulerChargesNothing) {
+  const SchedulingRequest request = MakeRequest(4);
+  SchedulingService service;
+  MakeResident(service, request);
+  ServiceMetrics& m = service.Metrics();
+  SchedulingRequest other = WithId(request, "t");
+  other.scheduler = "ldp";
+  const std::string tampered = WithFlippedCheck(FrameOf(other));
+  const StatsSnapshot before = CaptureStats(m);
+  const std::size_t bytes = service.Cache().CurrentBytes();
+  const std::size_t entries = service.Cache().NumEntries();
+
+  const SchedulingResponse response = service.SubmitFrame(tampered).get();
+  EXPECT_EQ(response.error_kind, util::ErrorKind::kTransient);
+  EXPECT_EQ(FormatResponseLine(response), ColdAnswer(tampered));
+  try {
+    (void)ParseRequestFrame(tampered);
+    ADD_FAILURE() << "the tampered frame parsed";
+  } catch (const util::HarnessError& e) {
+    EXPECT_EQ(response.message, e.what());
+  }
+  EXPECT_EQ(Delta(CaptureStats(m), before),
+            std::vector<std::uint64_t>(Delta(before, before).size(), 0u));
+  EXPECT_EQ(m.checksum_failures.load(), 1u);
+  EXPECT_EQ(m.raw_hits.load(), 0u);
+  EXPECT_EQ(service.Cache().CurrentBytes(), bytes);
+  EXPECT_EQ(service.Cache().NumEntries(), entries);
+}
+
+TEST(RawIndexTest, AnEvictedScenarioStillSchedulesFromThePin) {
+  // At the cache: a scenario handed out by PeekScenario and evicted
+  // before ObtainScenario goes back in as it is, counted as a hit. The
+  // request carries no links, so a build would schedule nothing.
+  const SchedulingRequest request = MakeRequest(5);
+  const Fingerprint fp = FingerprintRequest(request);
+  ServiceMetrics metrics;
+  ScenarioCache cache({}, &metrics);
+  const ScenarioCache::ScenarioPtr built = cache.ObtainScenario(fp, request);
+  const ScenarioCache::ScenarioPtr pinned = cache.PeekScenario(fp);
+  ASSERT_EQ(pinned, built);
+  cache.Clear();
+  ASSERT_EQ(cache.PeekScenario(fp), nullptr);
+  bool hit = false;
+  EXPECT_EQ(cache.ObtainScenario(fp, SchedulingRequest{}, &hit, pinned),
+            pinned);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(metrics.scenario_hits.load(), 1u);
+  EXPECT_EQ(metrics.scenario_misses.load(), 1u);
+  EXPECT_EQ(cache.PeekScenario(fp), pinned);
+
+  // Through the service: the one worker is busy with a large cold build
+  // while a frame under a new scheduler is queued with its scenario
+  // pinned; the cache is then cleared. The frame was never parsed, so
+  // only the pin can schedule it.
+  ServiceOptions options;
+  options.batcher.num_workers = 1;
+  SchedulingService service(options);
+  SchedulingService reference;
+  MakeResident(service, request);
+  fadesched::testing::FuzzerOptions large;
+  large.min_links = large.max_links = 1500;
+  SchedulingRequest busy = WithId(request, "busy");
+  busy.scenario = fadesched::testing::ScenarioFuzzer(7, large).Case(0);
+  busy.scheduler = "fading_greedy";
+  SchedulingRequest other = WithId(request, "pinned");
+  other.scheduler = "approx_diversity";
+  const std::string frame = FrameOf(other);
+  const std::uint64_t misses = service.Metrics().scenario_misses.load();
+  std::future<SchedulingResponse> first = service.SubmitFrame(FrameOf(busy));
+  std::future<SchedulingResponse> second = service.SubmitFrame(frame);
+  service.Cache().Clear();
+  EXPECT_TRUE(first.get().Ok());
+  EXPECT_EQ(FormatResponseLine(second.get()),
+            FormatResponseLine(reference.HandleNow(ParseRequestFrame(frame))));
+  EXPECT_EQ(service.Metrics().raw_hits.load(), 1u);
+  EXPECT_EQ(service.Metrics().scenario_misses.load(), misses + 1)
+      << "only the busy frame builds";
+}
+
+TEST(RawIndexTest, APayloadWhoseFingerprintIsGoneFallsBackToTheParsePath) {
+  // A budget that holds one resident topology (scenario, response and
+  // payload entries) plus slack: one cold scenario after it evicts the
+  // first one's scenario and response, which are older than its payload.
+  const std::vector<SchedulingRequest> requests = SizedRequests(2);
+  ServiceOptions options;
+  {
+    SchedulingService probe;
+    MakeResident(probe, requests[0]);
+    options.cache.capacity_bytes = probe.Cache().CurrentBytes() + 512;
+  }
+  SchedulingService service(options);
+  MakeResident(service, requests[0]);
+  ASSERT_TRUE(
+      service.SubmitFrame(FrameOf(WithId(requests[1], "x"))).get().Ok());
+  ServiceMetrics& m = service.Metrics();
+  ASSERT_EQ(m.cache_evictions.load(), 2u);
+  const Entry first = EntryOf(requests[0]);
+  ASSERT_FALSE(service.Cache().IsWarm(first.fp));
+
+  const std::string frame = FrameOf(WithId(requests[0], "back"));
+  const std::uint64_t misses = m.scenario_misses.load();
+  EXPECT_EQ(FormatResponseLine(service.SubmitFrame(frame).get()),
+            ColdAnswer(frame));
+  EXPECT_EQ(m.raw_hits.load(), 0u);
+  EXPECT_EQ(m.raw_check_passes.load(), 1u) << "the payload was not probed";
+  EXPECT_EQ(m.scenario_misses.load(), misses + 1);
 }
 
 TEST(RawIndexTest, ConcurrentFramesUnderEvictionMatchTheReference) {

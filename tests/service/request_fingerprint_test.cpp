@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "testing/fuzzer.hpp"
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 
 namespace fadesched::service {
 namespace {
@@ -55,9 +59,34 @@ TEST(WordHash64Test, TrailingZerosAndSeedsAreContent) {
   EXPECT_NE(WordHash64("a"), WordHash64(std::string("a\0", 2)));
   EXPECT_NE(WordHash64(std::string(32, '\0')), WordHash64(std::string(33, '\0')));
   EXPECT_NE(WordHash64("payload", 1), WordHash64("payload", 2));
-  // The scheduler/payload split is part of the key.
-  EXPECT_NE(PayloadKey("rle", "x"), PayloadKey("rl", "ex"));
-  EXPECT_EQ(PayloadKey("rle", "x"), WordHash64("x", WordHash64("rle")));
+}
+
+// The payload level's residue memo rests on this identity:
+// Fnv1a64(p, s) == s * FnvPower(|p|) + R, with R fixed by p and s's low
+// byte.
+TEST(Fnv1a64Test, IsAffineInItsSeedOnceItsLowByteIsFixed) {
+  std::mt19937_64 rng(31);
+  std::uint64_t power = 1;
+  for (std::size_t n = 0; n < 300; ++n, power *= util::kFnvPrime) {
+    ASSERT_EQ(util::FnvPower(n), power) << "n = " << n;
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    // Every fourth payload is empty; the rest are up to 4 KiB.
+    std::string payload(trial % 4 == 0 ? 0 : rng() % 4096, '\0');
+    for (char& byte : payload) byte = static_cast<char>(rng());
+    const std::uint64_t p_n = util::FnvPower(payload.size());
+    const std::uint64_t seed = rng();
+    const std::uint64_t residue = Fnv1a64(payload, seed) - seed * p_n;
+    if (payload.empty()) {
+      EXPECT_EQ(residue, 0u);
+    }
+    for (int other = 0; other < 8; ++other) {
+      const std::uint64_t same_low =
+          (rng() & ~std::uint64_t{0xff}) | (seed & 0xff);
+      ASSERT_EQ(same_low * p_n + residue, Fnv1a64(payload, same_low))
+          << "trial " << trial << ", " << payload.size() << " bytes";
+    }
+  }
 }
 
 TEST(FingerprintTest, DeterministicAcrossCalls) {
@@ -103,6 +132,48 @@ TEST(FingerprintTest, ChannelParamsAreContent) {
   request.scenario.params.epsilon *= 0.5;
   const Fingerprint changed = FingerprintRequest(request);
   EXPECT_NE(base.scenario_hash, changed.scenario_hash);
+}
+
+// The canonical blob, scenario_hash and request_hash of fixed fuzzer
+// cases, as the append-per-field build produced them: building the blob
+// in one sized pass must not move a byte of it.
+TEST(FingerprintTest, BlobAndHashesArePinned) {
+  struct Pinned {
+    std::uint64_t case_index;
+    std::size_t links;  ///< 0: the fuzzer's own size
+    const char* scheduler;
+    std::size_t blob_bytes;
+    std::uint64_t blob_fnv;
+    std::uint64_t scenario_hash;
+    std::uint64_t request_hash;
+  };
+  const Pinned pinned[] = {
+      {0, 0, "rle", 688, 0x07c7a36132a04cacull, 0x1ed864249b7f4d45ull,
+       0xe3a3498dfb0abbb7ull},
+      {1, 0, "ldp", 592, 0xe3ad7d5f7399547dull, 0x05419836aafe4c1eull,
+       0x0d7ba12667d6ae4eull},
+      {2, 0, "fading_greedy", 784, 0xbc470a1548b3b626ull,
+       0x231c8ed55c4fbbe6ull, 0x3e923801d5b1e485ull},
+      {3, 0, "approx_diversity", 640, 0x407ff55132be0607ull,
+       0x7bf0bb3dcd4d01f0ull, 0xf60cdde03bb7dfc4ull},
+      {0, 600, "rle", 28864, 0xab6153251d3141e6ull, 0xf6f2600ed5bf89a0ull,
+       0x55debc953c9d1a4dull},
+  };
+  for (const Pinned& want : pinned) {
+    fadesched::testing::FuzzerOptions options;
+    if (want.links > 0) options.min_links = options.max_links = want.links;
+    SchedulingRequest request;
+    request.scenario =
+        fadesched::testing::ScenarioFuzzer(7, options).Case(want.case_index);
+    request.scheduler = want.scheduler;
+    const Fingerprint fp = FingerprintRequest(request);
+    EXPECT_EQ(fp.canonical_scenario.size(), want.blob_bytes) << want.scheduler;
+    EXPECT_EQ(Fnv1a64(fp.canonical_scenario.view()), want.blob_fnv)
+        << want.scheduler;
+    EXPECT_EQ(fp.scenario_hash, want.scenario_hash) << want.scheduler;
+    EXPECT_EQ(fp.request_hash, want.request_hash) << want.scheduler;
+    EXPECT_EQ(RequestHash(fp.scenario_hash, want.scheduler), fp.request_hash);
+  }
 }
 
 TEST(FingerprintTest, EmptySchedulerNameIsRejected) {

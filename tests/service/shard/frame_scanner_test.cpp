@@ -33,6 +33,7 @@
 #include "service/protocol.hpp"
 #include "service/request.hpp"
 #include "service/shard/frame_scanner.hpp"
+#include "service/shard/hash_ring.hpp"
 #include "testing/fuzzer.hpp"
 
 namespace fadesched::service::shard {
@@ -496,15 +497,15 @@ TEST(RoutingKeyTest, IgnoresIdAndChecksum) {
   EXPECT_EQ(RoutingKey(Frame(0, "first")), RoutingKey(Frame(0, "second")));
 }
 
-TEST(RoutingKeyTest, DependsOnScenarioAndScheduler) {
+TEST(RoutingKeyTest, DependsOnTheScenarioAlone) {
   EXPECT_NE(RoutingKey(Frame(0, "a")), RoutingKey(Frame(1, "a")))
-      << "different scenarios must fingerprint differently";
-  EXPECT_NE(RoutingKey(Frame(0, "a", "rle")), RoutingKey(Frame(0, "a", "ldp")))
-      << "scheduler is part of the cache key, so also of the fingerprint";
+      << "different scenarios must route independently";
+  EXPECT_EQ(RoutingKey(Frame(0, "a", "rle")), RoutingKey(Frame(0, "b", "ldp")))
+      << "the scheduler is not part of the key: a topology routes once";
 }
 
-// The router routes by the key the worker's raw cache level probes
-// with, so a repeat lands where its payload is resident; carrying the
+// The router routes by the key the worker's payload level is indexed
+// by, so a repeat lands where its payload is resident; carrying the
 // router's key to the worker instead of rehashing rests on this.
 TEST(RoutingKeyTest, EqualsTheWorkersPayloadKey) {
   fadesched::testing::ScenarioFuzzer fuzzer(17);
@@ -520,9 +521,34 @@ TEST(RoutingKeyTest, EqualsTheWorkersPayloadKey) {
     const std::vector<ScanEvent> events = ScanInChunks(scanner, wire, 4096);
     ASSERT_EQ(events.size(), 1u);
     const std::string& frame = events[0].frame;
-    const RequestHeader h = ParseRequestHeader(frame);
-    EXPECT_EQ(RoutingKey(frame), PayloadKey(h.scheduler, h.payload))
+    EXPECT_EQ(RoutingKey(frame), WordHash64(ParseRequestHeader(frame).payload))
         << "case " << i;
+  }
+}
+
+// The paper's comparison sends each topology under every scheduler; the
+// tier builds its engine once only if all of them reach one shard.
+TEST(RoutingKeyTest, OneTopologyUnderEverySchedulerRoutesToOneShard) {
+  const char* const schedulers[] = {"rle", "ldp", "approx_logn",
+                                    "approx_diversity", "fading_greedy"};
+  for (const std::size_t shards : {2u, 4u, 8u}) {
+    HashRingOptions options;
+    options.num_shards = shards;
+    const HashRing ring(options);
+    std::vector<bool> used(shards, false);
+    for (std::uint64_t topology = 0; topology < 32; ++topology) {
+      const std::size_t first = ring.ShardFor(RoutingKey(Frame(topology, "t")));
+      used[first] = true;
+      for (std::size_t s = 0; s < std::size(schedulers); ++s) {
+        const std::string frame =
+            Frame(topology, "t" + std::to_string(s), schedulers[s]);
+        EXPECT_EQ(ring.ShardFor(RoutingKey(frame)), first)
+            << shards << " shards, topology " << topology << ", "
+            << schedulers[s];
+      }
+    }
+    EXPECT_GT(std::count(used.begin(), used.end(), true), 1)
+        << "every topology on one shard is no spread";
   }
 }
 

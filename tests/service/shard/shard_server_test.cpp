@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
 
@@ -15,6 +16,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -214,6 +216,34 @@ TEST_F(ShardServerTest, KilledWorkerRespawnsAndKeepsServing) {
   EXPECT_EQ(report.slots[0].last_respawn_reason, "crash");
   EXPECT_EQ(report.slots[0].spawns, 2u);
   EXPECT_EQ(report.slots[1].spawns, 1u) << "the healthy shard must not churn";
+}
+
+TEST_F(ShardServerTest, WorkerHoldsOnlyStdioAndItsPipe) {
+  // A socket the embedding process holds when a worker forks, such as a
+  // client of its own, must not leak into the worker: a copy there would
+  // keep the socket open after the holder closes it.
+  int unrelated[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, unrelated), 0);
+  StartServer("fds", 1);
+  const std::unique_ptr<Client> client = Connect();
+  client->SendRaw(Frame(0, "fd"));  // answered only once the worker serves
+  ASSERT_TRUE(ParseResponseLine(client->ReadLine()).Ok());
+  const pid_t worker = server_->WorkerPid(0);
+  ASSERT_GT(worker, 0);
+
+  std::set<int> fds;
+  const std::filesystem::path table =
+      "/proc/" + std::to_string(worker) + "/fd";
+  for (const auto& entry : std::filesystem::directory_iterator(table)) {
+    fds.insert(std::stoi(entry.path().filename().string()));
+  }
+  EXPECT_EQ(fds, (std::set<int>{0, 1, 2, 3}));
+  EXPECT_EQ(std::filesystem::read_symlink(table / "3").string().rfind(
+                "socket:", 0),
+            0u)
+      << "fd 3 is not the worker's pipe";
+  ::close(unrelated[0]);
+  ::close(unrelated[1]);
 }
 
 /// Polls until both shard slots hold a live worker other than `old`'s.
