@@ -41,7 +41,6 @@
 #include "service/loadgen.hpp"
 #include "service/protocol.hpp"
 #include "service/request.hpp"
-#include "service/server.hpp"
 #include "service/service.hpp"
 #include "service/shard/frame_scanner.hpp"
 #include "service/shard/shard_server.hpp"
@@ -255,9 +254,9 @@ DecodePoint MeasureDecode(std::size_t n, int reps) {
   return point;
 }
 
-// A serving tier to build: plain `serve`'s in-process Server when
-// `shards` is 0, else a ShardServer forking `shards` workers, each
-// building its service from `server.service`.
+// A serving tier to build: a ShardServer with plain `serve`'s local slot
+// when `shards` is 0, else forking `shards` workers, each building its
+// service from `server.service`.
 struct TierSpec {
   service::ServerOptions server;
   std::size_t shards = 0;
@@ -281,25 +280,18 @@ class Tier {
          ("fs_bench_" + tag + "_" + std::to_string(::getpid()) + ".sock"))
             .string();
     socket_ = spec.server.unix_socket_path;
-    if (shards_ == 0) {
-      server_ = std::make_unique<service::Server>(spec.server);
-      server_->Start();
-      serving_ = std::thread([this] { server_->Serve(); });
-      return;
-    }
     service::shard::ShardServerOptions options;
     options.server = spec.server;
     options.num_shards = shards_;
     options.routing = spec.routing;
     options.completion_threads_per_shard = 1;
     options.supervisor.drain_grace_seconds = 10.0;
-    router_ = std::make_unique<service::shard::ShardServer>(options);
-    router_->Start();
-    serving_ = std::thread([this] { router_->Serve(); });
+    server_ = std::make_unique<service::shard::ShardServer>(options);
+    server_->Start();
+    serving_ = std::thread([this] { server_->Serve(); });
   }
   ~Tier() {
-    if (server_ != nullptr) server_->Stop();
-    if (router_ != nullptr) router_->Stop();
+    server_->Stop();
     serving_.join();
   }
   Tier(const Tier&) = delete;
@@ -311,7 +303,7 @@ class Tier {
   // calling thread's, which is the one running the loadgen. Sharded: the
   // router's event-loop thread plus every live shard worker process.
   [[nodiscard]] double CpuSeconds() {
-    if (server_ != nullptr) {
+    if (shards_ == 0) {
       return ClockSeconds(CLOCK_PROCESS_CPUTIME_ID) -
              ClockSeconds(CLOCK_THREAD_CPUTIME_ID);
     }
@@ -321,7 +313,7 @@ class Tier {
       total += ClockSeconds(clock);
     }
     for (std::size_t slot = 0; slot < shards_; ++slot) {
-      const pid_t pid = router_->WorkerPid(slot);
+      const pid_t pid = server_->WorkerPid(slot);
       if (pid > 0 && ::clock_getcpuclockid(pid, &clock) == 0) {
         total += ClockSeconds(clock);
       }
@@ -331,14 +323,13 @@ class Tier {
 
   // The in-process tier's service; null when sharded.
   [[nodiscard]] service::SchedulingService* Service() {
-    return server_ != nullptr ? &server_->Service() : nullptr;
+    return server_->LocalService();
   }
 
  private:
   std::size_t shards_;
   std::string socket_;
-  std::unique_ptr<service::Server> server_;
-  std::unique_ptr<service::shard::ShardServer> router_;
+  std::unique_ptr<service::shard::ShardServer> server_;
   std::thread serving_;
 };
 
@@ -658,7 +649,7 @@ int main(int argc, char** argv) {
   }
 
   // --- 4. Open-loop throughput vs p99 on plain `serve` --------------------
-  // RunLoadgen drives an in-process Server through its socket: calibrated
+  // RunLoadgen drives the local-slot tier through its socket: calibrated
   // closed-loop capacity first, then open-loop points at multiples of it
   // (open loop: a slow service does not slow the arrival process). The
   // controller's job under 2× overload: shed cold requests, keep warm p99

@@ -1,7 +1,7 @@
 // Bounded MPMC request queue + worker pool with deadline-aware admission
 // control.
 //
-// Producers (the server's connection threads, the bench, tests) Submit()
+// Producers (the service's front-end, the bench, tests) Submit()
 // requests; N workers pop and run the handler. Three admission outcomes,
 // mapped onto the util::error taxonomy so CLI callers inherit the
 // repo-wide exit-code contract:

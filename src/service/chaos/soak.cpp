@@ -108,18 +108,19 @@ ChaosSoakReport RunChaosSoak(const ChaosSoakOptions& options) {
                           options.endpoint.port <= 0;
 
   Endpoint endpoint = options.endpoint;
-  std::unique_ptr<Server> server;
+  std::unique_ptr<shard::ShardServer> server;
   std::thread serving;
   std::exception_ptr serve_error;
   if (in_process) {
-    ServerOptions server_options = options.server;
-    server_options.unix_socket_path =
+    shard::ShardServerOptions tier;  // num_shards 0: the local slot
+    tier.server = options.server;
+    tier.server.unix_socket_path =
         "/tmp/fs_chaos_" + std::to_string(::getpid()) + "_" +
         std::to_string(options.seed) + ".sock";
-    server_options.port = 0;
-    server = std::make_unique<Server>(server_options);
+    tier.server.port = 0;
+    server = std::make_unique<shard::ShardServer>(tier);
     server->Start();
-    endpoint.unix_socket_path = server_options.unix_socket_path;
+    endpoint.unix_socket_path = tier.server.unix_socket_path;
     serving = std::thread([&server, &serve_error] {
       try {
         server->Serve();
@@ -154,7 +155,7 @@ ChaosSoakReport RunChaosSoak(const ChaosSoakOptions& options) {
   FaultTrace trace;
   ServiceMetrics local_metrics;
   ServiceMetrics* metrics =
-      in_process ? &server->Service().Metrics() : &local_metrics;
+      in_process ? &server->LocalService()->Metrics() : &local_metrics;
 
   std::atomic<std::size_t> done{0};
   std::atomic<bool> drained{false};

@@ -30,7 +30,7 @@
 #include "service/chaos/retry_client.hpp"
 #include "service/chaos/transport.hpp"
 #include "service/client.hpp"
-#include "service/server.hpp"
+#include "service/shard/shard_server.hpp"
 
 namespace fadesched::service::chaos {
 
@@ -64,7 +64,8 @@ struct ChaosSoakOptions {
   bool allow_unserved = false;
   std::function<void()> on_drain;
 
-  /// In-process server configuration (listener fields are overridden).
+  /// In-process server configuration (listener fields are overridden):
+  /// plain `serve`'s topology, a ShardServer with the local slot.
   ServerOptions server;
 
   void Validate() const;

@@ -1,6 +1,6 @@
-// Per-connection framing, shared by both front-ends: the epoll router
-// and the thread-per-connection Server. One state machine for both
-// keeps their framing and their guards byte-identical:
+// Per-connection framing for the serving front-end (shard::ShardServer,
+// in either topology) and perfbench's frozen replica. One state machine
+// keeps framing and guards byte-identical wherever frames are carved:
 //
 //   * lines end at '\n'; a trailing '\r' is stripped (telnet-friendly);
 //   * a bare STATS line between frames is a metrics query, the same
@@ -14,7 +14,7 @@
 // starts it, not line by line; only a window holding a '\r' walks its
 // lines, to close up behind each stripped '\r'. The scanner also owns
 // the max-frame, mid-frame read-deadline and EOF-mid-frame guards and
-// their wording; the front-ends only count and evict. Lines are counted
+// their wording; the front-end only counts and evicts. Lines are counted
 // only when a guard fires.
 //
 // The scanner does NOT parse or validate frames — routing must not
@@ -98,6 +98,11 @@ class FrameScanner {
   /// Mid-frame and silent for over `deadline_seconds` (0: off) at `now`.
   [[nodiscard]] std::optional<std::string> Stalled(double deadline_seconds,
                                                    Clock::time_point now) const;
+
+  /// Restarts the read-deadline clock as a received byte would: a
+  /// front-end that stopped reading a connection calls it when it reads
+  /// again, so the pause does not count as the peer's stall.
+  void RestartDeadline() { last_byte_ = Clock::now(); }
 
   /// The peer closed its write side mid-frame.
   [[nodiscard]] std::optional<std::string> TruncatedAtEof() const;

@@ -1,14 +1,19 @@
 #include "service/shard/shard_server.hpp"
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <iterator>
 #include <optional>
 #include <span>
@@ -28,6 +33,7 @@ constexpr int kTickMs = 20;
 constexpr std::uint64_t kTagListener = 1;
 constexpr std::uint64_t kTagConn = 2;
 constexpr std::uint64_t kTagShard = 3;
+constexpr std::uint64_t kTagLocal = 4;  // the local slot's eventfd
 
 std::uint64_t MakeTag(std::uint64_t role, std::uint64_t id) {
   return (role << 56) | (id & ((1ULL << 56) - 1));
@@ -59,45 +65,131 @@ bool WriteSome(int fd, std::string& data) {
   return true;
 }
 
+/// Binds + listens per `options` (unix path or TCP host:port) and returns
+/// the non-blocking listener fd; `resolved_port` receives the ephemeral
+/// port for TCP. Throws util::HarnessError on failure.
+int BindListenSocket(const ServerOptions& options, int* resolved_port) {
+  int fd = -1;
+  if (!options.unix_socket_path.empty()) {
+    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) ThrowErrno("socket(AF_UNIX)");
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (options.unix_socket_path.size() >= sizeof(addr.sun_path)) {
+      ::close(fd);
+      throw util::FatalError("unix socket path too long: " +
+                             options.unix_socket_path);
+    }
+    std::strncpy(addr.sun_path, options.unix_socket_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    ::unlink(options.unix_socket_path.c_str());  // stale socket from a crash
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+      ::close(fd);
+      ThrowErrno("bind(" + options.unix_socket_path + ")");
+    }
+  } else {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) ThrowErrno("socket(AF_INET)");
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(options.port));
+    if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
+      ::close(fd);
+      throw util::FatalError("invalid bind address: " + options.host);
+    }
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+      ::close(fd);
+      ThrowErrno("bind(" + options.host + ":" + std::to_string(options.port) +
+                 ")");
+    }
+    sockaddr_in bound{};
+    socklen_t bound_len = sizeof(bound);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) ==
+        0) {
+      *resolved_port = static_cast<int>(ntohs(bound.sin_port));
+    }
+  }
+  if (::listen(fd, 64) < 0) {
+    const int saved = errno;
+    ::close(fd);
+    errno = saved;
+    ThrowErrno("listen");
+  }
+  SetNonBlockingFd(fd);
+  return fd;
+}
+
+int MakeEventFd() {
+  const int fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (fd < 0) ThrowErrno("eventfd");
+  return fd;
+}
+
 }  // namespace
 
+ShardServer::LocalSlot::LocalSlot(const ShardServerOptions& options)
+    : service(options.server.service),
+      wake_fd(MakeEventFd()),
+      completions(options.completion_threads_per_shard,
+                  [this](std::uint64_t ticket, std::string line) {
+                    bool wake = false;
+                    {
+                      const std::lock_guard<std::mutex> lock(mutex);
+                      wake = done.empty();
+                      done.emplace_back(ticket, std::move(line));
+                    }
+                    // One wake per batch: the loop reads the eventfd
+                    // before it takes the batch, so a line queued after
+                    // that finds `done` empty and wakes it again.
+                    if (wake) {
+                      const std::uint64_t one = 1;
+                      [[maybe_unused]] const ssize_t n =
+                          ::write(wake_fd, &one, sizeof(one));
+                    }
+                  }) {}
+
+ShardServer::LocalSlot::~LocalSlot() {
+  completions.Close();  // no drainer may write the eventfd once closed
+  ::close(wake_fd);
+}
+
 ShardServer::ShardServer(ShardServerOptions options)
-    : options_(std::move(options)),
-      ring_(HashRingOptions{options_.num_shards, options_.vnodes_per_shard,
-                            options_.ring_seed}),
-      supervisor_(
-          // Worker main runs in the forked child: shed every inherited
-          // router fd, then serve this slot's pipe until EOF/SIGTERM.
-          [this](std::size_t slot, std::size_t spawn_ordinal) {
-            ShardWorkerOptions worker;
-            worker.pipe_fd = CloseInheritedFdsInChild(slot);
-            worker.completion_threads = options_.completion_threads_per_shard;
-            worker.shard_id = slot;
-            worker.spawn_ordinal = spawn_ordinal;
-            worker.service = options_.server.service;
-            return RunShardWorker(worker);
-          },
-          [this] {
-            SupervisorOptions sup = options_.supervisor;
-            sup.num_workers = options_.num_shards;
-            sup.hooks.prepare_spawn = [this](std::size_t slot) {
-              OnPrepareSpawn(slot);
-            };
-            sup.hooks.worker_spawned = [this](std::size_t slot, pid_t pid) {
-              OnWorkerSpawned(slot, pid);
-            };
-            sup.hooks.worker_down = [this](std::size_t slot,
-                                           const std::string& reason) {
-              OnWorkerDown(slot, reason);
-            };
-            sup.hooks.slot_annotation = [this](std::size_t slot) {
-              return SlotAnnotation(slot);
-            };
-            return sup;
-          }()),
-      live_pids_(options_.num_shards) {
-  slots_.resize(options_.num_shards);
+    : options_(std::move(options)), live_pids_(options_.num_shards) {
   for (auto& pid : live_pids_) pid.store(-1, std::memory_order_relaxed);
+  if (options_.num_shards == 0) {
+    local_ = std::make_unique<LocalSlot>(options_);
+    return;
+  }
+  ring_.emplace(HashRingOptions{options_.num_shards, options_.vnodes_per_shard,
+                                options_.ring_seed});
+  SupervisorOptions sup = options_.supervisor;
+  sup.num_workers = options_.num_shards;
+  sup.hooks.prepare_spawn = [this](std::size_t slot) { OnPrepareSpawn(slot); };
+  sup.hooks.worker_spawned = [this](std::size_t slot, pid_t pid) {
+    OnWorkerSpawned(slot, pid);
+  };
+  sup.hooks.worker_down = [this](std::size_t slot, const std::string& reason) {
+    OnWorkerDown(slot, reason);
+  };
+  sup.hooks.slot_annotation = [this](std::size_t slot) {
+    return SlotAnnotation(slot);
+  };
+  supervisor_.emplace(
+      // Worker main runs in the forked child: shed every inherited
+      // router fd, then serve this slot's pipe until EOF/SIGTERM.
+      [this](std::size_t slot, std::size_t spawn_ordinal) {
+        ShardWorkerOptions worker;
+        worker.pipe_fd = CloseInheritedFdsInChild(slot);
+        worker.completion_threads = options_.completion_threads_per_shard;
+        worker.shard_id = slot;
+        worker.spawn_ordinal = spawn_ordinal;
+        worker.service = options_.server.service;
+        return RunShardWorker(worker);
+      },
+      std::move(sup));
+  slots_.resize(options_.num_shards);
 }
 
 ShardServer::~ShardServer() {
@@ -197,7 +289,7 @@ void ShardServer::OnWorkerSpawned(std::size_t slot_index, pid_t pid) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, slot.router_fd, &event);
   // The fresh worker re-arms the exact arc its predecessor owned —
   // minimal remap is "the lost arc comes back", not "reshuffle".
-  ring_.SetLive(slot_index, true);
+  ring_->SetLive(slot_index, true);
   if (roll_waiting_respawn_ && !roll_queue_.empty() &&
       roll_queue_.front() == slot_index) {
     roll_queue_.pop_front();
@@ -209,7 +301,7 @@ void ShardServer::OnWorkerDown(std::size_t slot_index,
                                const std::string& reason) {
   live_pids_[slot_index].store(-1, std::memory_order_relaxed);
   ShardSlot& slot = slots_[slot_index];
-  ring_.SetLive(slot_index, false);
+  ring_->SetLive(slot_index, false);
   if (slot.router_fd >= 0) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, slot.router_fd, nullptr);
     ::close(slot.router_fd);
@@ -239,22 +331,22 @@ void ShardServer::OnWorkerDown(std::size_t slot_index,
 
 std::string ShardServer::SlotAnnotation(std::size_t slot) const {
   char arc_buf[32];
-  std::snprintf(arc_buf, sizeof(arc_buf), "%.4f", ring_.ArcShare(slot));
+  std::snprintf(arc_buf, sizeof(arc_buf), "%.4f", ring_->ArcShare(slot));
   std::string out = "\"shard_id\": " + std::to_string(slot) +
                     ", \"ring_arc\": " + arc_buf + ", \"ring_live\": " +
-                    (ring_.Live(slot) ? "true" : "false");
+                    (ring_->Live(slot) ? "true" : "false");
   return out;
 }
 
 std::size_t ShardServer::PickShard(std::string_view frame) {
   if (options_.routing == RoutingMode::kAffinity) {
-    return ring_.ShardFor(RoutingKey(frame));
+    return ring_->ShardFor(RoutingKey(frame));
   }
   // Round-robin control arm: rotate over live slots, affinity-blind.
   for (std::size_t probe = 0; probe < slots_.size(); ++probe) {
     const std::size_t slot =
         (round_robin_next_ + probe) % slots_.size();
-    if (ring_.Live(slot)) {
+    if (ring_->Live(slot)) {
       round_robin_next_ = (slot + 1) % slots_.size();
       return slot;
     }
@@ -270,13 +362,14 @@ void ShardServer::FailTicket(std::uint64_t ticket_id,
 
 void ShardServer::SyntheticError(Conn& conn, util::ErrorKind kind,
                                  const std::string& message) {
+  CompleteTicket(OpenTicket(conn), FormatErrorLine(kind, message));
+}
+
+std::uint64_t ShardServer::OpenTicket(Conn& conn) {
   const std::uint64_t ticket_id = next_ticket_id_++;
-  Ticket ticket;
-  ticket.conn_id = conn.id;
-  ticket.done = true;
-  ticket.response = FormatErrorLine(kind, message);
-  tickets_.emplace(ticket_id, std::move(ticket));
+  tickets_[ticket_id].conn_id = conn.id;
   conn.fifo.push_back(ticket_id);
+  return ticket_id;
 }
 
 void ShardServer::CompleteTicket(std::uint64_t ticket_id,
@@ -293,8 +386,8 @@ void ShardServer::CompleteTicket(std::uint64_t ticket_id,
   // Defer the flush: FlushConn can CloseConn (a failed write to a gone
   // peer), which erases the Conn from conns_ — lethal to any caller up
   // the stack still holding a Conn& (RouteFrame/RouteStats can complete
-  // synchronously from inside HandleConnReadable's drain loop). Every
-  // event-loop stage drains this queue once references are dropped.
+  // synchronously from inside ReadConn's carve loop). Every event-loop
+  // stage drains this queue once references are dropped.
   flush_pending_.insert(it->second.conn_id);
 }
 
@@ -309,42 +402,57 @@ void ShardServer::DrainPendingFlushes() {
   }
 }
 
+bool ShardServer::AtCap(const Conn& conn) {
+  return conn.out.size() >= kConnOutCapBytes ||
+         conn.fifo.size() >= kConnFifoCap;
+}
+
 void ShardServer::FlushConn(Conn& conn) {
-  // Re-sequencing point: only the done head-run of the FIFO may leave —
-  // a later ticket finishing first waits for its elders, which is what
-  // keeps per-connection response order identical to request order no
-  // matter which shards answered.
-  while (!conn.fifo.empty()) {
-    auto it = tickets_.find(conn.fifo.front());
-    if (it == tickets_.end()) {
-      conn.fifo.pop_front();  // dropped ticket (shouldn't happen live)
-      continue;
+  for (;;) {
+    // Re-sequencing point: only the done head-run of the FIFO may leave —
+    // a later ticket finishing first waits for its elders, which is what
+    // keeps per-connection response order identical to request order no
+    // matter which slot or thread answered.
+    while (!conn.fifo.empty()) {
+      auto it = tickets_.find(conn.fifo.front());
+      if (it == tickets_.end()) {
+        conn.fifo.pop_front();  // dropped ticket (shouldn't happen live)
+        continue;
+      }
+      if (!it->second.done) break;
+      conn.out += it->second.response;
+      conn.out += '\n';
+      tickets_.erase(it);
+      conn.fifo.pop_front();
     }
-    if (!it->second.done) break;
-    conn.out += it->second.response;
-    conn.out += '\n';
-    tickets_.erase(it);
-    conn.fifo.pop_front();
+    if (!conn.out.empty() && !WriteSome(conn.fd, conn.out)) {
+      CloseConn(conn.id);
+      return;
+    }
+    if (!conn.paused || AtCap(conn)) break;
+    // Back under both caps: read again. Edge-triggered epoll does not
+    // report bytes that were already waiting, so the loop reads itself,
+    // and the time spent paused does not count against the client's
+    // read deadline.
+    conn.paused = false;
+    conn.scanner.RestartDeadline();
+    ReadConn(conn);
   }
-  bool alive = true;
-  if (!conn.out.empty()) alive = WriteSome(conn.fd, conn.out);
-  if (!alive) {
+  if (conn.closing && conn.fifo.empty() && conn.out.empty()) {
     CloseConn(conn.id);
     return;
   }
-  if ((conn.evict || conn.peer_closed) && conn.fifo.empty() &&
-      conn.out.empty()) {
-    CloseConn(conn.id);
-    return;
+  if (conn.want_write != !conn.out.empty()) {
+    conn.want_write = !conn.out.empty();
+    UpdateEpollInterest(conn.fd, MakeTag(kTagConn, conn.id), conn.want_write);
   }
-  UpdateEpollInterest(conn.fd, MakeTag(kTagConn, conn.id), !conn.out.empty());
 }
 
 void ShardServer::CloseConn(std::uint64_t conn_id) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   // Orphan this connection's tickets: ones already answered die here;
-  // ones still on a shard die when the reply (or the worker) comes back.
+  // ones still on a slot die when the reply (or the worker) comes back.
   for (const std::uint64_t ticket_id : it->second.fifo) {
     auto ticket_it = tickets_.find(ticket_id);
     if (ticket_it != tickets_.end() && ticket_it->second.done) {
@@ -371,11 +479,19 @@ void ShardServer::FlushShard(std::size_t slot_index) {
 }
 
 void ShardServer::RouteFrame(Conn& conn, std::string_view frame) {
-  const std::uint64_t ticket_id = next_ticket_id_++;
-  Ticket ticket;
-  ticket.conn_id = conn.id;
-  tickets_.emplace(ticket_id, std::move(ticket));
-  conn.fifo.push_back(ticket_id);
+  const std::uint64_t ticket_id = OpenTicket(conn);
+  if (local_ != nullptr) {
+    // A fulfilled future (a cache hit, a parse error, a shed) completes
+    // inline; only a batched one costs the completion stage a hop.
+    std::future<SchedulingResponse> reply =
+        local_->service.SubmitFrame(frame);
+    if (reply.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+      CompleteTicket(ticket_id, FormatResponseLine(reply.get()));
+    } else {
+      local_->completions.Enqueue(ticket_id, std::move(reply));
+    }
+    return;
+  }
 
   const std::size_t slot_index = PickShard(frame);
   if (slot_index >= slots_.size() || slots_[slot_index].router_fd < 0) {
@@ -395,30 +511,31 @@ void ShardServer::RouteFrame(Conn& conn, std::string_view frame) {
 }
 
 void ShardServer::RouteStats(Conn& conn) {
-  const std::uint64_t ticket_id = next_ticket_id_++;
-  Ticket ticket;
-  ticket.conn_id = conn.id;
-  ticket.is_stats = true;
-  conn.fifo.push_back(ticket_id);
+  const std::uint64_t ticket_id = OpenTicket(conn);
+  if (local_ != nullptr) {
+    CompleteTicket(ticket_id,
+                   FormatStatsLine(CaptureStats(local_->service.Metrics())));
+    return;
+  }
 
   std::vector<std::size_t> targets;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     // Same backpressure contract as RouteFrame: a stalled worker's pipe
     // must not grow past the cap. Its snapshot drops out of the
     // aggregate, exactly as if the shard died mid-fan-out.
-    if (slots_[i].router_fd >= 0 && supervisor_.SlotPid(i) > 0 &&
+    if (slots_[i].router_fd >= 0 && supervisor_->SlotPid(i) > 0 &&
         slots_[i].out.size() <= options_.shard_pipe_cap_bytes) {
       targets.push_back(i);
     }
   }
-  ticket.stats_waiting = targets.size();
-  auto [it, inserted] = tickets_.emplace(ticket_id, std::move(ticket));
-  (void)inserted;
   if (targets.empty()) {
     // Nobody to ask: answer with a zero snapshot rather than hang.
     CompleteTicket(ticket_id, FormatStatsLine(StatsSnapshot{}));
     return;
   }
+  Ticket& ticket = tickets_[ticket_id];
+  ticket.is_stats = true;
+  ticket.stats_waiting = targets.size();
   for (const std::size_t slot_index : targets) {
     AppendPipeMsg(slots_[slot_index].out, PipeMsgKind::kStatsQuery, ticket_id,
                   {});
@@ -453,68 +570,100 @@ void ShardServer::AcceptNewConnections() {
   }
 }
 
-void ShardServer::HandleConnReadable(std::uint64_t conn_id) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  Conn& conn = it->second;
-  // Input after eviction is ignored, and after EOF there is none: a
-  // readable edge then (EPOLLOUT's, say) must not report EOF again.
-  if (conn.evict || conn.peer_closed) return;
-
-  // Edge-triggered: read until EAGAIN, carving after each receive so the
-  // window's clip at the frame cap counts only the pending frame, and
-  // complete frames pipelined behind it never stall the connection.
+void ShardServer::ReadConn(Conn& conn) {
+  const std::size_t max_frame_bytes = options_.server.max_frame_bytes;
   for (;;) {
-    const std::span<char> window =
-        conn.scanner.ReceiveWindow(options_.server.max_frame_bytes);
-    const ssize_t n = ::recv(conn.fd, window.data(), window.size(), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      conn.peer_closed = true;  // hard error: treat as gone
-      break;
-    }
-    if (n == 0) {
-      conn.peer_closed = true;
-      break;
-    }
-    conn.scanner.Received(static_cast<std::size_t>(n));
-    while (const std::optional<CarvedFrame> event = conn.scanner.Carve()) {
+    // Carve before receiving more: a connection resumed from a pause may
+    // still hold complete frames. Frames pipelined behind the pending one
+    // never stall the connection, and the receive window's clip at the
+    // frame cap counts only the pending frame.
+    while (!AtCap(conn)) {
+      const std::optional<CarvedFrame> event = conn.scanner.Carve();
+      if (!event) break;
       if (event->kind == CarvedFrame::Kind::kStats) {
         RouteStats(conn);
       } else {
         RouteFrame(conn, event->frame);
       }
     }
-    // Max-frame guard, the thread-per-connection server's contract:
-    // reject at max_frame_bytes + 1 pending bytes instead of buffering
-    // without bound. Its error is the connection's last.
-    if (const auto oversized =
-            conn.scanner.Oversized(options_.server.max_frame_bytes)) {
+    if (AtCap(conn)) {
+      conn.paused = true;  // FlushConn resumes it once it drains
+      return;
+    }
+    if (conn.peer_closed) {
+      // EOF with everything carved: a frame it cut short gets a
+      // best-effort error, the connection's last (the peer may keep its
+      // read side open after shutdown(SHUT_WR)).
+      if (const auto truncated = conn.scanner.TruncatedAtEof()) {
+        if (local_ != nullptr) {
+          local_->service.Metrics().protocol_errors.fetch_add(
+              1, std::memory_order_relaxed);
+        }
+        SyntheticError(conn, util::ErrorKind::kFatal, *truncated);
+      }
+      conn.closing = true;
+      return;
+    }
+    // Max-frame guard: reject at max_frame_bytes + 1 pending bytes
+    // instead of buffering without bound. Its error is the connection's
+    // last.
+    if (const auto oversized = conn.scanner.Oversized(max_frame_bytes)) {
+      if (local_ != nullptr) {
+        local_->service.Metrics().oversized_frames.fetch_add(
+            1, std::memory_order_relaxed);
+      }
       SyntheticError(conn, util::ErrorKind::kFatal, *oversized);
-      conn.evict = true;
-      break;
+      conn.closing = true;
+      return;
     }
+    // Edge-triggered: receive until EAGAIN, straight into the scanner.
+    const std::span<char> window = conn.scanner.ReceiveWindow(max_frame_bytes);
+    const ssize_t n = ::recv(conn.fd, window.data(), window.size(), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n <= 0) {
+      conn.peer_closed = true;  // EOF, or a hard error: treat as gone
+      continue;
+    }
+    conn.scanner.Received(static_cast<std::size_t>(n));
   }
+}
 
-  if (conn.peer_closed && !conn.evict) {
-    if (const auto truncated = conn.scanner.TruncatedAtEof()) {
-      // EOF mid-frame: best-effort truncation error before the close
-      // (the peer may keep its read side open after shutdown(SHUT_WR)).
-      SyntheticError(conn, util::ErrorKind::kFatal, *truncated);
-    }
-  }
-  // `conn` was safe to hold through the drain loop above because ticket
-  // completion only queues flushes; now that the reference is done with,
-  // flush this conn (and any other whose ticket completed synchronously).
+void ShardServer::HandleConnReadable(std::uint64_t conn_id) {
+  auto it = conns_.find(conn_id);
+  if (it == conns_.end()) return;
+  Conn& conn = it->second;
+  // Input after eviction or EOF is ignored, and a paused connection is
+  // read only when FlushConn resumes it: a readable edge then (EPOLLOUT's,
+  // say) must not report EOF again or read past a cap.
+  if (conn.closing || conn.paused) return;
+  ReadConn(conn);
+  // `conn` was safe to hold through ReadConn because ticket completion
+  // only queues flushes; now flush this conn (and any other whose ticket
+  // completed synchronously).
   flush_pending_.insert(conn_id);
   DrainPendingFlushes();  // may CloseConn; `conn` is dead after this line
 }
 
 void ShardServer::HandleConnWritable(std::uint64_t conn_id) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  FlushConn(it->second);
+  flush_pending_.insert(conn_id);
+  DrainPendingFlushes();
+}
+
+void ShardServer::HandleLocalCompletions() {
+  // Reset the eventfd before taking the batch (see LocalSlot's sink).
+  std::uint64_t wakes = 0;
+  [[maybe_unused]] const ssize_t n =
+      ::read(local_->wake_fd, &wakes, sizeof(wakes));
+  std::vector<std::pair<std::uint64_t, std::string>> done;
+  {
+    const std::lock_guard<std::mutex> lock(local_->mutex);
+    done.swap(local_->done);
+  }
+  for (auto& [ticket_id, line] : done) {
+    CompleteTicket(ticket_id, std::move(line));
+  }
+  DrainPendingFlushes();
 }
 
 void ShardServer::HandleShardReadable(std::size_t slot_index) {
@@ -557,7 +706,7 @@ void ShardServer::HandleShardReadable(std::size_t slot_index) {
     // let the reap + respawn path rebuild a clean slate.
     std::fprintf(stderr, "[router] shard %zu pipe corrupted: %s\n",
                  slot_index, e.what());
-    const pid_t pid = supervisor_.SlotPid(slot_index);
+    const pid_t pid = supervisor_->SlotPid(slot_index);
     if (pid > 0) ::kill(pid, SIGKILL);
   }
   DrainPendingFlushes();
@@ -570,7 +719,7 @@ void ShardServer::HandleShardWritable(std::size_t slot_index) {
 void ShardServer::AdvanceRoll() {
   if (roll_queue_.empty() || roll_waiting_respawn_) return;
   const std::size_t slot_index = roll_queue_.front();
-  if (supervisor_.SlotPid(slot_index) <= 0) {
+  if (supervisor_->SlotPid(slot_index) <= 0) {
     // Crashed (or mid-respawn) while queued: the crash path already
     // recycled it — skip, nothing to roll.
     roll_queue_.pop_front();
@@ -578,20 +727,22 @@ void ShardServer::AdvanceRoll() {
   }
   // Ring-aware drain: pull the arc first so new keys remap, let the old
   // worker finish what it owes, then — and only then — SIGTERM it.
-  ring_.SetLive(slot_index, false);
+  ring_->SetLive(slot_index, false);
   ShardSlot& slot = slots_[slot_index];
   if (!slot.in_flight.empty() || !slot.out.empty()) return;  // still owed
-  supervisor_.BeginSlotShutdown(slot_index, "rolled");
+  supervisor_->BeginSlotShutdown(slot_index, "rolled");
   roll_waiting_respawn_ = true;
 }
 
 void ShardServer::HandleTick() {
-  supervisor_.Step();
-  if (supervisor_.ConsumeHupRequest() && roll_queue_.empty()) {
-    for (std::size_t i = 0; i < slots_.size(); ++i) roll_queue_.push_back(i);
+  if (supervisor_) {
+    supervisor_->Step();
+    if (supervisor_->ConsumeHupRequest() && roll_queue_.empty()) {
+      for (std::size_t i = 0; i < slots_.size(); ++i) roll_queue_.push_back(i);
+    }
+    AdvanceRoll();
+    DrainPendingFlushes();  // worker death above may have failed tickets
   }
-  AdvanceRoll();
-  DrainPendingFlushes();  // worker death above may have failed tickets
 
   if (accept_retry_ && listen_fd_ >= 0) {
     accept_retry_ = false;
@@ -601,17 +752,21 @@ void ShardServer::HandleTick() {
   const auto now = std::chrono::steady_clock::now();
   std::vector<std::uint64_t> to_close;
   for (auto& [conn_id, conn] : conns_) {
-    // Slow-loris guard, same contract as the threaded server: a started
-    // frame must keep bytes coming; idle *between* frames is legitimate,
-    // and a frame cut by EOF was already reported.
-    if (const auto stalled =
-            conn.scanner.Stalled(options_.server.read_deadline_seconds, now);
-        stalled && !conn.evict && !conn.peer_closed) {
-      SyntheticError(conn, util::ErrorKind::kTimeout, *stalled);
-      conn.evict = true;
-      FlushConn(conn);  // may erase conn — restart iteration via ids
-      to_close.clear();
-      break;
+    // Slow-loris guard: a started frame must keep bytes coming. Idle
+    // *between* frames is legitimate, a frame cut by EOF was already
+    // reported, and a paused connection is waiting on the loop, not
+    // stalling.
+    if (!conn.closing && !conn.peer_closed && !conn.paused) {
+      if (const auto stalled = conn.scanner.Stalled(
+              options_.server.read_deadline_seconds, now)) {
+        if (local_ != nullptr) {
+          local_->service.Metrics().evicted_slow.fetch_add(
+              1, std::memory_order_relaxed);
+        }
+        SyntheticError(conn, util::ErrorKind::kTimeout, *stalled);
+        conn.closing = true;
+        continue;
+      }
     }
     if (draining_ && conn.fifo.empty() && conn.out.empty() &&
         !conn.scanner.MidFrame()) {
@@ -619,11 +774,13 @@ void ShardServer::HandleTick() {
     }
   }
   for (const std::uint64_t conn_id : to_close) CloseConn(conn_id);
+  DrainPendingFlushes();  // the evictions' errors
 
   if (!draining_ && StopRequested()) {
     // Drain begins: stop accepting (close + unlink so retrying clients
-    // fail fast with a typed connect error, same as the threaded
-    // server), finish in-flight tickets within the grace window.
+    // fail fast with a typed connect error instead of hanging in a
+    // backlog nobody will accept), finish in-flight tickets within the
+    // grace window.
     draining_ = true;
     drain_deadline_ =
         now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -647,14 +804,20 @@ void ShardServer::Serve() {
   util::ScopedSignalGuard signal_guard;
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) ThrowErrno("epoll_create1");
-  epoll_event listen_event{};
-  listen_event.events = EPOLLIN | EPOLLET;
-  listen_event.data.u64 = MakeTag(kTagListener, 0);
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &listen_event) < 0) {
-    ThrowErrno("epoll_ctl(listener)");
+  const auto watch = [this](int fd, std::uint64_t tag) {
+    epoll_event event{};
+    event.events = EPOLLIN | EPOLLET;
+    event.data.u64 = tag;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) < 0) {
+      ThrowErrno("epoll_ctl(add)");
+    }
+  };
+  watch(listen_fd_, MakeTag(kTagListener, 0));
+  if (local_ != nullptr) {
+    watch(local_->wake_fd, MakeTag(kTagLocal, 0));
+  } else {
+    supervisor_->Begin();
   }
-
-  supervisor_.Begin();
 
   epoll_event events[64];
   for (;;) {
@@ -674,6 +837,8 @@ void ShardServer::Serve() {
           HandleConnReadable(id);
         }
         if ((mask & EPOLLOUT) != 0) HandleConnWritable(id);
+      } else if (role == kTagLocal) {
+        HandleLocalCompletions();
       } else if (role == kTagShard) {
         if ((mask & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) {
           HandleShardReadable(static_cast<std::size_t>(id));
@@ -684,7 +849,7 @@ void ShardServer::Serve() {
       }
     }
     HandleTick();
-    if (supervisor_.BreakerOpen()) break;
+    if (supervisor_ && supervisor_->BreakerOpen()) break;
     if (draining_ &&
         (conns_.empty() ||
          std::chrono::steady_clock::now() >= drain_deadline_)) {
@@ -693,15 +858,21 @@ void ShardServer::Serve() {
   }
 
   // Teardown: sever remaining clients (past-grace stragglers), then shut
-  // the worker tier down (End() snapshots slot status first, so the
-  // report still shows who was serving and on which arc).
+  // the slots down. The local slot finishes what its service admitted;
+  // the worker tier's End() snapshots slot status first, so the report
+  // still shows who was serving and on which arc.
   std::vector<std::uint64_t> remaining;
   remaining.reserve(conns_.size());
   for (const auto& [conn_id, conn] : conns_) remaining.push_back(conn_id);
   for (const std::uint64_t conn_id : remaining) CloseConn(conn_id);
   tickets_.clear();
   flush_pending_.clear();
-  report_ = supervisor_.End();
+  if (local_ != nullptr) {
+    local_->completions.Close();
+    local_->service.Drain();
+  } else {
+    report_ = supervisor_->End();
+  }
   for (ShardSlot& slot : slots_) {
     if (slot.router_fd >= 0) {
       ::close(slot.router_fd);

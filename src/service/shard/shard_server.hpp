@@ -1,33 +1,44 @@
-// The sharded serving tier's front-end: one epoll event loop that is
-// simultaneously the client-facing router and the worker supervisor.
+// The serving tier's one front-end: an epoll event loop that routes each
+// client frame to a slot and writes the replies back in request order.
+// Plain `serve` (num_shards == 0) has one local slot, an in-process
+// SchedulingService; `serve --shards N` forks N supervised shard workers.
 //
-//   clients ──► epoll router ──► consistent-hash ring ──► N shard workers
-//               (this class)       (RoutingKey affinity)   (forked procs)
+//   clients ──► epoll loop ──► local slot (in-process SchedulingService)
+//               (this class) └► consistent-hash ring ──► N shard workers
+//                                (RoutingKey affinity)    (forked procs)
 //
-// One loop, three duties, no threads:
+// The loop is one thread. Its duties:
 //
-//   * network: edge-triggered accept/read/write on the listener, every
-//     client connection, and every worker socketpair. Each connection
-//     receives into its FrameScanner, which carves frames in place; each
-//     frame's bytes go straight into a ticket's pipe message, routed by
-//     fingerprint over the HashRing; worker
-//     responses re-sequence through a per-connection FIFO so each client
-//     sees its replies in request order even when shards complete out of
-//     order.
-//   * supervision: Supervisor::Step() runs on the epoll tick. Worker
-//     death fails that shard's in-flight tickets with a retryable error,
-//     marks its arc dead (minimal remap — no other shard's keys move),
-//     and the respawned worker re-arms the same arc. A SIGHUP rolls one
-//     shard at a time with ring-aware draining: the arc goes dead first,
-//     in-flight tickets complete on the old worker, then SIGTERM — at
-//     every instant N-1 shards serve warm.
-//   * aggregation: a client STATS verb fans kStatsQuery out to every
-//     live shard and answers with one AccumulateStats'd line. A shard
-//     dying mid-fan-out just drops out of the aggregate.
+//   * network: edge-triggered accept/read/write on the listener and every
+//     client connection. Each connection receives into its FrameScanner,
+//     which carves frames in place. Replies re-sequence through a
+//     per-connection FIFO of tickets, so each client sees its replies in
+//     request order whichever slot or thread finished first.
+//   * local slot: SchedulingService::SubmitFrame runs on the loop. A
+//     future that comes back fulfilled (a cache hit, a parse error, a
+//     shed) completes its ticket inline; a batched one goes to the
+//     CompletionStage, whose drainers queue the formatted line and wake
+//     the loop through an eventfd. STATS is answered inline from the
+//     service's counters. The slot's other threads are its batcher's
+//     workers and the `completion_threads_per_shard` drainers; there is
+//     no thread per connection.
+//   * shards: each frame's bytes go straight into a ticket's pipe
+//     message on its worker's socketpair, routed by RoutingKey over the
+//     HashRing. Supervisor::Step() runs on the epoll tick. Worker death
+//     fails that shard's in-flight tickets with a retryable error, marks
+//     its arc dead (minimal remap — no other shard's keys move), and the
+//     respawned worker re-arms the same arc. A SIGHUP rolls one shard at
+//     a time with ring-aware draining: the arc goes dead first, in-flight
+//     tickets complete on the old worker, then SIGTERM — at every instant
+//     N-1 shards serve warm. A client STATS verb fans kStatsQuery out to
+//     every live shard and answers with one AccumulateStats'd line; a
+//     shard dying mid-fan-out just drops out of the aggregate.
 //
-// Backpressure: bytes queued toward one worker are capped
-// (`shard_pipe_cap_bytes`); past the cap new frames for that shard are
-// answered with a retryable error instead of buffering unboundedly —
+// Backpressure: a connection is not read while its unsent reply bytes
+// reach kConnOutCapBytes or its FIFO holds kConnFifoCap tickets, so a
+// client that pipelines without reading stalls in its own send. Bytes
+// queued toward one worker are capped (`shard_pipe_cap_bytes`); past the
+// cap new frames for that shard are answered with a retryable error —
 // one slow shard degrades its own arc, not the router's memory.
 #pragma once
 
@@ -35,19 +46,53 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "service/protocol.hpp"
-#include "service/server.hpp"
+#include "service/service.hpp"
+#include "service/shard/completion_stage.hpp"
 #include "service/shard/frame_scanner.hpp"
 #include "service/shard/hash_ring.hpp"
 #include "service/shard/pipe.hpp"
 #include "service/supervisor.hpp"
 #include "util/error.hpp"
+
+namespace fadesched::service {
+
+struct ServerOptions {
+  /// Non-empty → listen on this Unix-domain socket path (the file is
+  /// created on Start and unlinked on shutdown). Empty → TCP.
+  std::string unix_socket_path;
+  /// TCP bind address; loopback by default (the service is a benchmark
+  /// harness, not an internet-facing daemon).
+  std::string host = "127.0.0.1";
+  /// TCP port; 0 = ephemeral (resolved port available via Port()).
+  int port = 0;
+
+  /// Connection guards (the chaos layer's server-side defenses). A frame
+  /// accumulating beyond `max_frame_bytes` — including a single line that
+  /// long — is answered with a typed protocol error and the connection is
+  /// closed; receives are clipped so that no connection buffers more than
+  /// `max_frame_bytes + 1` bytes. A connection that has started a frame
+  /// but delivers no byte for `read_deadline_seconds` (slow-loris) is
+  /// evicted the same way; 0 disables the deadline. Idle connections
+  /// *between* frames are never evicted — keepalive is legitimate.
+  std::size_t max_frame_bytes = 1 << 20;
+  double read_deadline_seconds = 30.0;
+
+  /// Each slot's service: the local slot's, or each forked shard's own.
+  ServiceOptions service;
+};
+
+}  // namespace fadesched::service
 
 namespace fadesched::service::shard {
 
@@ -57,15 +102,18 @@ enum class RoutingMode {
 };
 
 struct ShardServerOptions {
-  /// Listener + connection guards; `service` inside is the per-worker
-  /// service config (each forked shard builds its own cache/batcher from
-  /// it).
+  /// Listener + connection guards; `service` inside is each slot's
+  /// service config (the local slot and every forked shard build their
+  /// own cache/batcher from it).
   ServerOptions server;
 
-  std::size_t num_shards = 2;
+  /// 0: one in-process local slot (plain `serve`); N > 0: N forked shard
+  /// workers behind the hash ring.
+  std::size_t num_shards = 0;
   std::size_t vnodes_per_shard = 128;
   std::uint64_t ring_seed = 0x5eedU;
   RoutingMode routing = RoutingMode::kAffinity;
+  /// Completion-stage drainers per slot (local or shard worker).
   std::size_t completion_threads_per_shard = 2;
 
   /// Cap on bytes buffered toward one worker before its arc starts
@@ -73,11 +121,19 @@ struct ShardServerOptions {
   std::size_t shard_pipe_cap_bytes = 4u << 20;
 
   /// Supervision knobs (num_workers is overwritten with num_shards).
+  /// `drain_grace_seconds` also bounds the connection drain of either
+  /// topology.
   SupervisorOptions supervisor;
 };
 
 class ShardServer {
  public:
+  /// A connection is not read while this many reply bytes wait to be
+  /// sent to it ...
+  static constexpr std::size_t kConnOutCapBytes = std::size_t{64} << 10;
+  /// ... or while this many of its tickets wait for a reply or a send.
+  static constexpr std::size_t kConnFifoCap = 64;
+
   explicit ShardServer(ShardServerOptions options);
   ~ShardServer();
 
@@ -93,15 +149,23 @@ class ShardServer {
   /// Runs the event loop until Stop() or a guarded SIGTERM/SIGINT (a
   /// ScopedSignalGuard is installed for the duration, so forked workers
   /// inherit the handler), then drains: stop accepting, finish in-flight
-  /// tickets within the supervisor's drain grace, shut workers down.
+  /// tickets within the supervisor's drain grace, then shut the workers
+  /// down, or join the local slot's completion stage and drain its
+  /// service.
   void Serve();
 
   /// Requests shutdown from any thread (idempotent).
   void Stop();
 
   /// Supervision report of the last Serve() (for `--status-out`); slot
-  /// entries carry shard id, ring arc, and liveness annotations.
+  /// entries carry shard id, ring arc, and liveness annotations. Empty
+  /// for the local slot.
   [[nodiscard]] const SupervisorReport& Report() const { return report_; }
+
+  /// The local slot's service (its metrics and cache); null when sharded.
+  [[nodiscard]] SchedulingService* LocalService() {
+    return local_ != nullptr ? &local_->service : nullptr;
+  }
 
   /// Live worker pid for a shard slot (-1 while down) — lets tests and
   /// kill drills aim a signal at one specific shard. Safe to call from
@@ -119,8 +183,11 @@ class ShardServer {
     FrameScanner scanner;
     std::string out;                  ///< bytes pending toward the client
     std::deque<std::uint64_t> fifo;   ///< tickets in request order
-    bool peer_closed = false;         ///< read side saw EOF
-    bool evict = false;               ///< close once fifo + out drain
+    bool peer_closed = false;         ///< recv saw EOF; frames may remain
+    bool closing = false;             ///< no more input: close once fifo
+                                      ///< + out drain
+    bool paused = false;              ///< at a cap: not read until drained
+    bool want_write = false;          ///< EPOLLOUT is armed
   };
 
   struct Ticket {
@@ -143,15 +210,33 @@ class ShardServer {
     std::unordered_set<std::uint64_t> in_flight;
   };
 
+  /// The in-process slot of num_shards == 0. Its destructor joins the
+  /// drainers before it closes the eventfd they write.
+  struct LocalSlot {
+    explicit LocalSlot(const ShardServerOptions& options);
+    ~LocalSlot();
+
+    SchedulingService service;
+    int wake_fd = -1;  ///< eventfd the loop watches for `done`
+    std::mutex mutex;
+    std::vector<std::pair<std::uint64_t, std::string>> done;  ///< by mutex
+    CompletionStage completions;
+  };
+
   // Event-loop stages.
   void AcceptNewConnections();
   void HandleConnReadable(std::uint64_t conn_id);
   void HandleConnWritable(std::uint64_t conn_id);
+  void HandleLocalCompletions();
   void HandleShardReadable(std::size_t slot);
   void HandleShardWritable(std::size_t slot);
   void HandleTick();
 
   // Routing and ticket plumbing.
+  /// Reads and routes until EAGAIN, EOF, an eviction, or a cap (pauses).
+  void ReadConn(Conn& conn);
+  [[nodiscard]] static bool AtCap(const Conn& conn);
+  [[nodiscard]] std::uint64_t OpenTicket(Conn& conn);
   void RouteFrame(Conn& conn, std::string_view frame);
   void RouteStats(Conn& conn);
   void FailTicket(std::uint64_t ticket_id, const std::string& message);
@@ -179,8 +264,11 @@ class ShardServer {
   [[nodiscard]] bool StopRequested() const;
 
   ShardServerOptions options_;
-  HashRing ring_;
-  Supervisor supervisor_;
+  // Exactly one of the two topologies: the ring and the supervisor when
+  // num_shards > 0, else the local slot.
+  std::optional<HashRing> ring_;
+  std::optional<Supervisor> supervisor_;
+  std::unique_ptr<LocalSlot> local_;
   SupervisorReport report_;
 
   int listen_fd_ = -1;

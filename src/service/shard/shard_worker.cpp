@@ -5,16 +5,13 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
-#include <future>
 #include <mutex>
-#include <thread>
+#include <string>
 #include <utility>
-#include <vector>
 
 #include "service/protocol.hpp"
+#include "service/shard/completion_stage.hpp"
 #include "service/shard/pipe.hpp"
 #include "util/signal_guard.hpp"
 
@@ -56,11 +53,6 @@ class PipeWriter {
   bool broken_ = false;
 };
 
-struct PendingReply {
-  std::uint64_t ticket = 0;
-  std::future<SchedulingResponse> future;
-};
-
 }  // namespace
 
 int RunShardWorker(const ShardWorkerOptions& options) {
@@ -73,47 +65,12 @@ int RunShardWorker(const ShardWorkerOptions& options) {
                                           std::memory_order_relaxed);
   PipeWriter writer(options.pipe_fd);
 
-  // Completion stage: drain Submit futures into kResponse envelopes.
-  // Completion order is arbitrary — the ticket carries the ordering.
-  std::mutex queue_mutex;
-  std::condition_variable queue_cv;
-  std::deque<PendingReply> queue;
-  bool closing = false;
-  std::vector<std::thread> drainers;
-  const std::size_t drainer_count =
-      options.completion_threads == 0 ? 1 : options.completion_threads;
-  drainers.reserve(drainer_count);
-  for (std::size_t t = 0; t < drainer_count; ++t) {
-    drainers.emplace_back([&] {
-      for (;;) {
-        PendingReply reply;
-        {
-          std::unique_lock<std::mutex> lock(queue_mutex);
-          queue_cv.wait(lock, [&] { return closing || !queue.empty(); });
-          if (queue.empty()) return;  // closing and dry
-          reply = std::move(queue.front());
-          queue.pop_front();
-        }
-        // The future is always fulfilled (batcher contract), so this
-        // blocks only for genuinely in-flight work.
-        const SchedulingResponse response = reply.future.get();
-        PipeMsg msg;
-        msg.kind = PipeMsgKind::kResponse;
-        msg.ticket = reply.ticket;
-        msg.payload = FormatResponseLine(response);
-        writer.Write(msg);
-      }
-    });
-  }
-
-  const auto enqueue = [&](std::uint64_t ticket,
-                           std::future<SchedulingResponse> future) {
-    {
-      const std::lock_guard<std::mutex> lock(queue_mutex);
-      queue.push_back(PendingReply{ticket, std::move(future)});
-    }
-    queue_cv.notify_one();
-  };
+  // The completion stage writes each reply as a kResponse envelope.
+  CompletionStage completions(
+      options.completion_threads,
+      [&writer](std::uint64_t ticket, std::string line) {
+        writer.Write(PipeMsg{PipeMsgKind::kResponse, ticket, std::move(line)});
+      });
 
   // Reader loop (main thread): poll → decode → dispatch.
   ServiceMetrics& metrics = service.Metrics();
@@ -147,7 +104,8 @@ int RunShardWorker(const ShardWorkerOptions& options) {
             // response-cache hits inline, with an already fulfilled
             // future, so those cost the drainer a get() and a write,
             // never a batcher round-trip.
-            enqueue(msg->ticket, service.SubmitFrame(msg->payload));
+            completions.Enqueue(msg->ticket,
+                                service.SubmitFrame(msg->payload));
             break;
           case PipeMsgKind::kStatsQuery: {
             PipeMsg out;
@@ -182,12 +140,7 @@ int RunShardWorker(const ShardWorkerOptions& options) {
   // Drain: everything admitted gets computed and written before exit —
   // a rolled worker finishes its in-flight tickets, which is what keeps
   // the soak ledger zero-loss through a SIGHUP roll.
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex);
-    closing = true;
-  }
-  queue_cv.notify_all();
-  for (std::thread& t : drainers) t.join();
+  completions.Close();
   service.Drain();
   ::close(options.pipe_fd);
   return rc;

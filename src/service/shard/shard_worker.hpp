@@ -6,12 +6,12 @@
 //
 //   * one reader loop (the main thread) polls the pipe, decodes
 //     messages, and dispatches: kRequest frames go through
-//     SchedulingService::Submit (the inline response-cache fast path
+//     SchedulingService::SubmitFrame (the inline cache fast path
 //     answers warm repeats without touching the batcher queue);
 //     kStatsQuery is answered immediately with a FormatStatsLine reply;
-//   * `completion_threads` drainers turn Submit futures into kResponse
-//     messages, in completion order — the ticket id carries ordering
-//     duty, so out-of-order completion here is fine;
+//   * a CompletionStage of `completion_threads` drainers turns Submit
+//     futures into kResponse messages, in completion order — the ticket
+//     id carries ordering duty, so out-of-order completion here is fine;
 //   * all pipe writes funnel through one mutex: envelopes must land
 //     contiguously on the stream.
 //

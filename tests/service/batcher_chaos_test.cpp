@@ -22,7 +22,7 @@
 #include "service/batcher.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
-#include "service/server.hpp"
+#include "service/shard/shard_server.hpp"
 #include "testing/fuzzer.hpp"
 
 namespace fadesched::service {
@@ -179,25 +179,25 @@ TEST(BatcherChaosTest, ShedResponsesAreImmediateWhenTheQueueIsFull) {
 }
 
 TEST(BatcherChaosTest, DeadSocketClientDoesNotLeakItsRequest) {
-  ServerOptions options;
-  options.unix_socket_path = UniqueSocketPath("dead");
-  Server server(options);
+  shard::ShardServerOptions options;
+  options.server.unix_socket_path = UniqueSocketPath("dead");
+  shard::ShardServer server(options);
   server.Start();
   std::thread serving([&] { server.Serve(); });
 
   // A client that submits a valid request and vanishes before reading
-  // the answer. The connection thread's response write fails (EPIPE),
-  // which must be absorbed — not crash via SIGPIPE, not leak the slot.
+  // the answer. The reply's write fails (EPIPE), which must be
+  // absorbed — not crash via SIGPIPE, not leak the slot.
   for (int i = 0; i < 4; ++i) {
     Client client;
-    client.ConnectUnix(options.unix_socket_path);
+    client.ConnectUnix(options.server.unix_socket_path);
     client.SendRaw(FormatRequestFrame(MakeRequest("dead-" + std::to_string(i))));
     client.Close();  // gone before the response exists
   }
 
   // The service keeps working for well-behaved clients afterwards.
   Client survivor;
-  survivor.ConnectUnix(options.unix_socket_path);
+  survivor.ConnectUnix(options.server.unix_socket_path);
   const SchedulingResponse ok = survivor.Call(MakeRequest("alive"));
   EXPECT_TRUE(ok.Ok()) << ok.message;
   survivor.Close();
@@ -206,7 +206,7 @@ TEST(BatcherChaosTest, DeadSocketClientDoesNotLeakItsRequest) {
   serving.join();
   // After the drain, the admission ledger balances: everything admitted
   // was resolved even though four responses had nowhere to go.
-  ServiceMetrics& metrics = server.Service().Metrics();
+  ServiceMetrics& metrics = server.LocalService()->Metrics();
   EXPECT_GE(metrics.admitted.load(), 1u);
   EXPECT_EQ(metrics.admitted.load(),
             metrics.completed.load() + metrics.failed.load() +

@@ -19,7 +19,7 @@
 #include "service/batcher.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
-#include "service/server.hpp"
+#include "service/shard/shard_server.hpp"
 #include "testing/fuzzer.hpp"
 #include "util/error.hpp"
 
@@ -118,10 +118,10 @@ std::string UniqueSocketPath(const char* tag) {
 }
 
 TEST(DrainEdgeTest, StopMidFlightAnswersOrCleanlyEofsEveryFrame) {
-  ServerOptions options;
-  options.unix_socket_path = UniqueSocketPath("midflight");
-  options.service.batcher.num_workers = 2;
-  Server server(options);
+  shard::ShardServerOptions options;
+  options.server.unix_socket_path = UniqueSocketPath("midflight");
+  options.server.service.batcher.num_workers = 2;
+  shard::ShardServer server(options);
   server.Start();
   std::thread serving([&] { server.Serve(); });
 
@@ -132,7 +132,7 @@ TEST(DrainEdgeTest, StopMidFlightAnswersOrCleanlyEofsEveryFrame) {
   for (int c = 0; c < 3; ++c) {
     clients.emplace_back([&, c] {
       Client client;
-      client.ConnectUnix(options.unix_socket_path);
+      client.ConnectUnix(options.server.unix_socket_path);
       for (int r = 0;; ++r) {
         SchedulingRequest request;
         request.scenario = fuzzer.Case(static_cast<std::uint64_t>(c));
@@ -160,9 +160,9 @@ TEST(DrainEdgeTest, StopMidFlightAnswersOrCleanlyEofsEveryFrame) {
           corrupt.store(true);
         }
         answered.fetch_add(1);
-        // Longer than the server's 200 ms poll tick: the handler gets an
-        // idle tick between our frames, which is the only point where a
-        // drain may hang up (never mid-frame).
+        // Well past the event loop's 20 ms tick: the connection is idle
+        // at a tick between our frames, the only point where a drain may
+        // hang up (never mid-frame).
         std::this_thread::sleep_for(milliseconds(250));
       }
     });

@@ -15,7 +15,7 @@
 #include <thread>
 
 #include "service/loadgen.hpp"
-#include "service/server.hpp"
+#include "service/shard/shard_server.hpp"
 
 namespace fadesched::service {
 namespace {
@@ -30,9 +30,9 @@ std::string UniqueSocketPath(const char* tag) {
 class LoadgenTest : public ::testing::Test {
  protected:
   void StartServer(const char* tag, std::size_t workers = 2) {
-    options_.unix_socket_path = UniqueSocketPath(tag);
-    options_.service.batcher.num_workers = workers;
-    server_ = std::make_unique<Server>(options_);
+    options_.server.unix_socket_path = UniqueSocketPath(tag);
+    options_.server.service.batcher.num_workers = workers;
+    server_ = std::make_unique<shard::ShardServer>(options_);
     server_->Start();
     serving_ = std::thread([this] { server_->Serve(); });
   }
@@ -46,7 +46,7 @@ class LoadgenTest : public ::testing::Test {
 
   LoadgenOptions BaseOptions(std::size_t requests) const {
     LoadgenOptions load;
-    load.unix_socket_path = options_.unix_socket_path;
+    load.unix_socket_path = options_.server.unix_socket_path;
     load.num_requests = requests;
     load.connections = 4;
     load.pool_size = 8;
@@ -55,8 +55,8 @@ class LoadgenTest : public ::testing::Test {
     return load;
   }
 
-  ServerOptions options_;
-  std::unique_ptr<Server> server_;
+  shard::ShardServerOptions options_;  // num_shards 0: the local slot
+  std::unique_ptr<shard::ShardServer> server_;
   std::thread serving_;
 };
 
@@ -100,7 +100,7 @@ TEST_F(LoadgenTest, PerClassAccountingCoversEveryRequestUnderShedding) {
   // colds queue behind each other and some are usually shed, by the full
   // queue or the controller. How many depends on timing, so nothing
   // below counts them.
-  options_.service.batcher.queue_capacity = 2;
+  options_.server.service.batcher.queue_capacity = 2;
   StartServer("classes", 1);
   LoadgenOptions load = BaseOptions(200);
   load.links = 400;
@@ -123,7 +123,7 @@ TEST_F(LoadgenTest, PerClassAccountingCoversEveryRequestUnderShedding) {
             report.sent);
   EXPECT_EQ(report.warm_shed + report.cold_shed, report.shed);
   // Every warm request replays a prewarmed pool entry: a response-cache
-  // hit is answered on the connection thread and never queued, so
+  // hit is answered inline on the event loop and never queued, so
   // neither the full queue nor the controller can shed it.
   EXPECT_EQ(report.warm_shed, 0u);
   EXPECT_EQ(report.warm_ok, 100u);

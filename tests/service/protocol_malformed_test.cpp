@@ -2,12 +2,10 @@
 // oversized, garbage, and checksum-tampered frames must each produce a
 // typed, line/byte-named error response — never a crash, never an
 // unbounded buffer — and the server must keep serving afterwards. Every
-// case runs against both front-ends: the in-process Server and the
-// sharded router (ShardServer, 2 forked shards). Both take their
-// frame-size, truncation and read-deadline guards from FrameScanner but
-// act on them in their own loops. Counter assertions apply to the
-// Server only; the router keeps no metrics. Run under ASan/UBSan in CI's
-// chaos-smoke job.
+// case runs against both topologies of the one front-end, ShardServer:
+// plain `serve`'s local slot (0 shards) and `serve --shards 2`. Counter
+// assertions apply to the local slot only; a sharded router keeps no
+// metrics. Run under ASan/UBSan in CI's chaos-smoke job.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -22,7 +20,6 @@
 
 #include "service/client.hpp"
 #include "service/protocol.hpp"
-#include "service/server.hpp"
 #include "service/shard/shard_server.hpp"
 #include "testing/fuzzer.hpp"
 #include "util/error.hpp"
@@ -46,54 +43,52 @@ SchedulingRequest MakeRequest(const std::string& id) {
   return request;
 }
 
-enum class FrontEnd { kServer, kShardServer };
+/// A slot count. The legs print as "Server" (0 shards: plain `serve`)
+/// and "ShardServer" (2 shards), the names these cases had when plain
+/// `serve` was a class of its own, so their ids stay stable.
+struct Slots {
+  std::size_t shards = 0;
+};
 
-void PrintTo(FrontEnd front_end, std::ostream* os) {
-  *os << (front_end == FrontEnd::kServer ? "Server" : "ShardServer");
+void PrintTo(Slots slots, std::ostream* os) {
+  *os << (slots.shards == 0 ? "Server" : "ShardServer");
 }
 
 /// Front-end + serve-thread fixture shared by every case.
-class MalformedFrameTest : public ::testing::TestWithParam<FrontEnd> {
+class MalformedFrameTest : public ::testing::TestWithParam<Slots> {
  protected:
   void StartServer(const char* tag,
                    const std::function<void(ServerOptions&)>& tweak = {}) {
     options_.unix_socket_path = UniqueSocketPath(tag);
     if (tweak) tweak(options_);
-    if (GetParam() == FrontEnd::kServer) {
-      server_ = std::make_unique<Server>(options_);
-      server_->Start();
-      serving_ = std::thread([this] { server_->Serve(); });
-    } else {
-      shard::ShardServerOptions sharded;
-      sharded.server = options_;
-      sharded.num_shards = 2;
-      router_ = std::make_unique<shard::ShardServer>(sharded);
-      router_->Start();
-      serving_ = std::thread([this] { router_->Serve(); });
-    }
+    shard::ShardServerOptions tier;
+    tier.server = options_;
+    tier.num_shards = GetParam().shards;
+    server_ = std::make_unique<shard::ShardServer>(tier);
+    server_->Start();
+    serving_ = std::thread([this] { server_->Serve(); });
   }
 
   void TearDown() override {
     if (server_) server_->Stop();
-    if (router_) router_->Stop();
     if (serving_.joinable()) serving_.join();
   }
 
-  /// The Server's counters; null for the router, which keeps none.
+  /// The local slot's counters; null when sharded (the router keeps none).
   ServiceMetrics* Metrics() {
-    return server_ ? &server_->Service().Metrics() : nullptr;
+    SchedulingService* service = server_->LocalService();
+    return service != nullptr ? &service->Metrics() : nullptr;
   }
 
   ServerOptions options_;
-  std::unique_ptr<Server> server_;
-  std::unique_ptr<shard::ShardServer> router_;
+  std::unique_ptr<shard::ShardServer> server_;
   std::thread serving_;
 };
 
 INSTANTIATE_TEST_SUITE_P(
     FrontEnds, MalformedFrameTest,
-    ::testing::Values(FrontEnd::kServer, FrontEnd::kShardServer),
-    [](const ::testing::TestParamInfo<FrontEnd>& param_info) {
+    ::testing::Values(Slots{0}, Slots{2}),
+    [](const ::testing::TestParamInfo<Slots>& param_info) {
       return ::testing::PrintToString(param_info.param);
     });
 
@@ -115,7 +110,7 @@ TEST_P(MalformedFrameTest, TruncatedFrameNamesHowManyLinesArrived) {
 }
 
 // EOF mid-frame means any pending byte: a partial first line with no
-// newline yet is reported too, by both front-ends, as zero lines.
+// newline yet is reported too, in both topologies, as zero lines.
 TEST_P(MalformedFrameTest, PartialFirstLineAtEofIsReportedTruncated) {
   StartServer("partial");
   Client client;
@@ -173,7 +168,7 @@ TEST_P(MalformedFrameTest, OversizedFrameIsRejectedNamingTheCap) {
   EXPECT_EQ(err.error_kind, util::ErrorKind::kFatal);
   EXPECT_NE(err.message.find("max_frame_bytes=4096"), std::string::npos)
       << err.message;
-  // Receives are clipped at the cap, so neither front-end buffers more
+  // Receives are clipped at the cap, so neither topology buffers more
   // than one byte past it, however much the socket holds.
   EXPECT_NE(err.message.find("(4097 bytes buffered)"), std::string::npos)
       << err.message;

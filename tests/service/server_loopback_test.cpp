@@ -1,5 +1,6 @@
-// End-to-end loopback tests: a real Server on a Unix-domain socket (and
-// once on TCP), real Clients, real bytes. These are the tests that pin
+// End-to-end loopback tests: plain `serve`'s topology (a ShardServer
+// with its in-process local slot) on a Unix-domain socket (and once on
+// TCP), real Clients, real bytes. These are the tests that pin
 // the wire-level determinism contract and the graceful-drain semantics
 // the CI smoke job relies on.
 #include <gtest/gtest.h>
@@ -13,9 +14,12 @@
 #include <thread>
 #include <vector>
 
+#include "net/scenario.hpp"
+#include "rng/xoshiro256.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
-#include "service/server.hpp"
+#include "service/service.hpp"
+#include "service/shard/shard_server.hpp"
 #include "testing/fuzzer.hpp"
 #include "util/error.hpp"
 
@@ -41,14 +45,14 @@ SchedulingRequest MakeRequest(std::uint64_t case_index,
 }
 
 TEST(ServerLoopbackTest, ServesOverUnixSocket) {
-  ServerOptions options;
-  options.unix_socket_path = UniqueSocketPath("unix");
-  Server server(options);
+  shard::ShardServerOptions options;
+  options.server.unix_socket_path = UniqueSocketPath("unix");
+  shard::ShardServer server(options);
   server.Start();
   std::thread serving([&] { server.Serve(); });
 
   Client client;
-  client.ConnectUnix(options.unix_socket_path);
+  client.ConnectUnix(options.server.unix_socket_path);
   const SchedulingResponse response = client.Call(MakeRequest(0, "q1"));
   EXPECT_TRUE(response.Ok()) << response.message;
   EXPECT_EQ(response.id, "q1");
@@ -58,8 +62,8 @@ TEST(ServerLoopbackTest, ServesOverUnixSocket) {
 }
 
 TEST(ServerLoopbackTest, ServesOverTcpEphemeralPort) {
-  ServerOptions options;  // TCP: no unix path, port 0 = ephemeral
-  Server server(options);
+  shard::ShardServerOptions options;  // TCP: no unix path, port 0
+  shard::ShardServer server(options);
   server.Start();
   ASSERT_GT(server.Port(), 0);
   std::thread serving([&] { server.Serve(); });
@@ -74,10 +78,10 @@ TEST(ServerLoopbackTest, ServesOverTcpEphemeralPort) {
 }
 
 TEST(ServerLoopbackTest, RepeatedRequestsAreByteIdenticalAcrossClients) {
-  ServerOptions options;
-  options.unix_socket_path = UniqueSocketPath("det");
-  options.service.batcher.num_workers = 4;
-  Server server(options);
+  shard::ShardServerOptions options;
+  options.server.unix_socket_path = UniqueSocketPath("det");
+  options.server.service.batcher.num_workers = 4;
+  shard::ShardServer server(options);
   server.Start();
   std::thread serving([&] { server.Serve(); });
 
@@ -88,7 +92,7 @@ TEST(ServerLoopbackTest, RepeatedRequestsAreByteIdenticalAcrossClients) {
   for (int c = 0; c < 3; ++c) {
     clients.emplace_back([&, c] {
       Client client;
-      client.ConnectUnix(options.unix_socket_path);
+      client.ConnectUnix(options.server.unix_socket_path);
       for (int r = 0; r < 2; ++r) {
         client.SendRaw(frame);
         lines[static_cast<std::size_t>(c * 2 + r)] = client.ReadLine();
@@ -106,14 +110,14 @@ TEST(ServerLoopbackTest, RepeatedRequestsAreByteIdenticalAcrossClients) {
 }
 
 TEST(ServerLoopbackTest, MalformedFrameGetsAnErrLineAndConnectionSurvives) {
-  ServerOptions options;
-  options.unix_socket_path = UniqueSocketPath("err");
-  Server server(options);
+  shard::ShardServerOptions options;
+  options.server.unix_socket_path = UniqueSocketPath("err");
+  shard::ShardServer server(options);
   server.Start();
   std::thread serving([&] { server.Serve(); });
 
   Client client;
-  client.ConnectUnix(options.unix_socket_path);
+  client.ConnectUnix(options.server.unix_socket_path);
   client.SendRaw("REQUEST id=x\nEND\n");  // missing scheduler=
   const SchedulingResponse err = ParseResponseLine(client.ReadLine());
   EXPECT_EQ(err.status, ResponseStatus::kError);
@@ -128,14 +132,14 @@ TEST(ServerLoopbackTest, MalformedFrameGetsAnErrLineAndConnectionSurvives) {
 }
 
 TEST(ServerLoopbackTest, UnknownSchedulerTravelsAsErrorKindFatal) {
-  ServerOptions options;
-  options.unix_socket_path = UniqueSocketPath("unk");
-  Server server(options);
+  shard::ShardServerOptions options;
+  options.server.unix_socket_path = UniqueSocketPath("unk");
+  shard::ShardServer server(options);
   server.Start();
   std::thread serving([&] { server.Serve(); });
 
   Client client;
-  client.ConnectUnix(options.unix_socket_path);
+  client.ConnectUnix(options.server.unix_socket_path);
   SchedulingRequest request = MakeRequest(0, "u1");
   request.scheduler = "nonexistent";
   const SchedulingResponse response = client.Call(request);
@@ -148,18 +152,18 @@ TEST(ServerLoopbackTest, UnknownSchedulerTravelsAsErrorKindFatal) {
 }
 
 TEST(ServerLoopbackTest, StopDrainsInFlightWorkBeforeReturning) {
-  ServerOptions options;
-  options.unix_socket_path = UniqueSocketPath("drain");
-  Server server(options);
+  shard::ShardServerOptions options;
+  options.server.unix_socket_path = UniqueSocketPath("drain");
+  shard::ShardServer server(options);
   server.Start();
   std::thread serving([&] { server.Serve(); });
 
   Client client;
-  client.ConnectUnix(options.unix_socket_path);
+  client.ConnectUnix(options.server.unix_socket_path);
   client.SendRaw(FormatRequestFrame(MakeRequest(2, "inflight")));
   // Wait until the request is admitted, then stop — the drain must still
   // deliver its response.
-  while (server.Service().Metrics().admitted.load() == 0) {
+  while (server.LocalService()->Metrics().admitted.load() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   server.Stop();
@@ -169,7 +173,44 @@ TEST(ServerLoopbackTest, StopDrainsInFlightWorkBeforeReturning) {
   serving.join();
 
   // After the drain, the server's metrics account for exactly that work.
-  EXPECT_EQ(server.Service().Metrics().completed.load(), 1u);
+  EXPECT_EQ(server.LocalService()->Metrics().completed.load(), 1u);
+}
+
+TEST(ServerLoopbackTest, PipelinedFramesAndStatsComeBackInRequestOrder) {
+  // One write: a cold N=600 frame, a warm frame, then STATS. The local
+  // slot admits all three at once: the warm frame and STATS are
+  // answered inline on the loop while the cold frame still schedules, so
+  // their replies wait in the connection's FIFO behind it.
+  shard::ShardServerOptions options;
+  options.server.unix_socket_path = UniqueSocketPath("order");
+  shard::ShardServer server(options);
+  server.Start();
+  std::thread serving([&] { server.Serve(); });
+
+  Client client;
+  client.ConnectUnix(options.server.unix_socket_path);
+  ASSERT_TRUE(client.Call(MakeRequest(3, "first")).Ok());  // now warm
+  rng::Xoshiro256 gen(600);
+  SchedulingRequest cold;
+  cold.scenario.links =
+      net::MakeUniformScenario(600, net::UniformScenarioParams{}, gen);
+  cold.scheduler = "rle";
+  cold.id = "cold";
+  const SchedulingRequest warm = MakeRequest(3, "warm");
+  client.SendRaw(FormatRequestFrame(cold) + FormatRequestFrame(warm) +
+                 std::string(kStatsVerb) + "\n");
+  const std::string cold_line = client.ReadLine();
+  const std::string warm_line = client.ReadLine();
+  const std::string stats_line = client.ReadLine();
+
+  SchedulingService reference;
+  EXPECT_EQ(cold_line, FormatResponseLine(reference.HandleNow(cold)));
+  EXPECT_EQ(warm_line, FormatResponseLine(reference.HandleNow(warm)));
+  EXPECT_TRUE(ParseResponseLine(cold_line).Ok()) << cold_line;
+  EXPECT_EQ(ParseStatsLine(stats_line).submitted, 3u) << stats_line;
+
+  server.Stop();
+  serving.join();
 }
 
 }  // namespace

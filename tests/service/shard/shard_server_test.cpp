@@ -7,12 +7,15 @@
 // in their own binary.
 #include <gtest/gtest.h>
 
-#include <csignal>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -293,6 +296,37 @@ TEST_F(ShardServerTest, KilledMidFrameGetsATypedTransientAndResendIsByteIdentica
   EXPECT_EQ(server_->Report().crashes, 2u);
 }
 
+TEST_F(ShardServerTest, APauseLongerThanTheReadDeadlineIsNotAStall) {
+  // One write of kConnFifoCap + 1 frames to stopped workers: the router
+  // carves kConnFifoCap of them and stops reading with the last one
+  // pending in the scanner, mid-frame by the slow-loris guard's reading.
+  // The pause is the router's, not the client's, so it must outlast the
+  // read deadline without an eviction.
+  StartServer("pause", 2, RoutingMode::kAffinity,
+              [](ShardServerOptions& options) {
+                options.server.read_deadline_seconds = 0.2;
+              });
+  ASSERT_NO_FATAL_FAILURE(AwaitFreshWorkers(*server_, {-1, -1}));
+  const pid_t workers[2] = {server_->WorkerPid(0), server_->WorkerPid(1)};
+  for (const pid_t pid : workers) ASSERT_EQ(::kill(pid, SIGSTOP), 0);
+
+  std::string burst;
+  for (std::size_t i = 0; i <= ShardServer::kConnFifoCap; ++i) {
+    burst += Frame(0, "p" + std::to_string(i));
+  }
+  const std::unique_ptr<Client> client = Connect();
+  client->SendRaw(burst);  // fits the socket buffer: the send returns
+  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  for (const pid_t pid : workers) ASSERT_EQ(::kill(pid, SIGCONT), 0);
+
+  for (std::size_t i = 0; i <= ShardServer::kConnFifoCap; ++i) {
+    const std::string line = client->ReadLine();
+    const SchedulingResponse response = ParseResponseLine(line);
+    ASSERT_TRUE(response.Ok()) << line;
+    ASSERT_EQ(response.id, "p" + std::to_string(i));
+  }
+}
+
 TEST_F(ShardServerTest, SighupRollsEveryShardUnderLiveTraffic) {
   StartServer("roll", 2);
   const std::unique_ptr<Client> client = Connect();
@@ -402,12 +436,18 @@ TEST_F(ShardServerTest, StatsSkipsShardsOverThePipeCap) {
 
   // Flood without reading until the kernel pipe is full and slot.out
   // grows past the cap. Junk envelopes keep the post-SIGCONT backlog
-  // cheap (the worker rejects them without scheduling anything).
+  // cheap (the worker rejects them without scheduling anything). The
+  // router stops reading a connection once it holds kConnFifoCap
+  // tickets, so the flood is spread over connections of that many
+  // frames each.
   const std::string junk = std::string(512, 'x') + "\nEND\n";
-  const std::unique_ptr<Client> flood = Connect();
   std::string burst;
-  for (int i = 0; i < 64; ++i) burst += junk;
-  for (int i = 0; i < 32; ++i) flood->SendRaw(burst);  // ~1 MiB total
+  for (std::size_t i = 0; i < ShardServer::kConnFifoCap; ++i) burst += junk;
+  std::vector<std::unique_ptr<Client>> flood;
+  for (int i = 0; i < 32; ++i) {  // ~1 MiB total
+    flood.push_back(Connect());
+    flood.back()->SendRaw(burst);
+  }
   // The router consumes the flood fast (every over-cap frame fails
   // without touching the worker); give it a beat to finish.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
@@ -427,7 +467,7 @@ TEST_F(ShardServerTest, StatsSkipsShardsOverThePipeCap) {
       << "the over-cap shard's contribution must drop out";
 
   ASSERT_EQ(::kill(pid, SIGCONT), 0);
-  flood->Close();
+  for (const std::unique_ptr<Client>& client : flood) client->Close();
 }
 
 TEST_F(ShardServerTest, DrainsCleanlyAndUnlinksTheSocket) {
@@ -443,6 +483,87 @@ TEST_F(ShardServerTest, DrainsCleanlyAndUnlinksTheSocket) {
   const SupervisorReport& report = server_->Report();
   EXPECT_FALSE(report.breaker_open);
   EXPECT_EQ(report.crashes, 0u);
+}
+
+/// Runs the fixture at a slot count: 0 is plain `serve`'s local slot.
+class ConnectionBackpressureTest
+    : public ShardServerTest,
+      public ::testing::WithParamInterface<std::size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Slots, ConnectionBackpressureTest,
+    ::testing::Values(std::size_t{0}, std::size_t{2}),
+    [](const ::testing::TestParamInfo<std::size_t>& param_info) {
+      return std::to_string(param_info.param);
+    });
+
+TEST_P(ConnectionBackpressureTest, ANonReadingPipelinerStallsThenGetsAllInOrder) {
+  // A client that pipelines warm frames and never reads must stall in
+  // its own send once the front-end stops reading its connection, not
+  // grow the server's buffers without bound. Reading then delivers every
+  // reply, in request order.
+  StartServer("bp", GetParam());
+  const std::unique_ptr<Client> client = Connect();
+  SchedulingRequest request = Request(0, "warm");
+  ASSERT_TRUE(client->Call(request).Ok());
+
+  constexpr std::size_t kBoundBytes = std::size_t{16} << 20;
+  const int fd = client->NativeHandle();  // non-blocking
+  std::size_t frames = 0;
+  std::size_t sent = 0;
+  std::string pending;  // unsent tail of the frame being written
+  bool stalled = false;
+  while (!stalled && sent < kBoundBytes) {
+    if (pending.empty()) {
+      request.id = "b" + std::to_string(frames++);
+      pending = FormatRequestFrame(request);
+    }
+    const ssize_t n = ::send(fd, pending.data(), pending.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      pending.erase(0, static_cast<std::size_t>(n));
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        << std::strerror(errno);
+    pollfd writable{fd, POLLOUT, 0};
+    stalled = ::poll(&writable, 1, 500) == 0;  // no room for 500 ms
+  }
+  ASSERT_TRUE(stalled) << "the server took " << sent
+                       << " bytes from a client that never reads";
+
+  // Read every reply while the last frame's tail goes out.
+  std::vector<std::string> lines;
+  std::string read_error;
+  std::thread reader([&] {
+    try {
+      for (std::size_t i = 0; i < frames; ++i) {
+        lines.push_back(client->ReadLine());
+      }
+    } catch (const std::exception& e) {
+      read_error = e.what();
+    }
+  });
+  while (!pending.empty()) {
+    const ssize_t n = ::send(fd, pending.data(), pending.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      pending.erase(0, static_cast<std::size_t>(n));
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      pollfd writable{fd, POLLOUT, 0};
+      ::poll(&writable, 1, 1000);
+    } else {
+      break;
+    }
+  }
+  reader.join();
+  EXPECT_TRUE(pending.empty()) << "the last frame's tail was refused";
+  ASSERT_EQ(read_error, "");
+  ASSERT_EQ(lines.size(), frames);
+  for (std::size_t i = 0; i < frames; ++i) {
+    const SchedulingResponse response = ParseResponseLine(lines[i]);
+    ASSERT_TRUE(response.Ok()) << lines[i];
+    ASSERT_EQ(response.id, "b" + std::to_string(i));
+  }
 }
 
 }  // namespace

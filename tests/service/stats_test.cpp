@@ -17,7 +17,7 @@
 
 #include "service/client.hpp"
 #include "service/protocol.hpp"
-#include "service/server.hpp"
+#include "service/shard/shard_server.hpp"
 #include "testing/fuzzer.hpp"
 #include "util/error.hpp"
 
@@ -176,9 +176,9 @@ TEST(StatsProtocolTest, CaptureReadsServiceMetrics) {
 class StatsLoopbackTest : public ::testing::Test {
  protected:
   void StartServer(const char* tag) {
-    options_.unix_socket_path = UniqueSocketPath(tag);
-    options_.service.batcher.num_workers = 2;
-    server_ = std::make_unique<Server>(options_);
+    options_.server.unix_socket_path = UniqueSocketPath(tag);
+    options_.server.service.batcher.num_workers = 2;
+    server_ = std::make_unique<shard::ShardServer>(options_);
     server_->Start();
     serving_ = std::thread([this] { server_->Serve(); });
   }
@@ -190,8 +190,8 @@ class StatsLoopbackTest : public ::testing::Test {
     }
   }
 
-  ServerOptions options_;
-  std::unique_ptr<Server> server_;
+  shard::ShardServerOptions options_;  // num_shards 0: the local slot
+  std::unique_ptr<shard::ShardServer> server_;
   std::thread serving_;
 };
 
@@ -212,7 +212,7 @@ void ExpectAdmissionIdentity(const StatsSnapshot& s) {
 TEST_F(StatsLoopbackTest, SnapshotsAreMonotoneAndConsistent) {
   StartServer("mono");
   Client client;
-  client.ConnectUnix(options_.unix_socket_path);
+  client.ConnectUnix(options_.server.unix_socket_path);
 
   // STATS on a fresh worker: all zeros, identities trivially hold.
   StatsSnapshot prev = client.Stats();
@@ -245,7 +245,7 @@ TEST_F(StatsLoopbackTest, SnapshotsAreMonotoneAndConsistent) {
 TEST_F(StatsLoopbackTest, StatsInsideAFrameIsPayloadNotAVerb) {
   StartServer("frame");
   Client client;
-  client.ConnectUnix(options_.unix_socket_path);
+  client.ConnectUnix(options_.server.unix_socket_path);
   // A request frame whose first line happens to be "STATS" must not be
   // answered with a stats line: inside a frame the bytes are payload.
   client.SendRaw("not-a-header x=1\nSTATS\nEND\n");
@@ -260,7 +260,7 @@ TEST_F(StatsLoopbackTest, StatsInsideAFrameIsPayloadNotAVerb) {
 TEST_F(StatsLoopbackTest, InterleavesWithRequestsOnOneConnection) {
   StartServer("mix");
   Client client;
-  client.ConnectUnix(options_.unix_socket_path);
+  client.ConnectUnix(options_.server.unix_socket_path);
   EXPECT_TRUE(client.Call(MakeRequest(0, "a")).Ok());
   const StatsSnapshot mid = client.Stats();
   EXPECT_EQ(mid.completed, 1u);

@@ -43,7 +43,7 @@ TEST(DeterminismAuditTest, NoEnvironmentEntropyInProductionCode) {
   // the entropy list below like everything else. The serving layer's
   // uses are latency histograms, queue-age deadlines, open-loop load
   // pacing, the connection scanner's slow-client read deadline (stamped
-  // by the scanner, checked by both front-ends), the chaos soak's
+  // by the scanner, checked by the front-end), the chaos soak's
   // wall-clock report, the overload controller's queue-delay clocking,
   // the supervisor's backoff/uptime/fault-instant bookkeeping, the
   // inline fast-path latency stamp, and the shard front-end's
@@ -53,10 +53,10 @@ TEST(DeterminismAuditTest, NoEnvironmentEntropyInProductionCode) {
   const std::vector<std::string> steady_clock_allowlist = {
       "util/deadline.hpp",      "util/stopwatch.hpp",
       "service/batcher.hpp",    "service/batcher.cpp",
-      "service/loadgen.cpp",    "service/server.cpp",
-      "service/chaos/soak.cpp", "service/overload.hpp",
-      "service/service.cpp",    "service/supervisor.hpp",
-      "service/supervisor.cpp", "service/shard/shard_server.hpp",
+      "service/loadgen.cpp",    "service/chaos/soak.cpp",
+      "service/overload.hpp",   "service/service.cpp",
+      "service/supervisor.hpp", "service/supervisor.cpp",
+      "service/shard/shard_server.hpp",
       "service/shard/shard_server.cpp",
       "service/shard/frame_scanner.hpp"};
   const std::vector<std::string> forbidden = {

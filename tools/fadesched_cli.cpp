@@ -42,7 +42,6 @@
 #include "service/chaos/soak.hpp"
 #include "service/client.hpp"
 #include "service/loadgen.hpp"
-#include "service/server.hpp"
 #include "service/shard/shard_server.hpp"
 #include "service/supervisor.hpp"
 #include "sim/checkpoint.hpp"
@@ -764,12 +763,12 @@ service::shard::RoutingMode RoutingFromName(const std::string& name) {
 int RunServe(int argc, char** argv) {
   util::CliParser cli(
       "fadesched_cli serve",
-      "line-protocol scheduling server (unix socket or TCP loopback); "
-      "in-process (one thread per connection) by default; --shards N "
-      "forks N crash-only worker processes behind a consistent-hash "
-      "fingerprint router that restarts crashed shards, opens a flap "
-      "breaker on crash loops (exit 1), and rolls them one arc at a time "
-      "on SIGHUP; SIGTERM/SIGINT drain gracefully, exit 0");
+      "line-protocol scheduling server (unix socket or TCP loopback): one "
+      "epoll loop serves every connection; in-process by default; "
+      "--shards N forks N crash-only worker processes behind a "
+      "consistent-hash payload router that restarts crashed shards, opens "
+      "a flap breaker on crash loops (exit 1), and rolls them one arc at a "
+      "time on SIGHUP; SIGTERM/SIGINT drain gracefully, exit 0");
   auto& unix_path = cli.AddString(
       "unix", "", "unix-domain socket path (empty = TCP)");
   auto& host = cli.AddString("host", "127.0.0.1", "TCP bind address");
@@ -791,19 +790,23 @@ int RunServe(int argc, char** argv) {
       "sharded metrics aggregate through the STATS verb)");
   auto& shards = cli.AddInt(
       "shards", 0,
-      "fork this many shard worker processes behind the epoll router; "
-      "0 = in-process server, one thread per connection (the default: "
-      "lower CPU and RSS per request than --shards 1)");
+      "fork this many shard worker processes behind the epoll loop; "
+      "0 = one in-process slot on the loop (the default: no fork, no "
+      "pipe, lower CPU and RSS per request than --shards 1)");
   auto& vnodes = cli.AddInt("vnodes", 128,
                             "virtual nodes per shard on the hash ring");
   auto& routing = cli.AddString(
       "routing", "affinity",
       "request placement: affinity (consistent-hash on the scenario "
-      "fingerprint, cache-warm) | round_robin (the bench's control arm)");
+      "payload, cache-warm) | round_robin (the bench's control arm)");
   auto& completion_threads = cli.AddInt(
-      "completion-threads", 2, "reply-drainer threads per shard worker");
+      "completion-threads", 2,
+      "reply-drainer threads for batched requests (in process, or per "
+      "shard worker)");
   auto& drain_grace = cli.AddDouble(
-      "drain-grace", 10.0, "SIGTERM → SIGKILL escalation grace (s)");
+      "drain-grace", 10.0,
+      "on SIGTERM, connections get this long (s) to finish in-flight "
+      "requests; with --shards, also the worker SIGTERM → SIGKILL grace");
   auto& max_restarts = cli.AddInt(
       "max-restarts", 8,
       "shard restarts inside --restart-window before the flap breaker "
@@ -822,49 +825,49 @@ int RunServe(int argc, char** argv) {
   const OverloadFlags overload_flags = AddOverloadFlags(cli);
   if (!cli.Parse(argc, argv)) return cli.UsageExitCode();
 
-  service::ServerOptions options;
-  options.unix_socket_path = unix_path;
-  options.host = host;
-  options.port = static_cast<int>(port);
-  options.service.batcher.num_workers = static_cast<std::size_t>(workers);
-  options.service.batcher.queue_capacity = static_cast<std::size_t>(queue);
-  options.service.batcher.default_deadline_seconds = deadline;
-  options.service.batcher.overload = MakeOverloadOptions(overload_flags);
-  options.service.cache.capacity_bytes =
-      static_cast<std::size_t>(cache_mb) << 20;
+  service::shard::ShardServerOptions options;
+  options.server.unix_socket_path = unix_path;
+  options.server.host = host;
+  options.server.port = static_cast<int>(port);
+  service::ServiceOptions& service = options.server.service;
+  service.batcher.num_workers = static_cast<std::size_t>(workers);
+  service.batcher.queue_capacity = static_cast<std::size_t>(queue);
+  service.batcher.default_deadline_seconds = deadline;
+  service.batcher.overload = MakeOverloadOptions(overload_flags);
+  service.cache.capacity_bytes = static_cast<std::size_t>(cache_mb) << 20;
+  options.num_shards = shards > 0 ? static_cast<std::size_t>(shards) : 0;
+  options.vnodes_per_shard = static_cast<std::size_t>(vnodes);
+  options.routing = RoutingFromName(routing);
+  options.completion_threads_per_shard =
+      static_cast<std::size_t>(completion_threads);
+  options.supervisor.drain_grace_seconds = drain_grace;
+  options.supervisor.max_restarts_in_window =
+      static_cast<std::size_t>(max_restarts);
+  options.supervisor.restart_window_seconds = restart_window;
+  options.supervisor.chaos.seed = static_cast<std::uint64_t>(chaos_seed);
+  options.supervisor.chaos.kills = static_cast<std::size_t>(chaos_kills);
+  options.supervisor.chaos.window_seconds = chaos_window;
 
-  if (shards > 0) {
-    service::shard::ShardServerOptions shard_options;
-    shard_options.server = options;
-    shard_options.num_shards = static_cast<std::size_t>(shards);
-    shard_options.vnodes_per_shard = static_cast<std::size_t>(vnodes);
-    shard_options.routing = RoutingFromName(routing);
-    shard_options.completion_threads_per_shard =
-        static_cast<std::size_t>(completion_threads);
-    shard_options.supervisor.drain_grace_seconds = drain_grace;
-    shard_options.supervisor.max_restarts_in_window =
-        static_cast<std::size_t>(max_restarts);
-    shard_options.supervisor.restart_window_seconds = restart_window;
-    shard_options.supervisor.chaos.seed =
-        static_cast<std::uint64_t>(chaos_seed);
-    shard_options.supervisor.chaos.kills =
-        static_cast<std::size_t>(chaos_kills);
-    shard_options.supervisor.chaos.window_seconds = chaos_window;
+  service::shard::ShardServer server(options);
+  server.Start();
+  const std::string where =
+      unix_path.empty() ? host + ":" + std::to_string(server.Port())
+                        : "unix:" + unix_path;
+  if (options.num_shards > 0) {
+    std::printf("listening on %s (%d shards, %s routing)\n", where.c_str(),
+                static_cast<int>(shards), routing.c_str());
+  } else {
+    std::printf("listening on %s\n", where.c_str());
+  }
+  std::fflush(stdout);
 
-    service::shard::ShardServer server(shard_options);
-    server.Start();
-    if (!unix_path.empty()) {
-      std::printf("listening on unix:%s (%d shards, %s routing)\n",
-                  unix_path.c_str(), static_cast<int>(shards),
-                  routing.c_str());
-    } else {
-      std::printf("listening on %s:%d (%d shards, %s routing)\n",
-                  host.c_str(), server.Port(), static_cast<int>(shards),
-                  routing.c_str());
-    }
-    std::fflush(stdout);
-
-    server.Serve();  // installs its own signal guard; workers inherit it
+  // Serve() returns after a guarded SIGINT/SIGTERM (it installs its own
+  // signal guard; workers inherit it): in-flight requests complete
+  // within --drain-grace and the slots shut down — a graceful drain is a
+  // SUCCESS for a server, hence exit 0 (unlike sweeps, where interrupted
+  // means incomplete work and exits 3).
+  server.Serve();
+  if (options.num_shards > 0) {
     const service::SupervisorReport& report = server.Report();
     std::fputs(report.ToJson().c_str(), stdout);
     if (!status_out.empty()) {
@@ -876,27 +879,8 @@ int RunServe(int argc, char** argv) {
                    report.restarts, restart_window);
       return 1;
     }
-    std::printf("drained, shutting down\n");
-    return 0;
-  }
-
-  service::Server server(options);
-  server.Start();
-  if (!unix_path.empty()) {
-    std::printf("listening on unix:%s\n", unix_path.c_str());
-  } else {
-    std::printf("listening on %s:%d\n", host.c_str(), server.Port());
-  }
-  std::fflush(stdout);
-
-  // Serve() returns after a guarded SIGINT/SIGTERM: in-flight requests
-  // complete, the queue drains, workers join — a graceful drain is a
-  // SUCCESS for a server, hence exit 0 (unlike sweeps, where interrupted
-  // means incomplete work and exits 3).
-  util::ScopedSignalGuard guard;
-  server.Serve();
-  if (!metrics_out.empty()) {
-    server.Service().Metrics().DumpJson(metrics_out);
+  } else if (!metrics_out.empty()) {
+    server.LocalService()->Metrics().DumpJson(metrics_out);
     std::printf("metrics written to %s\n", metrics_out.c_str());
   }
   std::printf("drained, shutting down\n");
@@ -1094,7 +1078,7 @@ int RunChaosSoak(int argc, char** argv) {
   options.allow_unserved = allow_unserved;
   if (drain_mid_run) {
     // Exercise the real signal path: the guard converts the raise into
-    // util::ShutdownRequested(), which the in-process server's accept
+    // util::ShutdownRequested(), which the in-process server's event
     // loop polls — the same drain a production SIGTERM triggers.
     options.on_drain = [] { std::raise(SIGTERM); };
   }
