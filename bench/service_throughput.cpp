@@ -284,7 +284,6 @@ class Tier {
     options.server = spec.server;
     options.num_shards = shards_;
     options.routing = spec.routing;
-    options.completion_threads_per_shard = 1;
     options.supervisor.drain_grace_seconds = 10.0;
     server_ = std::make_unique<service::shard::ShardServer>(options);
     server_->Start();

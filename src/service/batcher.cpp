@@ -61,22 +61,30 @@ RequestBatcher::~RequestBatcher() { Drain(); }
 std::future<SchedulingResponse> RequestBatcher::Submit(
     SchedulingRequest request, RequestClass cls,
     std::optional<Prepared> prepared) {
-  std::promise<SchedulingResponse> promise;
-  std::future<SchedulingResponse> future = promise.get_future();
+  return AsFuture([&](Responder reply) {
+    Submit(std::move(request), cls, std::move(prepared), std::move(reply));
+  });
+}
+
+void RequestBatcher::Submit(SchedulingRequest request, RequestClass cls,
+                            std::optional<Prepared> prepared, Responder reply,
+                            std::chrono::nanoseconds queued_for) {
   if (metrics_ != nullptr) {
     metrics_->submitted.fetch_add(1, std::memory_order_relaxed);
   }
 
-  {
+  // The rejection, if any, is sent after the lock is released: `reply` is
+  // the caller's code.
+  std::optional<SchedulingResponse> rejected =
+      [&]() -> std::optional<SchedulingResponse> {
     std::lock_guard<std::mutex> lock(mutex_);
     if (draining_) {
       if (metrics_ != nullptr) {
         metrics_->rejected_draining.fetch_add(1, std::memory_order_relaxed);
       }
-      promise.set_value(MakeFailure(
-          ResponseStatus::kShed, util::ErrorKind::kInterrupted,
-          "service draining — not accepting new requests", request.id));
-      return future;
+      return MakeFailure(ResponseStatus::kShed, util::ErrorKind::kInterrupted,
+                         "service draining — not accepting new requests",
+                         request.id);
     }
     const AdmitDecision decision = overload_.Admit(
         cls, DepthLocked(), std::chrono::steady_clock::now());
@@ -94,8 +102,7 @@ std::future<SchedulingResponse> RequestBatcher::Submit(
               " request, retry later",
           request.id);
       shed.retry_after_ms = decision.retry_after_ms;
-      promise.set_value(std::move(shed));
-      return future;
+      return shed;
     }
     // Hard bounds: the shared capacity, plus a bulkhead on the cold lane.
     // Warm-priority dequeue starves the cold lane under warm pressure, so
@@ -122,8 +129,7 @@ std::future<SchedulingResponse> RequestBatcher::Submit(
                     " pending) — shed, retry later",
           request.id);
       shed.retry_after_ms = overload_.RetryAfterMs();
-      promise.set_value(std::move(shed));
-      return future;
+      return shed;
     }
     if (metrics_ != nullptr) {
       metrics_->admitted.fetch_add(1, std::memory_order_relaxed);
@@ -133,20 +139,24 @@ std::future<SchedulingResponse> RequestBatcher::Submit(
                                         ? request.deadline_seconds
                                         : options_.default_deadline_seconds;
     item.deadline = util::Deadline::After(deadline_seconds);
-    item.enqueued = std::chrono::steady_clock::now();
+    item.enqueued = std::chrono::steady_clock::now() - queued_for;
     item.request = std::move(request);
     item.prepared = std::move(prepared);
-    item.promise = std::move(promise);
+    item.reply = std::move(reply);
     item.cls = cls;
     (cls == RequestClass::kCold ? cold_queue_ : warm_queue_)
         .push_back(std::move(item));
     SetDepthGauge(DepthLocked());
+    return std::nullopt;
+  }();
+  if (rejected) {
+    reply(std::move(*rejected));
+    return;
   }
   // notify_all, not notify_one: workers are heterogeneous (a reserved
   // warm-only worker may be the one woken for a cold item, which it will
   // ignore), so a single notify can be swallowed by the wrong waiter.
   cv_.notify_all();
-  return future;
 }
 
 SchedulingResponse RequestBatcher::Execute(SchedulingRequest request,
@@ -164,7 +174,7 @@ void RequestBatcher::Reply(
                                      : metrics_->warm_total_latency)
         .Record(seconds);
   }
-  item.promise.set_value(std::move(response));
+  item.reply(std::move(response));
 }
 
 void RequestBatcher::WorkerLoop(bool warm_only) {

@@ -41,11 +41,13 @@
 // joins the workers; it is idempotent and also runs from the destructor.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -67,6 +69,20 @@ struct Prepared {
   Fingerprint fingerprint;
   ScenarioCache::ScenarioPtr scenario;  ///< null unless pinned
 };
+
+/// Receives one request's response, exactly once.
+using Responder = std::function<void(SchedulingResponse)>;
+
+/// The future of a call that answers through the Responder it is given.
+template <typename Call>
+std::future<SchedulingResponse> AsFuture(Call&& call) {
+  auto promise = std::make_shared<std::promise<SchedulingResponse>>();
+  std::future<SchedulingResponse> future = promise->get_future();
+  call([promise](SchedulingResponse response) {
+    promise->set_value(std::move(response));
+  });
+  return future;
+}
 
 struct BatcherOptions {
   /// Worker threads executing the handler. With ≥ 2, worker 0 serves the
@@ -114,6 +130,13 @@ class RequestBatcher {
   std::future<SchedulingResponse> Submit(
       SchedulingRequest request, RequestClass cls = RequestClass::kWarm,
       std::optional<Prepared> prepared = std::nullopt);
+  /// Submit answering through `reply`: before this returns for a shed,
+  /// else from the worker that ran the request. `queued_for`, the time
+  /// the request already waited upstream, counts as queue delay, so the
+  /// overload controller sees that backlog too.
+  void Submit(SchedulingRequest request, RequestClass cls,
+              std::optional<Prepared> prepared, Responder reply,
+              std::chrono::nanoseconds queued_for = {});
 
   /// Submit + wait (convenience for synchronous callers).
   SchedulingResponse Execute(SchedulingRequest request,
@@ -130,7 +153,7 @@ class RequestBatcher {
   struct Item {
     SchedulingRequest request;
     std::optional<Prepared> prepared;
-    std::promise<SchedulingResponse> promise;
+    Responder reply;
     util::Deadline deadline;
     std::chrono::steady_clock::time_point enqueued;
     RequestClass cls = RequestClass::kWarm;

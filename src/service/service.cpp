@@ -14,12 +14,6 @@ namespace fadesched::service {
 
 namespace {
 
-std::future<SchedulingResponse> Fulfilled(SchedulingResponse response) {
-  std::promise<SchedulingResponse> ready;
-  ready.set_value(std::move(response));
-  return ready.get_future();
-}
-
 /// A frame no request header could be attributed to answers with id "-".
 SchedulingResponse FrameRejection(util::ErrorKind kind, const char* message) {
   SchedulingResponse response;
@@ -34,9 +28,8 @@ using Clock = std::chrono::steady_clock;
 
 /// Answers a response-cache hit, its id already stamped, on the calling
 /// thread: the one place an inline hit is counted and timed from `since`.
-std::future<SchedulingResponse> ServeHit(ServiceMetrics& metrics,
-                                         SchedulingResponse response,
-                                         Clock::time_point since) {
+void ServeHit(ServiceMetrics& metrics, SchedulingResponse response,
+              Clock::time_point since, const Responder& reply) {
   response.cache_hit = true;
   metrics.submitted.fetch_add(1, std::memory_order_relaxed);
   metrics.admitted.fetch_add(1, std::memory_order_relaxed);
@@ -46,7 +39,7 @@ std::future<SchedulingResponse> ServeHit(ServiceMetrics& metrics,
   metrics.service_latency.Record(seconds);
   metrics.total_latency.Record(seconds);
   metrics.warm_total_latency.Record(seconds);
-  return Fulfilled(std::move(response));
+  reply(std::move(response));
 }
 
 }  // namespace
@@ -128,18 +121,24 @@ SchedulingResponse SchedulingService::Handle(const SchedulingRequest& request,
 
 std::future<SchedulingResponse> SchedulingService::Submit(
     SchedulingRequest request) {
-  return SubmitParsed(std::move(request), nullptr);
+  return AsFuture([&](Responder reply) {
+    SubmitParsed(std::move(request), nullptr, std::move(reply), {});
+  });
 }
 
-std::future<SchedulingResponse> SchedulingService::SubmitParsed(
-    SchedulingRequest request, const RawPayload* raw) {
+void SchedulingService::SubmitParsed(SchedulingRequest request,
+                                     const RawPayload* raw, Responder reply,
+                                     std::chrono::nanoseconds queued_for) {
   // The fingerprint (a canonical serialization plus a WordHash64 pass:
   // about 8 µs at N=600) is computed once here and rides the batcher to
   // the handler, so an admitted miss does not pay for it again. A request
   // whose fingerprint throws is submitted kWarm without one, so the
   // handler, not the shedder, reports the real error.
+  const Clock::time_point submitted_at = Clock::now() - queued_for;
+  std::optional<SchedulingResponse> hit;
+  std::optional<Prepared> prepared;
+  RequestClass cls = RequestClass::kWarm;
   try {
-    const Clock::time_point submitted_at = Clock::now();
     Fingerprint fp = FingerprintRequest(request);
 
     // Fast path: a resident response is a pure lookup, so it is served
@@ -150,29 +149,42 @@ std::future<SchedulingResponse> SchedulingService::SubmitParsed(
     // issues the canonical typed rejection and the admission ledger
     // stays consistent.
     SchedulingResponse response;
-    const bool hit =
+    const bool resident =
         !batcher_->Draining() &&
         cache_->LookupResponse(fp, &response, /*count_miss=*/false);
-    const bool warm = hit || cache_->IsWarm(fp);
+    const bool warm = resident || cache_->IsWarm(fp);
     // Only a payload whose fingerprint is resident is kept: its repeats,
     // under any scheduler, then skip the parse, and a one-shot frame
     // copies nothing.
     if (warm && raw != nullptr) cache_->AttachPayload(*raw, fp);
-    if (hit) {
+    // Assigned last: a throw leaves the request kWarm and unprepared.
+    if (resident) {
       response.id = request.id;
-      return ServeHit(metrics_, std::move(response), submitted_at);
+      hit = std::move(response);
     }
-    return batcher_->Submit(std::move(request),
-                            warm ? RequestClass::kWarm : RequestClass::kCold,
-                            Prepared{std::move(fp), nullptr});
+    cls = warm ? RequestClass::kWarm : RequestClass::kCold;
+    prepared = Prepared{std::move(fp), nullptr};
   } catch (...) {
-    return batcher_->Submit(std::move(request), RequestClass::kWarm);
   }
+  if (hit) {
+    ServeHit(metrics_, std::move(*hit), submitted_at, reply);
+    return;
+  }
+  batcher_->Submit(std::move(request), cls, std::move(prepared),
+                   std::move(reply), queued_for);
 }
 
 std::future<SchedulingResponse> SchedulingService::SubmitFrame(
     std::string_view frame) {
-  const Clock::time_point received_at = Clock::now();
+  return AsFuture([&](Responder reply) {
+    SubmitFrame(frame, std::move(reply), /*may_parse=*/true);
+  });
+}
+
+bool SchedulingService::SubmitFrame(std::string_view frame, Responder reply,
+                                    bool may_parse,
+                                    std::chrono::nanoseconds queued_for) {
+  const Clock::time_point received_at = Clock::now() - queued_for;
   SchedulingRequest request;
   RawPayload raw;
   std::optional<SchedulingResponse> hit;
@@ -205,6 +217,8 @@ std::future<SchedulingResponse> SchedulingService::SubmitFrame(
       request.scheduler = header.scheduler;
       request.deadline_seconds = header.deadline_seconds;
       resident = Prepared{std::move(*fp), std::move(scenario)};
+    } else if (!may_parse) {
+      return false;
     } else {
       request = ParseRequestBody(header, check_matched);
     }
@@ -212,20 +226,25 @@ std::future<SchedulingResponse> SchedulingService::SubmitFrame(
     (e.kind() == util::ErrorKind::kTransient ? metrics_.checksum_failures
                                              : metrics_.protocol_errors)
         .fetch_add(1, std::memory_order_relaxed);
-    return Fulfilled(FrameRejection(e.kind(), e.what()));
+    reply(FrameRejection(e.kind(), e.what()));
+    return true;
   } catch (const std::exception& e) {
     metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    return Fulfilled(FrameRejection(util::ErrorKind::kFatal, e.what()));
+    reply(FrameRejection(util::ErrorKind::kFatal, e.what()));
+    return true;
   }
   if (hit || resident) {
     metrics_.raw_hits.fetch_add(1, std::memory_order_relaxed);
   }
-  if (hit) return ServeHit(metrics_, std::move(*hit), received_at);
-  if (resident) {
-    return batcher_->Submit(std::move(request), RequestClass::kWarm,
-                            std::move(resident));
+  if (hit) {
+    ServeHit(metrics_, std::move(*hit), received_at, reply);
+  } else if (resident) {
+    batcher_->Submit(std::move(request), RequestClass::kWarm,
+                     std::move(resident), std::move(reply), queued_for);
+  } else {
+    SubmitParsed(std::move(request), &raw, std::move(reply), queued_for);
   }
-  return SubmitParsed(std::move(request), &raw);
+  return true;
 }
 
 void SchedulingService::Drain() { batcher_->Drain(); }

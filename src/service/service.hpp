@@ -14,6 +14,7 @@
 // instance poisons one response, not the worker thread.
 #pragma once
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string_view>
@@ -64,6 +65,15 @@ class SchedulingService {
   /// are ParseRequestFrame's.
   std::future<SchedulingResponse> SubmitFrame(std::string_view frame);
 
+  /// SubmitFrame answering through `reply`, exactly once: before this
+  /// returns when the answer is ready at once (a hit, a rejection, a
+  /// shed), else from the batcher worker that computes it. With
+  /// `may_parse` false a frame that needs a parse is left alone,
+  /// uncounted, and false comes back. `queued_for` counts as batcher
+  /// queue delay (RequestBatcher::Submit).
+  bool SubmitFrame(std::string_view frame, Responder reply, bool may_parse,
+                   std::chrono::nanoseconds queued_for = {});
+
   /// Graceful shutdown: stop admission, finish queued + in-flight work.
   void Drain();
 
@@ -78,8 +88,8 @@ class SchedulingService {
   /// Submit's body; when the fingerprint is resident, `raw` (the payload
   /// of the frame the request was parsed from, when non-null) is attached
   /// to it.
-  std::future<SchedulingResponse> SubmitParsed(SchedulingRequest request,
-                                               const RawPayload* raw);
+  void SubmitParsed(SchedulingRequest request, const RawPayload* raw,
+                    Responder reply, std::chrono::nanoseconds queued_for);
 
   ServiceMetrics metrics_;
   std::unique_ptr<ScenarioCache> cache_;

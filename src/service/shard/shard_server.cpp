@@ -9,14 +9,15 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <future>
 #include <iterator>
 #include <optional>
 #include <span>
+#include <thread>
 #include <utility>
 
 #include "service/shard/shard_worker.hpp"
@@ -132,27 +133,41 @@ int MakeEventFd() {
 ShardServer::LocalSlot::LocalSlot(const ShardServerOptions& options)
     : service(options.server.service),
       wake_fd(MakeEventFd()),
-      completions(options.completion_threads_per_shard,
-                  [this](std::uint64_t ticket, std::string line) {
-                    bool wake = false;
-                    {
-                      const std::lock_guard<std::mutex> lock(mutex);
-                      wake = done.empty();
-                      done.emplace_back(ticket, std::move(line));
-                    }
-                    // One wake per batch: the loop reads the eventfd
-                    // before it takes the batch, so a line queued after
-                    // that finds `done` empty and wakes it again.
-                    if (wake) {
-                      const std::uint64_t one = 1;
-                      [[maybe_unused]] const ssize_t n =
-                          ::write(wake_fd, &one, sizeof(one));
-                    }
-                  }) {}
+      parsers(std::in_place,
+              static_cast<unsigned>(std::max<std::size_t>(
+                  1, options.completion_threads_per_shard))) {}
 
 ShardServer::LocalSlot::~LocalSlot() {
-  completions.Close();  // no drainer may write the eventfd once closed
+  // No thread may write the eventfd once it is closed: the parse pool
+  // has joined and the batcher's workers have replied.
+  parsers.reset();
+  service.Drain();
   ::close(wake_fd);
+}
+
+Responder ShardServer::LocalReply(std::uint64_t ticket) {
+  return [this, ticket](SchedulingResponse response) {
+    std::string line = FormatResponseLine(response);
+    if (std::this_thread::get_id() == loop_thread_) {
+      // Answered while the loop routed the frame.
+      CompleteTicket(ticket, std::move(line));
+      return;
+    }
+    bool wake = false;
+    {
+      const std::lock_guard<std::mutex> lock(local_->mutex);
+      wake = local_->done.empty();
+      local_->done.emplace_back(ticket, std::move(line));
+    }
+    // One wake per batch: the loop reads the eventfd before it takes the
+    // batch, so a line queued after that finds `done` empty and wakes it
+    // again.
+    if (wake) {
+      const std::uint64_t one = 1;
+      [[maybe_unused]] const ssize_t n =
+          ::write(local_->wake_fd, &one, sizeof(one));
+    }
+  };
 }
 
 ShardServer::ShardServer(ShardServerOptions options)
@@ -182,7 +197,6 @@ ShardServer::ShardServer(ShardServerOptions options)
       [this](std::size_t slot, std::size_t spawn_ordinal) {
         ShardWorkerOptions worker;
         worker.pipe_fd = CloseInheritedFdsInChild(slot);
-        worker.completion_threads = options_.completion_threads_per_shard;
         worker.shard_id = slot;
         worker.spawn_ordinal = spawn_ordinal;
         worker.service = options_.server.service;
@@ -419,6 +433,7 @@ void ShardServer::FlushConn(Conn& conn) {
         conn.fifo.pop_front();  // dropped ticket (shouldn't happen live)
         continue;
       }
+      if (StatsUnasked(it->second)) AskStats(it->first);
       if (!it->second.done) break;
       conn.out += it->second.response;
       conn.out += '\n';
@@ -442,20 +457,19 @@ void ShardServer::FlushConn(Conn& conn) {
     CloseConn(conn.id);
     return;
   }
-  if (conn.want_write != !conn.out.empty()) {
-    conn.want_write = !conn.out.empty();
-    UpdateEpollInterest(conn.fd, MakeTag(kTagConn, conn.id), conn.want_write);
-  }
+  UpdateEpollInterest(conn.fd, MakeTag(kTagConn, conn.id), !conn.out.empty());
 }
 
 void ShardServer::CloseConn(std::uint64_t conn_id) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
-  // Orphan this connection's tickets: ones already answered die here;
-  // ones still on a slot die when the reply (or the worker) comes back.
+  // Orphan this connection's tickets: ones already answered, or a STATS
+  // never asked, die here; ones still on a slot die when the reply (or
+  // the worker) comes back.
   for (const std::uint64_t ticket_id : it->second.fifo) {
     auto ticket_it = tickets_.find(ticket_id);
-    if (ticket_it != tickets_.end() && ticket_it->second.done) {
+    if (ticket_it != tickets_.end() &&
+        (ticket_it->second.done || StatsUnasked(ticket_it->second))) {
       tickets_.erase(ticket_it);
     } else if (ticket_it != tickets_.end()) {
       ticket_it->second.conn_id = 0;  // reply path drops it on arrival
@@ -481,14 +495,18 @@ void ShardServer::FlushShard(std::size_t slot_index) {
 void ShardServer::RouteFrame(Conn& conn, std::string_view frame) {
   const std::uint64_t ticket_id = OpenTicket(conn);
   if (local_ != nullptr) {
-    // A fulfilled future (a cache hit, a parse error, a shed) completes
-    // inline; only a batched one costs the completion stage a hop.
-    std::future<SchedulingResponse> reply =
-        local_->service.SubmitFrame(frame);
-    if (reply.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-      CompleteTicket(ticket_id, FormatResponseLine(reply.get()));
-    } else {
-      local_->completions.Enqueue(ticket_id, std::move(reply));
+    // The loop runs only the probe: a hit, a rejection or a shed
+    // completes inline. A frame that needs a parse is copied to the parse
+    // pool, and its wait there counts as batcher queue delay, so the
+    // overload controller sees that backlog.
+    if (!local_->service.SubmitFrame(frame, LocalReply(ticket_id),
+                                     /*may_parse=*/false)) {
+      local_->parsers->Submit([this, ticket_id, copy = std::string(frame),
+                               queued_at = std::chrono::steady_clock::now()] {
+        local_->service.SubmitFrame(
+            copy, LocalReply(ticket_id), /*may_parse=*/true,
+            std::chrono::steady_clock::now() - queued_at);
+      });
     }
     return;
   }
@@ -511,7 +529,16 @@ void ShardServer::RouteFrame(Conn& conn, std::string_view frame) {
 }
 
 void ShardServer::RouteStats(Conn& conn) {
-  const std::uint64_t ticket_id = OpenTicket(conn);
+  // Asked by FlushConn once every earlier reply on the connection is
+  // done, so the snapshot counts all of them.
+  tickets_[OpenTicket(conn)].is_stats = true;
+}
+
+bool ShardServer::StatsUnasked(const Ticket& ticket) {
+  return ticket.is_stats && !ticket.done && ticket.stats_waiting == 0;
+}
+
+void ShardServer::AskStats(std::uint64_t ticket_id) {
   if (local_ != nullptr) {
     CompleteTicket(ticket_id,
                    FormatStatsLine(CaptureStats(local_->service.Metrics())));
@@ -533,9 +560,7 @@ void ShardServer::RouteStats(Conn& conn) {
     CompleteTicket(ticket_id, FormatStatsLine(StatsSnapshot{}));
     return;
   }
-  Ticket& ticket = tickets_[ticket_id];
-  ticket.is_stats = true;
-  ticket.stats_waiting = targets.size();
+  tickets_[ticket_id].stats_waiting = targets.size();
   for (const std::size_t slot_index : targets) {
     AppendPipeMsg(slots_[slot_index].out, PipeMsgKind::kStatsQuery, ticket_id,
                   {});
@@ -813,6 +838,7 @@ void ShardServer::Serve() {
     }
   };
   watch(listen_fd_, MakeTag(kTagListener, 0));
+  loop_thread_ = std::this_thread::get_id();
   if (local_ != nullptr) {
     watch(local_->wake_fd, MakeTag(kTagLocal, 0));
   } else {
@@ -868,7 +894,7 @@ void ShardServer::Serve() {
   tickets_.clear();
   flush_pending_.clear();
   if (local_ != nullptr) {
-    local_->completions.Close();
+    local_->parsers.reset();
     local_->service.Drain();
   } else {
     report_ = supervisor_->End();

@@ -14,14 +14,11 @@
 //     which carves frames in place. Replies re-sequence through a
 //     per-connection FIFO of tickets, so each client sees its replies in
 //     request order whichever slot or thread finished first.
-//   * local slot: SchedulingService::SubmitFrame runs on the loop. A
-//     future that comes back fulfilled (a cache hit, a parse error, a
-//     shed) completes its ticket inline; a batched one goes to the
-//     CompletionStage, whose drainers queue the formatted line and wake
-//     the loop through an eventfd. STATS is answered inline from the
-//     service's counters. The slot's other threads are its batcher's
-//     workers and the `completion_threads_per_shard` drainers; there is
-//     no thread per connection.
+//   * local slot: the loop runs only SubmitFrame's probe; a hit, a
+//     rejection or a shed completes its ticket inline, and a frame that
+//     needs a parse is copied to the slot's parse pool. A batched reply
+//     is queued by the batcher worker that computed it, which wakes the
+//     loop through an eventfd. There is no thread per connection.
 //   * shards: each frame's bytes go straight into a ticket's pipe
 //     message on its worker's socketpair, routed by RoutingKey over the
 //     HashRing. Supervisor::Step() runs on the epoll tick. Worker death
@@ -33,6 +30,8 @@
 //     N-1 shards serve warm. A client STATS verb fans kStatsQuery out to
 //     every live shard and answers with one AccumulateStats'd line; a
 //     shard dying mid-fan-out just drops out of the aggregate.
+//   * STATS, in either topology, is asked once every earlier reply on
+//     its connection is done, so its snapshot counts all of them.
 //
 // Backpressure: a connection is not read while its unsent reply bytes
 // reach kConnOutCapBytes or its FIFO holds kConnFifoCap tickets, so a
@@ -51,6 +50,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -58,12 +58,12 @@
 
 #include "service/protocol.hpp"
 #include "service/service.hpp"
-#include "service/shard/completion_stage.hpp"
 #include "service/shard/frame_scanner.hpp"
 #include "service/shard/hash_ring.hpp"
 #include "service/shard/pipe.hpp"
 #include "service/supervisor.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fadesched::service {
 
@@ -113,7 +113,8 @@ struct ShardServerOptions {
   std::size_t vnodes_per_shard = 128;
   std::uint64_t ring_seed = 0x5eedU;
   RoutingMode routing = RoutingMode::kAffinity;
-  /// Completion-stage drainers per slot (local or shard worker).
+  /// Threads of the local slot's parse pool, which parses the frames a
+  /// cache probe cannot answer. A shard worker parses on its pipe reader.
   std::size_t completion_threads_per_shard = 2;
 
   /// Cap on bytes buffered toward one worker before its arc starts
@@ -150,8 +151,9 @@ class ShardServer {
   /// ScopedSignalGuard is installed for the duration, so forked workers
   /// inherit the handler), then drains: stop accepting, finish in-flight
   /// tickets within the supervisor's drain grace, then shut the workers
-  /// down, or join the local slot's completion stage and drain its
-  /// service.
+  /// down, or join the local slot's parse pool and drain its service.
+  /// Connections still open when the grace ends are closed, and their
+  /// unsent replies are dropped.
   void Serve();
 
   /// Requests shutdown from any thread (idempotent).
@@ -187,13 +189,12 @@ class ShardServer {
     bool closing = false;             ///< no more input: close once fifo
                                       ///< + out drain
     bool paused = false;              ///< at a cap: not read until drained
-    bool want_write = false;          ///< EPOLLOUT is armed
   };
 
   struct Ticket {
     std::uint64_t conn_id = 0;
     bool done = false;
-    bool is_stats = false;
+    bool is_stats = false;            ///< asked at the FIFO head
     std::size_t stats_waiting = 0;    ///< outstanding kStatsReply count
     StatsSnapshot stats_agg;
     std::string response;             ///< response line, no newline
@@ -211,7 +212,8 @@ class ShardServer {
   };
 
   /// The in-process slot of num_shards == 0. Its destructor joins the
-  /// drainers before it closes the eventfd they write.
+  /// parse pool and drains the service before it closes the eventfd
+  /// their replies write.
   struct LocalSlot {
     explicit LocalSlot(const ShardServerOptions& options);
     ~LocalSlot();
@@ -220,7 +222,9 @@ class ShardServer {
     int wake_fd = -1;  ///< eventfd the loop watches for `done`
     std::mutex mutex;
     std::vector<std::pair<std::uint64_t, std::string>> done;  ///< by mutex
-    CompletionStage completions;
+    /// Parses the frames the loop's probe cannot answer. Reset, which
+    /// runs what it holds and joins, before the service drains.
+    std::optional<util::ThreadPool> parsers;
   };
 
   // Event-loop stages.
@@ -228,6 +232,10 @@ class ShardServer {
   void HandleConnReadable(std::uint64_t conn_id);
   void HandleConnWritable(std::uint64_t conn_id);
   void HandleLocalCompletions();
+  /// The local slot's reply to `ticket`: completes it when called on the
+  /// loop, else queues the line for HandleLocalCompletions and wakes the
+  /// loop.
+  [[nodiscard]] Responder LocalReply(std::uint64_t ticket);
   void HandleShardReadable(std::size_t slot);
   void HandleShardWritable(std::size_t slot);
   void HandleTick();
@@ -239,6 +247,11 @@ class ShardServer {
   [[nodiscard]] std::uint64_t OpenTicket(Conn& conn);
   void RouteFrame(Conn& conn, std::string_view frame);
   void RouteStats(Conn& conn);
+  /// A STATS ticket not yet answered nor fanned out.
+  [[nodiscard]] static bool StatsUnasked(const Ticket& ticket);
+  /// Answers a STATS ticket from the local slot's counters, or fans it
+  /// out to the live shards.
+  void AskStats(std::uint64_t ticket_id);
   void FailTicket(std::uint64_t ticket_id, const std::string& message);
   void SyntheticError(Conn& conn, util::ErrorKind kind,
                       const std::string& message);
@@ -270,6 +283,7 @@ class ShardServer {
   std::optional<Supervisor> supervisor_;
   std::unique_ptr<LocalSlot> local_;
   SupervisorReport report_;
+  std::thread::id loop_thread_;  ///< Serve()'s thread
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "service/protocol.hpp"
-#include "service/shard/completion_stage.hpp"
 #include "service/shard/pipe.hpp"
 #include "util/signal_guard.hpp"
 
@@ -65,12 +64,14 @@ int RunShardWorker(const ShardWorkerOptions& options) {
                                           std::memory_order_relaxed);
   PipeWriter writer(options.pipe_fd);
 
-  // The completion stage writes each reply as a kResponse envelope.
-  CompletionStage completions(
-      options.completion_threads,
-      [&writer](std::uint64_t ticket, std::string line) {
-        writer.Write(PipeMsg{PipeMsgKind::kResponse, ticket, std::move(line)});
-      });
+  // Each reply leaves as a kResponse envelope, written by whichever thread
+  // answered it.
+  const auto reply_to = [&writer](std::uint64_t ticket) -> Responder {
+    return [&writer, ticket](SchedulingResponse response) {
+      writer.Write(PipeMsg{PipeMsgKind::kResponse, ticket,
+                           FormatResponseLine(response)});
+    };
+  };
 
   // Reader loop (main thread): poll → decode → dispatch.
   ServiceMetrics& metrics = service.Metrics();
@@ -100,12 +101,11 @@ int RunShardWorker(const ShardWorkerOptions& options) {
       while (auto msg = decoder.Pop()) {
         switch (msg->kind) {
           case PipeMsgKind::kRequest:
-            // SubmitFrame answers a frame that does not parse, and serves
-            // response-cache hits inline, with an already fulfilled
-            // future, so those cost the drainer a get() and a write,
-            // never a batcher round-trip.
-            completions.Enqueue(msg->ticket,
-                                service.SubmitFrame(msg->payload));
+            // Parsed here when it must be. A hit or a rejection is written
+            // from this thread, a batched reply by the batcher worker that
+            // computed it, so no thread waits on a future.
+            service.SubmitFrame(msg->payload, reply_to(msg->ticket),
+                                /*may_parse=*/true);
             break;
           case PipeMsgKind::kStatsQuery: {
             PipeMsg out;
@@ -140,7 +140,6 @@ int RunShardWorker(const ShardWorkerOptions& options) {
   // Drain: everything admitted gets computed and written before exit —
   // a rolled worker finishes its in-flight tickets, which is what keeps
   // the soak ledger zero-loss through a SIGHUP roll.
-  completions.Close();
   service.Drain();
   ::close(options.pipe_fd);
   return rc;

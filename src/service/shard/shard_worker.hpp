@@ -9,9 +9,10 @@
 //     SchedulingService::SubmitFrame (the inline cache fast path
 //     answers warm repeats without touching the batcher queue);
 //     kStatsQuery is answered immediately with a FormatStatsLine reply;
-//   * a CompletionStage of `completion_threads` drainers turns Submit
-//     futures into kResponse messages, in completion order — the ticket
-//     id carries ordering duty, so out-of-order completion here is fine;
+//   * each reply leaves as a kResponse message from the thread that
+//     answered it, this one or a batcher worker, in completion order —
+//     the ticket id carries ordering duty, so out-of-order completion
+//     here is fine;
 //   * all pipe writes funnel through one mutex: envelopes must land
 //     contiguously on the stream.
 //
@@ -31,7 +32,6 @@ namespace fadesched::service::shard {
 
 struct ShardWorkerOptions {
   int pipe_fd = -1;                   ///< worker end of the socketpair
-  std::size_t completion_threads = 2;
   std::size_t shard_id = 0;
   /// Global fork ordinal, surfaced via ServiceMetrics::worker_restarts on
   /// the STATS line.

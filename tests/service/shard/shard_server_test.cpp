@@ -485,6 +485,80 @@ TEST_F(ShardServerTest, DrainsCleanlyAndUnlinksTheSocket) {
   EXPECT_EQ(report.crashes, 0u);
 }
 
+/// Pipelines copies of `request`, with ids "b0", "b1", ..., on `client`'s
+/// non-blocking socket, never reading, until a send finds no room for
+/// 500 ms or `bound_bytes` went out. Returns whether it stalled; `frames`
+/// is the count started, `pending` the unsent tail of the last one, and
+/// `sent` the bytes that went out.
+bool PipelineUntilStalled(Client& client, SchedulingRequest request,
+                          std::size_t bound_bytes, std::size_t& frames,
+                          std::string& pending, std::size_t& sent) {
+  const int fd = client.NativeHandle();
+  frames = 0;
+  sent = 0;
+  pending.clear();
+  for (;;) {
+    if (sent >= bound_bytes) return false;
+    if (pending.empty()) {
+      request.id = "b" + std::to_string(frames++);
+      pending = FormatRequestFrame(request);
+    }
+    const ssize_t n = ::send(fd, pending.data(), pending.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      pending.erase(0, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      ADD_FAILURE() << std::strerror(errno);
+      return false;
+    }
+    pollfd writable{fd, POLLOUT, 0};
+    if (::poll(&writable, 1, 500) == 0) return true;  // no room for 500 ms
+  }
+}
+
+TEST_F(ShardServerTest, PastTheDrainGraceUnsentRepliesAreDropped) {
+  // Plain `serve`'s drain is bounded by the drain grace: a client that
+  // never reads holds its connection open past it, so the connection is
+  // closed with replies still unsent. Those replies are lost, and the
+  // client reads the ones that were sent, in order, then EOF.
+  StartServer("grace", 0, RoutingMode::kAffinity,
+              [](ShardServerOptions& options) {
+                options.supervisor.drain_grace_seconds = 0.3;
+              });
+  const std::unique_ptr<Client> client = Connect();
+  const SchedulingRequest request = Request(0, "warm");
+  ASSERT_TRUE(client->Call(request).Ok());
+  std::size_t frames = 0;
+  std::size_t sent = 0;
+  std::string pending;
+  ASSERT_TRUE(PipelineUntilStalled(*client, request, std::size_t{16} << 20,
+                                   frames, pending, sent))
+      << "the server took " << sent << " bytes from a client that never reads";
+
+  const auto stop_at = std::chrono::steady_clock::now();
+  StopServer();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_at,
+            std::chrono::seconds(5))
+      << "the drain outlived its grace";
+
+  std::size_t received = 0;
+  try {
+    for (;;) {
+      const SchedulingResponse response =
+          ParseResponseLine(client->ReadLine());
+      ASSERT_TRUE(response.Ok());
+      ASSERT_EQ(response.id, "b" + std::to_string(received));
+      ++received;
+    }
+  } catch (const util::HarnessError& e) {
+    // Closed (EOF, or a reset: frames were left unread), not timed out.
+    EXPECT_NE(e.kind(), util::ErrorKind::kTimeout) << e.what();
+  }
+  EXPECT_LT(received, frames) << "every reply arrived; nothing was dropped";
+}
+
 /// Runs the fixture at a slot count: 0 is plain `serve`'s local slot.
 class ConnectionBackpressureTest
     : public ShardServerTest,
@@ -507,32 +581,15 @@ TEST_P(ConnectionBackpressureTest, ANonReadingPipelinerStallsThenGetsAllInOrder)
   SchedulingRequest request = Request(0, "warm");
   ASSERT_TRUE(client->Call(request).Ok());
 
-  constexpr std::size_t kBoundBytes = std::size_t{16} << 20;
-  const int fd = client->NativeHandle();  // non-blocking
   std::size_t frames = 0;
   std::size_t sent = 0;
   std::string pending;  // unsent tail of the frame being written
-  bool stalled = false;
-  while (!stalled && sent < kBoundBytes) {
-    if (pending.empty()) {
-      request.id = "b" + std::to_string(frames++);
-      pending = FormatRequestFrame(request);
-    }
-    const ssize_t n = ::send(fd, pending.data(), pending.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      pending.erase(0, static_cast<std::size_t>(n));
-      continue;
-    }
-    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-        << std::strerror(errno);
-    pollfd writable{fd, POLLOUT, 0};
-    stalled = ::poll(&writable, 1, 500) == 0;  // no room for 500 ms
-  }
-  ASSERT_TRUE(stalled) << "the server took " << sent
-                       << " bytes from a client that never reads";
+  ASSERT_TRUE(PipelineUntilStalled(*client, request, std::size_t{16} << 20,
+                                   frames, pending, sent))
+      << "the server took " << sent << " bytes from a client that never reads";
 
   // Read every reply while the last frame's tail goes out.
+  const int fd = client->NativeHandle();
   std::vector<std::string> lines;
   std::string read_error;
   std::thread reader([&] {

@@ -801,12 +801,13 @@ int RunServe(int argc, char** argv) {
       "payload, cache-warm) | round_robin (the bench's control arm)");
   auto& completion_threads = cli.AddInt(
       "completion-threads", 2,
-      "reply-drainer threads for batched requests (in process, or per "
-      "shard worker)");
+      "threads that parse the frames a cache probe cannot answer "
+      "(single-process mode; a shard worker parses on its pipe reader)");
   auto& drain_grace = cli.AddDouble(
       "drain-grace", 10.0,
       "on SIGTERM, connections get this long (s) to finish in-flight "
-      "requests; with --shards, also the worker SIGTERM → SIGKILL grace");
+      "requests, then are closed and their unsent replies dropped; with "
+      "--shards, also the worker SIGTERM → SIGKILL grace");
   auto& max_restarts = cli.AddInt(
       "max-restarts", 8,
       "shard restarts inside --restart-window before the flap breaker "
