@@ -12,7 +12,7 @@
 // timing is reported as median, p10 and p90 over --reps repetitions, next
 // to a host block. With --check the exit code reflects ONLY those
 // differential and bit-identity checks — timings are reported but never
-// gate anything. Run with FADESCHED_NO_SIMD=1 to measure the
+// gate anything. Run with FADESCHED_SIMD_LEVEL=scalar to measure the
 // forced-scalar dispatch path end to end.
 #include <algorithm>
 #include <cmath>

@@ -1,15 +1,16 @@
 // Service-level benchmark: request-frame decode time against the check=
-// FNV floor, cold vs warm request latency through the scenario/response
-// cache, byte-determinism under a multi-worker batcher, and
-// admission-control shedding under overload. Emits BENCH_service.json.
+// FNV floor, byte-determinism of cold vs warm answers and under a
+// multi-worker batcher, admission-control shedding under overload, and
+// the serving tiers' open-loop curves. Emits BENCH_service.json.
 //
 // With --check the exit code gates the serving claims:
 //   * a carved frame is the formatted frame without END byte for byte,
 //     a decoded frame's scenario is bit-identical to the one formatted,
 //     and every timed raw hit is served with no full check= pass (decode
 //     timings are reported, never gated),
-//   * warm (cached) serving ≥ 5× faster than cold at N = 2000 links,
-//   * zero byte-level response divergence across ≥ 4 worker threads,
+//   * a warm (cached) answer at N = 2000 links is the cold one byte for
+//     byte, and zero byte-level response divergence across ≥ 4 worker
+//     threads,
 //   * a saturated queue sheds (status=shed, kind=transient, exit code 1),
 //   * the 8-shard tier's calibrated CPU per request, at its p90, is
 //     below the 1-shard tier's p10 by more than 1.3×, and affinity
@@ -81,7 +82,7 @@ service::SchedulingRequest MakeRequest(const testing::ScenarioCase& scenario,
 // same bytes, the check= floor a parse cannot go below, and two
 // payload-level hits, which skip the parse: a raw hit (SubmitFrame
 // repeating a frame whose check= the entry has verified) and a payload
-// hit (a frame with a header state the entry has no residue for, so its
+// hit (a frame with a header state the entry has not verified, so its
 // check= takes one full pass).
 struct DecodePoint {
   std::size_t links = 0;
@@ -147,8 +148,8 @@ bench::Spread MeasureCarve(const std::string& wire, std::string_view body,
 
 // SubmitFrame of one frame whose payload is resident, repeated as
 // perfbench and loadgen repeat theirs: after one warm-up call, whose full
-// pass leaves the entry a residue for the header state's low byte, every
-// timed call decides check= by a multiply and a compare.
+// pass becomes the entry's verified claim, every timed call decides
+// check= by one compare.
 bench::Spread MeasureRawHit(const service::SchedulingRequest& request,
                             const std::string& frame, int reps,
                             bool* verified) {
@@ -178,10 +179,8 @@ bench::Spread MeasureRawHit(const service::SchedulingRequest& request,
 }
 
 // SubmitFrame of frames whose payload is resident but whose header state
-// is fresh: each carries an id whose header state's low byte the entry
-// has no residue for, so check= takes one full pass, then the payload
-// and response probes answer it. An entry keeps at most 256 residues, so
-// each rep primes a fresh service.
+// is fresh: each carries a new id, so check= takes one full pass, then
+// the payload and response probes answer it.
 bench::Spread MeasurePayloadHit(const service::SchedulingRequest& request,
                                 int reps, bool* verified) {
   constexpr int kFramesPerRep = 32;
@@ -192,36 +191,28 @@ bench::Spread MeasurePayloadHit(const service::SchedulingRequest& request,
     frame.resize(frame.size() - 4);
     return frame;
   };
-  std::vector<std::string> frames;
-  std::vector<bool> low_byte_used(256, false);
-  const auto low_byte = [](const std::string& frame) {
-    return *service::ParseRequestHeader(frame).check_state & 0xff;
-  };
-  low_byte_used[low_byte(frame_for("prime-1"))] = true;
-  low_byte_used[low_byte(frame_for("prime-2"))] = true;
-  for (int i = 0; frames.size() < kFramesPerRep; ++i) {
-    std::string frame = frame_for("fresh-" + std::to_string(i));
-    if (low_byte_used[low_byte(frame)]) continue;
-    low_byte_used[low_byte(frame)] = true;
-    frames.push_back(std::move(frame));
-  }
+  service::SchedulingService svc;
   bool ok = true;
+  for (const char* id : {"prime-1", "prime-2"}) {  // a miss, then the attach
+    ok = svc.SubmitFrame(frame_for(id)).get().Ok() && ok;
+  }
   std::vector<double> samples;
   for (int r = 0; r < reps; ++r) {
-    service::SchedulingService svc;
-    for (const char* id : {"prime-1", "prime-2"}) {  // a miss, then the attach
-      ok = svc.SubmitFrame(frame_for(id)).get().Ok() && ok;
+    std::vector<std::string> frames;
+    for (int i = 0; i < kFramesPerRep; ++i) {
+      frames.push_back(frame_for("fresh-" + std::to_string(r) + "-" +
+                                 std::to_string(i)));
     }
     util::Stopwatch timer;
     for (const std::string& frame : frames) {
       ok = svc.SubmitFrame(frame).get().Ok() && ok;
     }
     samples.push_back(timer.Seconds() * 1e6 / kFramesPerRep);
-    const service::ServiceMetrics& m = svc.Metrics();
-    ok = ok && m.raw_check_passes.load() == kFramesPerRep &&
-         m.raw_hits.load() == kFramesPerRep;
   }
-  *verified = ok;
+  const service::ServiceMetrics& m = svc.Metrics();
+  const std::uint64_t timed = static_cast<std::uint64_t>(reps) * kFramesPerRep;
+  *verified = ok && m.raw_check_passes.load() == timed &&
+              m.raw_hits.load() == timed;
   return bench::SpreadOf(std::move(samples));
 }
 
@@ -481,11 +472,10 @@ std::string PointJson(const LoadPoint& point, bool service_side) {
 
 int main(int argc, char** argv) {
   util::CliParser cli("service_throughput",
-                      "cold/warm cache latency, multi-worker determinism, "
-                      "and overload shedding of the scheduling service");
-  auto& n_links = cli.AddInt("links", 2000, "instance size for cold vs warm");
+                      "frame decode, cold/warm and multi-worker "
+                      "determinism, and overload shedding of the "
+                      "scheduling service");
   auto& scheduler = cli.AddString("scheduler", "rle", "scheduler under test");
-  auto& warm_reps = cli.AddInt("warm-reps", 20, "warm-path repetitions");
   auto& det_workers = cli.AddInt("det-workers", 4,
                                  "batcher workers for the determinism run");
   auto& det_requests = cli.AddInt("det-requests", 200,
@@ -524,9 +514,10 @@ int main(int argc, char** argv) {
   auto& out_path = cli.AddString("out", "BENCH_service.json", "JSON output");
   auto& check = cli.AddBool(
       "check", false, "exit 1 unless carved and decoded frames are "
-      "bit-identical, repeated raw hits skip the check= pass, speedup >= "
-      "5, zero divergence, the overloaded queue shed, sharding cuts CPU "
-      "per request, and affinity beats round-robin on warm hits");
+      "bit-identical, repeated raw hits skip the check= pass, cold and "
+      "warm answers match, zero divergence, the overloaded queue shed, "
+      "sharding cuts CPU per request, and affinity beats round-robin on "
+      "warm hits");
   if (!cli.Parse(argc, argv)) return cli.UsageExitCode();
 
   // --- 0. Decode against the FNV floor, on a quiet process ----------------
@@ -542,38 +533,20 @@ int main(int argc, char** argv) {
                            point.raw_hit_verified;
                   });
 
-  // --- 1. Cold vs warm at N = n_links -------------------------------------
-  const testing::ScenarioCase big =
-      MakeCase(static_cast<std::size_t>(n_links), 20260805);
-  double cold_ms = 0.0;
-  double warm_ms = 0.0;
-  std::string cold_line, warm_line;
+  // --- 1. Cold vs warm answers at N = 2000 are byte-identical -----------
+  bool deterministic_pair = false;
   {
     service::SchedulingService svc;  // fresh cache: first request is cold
     const service::SchedulingRequest request =
-        MakeRequest(big, scheduler, "cold");
-    util::Stopwatch cold_timer;
-    service::SchedulingResponse response = svc.HandleNow(request);
-    cold_ms = cold_timer.Seconds() * 1e3;
-    if (!response.Ok()) {
-      std::fprintf(stderr, "cold request failed: %s\n",
-                   response.message.c_str());
+        MakeRequest(MakeCase(2000, 20260805), scheduler, "cold");
+    const service::SchedulingResponse cold = svc.HandleNow(request);
+    if (!cold.Ok()) {
+      std::fprintf(stderr, "cold request failed: %s\n", cold.message.c_str());
       return util::kExitRuntime;
     }
-    cold_line = service::FormatResponseLine(response);
-
-    double best = cold_ms;
-    for (long long r = 0; r < warm_reps; ++r) {
-      util::Stopwatch warm_timer;
-      response = svc.HandleNow(request);
-      const double ms = warm_timer.Seconds() * 1e3;
-      if (r == 0 || ms < best) best = ms;
-      warm_line = service::FormatResponseLine(response);
-    }
-    warm_ms = best;
+    deterministic_pair = service::FormatResponseLine(cold) ==
+                         service::FormatResponseLine(svc.HandleNow(request));
   }
-  const double speedup = warm_ms > 0.0 ? cold_ms / warm_ms : 0.0;
-  const bool deterministic_pair = cold_line == warm_line;
 
   // --- 2. Byte-determinism under a multi-worker batcher -------------------
   std::size_t det_mismatches = 0;
@@ -749,7 +722,6 @@ int main(int argc, char** argv) {
 
   std::ostringstream json;
   json << "{\n";
-  json << "  \"links\": " << n_links << ",\n";
   json << "  \"scheduler\": \"" << scheduler << "\",\n";
   json.precision(4);
   json << std::fixed;
@@ -777,9 +749,6 @@ int main(int argc, char** argv) {
          << (i + 1 < decode.size() ? "," : "") << "\n";
   }
   json << "  ]},\n";
-  json << "  \"cold_ms\": " << cold_ms << ",\n";
-  json << "  \"warm_ms\": " << warm_ms << ",\n";
-  json << "  \"warm_speedup\": " << speedup << ",\n";
   json << "  \"cold_warm_bytes_identical\": "
        << (deterministic_pair ? "true" : "false") << ",\n";
   json << "  \"determinism\": {\"workers\": " << det_workers
@@ -840,7 +809,7 @@ int main(int argc, char** argv) {
                               shard_series.front().cpu_us_per_req.p10;
     const bool affinity_wins = affinity.points[0].run.warm_hit_rate >
                                round_robin.points[0].run.warm_hit_rate;
-    const bool ok = decode_identical && speedup >= 5.0 && deterministic_pair &&
+    const bool ok = decode_identical && deterministic_pair &&
                     det_mismatches == 0 && shed_count > 0 &&
                     shed_exit_code == util::kExitRuntime && shards_scale &&
                     affinity_wins;

@@ -20,8 +20,8 @@ namespace fadesched::channel::simd {
 
 /// io[k] = −mean[k]·rng::LogPositive(io[k]) for k < n. Every io[k] must be
 /// a positive normal double (1 − U lies in [2⁻⁵³, 1]). `level` is resolved
-/// via ResolveSimdLevel, so kAuto honors FADESCHED_NO_SIMD and
-/// FADESCHED_SIMD_LEVEL; the result bits do not depend on it.
+/// via ResolveSimdLevel, so kAuto honors FADESCHED_SIMD_LEVEL; the result
+/// bits do not depend on it.
 void ExponentialInPlace(SimdLevel level, const double* mean, double* io,
                         std::size_t n);
 

@@ -38,32 +38,23 @@ SimdLevel DetectSimdLevel() {
 #endif
 }
 
-SimdLevel ApplySimdEnv(SimdLevel hardware, const char* no_simd,
-                       const char* level_cap) {
-  SimdLevel level = hardware;
-  if (level_cap != nullptr) {
-    const std::string cap(level_cap);
-    SimdLevel parsed = hardware;
-    if (cap == "scalar") {
-      parsed = SimdLevel::kScalar;
-    } else if (cap == "avx2") {
-      parsed = SimdLevel::kAvx2;
-    } else if (cap == "avx512") {
-      parsed = SimdLevel::kAvx512;
-    }
-    if (parsed < level) level = parsed;
+SimdLevel ApplySimdEnv(SimdLevel hardware, const char* level_cap) {
+  if (level_cap == nullptr) return hardware;
+  const std::string cap(level_cap);
+  SimdLevel parsed = hardware;
+  if (cap == "scalar") {
+    parsed = SimdLevel::kScalar;
+  } else if (cap == "avx2") {
+    parsed = SimdLevel::kAvx2;
+  } else if (cap == "avx512") {
+    parsed = SimdLevel::kAvx512;
   }
-  if (no_simd != nullptr && no_simd[0] != '\0' &&
-      std::string(no_simd) != "0") {
-    level = SimdLevel::kScalar;
-  }
-  return level;
+  return parsed < hardware ? parsed : hardware;
 }
 
 SimdLevel ActiveSimdLevel() {
   static const SimdLevel active =
-      ApplySimdEnv(DetectSimdLevel(), std::getenv("FADESCHED_NO_SIMD"),
-                   std::getenv("FADESCHED_SIMD_LEVEL"));
+      ApplySimdEnv(DetectSimdLevel(), std::getenv("FADESCHED_SIMD_LEVEL"));
   return active;
 }
 

@@ -9,7 +9,8 @@
 //
 //   kAvx512 — AVX-512 F/DQ/VL.
 //   kAvx2   — AVX2+FMA.
-//   kScalar — portable fallback; also what `FADESCHED_NO_SIMD=1` forces.
+//   kScalar — portable fallback; also what `FADESCHED_SIMD_LEVEL=scalar`
+//             forces.
 //
 // Both kernels' tiers are bit-identical to their scalar code (the
 // accumulator's factor lanes port glibc's FMA build of log1p, which is
@@ -18,7 +19,6 @@
 //
 // Dispatch is observable and overridable in two ways:
 //   * process-wide, via the environment (CI's forced-scalar and AVX2 runs):
-//       FADESCHED_NO_SIMD=1          force kScalar
 //       FADESCHED_SIMD_LEVEL=LEVEL   cap at scalar|avx2|avx512
 //   * per thread, with a ScopedSimdLevel guard (tests and micro_schedulers
 //     run whole schedulers at each tier in one process).
@@ -40,15 +40,14 @@ enum class SimdLevel {
 /// Best tier this CPU supports (cpuid probe, cached; kScalar off x86-64).
 [[nodiscard]] SimdLevel DetectSimdLevel();
 
-/// DetectSimdLevel() capped by the FADESCHED_NO_SIMD /
-/// FADESCHED_SIMD_LEVEL environment overrides. Read once per process.
+/// DetectSimdLevel() capped by the FADESCHED_SIMD_LEVEL environment
+/// override. Read once per process.
 [[nodiscard]] SimdLevel ActiveSimdLevel();
 
-/// Pure core of ActiveSimdLevel, exposed for tests: applies the two
-/// environment strings (either may be null) to `hardware`. Unknown level
-/// strings are ignored — the variables can only cap, never raise.
-[[nodiscard]] SimdLevel ApplySimdEnv(SimdLevel hardware, const char* no_simd,
-                                     const char* level_cap);
+/// Pure core of ActiveSimdLevel, exposed for tests: applies the
+/// environment string (may be null) to `hardware`. Unknown level strings
+/// are ignored — the variable can only cap, never raise.
+[[nodiscard]] SimdLevel ApplySimdEnv(SimdLevel hardware, const char* level_cap);
 
 /// Maps a requested level to the one that will actually run: kAuto →
 /// the calling thread's ScopedSimdLevel if one is live, else

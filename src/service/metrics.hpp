@@ -67,9 +67,9 @@ struct ServiceMetrics {
   /// response level (also in response_hits) or queued with a resident
   /// scenario (also in scenario_hits).
   std::atomic<std::uint64_t> raw_hits{0};
-  /// Full check= FNV passes run on payload matches (the rest found a
-  /// residue for their header state's low byte): the byte-serial work
-  /// warm traffic still pays.
+  /// Full check= FNV passes run on payload matches (the rest repeated
+  /// the header state of the entry's verified claim): the byte-serial
+  /// work warm traffic still pays.
   std::atomic<std::uint64_t> raw_check_passes{0};
   std::atomic<std::uint64_t> response_misses{0};
   std::atomic<std::uint64_t> scenario_hits{0};

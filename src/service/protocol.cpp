@@ -264,8 +264,7 @@ RequestHeader ParseRequestHeader(std::string_view frame) {
   return header;
 }
 
-SchedulingRequest ParseRequestBody(const RequestHeader& header,
-                                   bool check_matched) {
+SchedulingRequest ParseRequestBody(const RequestHeader& header) {
   SchedulingRequest request;
   request.id = header.id;
   request.scheduler = header.scheduler;
@@ -273,7 +272,7 @@ SchedulingRequest ParseRequestBody(const RequestHeader& header,
   // The payload's FNV is chained on during the parse (one pass over the
   // link block when it is in FormatScenario's spelling), so a frame pays
   // for the check once.
-  const bool hashed = !check_matched && header.check_state.has_value();
+  const bool hashed = header.check_state.has_value();
   std::uint64_t hash = hashed ? *header.check_state : 0;
   try {
     request.scenario = fadesched::testing::ParseScenario(
@@ -285,7 +284,6 @@ SchedulingRequest ParseRequestBody(const RequestHeader& header,
         std::string("request frame scenario payload (frame line 2 onward): ") +
         e.what());
   }
-  if (check_matched) return request;
   // Verified after the parse on purpose: a corrupted payload that fails
   // to parse keeps its precise row diagnostic; one that still parses —
   // or a flipped header token that still splits as key=value — is caught

@@ -52,8 +52,8 @@
 // CsvReader parse and a standalone FNV pass, with the same errors. The
 // serving path (SchedulingService::SubmitFrame) probes the cache's
 // payload level before any payload FNV and verifies check= only on a
-// payload match, before the hit is counted: from the entry's residue for
-// the header state's low byte when it has one, by one full pass
+// payload match, before the hit is counted: by one compare when the
+// entry's last verified claim had this header state, by one full pass
 // otherwise. A payload miss decodes with the one pass above.
 // Besides scheduling frames, a connection may send the bare line `STATS`
 // (no payload, no END) between frames; the server answers with one
@@ -168,11 +168,9 @@ struct RequestHeader {
 RequestHeader ParseRequestHeader(std::string_view frame);
 
 /// ParseRequestFrame's second half: parses the payload (kFatal on error),
-/// then verifies check= (kTransient on a mismatch) unless the caller has
-/// already seen Fnv1a64(payload, *check_state) equal check. The
-/// payload's FNV is folded in during the parse, so the frame is read once.
-SchedulingRequest ParseRequestBody(const RequestHeader& header,
-                                   bool check_matched = false);
+/// then verifies check= (kTransient on a mismatch). The payload's FNV is
+/// folded in during the parse, so the frame is read once.
+SchedulingRequest ParseRequestBody(const RequestHeader& header);
 
 /// Formats the single response line (no trailing newline). Deliberately
 /// omits cache_hit so hit and miss responses are byte-identical.

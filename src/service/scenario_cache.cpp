@@ -191,27 +191,23 @@ bool ScenarioCache::LookupResponse(const Fingerprint& fp,
 }
 
 std::optional<Fingerprint> ScenarioCache::LookupPayload(
-    const RawPayload& raw, std::string_view scheduler, RawCheck check,
-    bool* check_matched) {
-  const std::size_t low = check.state & 0xff;
+    const RawPayload& raw, std::string_view scheduler, RawCheck check) {
   std::unique_lock<std::mutex> lock(mutex_);
   std::optional<LruList::iterator> found = FindPayloadLocked(raw);
   if (!found) return std::nullopt;
   const Payload* entry = (*found)->payload.get();
-  if (entry->known[low]) {
-    if (check.state * entry->power + entry->residue[low] != check.expected) {
-      return std::nullopt;
-    }
-    if (check_matched != nullptr) *check_matched = true;
+  if (entry->verified && entry->verified->state == check.state) {
+    // The payload's hash from this state is known: one compare decides.
+    if (entry->verified->expected != check.expected) return std::nullopt;
   } else {
     // Unlocked: a full pass over the frame's copy of the bytes. The
     // serial finds the same entry again, or nothing if it is gone.
     const std::uint64_t serial = entry->serial;
     lock.unlock();
     Bump(&ServiceMetrics::raw_check_passes);
-    const std::uint64_t hash = util::Fnv1a64(raw.payload, check.state);
-    if (hash != check.expected) return std::nullopt;
-    if (check_matched != nullptr) *check_matched = true;
+    if (util::Fnv1a64(raw.payload, check.state) != check.expected) {
+      return std::nullopt;
+    }
     lock.lock();
     found.reset();
     auto [begin, end] = payload_index_.equal_range(raw.key);
@@ -219,9 +215,7 @@ std::optional<Fingerprint> ScenarioCache::LookupPayload(
       if (it->second->payload->serial == serial) found = it->second;
     }
     if (!found) return std::nullopt;
-    Payload& memo = *(*found)->payload;
-    memo.residue[low] = hash - check.state * memo.power;
-    memo.known.set(low);
+    (*found)->payload->verified = check;
   }
   TouchLocked(*found);
   Fingerprint fp;
@@ -240,7 +234,6 @@ void ScenarioCache::AttachPayload(const RawPayload& raw,
   auto payload = std::make_unique<Payload>();
   payload->bytes.assign(raw.payload);
   payload->scenario_hash = fp.scenario_hash;
-  payload->power = util::FnvPower(raw.payload.size());
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (FindPayloadLocked(raw)) return;

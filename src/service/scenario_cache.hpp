@@ -19,12 +19,11 @@
 //     parsed frame whose fingerprint is already resident, so one-shot
 //     frames copy nothing.
 //
-// A payload hit still verifies the frame's check=. FNV-1a over fixed
-// bytes is affine in its seed once the seed's low byte is fixed
-// (util::FnvPower), so each entry memoizes up to 256 residues, one per
-// low byte of the header state: a claim whose low byte has one is
-// decided by a multiply and a compare; any other takes one full pass,
-// and only a pass that matched writes the memo.
+// A payload hit still verifies the frame's check=. Each entry remembers
+// the last claim a full pass over its bytes verified: a claim with that
+// header state is decided by one compare; any other takes one full pass,
+// and only a pass that matched replaces the memo. Every sender repeats
+// one header per payload, so each payload pays one pass.
 //
 // Hash collisions are rejected, not served: every entry stores the bytes
 // it was keyed by (canonical blob, scheduler name, payload) and a lookup
@@ -41,8 +40,6 @@
 // is deterministic.
 #pragma once
 
-#include <array>
-#include <bitset>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -140,23 +137,21 @@ class ScenarioCache {
 
   /// The payload level: the fingerprint, under `scheduler`, of the
   /// resident payload equal to `raw.payload` byte for byte, once `check`
-  /// holds for it. The claim is decided by the entry's residue for
-  /// check.state's low byte when it has one, otherwise by one full FNV
-  /// pass outside the lock (bumping raw_check_passes) whose residue the
-  /// entry then keeps. A failed claim, or an entry evicted during the
-  /// pass, misses; a miss touches and counts nothing. A claim that held
-  /// sets *check_matched (when non-null), hit or not. The fingerprint
-  /// shares the entry's blob; its scenario or response may no longer be
-  /// resident.
+  /// holds for it. The claim is decided by one compare when check.state
+  /// is the state of the entry's verified claim, otherwise by one full
+  /// FNV pass outside the lock (bumping raw_check_passes) that becomes
+  /// the verified claim if it matched. A failed claim, or an entry
+  /// evicted during the pass, misses; a miss touches and counts nothing.
+  /// The fingerprint shares the entry's blob; its scenario or response
+  /// may no longer be resident.
   std::optional<Fingerprint> LookupPayload(const RawPayload& raw,
                                            std::string_view scheduler,
-                                           RawCheck check,
-                                           bool* check_matched = nullptr);
+                                           RawCheck check);
 
   /// Maps `raw.payload` to `fp` when `fp` is resident at the response or
   /// the scenario level and the payload is not yet resident: a new
-  /// payload entry, charged its bytes, its blob and its residue memo.
-  /// Otherwise does nothing.
+  /// payload entry, charged its bytes and its blob. Otherwise does
+  /// nothing.
   void AttachPayload(const RawPayload& raw, const Fingerprint& fp);
 
   [[nodiscard]] std::size_t CurrentBytes() const;
@@ -175,12 +170,10 @@ class ScenarioCache {
   struct Payload {
     std::string bytes;
     std::uint64_t scenario_hash = 0;
-    std::uint64_t power = 0;   ///< util::FnvPower(bytes.size())
     std::uint64_t serial = 0;  ///< distinct for every payload entry
-    /// residue[b], once known[b]: Fnv1a64(bytes, s) - s * power for any
-    /// state s whose low byte is b.
-    std::bitset<256> known;
-    std::array<std::uint64_t, 256> residue{};
+    /// The last claim a full pass matched: Fnv1a64(bytes, state) ==
+    /// expected.
+    std::optional<RawCheck> verified;
   };
 
   // One LRU node covers any level; exactly one of scenario, response and

@@ -198,14 +198,11 @@ bool SchedulingService::SubmitFrame(std::string_view frame, Responder reply,
     // match, before anything is touched or counted. A mismatch, a drain,
     // a payload miss, a fingerprint no longer resident or an unlocatable
     // check token takes the parse path, which folds check= into its one
-    // pass over the payload (unless the probe already matched it) and
-    // reports errors in their usual order.
-    bool check_matched = false;
+    // pass over the payload and reports errors in their usual order.
     std::optional<Fingerprint> fp;
     if (header.check_state && !batcher_->Draining()) {
       fp = cache_->LookupPayload(raw, header.scheduler,
-                                 RawCheck{*header.check_state, header.check},
-                                 &check_matched);
+                                 RawCheck{*header.check_state, header.check});
     }
     SchedulingResponse response;
     ScenarioCache::ScenarioPtr scenario;
@@ -220,7 +217,7 @@ bool SchedulingService::SubmitFrame(std::string_view frame, Responder reply,
     } else if (!may_parse) {
       return false;
     } else {
-      request = ParseRequestBody(header, check_matched);
+      request = ParseRequestBody(header);
     }
   } catch (const util::HarnessError& e) {
     (e.kind() == util::ErrorKind::kTransient ? metrics_.checksum_failures

@@ -36,6 +36,10 @@ constexpr std::uint64_t kTagConn = 2;
 constexpr std::uint64_t kTagShard = 3;
 constexpr std::uint64_t kTagLocal = 4;  // the local slot's eventfd
 
+// Threads of the local slot's parse pool (LocalSlot::parsers). A shard
+// worker parses on its pipe reader.
+constexpr unsigned kLocalParseThreads = 2;
+
 std::uint64_t MakeTag(std::uint64_t role, std::uint64_t id) {
   return (role << 56) | (id & ((1ULL << 56) - 1));
 }
@@ -133,9 +137,7 @@ int MakeEventFd() {
 ShardServer::LocalSlot::LocalSlot(const ShardServerOptions& options)
     : service(options.server.service),
       wake_fd(MakeEventFd()),
-      parsers(std::in_place,
-              static_cast<unsigned>(std::max<std::size_t>(
-                  1, options.completion_threads_per_shard))) {}
+      parsers(std::in_place, kLocalParseThreads) {}
 
 ShardServer::LocalSlot::~LocalSlot() {
   // No thread may write the eventfd once it is closed: the parse pool
@@ -177,8 +179,9 @@ ShardServer::ShardServer(ShardServerOptions options)
     local_ = std::make_unique<LocalSlot>(options_);
     return;
   }
-  ring_.emplace(HashRingOptions{options_.num_shards, options_.vnodes_per_shard,
-                                options_.ring_seed});
+  ring_.emplace(HashRingOptions{options_.num_shards,
+                                ShardServerOptions::vnodes_per_shard,
+                                ShardServerOptions::ring_seed});
   SupervisorOptions sup = options_.supervisor;
   sup.num_workers = options_.num_shards;
   sup.hooks.prepare_spawn = [this](std::size_t slot) { OnPrepareSpawn(slot); };

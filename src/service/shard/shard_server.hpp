@@ -97,7 +97,7 @@ struct ServerOptions {
 namespace fadesched::service::shard {
 
 enum class RoutingMode {
-  kAffinity,    ///< consistent-hash on the request fingerprint
+  kAffinity,    ///< consistent-hash on RoutingKey: the scenario payload
   kRoundRobin,  ///< rotate across live shards (the bench's control arm)
 };
 
@@ -110,12 +110,11 @@ struct ShardServerOptions {
   /// 0: one in-process local slot (plain `serve`); N > 0: N forked shard
   /// workers behind the hash ring.
   std::size_t num_shards = 0;
-  std::size_t vnodes_per_shard = 128;
-  std::uint64_t ring_seed = 0x5eedU;
+  /// The hash ring's shape: HashRingOptions' defaults.
+  static constexpr std::size_t vnodes_per_shard =
+      HashRingOptions{}.vnodes_per_shard;
+  static constexpr std::uint64_t ring_seed = HashRingOptions{}.seed;
   RoutingMode routing = RoutingMode::kAffinity;
-  /// Threads of the local slot's parse pool, which parses the frames a
-  /// cache probe cannot answer. A shard worker parses on its pipe reader.
-  std::size_t completion_threads_per_shard = 2;
 
   /// Cap on bytes buffered toward one worker before its arc starts
   /// shedding (see header comment).

@@ -14,7 +14,7 @@
 // xoshiro256++ stream derived from the master seed, so results are
 // bit-identical for any thread count, and — because the batched draw's
 // SIMD tiers reproduce the scalar variates bit for bit — for any
-// FADESCHED_NO_SIMD / FADESCHED_SIMD_LEVEL setting.
+// FADESCHED_SIMD_LEVEL setting.
 #pragma once
 
 #include <cstdint>

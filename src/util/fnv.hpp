@@ -30,18 +30,4 @@ inline std::uint64_t Fnv1a64(std::string_view bytes,
   return FnvFold(seed, bytes.data(), bytes.data() + bytes.size());
 }
 
-/// kFnvPrime to the n-th power, mod 2^64. With it FNV-1a over fixed
-/// bytes is affine in its seed once the seed's low byte is fixed:
-/// Fnv1a64(p, s) == s * FnvPower(p.size()) + R, where the residue R
-/// depends on p and on s & 0xff only. (Each step XORs a byte into the
-/// low 8 bits and multiplies; the low 8 bits of a product depend only on
-/// the low 8 bits of its factors.)
-constexpr std::uint64_t FnvPower(std::size_t n) {
-  std::uint64_t power = 1;
-  for (std::uint64_t base = kFnvPrime; n != 0; n >>= 1, base *= base) {
-    if ((n & 1) != 0) power *= base;
-  }
-  return power;
-}
-
 }  // namespace fadesched::util

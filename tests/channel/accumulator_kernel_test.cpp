@@ -354,18 +354,12 @@ TEST(AccumulatorKernelTest, ScopedLevelPinsAutoDispatchOnThisThread) {
 
 TEST(SimdDispatchTest, EnvOverridesOnlyCap) {
   const SimdLevel hw = SimdLevel::kAvx512;
-  EXPECT_EQ(ApplySimdEnv(hw, nullptr, nullptr), SimdLevel::kAvx512);
-  EXPECT_EQ(ApplySimdEnv(hw, "1", nullptr), SimdLevel::kScalar);
-  EXPECT_EQ(ApplySimdEnv(hw, "0", nullptr), SimdLevel::kAvx512);
-  EXPECT_EQ(ApplySimdEnv(hw, "", nullptr), SimdLevel::kAvx512);
-  EXPECT_EQ(ApplySimdEnv(hw, nullptr, "avx2"), SimdLevel::kAvx2);
-  EXPECT_EQ(ApplySimdEnv(hw, nullptr, "scalar"), SimdLevel::kScalar);
-  EXPECT_EQ(ApplySimdEnv(hw, nullptr, "bogus"), SimdLevel::kAvx512);
+  EXPECT_EQ(ApplySimdEnv(hw, nullptr), SimdLevel::kAvx512);
+  EXPECT_EQ(ApplySimdEnv(hw, "avx2"), SimdLevel::kAvx2);
+  EXPECT_EQ(ApplySimdEnv(hw, "scalar"), SimdLevel::kScalar);
+  EXPECT_EQ(ApplySimdEnv(hw, "bogus"), SimdLevel::kAvx512);
   // The cap cannot raise above hardware.
-  EXPECT_EQ(ApplySimdEnv(SimdLevel::kAvx2, nullptr, "avx512"),
-            SimdLevel::kAvx2);
-  // NO_SIMD wins over a higher cap.
-  EXPECT_EQ(ApplySimdEnv(hw, "1", "avx512"), SimdLevel::kScalar);
+  EXPECT_EQ(ApplySimdEnv(SimdLevel::kAvx2, "avx512"), SimdLevel::kAvx2);
 }
 
 TEST(SimdDispatchTest, ResolveClampsToHardware) {

@@ -2,8 +2,8 @@
 // simd::ExponentialInPlace must reproduce scalar rng::Exponential bit for
 // bit, at every tail length and in every branch form of the log, and so
 // must sim::DrawRealization at the tier the environment selects. CI
-// reruns this binary under FADESCHED_NO_SIMD=1, which covers the kAuto
-// path forced scalar.
+// reruns this binary under FADESCHED_SIMD_LEVEL=scalar, which covers the
+// kAuto path forced scalar.
 #include "channel/exponential_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -109,7 +109,8 @@ TEST(ExponentialKernelTest, EveryTierMatchesScalarOnALongStream) {
 
 // sim::DrawRealization always dispatches at kAuto, so this checks the
 // tier the environment selects: the host's best by default, scalar under
-// CI's FADESCHED_NO_SIMD=1 rerun, AVX2 under FADESCHED_SIMD_LEVEL=avx2.
+// CI's FADESCHED_SIMD_LEVEL=scalar rerun, AVX2 under
+// FADESCHED_SIMD_LEVEL=avx2.
 TEST(ExponentialKernelTest, DrawRealizationMatchesScalarDrawsAtTheActiveTier) {
   ChannelParams params;
   params.gamma_th = 1.0;

@@ -2,7 +2,7 @@
 // whether its feasibility sums come from the reference calculator or the
 // precomputed fast tables. This is the schedule-level guarantee that the
 // batched engine is a pure optimization, checked across 50+ seeded
-// scenarios (and re-run by CI under FADESCHED_NO_SIMD=1).
+// scenarios (and re-run by CI under FADESCHED_SIMD_LEVEL=scalar).
 #include <gtest/gtest.h>
 
 #include <memory>

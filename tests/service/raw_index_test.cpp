@@ -7,7 +7,6 @@
 #include <chrono>
 #include <future>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,8 +92,9 @@ std::vector<SchedulingRequest> SizedRequests(std::size_t count,
 
 /// A claim on a resident payload that is refused must leave the entry's
 /// LRU position alone. The entry is put at the tail behind two equal
-/// response entries, the claim is refused (by the residue memo when
-/// `memo_decides`, else by a full pass), and one more equal response
+/// response entries, the claim is refused (by the entry's verified
+/// claim when `memo_decides`, else by a full pass), and one more equal
+/// response
 /// fills the budget: the payload entry, not the response behind it, is
 /// what goes.
 void ExpectARefusedClaimLeavesTheTail(bool memo_decides) {
@@ -292,10 +292,9 @@ std::string WithFlippedCheck(std::string frame) {
 }
 
 TEST(RawIndexTest, EachNewHeaderStateTakesOneFullCheckPass) {
-  // The entry keeps a residue per low byte of the header state: a fresh
-  // id pays a pass only when no earlier one shared its state's low byte,
-  // and a repeated or earlier id pays none. Every reply is still the
-  // parse path's.
+  // The entry remembers only its last verified claim: every fresh id
+  // pays one pass, repeating the last id pays none, and returning to an
+  // earlier id pays one again. Every reply is still the parse path's.
   const SchedulingRequest request = MakeRequest(3);
   SchedulingService service;
   SchedulingService reference;
@@ -307,20 +306,43 @@ TEST(RawIndexTest, EachNewHeaderStateTakesOneFullCheckPass) {
         << id;
   };
   const ServiceMetrics& m = service.Metrics();
-  // More ids than low bytes, so some must share one.
-  std::set<std::uint64_t> low_bytes;
   for (int i = 0; i < 300; ++i) {
     const std::string id = "f" + std::to_string(i);
-    low_bytes.insert(CheckState(FrameOf(WithId(request, id))) & 0xff);
     send(id);
-    EXPECT_EQ(m.raw_check_passes.load(), low_bytes.size()) << id;
+    EXPECT_EQ(m.raw_check_passes.load(), static_cast<std::uint64_t>(i + 1))
+        << id;
   }
-  ASSERT_LE(low_bytes.size(), 256u);
   send("f299");
+  EXPECT_EQ(m.raw_check_passes.load(), 300u);
   send("f0");
-  EXPECT_EQ(m.raw_check_passes.load(), low_bytes.size());
+  EXPECT_EQ(m.raw_check_passes.load(), 301u);
   EXPECT_EQ(m.raw_hits.load(), 302u);
   EXPECT_EQ(m.checksum_failures.load(), 0u);
+}
+
+TEST(RawIndexTest, AFailedPassUnderANewStateKeepsTheVerifiedClaim) {
+  // A tampered frame under another id fails its full pass; the genuine
+  // frame's claim stays the entry's, so the genuine frame still takes no
+  // pass.
+  const SchedulingRequest request = MakeRequest(0);
+  SchedulingService service;
+  MakeResident(service, request);
+  ServiceMetrics& m = service.Metrics();
+  const std::string genuine = FrameOf(WithId(request, "g"));
+  ASSERT_TRUE(service.SubmitFrame(genuine).get().Ok());
+  ASSERT_EQ(m.raw_check_passes.load(), 1u);
+
+  const std::string tampered = WithFlippedCheck(FrameOf(WithId(request, "t")));
+  ASSERT_NE(CheckState(tampered), CheckState(genuine));
+  EXPECT_EQ(FormatResponseLine(service.SubmitFrame(tampered).get()),
+            ColdAnswer(tampered));
+  EXPECT_EQ(m.raw_check_passes.load(), 2u);
+  EXPECT_EQ(m.checksum_failures.load(), 1u);
+
+  EXPECT_EQ(FormatResponseLine(service.SubmitFrame(genuine).get()),
+            ColdAnswer(genuine));
+  EXPECT_EQ(m.raw_check_passes.load(), 2u) << "the failed pass replaced it";
+  EXPECT_EQ(m.raw_hits.load(), 2u);
 }
 
 TEST(RawIndexTest, ARepeatedFrameTakesOneFullCheckPass) {
@@ -337,7 +359,7 @@ TEST(RawIndexTest, ARepeatedFrameTakesOneFullCheckPass) {
 }
 
 TEST(RawIndexTest, TamperedCheckOnAVerifiedEntryChangesNothing) {
-  // The entry has a residue for the genuine frame's header state. A
+  // The entry's verified claim has the genuine frame's header state. A
   // tampered frame with the same state is decided by it (no full pass),
   // answered as on the parse path, and neither counts, touches the entry
   // nor charges a byte.
@@ -358,7 +380,7 @@ TEST(RawIndexTest, TamperedCheckOnAVerifiedEntryChangesNothing) {
   EXPECT_EQ(response.error_kind, util::ErrorKind::kTransient);
   EXPECT_EQ(FormatResponseLine(response), ColdAnswer(tampered));
   EXPECT_EQ(m.checksum_failures.load(), 1u);
-  EXPECT_EQ(m.raw_check_passes.load(), 1u) << "the residue did not decide";
+  EXPECT_EQ(m.raw_check_passes.load(), 1u) << "the verified claim did not decide";
   EXPECT_EQ(m.raw_hits.load(), 1u);
   const StatsSnapshot after = CaptureStats(m);
   EXPECT_EQ(after.response_hits, before.response_hits);

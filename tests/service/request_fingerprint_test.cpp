@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
 #include <string>
 
 #include "testing/fuzzer.hpp"
@@ -59,34 +58,6 @@ TEST(WordHash64Test, TrailingZerosAndSeedsAreContent) {
   EXPECT_NE(WordHash64("a"), WordHash64(std::string("a\0", 2)));
   EXPECT_NE(WordHash64(std::string(32, '\0')), WordHash64(std::string(33, '\0')));
   EXPECT_NE(WordHash64("payload", 1), WordHash64("payload", 2));
-}
-
-// The payload level's residue memo rests on this identity:
-// Fnv1a64(p, s) == s * FnvPower(|p|) + R, with R fixed by p and s's low
-// byte.
-TEST(Fnv1a64Test, IsAffineInItsSeedOnceItsLowByteIsFixed) {
-  std::mt19937_64 rng(31);
-  std::uint64_t power = 1;
-  for (std::size_t n = 0; n < 300; ++n, power *= util::kFnvPrime) {
-    ASSERT_EQ(util::FnvPower(n), power) << "n = " << n;
-  }
-  for (int trial = 0; trial < 200; ++trial) {
-    // Every fourth payload is empty; the rest are up to 4 KiB.
-    std::string payload(trial % 4 == 0 ? 0 : rng() % 4096, '\0');
-    for (char& byte : payload) byte = static_cast<char>(rng());
-    const std::uint64_t p_n = util::FnvPower(payload.size());
-    const std::uint64_t seed = rng();
-    const std::uint64_t residue = Fnv1a64(payload, seed) - seed * p_n;
-    if (payload.empty()) {
-      EXPECT_EQ(residue, 0u);
-    }
-    for (int other = 0; other < 8; ++other) {
-      const std::uint64_t same_low =
-          (rng() & ~std::uint64_t{0xff}) | (seed & 0xff);
-      ASSERT_EQ(same_low * p_n + residue, Fnv1a64(payload, same_low))
-          << "trial " << trial << ", " << payload.size() << " bytes";
-    }
-  }
 }
 
 TEST(FingerprintTest, DeterministicAcrossCalls) {

@@ -753,13 +753,6 @@ service::OverloadOptions MakeOverloadOptions(const OverloadFlags& flags) {
   return overload;
 }
 
-service::shard::RoutingMode RoutingFromName(const std::string& name) {
-  if (name == "affinity") return service::shard::RoutingMode::kAffinity;
-  if (name == "round_robin") return service::shard::RoutingMode::kRoundRobin;
-  throw util::FatalError("unknown routing mode '" + name +
-                         "' (expected affinity or round_robin)");
-}
-
 int RunServe(int argc, char** argv) {
   util::CliParser cli(
       "fadesched_cli serve",
@@ -793,16 +786,6 @@ int RunServe(int argc, char** argv) {
       "fork this many shard worker processes behind the epoll loop; "
       "0 = one in-process slot on the loop (the default: no fork, no "
       "pipe, lower CPU and RSS per request than --shards 1)");
-  auto& vnodes = cli.AddInt("vnodes", 128,
-                            "virtual nodes per shard on the hash ring");
-  auto& routing = cli.AddString(
-      "routing", "affinity",
-      "request placement: affinity (consistent-hash on the scenario "
-      "payload, cache-warm) | round_robin (the bench's control arm)");
-  auto& completion_threads = cli.AddInt(
-      "completion-threads", 2,
-      "threads that parse the frames a cache probe cannot answer "
-      "(single-process mode; a shard worker parses on its pipe reader)");
   auto& drain_grace = cli.AddDouble(
       "drain-grace", 10.0,
       "on SIGTERM, connections get this long (s) to finish in-flight "
@@ -837,10 +820,6 @@ int RunServe(int argc, char** argv) {
   service.batcher.overload = MakeOverloadOptions(overload_flags);
   service.cache.capacity_bytes = static_cast<std::size_t>(cache_mb) << 20;
   options.num_shards = shards > 0 ? static_cast<std::size_t>(shards) : 0;
-  options.vnodes_per_shard = static_cast<std::size_t>(vnodes);
-  options.routing = RoutingFromName(routing);
-  options.completion_threads_per_shard =
-      static_cast<std::size_t>(completion_threads);
   options.supervisor.drain_grace_seconds = drain_grace;
   options.supervisor.max_restarts_in_window =
       static_cast<std::size_t>(max_restarts);
@@ -855,8 +834,8 @@ int RunServe(int argc, char** argv) {
       unix_path.empty() ? host + ":" + std::to_string(server.Port())
                         : "unix:" + unix_path;
   if (options.num_shards > 0) {
-    std::printf("listening on %s (%d shards, %s routing)\n", where.c_str(),
-                static_cast<int>(shards), routing.c_str());
+    std::printf("listening on %s (%d shards)\n", where.c_str(),
+                static_cast<int>(shards));
   } else {
     std::printf("listening on %s\n", where.c_str());
   }
